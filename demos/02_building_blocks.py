@@ -5,7 +5,8 @@ power graphs), and the balanced tree partitioning."""
 from spanner import (
     WeightedTree,
     bfs_dist,
-    cluster_aggregate,
+    clustering_roles,
+    forest_aggregate,
     generate,
     grow_bfs_clusters,
     partition_tree,
@@ -21,7 +22,10 @@ print("5-path, centers {0, 4}, depth 2 ->", clusters.membership)
 print("vertex 2 is equidistant and joins the larger center ID (4)")
 print("rounds:", ledger.rounds_used)
 
-sizes, _ = cluster_aggregate(g, clusters, {v: 1 for v in g.vertices}, "sum")
+# a clustering is a forest keyed by center; each member contributes 1 to
+# its own cluster's tree
+ones = {v: {c: 1} for v, c in clusters.membership.items()}
+sizes, _ = forest_aggregate(g, clustering_roles(clusters), ones, "sum")
 print("cluster sizes via convergecast:", sizes)
 
 # -- ruling sets ----------------------------------------------------------------

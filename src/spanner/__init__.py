@@ -23,7 +23,6 @@ from .sim import (
     SimConfig,
     SimTimeout,
     run,
-    run_composed,
 )
 from .clustering import (
     Clustering,
@@ -33,7 +32,9 @@ from .clustering import (
     WeightedTree,
 )
 from .primitives import (
-    cluster_aggregate,
+    clustering_roles,
+    forest_aggregate,
+    forest_broadcast,
     grow_bfs_clusters,
     partition_tree,
     ruling_set_log,
@@ -52,7 +53,6 @@ from .kspanner import (
     cons_zero_superclustering,
     improved_spanner,
     naive_spanner,
-    simple_zero_superclustering,
     sparser_bipartite_spanner,
 )
 from .results import SpannerRun
@@ -70,17 +70,17 @@ __all__ = [
     "Graph", "Spanner", "bfs_dist", "generate", "load", "save",
     "with_random_weights",
     "BudgetError", "Msg", "NodeProgram", "RoundLedger", "SimConfig",
-    "SimTimeout", "run", "run_composed",
+    "SimTimeout", "run",
     "Clustering", "Supercluster", "Superclustering", "TreePartition",
     "WeightedTree",
-    "cluster_aggregate", "grow_bfs_clusters", "partition_tree",
+    "clustering_roles", "forest_aggregate", "forest_broadcast",
+    "grow_bfs_clusters", "partition_tree",
     "ruling_set_log", "ruling_set_power",
     "Bipartition", "bipartite_3_spanner", "improved_3_spanner",
     "partition_high_degree", "small_id_3_spanner",
     "three_spanner_given_partition",
     "baswana_sen_baseline", "cons_zero_superclustering", "improved_spanner",
-    "naive_spanner", "simple_zero_superclustering",
-    "sparser_bipartite_spanner",
+    "naive_spanner", "sparser_bipartite_spanner",
     "SpannerRun",
     "StretchReport", "audit_ruling_set", "audit_superclustering",
     "fit_bounds", "fit_exponent", "verify_stretch", "verify_stretch_allpairs",

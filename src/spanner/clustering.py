@@ -10,9 +10,34 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .graph import Edge, Graph, canon
+
+
+def orient_tree(
+    root: int, edges: Iterable[Edge]
+) -> Dict[int, Tuple[Optional[int], Tuple[int, ...]]]:
+    """Orient a tree from its root by BFS over sorted neighbors:
+    vertex -> (parent, sorted children).  Vertices the root cannot reach
+    are left out."""
+    adj: Dict[int, List[int]] = {root: []}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    parent: Dict[int, Optional[int]] = {root: None}
+    q = deque([root])
+    while q:
+        x = q.popleft()
+        for y in sorted(adj[x]):
+            if y not in parent:
+                parent[y] = x
+                q.append(y)
+    children: Dict[int, List[int]] = {v: [] for v in parent}
+    for v, p in parent.items():
+        if p is not None:
+            children[p].append(v)
+    return {v: (p, tuple(sorted(children[v]))) for v, p in parent.items()}
 
 
 @dataclass
@@ -177,27 +202,11 @@ class WeightedTree:
             vs.add(v)
         return vs
 
-    def adjacency(self) -> Dict[int, List[int]]:
-        adj: Dict[int, List[int]] = {v: [] for v in self.vertices()}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return {v: sorted(ns) for v, ns in adj.items()}
-
     def validate(self) -> None:
         vs = self.vertices()
         if len(self.edges) != len(vs) - 1:
             raise ValueError("edge count does not match a tree")
-        adj = self.adjacency()
-        seen = {self.root}
-        q = deque([self.root])
-        while q:
-            x = q.popleft()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    q.append(y)
-        if seen != vs:
+        if set(orient_tree(self.root, self.edges)) != vs:
             raise ValueError("tree is disconnected")
         for v in vs:
             w = self.weights.get(v, 0)

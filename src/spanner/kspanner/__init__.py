@@ -5,7 +5,7 @@ zero-level superclustering, and the randomized comparator."""
 from .naive import naive_spanner
 from .starbip import sparser_bipartite_spanner
 from .improved import improved_spanner
-from .zero import cons_zero_superclustering, simple_zero_superclustering
+from .zero import cons_zero_superclustering
 from .baseline import baswana_sen_baseline
 
 __all__ = [
@@ -13,6 +13,5 @@ __all__ = [
     "sparser_bipartite_spanner",
     "improved_spanner",
     "cons_zero_superclustering",
-    "simple_zero_superclustering",
     "baswana_sen_baseline",
 ]

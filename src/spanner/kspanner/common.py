@@ -7,7 +7,13 @@ from typing import Dict, List, Optional, Tuple
 
 from ..clustering import Clustering
 from ..graph import Graph
-from ..primitives import ForestAggregate, ForestBroadcast
+from ..primitives import (
+    TAG_IDS,
+    clustering_roles,
+    forest_aggregate,
+    forest_broadcast,
+    id_chunks,
+)
 from ..sim import Msg, NodeProgram, RoundLedger, SimConfig, run
 
 
@@ -54,23 +60,6 @@ def exchange(
     return got
 
 
-def forest_roles_for_clustering(
-    g: Graph, clustering: Clustering, values: Dict[int, int]
-) -> Dict[int, dict]:
-    children = clustering.children()
-    roles = {}
-    for v in g.vertices:
-        if v in clustering.membership:
-            roles[v] = {
-                "roles": [
-                    (clustering.parents[v], tuple(children.get(v, ())), values.get(v, 0))
-                ]
-            }
-        else:
-            roles[v] = {"roles": []}
-    return roles
-
-
 def clustering_aggregate(
     g: Graph,
     cfg: SimConfig,
@@ -82,11 +71,13 @@ def clustering_aggregate(
     bound: Optional[int] = None,
 ) -> Dict[int, int]:
     """Convergecast per cluster tree; returns center -> aggregate."""
-    bound = bound if bound is not None else max(2 * g.n + 1, 2)
-    private = forest_roles_for_clustering(g, clustering, values)
-    outputs, led = run(g, ForestAggregate(combine, bound), cfg, private=private)
+    member = clustering.membership
+    per_tree = {v: {member[v]: x} for v, x in values.items() if v in member}
+    result, led = forest_aggregate(
+        g, clustering_roles(clustering), per_tree, combine, bound, cfg
+    )
     ledger.extend_sequential(led, name=name)
-    return {c: outputs[c][0] for c in clustering.centers}
+    return result
 
 
 def clustering_broadcast(
@@ -99,24 +90,11 @@ def clustering_broadcast(
     bound: Optional[int] = None,
 ) -> Dict[int, int]:
     """Push one value per center down its tree; returns vertex -> value."""
-    bound = bound if bound is not None else max(2 * g.n + 1, 2)
-    children = clustering.children()
-    private = {}
-    for v in g.vertices:
-        if v in clustering.membership:
-            # every root must push something or its tree would wait forever
-            val = center_values.get(v, 0) if clustering.parents[v] is None else None
-            private[v] = {
-                "roles": [(clustering.parents[v], tuple(children.get(v, ())), val)]
-            }
-        else:
-            private[v] = {"roles": []}
-    outputs, led = run(g, ForestBroadcast(bound), cfg, private=private)
+    got, led = forest_broadcast(
+        g, clustering_roles(clustering), center_values, bound, cfg
+    )
     ledger.extend_sequential(led, name=name)
-    return {
-        v: outputs[v][0]
-        for v in clustering.membership
-    }
+    return {v: got[v][c] for v, c in clustering.membership.items()}
 
 
 class ChunkedGather(NodeProgram):
@@ -125,22 +103,15 @@ class ChunkedGather(NodeProgram):
 
     name = "chunked-gather"
 
-    TAG_ITEM, TAG_END = 0, 1
-
     def init(self, view):
         p = view.private or {}
         hub = p.get("hub")
         items = list(p.get("items", ()))
-        per_msg = max(1, (view.budget - 8) // view.bits.id_bits)
-        chunks: List[Tuple] = []
-        if hub is not None and hub != view.vid:
-            for i in range(0, len(items), per_msg):
-                chunks.append((self.TAG_ITEM, tuple(items[i : i + per_msg])))
-            chunks.append((self.TAG_END,))
+        sends = hub is not None and hub != view.vid
         return {
             "hub": hub,
             "self_items": items if hub == view.vid else [],
-            "chunks": chunks,
+            "chunks": id_chunks(view, items) if sends else [],
             "cursor": 0,
             "waiting": set(p.get("expect", ())),
             "collected": {},
@@ -148,17 +119,15 @@ class ChunkedGather(NodeProgram):
 
     def on_round(self, state, view, rnd, inbox):
         for sender, body in inbox:
-            if body[0] == self.TAG_ITEM:
+            if body[0] == TAG_IDS:
                 state["collected"].setdefault(sender, []).extend(body[1])
             else:
                 state["collected"].setdefault(sender, [])
                 state["waiting"].discard(sender)
         out = {}
         if state["cursor"] < len(state["chunks"]):
-            body = state["chunks"][state["cursor"]]
+            out[state["hub"]] = state["chunks"][state["cursor"]]
             state["cursor"] += 1
-            nids = len(body[1]) if body[0] == self.TAG_ITEM else 0
-            out[state["hub"]] = view.bits.msg(body, ids=nids)
         done = state["cursor"] >= len(state["chunks"]) and not state["waiting"]
         return out, done
 
@@ -197,39 +166,25 @@ class ChunkedScatter(NodeProgram):
 
     name = "chunked-scatter"
 
-    TAG_ITEM, TAG_END = 0, 1
-
     def init(self, view):
         p = view.private or {}
-        plan: Dict[int, List[int]] = {u: list(x) for u, x in p.get("plan", {}).items()}
-        per_msg = max(1, (view.budget - 8) // view.bits.id_bits)
-        queues: Dict[int, List[Tuple]] = {}
-        for u, items in plan.items():
-            q = [
-                (self.TAG_ITEM, tuple(items[i : i + per_msg]))
-                for i in range(0, len(items), per_msg)
-            ]
-            q.append((self.TAG_END,))
-            queues[u] = q
         hub = p.get("hub")
         return {
-            "queues": queues,
+            "queues": {u: id_chunks(view, ids) for u, ids in p.get("plan", {}).items()},
             "done_recv": hub is None or hub == view.vid,
             "got": [],
         }
 
     def on_round(self, state, view, rnd, inbox):
         for _sender, body in inbox:
-            if body[0] == self.TAG_ITEM:
+            if body[0] == TAG_IDS:
                 state["got"].extend(body[1])
             else:
                 state["done_recv"] = True
         out = {}
         empty = []
         for u, q in state["queues"].items():
-            body = q.pop(0)
-            nids = len(body[1]) if body[0] == self.TAG_ITEM else 0
-            out[u] = view.bits.msg(body, ids=nids)
+            out[u] = q.pop(0)
             if not q:
                 empty.append(u)
         for u in empty:

@@ -7,14 +7,19 @@ construction once only O(sqrt n) clusters remain."""
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
-from ..clustering import Supercluster, Superclustering, WeightedTree
+from ..clustering import Supercluster, Superclustering, WeightedTree, orient_tree
 from ..graph import Graph, Spanner
-from ..primitives import ForestAggregate, ForestBroadcast, grow_bfs_clusters, partition_tree
+from ..primitives import (
+    RoleTable,
+    forest_aggregate,
+    forest_broadcast,
+    grow_bfs_clusters,
+    partition_tree,
+)
 from ..results import SpannerRun
-from ..sim import Msg, RoundLedger, SimConfig, run
+from ..sim import Msg, RoundLedger, SimConfig
 from .common import clustering_aggregate, clustering_broadcast, exchange, ipow_ceil
 from .naive import naive_spanner
 from .starbip import sparser_bipartite_spanner
@@ -25,86 +30,24 @@ RECURSION_BASE = 64
 TAG_SCID, TAG_ACK, TAG_TUPLE, TAG_VOTE, TAG_SUCCESS, TAG_UNCOV, TAG_EDGE = range(7)
 
 
-def _sc_tree_roles(sc: Supercluster) -> Dict[int, Tuple[Optional[int], Tuple[int, ...]]]:
-    """Orient a supercluster tree from its root: vertex -> (parent, children)."""
-    adj: Dict[int, List[int]] = {sc.root: []}
-    for u, v in sc.tree_edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    parent: Dict[int, Optional[int]] = {sc.root: None}
-    order = [sc.root]
-    q = deque([sc.root])
-    while q:
-        x = q.popleft()
-        for y in sorted(adj[x]):
-            if y not in parent:
-                parent[y] = x
-                order.append(y)
-                q.append(y)
-    children: Dict[int, List[int]] = {v: [] for v in parent}
-    for v, p in parent.items():
-        if p is not None:
-            children[p].append(v)
-    return {v: (parent[v], tuple(sorted(children[v]))) for v in parent}
+def _sc_roles(scs: Sequence[Supercluster]) -> RoleTable:
+    """Superclusters as a forest keyed by sc_id: every connecting tree,
+    oriented from its root, gives its vertices one (sc_id, parent, children)
+    role each."""
+    roles: RoleTable = {}
+    for sc in scs:
+        for v, (p, ch) in orient_tree(sc.root, sc.tree_edges).items():
+            roles.setdefault(v, []).append((sc.sc_id, p, ch))
+    return roles
 
 
-class SCForest:
-    """Per-vertex role tables for aggregation over all supercluster trees."""
-
-    def __init__(self, g: Graph, scs: Sequence[Supercluster]):
-        self.scs = list(scs)
-        self.roles: Dict[int, List[Tuple[int, Optional[int], Tuple[int, ...]]]] = {
-            v: [] for v in g.vertices
-        }
-        for sc in self.scs:
-            table = _sc_tree_roles(sc)
-            for v, (p, ch) in table.items():
-                self.roles[v].append((sc.sc_id, p, ch))
-
-    def aggregate(self, g, cfg, ledger, name, values: Dict[int, Dict[int, int]],
-                  combine="sum", bound=None) -> Dict[int, int]:
-        """values[vertex][sc_id] -> contribution; returns sc_id -> total."""
-        bound = bound if bound is not None else max(2, 2 * g.n)
-        private = {}
-        role_index: Dict[int, List[int]] = {}
-        for v in g.vertices:
-            rs = []
-            ids = []
-            for scid, p, ch in self.roles[v]:
-                rs.append((p, ch, values.get(v, {}).get(scid, 0)))
-                ids.append(scid)
-            private[v] = {"roles": rs}
-            role_index[v] = ids
-        outputs, led = run(g, ForestAggregate(combine, bound), cfg, private=private)
-        ledger.extend_sequential(led, name=name)
-        out = {}
-        for sc in self.scs:
-            r = sc.root
-            idx = role_index[r].index(sc.sc_id)
-            out[sc.sc_id] = outputs[r][idx]
-        return out
-
-    def broadcast(self, g, cfg, ledger, name, root_values: Dict[int, int],
-                  bound=None) -> Dict[int, Dict[int, int]]:
-        """root_values[sc_id] -> value; returns vertex -> {sc_id: value}."""
-        bound = bound if bound is not None else max(2, 2 * g.n)
-        private = {}
-        role_index = {}
-        for v in g.vertices:
-            rs = []
-            ids = []
-            for scid, p, ch in self.roles[v]:
-                val = root_values.get(scid, 0) if p is None else None
-                rs.append((p, ch, val))
-                ids.append(scid)
-            private[v] = {"roles": rs}
-            role_index[v] = ids
-        outputs, led = run(g, ForestBroadcast(bound), cfg, private=private)
-        ledger.extend_sequential(led, name=name)
-        got = {}
-        for v in g.vertices:
-            got[v] = {scid: outputs[v][i] for i, scid in enumerate(role_index[v])}
-        return got
+def _per_supercluster(
+    per_center: Dict[int, int], sc_of_vertex: Dict[int, int]
+) -> Dict[int, Dict[int, int]]:
+    """Center aggregates as contributions to the center's supercluster tree."""
+    return {
+        c: {sc_of_vertex[c]: x} for c, x in per_center.items() if c in sc_of_vertex
+    }
 
 
 def improved_spanner(
@@ -128,7 +71,7 @@ def improved_spanner(
         return res
 
     n = g.n
-    kp = k // 2 if k % 2 == 0 else (k - 1) // 2
+    kp = k // 2
     zero = cons_zero_superclustering(g, k, cfg)
     H = zero.spanner
     ledger = zero.ledger
@@ -173,7 +116,7 @@ def _phase(g, k, cfg, ledger, trace, H, clustering, superclustering,
     for scid, vs in vset.items():
         for v in vs:
             sc_of_vertex[v] = scid
-    forest = SCForest(g, superclustering.superclusters)
+    sc_roles = _sc_roles(superclustering.superclusters)
     cap = 4 * ipow_ceil(n, k - 2, 2 * k) + 2  # 4 n^(1/2-1/k) iterations
 
     # announce supercluster membership once per phase
@@ -219,16 +162,14 @@ def _phase(g, k, cfg, ledger, trace, H, clustering, superclustering,
         per_center = clustering_aggregate(
             g, cfg, ledger, f"sc-deg-up1:P{i}.{iterations}", clustering, contrib
         )
-        deg = forest.aggregate(
-            g, cfg, ledger, f"sc-deg-up2:P{i}.{iterations}",
-            {c: {scid: per_center[c]}
-             for c in clustering.centers
-             for scid in [sc_of_vertex.get(c)] if scid is not None},
+        deg, led = forest_aggregate(
+            g, sc_roles, _per_supercluster(per_center, sc_of_vertex), cfg=cfg
         )
-        at_center = forest.broadcast(
-            g, cfg, ledger, f"sc-deg-down2:P{i}.{iterations}",
-            {scid: deg.get(scid, 0) for scid in remaining},
+        ledger.extend_sequential(led, name=f"sc-deg-up2:P{i}.{iterations}")
+        at_center, led = forest_broadcast(
+            g, sc_roles, {scid: deg.get(scid, 0) for scid in remaining}, cfg=cfg
         )
+        ledger.extend_sequential(led, name=f"sc-deg-down2:P{i}.{iterations}")
         know = clustering_broadcast(
             g, cfg, ledger, f"sc-deg-down1:P{i}.{iterations}", clustering,
             {c: at_center[c].get(sc_of_vertex.get(c), 0)
@@ -275,12 +216,10 @@ def _phase(g, k, cfg, ledger, trace, H, clustering, superclustering,
         per_center = clustering_aggregate(
             g, cfg, ledger, f"sc-votes-up1:P{i}.{iterations}", clustering, votes
         )
-        vote_sum = forest.aggregate(
-            g, cfg, ledger, f"sc-votes-up2:P{i}.{iterations}",
-            {c: {scid: per_center[c]}
-             for c in clustering.centers
-             for scid in [sc_of_vertex.get(c)] if scid is not None},
+        vote_sum, led = forest_aggregate(
+            g, sc_roles, _per_supercluster(per_center, sc_of_vertex), cfg=cfg
         )
+        ledger.extend_sequential(led, name=f"sc-votes-up2:P{i}.{iterations}")
         new_joiners = {
             scid for scid in sorted(remaining)
             if deg.get(scid, 0) >= exp_threshold
@@ -302,10 +241,10 @@ def _phase(g, k, cfg, ledger, trace, H, clustering, superclustering,
             break
         joined_sc |= new_joiners
         remaining -= new_joiners
-        at_center = forest.broadcast(
-            g, cfg, ledger, f"sc-join-down2:P{i}.{iterations}",
-            {scid: 1 for scid in new_joiners},
+        at_center, led = forest_broadcast(
+            g, sc_roles, {scid: 1 for scid in new_joiners}, cfg=cfg
         )
+        ledger.extend_sequential(led, name=f"sc-join-down2:P{i}.{iterations}")
         know_join = clustering_broadcast(
             g, cfg, ledger, f"sc-join-down1:P{i}.{iterations}", clustering,
             {c: at_center[c].get(sc_of_vertex.get(c), 0)

@@ -58,10 +58,7 @@ def _form_stars(g, cfg, ledger, st: StarState, H: Spanner) -> None:
         cands = [u for u in g.adj[v] if u in st.a]
         if not cands:
             continue
-        if g.weighted:
-            c = min(cands, key=lambda u: (g.weight(v, u), u))
-        else:
-            c = min(cands)
+        c = min(cands, key=lambda u: (g.weight(v, u), u))
         st.star_of[v] = c
         H.add(v, c, "star")
         m = Msg(8 + g.id_bits, (TAG_CHOSE, c))
@@ -255,7 +252,7 @@ def sparser_bipartite_spanner(
             spanner.merge(res.spanner)
             res.spanner = spanner
         return res
-    kp = k // 2 if k % 2 == 0 else (k - 1) // 2
+    kp = k // 2
     H = spanner if spanner is not None else Spanner(g)
     ledger = RoundLedger()
     trace: Dict = {"k": k, "k_prime": kp, "phases": {}, "approx": []}

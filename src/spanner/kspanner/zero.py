@@ -7,15 +7,13 @@ re-clusters everything near a winner.  Low-expansion clusters' edges are
 covered immediately (bipartite spanner toward the outside plus recursion
 inside).  The final clusters, rebalanced by the partitioning routine, become
 superclusters over singleton clusters.
-
-A simple variant for low-diameter graphs partitions one BFS tree directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from ..clustering import Clustering, Supercluster, Superclustering, WeightedTree
 from ..graph import Graph, Spanner, canon
@@ -34,10 +32,6 @@ class ZeroResult:
     spanner: Spanner            # H': covers every edge at an excluded vertex
     ledger: RoundLedger
     trace: Dict = field(default_factory=dict)
-
-
-def phases_for(k: int) -> int:
-    return k // 2 if k % 2 == 0 else (k - 1) // 2
 
 
 def _cluster_expansion(g, cfg, ledger, clustering, label) -> Dict[int, int]:
@@ -121,7 +115,7 @@ def cons_zero_superclustering(
         raise ValueError("k must be >= 3")
     cfg = (cfg or SimConfig()).resolved(g)
     n = g.n
-    kp = phases_for(k)
+    kp = k // 2
     H = Spanner(g)
     ledger = RoundLedger()
     trace: Dict = {"levels": {}, "k": k}
@@ -215,81 +209,3 @@ def cons_zero_superclustering(
     trace["covered"] = len(covered)
     trace["radius"] = radius
     return ZeroResult(sc, c0, H, ledger, trace)
-
-
-def simple_zero_superclustering(
-    g: Graph, cfg: Optional[SimConfig] = None
-) -> ZeroResult:
-    """Low-diameter variant: partition a BFS tree per connected component
-    (rooted at the component's maximum ID) into sqrt(n)-weight parts; every
-    part becomes a supercluster of singleton clusters.  Covers all vertices,
-    so H' stays empty."""
-    cfg = (cfg or SimConfig()).resolved(g)
-    n = g.n
-    ledger = RoundLedger()
-    roots = _component_roots(g)
-    clustering, led = grow_bfs_clusters(g, roots, max(1, n), cfg, level=0)
-    ledger.extend_sequential(led, name="bfs-tree")
-    depths = clustering.depths()
-    bound = max(1, math.ceil(math.sqrt(n)))
-    members = clustering.members()
-    superclusters: List[Supercluster] = []
-    part_ledgers = []
-    for c in sorted(members):
-        vs = members[c]
-        tree_edges = frozenset(
-            canon(v, p)
-            for v, p in clustering.parents.items()
-            if p is not None and clustering.membership[v] == c
-        )
-        depth_bound = max(1, 2 * max(depths[v] for v in vs))
-        if len(vs) < bound:
-            superclusters.append(
-                Supercluster(
-                    sc_id=max(vs), clusters=frozenset(vs),
-                    tree_edges=tree_edges, root=c, depth_bound=depth_bound,
-                )
-            )
-            continue
-        wt = WeightedTree(
-            edges=tree_edges, root=c, weights={v: 1 for v in vs}, bound=bound
-        )
-        tp, led = partition_tree(wt, cfg)
-        part_ledgers.append(led)
-        for p in tp.parts:
-            if p.owned:
-                superclusters.append(
-                    Supercluster(
-                        sc_id=max(p.owned), clusters=frozenset(p.owned),
-                        tree_edges=p.edges, root=p.root, depth_bound=depth_bound,
-                    )
-                )
-    if part_ledgers:
-        ledger.extend_parallel(part_ledgers, name="simple-zero-balance")
-    c0 = Clustering.singletons(g.vertices)
-    sc = Superclustering(
-        level=0,
-        superclusters=superclusters,
-        vertex_bound=2 * bound + 1,
-        cluster_bound=2 * bound + 1,
-        count_bound=4 * bound + 4,
-    )
-    return ZeroResult(sc, c0, Spanner(g), ledger, {"superclusters": len(superclusters)})
-
-
-def _component_roots(g: Graph) -> Set[int]:
-    seen: Set[int] = set()
-    roots: Set[int] = set()
-    for v in sorted(g.vertices, reverse=True):
-        if v in seen:
-            continue
-        roots.add(v)
-        stack = [v]
-        seen.add(v)
-        while stack:
-            x = stack.pop()
-            for y in g.adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-    return roots

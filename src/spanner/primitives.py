@@ -8,10 +8,9 @@ assembled result together with the run's RoundLedger.
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
-from .clustering import Clustering, TreePart, TreePartition, WeightedTree
+from .clustering import Clustering, TreePart, TreePartition, WeightedTree, orient_tree
 from .graph import Graph, canon
 from .sim import Msg, NodeProgram, RoundLedger, SimConfig, run
 
@@ -109,46 +108,55 @@ def grow_bfs_clusters(
 # ---------------------------------------------------------------------------
 #
 # A vertex may participate in several trees at once (e.g. supercluster
-# connecting trees share vertices but never edges), so its private state
-# holds one role per tree: (parent, children, value).  Messages carry no
-# tree identifier: the edge they travel on determines the tree.
+# connecting trees share vertices but never edges).  A role table lists,
+# per vertex, one (tree_key, parent, children) role per tree it sits in: a
+# clustering is one such forest keyed by center, a superclustering another
+# keyed by sc_id.  Messages carry no tree identifier: the edge they travel
+# on determines the tree.
 
-COMBINERS = {
-    "sum": (lambda a, b: a + b, 0),
-    "max": (max, -(1 << 62)),
-    "min": (min, 1 << 62),
-}
+RoleTable = Dict[int, List[Tuple[Hashable, Optional[int], Tuple[int, ...]]]]
+
+COMBINERS = {"sum": lambda a, b: a + b, "max": max, "min": min}
+
+
+def _role_of_edge(roles) -> Dict[int, int]:
+    """Neighbor -> index of the role whose tree holds the connecting edge."""
+    by_edge = {}
+    for i, (_key, parent, children) in enumerate(roles):
+        if parent is not None:
+            by_edge[parent] = i
+        for c in children:
+            by_edge[c] = i
+    return by_edge
 
 
 class ForestAggregate(NodeProgram):
-    """Convergecast: every tree root learns combine() over its tree's values."""
+    """Convergecast: every tree root learns combine() over its tree's values.
+
+    Private input: the vertex's role-table rows and its own contribution per
+    tree key (0 where missing).  Output: tree_key -> aggregate, at roots."""
 
     name = "forest-aggregate"
 
     def __init__(self, combine: str, value_bound: int):
-        self.fn, self.identity = COMBINERS[combine]
+        self.fn = COMBINERS[combine]
         self.bound = value_bound
 
     def init(self, view):
-        roles = (view.private or {}).get("roles", [])
-        st = []
-        for parent, children, value in roles:
-            st.append(
-                {
-                    "parent": parent,
-                    "waiting": set(children),
-                    "acc": value if value is not None else self.identity,
-                    "sent": False,
-                    "result": None,
-                }
-            )
-        by_edge = {}
-        for i, role in enumerate(st):
-            if role["parent"] is not None:
-                by_edge[role["parent"]] = i
-            for c in roles[i][1]:
-                by_edge[c] = i
-        return {"roles": st, "edge_role": by_edge}
+        p = view.private or {}
+        roles = p.get("roles", ())
+        values = p.get("values", {})
+        st = [
+            {
+                "key": key,
+                "parent": parent,
+                "waiting": set(children),
+                "acc": values.get(key, 0),
+                "sent": False,
+            }
+            for key, parent, children in roles
+        ]
+        return {"roles": st, "edge_role": _role_of_edge(roles)}
 
     def on_round(self, state, view, rnd, inbox):
         for sender, value in inbox:
@@ -160,10 +168,7 @@ class ForestAggregate(NodeProgram):
         for role in state["roles"]:
             if role["waiting"]:
                 done = False
-                continue
-            if role["parent"] is None:
-                role["result"] = role["acc"]
-            elif not role["sent"]:
+            elif role["parent"] is not None and not role["sent"]:
                 out[role["parent"]] = view.bits.msg(
                     role["acc"], counters=(self.bound,)
                 )
@@ -171,11 +176,14 @@ class ForestAggregate(NodeProgram):
         return out, done
 
     def on_finish(self, state, view):
-        return [role["result"] for role in state["roles"]]
+        return {r["key"]: r["acc"] for r in state["roles"] if r["parent"] is None}
 
 
 class ForestBroadcast(NodeProgram):
-    """Each tree root pushes one value down to every vertex of its tree."""
+    """Each tree root pushes one value down to every vertex of its tree.
+
+    Private input: the vertex's role-table rows and, at a root, the value
+    of its tree.  Output: tree_key -> value for every role."""
 
     name = "forest-broadcast"
 
@@ -183,24 +191,20 @@ class ForestBroadcast(NodeProgram):
         self.bound = value_bound
 
     def init(self, view):
-        roles = (view.private or {}).get("roles", [])
-        st = []
-        for parent, children, value in roles:
-            st.append(
-                {
-                    "parent": parent,
-                    "children": tuple(children),
-                    "value": value if parent is None else None,
-                    "sent": False,
-                }
-            )
-        by_edge = {}
-        for i, role in enumerate(st):
-            if role["parent"] is not None:
-                by_edge[role["parent"]] = i
-            for c in role["children"]:
-                by_edge[c] = i
-        return {"roles": st, "edge_role": by_edge}
+        p = view.private or {}
+        roles = p.get("roles", ())
+        values = p.get("values", {})
+        st = [
+            {
+                "key": key,
+                "parent": parent,
+                "children": children,
+                "value": values[key] if parent is None else None,
+                "sent": False,
+            }
+            for key, parent, children in roles
+        ]
+        return {"roles": st, "edge_role": _role_of_edge(roles)}
 
     def on_round(self, state, view, rnd, inbox):
         for sender, value in inbox:
@@ -221,41 +225,61 @@ class ForestBroadcast(NodeProgram):
         return out, done
 
     def on_finish(self, state, view):
-        return [role["value"] for role in state["roles"]]
+        return {r["key"]: r["value"] for r in state["roles"]}
 
 
-def cluster_aggregate(
-    g: Graph,
-    clustering: Clustering,
-    values: Dict[int, int],
-    combine: str = "sum",
-    value_bound: Optional[int] = None,
-    cfg: Optional[SimConfig] = None,
-) -> Tuple[Dict[int, int], RoundLedger]:
-    """Each cluster center learns combine() over its members' values.
-
-    Runs in O(depth_bound) rounds; clusters aggregate in parallel because
-    their trees are vertex-disjoint.
-    """
-    if value_bound is None:
-        value_bound = max(1, max((abs(v) for v in values.values()), default=1))
-    bound = value_bound if combine != "sum" else value_bound * max(g.n, 1)
+def clustering_roles(clustering: Clustering) -> RoleTable:
+    """A clustering as a forest keyed by center."""
     children = clustering.children()
-    private = {}
-    for v in g.vertices:
-        if v in clustering.membership:
-            private[v] = {
-                "roles": [
-                    (clustering.parents[v], children.get(v, ()), values.get(v, None))
-                ]
-            }
-        else:
-            private[v] = {"roles": []}
+    return {
+        v: [(c, clustering.parents[v], tuple(children[v]))]
+        for v, c in clustering.membership.items()
+    }
+
+
+def forest_aggregate(
+    g: Graph,
+    roles: RoleTable,
+    values: Dict[int, Dict[Hashable, int]],
+    combine: str = "sum",
+    bound: Optional[int] = None,
+    cfg: Optional[SimConfig] = None,
+) -> Tuple[Dict[Hashable, int], RoundLedger]:
+    """Every tree root learns combine() over values[vertex][tree_key] of its
+    tree (0 where missing); returns tree_key -> aggregate.
+
+    Runs in O(depth) rounds; trees aggregate in parallel because they are
+    edge-disjoint.  ``bound`` caps the partial aggregates (default 2n+1).
+    """
+    bound = bound if bound is not None else max(2 * g.n + 1, 2)
+    private = {v: {"roles": rs, "values": values.get(v, {})} for v, rs in roles.items()}
     outputs, ledger = run(g, ForestAggregate(combine, bound), cfg, private=private)
     result = {}
-    for c in clustering.centers:
-        result[c] = outputs[c][0]
+    for v in roles:
+        result.update(outputs[v])
     return result, ledger
+
+
+def forest_broadcast(
+    g: Graph,
+    roles: RoleTable,
+    root_values: Dict[Hashable, int],
+    bound: Optional[int] = None,
+    cfg: Optional[SimConfig] = None,
+) -> Tuple[Dict[int, Dict[Hashable, int]], RoundLedger]:
+    """Every tree root pushes root_values[tree_key] (0 where missing) down
+    its tree; returns vertex -> {tree_key: value}."""
+    bound = bound if bound is not None else max(2 * g.n + 1, 2)
+    # a root learns only its own trees' values; every root must push
+    # something or its tree would wait forever
+    private = {
+        v: {
+            "roles": rs,
+            "values": {key: root_values.get(key, 0) for key, p, _ch in rs if p is None},
+        }
+        for v, rs in roles.items()
+    }
+    return run(g, ForestBroadcast(bound), cfg, private=private)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +357,26 @@ def ruling_set_log(
 
 
 # ---------------------------------------------------------------------------
+# Chunked ID streams
+# ---------------------------------------------------------------------------
+
+TAG_IDS, TAG_END = 0, 1
+
+
+def id_chunks(view, ids) -> List[Msg]:
+    """Frame an ID list as budget-sized (TAG_IDS, ids) messages followed by
+    one (TAG_END,) marker, to be sent over an edge one per round."""
+    ids = tuple(ids)
+    per_msg = max(1, (view.budget - 8) // view.bits.id_bits)
+    msgs = []
+    for i in range(0, len(ids), per_msg):
+        piece = ids[i : i + per_msg]
+        msgs.append(view.bits.msg((TAG_IDS, piece), ids=len(piece)))
+    msgs.append(view.bits.msg((TAG_END,)))
+    return msgs
+
+
+# ---------------------------------------------------------------------------
 # Ruling set on a power graph
 # ---------------------------------------------------------------------------
 
@@ -345,7 +389,7 @@ class NeighborhoodExchange(NodeProgram):
 
     name = "neighborhood-exchange"
 
-    TAG_LIST, TAG_END, TAG_BIG = 0, 1, 2
+    TAG_BIG = 2
 
     def __init__(self, threshold: int):
         self.threshold = threshold
@@ -356,15 +400,10 @@ class NeighborhoodExchange(NodeProgram):
         big = know.get("big", False)
         if ball is None:
             ball = frozenset([view.vid])
-        per_msg = max(1, (view.budget - 8) // view.bits.id_bits)
-        chunks: List[Tuple] = []
         if big or len(ball) >= self.threshold:
-            chunks.append((self.TAG_BIG,))
+            chunks = [view.bits.msg((self.TAG_BIG,))]
         else:
-            ids = sorted(ball)
-            for i in range(0, len(ids), per_msg):
-                chunks.append((self.TAG_LIST, tuple(ids[i : i + per_msg])))
-            chunks.append((self.TAG_END,))
+            chunks = id_chunks(view, sorted(ball))
         return {
             "ball": set(ball),
             "big": big,
@@ -378,19 +417,15 @@ class NeighborhoodExchange(NodeProgram):
     def on_round(self, state, view, rnd, inbox):
         for sender, body in inbox:
             tag = body[0]
-            if tag == self.TAG_LIST:
+            if tag == TAG_IDS:
                 state["heard"].update(body[1])
-            elif tag == self.TAG_BIG:
-                state["heard_big"] = True
-                state["waiting"].discard(sender)
             else:
+                state["heard_big"] |= tag == self.TAG_BIG
                 state["waiting"].discard(sender)
         out = {}
         if state["cursor"] < len(state["chunks"]):
-            body = state["chunks"][state["cursor"]]
+            m = state["chunks"][state["cursor"]]
             state["cursor"] += 1
-            nids = len(body[1]) if body[0] == self.TAG_LIST else 0
-            m = view.bits.msg(body, ids=nids)
             out = {u: m for u in view.neighbors}
         done = state["cursor"] >= len(state["chunks"]) and not state["waiting"]
         return out, done
@@ -637,35 +672,17 @@ def partition_tree(
         raise ValueError("bound B must be >= 1")
     t.validate()
     tree_graph = Graph(t.vertices(), t.edges)
-    adj = t.adjacency()
-    parent: Dict[int, Optional[int]] = {t.root: None}
-    order = [t.root]
-    q = deque([t.root])
-    while q:
-        x = q.popleft()
-        for y in adj[x]:
-            if y not in parent:
-                parent[y] = x
-                order.append(y)
-                q.append(y)
-    children: Dict[int, List[int]] = {v: [] for v in parent}
-    for v, p in parent.items():
-        if p is not None:
-            children[p].append(v)
+    tree = orient_tree(t.root, t.edges)
     private = {
-        v: {
-            "parent": parent[v],
-            "children": tuple(sorted(children[v])),
-            "weight": t.weights.get(v, 0),
-        }
-        for v in parent
+        v: {"parent": p, "children": ch, "weight": t.weights.get(v, 0)}
+        for v, (p, ch) in tree.items()
     }
-    program = TreePartitionProgram(t.bound, total_bound=len(parent))
+    program = TreePartitionProgram(t.bound, total_bound=len(tree))
     outputs, ledger = run(tree_graph, program, cfg, private=private)
 
     keys: List[Tuple[int, int]] = []
     owned: Dict[Tuple[int, int], Set[int]] = {}
-    for v in sorted(parent):
+    for v in sorted(tree):
         key = outputs[v]["part"]
         if key is None:
             raise RuntimeError(f"vertex {v} left unassigned by tree partition")
@@ -681,9 +698,9 @@ def partition_tree(
         # the part tree is exactly the parent edges of its owned vertices,
         # except the upward edge of a part whose root is itself owned
         edges = frozenset(
-            canon(v, parent[v])
+            canon(v, tree[v][0])
             for v in vs
-            if parent[v] is not None and v != key[0]
+            if tree[v][0] is not None and v != key[0]
         )
         parts.append(TreePart(root=key[0], owned=frozenset(vs), edges=edges))
     return TreePartition(parts=parts, leftover_index=0), ledger

@@ -39,10 +39,6 @@ class SimTimeout(SimError):
     """max_rounds exceeded before global halt."""
 
 
-class CompositionError(SimError):
-    """A phase's required inputs were not produced by its predecessors."""
-
-
 def default_bit_budget(n: int) -> int:
     """ceil(8 * log2 n), clamped so an ID plus a small tag always fits."""
     if n < 2:
@@ -332,43 +328,7 @@ def run(
     return outputs, ledger
 
 
-def run_composed(
-    g: Graph,
-    programs: List[NodeProgram],
-    cfg: Optional[SimConfig] = None,
-    params: Optional[dict] = None,
-) -> Tuple[Dict[int, Any], RoundLedger]:
-    """Run program phases in sequence; each phase sees the previous phase's
-    per-vertex output as its private state."""
-    cfg = cfg or SimConfig()
-    total = RoundLedger()
-    private: Dict[int, Any] = {}
-    outputs: Dict[int, Any] = {}
-    for idx, prog in enumerate(programs):
-        try:
-            outputs, led = run(g, prog, cfg, params=params, private=private)
-        except KeyError as exc:
-            raise CompositionError(
-                f"phase {idx} ({prog.name}) missing input {exc}"
-            ) from exc
-        total.extend_sequential(led)
-        private = outputs
-    return outputs, total
-
-
 # -- small generally useful programs ---------------------------------------
-
-
-class HaltNow(NodeProgram):
-    """Votes halt immediately without sending; output echoes private state."""
-
-    name = "halt-now"
-
-    def on_round(self, state, view, rnd, inbox):
-        return {}, True
-
-    def on_finish(self, state, view):
-        return view.private
 
 
 class FloodMax(NodeProgram):

@@ -95,12 +95,7 @@ class StarSpanner(NodeProgram):
                 if j is None or j == mine:
                     continue
                 cur = best.get(j)
-                if cur is None:
-                    best[j] = u
-                elif view._g.weighted:
-                    if (view.weight(u), u) < (view.weight(cur), cur):
-                        best[j] = u
-                elif u < cur:
+                if cur is None or (view.weight(u), u) < (view.weight(cur), cur):
                     best[j] = u
             state["chosen"] = best
             for j, center in best.items():
@@ -118,12 +113,7 @@ class StarSpanner(NodeProgram):
                 per_star: Dict[int, int] = {}
                 for sender, (_tag, center) in inbox:
                     cur = per_star.get(center)
-                    if cur is None:
-                        per_star[center] = sender
-                    elif view._g.weighted:
-                        if (view.weight(sender), sender) < (view.weight(cur), cur):
-                            per_star[center] = sender
-                    elif sender < cur:
+                    if cur is None or (view.weight(sender), sender) < (view.weight(cur), cur):
                         per_star[center] = sender
                 for center, picked in sorted(per_star.items()):
                     tag = "star" if center == view.vid else "cross"

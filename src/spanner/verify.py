@@ -311,14 +311,6 @@ def audit_ruling_set(
     return rep
 
 
-def audit_spanner_subset(g: Graph, h: Spanner) -> AuditReport:
-    rep = AuditReport(passed=True)
-    for e in h.edges:
-        if e not in g.edge_set:
-            rep.note(f"edge {e} not in base graph")
-    return rep
-
-
 # ---------------------------------------------------------------------------
 # Bound fitting and regression pins
 # ---------------------------------------------------------------------------

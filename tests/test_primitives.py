@@ -6,16 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spanner import (
+    Graph,
     SimConfig,
     WeightedTree,
     bfs_dist,
-    cluster_aggregate,
+    clustering_roles,
+    forest_aggregate,
+    forest_broadcast,
     generate,
     grow_bfs_clusters,
     partition_tree,
     ruling_set_log,
     ruling_set_power,
 )
+from spanner.clustering import orient_tree
+from spanner.kspanner.common import chunked_gather
+from spanner.primitives import TAG_END, TAG_IDS, id_chunks
+from spanner.sim import BitCost, NodeView, RoundLedger
 from spanner.verify import audit_ruling_set
 
 CFG = SimConfig(msg_bit_budget=64)
@@ -75,7 +82,12 @@ def test_grow_matches_centralized(seed):
     cl.validate(g)
 
 
-# -- aggregation -------------------------------------------------------------
+# -- forest convergecast / broadcast ----------------------------------------
+
+
+def cluster_aggregate(g, cl, values, combine):
+    per_tree = {v: {cl.membership[v]: x} for v, x in values.items()}
+    return forest_aggregate(g, clustering_roles(cl), per_tree, combine)
 
 
 def test_aggregate_cluster_sizes():
@@ -101,6 +113,54 @@ def test_aggregate_max():
     cl, _ = grow_bfs_clusters(g, {5}, 1)
     agg, _ = cluster_aggregate(g, cl, {v: v for v in g.vertices}, "max")
     assert agg == {5: 5}
+
+
+def test_forest_vertex_in_two_edge_disjoint_trees():
+    # 3x3 grid; vertices 0 and 4 each sit in both trees "a" and "b", which
+    # share no edge; "c" is a lone root
+    g = generate("grid", {"rows": 3, "cols": 3})
+    trees = {
+        "a": (4, [(3, 4), (4, 5), (0, 3), (5, 8)]),
+        "b": (1, [(1, 4), (4, 7), (0, 1), (1, 2)]),
+        "c": (6, []),
+    }
+    roles = {}
+    for key, (root, edges) in trees.items():
+        for v, (p, ch) in orient_tree(root, edges).items():
+            roles.setdefault(v, []).append((key, p, ch))
+    assert len(roles[0]) == len(roles[4]) == 2
+    rng = random.Random(3)
+    values = {v: {key: rng.randint(0, 9) for key, _p, _ch in rs} for v, rs in roles.items()}
+    members = {key: [v for v, rs in roles.items() if key in {r[0] for r in rs}]
+               for key in trees}
+    for combine, fn in (("sum", sum), ("max", max), ("min", min)):
+        agg, ledger = forest_aggregate(g, roles, values, combine, bound=100)
+        assert agg == {key: fn(values[v][key] for v in vs) for key, vs in members.items()}
+        assert ledger.rounds_used <= 2
+    sums, _ = forest_aggregate(g, roles, values, bound=100)
+    got, ledger = forest_broadcast(g, roles, sums, bound=100)
+    assert got == {v: {r[0]: sums[r[0]] for r in roles.get(v, ())} for v in g.vertices}
+    assert ledger.rounds_used <= 2
+
+
+@pytest.mark.parametrize("extra", [None, 0, 1])
+def test_id_chunks_boundaries(extra):
+    g = Graph(range(40), [(0, v) for v in range(1, 40)])
+    budget = SimConfig().budget_for(g)
+    view = NodeView(g, 1, {}, None, BitCost(g), budget)
+    per_msg = (budget - 8) // g.id_bits
+    ids = list(range(0 if extra is None else per_msg + extra))
+    msgs = id_chunks(view, ids)
+    assert len(msgs) == math.ceil(len(ids) / per_msg) + 1
+    assert all(m.bits <= budget for m in msgs)
+    assert msgs[-1].body == (TAG_END,)
+    assert [i for m in msgs[:-1] if m.body[0] == TAG_IDS for i in m.body[1]] == ids
+    # the same stream end to end: leaf 1 gathers its list at the center
+    ledger = RoundLedger()
+    out = chunked_gather(g, SimConfig(), ledger, "gather", {1: 0}, {1: ids}, {0: [1]})
+    assert out[0] == {1: tuple(ids)}
+    assert ledger.messages_total == len(msgs)
+    assert ledger.max_bits_seen <= budget
 
 
 # -- ruling sets -------------------------------------------------------------

@@ -1,7 +1,14 @@
 import pytest
 
-from spanner import BudgetError, Msg, NodeProgram, SimConfig, generate, run, run_composed
-from spanner.sim import Announce, FloodMax, HaltNow, SimTimeout, default_bit_budget
+from spanner import BudgetError, Msg, NodeProgram, SimConfig, generate, run
+from spanner.sim import Announce, FloodMax, SimTimeout, default_bit_budget
+
+
+class HaltNow(NodeProgram):
+    name = "halt-now"
+
+    def on_round(self, state, view, rnd, inbox):
+        return {}, True
 
 
 def test_flood_max_path4():
@@ -97,34 +104,10 @@ def test_determinism_bit_identical():
     assert led1.to_json() == led2.to_json()
 
 
-def test_run_composed_halt_now_pair():
-    g = generate("path", {"n": 4})
-    _, ledger = run_composed(g, [HaltNow(), HaltNow()])
-    assert ledger.rounds_used == 0
-
-
-def test_run_composed_flood_then_halt():
-    g = generate("path", {"n": 4})
-    out, ledger = run_composed(g, [FloodMax(), HaltNow()])
-    assert ledger.rounds_used == 3
-    assert len(ledger.per_phase) == 2
-    # halt-now echoes the previous phase's output through its private state
-    assert out == {v: 3 for v in range(4)}
-
-
-class LabelWriter(NodeProgram):
-    name = "label-writer"
-
-    def on_round(self, state, view, rnd, inbox):
-        return {}, True
-
-    def on_finish(self, state, view):
-        return {"label": view.vid * 10}
-
-
 def test_phase_outputs_visible_in_next_init():
     g = generate("path", {"n": 3})
-    out, _ = run_composed(g, [LabelWriter(), Announce()])
+    private = {v: {"label": v * 10} for v in g.vertices}
+    out, _ = run(g, Announce(), private=private)
     assert out[1] == {0: 0, 2: 20}
 
 
@@ -164,21 +147,3 @@ def test_ledger_json_shape():
     j = ledger.to_json()
     assert set(j) >= {"rounds", "max_bits", "per_phase", "violations"}
     assert j["rounds"] == 3
-
-
-class NeedsInput(NodeProgram):
-    name = "needs-input"
-
-    def init(self, view):
-        return {"x": view.private["must_exist"]}
-
-    def on_round(self, state, view, rnd, inbox):
-        return {}, True
-
-
-def test_run_composed_missing_dependency():
-    from spanner.sim import CompositionError
-
-    g = generate("path", {"n": 3})
-    with pytest.raises(CompositionError):
-        run_composed(g, [LabelWriter(), NeedsInput()])

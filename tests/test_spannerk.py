@@ -11,7 +11,6 @@ from spanner import (
     generate,
     improved_spanner,
     naive_spanner,
-    simple_zero_superclustering,
     sparser_bipartite_spanner,
     verify_stretch,
 )
@@ -172,8 +171,6 @@ def test_zero_dense_vs_simple_both_nice():
     g = generate("erdos-renyi", {"n": 80, "p": 0.4}, seed=1)
     z = cons_zero_superclustering(g, 4)
     assert audit_superclustering(g, z.clustering, z.superclustering).passed
-    z2 = simple_zero_superclustering(g)
-    assert audit_superclustering(g, z2.clustering, z2.superclustering).passed
 
 
 def test_zero_path_coverage():
