@@ -4,7 +4,9 @@ construction under the simulator, verify the result, and emit reports.
     spanner run --alg imp3 --gen er:n=100,p=0.1 --seed 1 --out report
     spanner verify --graph g.edges --spanner h.edges --t 3
 
-Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 I/O error.
+Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 I/O error,
+4 simulator error (budget or congestion overrun in strict mode, a message to
+a non-neighbour, a round or iteration cap exceeded).
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ from .kspanner import (
     sparser_bipartite_spanner,
 )
 from .results import SpannerRun
-from .sim import SimConfig
+from .sim import SimConfig, SimError
 from .spanner3 import Bipartition, bipartite_3_spanner, improved_3_spanner, small_id_3_spanner
 from .verify import verify_stretch
 
-EXIT_OK, EXIT_VERIFY, EXIT_USAGE, EXIT_IO = 0, 1, 2, 3
+EXIT_OK, EXIT_VERIFY, EXIT_USAGE, EXIT_IO, EXIT_SIM = 0, 1, 2, 3, 4
 
 FIXED_K = {"bip3": 2, "imp3": 2, "smallid3": 2}
 ALGORITHMS = ("bip3", "imp3", "smallid3", "naive", "sparserbip", "improved", "zerosc", "bs-baseline")
@@ -266,6 +268,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SimError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SIM
 
 
 if __name__ == "__main__":

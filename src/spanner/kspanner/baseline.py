@@ -15,10 +15,10 @@ from typing import Dict, Optional
 from ..clustering import Clustering
 from ..graph import Graph, Spanner
 from ..results import SpannerRun
-from ..sim import Msg, RoundLedger, SimConfig
+from ..sim import Msg, RoundLedger, SimConfig, announce
 from .common import clustering_broadcast, exchange
 
-TAG_STATUS, TAG_EDGE = 0, 1
+TAG_EDGE = 0
 
 
 def _survives(seed: int, center: int, level: int, inv_prob: float) -> bool:
@@ -51,11 +51,11 @@ def baswana_sen_baseline(
             g, cfg, ledger, f"bs-sample:L{i}", clustering,
             {c: 1 for c in sampled},
         )
-        out = {}
-        for v, c in clustering.membership.items():
-            m = Msg(8 + g.id_bits + 1, (TAG_STATUS, c, know.get(v, 0)))
-            out[v] = {u: m for u in g.adj[v]}
-        got = exchange(g, cfg, ledger, f"bs-status:L{i}", out)
+        status = announce(
+            g, cfg, ledger, f"bs-status:L{i}",
+            {v: (c, know.get(v, 0)) for v, c in clustering.membership.items()},
+            8 + g.id_bits + 1,
+        )
 
         membership: Dict[int, int] = {}
         parents: Dict[int, Optional[int]] = {}
@@ -67,9 +67,7 @@ def baswana_sen_baseline(
                 membership[v] = own
                 parents[v] = clustering.parents[v]
                 continue
-            offers = [
-                (s, b[1]) for s, b in got[v] if b[0] == TAG_STATUS and b[2]
-            ]
+            offers = [(s, c) for s, (c, sampled) in status[v].items() if sampled]
             if offers:
                 # join one sampled neighboring cluster through one edge
                 sender, c = min(offers, key=lambda sc: (sc[1], sc[0]))
@@ -79,9 +77,9 @@ def baswana_sen_baseline(
             else:
                 # connect once to every neighboring old cluster
                 per_cluster: Dict[int, int] = {}
-                for s, b in got[v]:
-                    if b[0] == TAG_STATUS and (b[1] not in per_cluster or s < per_cluster[b[1]]):
-                        per_cluster[b[1]] = s
+                for s, (c, _sampled) in status[v].items():
+                    if c not in per_cluster or s < per_cluster[c]:
+                        per_cluster[c] = s
                 for c, u in sorted(per_cluster.items()):
                     uncovered.append((v, u))
         out = {}
@@ -98,19 +96,16 @@ def baswana_sen_baseline(
         trace["levels"][i] = len(sampled)
 
     # last level: everyone connects to each neighboring cluster
-    out = {}
-    for v, c in clustering.membership.items():
-        m = Msg(8 + g.id_bits, (TAG_STATUS, c, 1))
-        out[v] = {u: m for u in g.adj[v]}
-    got = exchange(g, cfg, ledger, "bs-final-status", out)
+    nbr_cluster = announce(
+        g, cfg, ledger, "bs-final-status", clustering.membership, 8 + g.id_bits
+    )
     out = {}
     for v in g.vertices:
         own = clustering.membership.get(v)
         per_cluster: Dict[int, int] = {}
-        for s, b in got[v]:
-            if b[0] == TAG_STATUS and b[1] != own:
-                if b[1] not in per_cluster or s < per_cluster[b[1]]:
-                    per_cluster[b[1]] = s
+        for s, c in nbr_cluster[v].items():
+            if c != own and (c not in per_cluster or s < per_cluster[c]):
+                per_cluster[c] = s
         for c, u in sorted(per_cluster.items()):
             H.add(v, u, "bs-final")
             out.setdefault(v, {})[u] = Msg(8, (TAG_EDGE,))

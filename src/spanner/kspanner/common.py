@@ -1,4 +1,5 @@
-"""Protocol helpers shared by the k-spanner constructions."""
+"""Protocol helpers shared by the k-spanner constructions.  ``exchange``,
+the one-round scripted step, is the simulator's own and is re-exported here."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from ..primitives import (
     forest_broadcast,
     id_chunks,
 )
-from ..sim import Msg, NodeProgram, RoundLedger, SimConfig, run
+from ..sim import NodeProgram, RoundLedger, SimConfig, exchange, run
 
 
 def ipow_ceil(n: int, num: int, den: int) -> int:
@@ -22,42 +23,6 @@ def ipow_ceil(n: int, num: int, den: int) -> int:
     if n <= 0:
         return 0
     return max(1, math.ceil(n ** (num / den) - 1e-9))
-
-
-class ScriptedExchange(NodeProgram):
-    """One communication round whose outgoing messages were precomputed from
-    each vertex's tracked local state; the output is the received inbox."""
-
-    name = "exchange"
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def init(self, view):
-        return {"out": (view.private or {}).get("out", {}), "got": []}
-
-    def on_round(self, state, view, rnd, inbox):
-        state["got"].extend(inbox)
-        if rnd == 1 and state["out"]:
-            return dict(state["out"]), True
-        return {}, True
-
-    def on_finish(self, state, view):
-        return state["got"]
-
-
-def exchange(
-    g: Graph,
-    cfg: SimConfig,
-    ledger: RoundLedger,
-    name: str,
-    out: Dict[int, Dict[int, Msg]],
-) -> Dict[int, list]:
-    """Run one scripted round and fold it into the ledger."""
-    private = {v: {"out": out.get(v, {})} for v in g.vertices}
-    got, led = run(g, ScriptedExchange(name), cfg, private=private)
-    ledger.extend_sequential(led, name=name)
-    return got
 
 
 def clustering_aggregate(

@@ -19,7 +19,7 @@ from ..primitives import (
     partition_tree,
 )
 from ..results import SpannerRun
-from ..sim import Msg, RoundLedger, SimConfig
+from ..sim import Msg, RoundLedger, SimConfig, SimTimeout, announce
 from .common import clustering_aggregate, clustering_broadcast, exchange, ipow_ceil
 from .naive import naive_spanner
 from .starbip import sparser_bipartite_spanner
@@ -27,7 +27,7 @@ from .zero import cons_zero_superclustering
 
 RECURSION_BASE = 64
 
-TAG_SCID, TAG_ACK, TAG_TUPLE, TAG_VOTE, TAG_SUCCESS, TAG_UNCOV, TAG_EDGE = range(7)
+TAG_ACK, TAG_TUPLE, TAG_VOTE, TAG_SUCCESS, TAG_UNCOV, TAG_EDGE = range(6)
 
 
 def _sc_roles(scs: Sequence[Supercluster]) -> RoleTable:
@@ -120,13 +120,9 @@ def _phase(g, k, cfg, ledger, trace, H, clustering, superclustering,
     cap = 4 * ipow_ceil(n, k - 2, 2 * k) + 2  # 4 n^(1/2-1/k) iterations
 
     # announce supercluster membership once per phase
-    out = {}
-    for v, scid in sc_of_vertex.items():
-        m = Msg(8 + g.id_bits, (TAG_SCID, scid))
-        out[v] = {u: m for u in g.adj[v]}
-    got = exchange(g, cfg, ledger, f"sc-announce:P{i}", out)
-    nbr_sc = {v: {s: b[1] for s, b in got[v] if b[0] == TAG_SCID}
-              for v in g.vertices}
+    nbr_sc = announce(
+        g, cfg, ledger, f"sc-announce:P{i}", sc_of_vertex, 8 + g.id_bits
+    )
 
     marked: Set[int] = set()
     remaining: Set[int] = set(scs)
@@ -137,7 +133,7 @@ def _phase(g, k, cfg, ledger, trace, H, clustering, superclustering,
     while True:
         iterations += 1
         if iterations > cap:
-            raise RuntimeError(f"supercluster phase {i} exceeded cap {cap}")
+            raise SimTimeout(f"supercluster phase {i} exceeded cap {cap}")
         # unmarked external vertices acknowledge each adjacent remaining
         # supercluster; members self-report their unmarked bit
         out = {}

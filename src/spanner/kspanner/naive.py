@@ -11,11 +11,11 @@ from ..clustering import Clustering
 from ..graph import Graph, Spanner
 from ..primitives import grow_bfs_clusters
 from ..results import SpannerRun
-from ..sim import Msg, RoundLedger, SimConfig
+from ..sim import Msg, RoundLedger, SimConfig, SimTimeout, announce
 from .common import clustering_aggregate, clustering_broadcast, exchange, ipow_ceil
 
 
-TAG_ACK, TAG_TUPLE, TAG_VOTE, TAG_JOIN, TAG_EDGE, TAG_CID = range(6)
+TAG_ACK, TAG_TUPLE, TAG_VOTE, TAG_JOIN, TAG_EDGE = range(5)
 
 
 def _iteration_cap(n: int, k: int, i: int) -> int:
@@ -58,31 +58,13 @@ def naive_spanner(
     return SpannerRun(H, ledger, trace)
 
 
-def _announce_clusters(g, cfg, ledger, clustering, name) -> Dict[int, Dict[int, int]]:
-    """One round: clustered vertices tell neighbors their cluster ID.
-    Returns per-vertex map neighbor -> cluster."""
-    bits_out: Dict[int, Dict[int, Msg]] = {}
-    for v in g.vertices:
-        c = clustering.membership.get(v)
-        if c is None:
-            continue
-        m = None
-        for u in g.adj[v]:
-            if m is None:
-                m = Msg(8 + g.id_bits, (TAG_CID, c))
-            bits_out.setdefault(v, {})[u] = m
-    got = exchange(g, cfg, ledger, name, bits_out)
-    return {
-        v: {s: body[1] for s, body in got[v] if body[0] == TAG_CID}
-        for v in g.vertices
-    }
-
-
 def _phase(g, cfg, ledger, trace, H, clustering, k, i) -> Clustering:
     n = g.n
     threshold = ipow_ceil(n, i, k)
     trace.setdefault("phase_clusterings", {})[i] = dict(clustering.membership)
-    nbr_cluster = _announce_clusters(g, cfg, ledger, clustering, f"announce:L{i}")
+    nbr_cluster = announce(
+        g, cfg, ledger, f"announce:L{i}", clustering.membership, 8 + g.id_bits
+    )
 
     marked: Set[int] = set()
     joined: Set[int] = set()           # centers that joined Z_i
@@ -96,9 +78,7 @@ def _phase(g, cfg, ledger, trace, H, clustering, k, i) -> Clustering:
     while True:
         iterations += 1
         if iterations > cap:
-            raise RuntimeError(
-                f"phase {i} exceeded its iteration cap {cap}"
-            )
+            raise SimTimeout(f"phase {i} exceeded its iteration cap {cap}")
         # unmarked vertices acknowledge one member of each adjacent
         # remaining cluster; the per-cluster sums are the unmarked degrees
         out: Dict[int, Dict[int, Msg]] = {}
@@ -211,7 +191,9 @@ def _phase(g, cfg, ledger, trace, H, clustering, k, i) -> Clustering:
 
 
 def _final_phase(g, cfg, ledger, H, clustering) -> None:
-    nbr_cluster = _announce_clusters(g, cfg, ledger, clustering, "announce:final")
+    nbr_cluster = announce(
+        g, cfg, ledger, "announce:final", clustering.membership, 8 + g.id_bits
+    )
     out = {}
     for v in g.vertices:
         best: Dict[int, int] = {}

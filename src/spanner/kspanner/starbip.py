@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..clustering import Clustering
 from ..graph import Graph, Spanner
 from ..results import SpannerRun
-from ..sim import Msg, NodeProgram, RoundLedger, SimConfig, run
+from ..sim import Msg, NodeProgram, RoundLedger, SimConfig, SimTimeout, announce, run
 from .common import (
     chunked_gather,
     chunked_scatter,
@@ -28,7 +28,7 @@ from .common import (
 )
 
 TAG_CHOSE, TAG_ACK, TAG_TUPLE, TAG_STARMAX, TAG_VACK, TAG_SUCCESS, TAG_MARKED, \
-    TAG_EDGE, TAG_CID = range(9)
+    TAG_EDGE = range(8)
 
 
 class StarState:
@@ -278,18 +278,12 @@ def sparser_bipartite_spanner(
 
 def _announce_star_clusters(g, cfg, ledger, st, cluster_of, name):
     """Clustered vertices announce their cluster; returns v -> {nbr: cid}."""
-    out = {}
-    for v in g.vertices:
-        s = st.star_of.get(v)
+    labels = {}
+    for v, s in st.star_of.items():
         c = cluster_of.get(s) if s is not None else None
-        if c is None:
-            continue
-        m = Msg(8 + g.id_bits, (TAG_CID, c))
-        out[v] = {u: m for u in g.adj[v]}
-    got = exchange(g, cfg, ledger, name, out)
-    return {
-        v: {s: b[1] for s, b in got[v] if b[0] == TAG_CID} for v in g.vertices
-    }
+        if c is not None:
+            labels[v] = c
+    return announce(g, cfg, ledger, name, labels, 8 + g.id_bits)
 
 
 def _mark_announce(g, cfg, ledger, st, newly_marked_stars, nbr_marked, name):
@@ -347,7 +341,7 @@ def _phase(g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i):
     while True:
         iterations += 1
         if iterations > cap:
-            raise RuntimeError(f"bipartite phase {i} exceeded cap {cap}")
+            raise SimTimeout(f"bipartite phase {i} exceeded cap {cap}")
         new_joiners = _election(
             g, cfg, ledger, st, cluster_of, gtree, remaining, marked,
             nbr_marked, deg, threshold, f"L{i}.{iterations}"

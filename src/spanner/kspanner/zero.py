@@ -18,11 +18,11 @@ from typing import Dict, List, Optional
 from ..clustering import Clustering, Supercluster, Superclustering, WeightedTree
 from ..graph import Graph, Spanner, canon
 from ..primitives import grow_bfs_clusters, partition_tree, ruling_set_power
-from ..sim import Msg, RoundLedger, SimConfig
+from ..sim import Msg, RoundLedger, SimConfig, announce
 from .common import clustering_aggregate, exchange, ipow_ceil
 from .starbip import sparser_bipartite_spanner
 
-TAG_CID, TAG_ACK = 0, 1
+TAG_ACK = 0
 
 
 @dataclass
@@ -37,17 +37,10 @@ class ZeroResult:
 def _cluster_expansion(g, cfg, ledger, clustering, label) -> Dict[int, int]:
     """deg(C) = |C| + |Gamma(C) \\ C|: every vertex acknowledges one member
     of each adjacent foreign cluster; members add themselves."""
-    out = {}
-    for v in g.vertices:
-        c = clustering.membership.get(v)
-        if c is None:
-            continue
-        m = Msg(8 + g.id_bits, (TAG_CID, c))
-        out[v] = {u: m for u in g.adj[v]}
-    got = exchange(g, cfg, ledger, f"zero-announce:{label}", out)
-    nbr_cluster = {
-        v: {s: b[1] for s, b in got[v] if b[0] == TAG_CID} for v in g.vertices
-    }
+    nbr_cluster = announce(
+        g, cfg, ledger, f"zero-announce:{label}", clustering.membership,
+        8 + g.id_bits,
+    )
     out = {}
     for v in g.vertices:
         own = clustering.membership.get(v)

@@ -3,7 +3,7 @@
 Per round every vertex may send at most ``congestion_factor`` bounded-size
 messages over each incident edge.  A message sent in round r is delivered in
 round r+1.  Execution is bit-deterministic: vertices are processed in ID
-order and inboxes are delivered sorted by sender.
+order, so every inbox arrives sorted by sender.
 
 A :class:`NodeProgram` supplies three hooks:
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from .graph import Graph
@@ -74,15 +74,7 @@ class SimConfig:
         return self.with_(msg_bit_budget=self.budget_for(g))
 
     def with_(self, **kw) -> "SimConfig":
-        d = dict(
-            msg_bit_budget=self.msg_bit_budget,
-            max_rounds=self.max_rounds,
-            congestion_factor=self.congestion_factor,
-            strict=self.strict,
-            stall_limit=self.stall_limit,
-        )
-        d.update(kw)
-        return SimConfig(**d)
+        return replace(self, **kw)
 
 
 class Msg:
@@ -218,6 +210,52 @@ class NodeProgram:
         return state
 
 
+def _post(
+    g: Graph,
+    cfg: SimConfig,
+    budget: int,
+    ledger: RoundLedger,
+    name: str,
+    rnd: int,
+    v: int,
+    outbox: Dict[int, Any],
+    inboxes: Dict[int, List[Tuple[int, Any]]],
+) -> None:
+    """The send step: check and account vertex v's outbox
+    ``{neighbor: Msg or [Msg, ...]}`` for round ``rnd`` and queue
+    ``(v, body)`` in the receivers' ``inboxes``.  Congestion and bit-budget
+    overruns raise in strict mode and are recorded otherwise.  A vertex
+    posts once per round, so an edge's load is its message count here."""
+    nbrs = g.adj[v]
+    for u in sorted(outbox):
+        if u not in g.adj or u not in nbrs:
+            raise SimError(f"{name}: vertex {v} sent to non-neighbor {u}")
+        msgs = outbox[u]
+        if isinstance(msgs, Msg):
+            msgs = (msgs,)
+        load = len(msgs)
+        if load > ledger.per_round_edge_load:
+            ledger.per_round_edge_load = load
+        if load > cfg.congestion_factor:
+            rec = {"kind": "congestion", "round": rnd, "edge": [v, u],
+                   "load": load, "program": name}
+            if cfg.strict:
+                raise BudgetError(str(rec))
+            ledger.violations.append(rec)
+        inbox = inboxes.setdefault(u, [])
+        for m in msgs:
+            if m.bits > budget:
+                rec = {"kind": "bits", "round": rnd, "edge": [v, u],
+                       "bits": m.bits, "budget": budget, "program": name}
+                if cfg.strict:
+                    raise BudgetError(str(rec))
+                ledger.violations.append(rec)
+            if m.bits > ledger.max_bits_seen:
+                ledger.max_bits_seen = m.bits
+            ledger.messages_total += 1
+            inbox.append((v, m.body))
+
+
 def run(
     g: Graph,
     program: NodeProgram,
@@ -260,60 +298,16 @@ def run(
                 f"(e.g. {waiting}) neither halt nor communicate"
             )
         next_in: Dict[int, List[Tuple[int, Any]]] = {}
-        sent_any = False
-        edge_load: Dict[Tuple[int, int], int] = {}
+        sent_before = ledger.messages_total
         for v in callees:
             inbox = inboxes[v]
             if inbox:
-                inbox.sort(key=lambda sv: sv[0])
                 inboxes[v] = []
             outbox, halt = program.on_round(states[v], views[v], rnd, inbox)
             halted[v] = bool(halt)
-            if not outbox:
-                continue
-            nbrs = views[v].neighbors
-            for u in sorted(outbox):
-                if u not in g.adj or (u not in nbrs):
-                    raise SimError(
-                        f"{program.name}: vertex {v} sent to non-neighbor {u}"
-                    )
-                msgs = outbox[u]
-                if isinstance(msgs, Msg):
-                    msgs = (msgs,)
-                load = edge_load.get((v, u), 0) + len(msgs)
-                edge_load[(v, u)] = load
-                if load > cfg.congestion_factor:
-                    rec = {
-                        "kind": "congestion",
-                        "round": rnd,
-                        "edge": [v, u],
-                        "load": load,
-                        "program": program.name,
-                    }
-                    if cfg.strict:
-                        raise BudgetError(str(rec))
-                    ledger.violations.append(rec)
-                for m in msgs:
-                    if m.bits > budget:
-                        rec = {
-                            "kind": "bits",
-                            "round": rnd,
-                            "edge": [v, u],
-                            "bits": m.bits,
-                            "budget": budget,
-                            "program": program.name,
-                        }
-                        if cfg.strict:
-                            raise BudgetError(str(rec))
-                        ledger.violations.append(rec)
-                    ledger.max_bits_seen = max(ledger.max_bits_seen, m.bits)
-                    ledger.messages_total += 1
-                    sent_any = True
-                    next_in.setdefault(u, []).append((v, m.body))
-        if edge_load:
-            ledger.per_round_edge_load = max(
-                ledger.per_round_edge_load, max(edge_load.values())
-            )
+            if outbox:
+                _post(g, cfg, budget, ledger, program.name, rnd, v, outbox, next_in)
+        sent_any = ledger.messages_total > sent_before
         if sent_any:
             ledger.rounds_used = rnd
             silent = 0
@@ -326,6 +320,49 @@ def run(
     outputs = {v: program.on_finish(states[v], views[v]) for v in g.vertices}
     ledger.per_phase.append((program.name, ledger.rounds_used))
     return outputs, ledger
+
+
+def exchange(
+    g: Graph,
+    cfg: SimConfig,
+    ledger: RoundLedger,
+    name: str,
+    out: Dict[int, Dict[int, Any]],
+) -> Dict[int, List[Tuple[int, Any]]]:
+    """One scripted round whose outgoing messages were precomputed from each
+    vertex's tracked local state: post every outbox ``out[v]`` through the
+    send step, fold the round into ``ledger`` as phase ``name`` (one round
+    iff anything was sent) and return v -> [(sender, body)]."""
+    cfg.check(g)
+    budget = cfg.budget_for(g)
+    inboxes: Dict[int, List[Tuple[int, Any]]] = {v: [] for v in g.vertices}
+    sent_before = ledger.messages_total
+    for v in g.vertices:
+        outbox = out.get(v)
+        if outbox:
+            _post(g, cfg, budget, ledger, name, 1, v, outbox, inboxes)
+    rounds = 1 if ledger.messages_total > sent_before else 0
+    ledger.rounds_used += rounds
+    ledger.per_phase.append((name, rounds))
+    return inboxes
+
+
+def announce(
+    g: Graph,
+    cfg: SimConfig,
+    ledger: RoundLedger,
+    name: str,
+    labels: Dict[int, Any],
+    bits: int,
+) -> Dict[int, Dict[int, Any]]:
+    """One scripted round: every vertex in ``labels`` sends its label to all
+    its neighbors as one ``bits``-bit message; returns v -> {neighbor: label}."""
+    out = {}
+    for v, label in labels.items():
+        m = Msg(bits, label)
+        out[v] = {u: m for u in g.adj[v]}
+    got = exchange(g, cfg, ledger, name, out)
+    return {v: dict(inbox) for v, inbox in got.items()}
 
 
 # -- small generally useful programs ---------------------------------------
@@ -357,34 +394,3 @@ class FloodMax(NodeProgram):
 
     def on_finish(self, state, view):
         return state["best"]
-
-
-class Announce(NodeProgram):
-    """One round: send a per-vertex label to all neighbors; output the map
-    neighbor -> label received."""
-
-    name = "announce"
-
-    def __init__(self, label_key: str = "label", counter_bound: Optional[int] = None):
-        self.key = label_key
-        self.bound = counter_bound
-
-    def init(self, view):
-        return {"heard": {}}
-
-    def on_round(self, state, view, rnd, inbox):
-        for s, body in inbox:
-            state["heard"][s] = body
-        if rnd == 1:
-            lab = view.private[self.key]
-            if lab is None:
-                return {}, True
-            if self.bound is None:
-                m = view.bits.msg(lab, ids=1)
-            else:
-                m = view.bits.msg(lab, counters=(self.bound,))
-            return {u: m for u in view.neighbors}, True
-        return {}, True
-
-    def on_finish(self, state, view):
-        return state["heard"]

@@ -12,7 +12,7 @@ from .clustering import WeightedTree
 from .graph import Graph, Spanner
 from .primitives import grow_bfs_clusters, partition_tree, ruling_set_log
 from .results import SpannerRun
-from .sim import Announce, NodeProgram, RoundLedger, SimConfig, run
+from .sim import NodeProgram, RoundLedger, SimConfig, announce, run
 
 
 class Bipartition:
@@ -234,14 +234,9 @@ def improved_3_spanner(g: Graph, cfg: Optional[SimConfig] = None) -> SpannerRun:
     if parts:
         part_map = {v: i for i, vs in enumerate(parts) for v in vs}
         # one announce round so every vertex learns its neighbors' parts
-        private = {v: {"label": part_map.get(v)} for v in g.vertices}
-        heard, led = run(
-            g,
-            Announce(counter_bound=max(1, len(parts))),
-            cfg,
-            private=private,
+        heard = announce(
+            g, cfg, ledger, "part-announce", part_map, 8 + len(parts).bit_length()
         )
-        ledger.extend_sequential(led, name="part-announce")
         star_private = {
             v: {"part": part_map.get(v), "nbr_parts": heard[v]} for v in g.vertices
         }

@@ -151,3 +151,21 @@ def test_sparserbip_requires_bipartite_gen(tmp_path):
         ["run", "--alg", "sparserbip", "--k", "4", "--gen", "bip:a=8,b=30,p=0.3",
          "--out", str(tmp_path / "r")]
     ) == 0
+
+
+def test_budget_below_floor_is_simulator_error(tmp_path, capsys):
+    code = run_cli(
+        ["run", "--alg", "imp3", "--gen", "er:n=50,p=0.1", "--msg-bits", "3",
+         "--out", str(tmp_path / "r")]
+    )
+    assert code == 4
+    assert "below minimum" in capsys.readouterr().err
+
+
+def test_strict_budget_overrun_is_simulator_error(tmp_path, capsys):
+    code = run_cli(
+        ["run", "--alg", "improved", "--k", "4", "--gen", "er:n=80,p=0.2",
+         "--msg-bits", "11", "--out", str(tmp_path / "r")]
+    )
+    assert code == 4
+    assert "'kind': 'bits'" in capsys.readouterr().err

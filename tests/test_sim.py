@@ -1,7 +1,17 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spanner import BudgetError, Msg, NodeProgram, SimConfig, generate, run
-from spanner.sim import Announce, FloodMax, SimTimeout, default_bit_budget
+from spanner import BudgetError, Graph, Msg, NodeProgram, SimConfig, generate, run
+from spanner.sim import (
+    FloodMax,
+    RoundLedger,
+    SimError,
+    SimTimeout,
+    announce,
+    default_bit_budget,
+    exchange,
+)
 
 
 class HaltNow(NodeProgram):
@@ -106,9 +116,84 @@ def test_determinism_bit_identical():
 
 def test_phase_outputs_visible_in_next_init():
     g = generate("path", {"n": 3})
-    private = {v: {"label": v * 10} for v in g.vertices}
-    out, _ = run(g, Announce(), private=private)
+    labels = {v: v * 10 for v in g.vertices}
+    out = announce(g, SimConfig(), RoundLedger(), "announce", labels, 8 + g.id_bits)
     assert out[1] == {0: 0, 2: 20}
+
+
+class Scripted(NodeProgram):
+    """Reference for ``exchange``: send the precomputed outbox in round 1,
+    output the inbox."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def init(self, view):
+        return {"out": view.private or {}, "got": []}
+
+    def on_round(self, state, view, rnd, inbox):
+        state["got"].extend(inbox)
+        return (dict(state["out"]) if rnd == 1 else {}), True
+
+    def on_finish(self, state, view):
+        return state["got"]
+
+
+@st.composite
+def scripted_rounds(draw):
+    """A graph with n <= 12 (sparse IDs), per-vertex outboxes with several
+    messages per edge, over-budget bits and empty outboxes, sometimes one
+    message to a non-neighbour, and sometimes a budget below the floor."""
+    ids = sorted(draw(st.sets(st.integers(0, 40), min_size=1, max_size=12)))
+    pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
+    g = Graph(ids, [e for e in pairs if draw(st.booleans())])
+    budget = default_bit_budget(max(g.n, 2))
+    msg = st.builds(Msg, st.integers(1, budget + 4), st.integers(0, 9))
+    sometimes = st.sampled_from((True, True, True, False))
+    out = {}
+    for v in ids:
+        if g.adj[v] and draw(sometimes):
+            targets = draw(st.lists(st.sampled_from(g.adj[v]), unique=True))
+            out[v] = {u: draw(msg | st.lists(msg, max_size=3)) for u in targets}
+    stray = not draw(sometimes)
+    if stray:
+        v = draw(st.sampled_from(ids))
+        u = draw(st.integers(0, 41).filter(lambda u: u not in g.adj[v]))
+        out.setdefault(v, {})[u] = draw(msg)
+    cfg = SimConfig(
+        congestion_factor=draw(st.integers(1, 2)),
+        msg_bit_budget=None if draw(sometimes) else 4,
+    )
+    return g, out, cfg, stray
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except SimError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(scripted_rounds())
+def test_exchange_matches_scripted_run(case):
+    g, out, base_cfg, stray = case
+    for strict in (False, True):
+        cfg = base_cfg.with_(strict=strict)
+
+        def via_exchange():
+            ledger = RoundLedger()
+            got = exchange(g, cfg, ledger, "scripted", out)
+            return got, ledger.to_json()
+
+        def via_run():
+            got, ledger = run(g, Scripted("scripted"), cfg, private=out)
+            return got, ledger.to_json()
+
+        result = _outcome(via_exchange)
+        assert result == _outcome(via_run)
+        if (stray or base_cfg.msg_bit_budget) and not strict:
+            assert result[0] == "SimError"
 
 
 class Sleeper(NodeProgram):

@@ -73,6 +73,15 @@ def test_naive_iteration_and_round_caps():
         assert res.ledger.rounds_used <= 40 * k * g.n ** (1 - 1 / k)
 
 
+def test_naive_iteration_cap_raises_sim_timeout(monkeypatch):
+    from spanner.kspanner import naive
+    from spanner.sim import SimTimeout
+
+    monkeypatch.setattr(naive, "_iteration_cap", lambda n, k, i: 0)
+    with pytest.raises(SimTimeout, match="iteration cap 0"):
+        naive_spanner(generate("cycle", {"n": 6}), 3)
+
+
 def test_naive_rejects_weighted_and_bad_k():
     from spanner import with_random_weights
 
