@@ -5,8 +5,9 @@ construction under the simulator, verify the result, and emit reports.
     spanner verify --graph g.edges --spanner h.edges --t 3
 
 Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 I/O error,
-4 simulator error (budget or congestion overrun in strict mode, a message to
-a non-neighbour, a round or iteration cap exceeded).
+4 simulator error (a budget below one tagged ID, budget or congestion
+overrun in strict mode, a message to a non-neighbour, a round or iteration
+cap exceeded).
 """
 
 from __future__ import annotations

@@ -7,7 +7,6 @@ assembled result together with the run's RoundLedger.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from .clustering import Clustering, TreePart, TreePartition, WeightedTree, orient_tree
@@ -381,61 +380,6 @@ def id_chunks(view, ids) -> List[Msg]:
 # ---------------------------------------------------------------------------
 
 
-class NeighborhoodExchange(NodeProgram):
-    """One step of the multi-step neighborhood exchange: send the currently
-    known ball as an ID list when it is smaller than the degree threshold,
-    otherwise a single over-threshold marker.  Lists are chunked into
-    budget-sized pieces over consecutive rounds."""
-
-    name = "neighborhood-exchange"
-
-    TAG_BIG = 2
-
-    def __init__(self, threshold: int):
-        self.threshold = threshold
-
-    def init(self, view):
-        know = view.private or {}
-        ball = know.get("ball")
-        big = know.get("big", False)
-        if ball is None:
-            ball = frozenset([view.vid])
-        if big or len(ball) >= self.threshold:
-            chunks = [view.bits.msg((self.TAG_BIG,))]
-        else:
-            chunks = id_chunks(view, sorted(ball))
-        return {
-            "ball": set(ball),
-            "big": big,
-            "chunks": chunks,
-            "cursor": 0,
-            "waiting": set(view.neighbors),
-            "heard": set(),
-            "heard_big": False,
-        }
-
-    def on_round(self, state, view, rnd, inbox):
-        for sender, body in inbox:
-            tag = body[0]
-            if tag == TAG_IDS:
-                state["heard"].update(body[1])
-            else:
-                state["heard_big"] |= tag == self.TAG_BIG
-                state["waiting"].discard(sender)
-        out = {}
-        if state["cursor"] < len(state["chunks"]):
-            m = state["chunks"][state["cursor"]]
-            state["cursor"] += 1
-            out = {u: m for u in view.neighbors}
-        done = state["cursor"] >= len(state["chunks"]) and not state["waiting"]
-        return out, done
-
-    def on_finish(self, state, view):
-        ball = state["ball"] | state["heard"]
-        big = state["big"] or state["heard_big"] or len(ball) >= self.threshold
-        return {"ball": frozenset(ball), "big": big}
-
-
 class MinFlood(NodeProgram):
     """Hop-limited minimum flood: every vertex learns the smallest source ID
     within the radius.  Improvements are forwarded immediately, so the run
@@ -509,11 +453,6 @@ class HopFlood(NodeProgram):
         return state["heard"]
 
 
-def degree_threshold(n: int) -> int:
-    """List-size cutoff for the neighborhood exchange."""
-    return max(2, math.ceil(2 ** math.sqrt(math.log2(max(n, 2)))))
-
-
 def ruling_set_power(
     g: Graph,
     candidates: Iterable[int],
@@ -524,10 +463,14 @@ def ruling_set_power(
     subset of the candidates with pairwise distance >= 3t in g, and every
     candidate lies within 4t hops of it.
 
-    Runs the multi-step neighborhood exchange (t steps, lists truncated at
-    the degree threshold, chunked within the bit budget) to classify power
-    degrees, then elects ID-minima within radius 3t-1 in waves of minimum
-    floods followed by deactivation floods.
+    The election runs in waves on g itself.  Each wave is a MinFlood of
+    radius 3t-1 from the still-active candidates (a candidate that hears no
+    smaller ID joins), then a HopFlood of the same radius from the joiners
+    that deactivates every active candidate it reaches.  So joiners are
+    >= 3t apart and every candidate is within 3t-1 hops of one.  A wave
+    costs at most 2(3t-1) rounds, and at least one candidate joins per
+    wave; the ledger holds one power-min-flood and one power-deactivate
+    phase per wave.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -535,16 +478,6 @@ def ruling_set_power(
     if not cand:
         raise ValueError("candidate set must be nonempty")
     ledger = RoundLedger()
-    gn = degree_threshold(g.n)
-    knowledge: Dict[int, dict] = {v: {"ball": frozenset([v]), "big": False} for v in g.vertices}
-    for _step in range(t):
-        knowledge, led = run(
-            g, NeighborhoodExchange(gn), cfg, private=knowledge
-        )
-        ledger.extend_sequential(led, name="power-exchange")
-    # iterated ball-minimum election: per iteration the remaining active
-    # candidates that hold the smallest ID within radius 3t-1 join, then
-    # their deactivation flood removes every active candidate in range
     radius = 3 * t - 1
     active = set(cand)
     chosen: Set[int] = set()

@@ -40,11 +40,11 @@ class SimTimeout(SimError):
 
 
 def default_bit_budget(n: int) -> int:
-    """ceil(8 * log2 n), clamped so an ID plus a small tag always fits."""
-    if n < 2:
+    """ceil(8 * log2 n); 16 bits for n <= 2, where that leaves no room for
+    a tagged ID plus a counter."""
+    if n <= 2:
         return 16
-    raw = math.ceil(8 * math.log2(n))
-    return max(raw, math.ceil(math.log2(n)) + 4)
+    return math.ceil(8 * math.log2(n))
 
 
 @dataclass
@@ -58,11 +58,12 @@ class SimConfig:
     def budget_for(self, g: Graph) -> int:
         if self.msg_bit_budget is not None:
             return self.msg_bit_budget
-        return default_bit_budget(max(g.n, 2))
+        return default_bit_budget(g.n)
 
     def check(self, g: Graph) -> None:
+        """Every budget must fit one tagged vertex ID."""
         b = self.budget_for(g)
-        floor = math.ceil(math.log2(max(g.n, 2))) + 4
+        floor = BitCost.TAG + g.id_bits
         if b < floor:
             raise SimError(f"msg_bit_budget {b} below minimum {floor}")
 

@@ -154,18 +154,23 @@ def test_sparserbip_requires_bipartite_gen(tmp_path):
 
 
 def test_budget_below_floor_is_simulator_error(tmp_path, capsys):
-    code = run_cli(
-        ["run", "--alg", "imp3", "--gen", "er:n=50,p=0.1", "--msg-bits", "3",
-         "--out", str(tmp_path / "r")]
-    )
-    assert code == 4
-    assert "below minimum" in capsys.readouterr().err
+    cases = [
+        (["--alg", "imp3", "--gen", "er:n=50,p=0.1", "--msg-bits", "3"], 14),
+        # above log2 n + 4, but below one tagged 7-bit ID
+        (["--alg", "improved", "--k", "4", "--gen", "er:n=80,p=0.2",
+          "--msg-bits", "11"], 15),
+    ]
+    for args, floor in cases:
+        code = run_cli(["run", *args, "--out", str(tmp_path / "r")])
+        assert code == 4
+        assert f"below minimum {floor}" in capsys.readouterr().err
 
 
 def test_strict_budget_overrun_is_simulator_error(tmp_path, capsys):
+    # 16 bits fit a tagged ID, but a min-flood message needs 17
     code = run_cli(
         ["run", "--alg", "improved", "--k", "4", "--gen", "er:n=80,p=0.2",
-         "--msg-bits", "11", "--out", str(tmp_path / "r")]
+         "--msg-bits", "16", "--out", str(tmp_path / "r")]
     )
     assert code == 4
     assert "'kind': 'bits'" in capsys.readouterr().err

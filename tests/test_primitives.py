@@ -221,6 +221,16 @@ def test_ruling_power_separated_candidates_all_join():
     assert U == cands
 
 
+def test_ruling_power_rounds_are_its_election():
+    # one wave: a radius-8 min flood, then a radius-8 deactivation flood
+    g = generate("path", {"n": 30})
+    U, ledger = ruling_set_power(g, {7}, 3)
+    assert U == {7}
+    assert ledger.rounds_used == 16
+    assert {name for name, _r in ledger.per_phase} == {
+        "power-min-flood", "power-deactivate"}
+
+
 @settings(max_examples=12, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 3))
 def test_ruling_power_random(seed, t):

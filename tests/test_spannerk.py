@@ -5,6 +5,7 @@ import pytest
 from spanner import (
     Bipartition,
     Graph,
+    SimConfig,
     audit_superclustering,
     baswana_sen_baseline,
     cons_zero_superclustering,
@@ -14,6 +15,7 @@ from spanner import (
     sparser_bipartite_spanner,
     verify_stretch,
 )
+from spanner.cli import run_algorithm, stretch_bound
 from spanner.kspanner.common import ipow_ceil
 
 
@@ -344,3 +346,16 @@ def test_improved_extreme_star():
     g = generate("complete-bipartite", {"a": 1, "b": 100})
     res = improved_spanner(g, 4)
     assert verify_stretch(g, res.spanner, 7).passed
+
+
+@pytest.mark.parametrize(
+    "alg,k",
+    [(alg, 2) for alg in ("bip3", "imp3", "smallid3")]
+    + [(alg, k) for alg in ("naive", "sparserbip", "improved", "bs-baseline")
+       for k in (2, 3, 4, 5, 6)],
+)
+def test_single_edge_builds_under_default_budget(alg, k):
+    g = generate("complete", {"n": 2})
+    res = run_algorithm(alg, g, k, SimConfig(), 0, "complete-bipartite",
+                        {"a": 1, "b": 1})
+    assert verify_stretch(g, res.spanner, stretch_bound(alg, k)).passed
