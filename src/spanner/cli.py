@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 from typing import Dict, Optional
@@ -65,7 +64,7 @@ def parse_gen_spec(spec: str):
     return kind, params
 
 
-def _bipartition_for(g: Graph, gen_kind: Optional[str], params) -> Bipartition:
+def _bipartition_for(gen_kind: Optional[str], params) -> Bipartition:
     if gen_kind in ("random-bipartite", "complete-bipartite"):
         a = int(params["a"])
         b = int(params["b"])
@@ -78,7 +77,7 @@ def _bipartition_for(g: Graph, gen_kind: Optional[str], params) -> Bipartition:
 def run_algorithm(alg: str, g: Graph, k: int, cfg: SimConfig, seed: int,
                   gen_kind=None, gen_params=None) -> SpannerRun:
     if alg == "bip3":
-        return bipartite_3_spanner(g, _bipartition_for(g, gen_kind, gen_params), cfg)
+        return bipartite_3_spanner(g, _bipartition_for(gen_kind, gen_params), cfg)
     if alg == "imp3":
         return improved_3_spanner(g, cfg)
     if alg == "smallid3":
@@ -87,7 +86,7 @@ def run_algorithm(alg: str, g: Graph, k: int, cfg: SimConfig, seed: int,
         return naive_spanner(g, k, cfg)
     if alg == "sparserbip":
         return sparser_bipartite_spanner(
-            g, _bipartition_for(g, gen_kind, gen_params), k, cfg
+            g, _bipartition_for(gen_kind, gen_params), k, cfg
         )
     if alg == "improved":
         return improved_spanner(g, k, cfg)
@@ -110,28 +109,25 @@ def stretch_bound(alg: str, k: int) -> int:
 def emit_report(out_base: str, g: Graph, run: SpannerRun, report, k: int,
                 alg: str) -> None:
     """Write the spanner edge list, stretch report, ledger, and a CSV row."""
-    try:
-        os.makedirs(os.path.dirname(os.path.abspath(out_base)), exist_ok=True)
-        sub = run.spanner.to_graph()
-        save(sub, out_base + ".spanner.edges")
-        report.dump(out_base + ".stretch.json")
-        run.ledger.dump(out_base + ".ledger.json")
-        row = {
-            "n": g.n,
-            "m": g.m,
-            "k": k,
-            "alg": alg,
-            "spanner_edges": run.spanner.size,
-            "rounds": run.ledger.rounds_used,
-            "max_bits": run.ledger.max_bits_seen,
-            "max_stretch": report.max_stretch,
-        }
-        with open(out_base + ".csv", "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=list(row))
-            w.writeheader()
-            w.writerow(row)
-    except OSError as exc:
-        raise IOError(str(exc)) from exc
+    os.makedirs(os.path.dirname(os.path.abspath(out_base)), exist_ok=True)
+    sub = run.spanner.to_graph()
+    save(sub, out_base + ".spanner.edges")
+    report.dump(out_base + ".stretch.json")
+    run.ledger.dump(out_base + ".ledger.json")
+    row = {
+        "n": g.n,
+        "m": g.m,
+        "k": k,
+        "alg": alg,
+        "spanner_edges": run.spanner.size,
+        "rounds": run.ledger.rounds_used,
+        "max_bits": run.ledger.max_bits_seen,
+        "max_stretch": report.max_stretch,
+    }
+    with open(out_base + ".csv", "w", newline="") as fh:
+        w = csv.DictWriter(fh, fieldnames=list(row))
+        w.writeheader()
+        w.writerow(row)
 
 
 def cmd_run(args) -> int:

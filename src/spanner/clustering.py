@@ -172,9 +172,6 @@ class Superclustering:
     cluster_bound: int      # N1 bound on N_C for non-singletons
     count_bound: int        # bound on the number of superclusters
 
-    def by_id(self) -> Dict[int, Supercluster]:
-        return {sc.sc_id: sc for sc in self.superclusters}
-
     def vertex_sets(self, clustering: Clustering) -> Dict[int, Set[int]]:
         members = clustering.members()
         out = {}
@@ -240,6 +237,3 @@ class TreePartition:
 
     parts: List[TreePart]
     leftover_index: int = 0
-
-    def weight(self, part: TreePart, weights: Dict[int, int]) -> int:
-        return sum(weights.get(v, 0) for v in part.owned)

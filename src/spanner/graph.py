@@ -101,9 +101,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def neighbors(self, v: int) -> Tuple[int, ...]:
-        return self.adj[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return canon(u, v) in self.edge_set
 
@@ -182,10 +179,6 @@ class Spanner:
         if e not in self.edges:
             self.edges.add(e)
             self.provenance[e] = tag
-
-    def add_all(self, edges: Iterable[Edge], tag: str) -> None:
-        for u, v in edges:
-            self.add(u, v, tag)
 
     def merge(self, other: "Spanner") -> None:
         for e in sorted(other.edges):

@@ -8,14 +8,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..clustering import Clustering
 from ..graph import Graph
-from ..primitives import (
-    TAG_IDS,
-    clustering_roles,
-    forest_aggregate,
-    forest_broadcast,
-    id_chunks,
-)
-from ..sim import NodeProgram, RoundLedger, SimConfig, exchange, run
+from ..primitives import clustering_roles, forest_aggregate, forest_broadcast
+from ..sim import BitCost, Msg, RoundLedger, SimConfig, exchange
 
 
 def ipow_ceil(n: int, num: int, den: int) -> int:
@@ -62,45 +56,55 @@ def clustering_broadcast(
     return {v: got[v][c] for v, c in clustering.membership.items()}
 
 
-class ChunkedGather(NodeProgram):
-    """Radius-1 gather: members stream ID lists to their hub over as many
-    rounds as the bit budget requires; hubs output {member: [ids]}."""
+# -- chunked ID streams ------------------------------------------------------
 
-    name = "chunked-gather"
+TAG_IDS, TAG_END = 0, 1
 
-    def init(self, view):
-        p = view.private or {}
-        hub = p.get("hub")
-        items = list(p.get("items", ()))
-        sends = hub is not None and hub != view.vid
-        return {
-            "hub": hub,
-            "self_items": items if hub == view.vid else [],
-            "chunks": id_chunks(view, items) if sends else [],
-            "cursor": 0,
-            "waiting": set(p.get("expect", ())),
-            "collected": {},
+
+def id_chunks(bits: BitCost, budget: int, ids) -> List[Msg]:
+    """Frame an ID list as budget-sized (TAG_IDS, ids) messages followed by
+    one (TAG_END,) marker, to be sent over an edge one per round."""
+    ids = tuple(ids)
+    per_msg = max(1, (budget - 8) // bits.id_bits)
+    msgs = []
+    for i in range(0, len(ids), per_msg):
+        piece = ids[i : i + per_msg]
+        msgs.append(bits.msg((TAG_IDS, piece), ids=len(piece)))
+    msgs.append(bits.msg((TAG_END,)))
+    return msgs
+
+
+def _stream(
+    g: Graph,
+    cfg: SimConfig,
+    ledger: RoundLedger,
+    name: str,
+    lists: Dict[int, Dict[int, List[int]]],
+) -> Dict[int, List[Tuple[int, tuple]]]:
+    """Stream every ID list ``lists[v][u]`` from v to its neighbor u as
+    ``id_chunks`` messages, message r of every stream in scripted round r,
+    and fold the rounds into ``ledger`` as one phase ``name``.  Chunks fit
+    the budget and every edge carries one message per round, so no round
+    can overrun.  Returns v -> [(sender, body)] in round, then sender
+    order."""
+    cfg.check(g)
+    bits, budget = BitCost(g), cfg.budget_for(g)
+    queues = {
+        v: {u: id_chunks(bits, budget, ids) for u, ids in per_nbr.items()}
+        for v, per_nbr in lists.items()
+    }
+    depth = max((len(q) for qs in queues.values() for q in qs.values()), default=0)
+    sub = RoundLedger()
+    got: Dict[int, List[Tuple[int, tuple]]] = {v: [] for v in g.vertices}
+    for rnd in range(1, depth + 1):
+        out = {
+            v: {u: q[rnd - 1] for u, q in qs.items() if rnd <= len(q)}
+            for v, qs in queues.items()
         }
-
-    def on_round(self, state, view, rnd, inbox):
-        for sender, body in inbox:
-            if body[0] == TAG_IDS:
-                state["collected"].setdefault(sender, []).extend(body[1])
-            else:
-                state["collected"].setdefault(sender, [])
-                state["waiting"].discard(sender)
-        out = {}
-        if state["cursor"] < len(state["chunks"]):
-            out[state["hub"]] = state["chunks"][state["cursor"]]
-            state["cursor"] += 1
-        done = state["cursor"] >= len(state["chunks"]) and not state["waiting"]
-        return out, done
-
-    def on_finish(self, state, view):
-        got = {m: tuple(v) for m, v in state["collected"].items()}
-        if state["self_items"]:
-            got[view.vid] = tuple(state["self_items"])
-        return got
+        for v, inbox in exchange(g, cfg, sub, name, out).items():
+            got[v].extend(inbox)
+    ledger.extend_sequential(sub, name=name)
+    return got
 
 
 def chunked_gather(
@@ -110,54 +114,28 @@ def chunked_gather(
     name: str,
     hub_of: Dict[int, int],
     items: Dict[int, List[int]],
-    expect: Dict[int, List[int]],
 ) -> Dict[int, Dict[int, Tuple[int, ...]]]:
-    private = {
-        v: {
-            "hub": hub_of.get(v),
-            "items": items.get(v, ()),
-            "expect": expect.get(v, ()),
-        }
-        for v in g.vertices
+    """Radius-1 gather: every vertex streams ``items[v]`` to its hub
+    ``hub_of[v]``.  Returns, per vertex, {sender: ids} of the lists it
+    received, plus its own items under its own ID when it is its own hub."""
+    lists = {
+        v: {hub: items.get(v, ())}
+        for v, hub in hub_of.items()
+        if hub is not None and hub != v
     }
-    outputs, led = run(g, ChunkedGather(), cfg, private=private)
-    ledger.extend_sequential(led, name=name)
-    return outputs
-
-
-class ChunkedScatter(NodeProgram):
-    """Radius-1 scatter: hubs stream per-member ID lists out; members output
-    the list addressed to them."""
-
-    name = "chunked-scatter"
-
-    def init(self, view):
-        p = view.private or {}
-        hub = p.get("hub")
-        return {
-            "queues": {u: id_chunks(view, ids) for u, ids in p.get("plan", {}).items()},
-            "done_recv": hub is None or hub == view.vid,
-            "got": [],
-        }
-
-    def on_round(self, state, view, rnd, inbox):
-        for _sender, body in inbox:
+    got = _stream(g, cfg, ledger, name, lists)
+    outputs = {}
+    for v in g.vertices:
+        collected: Dict[int, List[int]] = {}
+        for sender, body in got[v]:
+            ids = collected.setdefault(sender, [])
             if body[0] == TAG_IDS:
-                state["got"].extend(body[1])
-            else:
-                state["done_recv"] = True
-        out = {}
-        empty = []
-        for u, q in state["queues"].items():
-            out[u] = q.pop(0)
-            if not q:
-                empty.append(u)
-        for u in empty:
-            del state["queues"][u]
-        return out, not state["queues"] and state["done_recv"]
-
-    def on_finish(self, state, view):
-        return tuple(state["got"])
+                ids.extend(body[1])
+        own = {m: tuple(ids) for m, ids in collected.items()}
+        if hub_of.get(v) == v and items.get(v):
+            own[v] = tuple(items[v])
+        outputs[v] = own
+    return outputs
 
 
 def chunked_scatter(
@@ -166,11 +144,11 @@ def chunked_scatter(
     ledger: RoundLedger,
     name: str,
     plans: Dict[int, Dict[int, List[int]]],
-    hub_of: Dict[int, int],
 ) -> Dict[int, Tuple[int, ...]]:
-    private = {
-        v: {"plan": plans.get(v, {}), "hub": hub_of.get(v)} for v in g.vertices
+    """Radius-1 scatter: every hub h streams ``plans[h][u]`` to each member
+    u.  Returns, per vertex, the IDs it received."""
+    got = _stream(g, cfg, ledger, name, plans)
+    return {
+        v: tuple(i for _s, body in got[v] if body[0] == TAG_IDS for i in body[1])
+        for v in g.vertices
     }
-    outputs, led = run(g, ChunkedScatter(), cfg, private=private)
-    ledger.extend_sequential(led, name=name)
-    return outputs

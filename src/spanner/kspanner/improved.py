@@ -10,7 +10,7 @@ import math
 from typing import Dict, List, Optional, Sequence, Set
 
 from ..clustering import Supercluster, Superclustering, WeightedTree, orient_tree
-from ..graph import Graph, Spanner
+from ..graph import Graph
 from ..primitives import (
     RoleTable,
     forest_aggregate,
@@ -22,8 +22,7 @@ from ..results import SpannerRun
 from ..sim import Msg, RoundLedger, SimConfig, SimTimeout, announce
 from .common import clustering_aggregate, clustering_broadcast, exchange, ipow_ceil
 from .naive import naive_spanner
-from .starbip import sparser_bipartite_spanner
-from .zero import cons_zero_superclustering
+from .zero import cons_zero_superclustering, cover_low_expansion
 
 RECURSION_BASE = 64
 
@@ -306,42 +305,15 @@ def _cover_remaining(g, k, cfg, ledger, trace, H, clustering, scs, vset,
     exchange(g, cfg, ledger, f"sc-single-edges:P{i}", out)
 
     sub_ledgers: List[RoundLedger] = []
-    from ..spanner3 import Bipartition
-
     instances = trace.setdefault("bipartite_instances", {}).setdefault(i, [])
     for scid in sorted(remaining - singles):
         members = sorted(vset[scid])
-        mset = set(members)
-        outside = sorted(
-            {
-                u
-                for v in members
-                for u in g.adj[v]
-                if u not in mset and u not in marked
-            }
+        led, outside = cover_low_expansion(
+            g, k, cfg, H, members, marked, f"sc-bip:L{i}", f"sc-rec:L{i}"
         )
         if outside:
-            cross = [
-                (v, u)
-                for v in members
-                for u in g.adj[v]
-                if u not in mset and u not in marked
-            ]
-            bip = g.edge_subgraph(mset | set(outside), cross)
-            instances.append((frozenset(mset), frozenset(outside)))
-            res = sparser_bipartite_spanner(
-                bip, Bipartition(mset, set(outside)), k, cfg
-            )
-            for e in sorted(res.spanner.edges):
-                H.add(*e, f"sc-bip:L{i}")
-            sub_ledgers.append(res.ledger)
-        internal = [e for e in g.edge_set if e[0] in mset and e[1] in mset]
-        if internal:
-            sub = g.subgraph(mset)
-            res = improved_spanner(sub, k, cfg)
-            for e in sorted(res.spanner.edges):
-                H.add(*e, f"sc-rec:L{i}")
-            sub_ledgers.append(res.ledger)
+            instances.append((frozenset(members), frozenset(outside)))
+        sub_ledgers.extend(led)
     if sub_ledgers:
         ledger.extend_parallel(sub_ledgers, name=f"sc-cover:P{i}")
 

@@ -455,16 +455,14 @@ def _compute_reps(g, cfg, ledger, st, nbr_cluster, label):
     representative per neighboring cluster (chunked gather + scatter)."""
     hub_of = {}
     items = {}
-    expect = {}
     for s in st.stars():
-        expect[s] = list(st.members[s])
         hub_of[s] = s
         items[s] = sorted({c for c in nbr_cluster[s].values()})
         for v in st.members[s]:
             hub_of[v] = s
             items[v] = sorted({c for c in nbr_cluster[v].values()})
     gathered = chunked_gather(g, cfg, ledger, f"bip-reps-up:{label}",
-                              hub_of, items, expect)
+                              hub_of, items)
     reps: Dict[int, Dict[int, Tuple[int, int]]] = {}
     plans: Dict[int, Dict[int, List[int]]] = {}
     for s in st.stars():
@@ -486,7 +484,7 @@ def _compute_reps(g, cfg, ledger, st, nbr_cluster, label):
                 plan[member].append(c)
         if plan:
             plans[s] = plan
-    chunked_scatter(g, cfg, ledger, f"bip-reps-down:{label}", plans, hub_of)
+    chunked_scatter(g, cfg, ledger, f"bip-reps-down:{label}", plans)
     return reps
 
 

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..clustering import Clustering, Supercluster, Superclustering, WeightedTree
 from ..graph import Graph, Spanner, canon
 from ..primitives import grow_bfs_clusters, partition_tree, ruling_set_power
 from ..sim import Msg, RoundLedger, SimConfig, announce
+from ..spanner3 import Bipartition
 from .common import clustering_aggregate, exchange, ipow_ceil
 from .starbip import sparser_bipartite_spanner
 
@@ -60,43 +61,42 @@ def _cluster_expansion(g, cfg, ledger, clustering, label) -> Dict[int, int]:
     )
 
 
-def _cover_low_cluster(
+def cover_low_expansion(
     g: Graph,
     k: int,
     cfg: SimConfig,
-    members: List[int],
     H: Spanner,
-) -> List[RoundLedger]:
-    """Low-expansion cluster: bipartite spanner toward its outside neighbors
-    plus a recursive spanner on the inside; both collected into H."""
+    members: List[int],
+    excluded: Set[int],
+    bip_tag: str,
+    rec_tag: str,
+) -> Tuple[List[RoundLedger], Set[int]]:
+    """Cover the edges of a low-expansion vertex set: a bipartite spanner
+    toward its outside neighbors (those in ``excluded`` left out), tagged
+    ``bip_tag``, plus a recursive spanner on the inside, tagged
+    ``rec_tag``; both go into H.  Returns the sub-ledgers, to be run side by
+    side, and the outside set."""
     from .improved import improved_spanner  # recursion
 
     ledgers = []
     mset = set(members)
-    outside = sorted(
-        {u for v in members for u in g.adj[v] if u not in mset}
-    )
-    if outside:
-        cross = [
-            (v, u) for v in members for u in g.adj[v] if u not in mset
-        ]
-        bip = g.edge_subgraph(set(members) | set(outside), cross)
-        from ..spanner3 import Bipartition
-
-        res = sparser_bipartite_spanner(
-            bip, Bipartition(mset, set(outside)), k, cfg
-        )
+    cross = [
+        (v, u) for v in members for u in g.adj[v]
+        if u not in mset and u not in excluded
+    ]
+    outside = {u for _v, u in cross}
+    if cross:
+        bip = g.edge_subgraph(mset | outside, cross)
+        res = sparser_bipartite_spanner(bip, Bipartition(mset, outside), k, cfg)
         for e in sorted(res.spanner.edges):
-            H.add(*e, "zero-bip")
+            H.add(*e, bip_tag)
         ledgers.append(res.ledger)
-    internal = [e for e in g.edge_set if e[0] in mset and e[1] in mset]
-    if internal:
-        sub = g.subgraph(mset)
-        res = improved_spanner(sub, k, cfg)
+    if any(u in mset for v in members for u in g.adj[v]):
+        res = improved_spanner(g.subgraph(mset), k, cfg)
         for e in sorted(res.spanner.edges):
-            H.add(*e, "zero-recursion")
+            H.add(*e, rec_tag)
         ledgers.append(res.ledger)
-    return ledgers
+    return ledgers, outside
 
 
 def cons_zero_superclustering(
@@ -124,7 +124,10 @@ def cons_zero_superclustering(
         members = clustering.members()
         sub_ledgers: List[RoundLedger] = []
         for c in low:
-            sub_ledgers.extend(_cover_low_cluster(g, k, cfg, members[c], H))
+            led, _outside = cover_low_expansion(
+                g, k, cfg, H, members[c], set(), "zero-bip", "zero-recursion"
+            )
+            sub_ledgers.extend(led)
         if sub_ledgers:
             ledger.extend_parallel(sub_ledgers, name=f"zero-cover:Z{i}")
         trace["levels"][i] = {

@@ -11,7 +11,7 @@ from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from .clustering import Clustering, TreePart, TreePartition, WeightedTree, orient_tree
 from .graph import Graph, canon
-from .sim import Msg, NodeProgram, RoundLedger, SimConfig, run
+from .sim import Msg, NodeProgram, RoundLedger, SimConfig, SimError, run
 
 # ---------------------------------------------------------------------------
 # BFS cluster growth
@@ -356,26 +356,6 @@ def ruling_set_log(
 
 
 # ---------------------------------------------------------------------------
-# Chunked ID streams
-# ---------------------------------------------------------------------------
-
-TAG_IDS, TAG_END = 0, 1
-
-
-def id_chunks(view, ids) -> List[Msg]:
-    """Frame an ID list as budget-sized (TAG_IDS, ids) messages followed by
-    one (TAG_END,) marker, to be sent over an edge one per round."""
-    ids = tuple(ids)
-    per_msg = max(1, (view.budget - 8) // view.bits.id_bits)
-    msgs = []
-    for i in range(0, len(ids), per_msg):
-        piece = ids[i : i + per_msg]
-        msgs.append(view.bits.msg((TAG_IDS, piece), ids=len(piece)))
-    msgs.append(view.bits.msg((TAG_END,)))
-    return msgs
-
-
-# ---------------------------------------------------------------------------
 # Ruling set on a power graph
 # ---------------------------------------------------------------------------
 
@@ -618,7 +598,7 @@ def partition_tree(
     for v in sorted(tree):
         key = outputs[v]["part"]
         if key is None:
-            raise RuntimeError(f"vertex {v} left unassigned by tree partition")
+            raise SimError(f"vertex {v} left unassigned by tree partition")
         owned.setdefault(key, set()).add(v)
         if key not in keys:
             keys.append(key)

@@ -104,7 +104,6 @@ class BitCost:
 
     def __init__(self, g: Graph):
         self.id_bits = g.id_bits
-        self.n = g.n
 
     def counter(self, bound: int) -> int:
         return max(1, int(bound).bit_length())
@@ -172,28 +171,20 @@ class RoundLedger:
 
 
 class NodeView:
-    """The local knowledge a vertex starts with: its ID, neighbors, incident
-    edge weights, the global parameter block, and its private carry-over
-    state from earlier phases."""
+    """Everything a vertex knows when a run starts: its ID, its sorted
+    neighbor IDs, its private input (carry-over state from earlier phases,
+    and incident edge weights where a program needs them), the run's field
+    widths and its per-message bit budget.  Nothing else of the graph is
+    reachable from here."""
 
-    __slots__ = ("vid", "neighbors", "n", "params", "private", "bits", "budget", "_g")
+    __slots__ = ("vid", "neighbors", "private", "bits", "budget")
 
-    def __init__(self, g: Graph, vid: int, params, private, bits: BitCost, budget: int):
+    def __init__(self, vid: int, neighbors, private, bits: BitCost, budget: int):
         self.vid = vid
-        self.neighbors = g.adj[vid]
-        self.n = g.n
-        self.params = params
+        self.neighbors = neighbors
         self.private = private
         self.bits = bits
         self.budget = budget
-        self._g = g
-
-    @property
-    def degree(self) -> int:
-        return len(self.neighbors)
-
-    def weight(self, u: int) -> float:
-        return self._g.weight(self.vid, u)
 
 
 class NodeProgram:
@@ -261,7 +252,6 @@ def run(
     g: Graph,
     program: NodeProgram,
     cfg: Optional[SimConfig] = None,
-    params: Optional[dict] = None,
     private: Optional[Dict[int, Any]] = None,
 ) -> Tuple[Dict[int, Any], RoundLedger]:
     """Execute one program on g until global halt; returns per-vertex outputs."""
@@ -269,14 +259,13 @@ def run(
     cfg.check(g)
     budget = cfg.budget_for(g)
     bits = BitCost(g)
-    params = params or {}
     private = private or {}
     ledger = RoundLedger()
 
     views = {}
     states = {}
     for v in g.vertices:
-        views[v] = NodeView(g, v, params, private.get(v), bits, budget)
+        views[v] = NodeView(v, g.adj[v], private.get(v), bits, budget)
         states[v] = program.init(views[v])
 
     inboxes: Dict[int, List[Tuple[int, Any]]] = {v: [] for v in g.vertices}

@@ -12,7 +12,7 @@ from .clustering import WeightedTree
 from .graph import Graph, Spanner
 from .primitives import grow_bfs_clusters, partition_tree, ruling_set_log
 from .results import SpannerRun
-from .sim import NodeProgram, RoundLedger, SimConfig, announce, run
+from .sim import NodeProgram, RoundLedger, SimConfig, SimError, announce, run
 
 
 class Bipartition:
@@ -23,13 +23,6 @@ class Bipartition:
         self.b = frozenset(b)
         if self.a & self.b:
             raise ValueError("bipartition sides overlap")
-
-    def side(self, v: int) -> Optional[str]:
-        if v in self.a:
-            return "A"
-        if v in self.b:
-            return "B"
-        return None
 
 
 def high_degree_threshold(n: int) -> int:
@@ -46,62 +39,53 @@ class StarSpanner(NodeProgram):
     and notifies it of the selected edge.  Vertices of the same part add
     their connecting edges locally when ``internal`` is set.
 
-    Part knowledge modes: "param" reads a global part map from the
-    parameter block (the bipartite lemma's knowledge assumption), "private"
-    reads each vertex's own part and its neighbors' parts collected by an
-    earlier announce round, "idbits" derives parts from the low ID bits.
+    Private input, per vertex: ``part`` (its own part, or None),
+    ``nbr_parts`` (neighbor -> part, for the neighbors that have one) and,
+    on weighted graphs only, ``weights`` (neighbor -> incident edge weight).
     """
 
     name = "star-spanner"
 
     TAG_CHOSE, TAG_SELECTED = 0, 1
 
-    def __init__(self, mode: str, internal: bool, low_bits: int = 0):
-        self.mode = mode
+    def __init__(self, internal: bool):
         self.internal = internal
-        self.low_bits = low_bits
-
-    def _part_of(self, view) -> Tuple[Optional[int], Dict[int, Optional[int]]]:
-        if self.mode == "param":
-            pm = view.params["part_map"]
-            return pm.get(view.vid), {u: pm.get(u) for u in view.neighbors}
-        if self.mode == "private":
-            p = view.private
-            return p.get("part"), {u: p["nbr_parts"].get(u) for u in view.neighbors}
-        mask = (1 << self.low_bits) - 1
-        return view.vid & mask, {u: u & mask for u in view.neighbors}
 
     def init(self, view):
-        mine, of_nbr = self._part_of(view)
+        p = view.private
+        mine = p["part"]
+        of_nbr = p["nbr_parts"]
+        w = p.get("weights")
         edges = []
         if self.internal and mine is not None:
             for u in view.neighbors:
-                if of_nbr[u] == mine:
+                if of_nbr.get(u) == mine:
                     edges.append((view.vid, u, "internal"))
         return {
             "part": mine,
             "nbr_part": of_nbr,
+            # closest first, ties toward the smaller ID
+            "rank": (lambda u: (w[u], u)) if w else (lambda u: u),
             "edges": edges,
-            "chosen": {},  # instance j -> chosen center
         }
 
     def on_round(self, state, view, rnd, inbox):
         out = {}
+        rank = state["rank"]
         if rnd == 1:
             mine = state["part"]
             best: Dict[int, int] = {}
             for u in view.neighbors:
-                j = state["nbr_part"][u]
+                j = state["nbr_part"].get(u)
                 if j is None or j == mine:
                     continue
                 cur = best.get(j)
-                if cur is None or (view.weight(u), u) < (view.weight(cur), cur):
+                if cur is None or rank(u) < rank(cur):
                     best[j] = u
-            state["chosen"] = best
             for j, center in best.items():
                 state["edges"].append((view.vid, center, "star"))
             for u in view.neighbors:
-                j = state["nbr_part"][u]
+                j = state["nbr_part"].get(u)
                 if j is not None and j != mine and j in best:
                     out[u] = view.bits.msg((self.TAG_CHOSE, best[j]), ids=1)
             return out, True
@@ -113,7 +97,7 @@ class StarSpanner(NodeProgram):
                 per_star: Dict[int, int] = {}
                 for sender, (_tag, center) in inbox:
                     cur = per_star.get(center)
-                    if cur is None or (view.weight(sender), sender) < (view.weight(cur), cur):
+                    if cur is None or rank(sender) < rank(cur):
                         per_star[center] = sender
                 for center, picked in sorted(per_star.items()):
                     tag = "star" if center == view.vid else "cross"
@@ -126,10 +110,36 @@ class StarSpanner(NodeProgram):
         return state["edges"]
 
 
-def _collect_edges(spanner: Spanner, outputs: Dict[int, list]) -> None:
+def _star_spanner(
+    g: Graph,
+    cfg: SimConfig,
+    spanner: Spanner,
+    part: Dict[int, int],
+    internal: bool,
+    nbr_parts: Optional[Dict[int, Dict[int, int]]] = None,
+) -> RoundLedger:
+    """Run StarSpanner over the parts ``part`` (vertex -> part index) and add
+    its edges to ``spanner``.  Every vertex learns its neighbors' parts from
+    ``nbr_parts`` (an earlier announce round) or, where that is None, from
+    ``part`` itself.  Every edge lies in at most two star instances, so the
+    parallel run uses congestion factor 2."""
+    private = {}
+    for v in g.vertices:
+        nbrs = g.adj[v]
+        if nbr_parts is None:
+            heard = {u: part[u] for u in nbrs if u in part}
+        else:
+            heard = nbr_parts[v]
+        p = {"part": part.get(v), "nbr_parts": heard}
+        if g.weighted:
+            p["weights"] = {u: g.weight(v, u) for u in nbrs}
+        private[v] = p
+    cfg = cfg.with_(congestion_factor=max(2, cfg.congestion_factor))
+    outputs, ledger = run(g, StarSpanner(internal), cfg, private=private)
     for v in sorted(outputs):
         for u, w, tag in outputs[v]:
             spanner.add(u, w, tag)
+    return ledger
 
 
 def bipartite_3_spanner(
@@ -137,12 +147,10 @@ def bipartite_3_spanner(
 ) -> SpannerRun:
     """Two-round 3-spanner of the A-to-B edges of a (possibly weighted)
     bipartite instance; at most |B| + |A|^2 edges."""
-    cfg = (cfg or SimConfig()).with_(congestion_factor=max(2, (cfg or SimConfig()).congestion_factor))
-    part_map = {v: 0 for v in part.a}
-    program = StarSpanner(mode="param", internal=False)
-    outputs, ledger = run(g, program, cfg, params={"part_map": part_map})
     spanner = Spanner(g)
-    _collect_edges(spanner, outputs)
+    ledger = _star_spanner(
+        g, cfg or SimConfig(), spanner, {v: 0 for v in part.a}, internal=False
+    )
     return SpannerRun(spanner, ledger, trace={"rounds": ledger.rounds_used})
 
 
@@ -152,20 +160,15 @@ def three_spanner_given_partition(
     cfg: Optional[SimConfig] = None,
 ) -> SpannerRun:
     """Two-round 3-spanner given a disjoint vertex partition: per part a
-    bipartite instance (part vs. rest) plus all part-internal edges.  Every
-    edge lies in at most two instances, so the parallel run uses congestion
-    factor 2."""
+    bipartite instance (part vs. rest) plus all part-internal edges."""
     part_map: Dict[int, int] = {}
     for i, vs in enumerate(parts):
         for v in vs:
             if v in part_map:
                 raise ValueError(f"vertex {v} appears in two parts")
             part_map[v] = i
-    cfg = (cfg or SimConfig()).with_(congestion_factor=max(2, (cfg or SimConfig()).congestion_factor))
-    program = StarSpanner(mode="param", internal=True)
-    outputs, ledger = run(g, program, cfg, params={"part_map": part_map})
     spanner = Spanner(g)
-    _collect_edges(spanner, outputs)
+    ledger = _star_spanner(g, cfg or SimConfig(), spanner, part_map, internal=True)
     return SpannerRun(spanner, ledger, trace={"rounds": ledger.rounds_used})
 
 
@@ -190,7 +193,7 @@ def partition_high_degree(
     ledger.extend_sequential(led, name="cluster-growth")
     uncovered = vh - clusters.clustered
     if uncovered:
-        raise RuntimeError(f"ruling set failed to dominate {sorted(uncovered)[:5]}")
+        raise SimError(f"ruling set failed to dominate {sorted(uncovered)[:5]}")
     bound = max(1, math.isqrt(g.n))
     members = clusters.members()
     parts: List[Set[int]] = []
@@ -237,14 +240,8 @@ def improved_3_spanner(g: Graph, cfg: Optional[SimConfig] = None) -> SpannerRun:
         heard = announce(
             g, cfg, ledger, "part-announce", part_map, 8 + len(parts).bit_length()
         )
-        star_private = {
-            v: {"part": part_map.get(v), "nbr_parts": heard[v]} for v in g.vertices
-        }
-        scfg = cfg.with_(congestion_factor=max(2, cfg.congestion_factor))
-        outputs, led = run(g, StarSpanner(mode="private", internal=True), scfg,
-                           private=star_private)
+        led = _star_spanner(g, cfg, spanner, part_map, internal=True, nbr_parts=heard)
         ledger.extend_sequential(led, name="star-spanner")
-        _collect_edges(spanner, outputs)
     trace["size"] = spanner.size
     return SpannerRun(spanner, ledger, trace)
 
@@ -263,9 +260,9 @@ def small_id_3_spanner(
                 "small-ID construction requires IDs in [1, O(n)]"
             )
     low = g.id_bits // 2
-    scfg = cfg.with_(congestion_factor=max(2, cfg.congestion_factor))
-    outputs, ledger = run(g, StarSpanner(mode="idbits", internal=True, low_bits=low), scfg)
+    mask = (1 << low) - 1
+    part = {v: v & mask for v in g.vertices}
     spanner = Spanner(g)
-    _collect_edges(spanner, outputs)
-    nparts = len({v & ((1 << low) - 1) for v in g.vertices})
+    ledger = _star_spanner(g, cfg, spanner, part, internal=True)
+    nparts = len(set(part.values()))
     return SpannerRun(spanner, ledger, trace={"num_parts": nparts, "low_bits": low})

@@ -2,8 +2,11 @@ import csv
 import json
 import os
 
-from spanner import generate, load, save
+import pytest
+
+from spanner import RoundLedger, generate, improved_3_spanner, load, save, spanner3
 from spanner.cli import main
+from spanner.sim import SimError
 
 
 def run_cli(args):
@@ -174,3 +177,17 @@ def test_strict_budget_overrun_is_simulator_error(tmp_path, capsys):
     )
     assert code == 4
     assert "'kind': 'bits'" in capsys.readouterr().err
+
+
+def test_undominated_high_degree_is_simulator_error(tmp_path, capsys, monkeypatch):
+    # a ruling set that dominates nothing trips partition_high_degree's guard
+    monkeypatch.setattr(
+        spanner3, "ruling_set_log", lambda g, cand, cfg=None: (set(), RoundLedger())
+    )
+    with pytest.raises(SimError, match="failed to dominate"):
+        improved_3_spanner(generate("complete", {"n": 16}))
+    code = run_cli(
+        ["run", "--alg", "imp3", "--gen", "complete:n=16", "--out", str(tmp_path / "r")]
+    )
+    assert code == 4
+    assert "error: ruling set failed to dominate" in capsys.readouterr().err

@@ -20,9 +20,14 @@ from spanner import (
     ruling_set_power,
 )
 from spanner.clustering import orient_tree
-from spanner.kspanner.common import chunked_gather
-from spanner.primitives import TAG_END, TAG_IDS, id_chunks
-from spanner.sim import BitCost, NodeView, RoundLedger
+from spanner.kspanner.common import (
+    TAG_END,
+    TAG_IDS,
+    chunked_gather,
+    chunked_scatter,
+    id_chunks,
+)
+from spanner.sim import BitCost, NodeProgram, RoundLedger, SimError, run
 from spanner.verify import audit_ruling_set
 
 CFG = SimConfig(msg_bit_budget=64)
@@ -147,20 +152,163 @@ def test_forest_vertex_in_two_edge_disjoint_trees():
 def test_id_chunks_boundaries(extra):
     g = Graph(range(40), [(0, v) for v in range(1, 40)])
     budget = SimConfig().budget_for(g)
-    view = NodeView(g, 1, {}, None, BitCost(g), budget)
     per_msg = (budget - 8) // g.id_bits
     ids = list(range(0 if extra is None else per_msg + extra))
-    msgs = id_chunks(view, ids)
+    msgs = id_chunks(BitCost(g), budget, ids)
     assert len(msgs) == math.ceil(len(ids) / per_msg) + 1
     assert all(m.bits <= budget for m in msgs)
     assert msgs[-1].body == (TAG_END,)
     assert [i for m in msgs[:-1] if m.body[0] == TAG_IDS for i in m.body[1]] == ids
     # the same stream end to end: leaf 1 gathers its list at the center
     ledger = RoundLedger()
-    out = chunked_gather(g, SimConfig(), ledger, "gather", {1: 0}, {1: ids}, {0: [1]})
+    out = chunked_gather(g, SimConfig(), ledger, "gather", {1: 0}, {1: ids})
     assert out[0] == {1: tuple(ids)}
     assert ledger.messages_total == len(msgs)
     assert ledger.max_bits_seen <= budget
+
+
+class RefGather(NodeProgram):
+    """Reference for ``chunked_gather``: members stream their lists to the
+    hub as a vertex program; hubs halt once every expected member ended."""
+
+    name = "chunked-gather"
+
+    def init(self, view):
+        p = view.private or {}
+        hub = p.get("hub")
+        items = list(p.get("items", ()))
+        sends = hub is not None and hub != view.vid
+        return {
+            "hub": hub,
+            "self_items": items if hub == view.vid else [],
+            "chunks": id_chunks(view.bits, view.budget, items) if sends else [],
+            "cursor": 0,
+            "waiting": set(p.get("expect", ())),
+            "collected": {},
+        }
+
+    def on_round(self, state, view, rnd, inbox):
+        for sender, body in inbox:
+            if body[0] == TAG_IDS:
+                state["collected"].setdefault(sender, []).extend(body[1])
+            else:
+                state["collected"].setdefault(sender, [])
+                state["waiting"].discard(sender)
+        out = {}
+        if state["cursor"] < len(state["chunks"]):
+            out[state["hub"]] = state["chunks"][state["cursor"]]
+            state["cursor"] += 1
+        done = state["cursor"] >= len(state["chunks"]) and not state["waiting"]
+        return out, done
+
+    def on_finish(self, state, view):
+        got = {m: tuple(v) for m, v in state["collected"].items()}
+        if state["self_items"]:
+            got[view.vid] = tuple(state["self_items"])
+        return got
+
+
+class RefScatter(NodeProgram):
+    """Reference for ``chunked_scatter``: hubs stream per-member lists as a
+    vertex program; members halt once their hub's stream ended."""
+
+    name = "chunked-scatter"
+
+    def init(self, view):
+        p = view.private or {}
+        hub = p.get("hub")
+        return {
+            "queues": {u: id_chunks(view.bits, view.budget, ids)
+                       for u, ids in p.get("plan", {}).items()},
+            "done_recv": hub is None or hub == view.vid,
+            "got": [],
+        }
+
+    def on_round(self, state, view, rnd, inbox):
+        for _sender, body in inbox:
+            if body[0] == TAG_IDS:
+                state["got"].extend(body[1])
+            else:
+                state["done_recv"] = True
+        out = {}
+        for u, q in list(state["queues"].items()):
+            out[u] = q.pop(0)
+            if not q:
+                del state["queues"][u]
+        return out, not state["queues"] and state["done_recv"]
+
+    def on_finish(self, state, view):
+        return tuple(state["got"])
+
+
+@st.composite
+def star_streams(draw):
+    """A star forest on sparse IDs (n <= 14, IDs up to 600), ID lists per
+    vertex that are empty or span one chunk, a chunk boundary or several
+    chunks, and a budget from just below the one-ID floor to four IDs."""
+    ids = sorted(draw(st.sets(st.integers(0, 600), min_size=1, max_size=14)))
+    hubs = draw(st.sets(st.sampled_from(ids), min_size=1))
+    sometimes = st.sampled_from((True, True, True, False))
+    hub_of = {h: h for h in hubs}
+    for v in ids:
+        if v not in hubs and draw(sometimes):
+            hub_of[v] = draw(st.sampled_from(sorted(hubs)))
+    g = Graph(ids, [(v, h) for v, h in hub_of.items() if v != h])
+    floor = 8 + g.id_bits
+    budget = floor - 1
+    if draw(sometimes):
+        budget = draw(st.integers(floor, floor + 3 * g.id_bits))
+    per_msg = max(1, (budget - 8) // g.id_bits)
+    length = st.sampled_from(
+        [0, 1, per_msg - 1, per_msg, per_msg + 1, 2 * per_msg, 3 * per_msg + 2]
+    )
+
+    def id_list():
+        n = draw(length)
+        return draw(st.lists(st.integers(0, g.max_id), min_size=n, max_size=n))
+
+    items = {v: id_list() for v in hub_of}
+    plans = {h: {v: id_list() for v, hh in hub_of.items() if hh == h and v != h}
+             for h in hubs}
+    cfg = SimConfig(msg_bit_budget=budget, strict=draw(st.booleans()))
+    return g, hub_of, items, plans, cfg
+
+
+def _result(fn):
+    ledger = RoundLedger()
+    try:
+        return fn(ledger), ledger.to_json()
+    except SimError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(star_streams())
+def test_chunked_streams_match_reference_programs(case):
+    g, hub_of, items, plans, cfg = case
+    expect = {h: [v for v, hh in hub_of.items() if hh == h and v != h]
+              for h in set(hub_of.values())}
+
+    def ref_gather(ledger):
+        private = {v: {"hub": hub_of.get(v), "items": items.get(v, ()),
+                       "expect": expect.get(v, ())} for v in g.vertices}
+        out, led = run(g, RefGather(), cfg, private=private)
+        ledger.extend_sequential(led, name="up")
+        return out
+
+    def ref_scatter(ledger):
+        private = {v: {"plan": plans.get(v, {}), "hub": hub_of.get(v)}
+                   for v in g.vertices}
+        out, led = run(g, RefScatter(), cfg, private=private)
+        ledger.extend_sequential(led, name="down")
+        return out
+
+    assert _result(
+        lambda led: chunked_gather(g, cfg, led, "up", hub_of, items)
+    ) == _result(ref_gather)
+    assert _result(
+        lambda led: chunked_scatter(g, cfg, led, "down", plans)
+    ) == _result(ref_scatter)
 
 
 # -- ruling sets -------------------------------------------------------------

@@ -12,6 +12,7 @@ from spanner import (
     small_id_3_spanner,
     three_spanner_given_partition,
     verify_stretch,
+    verify_stretch_allpairs,
     with_random_weights,
 )
 
@@ -128,6 +129,21 @@ def test_given_partition_overlap_rejected():
     g = generate("complete", {"n": 4})
     with pytest.raises(ValueError):
         three_spanner_given_partition(g, [{0, 1}, {1, 2}])
+
+
+def test_given_partition_weighted_oracle():
+    g = with_random_weights(
+        generate("erdos-renyi", {"n": 50, "p": 0.2}, seed=8), seed=3
+    )
+    parts = [[v for v in g.vertices if v % 4 == i] for i in range(4)]
+    res = three_spanner_given_partition(g, parts)
+    assert res.ledger.rounds_used == 2
+    assert res.spanner.size < g.m
+    a = verify_stretch(g, res.spanner, 3)
+    b = verify_stretch_allpairs(g, res.spanner, 3)
+    assert a.passed and b.passed
+    assert a.worst_edge == b.worst_edge
+    assert abs(a.max_stretch - b.max_stretch) < 1e-9
 
 
 def test_given_partition_random_pinned_size():
