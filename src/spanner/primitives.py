@@ -83,8 +83,8 @@ def grow_bfs_clusters(
 ) -> Tuple[Clustering, RoundLedger]:
     """Grow depth-bounded BFS clusters around the given centers."""
     centers = set(centers)
-    private = {v: {"center": v in centers} for v in g.vertices}
-    outputs, ledger = run(g, GrowClusters(depth), cfg, private=private)
+    private = {v: {"center": True} for v in centers}
+    outputs, ledger = run(g, GrowClusters(depth), cfg, private=private, active=centers)
     membership = {}
     parents = {}
     for v, outcome in outputs.items():
@@ -252,7 +252,9 @@ def forest_aggregate(
     """
     bound = bound if bound is not None else max(2 * g.n + 1, 2)
     private = {v: {"roles": rs, "values": values.get(v, {})} for v, rs in roles.items()}
-    outputs, ledger = run(g, ForestAggregate(combine, bound), cfg, private=private)
+    outputs, ledger = run(
+        g, ForestAggregate(combine, bound), cfg, private=private, active=roles
+    )
     result = {}
     for v in roles:
         result.update(outputs[v])
@@ -278,7 +280,10 @@ def forest_broadcast(
         }
         for v, rs in roles.items()
     }
-    return run(g, ForestBroadcast(bound), cfg, private=private)
+    outputs, ledger = run(g, ForestBroadcast(bound), cfg, private=private, active=roles)
+    result: Dict[int, Dict[Hashable, int]] = {v: {} for v in g.vertices}
+    result.update(outputs)
+    return result, ledger
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +355,8 @@ def ruling_set_log(
     cand = set(candidates)
     if not cand:
         raise ValueError("candidate set must be nonempty")
-    private = {v: {"candidate": v in cand} for v in g.vertices}
-    outputs, ledger = run(g, RulingSetLog(g.id_bits), cfg, private=private)
+    private = {v: {"candidate": True} for v in cand}
+    outputs, ledger = run(g, RulingSetLog(g.id_bits), cfg, private=private, active=cand)
     return {v for v, kept in outputs.items() if kept}, ledger
 
 
@@ -462,15 +467,16 @@ def ruling_set_power(
     active = set(cand)
     chosen: Set[int] = set()
     while active:
-        private = {v: {"source": v in active} for v in g.vertices}
-        minima, led = run(g, MinFlood(radius), cfg, private=private)
+        private = {v: {"source": True} for v in active}
+        minima, led = run(g, MinFlood(radius), cfg, private=private, active=active)
         ledger.extend_sequential(led, name="power-min-flood")
         joiners = {v for v in active if minima[v] == v}
         chosen |= joiners
-        private = {v: {"source": v in joiners} for v in g.vertices}
-        heard, led = run(g, HopFlood(radius), cfg, private=private)
+        private = {v: {"source": True} for v in joiners}
+        heard, led = run(g, HopFlood(radius), cfg, private=private, active=joiners)
         ledger.extend_sequential(led, name="power-deactivate")
-        active = {v for v in active if not heard[v]}
+        # a candidate the deactivation never reached was never woken
+        active = {v for v in active if not heard.get(v, False)}
     return chosen, ledger
 
 

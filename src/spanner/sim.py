@@ -15,14 +15,22 @@ The engine is the referee for global termination: a run ends once every
 vertex votes halt and no message is in flight.  ``rounds_used`` counts
 communication rounds, i.e. the index of the last round that carried at
 least one message.
+
+The host pays per vertex that acts, not per vertex of the graph.  A run may
+name the vertices that act in round 1 (``run(..., active=...)``); every
+other vertex sleeps, with no view or state, until a message reaches it, and
+after that only vertices that have not voted halt or have mail are called.
+The send step checks a whole outbox at once and, if that check fails, falls
+back to a per-message loop that alone records or raises violations.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from .graph import Graph
 
@@ -61,11 +69,14 @@ class SimConfig:
         return default_bit_budget(g.n)
 
     def check(self, g: Graph) -> None:
-        """Every budget must fit one tagged vertex ID."""
+        """Every budget must fit one tagged vertex ID, and every edge must
+        carry at least one message per round."""
         b = self.budget_for(g)
         floor = BitCost.TAG + g.id_bits
         if b < floor:
             raise SimError(f"msg_bit_budget {b} below minimum {floor}")
+        if self.congestion_factor < 1:
+            raise SimError(f"congestion_factor {self.congestion_factor} below 1")
 
     def resolved(self, g: Graph) -> "SimConfig":
         """Freeze the bit budget at this graph's size so sub-simulations on
@@ -213,12 +224,36 @@ def _post(
     outbox: Dict[int, Any],
     inboxes: Dict[int, List[Tuple[int, Any]]],
 ) -> None:
-    """The send step: check and account vertex v's outbox
+    """The send step: check and account vertex v's non-empty outbox
     ``{neighbor: Msg or [Msg, ...]}`` for round ``rnd`` and queue
-    ``(v, body)`` in the receivers' ``inboxes``.  Congestion and bit-budget
-    overruns raise in strict mode and are recorded otherwise.  A vertex
-    posts once per round, so an edge's load is its message count here."""
+    ``(v, body)`` in the receivers' ``inboxes`` (which hold every vertex or
+    default to an empty list).  Congestion and bit-budget overruns raise in
+    strict mode and are recorded otherwise.  A vertex posts once per round,
+    so an edge's load is its message count here.
+
+    An outbox of single in-budget messages to neighbours can violate
+    nothing (``congestion_factor`` is at least 1), so it is checked in bulk
+    and accounted at once; any other outbox takes the per-message loop,
+    the only code that records violations or raises.  Each receiver gets
+    one entry per sender either way, so inbox order is sender order."""
     nbrs = g.adj[v]
+    # bulk check: one Msg per edge, all within budget, all to neighbours
+    top = 0
+    for m in outbox.values():
+        if m.__class__ is not Msg:
+            break
+        if m.bits > top:
+            top = m.bits
+    else:
+        if top <= budget and (tuple(outbox) == nbrs or set(nbrs).issuperset(outbox)):
+            if top > ledger.max_bits_seen:
+                ledger.max_bits_seen = top
+            if ledger.per_round_edge_load < 1:
+                ledger.per_round_edge_load = 1
+            ledger.messages_total += len(outbox)
+            for u, m in outbox.items():
+                inboxes[u].append((v, m.body))
+            return
     for u in sorted(outbox):
         if u not in g.adj or u not in nbrs:
             raise SimError(f"{name}: vertex {v} sent to non-neighbor {u}")
@@ -234,7 +269,6 @@ def _post(
             if cfg.strict:
                 raise BudgetError(str(rec))
             ledger.violations.append(rec)
-        inbox = inboxes.setdefault(u, [])
         for m in msgs:
             if m.bits > budget:
                 rec = {"kind": "bits", "round": rnd, "edge": [v, u],
@@ -245,7 +279,7 @@ def _post(
             if m.bits > ledger.max_bits_seen:
                 ledger.max_bits_seen = m.bits
             ledger.messages_total += 1
-            inbox.append((v, m.body))
+            inboxes[u].append((v, m.body))
 
 
 def run(
@@ -253,61 +287,87 @@ def run(
     program: NodeProgram,
     cfg: Optional[SimConfig] = None,
     private: Optional[Dict[int, Any]] = None,
+    active: Optional[Iterable[int]] = None,
 ) -> Tuple[Dict[int, Any], RoundLedger]:
-    """Execute one program on g until global halt; returns per-vertex outputs."""
+    """Execute one program on g until global halt; returns per-vertex outputs.
+
+    ``active`` (default: every vertex) names the vertices called in round 1.
+    Any other vertex gets no view, ``init`` or callback until a message
+    reaches it, and has no output if none does.  That is exact when its
+    round-1 callback on an empty inbox would send nothing and vote halt.
+    Audit mode (``strict=False``) checks that premise instead of trusting
+    it: every vertex is set up and called in round 1, and one outside
+    ``active`` that sends or stays awake raises SimError."""
     cfg = cfg or SimConfig()
     cfg.check(g)
     budget = cfg.budget_for(g)
     bits = BitCost(g)
     private = private or {}
     ledger = RoundLedger()
+    views: Dict[int, NodeView] = {}
+    states: Dict[int, Any] = {}
 
-    views = {}
-    states = {}
-    for v in g.vertices:
-        views[v] = NodeView(v, g.adj[v], private.get(v), bits, budget)
-        states[v] = program.init(views[v])
+    def wake(v):
+        views[v] = view = NodeView(v, g.adj[v], private.get(v), bits, budget)
+        states[v] = program.init(view)
 
-    inboxes: Dict[int, List[Tuple[int, Any]]] = {v: [] for v in g.vertices}
-    halted: Dict[int, bool] = {v: False for v in g.vertices}
+    first = g.vertices
+    idle: Set[int] = set()  # audit mode: outside `active`, must stay quiet
+    if active is not None:
+        active = set(active)
+        strays = active.difference(g.adj)
+        if strays:
+            raise SimError(f"{program.name}: active non-vertices {sorted(strays)[:5]}")
+        if cfg.strict:
+            first = sorted(active)
+        else:
+            idle = set(g.vertices).difference(active)
+    for v in first:
+        wake(v)
+
+    awake = set(first)  # called next round even with an empty inbox
+    inboxes: Dict[int, List[Tuple[int, Any]]] = {}
     rnd = 0
     silent = 0
-    while True:
-        callees = [v for v in g.vertices if not halted[v] or inboxes[v]]
-        if not callees:
-            break
+    while awake or inboxes:
         rnd += 1
         if rnd > cfg.max_rounds:
             raise SimTimeout(
                 f"program {program.name!r} exceeded max_rounds={cfg.max_rounds}"
             )
+        callees = sorted(awake.union(inboxes))
         if silent > cfg.stall_limit:
             waiting = [v for v in callees[:5]]
             raise SimTimeout(
                 f"program {program.name!r} stalled: {len(callees)} vertices "
                 f"(e.g. {waiting}) neither halt nor communicate"
             )
-        next_in: Dict[int, List[Tuple[int, Any]]] = {}
+        next_in: Dict[int, List[Tuple[int, Any]]] = defaultdict(list)
         sent_before = ledger.messages_total
         for v in callees:
-            inbox = inboxes[v]
-            if inbox:
-                inboxes[v] = []
-            outbox, halt = program.on_round(states[v], views[v], rnd, inbox)
-            halted[v] = bool(halt)
+            if v not in states:
+                wake(v)
+            outbox, halt = program.on_round(states[v], views[v], rnd, inboxes.pop(v, []))
+            if idle and v in idle and (outbox or not halt):
+                raise SimError(
+                    f"{program.name}: vertex {v} outside the active set "
+                    "sent or stayed awake in round 1"
+                )
+            if halt:
+                awake.discard(v)
+            else:
+                awake.add(v)
             if outbox:
                 _post(g, cfg, budget, ledger, program.name, rnd, v, outbox, next_in)
-        sent_any = ledger.messages_total > sent_before
-        if sent_any:
+        idle.clear()
+        if ledger.messages_total > sent_before:
             ledger.rounds_used = rnd
             silent = 0
         else:
             silent += 1
-        inboxes.update(next_in)
-        if not sent_any and all(halted.values()):
-            break
+        inboxes = next_in
 
-    outputs = {v: program.on_finish(states[v], views[v]) for v in g.vertices}
+    outputs = {v: program.on_finish(states[v], views[v]) for v in sorted(states)}
     ledger.per_phase.append((program.name, ledger.rounds_used))
     return outputs, ledger
 

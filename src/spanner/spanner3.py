@@ -146,10 +146,16 @@ def bipartite_3_spanner(
     g: Graph, part: Bipartition, cfg: Optional[SimConfig] = None
 ) -> SpannerRun:
     """Two-round 3-spanner of the A-to-B edges of a (possibly weighted)
-    bipartite instance; at most |B| + |A|^2 edges."""
+    bipartite instance; at most |B| + |A|^2 edges.  Only B vertices hear
+    of their A neighbors, so a vertex on neither side picks no star."""
     spanner = Spanner(g)
+    heard = {
+        v: {u: 0 for u in g.adj[v] if u in part.a} if v in part.b else {}
+        for v in g.vertices
+    }
     ledger = _star_spanner(
-        g, cfg or SimConfig(), spanner, {v: 0 for v in part.a}, internal=False
+        g, cfg or SimConfig(), spanner, {v: 0 for v in part.a}, internal=False,
+        nbr_parts=heard,
     )
     return SpannerRun(spanner, ledger, trace={"rounds": ledger.rounds_used})
 

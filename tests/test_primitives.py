@@ -472,3 +472,50 @@ def test_partition_random_trees(seed):
     _check_partition(tp, weights, B, n)
     total = sum(weights.values())
     assert len(tp.parts) <= math.ceil(max(total, 1) / B) + 1
+
+
+# -- active-vertex scheduling in the wrappers ---------------------------------
+
+
+def test_forest_broadcast_roleless_vertex_gets_empty_dict():
+    g = generate("path", {"n": 6})
+    cl, _ = grow_bfs_clusters(g, {1}, 1)  # clusters 0, 1, 2 only
+    got, _ = forest_broadcast(g, clustering_roles(cl), {1: 5})
+    assert list(got) == list(g.vertices)
+    assert got == {0: {1: 5}, 1: {1: 5}, 2: {1: 5}, 3: {}, 4: {}, 5: {}}
+
+
+def test_ruling_power_candidate_never_woken():
+    # radius 2: candidate 2 hears 0 and 4 hears 2, so only 0 joins in the
+    # first wave, and its deactivation flood never reaches candidate 4
+    g = generate("path", {"n": 6})
+    U, ledger = ruling_set_power(g, {0, 2, 4}, 1, CFG)
+    assert U == {0, 4}
+    assert [name for name, _r in ledger.per_phase] == [
+        "power-min-flood", "power-deactivate"] * 2
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(st.integers(0, 10**6))
+def test_wrappers_match_audit_mode(seed):
+    """Audit mode sets up and calls every vertex in round 1 and checks that
+    the ones left out of each wrapper's active set stay quiet, so every
+    wrapper must return the same result and ledger in both modes."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 40)
+    g = generate("erdos-renyi", {"n": n, "p": 3.0 / n}, seed=seed)
+    picked = set(rng.sample(range(n), rng.randint(1, max(1, n // 3))))
+    audit = CFG.with_(strict=False)
+
+    def builds(cfg):
+        cl, led1 = grow_bfs_clusters(g, picked, 2, cfg)
+        roles = clustering_roles(cl)
+        values = {v: {cl.membership[v]: 1} for v in cl.membership}
+        sizes, led2 = forest_aggregate(g, roles, values, cfg=cfg)
+        got, led3 = forest_broadcast(g, roles, sizes, cfg=cfg)
+        ruled, led4 = ruling_set_log(g, picked, cfg)
+        power, led5 = ruling_set_power(g, picked, 1, cfg)
+        ledgers = [led.to_json() for led in (led1, led2, led3, led4, led5)]
+        return cl.membership, cl.parents, sizes, got, ruled, power, ledgers
+
+    assert builds(CFG) == builds(audit)

@@ -4,7 +4,9 @@ from hypothesis import strategies as st
 
 from spanner import BudgetError, Graph, Msg, NodeProgram, SimConfig, generate, run
 from spanner.sim import (
+    BitCost,
     FloodMax,
+    NodeView,
     RoundLedger,
     SimError,
     SimTimeout,
@@ -232,3 +234,268 @@ def test_ledger_json_shape():
     j = ledger.to_json()
     assert set(j) >= {"rounds", "max_bits", "per_phase", "violations"}
     assert j["rounds"] == 3
+
+
+def test_congestion_factor_below_one_rejected():
+    g = generate("path", {"n": 3})
+    with pytest.raises(SimError, match="congestion_factor 0"):
+        run(g, FloodMax(), SimConfig(congestion_factor=0))
+    with pytest.raises(SimError):
+        exchange(g, SimConfig(congestion_factor=0), RoundLedger(), "x", {})
+
+
+# -- the engine against a reference copy of its per-message loop -------------
+
+
+def _reference_post(g, cfg, budget, ledger, name, rnd, v, outbox, inboxes):
+    """Reference send step: every message checked one by one."""
+    nbrs = g.adj[v]
+    for u in sorted(outbox):
+        if u not in g.adj or u not in nbrs:
+            raise SimError(f"{name}: vertex {v} sent to non-neighbor {u}")
+        msgs = outbox[u]
+        if isinstance(msgs, Msg):
+            msgs = (msgs,)
+        load = len(msgs)
+        if load > ledger.per_round_edge_load:
+            ledger.per_round_edge_load = load
+        if load > cfg.congestion_factor:
+            rec = {"kind": "congestion", "round": rnd, "edge": [v, u],
+                   "load": load, "program": name}
+            if cfg.strict:
+                raise BudgetError(str(rec))
+            ledger.violations.append(rec)
+        inbox = inboxes.setdefault(u, [])
+        for m in msgs:
+            if m.bits > budget:
+                rec = {"kind": "bits", "round": rnd, "edge": [v, u],
+                       "bits": m.bits, "budget": budget, "program": name}
+                if cfg.strict:
+                    raise BudgetError(str(rec))
+                ledger.violations.append(rec)
+            if m.bits > ledger.max_bits_seen:
+                ledger.max_bits_seen = m.bits
+            ledger.messages_total += 1
+            inbox.append((v, m.body))
+
+
+def _reference_run(g, program, cfg, private=None):
+    """Reference engine loop: every vertex is set up and called in round 1,
+    and all vertices are rescanned every round."""
+    cfg.check(g)
+    budget = cfg.budget_for(g)
+    bits = BitCost(g)
+    private = private or {}
+    ledger = RoundLedger()
+    views = {}
+    states = {}
+    for v in g.vertices:
+        views[v] = NodeView(v, g.adj[v], private.get(v), bits, budget)
+        states[v] = program.init(views[v])
+    inboxes = {v: [] for v in g.vertices}
+    halted = {v: False for v in g.vertices}
+    rnd = 0
+    silent = 0
+    while True:
+        callees = [v for v in g.vertices if not halted[v] or inboxes[v]]
+        if not callees:
+            break
+        rnd += 1
+        if rnd > cfg.max_rounds:
+            raise SimTimeout(
+                f"program {program.name!r} exceeded max_rounds={cfg.max_rounds}"
+            )
+        if silent > cfg.stall_limit:
+            raise SimTimeout(
+                f"program {program.name!r} stalled: {len(callees)} vertices "
+                f"(e.g. {callees[:5]}) neither halt nor communicate"
+            )
+        next_in = {}
+        sent_before = ledger.messages_total
+        for v in callees:
+            inbox = inboxes[v]
+            if inbox:
+                inboxes[v] = []
+            outbox, halt = program.on_round(states[v], views[v], rnd, inbox)
+            halted[v] = bool(halt)
+            if outbox:
+                _reference_post(g, cfg, budget, ledger, program.name, rnd, v,
+                                outbox, next_in)
+        sent_any = ledger.messages_total > sent_before
+        if sent_any:
+            ledger.rounds_used = rnd
+            silent = 0
+        else:
+            silent += 1
+        inboxes.update(next_in)
+        if not sent_any and all(halted.values()):
+            break
+    outputs = {v: program.on_finish(states[v], views[v]) for v in g.vertices}
+    ledger.per_phase.append((program.name, ledger.rounds_used))
+    return outputs, ledger
+
+
+class Script(NodeProgram):
+    """Vertex v returns ``script[v][r - 1]`` in round r, then halts silently;
+    outputs the non-empty inboxes it got, with their rounds."""
+
+    name = "script"
+
+    def __init__(self, script):
+        self.script = script
+
+    def init(self, view):
+        return []
+
+    def on_round(self, state, view, rnd, inbox):
+        if inbox:
+            state.append((rnd, list(inbox)))
+        steps = self.script.get(view.vid, ())
+        return steps[rnd - 1] if rnd <= len(steps) else ({}, True)
+
+    def on_finish(self, state, view):
+        return state
+
+
+@st.composite
+def scripts(draw):
+    """A graph with n <= 12 and sparse IDs, and up to three scripted rounds
+    per vertex: broadcasts of one message, outboxes to a shuffled subset of
+    neighbours holding single messages, message lists (loads above the
+    congestion factor) or empty lists, over-budget bits, sometimes a
+    message to a non-neighbour, and halt votes of both kinds."""
+    ids = sorted(draw(st.sets(st.integers(0, 40), min_size=1, max_size=12)))
+    pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
+    g = Graph(ids, [e for e in pairs if draw(st.booleans())])
+    msg = st.builds(Msg, st.integers(1, 28), st.integers(0, 9))
+    payload = msg | msg | st.lists(msg, max_size=3)
+    script = {}
+    for v in ids:
+        steps = []
+        for _ in range(draw(st.integers(0, 3))):
+            kind = draw(st.sampled_from(("quiet", "quiet", "broadcast", "subset")))
+            out = {}
+            if kind == "broadcast":
+                m = draw(msg)
+                out = {u: m for u in g.adj[v]}
+            elif kind == "subset" and g.adj[v]:
+                targets = draw(st.lists(st.sampled_from(g.adj[v]), unique=True))
+                out = {u: draw(payload) for u in targets}
+            if draw(st.integers(0, 19)) == 0:
+                stray = draw(st.integers(0, 41).filter(lambda u: u not in g.adj[v]))
+                out[stray] = draw(msg)
+            steps.append((out, draw(st.sampled_from((True, True, False)))))
+        script[v] = steps
+    cfg = SimConfig(
+        congestion_factor=draw(st.integers(1, 2)),
+        msg_bit_budget=draw(st.sampled_from((None, 16, 24))),
+    )
+    return g, script, cfg
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(scripts())
+def test_engine_matches_reference_loop(case):
+    g, script, base_cfg = case
+    # the vertices whose round-1 callback sends or stays awake
+    acting = {v for v, steps in script.items()
+              if steps and (steps[0][0] or not steps[0][1])}
+    for strict in (False, True):
+        cfg = base_cfg.with_(strict=strict)
+
+        def reference():
+            out, ledger = _reference_run(g, Script(script), cfg)
+            return list(out.items()), ledger.to_json()
+
+        def engine(active=None):
+            out, ledger = run(g, Script(script), cfg, active=active)
+            if active is not None and strict:
+                # outputs stay in ID order; a vertex no message reached has none
+                assert list(out) == sorted(out)
+                out = {v: out.get(v, []) for v in g.vertices}
+            return list(out.items()), ledger.to_json()
+
+        expected = _outcome(reference)
+        assert _outcome(engine) == expected
+        assert _outcome(lambda: engine(acting)) == expected
+        if acting and not strict:
+            # audit mode refuses an active set that leaves out an acting vertex
+            left_out = acting - {min(acting)}
+            assert _outcome(lambda: engine(left_out))[0] == "SimError"
+
+
+# -- active-vertex scheduling ------------------------------------------------
+
+
+class Relay(NodeProgram):
+    """The active vertices send their ID to every neighbour in round 1; a
+    vertex that hears an ID forwards the largest once.  Records the hook
+    calls per vertex."""
+
+    name = "relay"
+
+    def __init__(self):
+        self.calls = []
+
+    def init(self, view):
+        self.calls.append(("init", view.vid))
+        return {"seen": None}
+
+    def on_round(self, state, view, rnd, inbox):
+        self.calls.append(("round", view.vid, rnd))
+        out = {}
+        if rnd == 1 and view.private:
+            out = {u: view.bits.msg(view.vid, ids=1) for u in view.neighbors}
+        elif inbox and state["seen"] is None:
+            state["seen"] = max(body for _s, body in inbox)
+            out = {u: view.bits.msg(state["seen"], ids=1) for u in view.neighbors}
+        return out, True
+
+    def on_finish(self, state, view):
+        return state["seen"]
+
+
+def test_active_vertex_woken_by_first_message():
+    g = generate("path", {"n": 4})
+    prog = Relay()
+    out, ledger = run(g, prog, private={0: True}, active={0})
+    # vertex 1 is set up and called only in round 2, when vertex 0's
+    # message arrives; every vertex is reached in turn
+    assert prog.calls[:4] == [("init", 0), ("round", 0, 1), ("init", 1), ("round", 1, 2)]
+    assert ("round", 1, 1) not in prog.calls
+    assert out == {0: 0, 1: 0, 2: 0, 3: 0}
+    ref_out, ref_ledger = _reference_run(g, Relay(), SimConfig(), private={0: True})
+    assert out == ref_out
+    assert ledger.to_json() == ref_ledger.to_json()
+
+
+def test_active_vertex_never_reached_has_no_output():
+    g = Graph(range(4), [(0, 1), (2, 3)])
+    out, _ = run(g, Relay(), private={0: True}, active={0})
+    assert out == {0: 0, 1: 0}
+
+
+def test_audit_mode_checks_left_out_vertices_stay_quiet():
+    g = generate("path", {"n": 4})
+    private = {0: True, 3: True}
+    # audit mode calls every vertex in round 1 and matches the reference
+    out, ledger = run(g, Relay(), SimConfig(strict=False), private=private,
+                      active={0, 3})
+    ref_out, ref_ledger = _reference_run(g, Relay(), SimConfig(), private=private)
+    assert out == ref_out
+    assert ledger.to_json() == ref_ledger.to_json()
+    # vertex 3 sends in round 1 although it was left out of the active set
+    with pytest.raises(SimError, match="vertex 3 outside the active set"):
+        run(g, Relay(), SimConfig(strict=False), private=private, active={0})
+    # vertex 2 sends nothing in round 1 but does not vote halt
+    awake = Script({2: [({}, False)]})
+    with pytest.raises(SimError, match="vertex 2 outside the active set"):
+        run(g, awake, SimConfig(strict=False), active=set())
+    out, _ = run(g, awake, SimConfig(strict=False), active={2})
+    assert out == {v: [] for v in g.vertices}
+
+
+def test_active_set_must_name_vertices():
+    g = generate("path", {"n": 3})
+    with pytest.raises(SimError, match="non-vertices"):
+        run(g, Relay(), active={0, 7})

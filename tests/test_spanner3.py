@@ -40,6 +40,19 @@ def test_bipartite_vertex_without_a_neighbor():
     assert verify_stretch(_crossing(g, {0, 1}), res.spanner, 3).passed
 
 
+def test_bipartite_vertex_on_neither_side_picks_no_star():
+    # vertex 2 is in neither A nor B, so edge (0, 2) is outside the instance
+    g = Graph(range(3), [(0, 1), (0, 2)])
+    part = Bipartition({0}, {1})
+    res = bipartite_3_spanner(g, part)
+    assert (0, 2) not in res.spanner.edges
+    assert all(
+        (u in part.a and w in part.b) or (u in part.b and w in part.a)
+        for u, w in res.spanner.edges
+    )
+    assert res.spanner.edges == {(0, 1)}
+
+
 def test_bipartite_weighted_picks_closest():
     g = Graph(
         range(3),
