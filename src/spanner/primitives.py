@@ -1,8 +1,11 @@
 """Distributed building blocks shared by every spanner algorithm.
 
-All primitives are NodePrograms executed under the CONGEST engine; the
-host wrappers are pure functions of (graph, inputs) and return the
-assembled result together with the run's RoundLedger.
+Cluster growth, the ruling sets and tree partitioning are NodePrograms
+executed under the CONGEST engine.  The forest convergecast and broadcast,
+whose messages follow from a role table and values the host holds, run as
+host-scheduled rounds through the engine's send step instead.  Every
+wrapper is a pure function of (graph, inputs) and returns the assembled
+result together with the run's RoundLedger.
 """
 
 from __future__ import annotations
@@ -11,7 +14,17 @@ from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from .clustering import Clustering, TreePart, TreePartition, WeightedTree, orient_tree
 from .graph import Graph, canon
-from .sim import Msg, NodeProgram, RoundLedger, SimConfig, SimError, run
+from .sim import (
+    BitCost,
+    Msg,
+    NodeProgram,
+    RoundLedger,
+    SimConfig,
+    SimError,
+    SimTimeout,
+    _cascade,
+    run,
+)
 
 # ---------------------------------------------------------------------------
 # BFS cluster growth
@@ -116,115 +129,65 @@ def grow_bfs_clusters(
 RoleTable = Dict[int, List[Tuple[Hashable, Optional[int], Tuple[int, ...]]]]
 
 COMBINERS = {"sum": lambda a, b: a + b, "max": max, "min": min}
+NO_ROUTES: Dict[int, int] = {}  # a vertex with one role routes all mail to it
 
 
-def _role_of_edge(roles) -> Dict[int, int]:
-    """Neighbor -> index of the role whose tree holds the connecting edge."""
-    by_edge = {}
-    for i, (_key, parent, children) in enumerate(roles):
-        if parent is not None:
-            by_edge[parent] = i
-        for c in children:
-            by_edge[c] = i
-    return by_edge
+def _check_roles(
+    g: Graph, roles: RoleTable, name: str
+) -> Tuple[Dict[int, Dict[int, int]], int]:
+    """Check that the role table describes edge-disjoint trees whose edges
+    both ends agree on; raises SimError otherwise.  Returns, for each
+    vertex with several roles, neighbor -> index of the role whose tree
+    holds the connecting edge (a vertex with one role needs no routing),
+    and the number of tree edges."""
+    strays = [v for v in roles if v not in g.adj]
+    if strays:
+        raise SimError(f"{name}: role table names non-vertices {sorted(strays)[:5]}")
+    named = set()  # (child, parent, key) as the child names its parent
+    listed = set()  # (child, parent, key) as the parent lists its child
+    entries = 0
+    routes: Dict[int, Dict[int, int]] = {}
+    for v, rs in roles.items():
+        for key, parent, children in rs:
+            if parent is not None:
+                named.add((v, parent, key))
+            if children:
+                listed.update([(c, v, key) for c in children])
+                entries += len(children)
+        if len(rs) > 1:
+            by_edge = routes[v] = {}
+            for i, (_key, parent, children) in enumerate(rs):
+                for u in children if parent is None else (parent, *children):
+                    if u in by_edge:
+                        raise SimError(
+                            f"{name}: edge ({v}, {u}) lies in two roles of vertex {v}"
+                        )
+                    by_edge[u] = i
+    if named != listed:
+        for v, rs in roles.items():
+            for key, parent, children in rs:
+                if parent is not None and (v, parent, key) not in listed:
+                    raise SimError(
+                        f"{name}: parent {parent} does not list child {v} "
+                        f"under tree {key!r}"
+                    )
+                for c in children:
+                    if (c, v, key) not in named:
+                        raise SimError(
+                            f"{name}: child {c} does not name parent {v} "
+                            f"under tree {key!r}"
+                        )
+    if entries != len(listed):
+        raise SimError(f"{name}: a vertex lists the same child twice")
+    return routes, entries
 
 
-class ForestAggregate(NodeProgram):
-    """Convergecast: every tree root learns combine() over its tree's values.
-
-    Private input: the vertex's role-table rows and its own contribution per
-    tree key (0 where missing).  Output: tree_key -> aggregate, at roots."""
-
-    name = "forest-aggregate"
-
-    def __init__(self, combine: str, value_bound: int):
-        self.fn = COMBINERS[combine]
-        self.bound = value_bound
-
-    def init(self, view):
-        p = view.private or {}
-        roles = p.get("roles", ())
-        values = p.get("values", {})
-        st = [
-            {
-                "key": key,
-                "parent": parent,
-                "waiting": set(children),
-                "acc": values.get(key, 0),
-                "sent": False,
-            }
-            for key, parent, children in roles
-        ]
-        return {"roles": st, "edge_role": _role_of_edge(roles)}
-
-    def on_round(self, state, view, rnd, inbox):
-        for sender, value in inbox:
-            role = state["roles"][state["edge_role"][sender]]
-            role["acc"] = self.fn(role["acc"], value)
-            role["waiting"].discard(sender)
-        out = {}
-        done = True
-        for role in state["roles"]:
-            if role["waiting"]:
-                done = False
-            elif role["parent"] is not None and not role["sent"]:
-                out[role["parent"]] = view.bits.msg(
-                    role["acc"], counters=(self.bound,)
-                )
-                role["sent"] = True
-        return out, done
-
-    def on_finish(self, state, view):
-        return {r["key"]: r["acc"] for r in state["roles"] if r["parent"] is None}
-
-
-class ForestBroadcast(NodeProgram):
-    """Each tree root pushes one value down to every vertex of its tree.
-
-    Private input: the vertex's role-table rows and, at a root, the value
-    of its tree.  Output: tree_key -> value for every role."""
-
-    name = "forest-broadcast"
-
-    def __init__(self, value_bound: int):
-        self.bound = value_bound
-
-    def init(self, view):
-        p = view.private or {}
-        roles = p.get("roles", ())
-        values = p.get("values", {})
-        st = [
-            {
-                "key": key,
-                "parent": parent,
-                "children": children,
-                "value": values[key] if parent is None else None,
-                "sent": False,
-            }
-            for key, parent, children in roles
-        ]
-        return {"roles": st, "edge_role": _role_of_edge(roles)}
-
-    def on_round(self, state, view, rnd, inbox):
-        for sender, value in inbox:
-            role = state["roles"][state["edge_role"][sender]]
-            if sender == role["parent"]:
-                role["value"] = value
-        out = {}
-        done = True
-        for role in state["roles"]:
-            if role["value"] is None:
-                done = False
-                continue
-            if not role["sent"]:
-                role["sent"] = True
-                m = view.bits.msg(role["value"], counters=(self.bound,))
-                for c in role["children"]:
-                    out[c] = m
-        return out, done
-
-    def on_finish(self, state, view):
-        return {r["key"]: r["value"] for r in state["roles"]}
+def _stalled(name: str, stuck: List[int]) -> None:
+    """The mail ran out before every tree edge carried its one message."""
+    raise SimTimeout(
+        f"program {name!r} stalled: {len(stuck)} vertices (e.g. {stuck[:5]}) "
+        "wait for a tree message that never comes"
+    )
 
 
 def clustering_roles(clustering: Clustering) -> RoleTable:
@@ -247,17 +210,53 @@ def forest_aggregate(
     """Every tree root learns combine() over values[vertex][tree_key] of its
     tree (0 where missing); returns tree_key -> aggregate.
 
-    Runs in O(depth) rounds; trees aggregate in parallel because they are
+    Convergecast: a leaf reports in round 1, and every other tree vertex
+    sends its partial aggregate to its parent, one ``8 + counter(bound)``-bit
+    message, in the round its last child's report arrives.  Runs in
+    O(depth) rounds; trees aggregate in parallel because they are
     edge-disjoint.  ``bound`` caps the partial aggregates (default 2n+1).
     """
+    name = "forest-aggregate"
+    fn = COMBINERS[combine]
     bound = bound if bound is not None else max(2 * g.n + 1, 2)
-    private = {v: {"roles": rs, "values": values.get(v, {})} for v, rs in roles.items()}
-    outputs, ledger = run(
-        g, ForestAggregate(combine, bound), cfg, private=private, active=roles
-    )
+    routes, edges = _check_roles(g, roles, name)
+    width = BitCost.TAG + BitCost(g).counter(bound)
+    acc = {}
+    left = {}  # per role: children yet to report
+    leaves = []  # vertices with a childless role, the ones that act first
+    for v, rs in roles.items():
+        own = values.get(v, {})
+        acc[v] = [own.get(key, 0) for key, _p, _ch in rs]
+        left[v] = counts = [len(ch) for _key, _p, ch in rs]
+        if 0 in counts:
+            leaves.append(v)
+
+    def step(v, inbox):
+        rs, partial = roles[v], acc[v]
+        out = {}
+        if not inbox:  # round 1, the only call without mail
+            for i, (_key, parent, children) in enumerate(rs):
+                if not children and parent is not None:
+                    out[parent] = Msg(width, partial[i])
+            return out
+        count, by_edge = left[v], routes.get(v, NO_ROUTES)
+        for sender, x in inbox:
+            i = by_edge.get(sender, 0)
+            partial[i] = fn(partial[i], x)
+            count[i] -= 1
+            parent = rs[i][1]
+            if count[i] == 0 and parent is not None:
+                out[parent] = Msg(width, partial[i])
+        return out
+
+    ledger = _cascade(g, cfg or SimConfig(), name, leaves, step)
+    if ledger.messages_total < edges:
+        _stalled(name, [v for v, count in left.items() if any(count)])
     result = {}
-    for v in roles:
-        result.update(outputs[v])
+    for v, rs in roles.items():
+        for (key, parent, _ch), x in zip(rs, acc[v]):
+            if parent is None:
+                result[key] = x
     return result, ledger
 
 
@@ -269,20 +268,47 @@ def forest_broadcast(
     cfg: Optional[SimConfig] = None,
 ) -> Tuple[Dict[int, Dict[Hashable, int]], RoundLedger]:
     """Every tree root pushes root_values[tree_key] (0 where missing) down
-    its tree; returns vertex -> {tree_key: value}."""
+    its tree; returns vertex -> {tree_key: value}, {} for a vertex with no
+    role.
+
+    A root sends in round 1, and every other tree vertex forwards the
+    value, one ``8 + counter(bound)``-bit message per child, in the round
+    it arrives."""
+    name = "forest-broadcast"
     bound = bound if bound is not None else max(2 * g.n + 1, 2)
-    # a root learns only its own trees' values; every root must push
-    # something or its tree would wait forever
-    private = {
-        v: {
-            "roles": rs,
-            "values": {key: root_values.get(key, 0) for key, p, _ch in rs if p is None},
-        }
+    routes, edges = _check_roles(g, roles, name)
+    width = BitCost.TAG + BitCost(g).counter(bound)
+    got = {
+        v: [root_values.get(key, 0) if p is None else None for key, p, _ch in rs]
         for v, rs in roles.items()
     }
-    outputs, ledger = run(g, ForestBroadcast(bound), cfg, private=private, active=roles)
+    roots = [v for v, rs in roles.items() if any(r[1] is None for r in rs)]
+
+    def step(v, inbox):
+        rs, known = roles[v], got[v]
+        out = {}
+        if not inbox:  # round 1, the only call without mail
+            for i, (_key, parent, children) in enumerate(rs):
+                if parent is None and known[i] is not None:
+                    m = Msg(width, known[i])
+                    for c in children:
+                        out[c] = m
+            return out
+        by_edge = routes.get(v, NO_ROUTES)
+        for sender, x in inbox:
+            i = by_edge.get(sender, 0)
+            known[i] = x
+            m = Msg(width, x)
+            for c in rs[i][2]:
+                out[c] = m
+        return out
+
+    ledger = _cascade(g, cfg or SimConfig(), name, roots, step)
+    if ledger.messages_total < edges:
+        _stalled(name, [v for v, known in got.items() if None in known])
     result: Dict[int, Dict[Hashable, int]] = {v: {} for v in g.vertices}
-    result.update(outputs)
+    for v, rs in roles.items():
+        result[v] = {key: x for (key, _p, _ch), x in zip(rs, got[v])}
     return result, ledger
 
 

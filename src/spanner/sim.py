@@ -22,6 +22,13 @@ other vertex sleeps, with no view or state, until a message reaches it, and
 after that only vertices that have not voted halt or have mail are called.
 The send step checks a whole outbox at once and, if that check fails, falls
 back to a per-message loop that alone records or raises violations.
+
+Rounds whose messages follow from state the host already tracks skip the
+vertex programs but not the send step: ``exchange`` posts one precomputed
+round, and ``_cascade`` runs rounds in which only the vertices with mail
+act (the forest convergecast and broadcast in ``primitives``).  Both post
+through ``_post``, so bits, congestion, neighbours and rounds are
+accounted exactly as for a program.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .graph import Graph
 
@@ -395,6 +402,44 @@ def exchange(
     ledger.rounds_used += rounds
     ledger.per_phase.append((name, rounds))
     return inboxes
+
+
+def _cascade(
+    g: Graph,
+    cfg: SimConfig,
+    name: str,
+    first: Iterable[int],
+    step: Callable[[int, Sequence[Tuple[int, Any]]], Optional[Dict[int, Any]]],
+) -> RoundLedger:
+    """Scripted rounds until the mail runs out, for protocols whose
+    messages follow from state the caller tracks.  Round 1 calls
+    ``step(v, ())`` for each v in ``first``; every later round calls
+    ``step(v, inbox)`` only for the vertices that received mail, with the
+    inbox in sender order.  Vertices go in ascending ID order and each
+    returned outbox is posted through the send step under its round index.
+    Returns a fresh ledger with one phase ``name``; ``rounds_used`` is the
+    last round that carried a message, as in :func:`run`."""
+    cfg.check(g)
+    budget = cfg.budget_for(g)
+    ledger = RoundLedger()
+    callees = sorted(first)
+    inboxes: Dict[int, List[Tuple[int, Any]]] = {}
+    rnd = 0
+    while callees:
+        rnd += 1
+        if rnd > cfg.max_rounds:
+            raise SimTimeout(f"program {name!r} exceeded max_rounds={cfg.max_rounds}")
+        next_in: Dict[int, List[Tuple[int, Any]]] = defaultdict(list)
+        for v in callees:
+            outbox = step(v, inboxes.get(v, ()))
+            if outbox:
+                _post(g, cfg, budget, ledger, name, rnd, v, outbox, next_in)
+        if next_in:
+            ledger.rounds_used = rnd
+        inboxes = next_in
+        callees = sorted(next_in)
+    ledger.per_phase.append((name, ledger.rounds_used))
+    return ledger
 
 
 def announce(

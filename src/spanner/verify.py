@@ -2,8 +2,9 @@
 
 Everything here is computed solely from (graph, spanner) or from recorded
 structures; nothing reaches into algorithm internals.  Stretch checking
-runs a hop-capped BFS (weighted: Dijkstra) per source inside the spanner;
-a Floyd-Warshall all-pairs reference cross-validates it on small graphs.
+runs a bidirectional hop search per graph edge missing from the spanner
+(weighted: a capped Dijkstra per source); a Floyd-Warshall all-pairs
+reference cross-validates it on small graphs.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -55,24 +55,34 @@ def _check_subgraph(g: Graph, h: Spanner) -> None:
         raise ValueError("spanner is not a subgraph of the given graph")
 
 
-def _hop_bfs(adj, src, cap, wanted):
-    dist = {src: 0}
-    q = deque([src])
-    remaining = set(wanted)
-    while q and remaining:
-        v = q.popleft()
-        d = dist[v]
-        if cap is not None and d >= cap:
-            break
-        for u in adj[v]:
-            if u not in dist:
-                dist[u] = d + 1
-                remaining.discard(u)
-                q.append(u)
-    return dist
+def _hops(adj, s, t):
+    """Exact hop distance from s to t != s over adjacency lists, or None.
+
+    Bidirectional search: grow the ball with the smaller frontier by one
+    level until it touches the other frontier.  The two balls stay
+    disjoint until then, so the first touch gives the distance."""
+    seen, other_seen = {s}, {t}
+    front, other = {s}, {t}
+    d = 0
+    while front and other:
+        d += 1
+        if len(front) > len(other):
+            front, other = other, front
+            seen, other_seen = other_seen, seen
+        nxt = set()
+        for v in front:
+            nxt.update(adj[v])
+        nxt -= seen
+        if not nxt.isdisjoint(other):
+            return d
+        seen |= nxt
+        front = nxt
+    return None
 
 
-def _dijkstra(g, adj, src, cap, wanted):
+def _dijkstra(adj, src, cap, wanted):
+    """Distances from src over weighted adjacency v -> [(u, w)], stopping
+    once every wanted vertex is settled; paths longer than cap are cut."""
     dist = {src: 0.0}
     pq = [(0.0, src)]
     remaining = set(wanted)
@@ -81,8 +91,8 @@ def _dijkstra(g, adj, src, cap, wanted):
         if d > dist.get(v, math.inf):
             continue
         remaining.discard(v)
-        for u in adj[v]:
-            nd = d + g.weight(v, u)
+        for u, w in adj[v]:
+            nd = d + w
             if nd < dist.get(u, math.inf) and (cap is None or nd <= cap):
                 dist[u] = nd
                 heapq.heappush(pq, (nd, u))
@@ -96,7 +106,6 @@ def verify_stretch(g: Graph, h: Spanner, t: float) -> StretchReport:
     the stretch of every vertex pair, so the report quantifies over E(g).
     """
     _check_subgraph(g, h)
-    adj = h.adjacency()
     hist: Dict[str, int] = {}
     worst: Optional[Edge] = None
     worst_val = 0.0
@@ -105,19 +114,13 @@ def verify_stretch(g: Graph, h: Spanner, t: float) -> StretchReport:
     slack = 1.0 + REL_TOL
 
     if not g.weighted:
-        cap = int(t)
+        adj = h.adjacency()
         for src in g.vertices:
-            targets = [u for u in g.adj[src] if u > src]
-            if not targets:
-                continue
-            dist = _hop_bfs(adj, src, cap, set(targets))
-            retry = [u for u in targets if u not in dist]
-            if retry:
-                # beyond the bound: find the exact stretch for the report
-                dist.update(_hop_bfs(adj, src, None, set(retry)))
-            for u in targets:
+            for u in g.adj[src]:
+                if u <= src:
+                    continue
                 checked += 1
-                d = dist.get(u)
+                d = 1 if (src, u) in h.edges else _hops(adj, src, u)
                 if d is None:
                     unreachable += 1
                     hist["inf"] = hist.get("inf", 0) + 1
@@ -128,15 +131,19 @@ def verify_stretch(g: Graph, h: Spanner, t: float) -> StretchReport:
                     if d > worst_val:
                         worst_val, worst = float(d), (src, u)
     else:
+        wadj = {
+            v: [(u, g.weight(v, u)) for u in nbrs]
+            for v, nbrs in h.adjacency().items()
+        }
         for src in g.vertices:
             targets = {u: g.weight(src, u) for u in g.adj[src] if u > src}
             if not targets:
                 continue
             cap = max(targets.values()) * t * slack
-            dist = _dijkstra(g, adj, src, cap, set(targets))
+            dist = _dijkstra(wadj, src, cap, set(targets))
             retry = {u for u in targets if u not in dist}
             if retry:
-                dist.update(_dijkstra(g, adj, src, None, retry))
+                dist.update(_dijkstra(wadj, src, None, retry))
             for u, w in sorted(targets.items()):
                 checked += 1
                 d = dist.get(u)

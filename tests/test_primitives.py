@@ -20,6 +20,7 @@ from spanner import (
     ruling_set_power,
 )
 from spanner.clustering import orient_tree
+from spanner.graph import canon
 from spanner.kspanner.common import (
     TAG_END,
     TAG_IDS,
@@ -27,7 +28,7 @@ from spanner.kspanner.common import (
     chunked_scatter,
     id_chunks,
 )
-from spanner.sim import BitCost, NodeProgram, RoundLedger, SimError, run
+from spanner.sim import BitCost, NodeProgram, RoundLedger, SimError, SimTimeout, run
 from spanner.verify import audit_ruling_set
 
 CFG = SimConfig(msg_bit_budget=64)
@@ -146,6 +147,206 @@ def test_forest_vertex_in_two_edge_disjoint_trees():
     got, ledger = forest_broadcast(g, roles, sums, bound=100)
     assert got == {v: {r[0]: sums[r[0]] for r in roles.get(v, ())} for v in g.vertices}
     assert ledger.rounds_used <= 2
+
+
+class RefAggregate(NodeProgram):
+    """Reference for ``forest_aggregate``: the convergecast as a vertex
+    program, one role per tree the vertex sits in."""
+
+    name = "forest-aggregate"
+
+    def __init__(self, combine, bound):
+        self.fn = {"sum": lambda a, b: a + b, "max": max, "min": min}[combine]
+        self.bound = bound
+
+    def init(self, view):
+        p = view.private or {}
+        rows = [{"key": key, "parent": parent, "waiting": set(children),
+                "acc": p.get("values", {}).get(key, 0), "sent": False}
+               for key, parent, children in p.get("roles", ())]
+        return {"roles": rows, "edge_role": _ref_edge_roles(p.get("roles", ()))}
+
+    def on_round(self, state, view, rnd, inbox):
+        for sender, value in inbox:
+            role = state["roles"][state["edge_role"][sender]]
+            role["acc"] = self.fn(role["acc"], value)
+            role["waiting"].discard(sender)
+        out = {}
+        done = True
+        for role in state["roles"]:
+            if role["waiting"]:
+                done = False
+            elif role["parent"] is not None and not role["sent"]:
+                out[role["parent"]] = view.bits.msg(role["acc"], counters=(self.bound,))
+                role["sent"] = True
+        return out, done
+
+    def on_finish(self, state, view):
+        return {r["key"]: r["acc"] for r in state["roles"] if r["parent"] is None}
+
+
+class RefBroadcast(NodeProgram):
+    """Reference for ``forest_broadcast``: each root pushes its value down
+    as a vertex program."""
+
+    name = "forest-broadcast"
+
+    def __init__(self, bound):
+        self.bound = bound
+
+    def init(self, view):
+        p = view.private or {}
+        rows = [{"key": key, "parent": parent, "children": children,
+                "value": p["values"][key] if parent is None else None, "sent": False}
+               for key, parent, children in p.get("roles", ())]
+        return {"roles": rows, "edge_role": _ref_edge_roles(p.get("roles", ()))}
+
+    def on_round(self, state, view, rnd, inbox):
+        for sender, value in inbox:
+            role = state["roles"][state["edge_role"][sender]]
+            if sender == role["parent"]:
+                role["value"] = value
+        out = {}
+        done = True
+        for role in state["roles"]:
+            if role["value"] is None:
+                done = False
+                continue
+            if not role["sent"]:
+                role["sent"] = True
+                m = view.bits.msg(role["value"], counters=(self.bound,))
+                for c in role["children"]:
+                    out[c] = m
+        return out, done
+
+    def on_finish(self, state, view):
+        return {r["key"]: r["value"] for r in state["roles"]}
+
+
+def _ref_edge_roles(roles):
+    by_edge = {}
+    for i, (_key, parent, children) in enumerate(roles):
+        if parent is not None:
+            by_edge[parent] = i
+        for c in children:
+            by_edge[c] = i
+    return by_edge
+
+
+def ref_forest_aggregate(g, roles, values, combine, bound, cfg):
+    bound = bound if bound is not None else max(2 * g.n + 1, 2)
+    private = {v: {"roles": rs, "values": values.get(v, {})} for v, rs in roles.items()}
+    outputs, ledger = run(g, RefAggregate(combine, bound), cfg, private=private,
+                          active=roles)
+    result = {}
+    for v in roles:
+        result.update(outputs[v])
+    return result, ledger
+
+
+def ref_forest_broadcast(g, roles, root_values, bound, cfg):
+    bound = bound if bound is not None else max(2 * g.n + 1, 2)
+    private = {v: {"roles": rs, "values": {key: root_values.get(key, 0)
+                                           for key, p, _ch in rs if p is None}}
+               for v, rs in roles.items()}
+    outputs, ledger = run(g, RefBroadcast(bound), cfg, private=private, active=roles)
+    result = {v: {} for v in g.vertices}
+    result.update(outputs)
+    return result, ledger
+
+
+def random_forest(rng):
+    """Up to four edge-disjoint trees on sparse IDs (n <= 14, IDs up to
+    600) that may share vertices, plus extra graph edges, random
+    contributions, a value bound that may overrun the budget, and a config
+    that is strict or audit, with a tight or default budget and a small or
+    default round cap."""
+    ids = sorted(rng.sample(range(601), rng.randint(1, 14)))
+    used = set()
+    roles = {}
+    for key in rng.sample([0, 7, 99, "a", "bc"], rng.randint(1, 4)):
+        members = [rng.choice(ids)]
+        edges = []
+        for _ in range(rng.randint(0, 2 * len(ids))):
+            v = rng.choice(ids)
+            e = canon(rng.choice(members), v)
+            if v not in members and e not in used:
+                used.add(e)
+                members.append(v)
+                edges.append(e)
+        for v, (p, ch) in orient_tree(members[0], edges).items():
+            roles.setdefault(v, []).append((key, p, ch))
+    extra = [(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 10))]
+    g = Graph(ids, used | {canon(u, v) for u, v in extra if u != v})
+    values = {v: {key: rng.randint(0, 40) for key, _p, _ch in rs if rng.random() < 0.8}
+              for v, rs in roles.items() if rng.random() < 0.8}
+    root_values = {key: rng.randint(0, 40) for rs in roles.values()
+                   for key, p, _ch in rs if p is None and rng.random() < 0.8}
+    bound = rng.choice((None, 1, 2**8, 2**20, 2**20))
+    budget = rng.choice((None, 8 + g.id_bits + rng.randint(0, 12)))
+    cfg = SimConfig(msg_bit_budget=budget, strict=rng.random() < 0.5)
+    if rng.random() < 0.25:
+        cfg.max_rounds = rng.randint(0, 4)
+    return g, roles, values, root_values, bound, cfg
+
+
+def _outcome(call):
+    try:
+        out, ledger = call()
+    except SimError as exc:
+        return type(exc), str(exc)
+    return repr(out), ledger.to_json()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from(("sum", "max", "min")))
+def test_forest_helpers_match_reference_programs(seed, combine):
+    """The host-scheduled convergecast and broadcast return the same
+    outputs (key order included), the same ledger with its violation
+    records, and the same exception type and text as the vertex programs
+    they replace."""
+    g, roles, values, root_values, bound, cfg = random_forest(random.Random(seed))
+    assert _outcome(lambda: forest_aggregate(g, roles, values, combine, bound, cfg)) \
+        == _outcome(lambda: ref_forest_aggregate(g, roles, values, combine, bound, cfg))
+    assert _outcome(lambda: forest_broadcast(g, roles, root_values, bound, cfg)) \
+        == _outcome(lambda: ref_forest_broadcast(g, roles, root_values, bound, cfg))
+
+
+BROKEN_TABLES = {
+    # edge (0, 1) lies in tree "a" and in tree "b"
+    "two roles": {0: [("a", None, (1,)), ("b", 1, ())], 1: [("a", 0, ()), ("b", None, (0,))]},
+    # 1 names parent 0, which does not list it
+    "does not list child": {0: [("a", None, ())], 1: [("a", 0, ())]},
+    # 0 lists child 1, which roots its own tree
+    "does not name parent": {0: [("a", None, (1,))], 1: [("a", None, ())]},
+    # 1 names parent 0, which lists it under another tree
+    "does not list child 1 under tree 'b'": {1: [("b", 0, ())], 0: [("a", None, (1,))]},
+    "lists the same child twice": {0: [("a", None, (1, 1))], 1: [("a", 0, ())]},
+}
+
+
+@pytest.mark.parametrize("text", sorted(BROKEN_TABLES))
+@pytest.mark.parametrize("helper", ["aggregate", "broadcast"])
+def test_forest_role_table_checked(helper, text):
+    g = generate("path", {"n": 3})
+    roles = BROKEN_TABLES[text]
+    with pytest.raises(SimError, match=text):
+        if helper == "aggregate":
+            forest_aggregate(g, roles, {})
+        else:
+            forest_broadcast(g, roles, {})
+
+
+def test_forest_stalls_once_mail_runs_out():
+    # a consistent table whose tree is a cycle: no role is a leaf or a root,
+    # so nothing is ever sent; the stall is reported before a round cap of 2
+    g = generate("cycle", {"n": 3})
+    roles = {0: [("a", 2, (1,))], 1: [("a", 0, (2,))], 2: [("a", 1, (0,))]}
+    cfg = SimConfig(max_rounds=2)
+    with pytest.raises(SimTimeout, match="'forest-aggregate' stalled"):
+        forest_aggregate(g, roles, {}, cfg=cfg)
+    with pytest.raises(SimTimeout, match="'forest-broadcast' stalled"):
+        forest_broadcast(g, roles, {}, cfg=cfg)
 
 
 @pytest.mark.parametrize("extra", [None, 0, 1])

@@ -1,12 +1,18 @@
 import hashlib
+import heapq
 import math
 import pickle
+import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spanner import (
     Graph,
     Spanner,
+    StretchReport,
     Supercluster,
     Superclustering,
     audit_superclustering,
@@ -18,6 +24,7 @@ from spanner import (
     with_random_weights,
 )
 from spanner.clustering import Clustering
+from spanner.verify import REL_TOL
 
 
 def _full_spanner(g):
@@ -193,3 +200,107 @@ def test_fit_exponent_recovers_power_law():
     e, c = fit_exponent(ns, ys)
     assert abs(e - 0.25) < 1e-9
     assert abs(c - 3.0) < 1e-9
+
+
+# -- stretch oracle -------------------------------------------------------------
+
+
+def _ref_hop_bfs(adj, src, cap, wanted):
+    dist = {src: 0}
+    q = deque([src])
+    remaining = set(wanted)
+    while q and remaining:
+        v = q.popleft()
+        d = dist[v]
+        if cap is not None and d >= cap:
+            break
+        for u in adj[v]:
+            if u not in dist:
+                dist[u] = d + 1
+                remaining.discard(u)
+                q.append(u)
+    return dist
+
+
+def _ref_dijkstra(g, adj, src, cap, wanted):
+    dist = {src: 0.0}
+    pq = [(0.0, src)]
+    remaining = set(wanted)
+    while pq and remaining:
+        d, v = heapq.heappop(pq)
+        if d > dist.get(v, math.inf):
+            continue
+        remaining.discard(v)
+        for u in adj[v]:
+            nd = d + g.weight(v, u)
+            if nd < dist.get(u, math.inf) and (cap is None or nd <= cap):
+                dist[u] = nd
+                heapq.heappush(pq, (nd, u))
+    return dist
+
+
+def ref_verify_stretch(g, h, t):
+    """Reference: per-source capped BFS (weighted: Dijkstra) over the
+    spanner, rerun uncapped for the targets beyond the cap."""
+    adj = h.adjacency()
+    hist, worst, worst_val, unreachable, checked = {}, None, 0.0, 0, 0
+    slack = 1.0 + REL_TOL
+    for src in g.vertices:
+        if not g.weighted:
+            targets = {u: 1.0 for u in g.adj[src] if u > src}
+            if not targets:
+                continue
+            dist = _ref_hop_bfs(adj, src, int(t), set(targets))
+            retry = [u for u in targets if u not in dist]
+            if retry:
+                dist.update(_ref_hop_bfs(adj, src, None, set(retry)))
+        else:
+            targets = {u: g.weight(src, u) for u in g.adj[src] if u > src}
+            if not targets:
+                continue
+            dist = _ref_dijkstra(g, adj, src, max(targets.values()) * t * slack,
+                                 set(targets))
+            retry = {u for u in targets if u not in dist}
+            if retry:
+                dist.update(_ref_dijkstra(g, adj, src, None, retry))
+        for u, w in sorted(targets.items()):
+            checked += 1
+            d = dist.get(u)
+            if d is None:
+                unreachable += 1
+                hist["inf"] = hist.get("inf", 0) + 1
+                if not math.isinf(worst_val):
+                    worst, worst_val = (src, u), math.inf
+                continue
+            ratio = d / w
+            key = f"{ratio:.3f}" if g.weighted else str(d)
+            hist[key] = hist.get(key, 0) + 1
+            if ratio > worst_val:
+                worst_val, worst = float(ratio), (src, u)
+    return StretchReport(t, worst_val, worst, hist, unreachable,
+                         worst_val <= t * slack, checked)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from((1, 3, 5, 7)), st.booleans())
+def test_verify_stretch_matches_reference_and_allpairs(seed, t, weighted):
+    """Sparse-ID graphs with n <= 30, integer weights with ties, and
+    spanner subsets that leave edges unreachable or beyond the cap: the
+    report equals the reference field by field (histogram order included)
+    and equals the Floyd-Warshall report."""
+    rng = random.Random(seed)
+    ids = rng.sample(range(200), rng.randint(1, 30))
+    p = rng.choice((0.1, 0.2, 0.4))
+    edges = [(u, v) for u in ids for v in ids if u < v and rng.random() < p]
+    weights = {e: float(rng.choice((1, 1, 2, 3))) for e in edges} if weighted else None
+    g = Graph(ids, edges, weights)
+    h = Spanner(g)
+    keep = rng.choice((0.0, 0.3, 0.6, 0.9, 1.0))
+    for u, v in g.edges():
+        if rng.random() < keep:
+            h.add(u, v, "kept")
+    rep = verify_stretch(g, h, t)
+    ref = ref_verify_stretch(g, h, t)
+    assert rep == ref
+    assert list(rep.histogram.items()) == list(ref.histogram.items())
+    assert rep == verify_stretch_allpairs(g, h, t)
