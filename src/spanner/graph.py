@@ -180,12 +180,6 @@ class Spanner:
             self.edges.add(e)
             self.provenance[e] = tag
 
-    def merge(self, other: "Spanner") -> None:
-        for e in sorted(other.edges):
-            if e not in self.edges:
-                self.edges.add(e)
-                self.provenance[e] = other.provenance[e]
-
     @property
     def size(self) -> int:
         return len(self.edges)

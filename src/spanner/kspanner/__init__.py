@@ -1,6 +1,7 @@
 """(2k-1)-spanner constructions: the cluster-by-cluster baseline, the
 star-graph bipartite spanner, the superclustered construction with its
-zero-level superclustering, and the randomized comparator."""
+zero-level superclustering, and the randomized comparator.  The first four
+share one local-maxima election, ``common.elect``, and its steps."""
 
 from .naive import naive_spanner
 from .starbip import sparser_bipartite_spanner

@@ -16,7 +16,7 @@ from ..clustering import Clustering
 from ..graph import Graph, Spanner
 from ..results import SpannerRun
 from ..sim import Msg, RoundLedger, SimConfig, announce
-from .common import clustering_broadcast, exchange
+from .common import cluster_steps, exchange
 
 TAG_EDGE = 0
 
@@ -47,10 +47,8 @@ def baswana_sen_baseline(
             c for c in sorted(clustering.centers)
             if _survives(seed, c, i, prob)
         }
-        know = clustering_broadcast(
-            g, cfg, ledger, f"bs-sample:L{i}", clustering,
-            {c: 1 for c in sampled},
-        )
+        _up, down = cluster_steps(g, cfg, ledger, clustering)
+        know = down(f"bs-sample:L{i}", {c: 1 for c in sampled})
         status = announce(
             g, cfg, ledger, f"bs-status:L{i}",
             {v: (c, know.get(v, 0)) for v, c in clustering.membership.items()},

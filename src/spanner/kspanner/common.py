@@ -1,15 +1,25 @@
-"""Protocol helpers shared by the k-spanner constructions.  ``exchange``,
-the one-round scripted step, is the simulator's own and is re-exported here."""
+"""Protocol helpers shared by the k-spanner constructions: the convergecast
+and broadcast over cluster or supercluster trees, the local-maxima election
+that the cluster-by-cluster and the superclustered constructions run (and
+whose steps the star-graph and zero-level constructions reuse), and the
+chunked ID streams.  ``exchange``, the one-round scripted step, is the
+simulator's own and is re-exported here."""
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from itertools import count
+from typing import (
+    Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from ..clustering import Clustering
 from ..graph import Graph
-from ..primitives import clustering_roles, forest_aggregate, forest_broadcast
-from ..sim import BitCost, Msg, RoundLedger, SimConfig, exchange
+from ..primitives import RoleTable, clustering_roles, forest_aggregate, forest_broadcast
+from ..sim import BitCost, Msg, RoundLedger, SimConfig, SimTimeout, exchange
+
+TAG_IDS, TAG_END, TAG_ACK, TAG_TUPLE, TAG_VOTE, TAG_JOIN, TAG_EDGE = range(7)
 
 
 def ipow_ceil(n: int, num: int, den: int) -> int:
@@ -23,18 +33,18 @@ def clustering_aggregate(
     g: Graph,
     cfg: SimConfig,
     ledger: RoundLedger,
+    roles: RoleTable,
+    key_of: Dict[int, Hashable],
     name: str,
-    clustering: Clustering,
     values: Dict[int, int],
     combine: str = "sum",
     bound: Optional[int] = None,
-) -> Dict[int, int]:
-    """Convergecast per cluster tree; returns center -> aggregate."""
-    member = clustering.membership
-    per_tree = {v: {member[v]: x} for v, x in values.items() if v in member}
-    result, led = forest_aggregate(
-        g, clustering_roles(clustering), per_tree, combine, bound, cfg
-    )
+) -> Dict[Hashable, int]:
+    """Convergecast over the trees of a (super)clustering, given by its
+    role table and each member's tree key; returns tree key -> aggregate
+    of the members' ``values``."""
+    per_tree = {v: {key_of[v]: x} for v, x in values.items() if v in key_of}
+    result, led = forest_aggregate(g, roles, per_tree, combine, bound, cfg)
     ledger.extend_sequential(led, name=name)
     return result
 
@@ -43,22 +53,179 @@ def clustering_broadcast(
     g: Graph,
     cfg: SimConfig,
     ledger: RoundLedger,
+    roles: RoleTable,
+    key_of: Dict[int, Hashable],
     name: str,
-    clustering: Clustering,
-    center_values: Dict[int, int],
+    tree_values: Dict[Hashable, int],
     bound: Optional[int] = None,
 ) -> Dict[int, int]:
-    """Push one value per center down its tree; returns vertex -> value."""
-    got, led = forest_broadcast(
-        g, clustering_roles(clustering), center_values, bound, cfg
-    )
+    """Push one value per tree key down its tree; returns member -> value."""
+    got, led = forest_broadcast(g, roles, tree_values, bound, cfg)
     ledger.extend_sequential(led, name=name)
-    return {v: got[v][c] for v, c in clustering.membership.items()}
+    return {v: got[v].get(key, 0) for v, key in key_of.items()}
+
+
+def forest_steps(g, cfg, ledger, roles, key_of) -> Tuple[Callable, Callable]:
+    """``up(name, values, ...)``, the convergecast, and ``down(name,
+    tree_values, ...)``, the broadcast, over one forest whose role table is
+    built once by the caller and reused by every call."""
+    return (
+        partial(clustering_aggregate, g, cfg, ledger, roles, key_of),
+        partial(clustering_broadcast, g, cfg, ledger, roles, key_of),
+    )
+
+
+def cluster_steps(g, cfg, ledger, clustering: Clustering) -> Tuple[Callable, Callable]:
+    """The ``up``/``down`` pair over a clustering's trees, keyed by center."""
+    return forest_steps(g, cfg, ledger, clustering_roles(clustering),
+                        clustering.membership)
+
+
+# -- the local-maxima election -----------------------------------------------
+
+ACK, VOTE, JOIN, EDGE = (
+    Msg(8, (tag,)) for tag in (TAG_ACK, TAG_VOTE, TAG_JOIN, TAG_EDGE)
+)
+
+
+def contacts(nbr_labels: Dict[int, Hashable], keep, skip=None) -> Dict[Hashable, int]:
+    """The smallest-ID neighbour in each adjacent tree whose key is in
+    ``keep``, leaving out ``skip``: tree key -> neighbour."""
+    best: Dict[Hashable, int] = {}
+    for u, c in nbr_labels.items():
+        if c in keep and c != skip and (c not in best or u < best[c]):
+            best[c] = u
+    return best
+
+
+def unmarked_degree(g, cfg, ledger, names: Sequence[str], labels, nbr_labels,
+                    remaining, marked, up: Callable, self_report: bool):
+    """Ack step: every unmarked vertex acknowledges one neighbour in each
+    adjacent remaining tree (its own left out when members self-report),
+    and ``up`` sums per tree the acknowledgements its members received,
+    plus 1 per unmarked member when they self-report.  ``names`` are the
+    ack round's and the convergecast's phases."""
+    out = {}
+    for v in g.vertices:
+        if v not in marked:
+            best = contacts(nbr_labels[v], remaining,
+                            labels.get(v) if self_report else None)
+            if best:
+                out[v] = {u: ACK for u in best.values()}
+    got = exchange(g, cfg, ledger, names[0], out)
+    counts = {v: len(inbox) for v, inbox in got.items()}
+    if self_report:
+        for v in labels:
+            if v not in marked:
+                counts[v] += 1
+    return up(names[1], counts)
+
+
+def advertise(g, cfg, ledger, names: Sequence[str], labels, remaining,
+              deg, down: Callable, cbits: int):
+    """Tuple step: ``down`` tells every member its remaining tree's degree,
+    and the member sends (degree, tree key) to all its neighbours in one
+    ``8 + id_bits + cbits``-bit message.  Returns member -> degree and the
+    tuple round's inboxes."""
+    know = down(names[0], {c: deg.get(c, 0) for c in remaining})
+    width = 8 + g.id_bits + cbits
+    out = {}
+    for v, c in labels.items():
+        if c in remaining:
+            m = Msg(width, (TAG_TUPLE, know.get(v, 0), c))
+            out[v] = {u: m for u in g.adj[v]}
+    return know, exchange(g, cfg, ledger, names[1], out)
+
+
+def announce_join(g, cfg, ledger, names: Sequence[str], joiners: Iterable,
+                  down: Callable) -> Set[int]:
+    """Join step: ``down`` tells the joiners' members, and each tells all
+    its neighbours.  Returns those members and every vertex that heard one."""
+    know = down(names[0], {c: 1 for c in joiners})
+    out = {v: {u: JOIN for u in g.adj[v]} for v, x in know.items() if x}
+    got = exchange(g, cfg, ledger, names[1], out)
+    return set(out) | {v for v, inbox in got.items() if inbox}
+
+
+def elect(g: Graph, cfg: SimConfig, ledger: RoundLedger, *, steps: Sequence[str],
+          labels: Dict[int, Hashable], nbr_labels: Dict[int, Dict[int, Hashable]],
+          remaining: Iterable, threshold: int, cap: int, up: Callable, down: Callable,
+          self_report: bool, cbits: int, records: List[dict], where: str,
+          level: int, members: Optional[Dict] = None):
+    """The local-maxima election over the trees of ``labels`` (member ->
+    tree key; ``nbr_labels`` holds each vertex's neighbours' keys).  Every
+    iteration runs the unmarked-degree, tuple and vote steps; each
+    remaining tree whose degree reaches ``threshold`` and whose every
+    acknowledgement came back as a vote joins, and its members and their
+    neighbours become marked.  The first iteration without joiners ends
+    the election; iteration ``cap + 1`` raises SimTimeout.
+
+    ``steps`` names the eight phases (ack, degree up, degree down, tuples,
+    votes, votes up, join down, join announce); each is suffixed by
+    ``.{iteration}``.  With ``self_report`` a member leaves its own tree
+    out of its acknowledgements, counts itself while unmarked and lets its
+    own tree's tuple compete in its vote.  Every iteration appends one
+    record to ``records`` (with ``sc_members`` of the joiners when
+    ``members`` maps tree keys to vertices).  Returns the joined keys, the
+    remaining keys and the marked vertices."""
+    remaining = set(remaining)
+    joined: Set[Hashable] = set()
+    marked: Set[int] = set()
+    for it in count(1):
+        if it > cap:
+            raise SimTimeout(f"{where} phase {level} exceeded its iteration cap {cap}")
+        names = [f"{s}.{it}" for s in steps]
+        deg = unmarked_degree(g, cfg, ledger, names[0:2], labels, nbr_labels,
+                              remaining, marked, up, self_report)
+        know, got = advertise(g, cfg, ledger, names[2:4], labels, remaining,
+                              deg, down, cbits)
+        # every unmarked vertex votes for the largest (degree, key) it heard
+        out, votes = {}, {}
+        for v in g.vertices:
+            if v in marked:
+                continue
+            own = labels.get(v)
+            best = sender = None
+            if self_report and own in remaining:
+                best = (know.get(v, 0), own)
+            for s, (_tag, d, c) in got[v]:
+                if best is None or (d, c) > best:
+                    best, sender = (d, c), s
+                elif (d, c) == best and sender is not None and s < sender:
+                    sender = s
+            if best is None:
+                continue
+            if self_report and best[1] == own:
+                votes[v] = 1
+            else:
+                out[v] = {sender: VOTE}
+        for v, inbox in exchange(g, cfg, ledger, names[4], out).items():
+            votes[v] = votes.get(v, 0) + len(inbox)
+        vote_sum = up(names[5], votes)
+        new = {
+            c for c in remaining
+            if deg.get(c, 0) >= max(threshold, 1)
+            and vote_sum.get(c, 0) == deg.get(c, 0)
+        }
+        record = {
+            "where": where,
+            "level": level,
+            "iteration": it,
+            "marked_before": frozenset(marked),
+            "joined": sorted(new),
+            "deg": {c: deg.get(c, 0) for c in sorted(new)},
+        }
+        if members is not None:
+            record["sc_members"] = {c: frozenset(members[c]) for c in new}
+        records.append(record)
+        if not new:
+            return joined, remaining, marked
+        joined |= new
+        remaining -= new
+        marked |= announce_join(g, cfg, ledger, names[6:8], new, down)
 
 
 # -- chunked ID streams ------------------------------------------------------
-
-TAG_IDS, TAG_END = 0, 1
 
 
 def id_chunks(bits: BitCost, budget: int, ids) -> List[Msg]:

@@ -1,32 +1,29 @@
-"""Superclustered (2k-1)-spanner: iterate the local-maxima election over
-superclusters instead of clusters, cover low-expansion superclusters with
-bipartite spanners outside and recursion inside, regroup after every level
-with two balanced tree partitions, and finish with the cluster-by-cluster
-construction once only O(sqrt n) clusters remain."""
+"""Superclustered (2k-1)-spanner: run the local-maxima election
+(``common.elect``) over superclusters instead of clusters, cover
+low-expansion superclusters with bipartite spanners outside and recursion
+inside, regroup after every level with two balanced tree partitions, and
+finish with the cluster-by-cluster construction once only O(sqrt n)
+clusters remain."""
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
 from ..clustering import Supercluster, Superclustering, WeightedTree, orient_tree
 from ..graph import Graph
-from ..primitives import (
-    RoleTable,
-    forest_aggregate,
-    forest_broadcast,
-    grow_bfs_clusters,
-    partition_tree,
-)
+from ..primitives import RoleTable, grow_bfs_clusters, partition_tree
 from ..results import SpannerRun
-from ..sim import Msg, RoundLedger, SimConfig, SimTimeout, announce
-from .common import clustering_aggregate, clustering_broadcast, exchange, ipow_ceil
+from ..sim import Msg, RoundLedger, SimConfig, announce
+from .common import EDGE, cluster_steps, elect, exchange, forest_steps, ipow_ceil
 from .naive import naive_spanner
 from .zero import cons_zero_superclustering, cover_low_expansion
 
 RECURSION_BASE = 64
 
-TAG_ACK, TAG_TUPLE, TAG_VOTE, TAG_SUCCESS, TAG_UNCOV, TAG_EDGE = range(6)
+STEPS = ("sc-ack", "sc-deg-up", "sc-deg-down", "sc-tuples", "sc-votes",
+         "sc-votes-up", "sc-join-down", "sc-success")
+TAG_UNCOV = 0
 
 
 def _sc_roles(scs: Sequence[Supercluster]) -> RoleTable:
@@ -38,15 +35,6 @@ def _sc_roles(scs: Sequence[Supercluster]) -> RoleTable:
         for v, (p, ch) in orient_tree(sc.root, sc.tree_edges).items():
             roles.setdefault(v, []).append((sc.sc_id, p, ch))
     return roles
-
-
-def _per_supercluster(
-    per_center: Dict[int, int], sc_of_vertex: Dict[int, int]
-) -> Dict[int, Dict[int, int]]:
-    """Center aggregates as contributions to the center's supercluster tree."""
-    return {
-        c: {sc_of_vertex[c]: x} for c, x in per_center.items() if c in sc_of_vertex
-    }
 
 
 def improved_spanner(
@@ -81,6 +69,7 @@ def improved_spanner(
         "levels": {},
         "superclusterings": [(0, zero.clustering, zero.superclustering)],
         "si_records": [],
+        "iterations": {},
     }
     clustering = zero.clustering
     superclustering = zero.superclustering
@@ -111,155 +100,37 @@ def _phase(g, k, cfg, ledger, trace, H, clustering, superclustering,
     n = g.n
     scs = {sc.sc_id: sc for sc in superclustering.superclusters}
     vset = superclustering.vertex_sets(clustering)
-    sc_of_vertex: Dict[int, int] = {}
-    for scid, vs in vset.items():
-        for v in vs:
-            sc_of_vertex[v] = scid
+    sc_of_vertex = {v: scid for scid, vs in vset.items() for v in vs}
     sc_roles = _sc_roles(superclustering.superclusters)
-    cap = 4 * ipow_ceil(n, k - 2, 2 * k) + 2  # 4 n^(1/2-1/k) iterations
 
     # announce supercluster membership once per phase
     nbr_sc = announce(
         g, cfg, ledger, f"sc-announce:P{i}", sc_of_vertex, 8 + g.id_bits
     )
+    # aggregate over the cluster trees, then over the supercluster trees;
+    # broadcast the other way round
+    cl_up, cl_down = cluster_steps(g, cfg, ledger, clustering)
+    sc_up, sc_down = forest_steps(g, cfg, ledger, sc_roles, sc_of_vertex)
+    centers = clustering.centers
 
-    marked: Set[int] = set()
-    remaining: Set[int] = set(scs)
-    joined_sc: Set[int] = set()
-    iterations = 0
-    cbits = max(1, (2 * n).bit_length())
+    def up(name, values):
+        stem, _, label = name.partition(":")
+        return sc_up(f"{stem}2:{label}", cl_up(f"{stem}1:{label}", values))
 
-    while True:
-        iterations += 1
-        if iterations > cap:
-            raise SimTimeout(f"supercluster phase {i} exceeded cap {cap}")
-        # unmarked external vertices acknowledge each adjacent remaining
-        # supercluster; members self-report their unmarked bit
-        out = {}
-        for v in g.vertices:
-            if v in marked:
-                continue
-            own = sc_of_vertex.get(v)
-            best: Dict[int, int] = {}
-            for u, s in nbr_sc[v].items():
-                if s != own and s in remaining and (s not in best or u < best[s]):
-                    best[s] = u
-            if best:
-                out[v] = {u: Msg(8, (TAG_ACK,)) for u in best.values()}
-        got = exchange(g, cfg, ledger, f"sc-ack:P{i}.{iterations}", out)
-        contrib = {}
-        for v in g.vertices:
-            val = sum(1 for _s, b in got[v] if b[0] == TAG_ACK)
-            if v in sc_of_vertex and v not in marked:
-                val += 1
-            if val:
-                contrib[v] = val
-        per_center = clustering_aggregate(
-            g, cfg, ledger, f"sc-deg-up1:P{i}.{iterations}", clustering, contrib
-        )
-        deg, led = forest_aggregate(
-            g, sc_roles, _per_supercluster(per_center, sc_of_vertex), cfg=cfg
-        )
-        ledger.extend_sequential(led, name=f"sc-deg-up2:P{i}.{iterations}")
-        at_center, led = forest_broadcast(
-            g, sc_roles, {scid: deg.get(scid, 0) for scid in remaining}, cfg=cfg
-        )
-        ledger.extend_sequential(led, name=f"sc-deg-down2:P{i}.{iterations}")
-        know = clustering_broadcast(
-            g, cfg, ledger, f"sc-deg-down1:P{i}.{iterations}", clustering,
-            {c: at_center[c].get(sc_of_vertex.get(c), 0)
-             for c in clustering.centers},
-        )
-        out = {}
-        for v, scid in sc_of_vertex.items():
-            if scid in remaining:
-                m = Msg(8 + g.id_bits + cbits, (TAG_TUPLE, know.get(v, 0), scid))
-                out[v] = {u: m for u in g.adj[v]}
-        got = exchange(g, cfg, ledger, f"sc-tuples:P{i}.{iterations}", out)
-        out = {}
-        selfvote: Dict[int, int] = {}
-        for v in g.vertices:
-            if v in marked:
-                continue
-            own = sc_of_vertex.get(v)
-            best = None
-            best_sender = None
-            if own in remaining:
-                best = (know.get(v, 0), own)
-            for s, b in got[v]:
-                if b[0] != TAG_TUPLE:
-                    continue
-                key = (b[1], b[2])
-                if best is None or key > best:
-                    best = key
-                    best_sender = s
-                elif key == best and best_sender is not None and s < best_sender:
-                    best_sender = s
-            if best is None:
-                continue
-            if best[1] == own:
-                selfvote[v] = 1
-            elif best_sender is not None:
-                out[v] = {best_sender: Msg(8, (TAG_VOTE,))}
-        got = exchange(g, cfg, ledger, f"sc-votes:P{i}.{iterations}", out)
-        votes = {}
-        for v in g.vertices:
-            val = sum(1 for _s, b in got[v] if b[0] == TAG_VOTE)
-            val += selfvote.get(v, 0)
-            if val:
-                votes[v] = val
-        per_center = clustering_aggregate(
-            g, cfg, ledger, f"sc-votes-up1:P{i}.{iterations}", clustering, votes
-        )
-        vote_sum, led = forest_aggregate(
-            g, sc_roles, _per_supercluster(per_center, sc_of_vertex), cfg=cfg
-        )
-        ledger.extend_sequential(led, name=f"sc-votes-up2:P{i}.{iterations}")
-        new_joiners = {
-            scid for scid in sorted(remaining)
-            if deg.get(scid, 0) >= exp_threshold
-            and vote_sum.get(scid, 0) == deg.get(scid, 0)
-            and deg.get(scid, 0) > 0
-        }
-        trace["si_records"].append(
-            {
-                "where": "superclusters",
-                "level": i,
-                "iteration": iterations,
-                "marked_before": frozenset(marked),
-                "joined": sorted(new_joiners),
-                "sc_members": {s: frozenset(vset[s]) for s in new_joiners},
-                "deg": {s: deg.get(s, 0) for s in new_joiners},
-            }
-        )
-        if not new_joiners:
-            break
-        joined_sc |= new_joiners
-        remaining -= new_joiners
-        at_center, led = forest_broadcast(
-            g, sc_roles, {scid: 1 for scid in new_joiners}, cfg=cfg
-        )
-        ledger.extend_sequential(led, name=f"sc-join-down2:P{i}.{iterations}")
-        know_join = clustering_broadcast(
-            g, cfg, ledger, f"sc-join-down1:P{i}.{iterations}", clustering,
-            {c: at_center[c].get(sc_of_vertex.get(c), 0)
-             for c in clustering.centers},
-        )
-        out = {}
-        newly_marked = set()
-        for v, scid in sc_of_vertex.items():
-            if know_join.get(v):
-                if v not in marked:
-                    newly_marked.add(v)
-                out[v] = {u: Msg(8, (TAG_SUCCESS,)) for u in g.adj[v]}
-        got = exchange(g, cfg, ledger, f"sc-success:P{i}.{iterations}", out)
-        for v in g.vertices:
-            if v not in marked and any(b[0] == TAG_SUCCESS for _s, b in got[v]):
-                newly_marked.add(v)
-        marked |= newly_marked
+    def down(name, sc_values):
+        stem, _, label = name.partition(":")
+        at = sc_down(f"{stem}2:{label}", sc_values)
+        return cl_down(f"{stem}1:{label}", {c: at.get(c, 0) for c in centers})
 
-    trace["levels"].setdefault(i, {})
-    trace.setdefault("iterations", {})[i] = iterations
+    joined_sc, remaining, marked = elect(
+        g, cfg, ledger, steps=[f"{s}:P{i}" for s in STEPS], labels=sc_of_vertex,
+        nbr_labels=nbr_sc, remaining=scs, threshold=exp_threshold,
+        cap=4 * ipow_ceil(n, k - 2, 2 * k) + 2,  # 4 n^(1/2-1/k) iterations
+        up=up, down=down, self_report=True, cbits=max(1, (2 * n).bit_length()),
+        records=trace["si_records"], where="superclusters", level=i,
+        members=vset,
+    )
+    trace["iterations"][i] = trace["si_records"][-1]["iteration"]
 
     _cover_remaining(
         g, k, cfg, ledger, trace, H, clustering, scs, vset, sc_of_vertex,
@@ -300,7 +171,7 @@ def _cover_remaining(g, k, cfg, ledger, trace, H, clustering, scs, vset,
             if b[0] == TAG_UNCOV and (b[1] not in best or s < best[b[1]]):
                 best[b[1]] = s
         for scid, u in sorted(best.items()):
-            out.setdefault(v, {})[u] = Msg(8, (TAG_EDGE,))
+            out.setdefault(v, {})[u] = EDGE
             H.add(v, u, f"sc-single:L{i}")
     exchange(g, cfg, ledger, f"sc-single-edges:P{i}", out)
 
@@ -325,10 +196,8 @@ def _regroup(g, k, cfg, ledger, H, clustering, successful: List[Supercluster],
     partitioned by cluster count and then by vertex count."""
     n = g.n
     big_bound = max(1, math.ceil(math.sqrt(n)))
-    sizes = clustering_aggregate(
-        g, cfg, ledger, f"sizes:P{i}", clustering,
-        {v: 1 for v in clustering.membership},
-    )
+    up, _down = cluster_steps(g, cfg, ledger, clustering)
+    sizes = up(f"sizes:P{i}", {v: 1 for v in clustering.membership})
     members = clustering.members()
     big = {c for c in clustering.centers if sizes[c] >= big_bound}
     superclusters: List[Supercluster] = []

@@ -2,7 +2,9 @@
 
 The B side joins stars around A-side centers, and the cluster-by-cluster
 election then runs on the star graph with k' = k/2 levels (odd k: (k-1)/2),
-marking whole stars instead of vertices.  Star-level clusters are realized
+marking whole stars instead of vertices.  It shares the tuple and join
+steps of ``common.elect`` and replaces the vote by a per-edge maximum test
+relayed through each star.  Star-level clusters are realized
 as vertex-disjoint trees in the original graph (member - leader - uplink
 chains), so intra-cluster traffic costs O(1) rounds per star hop.  Phase 1
 uses the two-sided 2-approximation of the unmarked star-degree; later
@@ -19,16 +21,17 @@ from ..graph import Graph, Spanner
 from ..results import SpannerRun
 from ..sim import Msg, NodeProgram, RoundLedger, SimConfig, SimTimeout, announce, run
 from .common import (
+    TAG_TUPLE,
+    advertise,
+    announce_join,
     chunked_gather,
     chunked_scatter,
-    clustering_aggregate,
-    clustering_broadcast,
+    cluster_steps,
     exchange,
     ipow_ceil,
 )
 
-TAG_CHOSE, TAG_ACK, TAG_TUPLE, TAG_STARMAX, TAG_VACK, TAG_SUCCESS, TAG_MARKED, \
-    TAG_EDGE = range(8)
+TAG_CHOSE, TAG_ACK, TAG_STARMAX, TAG_VACK, TAG_SUCCESS, TAG_MARKED, TAG_EDGE = range(7)
 
 
 class StarState:
@@ -235,28 +238,23 @@ def sparser_bipartite_spanner(
     part,
     k: int,
     cfg: Optional[SimConfig] = None,
-    spanner: Optional[Spanner] = None,
 ) -> SpannerRun:
     """(2k-1)-spanner of the A-to-B edges with O(k|A|^{1+2/k} + |B|) edges
     (odd k: exponent 1 + 2/(k-1)).  Within-side edges are ignored."""
     if k < 2:
         raise ValueError("k must be >= 2")
     cfg = (cfg or SimConfig()).resolved(g)
-    a_side = set(part.a)
-    b_side = set(part.b)
     if k == 2:
         from ..spanner3 import bipartite_3_spanner
 
-        res = bipartite_3_spanner(g, part, cfg)
-        if spanner is not None:
-            spanner.merge(res.spanner)
-            res.spanner = spanner
-        return res
+        return bipartite_3_spanner(g, part, cfg)
+    if g.weighted:
+        raise ValueError("weighted graphs are only supported for k = 2")
     kp = k // 2
-    H = spanner if spanner is not None else Spanner(g)
+    H = Spanner(g)
     ledger = RoundLedger()
     trace: Dict = {"k": k, "k_prime": kp, "phases": {}, "approx": []}
-    st = StarState(g, a_side, b_side)
+    st = StarState(g, set(part.a), set(part.b))
     _form_stars(g, cfg, ledger, st, H)
     trace["stars"] = {s: tuple(ms) for s, ms in st.members.items()}
     A = len(st.stars())
@@ -265,10 +263,8 @@ def sparser_bipartite_spanner(
 
     cluster_of: Dict[int, Optional[int]] = {s: s for s in st.stars()}
     gtree = _star_gtree(st, cluster_of, {}, 0)
-    marked: Set[int] = set()
-
     for i in range(1, kp):
-        cluster_of, gtree, marked = _phase(
+        cluster_of, gtree = _phase(
             g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i
         )
     _last_phase(g, cfg, ledger, H, st, cluster_of, gtree)
@@ -292,11 +288,8 @@ def _mark_announce(g, cfg, ledger, st, newly_marked_stars, nbr_marked, name):
     for s in sorted(newly_marked_stars):
         for v in st.star_vertices(s):
             out[v] = {u: Msg(8, (TAG_MARKED,)) for u in g.adj[v]}
-    got = exchange(g, cfg, ledger, name, out)
-    for v in g.vertices:
-        for sender, body in got[v]:
-            if body[0] == TAG_MARKED:
-                nbr_marked[v].add(sender)
+    for v, inbox in exchange(g, cfg, ledger, name, out).items():
+        nbr_marked[v].update(sender for sender, _body in inbox)
 
 
 def _phase(g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i):
@@ -305,24 +298,20 @@ def _phase(g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i):
     cap = 4 * ipow_ceil(A, kp - i, kp) + 2
     stars = st.stars()
     remaining = {c for c in set(cluster_of.values()) if c is not None}
-    clustered_stars = {s for s in stars if cluster_of.get(s) is not None}
     marked: Set[int] = set()        # marked stars
     nbr_marked: Dict[int, Set[int]] = {v: set() for v in g.vertices}
 
     nbr_cluster = _announce_star_clusters(
         g, cfg, ledger, st, cluster_of, f"bip-announce:L{i}"
     )
+    up, down = cluster_steps(g, cfg, ledger, gtree)
 
     # per-cluster representatives inside each star, and exact initial counts
     reps: Dict[int, Dict[int, Tuple[int, int]]] = {s: {} for s in stars}
     deg: Dict[int, int] = {}
     if i == 1:
         deg = _approx_degree(
-            g, cfg, ledger, st, cluster_of, marked, nbr_marked, f"L{i}.0"
-        )
-        trace["approx"].append(
-            {"level": i, "deg_hat": dict(deg), "marked": frozenset(marked),
-             "cluster_of": dict(cluster_of)}
+            g, cfg, ledger, trace, st, cluster_of, marked, nbr_marked, f"L{i}.0"
         )
     else:
         reps = _compute_reps(g, cfg, ledger, st, nbr_cluster, f"L{i}")
@@ -331,10 +320,8 @@ def _phase(g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i):
             for c, (rep, contact) in reps[s].items():
                 out.setdefault(rep, {})[contact] = Msg(8, (TAG_ACK,))
         got = exchange(g, cfg, ledger, f"bip-count:L{i}", out)
-        acks = {v: sum(1 for _s, b in got[v] if b[0] == TAG_ACK) for v in g.vertices}
-        deg = clustering_aggregate(
-            g, cfg, ledger, f"bip-deg:L{i}", gtree, acks, bound=max(2, 2 * g.n)
-        )
+        acks = {v: len(inbox) for v, inbox in got.items()}
+        deg = up(f"bip-deg:L{i}", acks, bound=max(2, 2 * g.n))
 
     joined: Set[int] = set()
     iterations = 0
@@ -343,7 +330,7 @@ def _phase(g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i):
         if iterations > cap:
             raise SimTimeout(f"bipartite phase {i} exceeded cap {cap}")
         new_joiners = _election(
-            g, cfg, ledger, st, cluster_of, gtree, remaining, marked,
+            g, cfg, ledger, st, gtree, up, down, remaining, marked,
             nbr_marked, deg, threshold, f"L{i}.{iterations}"
         )
         trace.setdefault("si_records", []).append(
@@ -355,8 +342,7 @@ def _phase(g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i):
         joined |= new_joiners
         remaining -= new_joiners
         newly_marked = _mark_after_join(
-            g, cfg, ledger, st, cluster_of, gtree, new_joiners, marked,
-            clustered_stars, f"L{i}.{iterations}"
+            g, cfg, ledger, st, down, new_joiners, marked, f"L{i}.{iterations}"
         )
         _mark_announce(
             g, cfg, ledger, st, newly_marked, nbr_marked,
@@ -364,12 +350,8 @@ def _phase(g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i):
         )
         if i == 1:
             deg = _approx_degree(
-                g, cfg, ledger, st, cluster_of, marked, nbr_marked,
+                g, cfg, ledger, trace, st, cluster_of, marked, nbr_marked,
                 f"L{i}.{iterations}"
-            )
-            trace["approx"].append(
-                {"level": i, "deg_hat": dict(deg), "marked": frozenset(marked),
-                 "cluster_of": dict(cluster_of)}
             )
         else:
             # deltas: each newly marked star retracts one unit per cluster
@@ -378,12 +360,8 @@ def _phase(g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i):
                 for c, (rep, contact) in reps[s].items():
                     out.setdefault(rep, {})[contact] = Msg(8, (TAG_MARKED,))
             got = exchange(g, cfg, ledger, f"bip-delta:L{i}.{iterations}", out)
-            dec = {v: sum(1 for _s, b in got[v] if b[0] == TAG_MARKED)
-                   for v in g.vertices}
-            drop = clustering_aggregate(
-                g, cfg, ledger, f"bip-deg-delta:L{i}.{iterations}", gtree, dec,
-                bound=max(2, 2 * g.n),
-            )
+            dec = {v: len(inbox) for v, inbox in got.items()}
+            drop = up(f"bip-deg-delta:L{i}.{iterations}", dec, bound=max(2, 2 * g.n))
             for c in remaining:
                 deg[c] -= drop.get(c, 0)
     trace["phases"][i] = {"iterations": iterations, "joined": len(joined)}
@@ -408,13 +386,14 @@ def _phase(g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i):
     new_cluster_of, uplinks = _grow_star_clusters(g, cfg, ledger, st, joined, i)
     for s, (rel, off) in sorted(uplinks.items()):
         H.add(rel, off, f"star-tree:L{i}")
-    new_gtree = _star_gtree(st, new_cluster_of, uplinks, i)
-    return new_cluster_of, new_gtree, marked
+    return new_cluster_of, _star_gtree(st, new_cluster_of, uplinks, i)
 
 
-def _approx_degree(g, cfg, ledger, st, cluster_of, marked, nbr_marked, label):
+def _approx_degree(g, cfg, ledger, trace, st, cluster_of, marked, nbr_marked,
+                   label):
     """Phase-1 unmarked star-degree 2-approximation: stars seen by the
-    leader's own edges, plus one ACK per unmarked star sent leader-to-star."""
+    leader's own edges, plus one ACK per unmarked star sent leader-to-star.
+    Each estimate is recorded in ``trace["approx"]``."""
     out = {}
     for leader in st.stars():
         if leader in marked:
@@ -445,8 +424,11 @@ def _approx_degree(g, cfg, ledger, st, cluster_of, marked, nbr_marked, label):
         for u, s2 in st.nbr_star[s].items():
             if u not in nbr_marked[s]:
                 seen.add(s2)
-        type1 = len(seen)
-        deg[s] = type1 + type2
+        deg[s] = len(seen) + type2  # type 1: the stars seen directly
+    trace["approx"].append(
+        {"level": 1, "deg_hat": dict(deg), "marked": frozenset(marked),
+         "cluster_of": dict(cluster_of)}
+    )
     return deg
 
 
@@ -488,29 +470,19 @@ def _compute_reps(g, cfg, ledger, st, nbr_cluster, label):
     return reps
 
 
-def _election(g, cfg, ledger, st, cluster_of, gtree, remaining, marked,
+def _election(g, cfg, ledger, st, gtree, up, down, remaining, marked,
               nbr_marked, deg, threshold, label):
     """Approximate local-maxima test by per-edge acknowledgements."""
-    know = clustering_broadcast(
-        g, cfg, ledger, f"bip-tuple-down:{label}", gtree,
-        {c: deg.get(c, 0) for c in remaining},
-    )
     cbits = max(1, (2 * g.n).bit_length())
-    out = {}
-    tuple_sent: Dict[int, List[int]] = {}
-    for v, c in gtree.membership.items():
-        if c in remaining:
-            m = Msg(8 + g.id_bits + cbits, (TAG_TUPLE, know[v], c))
-            out[v] = {u: m for u in g.adj[v]}
-            # edges on which an acknowledgement is owed back: neighbors in
-            # stars not known to be marked
-            tuple_sent[v] = [
-                u for u in g.adj[v]
-                if u in st.nbr_star[v] and u not in nbr_marked[v]
-            ]
-    got = exchange(g, cfg, ledger, f"bip-tuples:{label}", out)
-    heard: Dict[int, List[Tuple[int, Tuple]]] = {
-        v: [(s, b) for s, b in got[v] if b[0] == TAG_TUPLE] for v in g.vertices
+    _know, heard = advertise(
+        g, cfg, ledger, (f"bip-tuple-down:{label}", f"bip-tuples:{label}"),
+        gtree.membership, remaining, deg, down, cbits,
+    )
+    # edges on which a member of a remaining cluster is owed an
+    # acknowledgement back: neighbors in stars not known to be marked
+    tuple_sent = {
+        v: [u for u in g.adj[v] if u in st.nbr_star[v] and u not in nbr_marked[v]]
+        for v, c in gtree.membership.items() if c in remaining
     }
     # members of unmarked stars relay their best tuple to the leader
     out = {}
@@ -518,27 +490,14 @@ def _election(g, cfg, ledger, st, cluster_of, gtree, remaining, marked,
         if s in marked:
             continue
         for v in st.members[s]:
-            best = None
-            for sender, b in heard[v]:
-                key = (b[1], b[2])
-                if best is None or key > best:
-                    best = key
-            if best is not None:
+            if heard[v]:
+                best = max(b[1:] for _s, b in heard[v])
                 out[v] = {s: Msg(8 + g.id_bits + cbits, (TAG_TUPLE,) + best)}
     got2 = exchange(g, cfg, ledger, f"bip-star-max-up:{label}", out)
     star_max: Dict[int, Tuple] = {}
     for s in st.stars():
-        if s in marked:
-            continue
-        best = None
-        for sender, b in list(heard[s]) + list(got2[s]):
-            if b[0] != TAG_TUPLE:
-                continue
-            key = (b[1], b[2])
-            if best is None or key > best:
-                best = key
-        if best is not None:
-            star_max[s] = best
+        if s not in marked and (heard[s] or got2[s]):
+            star_max[s] = max(b[1:] for _x, b in heard[s] + got2[s])
     out = {}
     for s, best in sorted(star_max.items()):
         m = Msg(8 + g.id_bits + cbits, (TAG_STARMAX,) + best)
@@ -547,71 +506,46 @@ def _election(g, cfg, ledger, st, cluster_of, gtree, remaining, marked,
     known_max: Dict[int, Tuple] = dict(star_max)
     for v in g.vertices:
         for sender, b in got3[v]:
-            if b[0] == TAG_STARMAX:
-                known_max[v] = (b[1], b[2])
+            known_max[v] = b[1:]
     # ACK every neighbor whose tuple equals the star's maximum
     out = {}
     for v in g.vertices:
         s = st.star_of.get(v)
         if s is None or s in marked or v not in known_max:
             continue
-        targets = {}
-        for sender, b in heard[v]:
-            if (b[1], b[2]) == known_max[v]:
-                targets[sender] = Msg(8, (TAG_VACK,))
+        targets = {
+            sender: Msg(8, (TAG_VACK,))
+            for sender, b in heard[v] if b[1:] == known_max[v]
+        }
         if targets:
             out[v] = targets
     got4 = exchange(g, cfg, ledger, f"bip-vacks:{label}", out)
     ok = {}
-    for v in g.vertices:
-        if v not in tuple_sent:
-            continue
-        ackers = {s for s, b in got4[v] if b[0] == TAG_VACK}
-        ok[v] = 1 if all(u in ackers for u in tuple_sent[v]) else 0
-    is_max = clustering_aggregate(
-        g, cfg, ledger, f"bip-maxima:{label}", gtree, ok, combine="min",
-        bound=2,
-    )
-    joiners = {
+    for v, owed in tuple_sent.items():
+        ackers = {s for s, _b in got4[v]}
+        ok[v] = 1 if all(u in ackers for u in owed) else 0
+    is_max = up(f"bip-maxima:{label}", ok, combine="min", bound=2)
+    return {
         c for c in sorted(remaining)
         if deg.get(c, 0) >= threshold and is_max.get(c, 0) == 1
     }
-    return joiners
 
 
-def _mark_after_join(g, cfg, ledger, st, cluster_of, gtree, new_joiners,
-                     marked, clustered_stars, label):
+def _mark_after_join(g, cfg, ledger, st, down, new_joiners, marked, label):
     """Winning clusters' vertices announce success; every star that hears it
     (or belongs to a winner) marks itself, leader included."""
-    know = clustering_broadcast(
-        g, cfg, ledger, f"bip-join-down:{label}", gtree,
-        {c: 1 for c in new_joiners},
+    hit = announce_join(
+        g, cfg, ledger, (f"bip-join-down:{label}", f"bip-success:{label}"),
+        new_joiners, down,
     )
-    out = {}
-    for v, c in gtree.membership.items():
-        if know.get(v):
-            out[v] = {u: Msg(8, (TAG_SUCCESS,)) for u in g.adj[v]}
-    got = exchange(g, cfg, ledger, f"bip-success:{label}", out)
-    hit: Set[int] = set()
-    for v in g.vertices:
-        s = st.star_of.get(v)
-        if s is None:
-            continue
-        if know.get(v) or any(b[0] == TAG_SUCCESS for _x, b in got[v]):
-            hit.add(v)
     # members relay the hit to their leader, leaders mark the star
     out = {}
     for v in sorted(hit):
-        s = st.star_of[v]
-        if v != s:
+        s = st.star_of.get(v)
+        if s is not None and v != s:
             out[v] = {s: Msg(8, (TAG_SUCCESS,))}
     got2 = exchange(g, cfg, ledger, f"bip-mark-up:{label}", out)
-    newly = set()
-    for s in st.stars():
-        if s in marked:
-            continue
-        if s in hit or any(b[0] == TAG_SUCCESS for _x, b in got2[s]):
-            newly.add(s)
+    newly = {s for s in st.stars() if s not in marked and (s in hit or got2[s])}
     # leaders tell members the star is marked
     out = {}
     for s in sorted(newly):

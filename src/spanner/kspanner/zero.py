@@ -1,8 +1,9 @@
 """Zero-level superclustering for arbitrary-diameter graphs.
 
 Builds k/2 pre-clustering levels whose cluster diameters grow geometrically:
-per level, clusters with enough closed-neighborhood expansion nominate their
-centers, a power-graph ruling set thins the nominees, and bounded BFS growth
+per level, clusters with enough closed-neighborhood expansion (counted by
+the unmarked-degree step of ``common.elect``) nominate their centers, a
+power-graph ruling set thins the nominees, and bounded BFS growth
 re-clusters everything near a winner.  Low-expansion clusters' edges are
 covered immediately (bipartite spanner toward the outside plus recursion
 inside).  The final clusters, rebalanced by the partitioning routine, become
@@ -18,12 +19,10 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..clustering import Clustering, Supercluster, Superclustering, WeightedTree
 from ..graph import Graph, Spanner, canon
 from ..primitives import grow_bfs_clusters, partition_tree, ruling_set_power
-from ..sim import Msg, RoundLedger, SimConfig, announce
+from ..sim import RoundLedger, SimConfig, announce
 from ..spanner3 import Bipartition
-from .common import clustering_aggregate, exchange, ipow_ceil
+from .common import cluster_steps, ipow_ceil, unmarked_degree
 from .starbip import sparser_bipartite_spanner
-
-TAG_ACK = 0
 
 
 @dataclass
@@ -36,28 +35,17 @@ class ZeroResult:
 
 
 def _cluster_expansion(g, cfg, ledger, clustering, label) -> Dict[int, int]:
-    """deg(C) = |C| + |Gamma(C) \\ C|: every vertex acknowledges one member
-    of each adjacent foreign cluster; members add themselves."""
+    """deg(C) = |C| + |Gamma(C) \\ C|: the election's unmarked-degree step
+    with every cluster remaining, nothing marked and members self-reporting."""
     nbr_cluster = announce(
         g, cfg, ledger, f"zero-announce:{label}", clustering.membership,
         8 + g.id_bits,
     )
-    out = {}
-    for v in g.vertices:
-        own = clustering.membership.get(v)
-        best: Dict[int, int] = {}
-        for u, c in nbr_cluster[v].items():
-            if c != own and (c not in best or u < best[c]):
-                best[c] = u
-        if best:
-            out[v] = {u: Msg(8, (TAG_ACK,)) for u in best.values()}
-    got = exchange(g, cfg, ledger, f"zero-acks:{label}", out)
-    values = {}
-    for v in g.vertices:
-        if v in clustering.membership:
-            values[v] = 1 + sum(1 for _s, b in got[v] if b[0] == TAG_ACK)
-    return clustering_aggregate(
-        g, cfg, ledger, f"zero-deg:{label}", clustering, values
+    up, _down = cluster_steps(g, cfg, ledger, clustering)
+    return unmarked_degree(
+        g, cfg, ledger, (f"zero-acks:{label}", f"zero-deg:{label}"),
+        clustering.membership, nbr_cluster, clustering.centers, set(), up,
+        self_report=True,
     )
 
 
@@ -106,6 +94,8 @@ def cons_zero_superclustering(
     care of every edge incident to a vertex left out of the superclusters."""
     if k < 3:
         raise ValueError("k must be >= 3")
+    if g.weighted:
+        raise ValueError("weighted graphs are only supported for k = 2")
     cfg = (cfg or SimConfig()).resolved(g)
     n = g.n
     kp = k // 2

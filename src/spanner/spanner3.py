@@ -252,17 +252,15 @@ def improved_3_spanner(g: Graph, cfg: Optional[SimConfig] = None) -> SpannerRun:
     return SpannerRun(spanner, ledger, trace)
 
 
-def small_id_3_spanner(
-    g: Graph, cfg: Optional[SimConfig] = None, max_id_factor: int = 4
-) -> SpannerRun:
-    """Two-round 3-spanner for graphs whose IDs fit in log(n)+O(1) bits:
-    the low half of the ID bits is the part index."""
+def small_id_3_spanner(g: Graph, cfg: Optional[SimConfig] = None) -> SpannerRun:
+    """Two-round 3-spanner for graphs whose IDs fit in log(n)+O(1) bits
+    (at most 4n): the low half of the ID bits is the part index."""
     cfg = cfg or SimConfig()
-    limit = max_id_factor * max(g.n, 1)
+    limit = 4 * max(g.n, 1)
     for v in g.vertices:
         if v > limit:
             raise ValueError(
-                f"vertex ID {v} exceeds {max_id_factor}*n={limit}; "
+                f"vertex ID {v} exceeds 4*n={limit}; "
                 "small-ID construction requires IDs in [1, O(n)]"
             )
     low = g.id_bits // 2

@@ -156,6 +156,16 @@ def test_sparserbip_requires_bipartite_gen(tmp_path):
     ) == 0
 
 
+def test_weighted_input_above_k2_is_usage_error(tmp_path, capsys):
+    for alg in ("sparserbip", "zerosc", "naive", "improved"):
+        code = run_cli(
+            ["run", "--alg", alg, "--k", "4", "--gen", "bip:a=16,b=80,p=0.2",
+             "--weighted", "--seed", "1", "--out", str(tmp_path / alg)]
+        )
+        assert code == 2, alg
+        assert "weighted graphs are only supported for k = 2" in capsys.readouterr().err
+
+
 def test_budget_below_floor_is_simulator_error(tmp_path, capsys):
     cases = [
         (["--alg", "imp3", "--gen", "er:n=50,p=0.1", "--msg-bits", "3"], 14),

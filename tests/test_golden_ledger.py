@@ -1,0 +1,72 @@
+"""Golden ledgers: a refactor of the constructions must leave the full
+ledger JSON (every ``per_phase`` name and round count included), the edge
+set and the edge provenance byte-identical.  Each build is hashed as
+sha256 over one JSON document of the three."""
+
+import hashlib
+import json
+
+import pytest
+
+from spanner import (
+    Bipartition,
+    cons_zero_superclustering,
+    generate,
+    improved_spanner,
+    naive_spanner,
+    sparser_bipartite_spanner,
+)
+from spanner.pins import CORPUS_SPEC
+
+SPECS = {name: (kind, params, seed) for name, kind, params, seed in CORPUS_SPEC}
+
+
+def _graph(name):
+    kind, params, seed = SPECS[name]
+    return generate(kind, params, seed)
+
+
+def _build(alg, k, name):
+    g = _graph(name)
+    if alg == "naive":
+        return naive_spanner(g, k)
+    if alg == "improved":
+        return improved_spanner(g, k)
+    if alg == "sparserbip":
+        return sparser_bipartite_spanner(g, Bipartition(range(16), range(16, g.n)), k)
+    return cons_zero_superclustering(g, k)
+
+
+# (construction, k, corpus graph) -> digest at the commit before the
+# election was shared.  improved runs on n >= 64, so its supercluster
+# election runs and has joiners; naive runs on n < 64.
+GOLDEN = {
+    ("naive", 3, "er10-60"):
+        "35c2af2bde19d21f69cf2ec94610271929261a8a2b4631d64fd8b436a6856c85",
+    ("naive", 4, "grid-6x8"):
+        "133cd1ddb3e5fa380ed67e36f16a2fca8ffa826df44c9990200f1a562f6201b4",
+    ("improved", 4, "er10-100"):
+        "1c38427ae70cd0e53844dd337d8ae8f98cc228f5b5175896f12c384bb123fb21",
+    ("improved", 6, "hyper-64"):
+        "e109df26b4cd01d56b7d7d6c630cfaabe7be4628aaa5a70c4453e2d609a3e45f",
+    ("sparserbip", 4, "rbip-16x80"):
+        "ac97352fc47d04455d0c543599743bcdea02fce2626e5609a49009da62c8115a",
+    ("sparserbip", 6, "rbip-16x80"):
+        "0dd90ef5f8202ce1b78c66cb4861ab12176372a602ec609fa39e6650657d05d3",
+    ("zerosc", 4, "er10-100"):
+        "207adbfb0ea9c7ab84010e9bd50ea50a61f3f8f29f8154a5ead85dd3f63ed493",
+}
+
+
+def ledger_digest(res) -> str:
+    doc = {
+        "ledger": res.ledger.to_json(),
+        "edges": sorted(res.spanner.edges),
+        "provenance": sorted(res.spanner.provenance.items()),
+    }
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("alg,k,name", list(GOLDEN))
+def test_golden_ledger(alg, k, name):
+    assert ledger_digest(_build(alg, k, name)) == GOLDEN[(alg, k, name)]

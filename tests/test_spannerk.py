@@ -92,6 +92,18 @@ def test_naive_rejects_weighted_and_bad_k():
         naive_spanner(g, 3)
     with pytest.raises(ValueError):
         naive_spanner(generate("cycle", {"n": 6}), 1)
+    # the star-graph and zero-level constructions share the election and
+    # its unweighted premise above k = 2
+    bip = with_random_weights(
+        generate("random-bipartite", {"a": 6, "b": 20, "p": 0.4}, seed=1), seed=0
+    )
+    part = Bipartition(range(6), range(6, 26))
+    for k in (3, 4, 6):
+        with pytest.raises(ValueError, match="weighted"):
+            sparser_bipartite_spanner(bip, part, k)
+        with pytest.raises(ValueError, match="weighted"):
+            cons_zero_superclustering(bip, k)
+    assert sparser_bipartite_spanner(bip, part, 2).ledger.rounds_used == 2
 
 
 # -- SparserBipartiteSpanner --------------------------------------------------
