@@ -40,7 +40,7 @@ def naive_spanner(
     if k < 2:
         raise ValueError("k must be >= 2")
     if g.weighted:
-        raise ValueError("weighted graphs are only supported for k = 2")
+        raise ValueError("weighted graphs are not supported by naive_spanner")
     cfg = (cfg or SimConfig()).resolved(g)
     ledger = RoundLedger()
     trace: Dict = {"k": k, "levels": {}, "iterations": {}, "si_records": [],

@@ -38,7 +38,6 @@ class StarState:
     """Host-tracked mirror of the per-vertex local knowledge."""
 
     def __init__(self, g: Graph, a_side: Set[int], b_side: Set[int]):
-        self.g = g
         self.a = a_side
         self.b = b_side
         self.star_of: Dict[int, Optional[int]] = {}
@@ -272,16 +271,6 @@ def sparser_bipartite_spanner(
     return SpannerRun(H, ledger, trace)
 
 
-def _announce_star_clusters(g, cfg, ledger, st, cluster_of, name):
-    """Clustered vertices announce their cluster; returns v -> {nbr: cid}."""
-    labels = {}
-    for v, s in st.star_of.items():
-        c = cluster_of.get(s) if s is not None else None
-        if c is not None:
-            labels[v] = c
-    return announce(g, cfg, ledger, name, labels, 8 + g.id_bits)
-
-
 def _mark_announce(g, cfg, ledger, st, newly_marked_stars, nbr_marked, name):
     """Vertices of newly marked stars tell their neighbors."""
     out = {}
@@ -301,8 +290,8 @@ def _phase(g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i):
     marked: Set[int] = set()        # marked stars
     nbr_marked: Dict[int, Set[int]] = {v: set() for v in g.vertices}
 
-    nbr_cluster = _announce_star_clusters(
-        g, cfg, ledger, st, cluster_of, f"bip-announce:L{i}"
+    nbr_cluster = announce(
+        g, cfg, ledger, f"bip-announce:L{i}", gtree.membership, 8 + g.id_bits
     )
     up, down = cluster_steps(g, cfg, ledger, gtree)
 
@@ -558,8 +547,8 @@ def _mark_after_join(g, cfg, ledger, st, down, new_joiners, marked, label):
 
 def _last_phase(g, cfg, ledger, H, st, cluster_of, gtree):
     """Every star adds one edge toward each of its neighboring clusters."""
-    nbr_cluster = _announce_star_clusters(
-        g, cfg, ledger, st, cluster_of, "bip-announce:last"
+    nbr_cluster = announce(
+        g, cfg, ledger, "bip-announce:last", gtree.membership, 8 + g.id_bits
     )
     reps = _compute_reps(g, cfg, ledger, st, nbr_cluster, "last")
     out = {}

@@ -95,7 +95,9 @@ def cons_zero_superclustering(
     if k < 3:
         raise ValueError("k must be >= 3")
     if g.weighted:
-        raise ValueError("weighted graphs are only supported for k = 2")
+        raise ValueError(
+            "weighted graphs are not supported by cons_zero_superclustering"
+        )
     cfg = (cfg or SimConfig()).resolved(g)
     n = g.n
     kp = k // 2

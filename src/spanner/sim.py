@@ -26,9 +26,10 @@ back to a per-message loop that alone records or raises violations.
 Rounds whose messages follow from state the host already tracks skip the
 vertex programs but not the send step: ``exchange`` posts one precomputed
 round, and ``_cascade`` runs rounds in which only the vertices with mail
-act (the forest convergecast and broadcast in ``primitives``).  Both post
-through ``_post``, so bits, congestion, neighbours and rounds are
-accounted exactly as for a program.
+act (the forest convergecast and broadcast in ``primitives`` and the two
+star rounds of the 3-spanners in ``spanner3``).  Both post through
+``_post``, so bits, congestion, neighbours and rounds are accounted
+exactly as for a program.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from .clustering import WeightedTree
 from .graph import Graph, Spanner
 from .primitives import grow_bfs_clusters, partition_tree, ruling_set_log
 from .results import SpannerRun
-from .sim import NodeProgram, RoundLedger, SimConfig, SimError, announce, run
+from .sim import BitCost, Msg, RoundLedger, SimConfig, SimError, _cascade, announce
 
 
 class Bipartition:
@@ -29,85 +29,7 @@ def high_degree_threshold(n: int) -> int:
     return math.ceil(math.sqrt(n))
 
 
-class StarSpanner(NodeProgram):
-    """The two-round star construction, run for every part in parallel.
-
-    Every vertex outside part j that has a neighbor inside part j picks one
-    such neighbor as its star center for instance j (the closest one on
-    weighted graphs) and tells its part-j neighbors.  In the second round
-    every part-j vertex picks, per star it heard about, one of the senders
-    and notifies it of the selected edge.  Vertices of the same part add
-    their connecting edges locally when ``internal`` is set.
-
-    Private input, per vertex: ``part`` (its own part, or None),
-    ``nbr_parts`` (neighbor -> part, for the neighbors that have one) and,
-    on weighted graphs only, ``weights`` (neighbor -> incident edge weight).
-    """
-
-    name = "star-spanner"
-
-    TAG_CHOSE, TAG_SELECTED = 0, 1
-
-    def __init__(self, internal: bool):
-        self.internal = internal
-
-    def init(self, view):
-        p = view.private
-        mine = p["part"]
-        of_nbr = p["nbr_parts"]
-        w = p.get("weights")
-        edges = []
-        if self.internal and mine is not None:
-            for u in view.neighbors:
-                if of_nbr.get(u) == mine:
-                    edges.append((view.vid, u, "internal"))
-        return {
-            "part": mine,
-            "nbr_part": of_nbr,
-            # closest first, ties toward the smaller ID
-            "rank": (lambda u: (w[u], u)) if w else (lambda u: u),
-            "edges": edges,
-        }
-
-    def on_round(self, state, view, rnd, inbox):
-        out = {}
-        rank = state["rank"]
-        if rnd == 1:
-            mine = state["part"]
-            best: Dict[int, int] = {}
-            for u in view.neighbors:
-                j = state["nbr_part"].get(u)
-                if j is None or j == mine:
-                    continue
-                cur = best.get(j)
-                if cur is None or rank(u) < rank(cur):
-                    best[j] = u
-            for j, center in best.items():
-                state["edges"].append((view.vid, center, "star"))
-            for u in view.neighbors:
-                j = state["nbr_part"].get(u)
-                if j is not None and j != mine and j in best:
-                    out[u] = view.bits.msg((self.TAG_CHOSE, best[j]), ids=1)
-            return out, True
-        if rnd == 2:
-            mine = state["part"]
-            if mine is not None:
-                # per star heard about (own star included, duplicating its
-                # star edge), pick one sender and keep that edge
-                per_star: Dict[int, int] = {}
-                for sender, (_tag, center) in inbox:
-                    cur = per_star.get(center)
-                    if cur is None or rank(sender) < rank(cur):
-                        per_star[center] = sender
-                for center, picked in sorted(per_star.items()):
-                    tag = "star" if center == view.vid else "cross"
-                    state["edges"].append((view.vid, picked, tag))
-                    out[picked] = view.bits.msg((self.TAG_SELECTED,))
-            return out, True
-        return {}, True
-
-    def on_finish(self, state, view):
-        return state["edges"]
+TAG_CHOSE, TAG_SELECTED = 0, 1
 
 
 def _star_spanner(
@@ -118,28 +40,71 @@ def _star_spanner(
     internal: bool,
     nbr_parts: Optional[Dict[int, Dict[int, int]]] = None,
 ) -> RoundLedger:
-    """Run StarSpanner over the parts ``part`` (vertex -> part index) and add
-    its edges to ``spanner``.  Every vertex learns its neighbors' parts from
-    ``nbr_parts`` (an earlier announce round) or, where that is None, from
-    ``part`` itself.  Every edge lies in at most two star instances, so the
-    parallel run uses congestion factor 2."""
-    private = {}
-    for v in g.vertices:
-        nbrs = g.adj[v]
-        if nbr_parts is None:
-            heard = {u: part[u] for u in nbrs if u in part}
-        else:
-            heard = nbr_parts[v]
-        p = {"part": part.get(v), "nbr_parts": heard}
-        if g.weighted:
-            p["weights"] = {u: g.weight(v, u) for u in nbrs}
-        private[v] = p
-    cfg = cfg.with_(congestion_factor=max(2, cfg.congestion_factor))
-    outputs, ledger = run(g, StarSpanner(internal), cfg, private=private)
-    for v in sorted(outputs):
-        for u, w, tag in outputs[v]:
-            spanner.add(u, w, tag)
-    return ledger
+    """The two-round star construction over the parts ``part`` (vertex ->
+    part index), run for every part in parallel; its edges go into
+    ``spanner``.  A vertex knows its neighbors' parts from ``nbr_parts``
+    (an earlier announce round) or, where that is None, from ``part``.
+
+    Round 1: every vertex outside part j that has a neighbor inside part j
+    picks one such neighbor as its star center for instance j (the closest
+    one on weighted graphs, ties toward the smaller ID) and tells its part-j
+    neighbors; with ``internal`` it also keeps its edges inside its own
+    part.  Round 2: every part vertex picks, per star it heard about (its
+    own star included, duplicating a star edge), one of the senders and
+    notifies it of the selected edge.  Every outbox carries one message per
+    edge, so the rounds need no congestion allowance.
+
+    Edges enter ``spanner`` as the vertices decide them, every round-1 edge
+    before any round-2 edge.  An edge that a part vertex tags ``cross`` in
+    round 2 and someone tags ``star`` was already a round-1 star edge of
+    that vertex, so it keeps ``star``."""
+    if g.weighted:
+        def rank(v, u):
+            return (g.weight(v, u), u)
+    else:
+        def rank(v, u):
+            return u
+    chose_bits = BitCost.TAG + g.id_bits
+    selected = Msg(BitCost.TAG, (TAG_SELECTED,))
+
+    def step(v, inbox):
+        if not inbox:
+            mine = part.get(v)
+            if nbr_parts is None:
+                heard = {u: part[u] for u in g.adj[v] if u in part}
+            else:
+                heard = nbr_parts[v]
+            best: Dict[int, int] = {}
+            for u in g.adj[v]:
+                j = heard.get(u)
+                if j is None:
+                    continue
+                if j == mine:
+                    if internal:
+                        spanner.add(v, u, "internal")
+                    continue
+                cur = best.get(j)
+                if cur is None or rank(v, u) < rank(v, cur):
+                    best[j] = u
+            msgs = {}
+            for j, center in best.items():
+                spanner.add(v, center, "star")
+                msgs[j] = Msg(chose_bits, (TAG_CHOSE, center))
+            return {u: msgs[heard[u]] for u in g.adj[v] if heard.get(u) in msgs}
+        if inbox[0][1][0] == TAG_SELECTED:
+            return None
+        per_star: Dict[int, int] = {}
+        for sender, (_tag, center) in inbox:
+            cur = per_star.get(center)
+            if cur is None or rank(v, sender) < rank(v, cur):
+                per_star[center] = sender
+        out = {}
+        for center, picked in sorted(per_star.items()):
+            spanner.add(v, picked, "star" if center == v else "cross")
+            out[picked] = selected
+        return out
+
+    return _cascade(g, cfg, "star-spanner", g.vertices, step)
 
 
 def bipartite_3_spanner(

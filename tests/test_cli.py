@@ -157,13 +157,21 @@ def test_sparserbip_requires_bipartite_gen(tmp_path):
 
 
 def test_weighted_input_above_k2_is_usage_error(tmp_path, capsys):
-    for alg in ("sparserbip", "zerosc", "naive", "improved"):
+    # the message names the construction unless it has a weighted k = 2
+    cases = [
+        ("sparserbip", 4, "weighted graphs are only supported for k = 2"),
+        ("improved", 4, "weighted graphs are only supported for k = 2"),
+        ("zerosc", 4, "weighted graphs are not supported by cons_zero_superclustering"),
+        ("naive", 4, "weighted graphs are not supported by naive_spanner"),
+        ("naive", 2, "weighted graphs are not supported by naive_spanner"),
+    ]
+    for alg, k, text in cases:
         code = run_cli(
-            ["run", "--alg", alg, "--k", "4", "--gen", "bip:a=16,b=80,p=0.2",
-             "--weighted", "--seed", "1", "--out", str(tmp_path / alg)]
+            ["run", "--alg", alg, "--k", str(k), "--gen", "bip:a=16,b=80,p=0.2",
+             "--weighted", "--seed", "1", "--out", str(tmp_path / f"{alg}{k}")]
         )
-        assert code == 2, alg
-        assert "weighted graphs are only supported for k = 2" in capsys.readouterr().err
+        assert code == 2, (alg, k)
+        assert text in capsys.readouterr().err, (alg, k)
 
 
 def test_budget_below_floor_is_simulator_error(tmp_path, capsys):

@@ -10,11 +10,16 @@ import pytest
 
 from spanner import (
     Bipartition,
+    bipartite_3_spanner,
     cons_zero_superclustering,
     generate,
+    improved_3_spanner,
     improved_spanner,
     naive_spanner,
+    small_id_3_spanner,
     sparser_bipartite_spanner,
+    three_spanner_given_partition,
+    with_random_weights,
 )
 from spanner.pins import CORPUS_SPEC
 
@@ -34,7 +39,18 @@ def _build(alg, k, name):
         return improved_spanner(g, k)
     if alg == "sparserbip":
         return sparser_bipartite_spanner(g, Bipartition(range(16), range(16, g.n)), k)
-    return cons_zero_superclustering(g, k)
+    if alg == "zerosc":
+        return cons_zero_superclustering(g, k)
+    # the 3-spanners (k = 2)
+    if alg == "imp3":
+        return improved_3_spanner(g)
+    if alg == "imp3-weighted":
+        return improved_3_spanner(with_random_weights(g, 7))
+    if alg == "bip3":
+        return bipartite_3_spanner(g, Bipartition(range(16), range(16, g.n)))
+    if alg == "smallid3":
+        return small_id_3_spanner(g)
+    return three_spanner_given_partition(g, [g.vertices[i::3] for i in range(3)])
 
 
 # (construction, k, corpus graph) -> digest at the commit before the
@@ -55,6 +71,19 @@ GOLDEN = {
         "0dd90ef5f8202ce1b78c66cb4861ab12176372a602ec609fa39e6650657d05d3",
     ("zerosc", 4, "er10-100"):
         "207adbfb0ea9c7ab84010e9bd50ea50a61f3f8f29f8154a5ead85dd3f63ed493",
+    # digests at the commit before the star rounds left the NodeProgram
+    # engine: the partitioned, bipartite, small-ID and given-partition
+    # star constructions, unweighted and weighted
+    ("imp3", 2, "er30-80"):
+        "7abc2c75ca93f704674e1e22db23d0071483b0b2c1a58268a548570c247deba8",
+    ("imp3-weighted", 2, "er30-80"):
+        "6e74a41214e785d7b07fe7f95387a6f1b1020b4e69eb9d1597a5f416110372c3",
+    ("bip3", 2, "rbip-16x80"):
+        "869fe85ee8a389283f45e74906c43fb084c5322c4dbb09df79f0c712ae6a980a",
+    ("smallid3", 2, "bid-120"):
+        "c6f18fb07a09e78f516aad3afbefde71143468061b50a411672e827e12e28393",
+    ("given", 2, "grid-10x10"):
+        "42dc70ea3ef7e8183eb448534daa728c489229155b39c0af0edc1bce8dec6df8",
 }
 
 

@@ -10,6 +10,7 @@ from spanner.sim import (
     RoundLedger,
     SimError,
     SimTimeout,
+    _cascade,
     announce,
     default_bit_budget,
     exchange,
@@ -196,6 +197,78 @@ def test_exchange_matches_scripted_run(case):
         assert result == _outcome(via_run)
         if (stray or base_cfg.msg_bit_budget) and not strict:
             assert result[0] == "SimError"
+
+
+class PaddedFloodMax(FloodMax):
+    """FloodMax whose messages carry ``pad`` extra bits (0: FloodMax)."""
+
+    def __init__(self, pad):
+        self.pad = pad
+
+    def on_round(self, state, view, rnd, inbox):
+        out, halt = super().on_round(state, view, rnd, inbox)
+        return {u: Msg(m.bits + self.pad, m.body) for u, m in out.items()}, halt
+
+
+def _flood_max_cascade(g, cfg, pad):
+    """FloodMax as a ``_cascade`` step: round 1 calls every vertex, later
+    rounds only those with mail, and a vertex forwards an improvement to
+    every neighbour but the one it came from."""
+    best = {v: v for v in g.vertices}
+    bits = BitCost.TAG + g.id_bits + pad
+
+    def step(v, inbox):
+        src = None
+        improved = not inbox
+        for s, body in inbox:
+            if body > best[v]:
+                best[v], src, improved = body, s, True
+        if improved:
+            m = Msg(bits, best[v])
+            return {u: m for u in g.adj[v] if u != src}
+        return None
+
+    ledger = _cascade(g, cfg, PaddedFloodMax.name, g.vertices, step)
+    return best, ledger
+
+
+@st.composite
+def flood_cases(draw):
+    """A graph with n <= 12 (sparse IDs), a message padding, a budget that
+    is the default, below one tagged ID, exactly one or one padded message,
+    strict or audit mode, and a round cap of 1-4 or none."""
+    ids = sorted(draw(st.sets(st.integers(0, 300), min_size=2, max_size=12)))
+    rng = draw(st.randoms(use_true_random=False))
+    p = rng.choice((0.2, 0.4, 0.7))
+    g = Graph(ids, [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]
+                    if rng.random() < p])
+    pad = draw(st.sampled_from((3, 0)))
+    floor = BitCost.TAG + g.id_bits
+    budgets = (floor, floor + pad, None, floor - 1)
+    cfg = SimConfig(
+        msg_bit_budget=draw(st.sampled_from(budgets)),
+        strict=draw(st.booleans()),
+        max_rounds=draw(st.sampled_from((SimConfig.max_rounds, 1, 2, 3, 4))),
+    )
+    return g, pad, cfg
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(flood_cases())
+def test_cascade_matches_run(case):
+    # _cascade's accounting premise: a protocol in which only vertices with
+    # mail act gets the same outputs, ledger and errors as under run
+    g, pad, cfg = case
+
+    def via_run():
+        out, ledger = run(g, PaddedFloodMax(pad), cfg)
+        return out, ledger.to_json()
+
+    def via_cascade():
+        out, ledger = _flood_max_cascade(g, cfg, pad)
+        return out, ledger.to_json()
+
+    assert _outcome(via_cascade) == _outcome(via_run)
 
 
 class Sleeper(NodeProgram):

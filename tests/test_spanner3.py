@@ -5,6 +5,8 @@ import pytest
 from spanner import (
     Bipartition,
     Graph,
+    SimConfig,
+    SimTimeout,
     bipartite_3_spanner,
     generate,
     improved_3_spanner,
@@ -15,6 +17,7 @@ from spanner import (
     verify_stretch_allpairs,
     with_random_weights,
 )
+from spanner.sim import SimError
 
 
 def _crossing(g, a):
@@ -30,6 +33,26 @@ def test_bipartite_k24():
     assert res.spanner.size <= 4 + 2 * 2
     assert res.ledger.rounds_used == 2
     assert verify_stretch(g, res.spanner, 3).passed
+
+
+def test_bipartite_k24_round_cap():
+    # round 2 carries the SELECTED replies, so a third round delivers them
+    g = generate("complete-bipartite", {"a": 2, "b": 4})
+    part = Bipartition(range(2), range(2, 6))
+    with pytest.raises(SimTimeout) as exc:
+        bipartite_3_spanner(g, part, SimConfig(max_rounds=2))
+    assert str(exc.value) == "program 'star-spanner' exceeded max_rounds=2"
+    res = bipartite_3_spanner(g, part, SimConfig(max_rounds=3))
+    assert res.ledger.rounds_used == 2
+    assert res.ledger.to_json()["per_phase"] == [{"name": "star-spanner", "rounds": 2}]
+
+
+def test_star_rounds_reject_congestion_below_one():
+    g = generate("complete-bipartite", {"a": 2, "b": 4})
+    with pytest.raises(SimError, match="congestion_factor 0 below 1"):
+        bipartite_3_spanner(
+            g, Bipartition(range(2), range(2, 6)), SimConfig(congestion_factor=0)
+        )
 
 
 def test_bipartite_vertex_without_a_neighbor():
