@@ -1,11 +1,13 @@
 """Distributed building blocks shared by every spanner algorithm.
 
-Cluster growth, the ruling sets and tree partitioning are NodePrograms
-executed under the CONGEST engine.  The forest convergecast and broadcast,
-whose messages follow from a role table and values the host holds, run as
-host-scheduled rounds through the engine's send step instead.  Every
-wrapper is a pure function of (graph, inputs) and returns the assembled
-result together with the run's RoundLedger.
+Cluster growth, the power-graph floods, the tree partition and the forest
+convergecast and broadcast act only in round 1 or when mail arrives, so
+each runs as host-scheduled rounds through the engine's send step
+(``sim._cascade``): a ``step(v, inbox)`` closure reads the vertex's mail
+and the state the host tracks for it and returns its outbox.  The
+log-round ruling set acts on a phase clock and stays a NodeProgram.
+Every wrapper is a pure function of (graph, inputs) and returns the
+assembled result together with the run's RoundLedger.
 """
 
 from __future__ import annotations
@@ -31,62 +33,6 @@ from .sim import (
 # ---------------------------------------------------------------------------
 
 
-class GrowClusters(NodeProgram):
-    """Multi-source BFS to a depth bound: every vertex within reach joins the
-    cluster of its nearest center, breaking ties toward the larger center ID.
-
-    Offers received in the same round share one hop distance, so the winner
-    is simply the largest center ID heard that round; the parent is the
-    smallest-ID neighbor that relayed the winning offer.
-    """
-
-    name = "grow-clusters"
-
-    def __init__(self, depth: int):
-        self.depth = depth
-
-    def init(self, view):
-        is_center = bool(view.private and view.private.get("center"))
-        return {
-            "center": view.vid if is_center else None,
-            "parent": None,
-            "dist": 0 if is_center else None,
-        }
-
-    def on_round(self, state, view, rnd, inbox):
-        out = {}
-        if rnd == 1:
-            if state["center"] is not None and self.depth >= 1:
-                m = view.bits.msg((state["center"], 1), ids=1, counters=(self.depth,))
-                out = {u: m for u in view.neighbors}
-            return out, True
-        if state["center"] is None and inbox:
-            best_center = -1
-            best_from = None
-            dist = None
-            for sender, (center, d) in inbox:
-                if center > best_center:
-                    best_center = center
-                    best_from = sender
-                    dist = d
-                elif center == best_center and sender < best_from:
-                    best_from = sender
-            state["center"] = best_center
-            state["parent"] = best_from
-            state["dist"] = dist
-            if dist < self.depth:
-                m = view.bits.msg(
-                    (best_center, dist + 1), ids=1, counters=(self.depth,)
-                )
-                out = {u: m for u in view.neighbors if u != best_from}
-        return out, True
-
-    def on_finish(self, state, view):
-        if state["center"] is None:
-            return None
-        return (state["center"], state["parent"], state["dist"])
-
-
 def grow_bfs_clusters(
     g: Graph,
     centers: Iterable[int],
@@ -94,22 +40,48 @@ def grow_bfs_clusters(
     cfg: Optional[SimConfig] = None,
     level: Optional[int] = None,
 ) -> Tuple[Clustering, RoundLedger]:
-    """Grow depth-bounded BFS clusters around the given centers."""
-    centers = set(centers)
-    private = {v: {"center": True} for v in centers}
-    outputs, ledger = run(g, GrowClusters(depth), cfg, private=private, active=centers)
-    membership = {}
-    parents = {}
-    for v, outcome in outputs.items():
-        if outcome is None:
-            continue
-        center, parent, _dist = outcome
-        membership[v] = center
-        parents[v] = parent
+    """Grow depth-bounded BFS clusters around the given centers: every
+    vertex within reach joins the cluster of its nearest center, breaking
+    ties toward the larger center ID.
+
+    A center offers ``(center, 1)`` to its neighbors in round 1.  Offers a
+    vertex receives in one round share one hop distance, so the winner is
+    simply the largest center ID heard that round; the parent is the
+    smallest-ID neighbor that relayed it.  The vertex forwards the offer
+    one hop further while the depth bound allows, one ``8 + id_bits +
+    counter(depth)``-bit message per other neighbor.
+    """
+    width = BitCost.TAG + g.id_bits + BitCost(g).counter(depth)
+    joined: Dict[int, Tuple[int, Optional[int]]] = {}  # v -> (center, parent)
+
+    def step(v, inbox):
+        if not inbox:  # round 1, the only call without mail: v is a center
+            joined[v] = (v, None)
+            if depth < 1:
+                return None
+            m = Msg(width, (v, 1))
+            return {u: m for u in g.adj[v]}
+        if v in joined:
+            return None
+        best_center = -1
+        best_from = dist = None
+        for sender, (center, d) in inbox:
+            if center > best_center:
+                best_center, best_from, dist = center, sender, d
+            elif center == best_center and sender < best_from:
+                best_from = sender
+        joined[v] = (best_center, best_from)
+        if dist >= depth:
+            return None
+        m = Msg(width, (best_center, dist + 1))
+        return {u: m for u in g.adj[v] if u != best_from}
+
+    ledger = _cascade(g, cfg or SimConfig(), "grow-clusters", set(centers), step)
+    order = sorted(joined)
     clustering = Clustering(
         level=level if level is not None else depth,
-        membership=membership,
-        parents=parents,
+        membership={v: joined[v][0] for v in order},
+        parents={v: joined[v][1] for v in order},
         depth_bound=depth,
     )
     return clustering, ledger
@@ -335,17 +307,13 @@ class RulingSetLog(NodeProgram):
 
     def init(self, view):
         return {
-            "candidate": bool(view.private and view.private.get("candidate")),
             "active": bool(view.private and view.private.get("candidate")),
             "forwarded_level": -1,
         }
 
-    def level_of(self, rnd: int) -> int:
-        return (rnd - 1) // 4
-
     def on_round(self, state, view, rnd, inbox):
         out = {}
-        level = self.level_of(rnd)
+        level = (rnd - 1) // 4
         if level >= self.bits_total:
             return {}, True
         bit = self.bits_total - 1 - level
@@ -381,87 +349,17 @@ def ruling_set_log(
     cand = set(candidates)
     if not cand:
         raise ValueError("candidate set must be nonempty")
+    strays = sorted(cand.difference(g.adj))
+    if strays:
+        raise SimError(f"{RulingSetLog.name}: active non-vertices {strays[:5]}")
     private = {v: {"candidate": True} for v in cand}
-    outputs, ledger = run(g, RulingSetLog(g.id_bits), cfg, private=private, active=cand)
+    outputs, ledger = run(g, RulingSetLog(g.id_bits), cfg, private=private)
     return {v for v, kept in outputs.items() if kept}, ledger
 
 
 # ---------------------------------------------------------------------------
 # Ruling set on a power graph
 # ---------------------------------------------------------------------------
-
-
-class MinFlood(NodeProgram):
-    """Hop-limited minimum flood: every vertex learns the smallest source ID
-    within the radius.  Improvements are forwarded immediately, so the run
-    quiesces as soon as the minima stabilize."""
-
-    name = "min-flood"
-
-    def __init__(self, radius: int):
-        self.R = radius
-
-    def init(self, view):
-        src = bool(view.private and view.private.get("source"))
-        return {"m": view.vid if src else None, "source": src}
-
-    def on_round(self, state, view, rnd, inbox):
-        out: Dict[int, Msg] = {}
-        best_h = None
-        best_from = None
-        for sender, (mid, hop) in inbox:
-            if state["m"] is None or mid < state["m"]:
-                state["m"] = mid
-                best_h = hop
-                best_from = sender
-        if best_h is not None and best_h < self.R:
-            m = view.bits.msg((state["m"], best_h + 1), ids=1, counters=(self.R,))
-            for u in view.neighbors:
-                if u != best_from:
-                    out[u] = m
-        if rnd == 1 and state["source"]:
-            m = view.bits.msg((view.vid, 1), ids=1, counters=(self.R,))
-            for u in view.neighbors:
-                out[u] = m
-        return out, True
-
-    def on_finish(self, state, view):
-        return state["m"]
-
-
-class HopFlood(NodeProgram):
-    """Hop-limited reachability flood; outputs whether the vertex heard it."""
-
-    name = "hop-flood"
-
-    def __init__(self, radius: int):
-        self.R = radius
-
-    def init(self, view):
-        src = bool(view.private and view.private.get("source"))
-        return {"heard": src, "forwarded": False, "source": src}
-
-    def on_round(self, state, view, rnd, inbox):
-        out: Dict[int, Msg] = {}
-        best = None
-        for _sender, hop in inbox:
-            state["heard"] = True
-            if best is None or hop < best:
-                best = hop
-        if rnd == 1 and state["source"]:
-            state["forwarded"] = True
-            m = view.bits.msg(1, counters=(self.R,))
-            for u in view.neighbors:
-                out[u] = m
-        elif best is not None and best < self.R and not state["forwarded"]:
-            state["forwarded"] = True
-            m = view.bits.msg(best + 1, counters=(self.R,))
-            for u in view.neighbors:
-                out[u] = m
-        return out, True
-
-    def on_finish(self, state, view):
-        return state["heard"]
 
 
 def ruling_set_power(
@@ -474,35 +372,77 @@ def ruling_set_power(
     subset of the candidates with pairwise distance >= 3t in g, and every
     candidate lies within 4t hops of it.
 
-    The election runs in waves on g itself.  Each wave is a MinFlood of
+    The election runs in waves on g itself.  Each wave is a min-flood of
     radius 3t-1 from the still-active candidates (a candidate that hears no
-    smaller ID joins), then a HopFlood of the same radius from the joiners
+    smaller ID joins), then a hop-flood of the same radius from the joiners
     that deactivates every active candidate it reaches.  So joiners are
     >= 3t apart and every candidate is within 3t-1 hops of one.  A wave
     costs at most 2(3t-1) rounds, and at least one candidate joins per
     wave; the ledger holds one power-min-flood and one power-deactivate
     phase per wave.
+
+    The min-flood forwards each improvement at once, ``(smallest ID, hop)``
+    in ``8 + id_bits + counter(3t-1)`` bits to every neighbor but the one
+    it came from, so it quiesces as soon as the minima stabilize.  The
+    hop-flood sends ``hop`` in ``8 + counter(3t-1)`` bits; a vertex
+    forwards it once, when it first hears it.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     cand = set(candidates)
     if not cand:
         raise ValueError("candidate set must be nonempty")
-    ledger = RoundLedger()
+    cfg = cfg or SimConfig()
     radius = 3 * t - 1
-    active = set(cand)
+    counter = BitCost(g).counter(radius)
+    low_width = BitCost.TAG + g.id_bits + counter
+    hop_width = BitCost.TAG + counter
+    low: Dict[int, int] = {}  # smallest source ID heard in this wave
+    heard: Set[int] = set()  # vertices the deactivation reached
+
+    def min_step(v, inbox):
+        if not inbox:  # round 1: v is a source
+            low[v] = v
+            m = Msg(low_width, (v, 1))
+            return {u: m for u in g.adj[v]}
+        best = low.get(v)
+        best_h = None
+        for sender, (mid, hop) in inbox:
+            if best is None or mid < best:
+                best, best_h, best_from = mid, hop, sender
+        if best_h is None:
+            return None
+        low[v] = best
+        if best_h >= radius:
+            return None
+        m = Msg(low_width, (best, best_h + 1))
+        return {u: m for u in g.adj[v] if u != best_from}
+
+    def hop_step(v, inbox):
+        # a message sent in round r carries hop r, so a vertex's first mail
+        # holds its smallest hop count and later mail cannot let it forward
+        if v in heard:
+            return None
+        heard.add(v)
+        hop = min(h for _s, h in inbox) if inbox else 0  # round 1: v is a source
+        if hop >= radius:
+            return None
+        m = Msg(hop_width, hop + 1)
+        return {u: m for u in g.adj[v]}
+
+    ledger = RoundLedger()
+    active = cand
     chosen: Set[int] = set()
     while active:
-        private = {v: {"source": True} for v in active}
-        minima, led = run(g, MinFlood(radius), cfg, private=private, active=active)
+        low.clear()
+        led = _cascade(g, cfg, "min-flood", active, min_step)
         ledger.extend_sequential(led, name="power-min-flood")
-        joiners = {v for v in active if minima[v] == v}
+        joiners = {v for v in active if low[v] == v}
         chosen |= joiners
-        private = {v: {"source": True} for v in joiners}
-        heard, led = run(g, HopFlood(radius), cfg, private=private, active=joiners)
+        heard.clear()
+        led = _cascade(g, cfg, "hop-flood", joiners, hop_step)
         ledger.extend_sequential(led, name="power-deactivate")
-        # a candidate the deactivation never reached was never woken
-        active = {v for v in active if not heard.get(v, False)}
+        active = active - heard
     return chosen, ledger
 
 
@@ -511,100 +451,7 @@ def ruling_set_power(
 # ---------------------------------------------------------------------------
 
 
-class TreePartitionProgram(NodeProgram):
-    """Distributed balanced partitioning of a rooted vertex-weighted tree.
-
-    Bottom-up, every vertex receives from each child either the weight of
-    the child's leftover set or a no-leftover marker, groups leftover
-    children (in increasing child ID) into parts of weight in (B, 2B], and
-    keeps the light tail plus itself as its own root part.  Top-down, every
-    vertex that resolves a part identity pushes it into the leftover
-    subtrees that merged into it.
-    """
-
-    name = "tree-partition"
-
-    TAG_LEFT, TAG_NOLEFT, TAG_ASSIGN = 0, 1, 2
-
-    def __init__(self, bound: int, total_bound: int):
-        self.B = bound
-        self.total = total_bound
-
-    def init(self, view):
-        p = view.private
-        return {
-            "parent": p["parent"],
-            "waiting": set(p["children"]),
-            "w": p["weight"],
-            "leftovers": [],          # (child, weight) reports
-            "tail": [],               # children merged into own root part
-            "groups": [],             # finalized groups [(idx, [children])]
-            "part": None,             # (root_id, idx) once resolved
-            "processed": False,
-            "notify": [],             # queued (child, part) notifications
-        }
-
-    def _process(self, state, view):
-        state["processed"] = True
-        groups: List[List[int]] = []
-        acc: List[int] = []
-        acc_w = 0
-        for child, w in sorted(state["leftovers"]):
-            acc.append(child)
-            acc_w += w
-            if acc_w > self.B:
-                groups.append(acc)
-                acc = []
-                acc_w = 0
-        idx = 1
-        for grp in groups:
-            state["groups"].append((idx, grp))
-            for c in grp:
-                state["notify"].append((c, (view.vid, idx)))
-            idx += 1
-        state["tail"] = acc
-        tail_w = acc_w + state["w"]
-        if state["parent"] is None:
-            # global root: own part always finalizes as part 0
-            state["part"] = (view.vid, 0)
-            for c in state["tail"]:
-                state["notify"].append((c, state["part"]))
-            return None
-        if tail_w <= self.B:
-            return (self.TAG_LEFT, tail_w)
-        # heavy root part stays here, becomes a finalized part now
-        state["part"] = (view.vid, 0)
-        for c in state["tail"]:
-            state["notify"].append((c, state["part"]))
-        return (self.TAG_NOLEFT,)
-
-    def on_round(self, state, view, rnd, inbox):
-        out = {}
-        for sender, body in inbox:
-            tag = body[0]
-            if tag == self.TAG_LEFT:
-                state["leftovers"].append((sender, body[1]))
-                state["waiting"].discard(sender)
-            elif tag == self.TAG_NOLEFT:
-                state["waiting"].discard(sender)
-            else:
-                state["part"] = (body[1], body[2])
-                for c in state["tail"]:
-                    state["notify"].append((c, state["part"]))
-        if not state["waiting"] and not state["processed"]:
-            report = self._process(state, view)
-            if report is not None:
-                counters = (self.B,) if report[0] == self.TAG_LEFT else ()
-                out[state["parent"]] = view.bits.msg(report, counters=counters)
-        while state["notify"]:
-            child, (root, idx) = state["notify"].pop(0)
-            out[child] = view.bits.msg(
-                (self.TAG_ASSIGN, root, idx), ids=1, counters=(self.total,)
-            )
-        return out, state["processed"] and not state["notify"]
-
-    def on_finish(self, state, view):
-        return {"part": state["part"], "groups": state["groups"]}
+TAG_LEFT, TAG_NOLEFT, TAG_ASSIGN = 0, 1, 2
 
 
 def partition_tree(
@@ -612,30 +459,85 @@ def partition_tree(
 ) -> Tuple[TreePartition, RoundLedger]:
     """Partition a vertex-weighted tree into edge-disjoint parts whose owned
     weights all lie in [B, 2B] except for at most one light part rooted at
-    the tree root.  Runs in O(diam) rounds on the tree's edges."""
+    the tree root.  Runs in O(diam) rounds on the tree's edges.
+
+    Bottom-up, every vertex receives from each child either the weight of
+    the child's leftover set (``8 + counter(B)`` bits) or a no-leftover
+    marker (8 bits), groups leftover children (in increasing child ID)
+    into parts of weight in (B, 2B], and keeps the light tail plus itself
+    as its own root part.  Top-down, every vertex that resolves a part
+    identity pushes it, ``8 + id_bits + counter(n)`` bits, into the
+    leftover subtrees that merged into it.
+    """
     if t.bound < 1:
         raise ValueError("bound B must be >= 1")
     t.validate()
     tree_graph = Graph(t.vertices(), t.edges)
     tree = orient_tree(t.root, t.edges)
-    private = {
-        v: {"parent": p, "children": ch, "weight": t.weights.get(v, 0)}
-        for v, (p, ch) in tree.items()
-    }
-    program = TreePartitionProgram(t.bound, total_bound=len(tree))
-    outputs, ledger = run(tree_graph, program, cfg, private=private)
+    bound = t.bound
+    bits = BitCost(tree_graph)
+    left_width = BitCost.TAG + bits.counter(bound)
+    assign_width = BitCost.TAG + tree_graph.id_bits + bits.counter(len(tree))
+    waiting = {v: set(ch) for v, (_p, ch) in tree.items()}
+    leftovers: Dict[int, List[Tuple[int, int]]] = {v: [] for v in tree}
+    tail: Dict[int, List[int]] = {}  # leftover children merged into v's root part
+    part: Dict[int, Tuple[int, int]] = {}  # (root_id, idx) once resolved
+
+    def assign(out, children, key):
+        m = Msg(assign_width, (TAG_ASSIGN, *key))
+        for c in children:
+            out[c] = m
+
+    def step(v, inbox):
+        out = {}
+        for sender, body in inbox:
+            if body[0] == TAG_ASSIGN:
+                part[v] = body[1:]
+                assign(out, tail[v], part[v])
+            else:
+                waiting[v].discard(sender)
+                if body[0] == TAG_LEFT:
+                    leftovers[v].append((sender, body[1]))
+        if waiting[v] or v in tail:
+            return out
+        # every child has reported (a leaf: round 1); group the leftovers
+        acc: List[int] = []
+        acc_w = 0
+        idx = 0
+        for child, w in sorted(leftovers[v]):
+            acc.append(child)
+            acc_w += w
+            if acc_w > bound:
+                idx += 1
+                assign(out, acc, (v, idx))
+                acc = []
+                acc_w = 0
+        tail[v] = acc
+        tail_w = acc_w + t.weights.get(v, 0)
+        parent = tree[v][0]
+        if parent is not None and tail_w <= bound:
+            out[parent] = Msg(left_width, (TAG_LEFT, tail_w))
+            return out
+        # the global root's part, or a heavy root part, finalizes here
+        if parent is not None:
+            out[parent] = Msg(BitCost.TAG, (TAG_NOLEFT,))
+        part[v] = (v, 0)
+        assign(out, acc, part[v])
+        return out
+
+    ledger = _cascade(tree_graph, cfg or SimConfig(), "tree-partition", tree, step)
 
     keys: List[Tuple[int, int]] = []
     owned: Dict[Tuple[int, int], Set[int]] = {}
     for v in sorted(tree):
-        key = outputs[v]["part"]
+        key = part.get(v)
         if key is None:
             raise SimError(f"vertex {v} left unassigned by tree partition")
         owned.setdefault(key, set()).add(v)
         if key not in keys:
             keys.append(key)
     # part 0 is the (possibly light) part owned by the global root
-    root_key = outputs[t.root]["part"]
+    root_key = part[t.root]
     keys.sort(key=lambda k: (k != root_key, k))
     parts = []
     for key in keys:

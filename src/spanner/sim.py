@@ -16,20 +16,20 @@ vertex votes halt and no message is in flight.  ``rounds_used`` counts
 communication rounds, i.e. the index of the last round that carried at
 least one message.
 
-The host pays per vertex that acts, not per vertex of the graph.  A run may
-name the vertices that act in round 1 (``run(..., active=...)``); every
-other vertex sleeps, with no view or state, until a message reaches it, and
-after that only vertices that have not voted halt or have mail are called.
-The send step checks a whole outbox at once and, if that check fails, falls
-back to a per-message loop that alone records or raises violations.
+Every vertex of a run is set up and called in round 1; after that only
+vertices that have not voted halt or have mail are called.  The send step
+checks a whole outbox at once and, if that check fails, falls back to a
+per-message loop that alone records or raises violations.
 
 Rounds whose messages follow from state the host already tracks skip the
 vertex programs but not the send step: ``exchange`` posts one precomputed
 round, and ``_cascade`` runs rounds in which only the vertices with mail
-act (the forest convergecast and broadcast in ``primitives`` and the two
-star rounds of the 3-spanners in ``spanner3``).  Both post through
-``_post``, so bits, congestion, neighbours and rounds are accounted
-exactly as for a program.
+act (in ``primitives`` cluster growth, the power-graph floods, the tree
+partition and the forest convergecast and broadcast; in ``spanner3`` the
+two star rounds of the 3-spanners).  Both post through ``_post``, so
+bits, congestion, neighbours and rounds are accounted exactly as for a
+program.  Only protocols that act on a phase clock, in rounds where a
+vertex has no mail, remain NodePrograms.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .graph import Graph
 
@@ -191,10 +191,9 @@ class RoundLedger:
 
 class NodeView:
     """Everything a vertex knows when a run starts: its ID, its sorted
-    neighbor IDs, its private input (carry-over state from earlier phases,
-    and incident edge weights where a program needs them), the run's field
-    widths and its per-message bit budget.  Nothing else of the graph is
-    reachable from here."""
+    neighbor IDs, its private input (carry-over state from earlier
+    phases), the run's field widths and its per-message bit budget.
+    Nothing else of the graph is reachable from here."""
 
     __slots__ = ("vid", "neighbors", "private", "bits", "budget")
 
@@ -295,17 +294,11 @@ def run(
     program: NodeProgram,
     cfg: Optional[SimConfig] = None,
     private: Optional[Dict[int, Any]] = None,
-    active: Optional[Iterable[int]] = None,
 ) -> Tuple[Dict[int, Any], RoundLedger]:
-    """Execute one program on g until global halt; returns per-vertex outputs.
-
-    ``active`` (default: every vertex) names the vertices called in round 1.
-    Any other vertex gets no view, ``init`` or callback until a message
-    reaches it, and has no output if none does.  That is exact when its
-    round-1 callback on an empty inbox would send nothing and vote halt.
-    Audit mode (``strict=False``) checks that premise instead of trusting
-    it: every vertex is set up and called in round 1, and one outside
-    ``active`` that sends or stays awake raises SimError."""
+    """Execute one program on g until global halt; returns per-vertex
+    outputs in ID order.  Every vertex gets its view, ``init`` and a
+    round-1 callback; later rounds call the vertices that are awake or
+    have mail."""
     cfg = cfg or SimConfig()
     cfg.check(g)
     budget = cfg.budget_for(g)
@@ -314,26 +307,11 @@ def run(
     ledger = RoundLedger()
     views: Dict[int, NodeView] = {}
     states: Dict[int, Any] = {}
-
-    def wake(v):
+    for v in g.vertices:
         views[v] = view = NodeView(v, g.adj[v], private.get(v), bits, budget)
         states[v] = program.init(view)
 
-    first = g.vertices
-    idle: Set[int] = set()  # audit mode: outside `active`, must stay quiet
-    if active is not None:
-        active = set(active)
-        strays = active.difference(g.adj)
-        if strays:
-            raise SimError(f"{program.name}: active non-vertices {sorted(strays)[:5]}")
-        if cfg.strict:
-            first = sorted(active)
-        else:
-            idle = set(g.vertices).difference(active)
-    for v in first:
-        wake(v)
-
-    awake = set(first)  # called next round even with an empty inbox
+    awake = set(g.vertices)  # called next round even with an empty inbox
     inboxes: Dict[int, List[Tuple[int, Any]]] = {}
     rnd = 0
     silent = 0
@@ -353,21 +331,13 @@ def run(
         next_in: Dict[int, List[Tuple[int, Any]]] = defaultdict(list)
         sent_before = ledger.messages_total
         for v in callees:
-            if v not in states:
-                wake(v)
             outbox, halt = program.on_round(states[v], views[v], rnd, inboxes.pop(v, []))
-            if idle and v in idle and (outbox or not halt):
-                raise SimError(
-                    f"{program.name}: vertex {v} outside the active set "
-                    "sent or stayed awake in round 1"
-                )
             if halt:
                 awake.discard(v)
             else:
                 awake.add(v)
             if outbox:
                 _post(g, cfg, budget, ledger, program.name, rnd, v, outbox, next_in)
-        idle.clear()
         if ledger.messages_total > sent_before:
             ledger.rounds_used = rnd
             silent = 0
@@ -375,7 +345,7 @@ def run(
             silent += 1
         inboxes = next_in
 
-    outputs = {v: program.on_finish(states[v], views[v]) for v in sorted(states)}
+    outputs = {v: program.on_finish(states[v], views[v]) for v in g.vertices}
     ledger.per_phase.append((program.name, ledger.rounds_used))
     return outputs, ledger
 
@@ -424,6 +394,9 @@ def _cascade(
     budget = cfg.budget_for(g)
     ledger = RoundLedger()
     callees = sorted(first)
+    strays = [v for v in callees if v not in g.adj]
+    if strays:
+        raise SimError(f"{name}: active non-vertices {strays[:5]}")
     inboxes: Dict[int, List[Tuple[int, Any]]] = {}
     rnd = 0
     while callees:

@@ -10,6 +10,7 @@ import pytest
 
 from spanner import (
     Bipartition,
+    SimConfig,
     bipartite_3_spanner,
     cons_zero_superclustering,
     generate,
@@ -33,6 +34,12 @@ def _graph(name):
 
 def _build(alg, k, name):
     g = _graph(name)
+    if alg.endswith("-audit"):
+        # audit mode at the budget floor: every overrun is a violation
+        # record in the ledger instead of an error
+        cfg = SimConfig(strict=False, msg_bit_budget=8 + g.id_bits)
+        build = improved_spanner if alg == "improved-audit" else cons_zero_superclustering
+        return build(g, k, cfg)
     if alg == "naive":
         return naive_spanner(g, k)
     if alg == "improved":
@@ -84,6 +91,15 @@ GOLDEN = {
         "c6f18fb07a09e78f516aad3afbefde71143468061b50a411672e827e12e28393",
     ("given", 2, "grid-10x10"):
         "42dc70ea3ef7e8183eb448534daa728c489229155b39c0af0edc1bce8dec6df8",
+    # digests at the commit before cluster growth, the power-graph floods
+    # and the tree partition left the NodeProgram engine; their ledgers
+    # hold the violation records of all four (hyper-64: 2,742
+    # grow-clusters, 2,990 min-flood, 384 hop-flood, 128 tree-partition;
+    # er10-100: 1,803, 5,119, 0 and 98)
+    ("improved-audit", 6, "hyper-64"):
+        "5b67bd8fa9110f38d1dfef6d3610c38d506098d553187058b55bc6d5520d3cbe",
+    ("zerosc-audit", 4, "er10-100"):
+        "dec4d87032c7f54c90d317dd6b1fce171961ef26e56b93f671addfeb01fe918d",
 }
 
 

@@ -19,7 +19,7 @@ from spanner import (
     ruling_set_log,
     ruling_set_power,
 )
-from spanner.clustering import orient_tree
+from spanner.clustering import Clustering, TreePart, TreePartition, orient_tree
 from spanner.graph import canon
 from spanner.kspanner.common import (
     TAG_END,
@@ -236,8 +236,7 @@ def _ref_edge_roles(roles):
 def ref_forest_aggregate(g, roles, values, combine, bound, cfg):
     bound = bound if bound is not None else max(2 * g.n + 1, 2)
     private = {v: {"roles": rs, "values": values.get(v, {})} for v, rs in roles.items()}
-    outputs, ledger = run(g, RefAggregate(combine, bound), cfg, private=private,
-                          active=roles)
+    outputs, ledger = run(g, RefAggregate(combine, bound), cfg, private=private)
     result = {}
     for v in roles:
         result.update(outputs[v])
@@ -249,7 +248,7 @@ def ref_forest_broadcast(g, roles, root_values, bound, cfg):
     private = {v: {"roles": rs, "values": {key: root_values.get(key, 0)
                                            for key, p, _ch in rs if p is None}}
                for v, rs in roles.items()}
-    outputs, ledger = run(g, RefBroadcast(bound), cfg, private=private, active=roles)
+    outputs, ledger = run(g, RefBroadcast(bound), cfg, private=private)
     result = {v: {} for v in g.vertices}
     result.update(outputs)
     return result, ledger
@@ -293,7 +292,7 @@ def random_forest(rng):
 def _outcome(call):
     try:
         out, ledger = call()
-    except SimError as exc:
+    except (SimError, ValueError) as exc:
         return type(exc), str(exc)
     return repr(out), ledger.to_json()
 
@@ -675,7 +674,7 @@ def test_partition_random_trees(seed):
     assert len(tp.parts) <= math.ceil(max(total, 1) / B) + 1
 
 
-# -- active-vertex scheduling in the wrappers ---------------------------------
+# -- the wrappers' edge cases --------------------------------------------------
 
 
 def test_forest_broadcast_roleless_vertex_gets_empty_dict():
@@ -699,9 +698,8 @@ def test_ruling_power_candidate_never_woken():
 @settings(derandomize=True, max_examples=15, deadline=None)
 @given(st.integers(0, 10**6))
 def test_wrappers_match_audit_mode(seed):
-    """Audit mode sets up and calls every vertex in round 1 and checks that
-    the ones left out of each wrapper's active set stay quiet, so every
-    wrapper must return the same result and ledger in both modes."""
+    """Within the budget, audit mode records nothing and raises nothing,
+    so every wrapper returns the same result and ledger in both modes."""
     rng = random.Random(seed)
     n = rng.randint(2, 40)
     g = generate("erdos-renyi", {"n": n, "p": 3.0 / n}, seed=seed)
@@ -720,3 +718,337 @@ def test_wrappers_match_audit_mode(seed):
         return cl.membership, cl.parents, sizes, got, ruled, power, ledgers
 
     assert builds(CFG) == builds(audit)
+
+
+def test_wrappers_reject_non_vertices():
+    g = generate("path", {"n": 4})
+    with pytest.raises(SimError, match=r"^grow-clusters: active non-vertices \[99\]$"):
+        grow_bfs_clusters(g, {99}, 2)
+    with pytest.raises(SimError, match=r"^min-flood: active non-vertices \[99\]$"):
+        ruling_set_power(g, {99}, 1)
+    with pytest.raises(SimError, match=r"^ruling-set-log: active non-vertices \[99\]$"):
+        ruling_set_log(g, {1, 99})
+
+
+# -- the mail-driven primitives against the vertex programs they replace ------
+
+
+class RefGrowClusters(NodeProgram):
+    """Reference for ``grow_bfs_clusters``: multi-source BFS as a vertex
+    program; the largest center ID heard in a round wins, relayed by the
+    smallest-ID sender."""
+
+    name = "grow-clusters"
+
+    def __init__(self, depth):
+        self.depth = depth
+
+    def init(self, view):
+        is_center = bool(view.private and view.private.get("center"))
+        return {"center": view.vid if is_center else None, "parent": None,
+                "dist": 0 if is_center else None}
+
+    def on_round(self, state, view, rnd, inbox):
+        out = {}
+        if rnd == 1:
+            if state["center"] is not None and self.depth >= 1:
+                m = view.bits.msg((state["center"], 1), ids=1, counters=(self.depth,))
+                out = {u: m for u in view.neighbors}
+            return out, True
+        if state["center"] is None and inbox:
+            best_center = -1
+            best_from = None
+            dist = None
+            for sender, (center, d) in inbox:
+                if center > best_center:
+                    best_center = center
+                    best_from = sender
+                    dist = d
+                elif center == best_center and sender < best_from:
+                    best_from = sender
+            state["center"] = best_center
+            state["parent"] = best_from
+            state["dist"] = dist
+            if dist < self.depth:
+                m = view.bits.msg((best_center, dist + 1), ids=1, counters=(self.depth,))
+                out = {u: m for u in view.neighbors if u != best_from}
+        return out, True
+
+    def on_finish(self, state, view):
+        if state["center"] is None:
+            return None
+        return (state["center"], state["parent"], state["dist"])
+
+
+class RefMinFlood(NodeProgram):
+    """Reference for the min-flood: every vertex learns the smallest
+    source ID within the radius, forwarding each improvement."""
+
+    name = "min-flood"
+
+    def __init__(self, radius):
+        self.R = radius
+
+    def init(self, view):
+        src = bool(view.private and view.private.get("source"))
+        return {"m": view.vid if src else None, "source": src}
+
+    def on_round(self, state, view, rnd, inbox):
+        out = {}
+        best_h = None
+        best_from = None
+        for sender, (mid, hop) in inbox:
+            if state["m"] is None or mid < state["m"]:
+                state["m"] = mid
+                best_h = hop
+                best_from = sender
+        if best_h is not None and best_h < self.R:
+            m = view.bits.msg((state["m"], best_h + 1), ids=1, counters=(self.R,))
+            for u in view.neighbors:
+                if u != best_from:
+                    out[u] = m
+        if rnd == 1 and state["source"]:
+            m = view.bits.msg((view.vid, 1), ids=1, counters=(self.R,))
+            for u in view.neighbors:
+                out[u] = m
+        return out, True
+
+    def on_finish(self, state, view):
+        return state["m"]
+
+
+class RefHopFlood(NodeProgram):
+    """Reference for the hop-flood: outputs whether the vertex heard it."""
+
+    name = "hop-flood"
+
+    def __init__(self, radius):
+        self.R = radius
+
+    def init(self, view):
+        src = bool(view.private and view.private.get("source"))
+        return {"heard": src, "forwarded": False, "source": src}
+
+    def on_round(self, state, view, rnd, inbox):
+        out = {}
+        best = None
+        for _sender, hop in inbox:
+            state["heard"] = True
+            if best is None or hop < best:
+                best = hop
+        if rnd == 1 and state["source"]:
+            state["forwarded"] = True
+            m = view.bits.msg(1, counters=(self.R,))
+            for u in view.neighbors:
+                out[u] = m
+        elif best is not None and best < self.R and not state["forwarded"]:
+            state["forwarded"] = True
+            m = view.bits.msg(best + 1, counters=(self.R,))
+            for u in view.neighbors:
+                out[u] = m
+        return out, True
+
+    def on_finish(self, state, view):
+        return state["heard"]
+
+
+class RefTreePartition(NodeProgram):
+    """Reference for ``partition_tree``: leftover reports bottom-up, part
+    assignments top-down, as a vertex program."""
+
+    name = "tree-partition"
+
+    TAG_LEFT, TAG_NOLEFT, TAG_ASSIGN = 0, 1, 2
+
+    def __init__(self, bound, total_bound):
+        self.B = bound
+        self.total = total_bound
+
+    def init(self, view):
+        p = view.private
+        return {"parent": p["parent"], "waiting": set(p["children"]), "w": p["weight"],
+                "leftovers": [], "tail": [], "part": None, "processed": False,
+                "notify": []}
+
+    def _process(self, state, view):
+        state["processed"] = True
+        groups = []
+        acc = []
+        acc_w = 0
+        for child, w in sorted(state["leftovers"]):
+            acc.append(child)
+            acc_w += w
+            if acc_w > self.B:
+                groups.append(acc)
+                acc = []
+                acc_w = 0
+        for idx, grp in enumerate(groups, 1):
+            for c in grp:
+                state["notify"].append((c, (view.vid, idx)))
+        state["tail"] = acc
+        tail_w = acc_w + state["w"]
+        if state["parent"] is None:
+            state["part"] = (view.vid, 0)
+            for c in state["tail"]:
+                state["notify"].append((c, state["part"]))
+            return None
+        if tail_w <= self.B:
+            return (self.TAG_LEFT, tail_w)
+        state["part"] = (view.vid, 0)
+        for c in state["tail"]:
+            state["notify"].append((c, state["part"]))
+        return (self.TAG_NOLEFT,)
+
+    def on_round(self, state, view, rnd, inbox):
+        out = {}
+        for sender, body in inbox:
+            tag = body[0]
+            if tag == self.TAG_LEFT:
+                state["leftovers"].append((sender, body[1]))
+                state["waiting"].discard(sender)
+            elif tag == self.TAG_NOLEFT:
+                state["waiting"].discard(sender)
+            else:
+                state["part"] = (body[1], body[2])
+                for c in state["tail"]:
+                    state["notify"].append((c, state["part"]))
+        if not state["waiting"] and not state["processed"]:
+            report = self._process(state, view)
+            if report is not None:
+                counters = (self.B,) if report[0] == self.TAG_LEFT else ()
+                out[state["parent"]] = view.bits.msg(report, counters=counters)
+        while state["notify"]:
+            child, (root, idx) = state["notify"].pop(0)
+            out[child] = view.bits.msg((self.TAG_ASSIGN, root, idx), ids=1,
+                                       counters=(self.total,))
+        return out, state["processed"] and not state["notify"]
+
+    def on_finish(self, state, view):
+        return state["part"]
+
+
+def ref_grow_bfs_clusters(g, centers, depth, cfg):
+    private = {v: {"center": True} for v in centers}
+    outputs, ledger = run(g, RefGrowClusters(depth), cfg, private=private)
+    membership = {}
+    parents = {}
+    for v, outcome in outputs.items():
+        if outcome is not None:
+            membership[v], parents[v], _dist = outcome
+    return Clustering(level=depth, membership=membership, parents=parents,
+                      depth_bound=depth), ledger
+
+
+def ref_ruling_set_power(g, candidates, t, cfg):
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    if not candidates:
+        raise ValueError("candidate set must be nonempty")
+    ledger = RoundLedger()
+    radius = 3 * t - 1
+    active = set(candidates)
+    chosen = set()
+    while active:
+        private = {v: {"source": True} for v in active}
+        minima, led = run(g, RefMinFlood(radius), cfg, private=private)
+        ledger.extend_sequential(led, name="power-min-flood")
+        joiners = {v for v in active if minima[v] == v}
+        chosen |= joiners
+        private = {v: {"source": True} for v in joiners}
+        heard, led = run(g, RefHopFlood(radius), cfg, private=private)
+        ledger.extend_sequential(led, name="power-deactivate")
+        active = {v for v in active if not heard[v]}
+    return chosen, ledger
+
+
+def ref_partition_tree(t, cfg):
+    if t.bound < 1:
+        raise ValueError("bound B must be >= 1")
+    t.validate()
+    tree = orient_tree(t.root, t.edges)
+    private = {v: {"parent": p, "children": ch, "weight": t.weights.get(v, 0)}
+               for v, (p, ch) in tree.items()}
+    outputs, ledger = run(Graph(t.vertices(), t.edges),
+                          RefTreePartition(t.bound, len(tree)), cfg, private=private)
+    keys = []
+    owned = {}
+    for v in sorted(tree):
+        key = outputs[v]
+        if key is None:
+            raise SimError(f"vertex {v} left unassigned by tree partition")
+        owned.setdefault(key, set()).add(v)
+        if key not in keys:
+            keys.append(key)
+    root_key = outputs[t.root]
+    keys.sort(key=lambda k: (k != root_key, k))
+    parts = []
+    for key in keys:
+        vs = owned[key]
+        edges = frozenset(canon(v, tree[v][0]) for v in vs
+                          if tree[v][0] is not None and v != key[0])
+        parts.append(TreePart(root=key[0], owned=frozenset(vs), edges=edges))
+    return TreePartition(parts=parts, leftover_index=0), ledger
+
+
+def random_primitive_inputs(rng):
+    """A graph with n <= 30 on sparse IDs, possibly disconnected and with
+    isolated vertices; centers (possibly none) and candidates (possibly
+    none) among its vertices; depth 0..4 and t 1..3; a random tree on
+    sparse IDs with weights up to B in 1..5 (rarely one above); and a
+    strict or audit config whose budget is the default or the floor plus
+    0..8 bits, with max_rounds 0..6 or uncapped."""
+    n = rng.randint(1, 30)
+    ids = sorted(rng.sample(range(rng.choice((n, 4 * n, 1000))), n))
+    p = rng.choice((0.0, 0.05, 0.15, 0.3, 0.6))
+    g = Graph(ids, [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]
+                    if rng.random() < p])
+    centers = set(rng.sample(ids, rng.randint(0, min(n, 8))))
+    cands = set(rng.sample(ids, rng.randint(0, n)))
+    depth = rng.randint(0, 4)
+    t = rng.randint(1, 3)
+    size = rng.randint(1, 30)
+    tids = rng.sample(range(rng.choice((size, 600))), size)
+    B = rng.randint(1, 5)
+    weights = {v: rng.randint(0, B) for v in tids if rng.random() < 0.9}
+    if rng.random() < 0.05:
+        weights[rng.choice(tids)] = B + 1
+    tree = WeightedTree(
+        edges=frozenset(canon(tids[rng.randrange(i)], tids[i]) for i in range(1, size)),
+        root=rng.choice(tids), weights=weights, bound=B)
+    pad = rng.choice((None, rng.randint(0, 8)))
+    cfg = SimConfig(strict=rng.random() < 0.5)
+    if rng.random() < 0.4:
+        cfg.max_rounds = rng.randint(0, 6)
+    return g, centers, cands, depth, t, tree, pad, cfg
+
+
+def _at_floor(cfg, g, pad):
+    """cfg with the budget ``pad`` bits above g's floor (None: default)."""
+    return cfg if pad is None else cfg.with_(msg_bit_budget=8 + g.id_bits + pad)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 10**9))
+def test_primitives_match_reference_programs(seed):
+    """Cluster growth, the power-graph ruling set and the tree partition
+    return the same results (key order included), the same ledger with its
+    violation records, and the same exception type and text as the vertex
+    programs they replace."""
+    g, centers, cands, depth, t, tree, pad, cfg = random_primitive_inputs(
+        random.Random(seed))
+    gcfg = _at_floor(cfg, g, pad)
+    got = _outcome(lambda: grow_bfs_clusters(g, centers, depth, gcfg))
+    want = _outcome(lambda: ref_grow_bfs_clusters(g, centers, depth, gcfg))
+    if not centers and gcfg.max_rounds == 0 and want[0] is SimTimeout:
+        # with no centers nothing acts, so no round starts; a vertex
+        # program is called in round 1 at every vertex and hits the cap
+        assert want[1] == "program 'grow-clusters' exceeded max_rounds=0"
+        empty = Clustering(level=depth, membership={}, parents={}, depth_bound=depth)
+        assert got == (repr(empty), RoundLedger(per_phase=[("grow-clusters", 0)]).to_json())
+    else:
+        assert got == want
+    assert _outcome(lambda: ruling_set_power(g, cands, t, gcfg)) \
+        == _outcome(lambda: ref_ruling_set_power(g, cands, t, gcfg))
+    tcfg = _at_floor(cfg, Graph(tree.vertices(), tree.edges), pad)
+    assert _outcome(lambda: partition_tree(tree, tcfg)) \
+        == _outcome(lambda: ref_partition_tree(tree, tcfg))

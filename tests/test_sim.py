@@ -352,18 +352,16 @@ def _reference_post(g, cfg, budget, ledger, name, rnd, v, outbox, inboxes):
             inbox.append((v, m.body))
 
 
-def _reference_run(g, program, cfg, private=None):
-    """Reference engine loop: every vertex is set up and called in round 1,
-    and all vertices are rescanned every round."""
+def _reference_run(g, program, cfg):
+    """Reference engine loop: all vertices are rescanned every round."""
     cfg.check(g)
     budget = cfg.budget_for(g)
     bits = BitCost(g)
-    private = private or {}
     ledger = RoundLedger()
     views = {}
     states = {}
     for v in g.vertices:
-        views[v] = NodeView(v, g.adj[v], private.get(v), bits, budget)
+        views[v] = NodeView(v, g.adj[v], None, bits, budget)
         states[v] = program.init(views[v])
     inboxes = {v: [] for v in g.vertices}
     halted = {v: False for v in g.vertices}
@@ -470,9 +468,6 @@ def scripts(draw):
 @given(scripts())
 def test_engine_matches_reference_loop(case):
     g, script, base_cfg = case
-    # the vertices whose round-1 callback sends or stays awake
-    acting = {v for v, steps in script.items()
-              if steps and (steps[0][0] or not steps[0][1])}
     for strict in (False, True):
         cfg = base_cfg.with_(strict=strict)
 
@@ -480,95 +475,14 @@ def test_engine_matches_reference_loop(case):
             out, ledger = _reference_run(g, Script(script), cfg)
             return list(out.items()), ledger.to_json()
 
-        def engine(active=None):
-            out, ledger = run(g, Script(script), cfg, active=active)
-            if active is not None and strict:
-                # outputs stay in ID order; a vertex no message reached has none
-                assert list(out) == sorted(out)
-                out = {v: out.get(v, []) for v in g.vertices}
+        def engine():
+            out, ledger = run(g, Script(script), cfg)
             return list(out.items()), ledger.to_json()
 
-        expected = _outcome(reference)
-        assert _outcome(engine) == expected
-        assert _outcome(lambda: engine(acting)) == expected
-        if acting and not strict:
-            # audit mode refuses an active set that leaves out an acting vertex
-            left_out = acting - {min(acting)}
-            assert _outcome(lambda: engine(left_out))[0] == "SimError"
-
-
-# -- active-vertex scheduling ------------------------------------------------
-
-
-class Relay(NodeProgram):
-    """The active vertices send their ID to every neighbour in round 1; a
-    vertex that hears an ID forwards the largest once.  Records the hook
-    calls per vertex."""
-
-    name = "relay"
-
-    def __init__(self):
-        self.calls = []
-
-    def init(self, view):
-        self.calls.append(("init", view.vid))
-        return {"seen": None}
-
-    def on_round(self, state, view, rnd, inbox):
-        self.calls.append(("round", view.vid, rnd))
-        out = {}
-        if rnd == 1 and view.private:
-            out = {u: view.bits.msg(view.vid, ids=1) for u in view.neighbors}
-        elif inbox and state["seen"] is None:
-            state["seen"] = max(body for _s, body in inbox)
-            out = {u: view.bits.msg(state["seen"], ids=1) for u in view.neighbors}
-        return out, True
-
-    def on_finish(self, state, view):
-        return state["seen"]
-
-
-def test_active_vertex_woken_by_first_message():
-    g = generate("path", {"n": 4})
-    prog = Relay()
-    out, ledger = run(g, prog, private={0: True}, active={0})
-    # vertex 1 is set up and called only in round 2, when vertex 0's
-    # message arrives; every vertex is reached in turn
-    assert prog.calls[:4] == [("init", 0), ("round", 0, 1), ("init", 1), ("round", 1, 2)]
-    assert ("round", 1, 1) not in prog.calls
-    assert out == {0: 0, 1: 0, 2: 0, 3: 0}
-    ref_out, ref_ledger = _reference_run(g, Relay(), SimConfig(), private={0: True})
-    assert out == ref_out
-    assert ledger.to_json() == ref_ledger.to_json()
-
-
-def test_active_vertex_never_reached_has_no_output():
-    g = Graph(range(4), [(0, 1), (2, 3)])
-    out, _ = run(g, Relay(), private={0: True}, active={0})
-    assert out == {0: 0, 1: 0}
-
-
-def test_audit_mode_checks_left_out_vertices_stay_quiet():
-    g = generate("path", {"n": 4})
-    private = {0: True, 3: True}
-    # audit mode calls every vertex in round 1 and matches the reference
-    out, ledger = run(g, Relay(), SimConfig(strict=False), private=private,
-                      active={0, 3})
-    ref_out, ref_ledger = _reference_run(g, Relay(), SimConfig(), private=private)
-    assert out == ref_out
-    assert ledger.to_json() == ref_ledger.to_json()
-    # vertex 3 sends in round 1 although it was left out of the active set
-    with pytest.raises(SimError, match="vertex 3 outside the active set"):
-        run(g, Relay(), SimConfig(strict=False), private=private, active={0})
-    # vertex 2 sends nothing in round 1 but does not vote halt
-    awake = Script({2: [({}, False)]})
-    with pytest.raises(SimError, match="vertex 2 outside the active set"):
-        run(g, awake, SimConfig(strict=False), active=set())
-    out, _ = run(g, awake, SimConfig(strict=False), active={2})
-    assert out == {v: [] for v in g.vertices}
+        assert _outcome(engine) == _outcome(reference)
 
 
 def test_active_set_must_name_vertices():
     g = generate("path", {"n": 3})
-    with pytest.raises(SimError, match="non-vertices"):
-        run(g, Relay(), active={0, 7})
+    with pytest.raises(SimError, match=r"^cascade: active non-vertices \[7, 9\]$"):
+        _cascade(g, SimConfig(), "cascade", {0, 9, 7}, lambda v, inbox: None)
