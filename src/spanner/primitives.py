@@ -1,13 +1,14 @@
 """Distributed building blocks shared by every spanner algorithm.
 
-Cluster growth, the power-graph floods, the tree partition and the forest
-convergecast and broadcast act only in round 1 or when mail arrives, so
-each runs as host-scheduled rounds through the engine's send step
-(``sim._cascade``): a ``step(v, inbox)`` closure reads the vertex's mail
-and the state the host tracks for it and returns its outbox.  The
-log-round ruling set acts on a phase clock and stays a NodeProgram.
-Every wrapper is a pure function of (graph, inputs) and returns the
-assembled result together with the run's RoundLedger.
+Cluster growth, the power-graph min-flood, the tree partition and the
+forest convergecast and broadcast act only in round 1 or when mail
+arrives, so each runs as host-scheduled rounds through the engine's send
+step (``sim._cascade``): a ``step(v, inbox)`` closure reads the vertex's
+mail and the state the host tracks for it and returns its outbox.  The
+log-round ruling set and the power-graph hop-flood are broadcast BFS
+floods, run layer by layer through ``sim._flood``.  Every wrapper is a
+pure function of (graph, inputs) and returns the assembled result
+together with the run's RoundLedger.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ from .graph import Graph, canon
 from .sim import (
     BitCost,
     Msg,
-    NodeProgram,
     RoundLedger,
     SimConfig,
     SimError,
     SimTimeout,
     _cascade,
-    run,
+    _flood,
 )
 
 # ---------------------------------------------------------------------------
@@ -289,72 +289,64 @@ def forest_broadcast(
 # ---------------------------------------------------------------------------
 
 
-class RulingSetLog(NodeProgram):
-    """Deterministic ruling set by ID-bit descent.
-
-    One level per ID bit, most significant first.  At each level the still
-    active candidates whose current bit is 0 flood a radius-3 wave; active
-    candidates with bit 1 that hear it drop out.  Survivors are pairwise at
-    distance >= 4 and every candidate stays within 3 * id_bits of the result.
-    Each level occupies 4 rounds (3 hops + 1 receive-only), so the whole run
-    is O(log n) rounds with one message per edge per round.
-    """
-
-    name = "ruling-set-log"
-
-    def __init__(self, id_bits: int):
-        self.bits_total = id_bits
-
-    def init(self, view):
-        return {
-            "active": bool(view.private and view.private.get("candidate")),
-            "forwarded_level": -1,
-        }
-
-    def on_round(self, state, view, rnd, inbox):
-        out = {}
-        level = (rnd - 1) // 4
-        if level >= self.bits_total:
-            return {}, True
-        bit = self.bits_total - 1 - level
-        for _sender, hop in inbox:
-            if state["active"] and (view.vid >> bit) & 1 == 1:
-                state["active"] = False
-            if hop < 3 and state["forwarded_level"] < level:
-                state["forwarded_level"] = level
-                m = view.bits.msg(hop + 1, counters=(3,))
-                for u in view.neighbors:
-                    out[u] = m
-        if rnd == 4 * level + 1:
-            if state["active"] and (view.vid >> bit) & 1 == 0:
-                state["forwarded_level"] = level
-                m = view.bits.msg(1, counters=(3,))
-                for u in view.neighbors:
-                    out[u] = m
-        # candidates stay awake for the full schedule; everyone else sleeps
-        # between floods and is woken by arriving messages
-        halt = not state["active"] or level >= self.bits_total - 1 and rnd >= 4 * self.bits_total
-        return out, halt
-
-    def on_finish(self, state, view):
-        return state["active"]
-
-
 def ruling_set_log(
     g: Graph,
     candidates: Iterable[int],
     cfg: Optional[SimConfig] = None,
 ) -> Tuple[Set[int], RoundLedger]:
-    """(4, O(log n))-ruling set of the candidate set with respect to g."""
+    """(4, O(log n))-ruling set of the candidate set with respect to g, by
+    ID-bit descent.
+
+    One level per ID bit, most significant first.  At each level the still
+    active candidates whose current bit is 0 flood a radius-3 wave, a hop
+    count in ``8 + counter(3)`` bits; active candidates with bit 1 that
+    hear it drop out.  Survivors are pairwise at distance >= 4 and every
+    candidate stays within 3 * id_bits of the result.  Level L occupies
+    rounds 4L+1..4L+4 (3 hops + 1 receive-only), so the whole run is
+    O(log n) rounds with one message per edge per round.
+
+    Every candidate keeps the phase clock for all 4 * id_bits rounds, so
+    the round cap and the stall guard of :func:`sim.run` apply to every
+    round of that schedule.
+    """
+    name = "ruling-set-log"
     cand = set(candidates)
     if not cand:
         raise ValueError("candidate set must be nonempty")
     strays = sorted(cand.difference(g.adj))
     if strays:
-        raise SimError(f"{RulingSetLog.name}: active non-vertices {strays[:5]}")
-    private = {v: {"candidate": True} for v in cand}
-    outputs, ledger = run(g, RulingSetLog(g.id_bits), cfg, private=private)
-    return {v for v, kept in outputs.items() if kept}, ledger
+        raise SimError(f"{name}: active non-vertices {strays[:5]}")
+    cfg = cfg or SimConfig()
+    cfg.check(g)
+    budget = cfg.budget_for(g)
+    width = BitCost.TAG + BitCost(g).counter(3)
+    ledger = RoundLedger()
+    levels = g.id_bits
+    active = cand
+    silent = 0  # consecutive rounds that carried no message
+    for level in range(levels):
+        bit = levels - 1 - level
+        offset = 4 * level
+        for rnd in range(offset + 1, offset + 5):
+            if rnd > cfg.max_rounds:
+                raise SimTimeout(
+                    f"program {name!r} exceeded max_rounds={cfg.max_rounds}"
+                )
+            if silent > cfg.stall_limit:
+                # after a silent round nobody has mail, so the vertices
+                # called are the active candidates (in round 1: all)
+                callees = sorted(active) if rnd > 1 else list(g.vertices)
+                raise SimTimeout(
+                    f"program {name!r} stalled: {len(callees)} vertices "
+                    f"(e.g. {callees[:5]}) neither halt nor communicate"
+                )
+            if rnd == offset + 1:
+                zeros = [v for v in active if not v >> bit & 1]
+                heard, sent = _flood(g, cfg, budget, ledger, name, zeros, 3, width, offset)
+                active = {v for v in active if not (v >> bit & 1 and v in heard)}
+            silent = 0 if rnd - offset <= sent else silent + 1
+    ledger.per_phase.append((name, ledger.rounds_used))
+    return active, ledger
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +376,8 @@ def ruling_set_power(
     The min-flood forwards each improvement at once, ``(smallest ID, hop)``
     in ``8 + id_bits + counter(3t-1)`` bits to every neighbor but the one
     it came from, so it quiesces as soon as the minima stabilize.  The
-    hop-flood sends ``hop`` in ``8 + counter(3t-1)`` bits; a vertex
-    forwards it once, when it first hears it.
+    hop-flood sends ``hop`` in ``8 + counter(3t-1)`` bits to every
+    neighbor; a vertex forwards it once, in the round it first hears it.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -397,8 +389,8 @@ def ruling_set_power(
     counter = BitCost(g).counter(radius)
     low_width = BitCost.TAG + g.id_bits + counter
     hop_width = BitCost.TAG + counter
+    budget = cfg.budget_for(g)
     low: Dict[int, int] = {}  # smallest source ID heard in this wave
-    heard: Set[int] = set()  # vertices the deactivation reached
 
     def min_step(v, inbox):
         if not inbox:  # round 1: v is a source
@@ -418,18 +410,6 @@ def ruling_set_power(
         m = Msg(low_width, (best, best_h + 1))
         return {u: m for u in g.adj[v] if u != best_from}
 
-    def hop_step(v, inbox):
-        # a message sent in round r carries hop r, so a vertex's first mail
-        # holds its smallest hop count and later mail cannot let it forward
-        if v in heard:
-            return None
-        heard.add(v)
-        hop = min(h for _s, h in inbox) if inbox else 0  # round 1: v is a source
-        if hop >= radius:
-            return None
-        m = Msg(hop_width, hop + 1)
-        return {u: m for u in g.adj[v]}
-
     ledger = RoundLedger()
     active = cand
     chosen: Set[int] = set()
@@ -439,8 +419,12 @@ def ruling_set_power(
         ledger.extend_sequential(led, name="power-min-flood")
         joiners = {v for v in active if low[v] == v}
         chosen |= joiners
-        heard.clear()
-        led = _cascade(g, cfg, "hop-flood", joiners, hop_step)
+        led = RoundLedger()
+        heard, sent = _flood(g, cfg, budget, led, "hop-flood", joiners, radius, hop_width)
+        # as in _cascade, the round after the last send runs too (the
+        # min-flood has already run round 1 under the same cap)
+        if sent >= cfg.max_rounds:
+            raise SimTimeout(f"program 'hop-flood' exceeded max_rounds={cfg.max_rounds}")
         ledger.extend_sequential(led, name="power-deactivate")
         active = active - heard
     return chosen, ledger

@@ -24,12 +24,15 @@ per-message loop that alone records or raises violations.
 Rounds whose messages follow from state the host already tracks skip the
 vertex programs but not the send step: ``exchange`` posts one precomputed
 round, and ``_cascade`` runs rounds in which only the vertices with mail
-act (in ``primitives`` cluster growth, the power-graph floods, the tree
+act (in ``primitives`` cluster growth, the power-graph min-flood, the tree
 partition and the forest convergecast and broadcast; in ``spanner3`` the
 two star rounds of the 3-spanners).  Both post through ``_post``, so
 bits, congestion, neighbours and rounds are accounted exactly as for a
-program.  Only protocols that act on a phase clock, in rounds where a
-vertex has no mail, remain NodePrograms.
+program.  ``_flood`` runs a broadcast BFS flood, in which every reached
+vertex sends one message to each neighbour (the log-round ruling set and
+the power-graph hop-flood): a layer within the budget can violate
+nothing, so it is accounted in bulk, and a layer over it goes through
+``_post``.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .graph import Graph
 
@@ -414,6 +417,65 @@ def _cascade(
         callees = sorted(next_in)
     ledger.per_phase.append((name, ledger.rounds_used))
     return ledger
+
+
+def _flood(
+    g: Graph,
+    cfg: SimConfig,
+    budget: int,
+    ledger: RoundLedger,
+    name: str,
+    sources: Iterable[int],
+    radius: int,
+    width: int,
+    offset: int = 0,
+) -> Tuple[Set[int], int]:
+    """A multi-source BFS flood to ``radius``: in round ``offset + d + 1``
+    every vertex at distance ``d < radius`` from the sources sends one
+    ``width``-bit message to each of its neighbours.  Returns the vertices
+    within ``radius`` of a source, the sources included, and the number
+    of rounds that carried a message; ``ledger.rounds_used`` becomes the
+    last of those rounds, as in :func:`run`.  The caller checks the bit
+    budget's floor and the round cap.
+
+    A layer within the budget sends one message per edge to neighbours
+    only, so it can violate nothing and is accounted at once, as the bulk
+    check of :func:`_post` would account each of its outboxes.  A layer
+    over the budget posts every sender's outbox through :func:`_post` in
+    ID order, which raises or records each violation exactly as for a
+    program."""
+    adj = g.adj
+    reached = set(sources)
+    layer = reached
+    sent = 0
+    while sent < radius:
+        if width <= budget:
+            messages = sum(map(len, map(adj.__getitem__, layer)))
+            if not messages:
+                break
+            ledger.messages_total += messages
+            if width > ledger.max_bits_seen:
+                ledger.max_bits_seen = width
+            if ledger.per_round_edge_load < 1:
+                ledger.per_round_edge_load = 1
+        else:
+            senders = [v for v in sorted(layer) if adj[v]]
+            if not senders:
+                break
+            m = Msg(width, sent + 1)  # the receivers' hop count
+            sink = defaultdict(list)  # the flood reads no inbox
+            for v in senders:
+                outbox = dict.fromkeys(adj[v], m)
+                _post(g, cfg, budget, ledger, name, offset + sent + 1, v, outbox, sink)
+        sent += 1
+        nxt: Set[int] = set()
+        for v in layer:
+            nxt.update(adj[v])
+        layer = nxt - reached
+        reached |= layer
+    if sent:
+        ledger.rounds_used = offset + sent
+    return reached, sent
 
 
 def announce(

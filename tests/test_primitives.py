@@ -532,7 +532,8 @@ def test_ruling_log_path16_exhaustive():
     rep = audit_ruling_set(g, set(range(16)), U, alpha=4,
                            beta=3 * math.ceil(math.log2(16)))
     assert rep.passed, rep.findings
-    assert ledger.rounds_used <= 4 * g.id_bits
+    # no message travels in a level's fourth round, the last one included
+    assert ledger.rounds_used <= 4 * g.id_bits - 1
 
 
 @settings(max_examples=20, deadline=None)
@@ -546,7 +547,7 @@ def test_ruling_log_random_graphs(seed):
     beta = 3 * g.id_bits
     rep = audit_ruling_set(g, cands, U, alpha=4, beta=beta)
     assert rep.passed, rep.findings
-    assert ledger.rounds_used <= 4 * g.id_bits + 1
+    assert ledger.rounds_used <= 4 * g.id_bits - 1
 
 
 def test_ruling_power_cycle9():
@@ -1052,3 +1053,112 @@ def test_primitives_match_reference_programs(seed):
     tcfg = _at_floor(cfg, Graph(tree.vertices(), tree.edges), pad)
     assert _outcome(lambda: partition_tree(tree, tcfg)) \
         == _outcome(lambda: ref_partition_tree(tree, tcfg))
+
+
+# -- the log-round ruling set against the vertex program it replaces ---------
+
+
+class RefRulingSetLog(NodeProgram):
+    """Reference for ``ruling_set_log``: ID-bit descent as a vertex program
+    on a phase clock, four rounds per ID bit.  Candidates stay awake for
+    the whole schedule; every other vertex sleeps until mail arrives."""
+
+    name = "ruling-set-log"
+
+    def __init__(self, id_bits):
+        self.bits_total = id_bits
+
+    def init(self, view):
+        return {
+            "active": bool(view.private and view.private.get("candidate")),
+            "forwarded_level": -1,
+        }
+
+    def on_round(self, state, view, rnd, inbox):
+        out = {}
+        level = (rnd - 1) // 4
+        if level >= self.bits_total:
+            return {}, True
+        bit = self.bits_total - 1 - level
+        for _sender, hop in inbox:
+            if state["active"] and (view.vid >> bit) & 1 == 1:
+                state["active"] = False
+            if hop < 3 and state["forwarded_level"] < level:
+                state["forwarded_level"] = level
+                m = view.bits.msg(hop + 1, counters=(3,))
+                for u in view.neighbors:
+                    out[u] = m
+        if rnd == 4 * level + 1:
+            if state["active"] and (view.vid >> bit) & 1 == 0:
+                state["forwarded_level"] = level
+                m = view.bits.msg(1, counters=(3,))
+                for u in view.neighbors:
+                    out[u] = m
+        halt = not state["active"] or (
+            level >= self.bits_total - 1 and rnd >= 4 * self.bits_total)
+        return out, halt
+
+    def on_finish(self, state, view):
+        return state["active"]
+
+
+def ref_ruling_set_log(g, candidates, cfg):
+    cand = set(candidates)
+    if not cand:
+        raise ValueError("candidate set must be nonempty")
+    strays = sorted(cand.difference(g.adj))
+    if strays:
+        raise SimError(f"ruling-set-log: active non-vertices {strays[:5]}")
+    private = {v: {"candidate": True} for v in cand}
+    outputs, ledger = run(g, RefRulingSetLog(g.id_bits), cfg, private=private)
+    return {v for v, kept in outputs.items() if kept}, ledger
+
+
+def random_ruling_inputs(rng):
+    """An ER, path, cycle, grid or bounded-ID graph with n <= 40, or a
+    graph on IDs {0, 1} (with or without its edge), where the 10-bit hop
+    message exceeds the 9-bit floor budget; candidates (rarely none); and
+    a strict or audit config at the floor budget 8 + id_bits, with
+    max_rounds 0..4*id_bits+1 or uncapped and stall_limit -1..5 or the
+    default."""
+    kind = rng.choice(("er", "path", "cycle", "grid", "bounded-id", "pair"))
+    n = rng.randint(3, 40)
+    if kind == "er":
+        g = generate("erdos-renyi", {"n": n, "p": rng.choice((0.05, 0.1, 0.3))},
+                     seed=rng.randrange(10**6))
+    elif kind == "grid":
+        g = generate("grid", {"rows": rng.randint(1, 6), "cols": rng.randint(1, 6)})
+    elif kind == "bounded-id":
+        g = generate("bounded-id", {"n": n, "p": rng.choice((0.05, 0.2))},
+                     seed=rng.randrange(10**6))
+    elif kind == "pair":
+        g = Graph([0, 1], [(0, 1)] if rng.random() < 0.8 else [])
+    else:
+        g = generate(kind, {"n": n})
+    cands = set(rng.sample(g.vertices, rng.randint(0 if rng.random() < 0.05 else 1, g.n)))
+    cfg = SimConfig(msg_bit_budget=8 + g.id_bits, strict=rng.random() < 0.5)
+    if rng.random() < 0.5:
+        cfg.max_rounds = rng.randint(0, 4 * g.id_bits + 1)
+    if rng.random() < 0.5:
+        cfg.stall_limit = rng.randint(-1, 5)
+    return g, cands, cfg
+
+
+def _ruling_outcome(call):
+    try:
+        out, ledger = call()
+    except (SimError, ValueError) as exc:
+        return type(exc), str(exc)
+    return sorted(out), ledger.to_json()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 10**9))
+def test_ruling_log_matches_reference_program(seed):
+    """The layer-by-layer ruling set returns the same set, the same ledger
+    with its violation records, and the same exception type and text as
+    the vertex program it replaces, round cap and stall guard included."""
+    g, cands, cfg = random_ruling_inputs(random.Random(seed))
+    assert _ruling_outcome(lambda: ruling_set_log(g, cands, cfg)) \
+        == _ruling_outcome(lambda: ref_ruling_set_log(g, cands, cfg))
+

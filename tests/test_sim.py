@@ -1,3 +1,5 @@
+from collections import defaultdict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,8 @@ from spanner.sim import (
     SimError,
     SimTimeout,
     _cascade,
+    _flood,
+    _post,
     announce,
     default_bit_budget,
     exchange,
@@ -486,3 +490,127 @@ def test_active_set_must_name_vertices():
     g = generate("path", {"n": 3})
     with pytest.raises(SimError, match=r"^cascade: active non-vertices \[7, 9\]$"):
         _cascade(g, SimConfig(), "cascade", {0, 9, 7}, lambda v, inbox: None)
+
+
+# -- the broadcast flood -----------------------------------------------------
+
+
+def _flood_by_post(g, cfg, budget, name, sources, radius, width, offset):
+    """Reference for ``_flood``: every layer posted vertex by vertex
+    through the send step, the next layer read off the inboxes."""
+    ledger = RoundLedger()
+    reached = set(sources)
+    layer = sorted(reached)
+    sent = 0
+    for d in range(radius):
+        inboxes = defaultdict(list)
+        for v in layer:
+            if g.adj[v]:
+                outbox = {u: Msg(width, d + 1) for u in g.adj[v]}
+                _post(g, cfg, budget, ledger, name, offset + d + 1, v, outbox, inboxes)
+        if not inboxes:
+            break
+        sent += 1
+        ledger.rounds_used = offset + sent
+        layer = sorted(set(inboxes) - reached)
+        reached.update(layer)
+    return reached, sent, ledger
+
+
+@st.composite
+def broadcast_cases(draw):
+    """A graph with n <= 12 (sparse IDs, maybe isolated vertices), sources
+    (maybe none), radius 0..4, a round offset, a message width at, below
+    or above the budget, and strict or audit mode."""
+    ids = sorted(draw(st.sets(st.integers(0, 300), min_size=1, max_size=12)))
+    rng = draw(st.randoms(use_true_random=False))
+    p = rng.choice((0.0, 0.15, 0.3, 0.6))
+    g = Graph(ids, [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]
+                    if rng.random() < p])
+    sources = set(rng.sample(ids, rng.randint(0, len(ids))))
+    cfg = SimConfig(strict=draw(st.booleans()))
+    width = draw(st.integers(8, 24))
+    budget = draw(st.sampled_from((width - 1, width, width + 3)))
+    return g, cfg, budget, sources, draw(st.integers(0, 4)), width, draw(st.integers(0, 8))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(broadcast_cases())
+def test_flood_matches_posting_each_layer(case):
+    # _flood's accounting premise: a layer accounted in bulk gets the same
+    # messages, rounds, bits, edge load and violations as one posted
+    # sender by sender
+    g, cfg, budget, sources, radius, width, offset = case
+
+    def bulk():
+        ledger = RoundLedger()
+        reached, sent = _flood(g, cfg, budget, ledger, "flood", sources, radius,
+                               width, offset)
+        return sorted(reached), sent, ledger.to_json()
+
+    def by_post():
+        reached, sent, ledger = _flood_by_post(g, cfg, budget, "flood", sources,
+                                               radius, width, offset)
+        return sorted(reached), sent, ledger.to_json()
+
+    assert _outcome(bulk) == _outcome(by_post)
+
+
+def test_flood_isolated_source_sends_nothing():
+    g = Graph([0, 1, 2], [(1, 2)])
+    for budget in (16, 9):  # within and over the 10-bit width
+        ledger = RoundLedger()
+        assert _flood(g, SimConfig(), budget, ledger, "flood", {0}, 3, 10, 4) == ({0}, 0)
+        assert ledger.to_json() == RoundLedger().to_json()
+
+
+def test_flood_layers_and_rounds():
+    g = generate("path", {"n": 6})
+    ledger = RoundLedger()
+    reached, sent = _flood(g, SimConfig(), 16, ledger, "flood", {0, 5}, 2, 10, 8)
+    assert (reached, sent) == (set(range(6)), 2)
+    # round 9: the two ends, one edge each; round 10: vertices 1 and 4
+    assert (ledger.rounds_used, ledger.messages_total) == (10, 2 + 4)
+    assert (ledger.max_bits_seen, ledger.per_round_edge_load) == (10, 1)
+
+
+def test_flood_over_budget_strict_raises_as_post():
+    g = Graph(range(5), [(0, u) for u in range(1, 5)])
+    outbox = {u: Msg(12, 1) for u in g.adj[0]}
+    with pytest.raises(BudgetError) as want:
+        _post(g, SimConfig(), 11, RoundLedger(), "flood", 3, 0, outbox, defaultdict(list))
+    with pytest.raises(BudgetError) as got:
+        _flood(g, SimConfig(), 11, RoundLedger(), "flood", {0}, 1, 12, 2)
+    assert str(got.value) == str(want.value)
+
+
+def test_flood_over_budget_audit_records_each_edge():
+    g = Graph(range(5), [(0, u) for u in range(1, 5)])
+    ledger = RoundLedger()
+    _flood(g, SimConfig(strict=False), 11, ledger, "flood", {0}, 1, 12, 2)
+    assert ledger.violations == [
+        {"kind": "bits", "round": 3, "edge": [0, u], "bits": 12, "budget": 11,
+         "program": "flood"}
+        for u in range(1, 5)
+    ]
+    assert (ledger.messages_total, ledger.max_bits_seen, ledger.rounds_used) == (4, 12, 3)
+
+
+def test_library_node_programs():
+    # every other protocol runs as host-scheduled rounds through the send
+    # step; only the demo's FloodMax and the star BFS remain vertex programs
+    import importlib
+    import pkgutil
+
+    import spanner
+
+    for mod in pkgutil.walk_packages(spanner.__path__, "spanner."):
+        importlib.import_module(mod.name)
+    found = set()
+    stack = [NodeProgram]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            stack.append(sub)
+            if sub.__module__.split(".")[0] == "spanner":
+                found.add(sub.__name__)
+    assert found == {"FloodMax", "StarBFS"}
