@@ -8,6 +8,7 @@ simulator's own and is re-exported here."""
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from functools import partial
 from itertools import count
 from typing import (
@@ -17,7 +18,9 @@ from typing import (
 from ..clustering import Clustering
 from ..graph import Graph
 from ..primitives import RoleTable, clustering_roles, forest_aggregate, forest_broadcast
-from ..sim import BitCost, Msg, RoundLedger, SimConfig, SimTimeout, exchange
+from ..sim import (
+    BitCost, Msg, RoundLedger, SimConfig, SimError, SimTimeout, _bulk, exchange,
+)
 
 TAG_IDS, TAG_END, TAG_ACK, TAG_TUPLE, TAG_VOTE, TAG_JOIN, TAG_EDGE = range(7)
 
@@ -228,11 +231,17 @@ def elect(g: Graph, cfg: SimConfig, ledger: RoundLedger, *, steps: Sequence[str]
 # -- chunked ID streams ------------------------------------------------------
 
 
+def chunk_size(bits: BitCost, budget: int) -> int:
+    """IDs per (TAG_IDS, ids) message: as many as fit the budget after the
+    tag, at least one."""
+    return max(1, (budget - 8) // bits.id_bits)
+
+
 def id_chunks(bits: BitCost, budget: int, ids) -> List[Msg]:
     """Frame an ID list as budget-sized (TAG_IDS, ids) messages followed by
     one (TAG_END,) marker, to be sent over an edge one per round."""
     ids = tuple(ids)
-    per_msg = max(1, (budget - 8) // bits.id_bits)
+    per_msg = chunk_size(bits, budget)
     msgs = []
     for i in range(0, len(ids), per_msg):
         piece = ids[i : i + per_msg]
@@ -248,29 +257,50 @@ def _stream(
     name: str,
     lists: Dict[int, Dict[int, List[int]]],
 ) -> Dict[int, List[Tuple[int, tuple]]]:
-    """Stream every ID list ``lists[v][u]`` from v to its neighbor u as
-    ``id_chunks`` messages, message r of every stream in scripted round r,
-    and fold the rounds into ``ledger`` as one phase ``name``.  Chunks fit
-    the budget and every edge carries one message per round, so no round
-    can overrun.  Returns v -> [(sender, body)] in round, then sender
-    order."""
+    """Stream every ID list ``lists[v][u]`` from vertex v to its neighbor u
+    as the bodies of its ``id_chunks`` messages, message r of every stream
+    in round r, and fold the rounds into ``ledger`` as one phase ``name``.
+    Returns the receivers' inboxes, v -> [(sender, body)] in round, then
+    sender order; a vertex that received nothing has no entry.
+
+    The phase lasts as long as the longest stream, and a stream of L IDs
+    costs ceil(L / per_msg) + 1 messages.  They are accounted in bulk,
+    because no round can violate anything: each chunk fits the budget by
+    construction, and every edge carries one message per round.  A target
+    that is not a neighbor raises the send step's SimError, at the first
+    such (sender, target) pair in ID order; a sender that is not a vertex
+    of g sends nothing."""
     cfg.check(g)
-    bits, budget = BitCost(g), cfg.budget_for(g)
-    queues = {
-        v: {u: id_chunks(bits, budget, ids) for u, ids in per_nbr.items()}
-        for v, per_nbr in lists.items()
-    }
-    depth = max((len(q) for qs in queues.values() for q in qs.values()), default=0)
-    sub = RoundLedger()
-    got: Dict[int, List[Tuple[int, tuple]]] = {v: [] for v in g.vertices}
-    for rnd in range(1, depth + 1):
-        out = {
-            v: {u: q[rnd - 1] for u, q in qs.items() if rnd <= len(q)}
-            for v, qs in queues.items()
-        }
-        for v, inbox in exchange(g, cfg, sub, name, out).items():
-            got[v].extend(inbox)
-    ledger.extend_sequential(sub, name=name)
+    bits = BitCost(g)
+    per_msg = chunk_size(bits, cfg.budget_for(g))
+    by_round: List[List[Tuple[int, int, tuple]]] = []
+    messages = longest = 0
+    for v in sorted(lists):
+        per_nbr = lists[v]
+        if not per_nbr or v not in g.adj:
+            continue
+        strays = [u for u in per_nbr if u not in g.adj[v]]
+        if strays:
+            raise SimError(f"{name}: vertex {v} sent to non-neighbor {min(strays)}")
+        for u, ids in per_nbr.items():
+            ids = tuple(ids)
+            bodies = [(TAG_IDS, ids[i : i + per_msg])
+                      for i in range(0, len(ids), per_msg)]
+            bodies.append((TAG_END,))
+            while len(by_round) < len(bodies):
+                by_round.append([])
+            for rnd, body in zip(by_round, bodies):
+                rnd.append((v, u, body))
+            messages += len(bodies)
+            longest = max(longest, len(ids))
+    got: Dict[int, List[Tuple[int, tuple]]] = defaultdict(list)
+    for rnd in by_round:
+        for v, u, body in rnd:
+            got[u].append((v, body))
+    if messages:
+        _bulk(ledger, messages, BitCost.TAG + min(longest, per_msg) * bits.id_bits)
+    ledger.rounds_used += len(by_round)
+    ledger.per_phase.append((name, len(by_round)))
     return got
 
 
@@ -291,17 +321,17 @@ def chunked_gather(
         if hub is not None and hub != v
     }
     got = _stream(g, cfg, ledger, name, lists)
-    outputs = {}
-    for v in g.vertices:
+    outputs: Dict[int, Dict[int, Tuple[int, ...]]] = {v: {} for v in g.vertices}
+    for v, inbox in got.items():
         collected: Dict[int, List[int]] = {}
-        for sender, body in got[v]:
+        for sender, body in inbox:
             ids = collected.setdefault(sender, [])
             if body[0] == TAG_IDS:
                 ids.extend(body[1])
-        own = {m: tuple(ids) for m, ids in collected.items()}
-        if hub_of.get(v) == v and items.get(v):
-            own[v] = tuple(items[v])
-        outputs[v] = own
+        outputs[v] = {m: tuple(ids) for m, ids in collected.items()}
+    for v, hub in hub_of.items():
+        if hub == v and items.get(v) and v in outputs:
+            outputs[v][v] = tuple(items[v])
     return outputs
 
 
@@ -315,7 +345,8 @@ def chunked_scatter(
     """Radius-1 scatter: every hub h streams ``plans[h][u]`` to each member
     u.  Returns, per vertex, the IDs it received."""
     got = _stream(g, cfg, ledger, name, plans)
-    return {
-        v: tuple(i for _s, body in got[v] if body[0] == TAG_IDS for i in body[1])
-        for v in g.vertices
-    }
+    received = dict.fromkeys(g.vertices, ())
+    for v, inbox in got.items():
+        received[v] = tuple(i for _s, body in inbox if body[0] == TAG_IDS
+                            for i in body[1])
+    return received

@@ -22,16 +22,20 @@ checks a whole outbox at once and, if that check fails, falls back to a
 per-message loop that alone records or raises violations.
 
 Rounds whose messages follow from state the host already tracks skip the
-vertex programs but not the send step: ``exchange`` posts one precomputed
-round, and ``_cascade`` runs rounds in which only the vertices with mail
-act (in ``primitives`` cluster growth, the power-graph min-flood, the tree
-partition and the forest convergecast and broadcast; in ``spanner3`` the
-two star rounds of the 3-spanners).  Both post through ``_post``, so
-bits, congestion, neighbours and rounds are accounted exactly as for a
-program.  ``_flood`` runs a broadcast BFS flood, in which every reached
+vertex programs.  Some still go through the send step: ``exchange`` posts
+one precomputed round, and ``_cascade`` runs rounds in which only the
+vertices with mail act (in ``primitives`` cluster growth, the power-graph
+min-flood, the tree partition and the forest convergecast and
+broadcast).  Both post through ``_post``, so bits, congestion, neighbours
+and rounds are accounted exactly as for a program.  Rounds that can
+violate nothing, because every message goes to a neighbour within the
+budget and one per edge, handle no message objects: ``_bulk`` folds each
+batch into the ledger at once.  These are the two star rounds of the
+3-spanners (``spanner3._star_spanner``), the chunked ID streams
+(``kspanner.common._stream``) and the layers of ``_flood`` within the
+budget.  ``_flood`` runs a broadcast BFS flood, in which every reached
 vertex sends one message to each neighbour (the log-round ruling set and
-the power-graph hop-flood): a layer within the budget can violate
-nothing, so it is accounted in bulk, and a layer over it goes through
+the power-graph hop-flood); a layer over the budget goes through
 ``_post``.
 """
 
@@ -223,6 +227,19 @@ class NodeProgram:
         return state
 
 
+def _bulk(ledger: RoundLedger, messages: int, width: int) -> None:
+    """Fold a non-empty batch of ``messages`` messages, the widest of
+    ``width`` bits, into ``ledger``.  The caller shows that the batch can
+    violate nothing: every message goes to a neighbour within the budget,
+    one per edge and round, so the load of every edge that carries one is
+    1."""
+    ledger.messages_total += messages
+    if width > ledger.max_bits_seen:
+        ledger.max_bits_seen = width
+    if ledger.per_round_edge_load < 1:
+        ledger.per_round_edge_load = 1
+
+
 def _post(
     g: Graph,
     cfg: SimConfig,
@@ -256,11 +273,7 @@ def _post(
             top = m.bits
     else:
         if top <= budget and (tuple(outbox) == nbrs or set(nbrs).issuperset(outbox)):
-            if top > ledger.max_bits_seen:
-                ledger.max_bits_seen = top
-            if ledger.per_round_edge_load < 1:
-                ledger.per_round_edge_load = 1
-            ledger.messages_total += len(outbox)
+            _bulk(ledger, len(outbox), top)
             for u, m in outbox.items():
                 inboxes[u].append((v, m.body))
             return
@@ -453,11 +466,7 @@ def _flood(
             messages = sum(map(len, map(adj.__getitem__, layer)))
             if not messages:
                 break
-            ledger.messages_total += messages
-            if width > ledger.max_bits_seen:
-                ledger.max_bits_seen = width
-            if ledger.per_round_edge_load < 1:
-                ledger.per_round_edge_load = 1
+            _bulk(ledger, messages, width)
         else:
             senders = [v for v in sorted(layer) if adj[v]]
             if not senders:

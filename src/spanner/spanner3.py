@@ -6,13 +6,14 @@ general (possibly weighted) graphs, and the two-round small-ID variant.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .clustering import WeightedTree
 from .graph import Graph, Spanner
 from .primitives import grow_bfs_clusters, partition_tree, ruling_set_log
 from .results import SpannerRun
-from .sim import BitCost, Msg, RoundLedger, SimConfig, SimError, _cascade, announce
+from .sim import BitCost, RoundLedger, SimConfig, SimError, SimTimeout, _bulk, announce
 
 
 class Bipartition:
@@ -27,9 +28,6 @@ class Bipartition:
 
 def high_degree_threshold(n: int) -> int:
     return math.ceil(math.sqrt(n))
-
-
-TAG_CHOSE, TAG_SELECTED = 0, 1
 
 
 def _star_spanner(
@@ -47,64 +45,86 @@ def _star_spanner(
 
     Round 1: every vertex outside part j that has a neighbor inside part j
     picks one such neighbor as its star center for instance j (the closest
-    one on weighted graphs, ties toward the smaller ID) and tells its part-j
-    neighbors; with ``internal`` it also keeps its edges inside its own
-    part.  Round 2: every part vertex picks, per star it heard about (its
-    own star included, duplicating a star edge), one of the senders and
-    notifies it of the selected edge.  Every outbox carries one message per
-    edge, so the rounds need no congestion allowance.
+    one on weighted graphs, ties toward the smaller ID) and sends CHOSE
+    (tag, center) to its part-j neighbors; with ``internal`` it also keeps
+    its edges inside its own part.  Round 2: every part vertex picks, per
+    star it heard about (its own star included, duplicating a star edge),
+    one of the senders by the same rule and sends it an 8-bit SELECTED.
+    Edges enter ``spanner`` as the vertices decide them, in ID order, every
+    round-1 edge before any round-2 edge.  An edge that a part vertex tags
+    ``cross`` in round 2 and someone tags ``star`` was already a round-1
+    star edge of that vertex, so it keeps ``star``.
 
-    Edges enter ``spanner`` as the vertices decide them, every round-1 edge
-    before any round-2 edge.  An edge that a part vertex tags ``cross`` in
-    round 2 and someone tags ``star`` was already a round-1 star edge of
-    that vertex, so it keeps ``star``."""
-    if g.weighted:
-        def rank(v, u):
-            return (g.weight(v, u), u)
-    else:
-        def rank(v, u):
-            return u
-    chose_bits = BitCost.TAG + g.id_bits
-    selected = Msg(BitCost.TAG, (TAG_SELECTED,))
+    Both rounds are accounted in bulk, as one ``star-spanner`` phase of 0
+    or 2 rounds, because neither can violate anything: CHOSE has exactly
+    the one-ID floor width that ``cfg.check`` enforces, SELECTED is
+    narrower, and every message goes to a neighbor, one per edge (a sender
+    names one center per part, so it is picked at most once per
+    receiver).  ``max_rounds`` is checked where a message-driven run would
+    start a round: round 1 if there is a vertex, round 2 if a CHOSE was
+    sent, round 3, which delivers the SELECTED replies, if one was sent."""
+    cfg.check(g)
+    ledger = RoundLedger()
+    weighted = g.weighted
+    weight = g.weight
 
-    def step(v, inbox):
-        if not inbox:
-            mine = part.get(v)
-            if nbr_parts is None:
-                heard = {u: part[u] for u in g.adj[v] if u in part}
-            else:
-                heard = nbr_parts[v]
-            best: Dict[int, int] = {}
-            for u in g.adj[v]:
-                j = heard.get(u)
-                if j is None:
-                    continue
-                if j == mine:
-                    if internal:
-                        spanner.add(v, u, "internal")
-                    continue
-                cur = best.get(j)
-                if cur is None or rank(v, u) < rank(v, cur):
-                    best[j] = u
-            msgs = {}
-            for j, center in best.items():
-                spanner.add(v, center, "star")
-                msgs[j] = Msg(chose_bits, (TAG_CHOSE, center))
-            return {u: msgs[heard[u]] for u in g.adj[v] if heard.get(u) in msgs}
-        if inbox[0][1][0] == TAG_SELECTED:
-            return None
+    def start(rnd):
+        if rnd > cfg.max_rounds:
+            raise SimTimeout(
+                f"program 'star-spanner' exceeded max_rounds={cfg.max_rounds}"
+            )
+
+    if g.vertices:
+        start(1)
+    # round 1: receiver -> [(sender, center)], in sender order
+    chose: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
+    sent = 0
+    for v in g.vertices:
+        mine = part.get(v)
+        if nbr_parts is None:
+            heard = {u: part[u] for u in g.adj[v] if u in part}
+        else:
+            heard = nbr_parts[v]
+        best: Dict[int, int] = {}
+        targets = []
+        for u in g.adj[v]:
+            j = heard.get(u)
+            if j is None:
+                continue
+            if j == mine:
+                if internal:
+                    spanner.add(v, u, "internal")
+                continue
+            targets.append((u, j))
+            # neighbors come in ID order, so the first one wins ties
+            if j not in best or (weighted and weight(v, u) < weight(v, best[j])):
+                best[j] = u
+        for center in best.values():
+            spanner.add(v, center, "star")
+        for u, j in targets:
+            chose[u].append((v, best[j]))
+        sent += len(targets)
+    if not sent:
+        ledger.per_phase.append(("star-spanner", 0))
+        return ledger
+    _bulk(ledger, sent, BitCost.TAG + g.id_bits)
+    start(2)
+    picked = 0
+    for v in sorted(chose):
         per_star: Dict[int, int] = {}
-        for sender, (_tag, center) in inbox:
-            cur = per_star.get(center)
-            if cur is None or rank(v, sender) < rank(v, cur):
+        for sender, center in chose[v]:
+            if center not in per_star or (
+                weighted and weight(v, sender) < weight(v, per_star[center])
+            ):
                 per_star[center] = sender
-        out = {}
-        for center, picked in sorted(per_star.items()):
-            spanner.add(v, picked, "star" if center == v else "cross")
-            out[picked] = selected
-        return out
-
-    return _cascade(g, cfg, "star-spanner", g.vertices, step)
+        for center, sender in sorted(per_star.items()):
+            spanner.add(v, sender, "star" if center == v else "cross")
+        picked += len(per_star)
+    _bulk(ledger, picked, BitCost.TAG)
+    ledger.rounds_used = 2
+    ledger.per_phase.append(("star-spanner", 2))
+    start(3)
+    return ledger
 
 
 def bipartite_3_spanner(
@@ -130,11 +150,17 @@ def three_spanner_given_partition(
     parts: Sequence[Iterable[int]],
     cfg: Optional[SimConfig] = None,
 ) -> SpannerRun:
-    """Two-round 3-spanner given a disjoint vertex partition: per part a
-    bipartite instance (part vs. rest) plus all part-internal edges."""
+    """Two-round 3-spanner given disjoint parts of the vertex set: per part
+    a bipartite instance (part vs. rest) plus all part-internal edges.  The
+    parts need not cover the graph, but an edge between two vertices
+    outside every part belongs to no instance and is not spanned."""
     part_map: Dict[int, int] = {}
     for i, vs in enumerate(parts):
         for v in vs:
+            if v not in g.adj:
+                raise ValueError(
+                    f"part {i} names vertex {v}, which is not in the graph"
+                )
             if v in part_map:
                 raise ValueError(f"vertex {v} appears in two parts")
             part_map[v] = i

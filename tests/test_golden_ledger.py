@@ -115,3 +115,29 @@ def ledger_digest(res) -> str:
 @pytest.mark.parametrize("alg,k,name", list(GOLDEN))
 def test_golden_ledger(alg, k, name):
     assert ledger_digest(_build(alg, k, name)) == GOLDEN[(alg, k, name)]
+
+
+@pytest.mark.parametrize("name", ["er30-80", "rbip-16x80", "kbip-6x20", "er10-100"])
+def test_star_rounds_and_id_streams_never_violate(name):
+    # the star rounds and the chunked ID streams are accounted in bulk on
+    # the premise that they cannot overrun the budget or the congestion
+    # limit: audit mode at the budget floor records nothing for them,
+    # although it does for other phases of imp3
+    g = _graph(name)
+    cfg = SimConfig(strict=False, msg_bit_budget=8 + g.id_bits)
+    bip = Bipartition(range(16), range(16, g.n))
+    builds = {
+        "imp3": improved_3_spanner(g, cfg),
+        "smallid3": small_id_3_spanner(g, cfg),
+        "bip3": bipartite_3_spanner(g, bip, cfg),
+        "sparserbip": sparser_bipartite_spanner(g, bip, 3, cfg),
+    }
+    for alg, res in builds.items():
+        ledger = res.ledger.to_json()
+        ran = [p for p in ledger["per_phase"]
+               if p["name"] == "star-spanner" or p["name"].startswith("bip-reps-")]
+        assert ran and all(p["rounds"] > 0 for p in ran), alg
+        assert not [v for v in ledger["violations"]
+                    if v["program"] == "star-spanner"
+                    or v["program"].startswith("bip-reps-")], alg
+    assert builds["imp3"].ledger.violations

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,9 @@ from spanner.kspanner.common import (
     chunked_scatter,
     id_chunks,
 )
-from spanner.sim import BitCost, NodeProgram, RoundLedger, SimError, SimTimeout, run
+from spanner.sim import (
+    BitCost, NodeProgram, RoundLedger, SimError, SimTimeout, _post, run,
+)
 from spanner.verify import audit_ruling_set
 
 CFG = SimConfig(msg_bit_budget=64)
@@ -509,6 +512,28 @@ def test_chunked_streams_match_reference_programs(case):
     assert _result(
         lambda led: chunked_scatter(g, cfg, led, "down", plans)
     ) == _result(ref_scatter)
+
+
+def test_chunked_streams_reject_non_neighbour_targets():
+    # the first stray (sender, target) pair in ID order raises the send
+    # step's error, and the caller's ledger stays untouched
+    g = Graph(range(5), [(0, 1), (0, 2), (3, 4)])
+    want = {}
+    for v, u, name in ((3, 0, "up"), (0, 3, "down")):
+        with pytest.raises(SimError) as exc:
+            _post(g, SimConfig(), 16, RoundLedger(), name, 1, v,
+                  {u: BitCost(g).msg((TAG_END,))}, defaultdict(list))
+        want[name] = str(exc.value)
+    ledger = RoundLedger()
+    with pytest.raises(SimError) as exc:
+        chunked_gather(g, SimConfig(), ledger, "up", {1: 0, 3: 0, 4: 0},
+                       {1: [2], 3: [1, 2], 4: [0]})
+    assert str(exc.value) == want["up"] == "up: vertex 3 sent to non-neighbor 0"
+    with pytest.raises(SimError) as exc:
+        chunked_scatter(g, SimConfig(), ledger, "down",
+                        {0: {1: [4], 4: [], 3: [1]}, 3: {4: [0]}})
+    assert str(exc.value) == want["down"] == "down: vertex 0 sent to non-neighbor 3"
+    assert ledger.to_json() == RoundLedger().to_json()
 
 
 # -- ruling sets -------------------------------------------------------------

@@ -1,6 +1,10 @@
 import math
+import random
+from typing import Dict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spanner import (
     Bipartition,
@@ -17,7 +21,9 @@ from spanner import (
     verify_stretch_allpairs,
     with_random_weights,
 )
-from spanner.sim import SimError
+from spanner.graph import Spanner
+from spanner.sim import BitCost, Msg, SimError, _cascade
+from spanner.spanner3 import _star_spanner
 
 
 def _crossing(g, a):
@@ -167,6 +173,13 @@ def test_given_partition_overlap_rejected():
         three_spanner_given_partition(g, [{0, 1}, {1, 2}])
 
 
+def test_given_partition_rejects_non_vertex():
+    g = generate("path", {"n": 6})
+    with pytest.raises(ValueError) as exc:
+        three_spanner_given_partition(g, [[0, 1, 999], [2, 3]])
+    assert str(exc.value) == "part 0 names vertex 999, which is not in the graph"
+
+
 def test_given_partition_weighted_oracle():
     g = with_random_weights(
         generate("erdos-renyi", {"n": 50, "p": 0.2}, seed=8), seed=3
@@ -262,3 +275,120 @@ def test_smallid_rejects_large_ids():
     g = Graph([1, 2, 10**6], [(1, 2), (2, 10**6)])
     with pytest.raises(ValueError, match="1000000"):
         small_id_3_spanner(g)
+
+
+# -- the star rounds against a reference copy of their _cascade step ---------
+
+
+def _ref_star_spanner(g, cfg, spanner, part, internal, nbr_parts=None):
+    """Reference for ``_star_spanner``: the two star rounds as one
+    ``_cascade`` step that posts CHOSE and SELECTED messages through the
+    send step."""
+    if g.weighted:
+        def rank(v, u):
+            return (g.weight(v, u), u)
+    else:
+        def rank(v, u):
+            return u
+    chose_bits = BitCost.TAG + g.id_bits
+    selected = Msg(BitCost.TAG, (1,))
+
+    def step(v, inbox):
+        if not inbox:
+            mine = part.get(v)
+            if nbr_parts is None:
+                heard = {u: part[u] for u in g.adj[v] if u in part}
+            else:
+                heard = nbr_parts[v]
+            best: Dict[int, int] = {}
+            for u in g.adj[v]:
+                j = heard.get(u)
+                if j is None:
+                    continue
+                if j == mine:
+                    if internal:
+                        spanner.add(v, u, "internal")
+                    continue
+                cur = best.get(j)
+                if cur is None or rank(v, u) < rank(v, cur):
+                    best[j] = u
+            msgs = {}
+            for j, center in best.items():
+                spanner.add(v, center, "star")
+                msgs[j] = Msg(chose_bits, (0, center))
+            return {u: msgs[heard[u]] for u in g.adj[v] if heard.get(u) in msgs}
+        if inbox[0][1][0] == 1:
+            return None
+        per_star: Dict[int, int] = {}
+        for sender, (_tag, center) in inbox:
+            cur = per_star.get(center)
+            if cur is None or rank(v, sender) < rank(v, cur):
+                per_star[center] = sender
+        out = {}
+        for center, picked in sorted(per_star.items()):
+            spanner.add(v, picked, "star" if center == v else "cross")
+            out[picked] = selected
+        return out
+
+    return _cascade(g, cfg, "star-spanner", g.vertices, step)
+
+
+@st.composite
+def star_cases(draw):
+    """A graph with n <= 30 on sparse IDs (maybe empty, maybe with isolated
+    vertices), unweighted or with weights from {1, 2, 3} so that ties are
+    common; a partial partition read from ``part`` or announced through
+    ``nbr_parts``, or a bipartition whose ``nbr_parts`` leaves vertices on
+    neither side; the budget at the one-ID floor or one bit below it,
+    strict or audit mode, and a round cap of 0-3 or none."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    ids = sorted(rng.sample(range(901), rng.choice((0, 1, 4, 12, 20, 30, 30))))
+    p = rng.choice((0.0, 0.1, 0.2, 0.35, 0.6, 0.9))
+    edges = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]
+             if rng.random() < p]
+    weights = None
+    if rng.random() < 0.5:
+        weights = {e: float(rng.choice((1, 2, 3))) for e in edges}
+    g = Graph(ids, edges, weights=weights)
+    shape = rng.choice(("part", "announced", "bipartite"))
+    if shape == "bipartite":
+        sides = {v: rng.choice("abn") for v in ids}
+        part = {v: 0 for v in ids if sides[v] == "a"}
+        nbr_parts = {
+            v: {u: 0 for u in g.adj[v] if u in part} if sides[v] == "b" else {}
+            for v in ids
+        }
+        internal = False
+    else:
+        nparts = rng.randint(1, 5)
+        part = {v: rng.randrange(nparts) for v in ids if rng.random() < 0.8}
+        nbr_parts = None
+        if shape == "announced":
+            nbr_parts = {v: {u: part[u] for u in g.adj[v] if u in part} for v in ids}
+        internal = rng.random() < 0.5
+    floor = BitCost.TAG + g.id_bits
+    cfg = SimConfig(
+        msg_bit_budget=rng.choice((floor, floor, floor, floor - 1)),
+        strict=rng.random() < 0.5,
+        max_rounds=rng.choice((SimConfig.max_rounds, SimConfig.max_rounds, 0, 1, 2, 3)),
+    )
+    return g, cfg, part, internal, nbr_parts
+
+
+def _star_outcome(build, g, cfg, part, internal, nbr_parts):
+    spanner = Spanner(g)
+    try:
+        ledger = build(g, cfg, spanner, part, internal, nbr_parts)
+    except SimError as exc:
+        return type(exc).__name__, str(exc)
+    return ledger.to_json(), sorted(spanner.edges), list(spanner.provenance.items())
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(star_cases())
+def test_star_spanner_matches_cascade_reference(case):
+    # the bulk-accounted star rounds build the same edges, in the same
+    # order, with the same ledger and errors as rounds posted message by
+    # message through the send step
+    want = _star_outcome(_ref_star_spanner, *case)
+    assert _star_outcome(_star_spanner, *case) == want
