@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..clustering import Clustering
 from ..graph import Graph, Spanner
 from ..results import SpannerRun
-from ..sim import Msg, NodeProgram, RoundLedger, SimConfig, SimTimeout, announce, run
+from ..sim import BitCost, Msg, RoundLedger, SimConfig, SimTimeout, _cascade, announce
 from .common import (
     TAG_TUPLE,
     advertise,
@@ -114,122 +114,88 @@ def _star_gtree(st: StarState, cluster_of: Dict[int, Optional[int]],
     )
 
 
-class StarBFS(NodeProgram):
-    """Star-graph BFS from the new centers: three rounds per star hop
-    (cluster vertices announce, star members relay the best offer to their
-    leader, the leader adopts and broadcasts).  Ties prefer the larger
-    cluster ID, then the smallest relay edge."""
-
-    name = "star-bfs"
-
-    TAG_OFFER, TAG_RELAY, TAG_ADOPT = 0, 1, 2
-
-    def __init__(self, depth: int):
-        self.depth = depth
-
-    def init(self, view):
-        p = view.private or {}
-        return {
-            "leader": p.get("leader"),      # None for non-star vertices
-            "is_center": bool(p.get("center")),
-            "cid": None,
-            "hop": None,
-            "uplink": None,
-            "announced": False,
-            "buffer": [],                   # buffered offers/relays
-        }
-
-    def on_round(self, state, view, rnd, inbox):
-        out = {}
-        phase = rnd % 3  # 1: adopt/broadcast, 2: announce, 0: relay
-        for sender, body in inbox:
-            tag = body[0]
-            if tag == self.TAG_ADOPT and sender == state["leader"]:
-                state["cid"] = body[1]
-                state["hop"] = body[2]
-            elif tag in (self.TAG_OFFER, self.TAG_RELAY):
-                state["buffer"].append((sender, body))
-        if rnd == 1 and state["is_center"]:
-            state["cid"] = view.vid
-            state["hop"] = 0
-            m = Msg(8 + view.bits.id_bits + view.bits.counter(self.depth),
-                    (self.TAG_ADOPT, view.vid, 0))
-            for u in view.private.get("members", ()):
-                out[u] = m
-        if phase == 2 and state["cid"] is not None and not state["announced"]:
-            state["announced"] = True
-            m = Msg(8 + view.bits.id_bits, (self.TAG_OFFER, state["cid"]))
-            for u in view.neighbors:
-                out.setdefault(u, m)
-        if phase == 0 and state["cid"] is None and state["buffer"]:
-            if state["leader"] is not None and state["leader"] != view.vid:
-                # member: relay the best offer heard to the leader
-                best = None
-                for sender, body in state["buffer"]:
-                    if body[0] != self.TAG_OFFER:
-                        continue
-                    key = (body[1], -sender)
-                    if best is None or key > best:
-                        best = key
-                if best is not None:
-                    m = Msg(8 + 2 * view.bits.id_bits,
-                            (self.TAG_RELAY, best[0], -best[1]))
-                    out[state["leader"]] = m
-                state["buffer"] = []
-        if phase == 1 and rnd > 1 and state["cid"] is None \
-                and state["leader"] == view.vid:
-            hop = (rnd - 1) // 3
-            if hop <= self.depth and state["buffer"]:
-                best = None
-                for sender, body in state["buffer"]:
-                    if body[0] == self.TAG_RELAY:
-                        key = (body[1], -sender, -body[2])
-                    else:  # direct offer to the leader
-                        key = (body[1], -view.vid, -sender)
-                    if best is None or key > best:
-                        best = key
-                state["buffer"] = []
-                if best is not None:
-                    cid, rel, off = best[0], -best[1], -best[2]
-                    state["cid"] = cid
-                    state["hop"] = hop
-                    state["uplink"] = (rel, off)
-                    m = Msg(8 + view.bits.id_bits + view.bits.counter(self.depth),
-                            (self.TAG_ADOPT, cid, hop))
-                    for u in view.private.get("members", ()):
-                        out[u] = m
-        done = rnd >= 3 * (self.depth + 1)
-        return out, done and not out
-
-    def on_finish(self, state, view):
-        return {
-            "cid": state["cid"],
-            "hop": state["hop"],
-            "uplink": state["uplink"],
-        }
-
-
 def _grow_star_clusters(
     g, cfg, ledger, st: StarState, centers: Set[int], depth: int
 ) -> Tuple[Dict[int, Optional[int]], Dict[int, Tuple[int, int]]]:
-    private = {}
-    for v in g.vertices:
-        s = st.star_of.get(v)
-        private[v] = {
-            "leader": s,
-            "center": v in centers,
-            "members": tuple(st.members.get(v, ())) if v == s else (),
-        }
-    outputs, led = run(g, StarBFS(depth), cfg, private=private)
-    ledger.extend_sequential(led, name=f"star-bfs:d{depth}")
-    cluster_of: Dict[int, Optional[int]] = {}
+    """Star-graph BFS from the new centers, ``depth`` star hops; returns
+    each star's cluster (None: not reached) and, for each star reached by
+    an offer, its uplink edge (relaying star vertex, offering vertex).
+
+    Three rounds per star hop h = 0..depth.  In round 3h+1 a leader
+    adopts a cluster and sends ADOPT (cluster, h) to its members: in
+    round 1 every center adopts its own ID, later a leader without a
+    cluster adopts the best of its members' relays and the offers it
+    buffered itself.  In round 3h+2 the leader and its members announce
+    OFFER (cluster) to all their neighbours.  In round 3h+3 a member of a
+    star without a cluster relays the best offer it heard, RELAY
+    (cluster, offerer), to its leader, and such a leader buffers the best
+    offer it heard.  Ties prefer the larger cluster ID, then the smallest
+    relaying vertex, then the smallest offerer.
+
+    The host tracks every vertex's cluster, the uplinks and each leader's
+    buffered offer.  Mail alone cannot drive the BFS: a leader acts on
+    buffered offers in an adopt round in which it may get no mail, and a
+    leader without members announces its adoption in a round with no
+    mail.  So the clock wakes the leaders holding offers in adopt rounds
+    and the leaders that just adopted in announce rounds.  It runs until
+    round 3(depth+1), so every round of the schedule is checked against
+    the round cap and the stall guard, whether or not it carries mail."""
+    adopt_bits = BitCost.TAG + g.id_bits + BitCost(g).counter(depth)
+    offer_bits = BitCost.TAG + g.id_bits
+    relay_bits = BitCost.TAG + 2 * g.id_bits
+    cid: Dict[int, int] = {}  # vertex -> cluster, once it knows one
     uplinks: Dict[int, Tuple[int, int]] = {}
-    for s in st.stars():
-        res = outputs[s]
-        cluster_of[s] = res["cid"]
-        if res["uplink"] is not None:
-            uplinks[s] = res["uplink"]
-    return cluster_of, uplinks
+    offers: Dict[int, Tuple[int, int, int]] = {}  # leader -> (cid, -relay, -offerer)
+    fresh: List[int] = []  # leaders that adopted in the last adopt round
+    last = 3 * (depth + 1)
+
+    def adopt(s, c, hop):
+        cid[s] = c
+        fresh.append(s)
+        m = Msg(adopt_bits, (c, hop))
+        return {u: m for u in st.members[s]}
+
+    def wake(rnd):
+        nonlocal fresh
+        if rnd > last:
+            return None
+        if rnd % 3 == 2:
+            woken, fresh = fresh, []
+            return woken
+        return offers if rnd % 3 == 1 else ()
+
+    def step(v, rnd, inbox):
+        phase = rnd % 3
+        if rnd == 1:  # v is a center
+            return adopt(v, v, 0)
+        if phase == 1:  # v is a leader with relays or buffered offers
+            best = offers.pop(v, None)
+            if rnd > 3 * depth + 1:
+                return None
+            for member, (c, offerer) in inbox:
+                key = (c, -member, -offerer)
+                if best is None or key > best:
+                    best = key
+            c, rel, off = best
+            uplinks[v] = (-rel, -off)
+            return adopt(v, c, (rnd - 1) // 3)
+        if phase == 2:  # v just adopted, or its leader told it
+            if inbox:
+                cid[v] = inbox[0][1][0]
+            m = Msg(offer_bits, cid[v])
+            return {u: m for u in g.adj[v]}
+        s = st.star_of.get(v)  # v heard offers
+        if s is None or v in cid:
+            return None
+        c, neg = max((c, -sender) for sender, c in inbox)
+        if v == s:
+            offers[v] = (c, -v, neg)
+            return None
+        return {s: Msg(relay_bits, (c, -neg))}
+
+    led = _cascade(g, cfg, "star-bfs", centers, step, wake)
+    ledger.extend_sequential(led, name=f"star-bfs:d{depth}")
+    return {s: cid.get(s) for s in st.stars()}, uplinks
 
 
 def sparser_bipartite_spanner(
@@ -247,6 +213,7 @@ def sparser_bipartite_spanner(
         from ..spanner3 import bipartite_3_spanner
 
         return bipartite_3_spanner(g, part, cfg)
+    part.check(g)
     if g.weighted:
         raise ValueError("weighted graphs are only supported for k = 2")
     kp = k // 2

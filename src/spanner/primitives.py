@@ -3,12 +3,12 @@
 Cluster growth, the power-graph min-flood, the tree partition and the
 forest convergecast and broadcast act only in round 1 or when mail
 arrives, so each runs as host-scheduled rounds through the engine's send
-step (``sim._cascade``): a ``step(v, inbox)`` closure reads the vertex's
-mail and the state the host tracks for it and returns its outbox.  The
-log-round ruling set and the power-graph hop-flood are broadcast BFS
-floods, run layer by layer through ``sim._flood``.  Every wrapper is a
-pure function of (graph, inputs) and returns the assembled result
-together with the run's RoundLedger.
+step (``sim._cascade``): a ``step(v, rnd, inbox)`` closure reads the
+vertex's mail and the state the host tracks for it and returns its
+outbox.  The log-round ruling set and the power-graph hop-flood are
+broadcast BFS floods, run layer by layer through ``sim._flood``.  Every
+wrapper is a pure function of (graph, inputs) and returns the assembled
+result together with the run's RoundLedger.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .sim import (
     SimTimeout,
     _cascade,
     _flood,
+    _round_guard,
 )
 
 # ---------------------------------------------------------------------------
@@ -54,7 +55,7 @@ def grow_bfs_clusters(
     width = BitCost.TAG + g.id_bits + BitCost(g).counter(depth)
     joined: Dict[int, Tuple[int, Optional[int]]] = {}  # v -> (center, parent)
 
-    def step(v, inbox):
+    def step(v, rnd, inbox):
         if not inbox:  # round 1, the only call without mail: v is a center
             joined[v] = (v, None)
             if depth < 1:
@@ -203,7 +204,7 @@ def forest_aggregate(
         if 0 in counts:
             leaves.append(v)
 
-    def step(v, inbox):
+    def step(v, rnd, inbox):
         rs, partial = roles[v], acc[v]
         out = {}
         if not inbox:  # round 1, the only call without mail
@@ -256,7 +257,7 @@ def forest_broadcast(
     }
     roots = [v for v, rs in roles.items() if any(r[1] is None for r in rs)]
 
-    def step(v, inbox):
+    def step(v, rnd, inbox):
         rs, known = roles[v], got[v]
         out = {}
         if not inbox:  # round 1, the only call without mail
@@ -306,8 +307,8 @@ def ruling_set_log(
     O(log n) rounds with one message per edge per round.
 
     Every candidate keeps the phase clock for all 4 * id_bits rounds, so
-    the round cap and the stall guard of :func:`sim.run` apply to every
-    round of that schedule.
+    the round loop's round cap and stall guard (``sim._round_guard``)
+    apply to every round of that schedule.
     """
     name = "ruling-set-log"
     cand = set(candidates)
@@ -328,18 +329,9 @@ def ruling_set_log(
         bit = levels - 1 - level
         offset = 4 * level
         for rnd in range(offset + 1, offset + 5):
-            if rnd > cfg.max_rounds:
-                raise SimTimeout(
-                    f"program {name!r} exceeded max_rounds={cfg.max_rounds}"
-                )
-            if silent > cfg.stall_limit:
-                # after a silent round nobody has mail, so the vertices
-                # called are the active candidates (in round 1: all)
-                callees = sorted(active) if rnd > 1 else list(g.vertices)
-                raise SimTimeout(
-                    f"program {name!r} stalled: {len(callees)} vertices "
-                    f"(e.g. {callees[:5]}) neither halt nor communicate"
-                )
+            # after a silent round nobody has mail, so the vertices called
+            # are the active candidates
+            _round_guard(cfg, name, rnd, silent, active)
             if rnd == offset + 1:
                 zeros = [v for v in active if not v >> bit & 1]
                 heard, sent = _flood(g, cfg, budget, ledger, name, zeros, 3, width, offset)
@@ -392,7 +384,7 @@ def ruling_set_power(
     budget = cfg.budget_for(g)
     low: Dict[int, int] = {}  # smallest source ID heard in this wave
 
-    def min_step(v, inbox):
+    def min_step(v, rnd, inbox):
         if not inbox:  # round 1: v is a source
             low[v] = v
             m = Msg(low_width, (v, 1))
@@ -423,8 +415,7 @@ def ruling_set_power(
         heard, sent = _flood(g, cfg, budget, led, "hop-flood", joiners, radius, hop_width)
         # as in _cascade, the round after the last send runs too (the
         # min-flood has already run round 1 under the same cap)
-        if sent >= cfg.max_rounds:
-            raise SimTimeout(f"program 'hop-flood' exceeded max_rounds={cfg.max_rounds}")
+        _round_guard(cfg, "hop-flood", sent + 1, 0, ())
         ledger.extend_sequential(led, name="power-deactivate")
         active = active - heard
     return chosen, ledger
@@ -472,7 +463,7 @@ def partition_tree(
         for c in children:
             out[c] = m
 
-    def step(v, inbox):
+    def step(v, rnd, inbox):
         out = {}
         for sender, body in inbox:
             if body[0] == TAG_ASSIGN:

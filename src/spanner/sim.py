@@ -5,33 +5,37 @@ messages over each incident edge.  A message sent in round r is delivered in
 round r+1.  Execution is bit-deterministic: vertices are processed in ID
 order, so every inbox arrives sorted by sender.
 
-A :class:`NodeProgram` supplies three hooks:
+One round loop, ``_cascade``, runs every multi-round protocol.  Each round
+it calls ``step(v, rnd, inbox)`` in ID order for the vertices with mail
+and those the caller names (round 1) or an optional clock wakes, and posts
+each returned outbox through the send step, ``_post``, which accounts
+bits, congestion, neighbours and rounds.  The round cap and the stall
+guard are checked before every round.  ``rounds_used`` counts
+communication rounds, i.e. the index of the last round that carried at
+least one message.  The send step checks a whole outbox at once and, if
+that check fails, falls back to a per-message loop that alone records or
+raises violations.
+
+:func:`run` adapts a :class:`NodeProgram` to that loop.  A program supplies
+three hooks:
 
 * ``init(view)``       -> per-vertex local state
 * ``on_round(state, view, rnd, inbox)`` -> (outbox, halt_vote)
 * ``on_finish(state, view)`` -> local output
 
-The engine is the referee for global termination: a run ends once every
-vertex votes halt and no message is in flight.  ``rounds_used`` counts
-communication rounds, i.e. the index of the last round that carried at
-least one message.
+Every vertex is called in round 1; after that the vertices that have not
+voted halt are the clock, so a run ends once every vertex votes halt and
+no message is in flight.
 
-Every vertex of a run is set up and called in round 1; after that only
-vertices that have not voted halt or have mail are called.  The send step
-checks a whole outbox at once and, if that check fails, falls back to a
-per-message loop that alone records or raises violations.
-
-Rounds whose messages follow from state the host already tracks skip the
-vertex programs.  Some still go through the send step: ``exchange`` posts
-one precomputed round, and ``_cascade`` runs rounds in which only the
-vertices with mail act (in ``primitives`` cluster growth, the power-graph
-min-flood, the tree partition and the forest convergecast and
-broadcast).  Both post through ``_post``, so bits, congestion, neighbours
-and rounds are accounted exactly as for a program.  Rounds that can
-violate nothing, because every message goes to a neighbour within the
-budget and one per edge, handle no message objects: ``_bulk`` folds each
-batch into the ledger at once.  These are the two star rounds of the
-3-spanners (``spanner3._star_spanner``), the chunked ID streams
+The library's protocols keep their per-vertex state host-side and run as
+step closures: cluster growth, the power-graph min-flood, the tree
+partition and the forest convergecast and broadcast in ``primitives``, and
+the star-graph BFS of ``kspanner.starbip``, which acts on a clock.
+``exchange`` posts one precomputed round through the same send step.
+Rounds that can violate nothing, because every message goes to a neighbour
+within the budget and one per edge, handle no message objects: ``_bulk``
+folds each batch into the ledger at once.  These are the two star rounds
+of the 3-spanners (``spanner3._star_spanner``), the chunked ID streams
 (``kspanner.common._stream``) and the layers of ``_flood`` within the
 budget.  ``_flood`` runs a broadcast BFS flood, in which every reached
 vertex sends one message to each neighbour (the log-round ruling set and
@@ -84,14 +88,17 @@ class SimConfig:
         return default_bit_budget(g.n)
 
     def check(self, g: Graph) -> None:
-        """Every budget must fit one tagged vertex ID, and every edge must
-        carry at least one message per round."""
+        """Every budget must fit one tagged vertex ID, every edge must
+        carry at least one message per round, and the stall guard must let
+        round 1 run."""
         b = self.budget_for(g)
         floor = BitCost.TAG + g.id_bits
         if b < floor:
             raise SimError(f"msg_bit_budget {b} below minimum {floor}")
         if self.congestion_factor < 1:
             raise SimError(f"congestion_factor {self.congestion_factor} below 1")
+        if self.stall_limit < 0:
+            raise SimError(f"stall_limit {self.stall_limit} below 0")
 
     def resolved(self, g: Graph) -> "SimConfig":
         """Freeze the bit budget at this graph's size so sub-simulations on
@@ -313,56 +320,28 @@ def run(
 ) -> Tuple[Dict[int, Any], RoundLedger]:
     """Execute one program on g until global halt; returns per-vertex
     outputs in ID order.  Every vertex gets its view, ``init`` and a
-    round-1 callback; later rounds call the vertices that are awake or
-    have mail."""
+    round-1 callback; later rounds call the vertices that are awake (did
+    not vote halt) or have mail.  The rounds run through :func:`_cascade`,
+    whose clock is the awake set."""
     cfg = cfg or SimConfig()
     cfg.check(g)
     budget = cfg.budget_for(g)
     bits = BitCost(g)
     private = private or {}
-    ledger = RoundLedger()
-    views: Dict[int, NodeView] = {}
-    states: Dict[int, Any] = {}
-    for v in g.vertices:
-        views[v] = view = NodeView(v, g.adj[v], private.get(v), bits, budget)
-        states[v] = program.init(view)
+    views = {v: NodeView(v, g.adj[v], private.get(v), bits, budget) for v in g.vertices}
+    states = {v: program.init(view) for v, view in views.items()}
+    awake = set(g.vertices)
 
-    awake = set(g.vertices)  # called next round even with an empty inbox
-    inboxes: Dict[int, List[Tuple[int, Any]]] = {}
-    rnd = 0
-    silent = 0
-    while awake or inboxes:
-        rnd += 1
-        if rnd > cfg.max_rounds:
-            raise SimTimeout(
-                f"program {program.name!r} exceeded max_rounds={cfg.max_rounds}"
-            )
-        callees = sorted(awake.union(inboxes))
-        if silent > cfg.stall_limit:
-            waiting = [v for v in callees[:5]]
-            raise SimTimeout(
-                f"program {program.name!r} stalled: {len(callees)} vertices "
-                f"(e.g. {waiting}) neither halt nor communicate"
-            )
-        next_in: Dict[int, List[Tuple[int, Any]]] = defaultdict(list)
-        sent_before = ledger.messages_total
-        for v in callees:
-            outbox, halt = program.on_round(states[v], views[v], rnd, inboxes.pop(v, []))
-            if halt:
-                awake.discard(v)
-            else:
-                awake.add(v)
-            if outbox:
-                _post(g, cfg, budget, ledger, program.name, rnd, v, outbox, next_in)
-        if ledger.messages_total > sent_before:
-            ledger.rounds_used = rnd
-            silent = 0
+    def step(v, rnd, inbox):
+        outbox, halt = program.on_round(states[v], views[v], rnd, inbox)
+        if halt:
+            awake.discard(v)
         else:
-            silent += 1
-        inboxes = next_in
+            awake.add(v)
+        return outbox
 
+    ledger = _cascade(g, cfg, program.name, (), step, lambda rnd: awake or None)
     outputs = {v: program.on_finish(states[v], views[v]) for v in g.vertices}
-    ledger.per_phase.append((program.name, ledger.rounds_used))
     return outputs, ledger
 
 
@@ -391,43 +370,69 @@ def exchange(
     return inboxes
 
 
+def _round_guard(cfg: SimConfig, name: str, rnd: int, silent: int,
+                 callees: Iterable[int]) -> None:
+    """Raise SimTimeout before round ``rnd`` calls ``callees`` if the round
+    is past ``cfg.max_rounds`` or follows more than ``cfg.stall_limit``
+    consecutive rounds (``silent``) that carried no message."""
+    if rnd > cfg.max_rounds:
+        raise SimTimeout(f"program {name!r} exceeded max_rounds={cfg.max_rounds}")
+    if silent > cfg.stall_limit:
+        callees = sorted(callees)
+        raise SimTimeout(
+            f"program {name!r} stalled: {len(callees)} vertices "
+            f"(e.g. {callees[:5]}) neither halt nor communicate"
+        )
+
+
 def _cascade(
     g: Graph,
     cfg: SimConfig,
     name: str,
     first: Iterable[int],
-    step: Callable[[int, Sequence[Tuple[int, Any]]], Optional[Dict[int, Any]]],
+    step: Callable[[int, int, Sequence[Tuple[int, Any]]], Optional[Dict[int, Any]]],
+    wake: Optional[Callable[[int], Optional[Iterable[int]]]] = None,
 ) -> RoundLedger:
-    """Scripted rounds until the mail runs out, for protocols whose
-    messages follow from state the caller tracks.  Round 1 calls
-    ``step(v, ())`` for each v in ``first``; every later round calls
-    ``step(v, inbox)`` only for the vertices that received mail, with the
-    inbox in sender order.  Vertices go in ascending ID order and each
-    returned outbox is posted through the send step under its round index.
-    Returns a fresh ledger with one phase ``name``; ``rounds_used`` is the
-    last round that carried a message, as in :func:`run`."""
+    """The round loop: calls ``step(v, rnd, inbox)`` for the vertices of
+    round ``rnd``, in ascending ID order with the inbox in sender order,
+    and posts each returned outbox through the send step.  Round 1 calls
+    ``first`` with an empty inbox, and every round calls the vertices that
+    received mail.  The clock ``wake(rnd)`` names the vertices to call
+    besides those, or returns None: the run ends at the first round that
+    has no mail and for which the clock returns None (without a clock:
+    once the mail runs out).  Before each round :func:`_round_guard`
+    applies the round cap and the stall guard.  Returns a fresh ledger
+    with one phase ``name``; ``rounds_used`` is the last round that
+    carried a message."""
     cfg.check(g)
     budget = cfg.budget_for(g)
     ledger = RoundLedger()
-    callees = sorted(first)
-    strays = [v for v in callees if v not in g.adj]
+    inboxes: Dict[int, Sequence[Tuple[int, Any]]] = dict.fromkeys(first, ())
+    strays = sorted(v for v in inboxes if v not in g.adj)
     if strays:
         raise SimError(f"{name}: active non-vertices {strays[:5]}")
-    inboxes: Dict[int, List[Tuple[int, Any]]] = {}
-    rnd = 0
-    while callees:
+    rnd = silent = 0
+    while True:
         rnd += 1
-        if rnd > cfg.max_rounds:
-            raise SimTimeout(f"program {name!r} exceeded max_rounds={cfg.max_rounds}")
+        woken = wake(rnd) if wake else None
+        if woken is not None:
+            callees = sorted(inboxes.keys() | woken)
+        elif inboxes:
+            callees = sorted(inboxes)
+        else:
+            break
+        _round_guard(cfg, name, rnd, silent, callees)
         next_in: Dict[int, List[Tuple[int, Any]]] = defaultdict(list)
         for v in callees:
-            outbox = step(v, inboxes.get(v, ()))
+            outbox = step(v, rnd, inboxes.get(v, ()))
             if outbox:
                 _post(g, cfg, budget, ledger, name, rnd, v, outbox, next_in)
         if next_in:
             ledger.rounds_used = rnd
+            silent = 0
+        else:
+            silent += 1
         inboxes = next_in
-        callees = sorted(next_in)
     ledger.per_phase.append((name, ledger.rounds_used))
     return ledger
 

@@ -25,6 +25,17 @@ class Bipartition:
         if self.a & self.b:
             raise ValueError("bipartition sides overlap")
 
+    def check(self, g: Graph) -> None:
+        """Raise ValueError naming the side and the smallest vertex of it
+        that is not in g."""
+        for side, vs in (("A", self.a), ("B", self.b)):
+            strays = vs.difference(g.adj)
+            if strays:
+                raise ValueError(
+                    f"bipartition side {side} names vertex {min(strays)}, "
+                    "which is not in the graph"
+                )
+
 
 def high_degree_threshold(n: int) -> int:
     return math.ceil(math.sqrt(n))
@@ -133,6 +144,7 @@ def bipartite_3_spanner(
     """Two-round 3-spanner of the A-to-B edges of a (possibly weighted)
     bipartite instance; at most |B| + |A|^2 edges.  Only B vertices hear
     of their A neighbors, so a vertex on neither side picks no star."""
+    part.check(g)
     spanner = Spanner(g)
     heard = {
         v: {u: 0 for u in g.adj[v] if u in part.a} if v in part.b else {}

@@ -221,7 +221,7 @@ def _flood_max_cascade(g, cfg, pad):
     best = {v: v for v in g.vertices}
     bits = BitCost.TAG + g.id_bits + pad
 
-    def step(v, inbox):
+    def step(v, rnd, inbox):
         src = None
         improved = not inbox
         for s, body in inbox:
@@ -319,6 +319,15 @@ def test_congestion_factor_below_one_rejected():
         run(g, FloodMax(), SimConfig(congestion_factor=0))
     with pytest.raises(SimError):
         exchange(g, SimConfig(congestion_factor=0), RoundLedger(), "x", {})
+
+
+def test_stall_limit_below_zero_rejected():
+    # a negative limit would report a stall before round 1
+    g = generate("path", {"n": 6})
+    with pytest.raises(SimError, match=r"^stall_limit -1 below 0$"):
+        run(g, FloodMax(), SimConfig(stall_limit=-1))
+    with pytest.raises(SimError, match=r"^stall_limit -1 below 0$"):
+        _cascade(g, SimConfig(stall_limit=-1), "cascade", {0}, lambda v, rnd, inbox: None)
 
 
 # -- the engine against a reference copy of its per-message loop -------------
@@ -489,7 +498,26 @@ def test_engine_matches_reference_loop(case):
 def test_active_set_must_name_vertices():
     g = generate("path", {"n": 3})
     with pytest.raises(SimError, match=r"^cascade: active non-vertices \[7, 9\]$"):
-        _cascade(g, SimConfig(), "cascade", {0, 9, 7}, lambda v, inbox: None)
+        _cascade(g, SimConfig(), "cascade", {0, 9, 7}, lambda v, rnd, inbox: None)
+
+
+def test_clock_rounds_count_towards_the_round_cap():
+    # a running clock keeps rounds going with no mail, and every one of
+    # them is checked against max_rounds
+    g = generate("path", {"n": 3})
+    called = []
+
+    def step(v, rnd, inbox):
+        called.append((rnd, v))
+
+    def wake(rnd):
+        return [] if rnd <= 5 else None
+
+    with pytest.raises(SimTimeout, match=r"^program 'clock' exceeded max_rounds=4$"):
+        _cascade(g, SimConfig(max_rounds=4), "clock", (), step, wake)
+    assert called == []
+    ledger = _cascade(g, SimConfig(max_rounds=5), "clock", (), step, wake)
+    assert (ledger.rounds_used, ledger.per_phase) == (0, [("clock", 0)])
 
 
 # -- the broadcast flood -----------------------------------------------------
@@ -597,8 +625,8 @@ def test_flood_over_budget_audit_records_each_edge():
 
 
 def test_library_node_programs():
-    # every other protocol runs as host-scheduled rounds through the send
-    # step; only the demo's FloodMax and the star BFS remain vertex programs
+    # every protocol runs as host-scheduled rounds through the send step;
+    # only the demo's FloodMax remains a vertex program
     import importlib
     import pkgutil
 
@@ -613,4 +641,4 @@ def test_library_node_programs():
             stack.append(sub)
             if sub.__module__.split(".")[0] == "spanner":
                 found.add(sub.__name__)
-    assert found == {"FloodMax", "StarBFS"}
+    assert found == {"FloodMax"}

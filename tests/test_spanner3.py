@@ -82,6 +82,14 @@ def test_bipartite_vertex_on_neither_side_picks_no_star():
     assert res.spanner.edges == {(0, 1)}
 
 
+def test_bipartite_rejects_sides_outside_the_graph():
+    g = generate("path", {"n": 6})
+    with pytest.raises(ValueError, match="^bipartition side A names vertex 99, "):
+        bipartite_3_spanner(g, Bipartition([0, 2, 4, 99], [1, 3, 5]))
+    with pytest.raises(ValueError, match="^bipartition side B names vertex 6, "):
+        bipartite_3_spanner(g, Bipartition([0, 2, 4], [1, 3, 5, 9, 6]))
+
+
 def test_bipartite_weighted_picks_closest():
     g = Graph(
         range(3),
@@ -293,7 +301,7 @@ def _ref_star_spanner(g, cfg, spanner, part, internal, nbr_parts=None):
     chose_bits = BitCost.TAG + g.id_bits
     selected = Msg(BitCost.TAG, (1,))
 
-    def step(v, inbox):
+    def step(v, rnd, inbox):
         if not inbox:
             mine = part.get(v)
             if nbr_parts is None:

@@ -1,7 +1,11 @@
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spanner import sim
 from spanner import (
     Bipartition,
     Graph,
@@ -16,7 +20,10 @@ from spanner import (
     verify_stretch,
 )
 from spanner.cli import run_algorithm, stretch_bound
+from spanner.graph import Spanner
+from spanner.kspanner import starbip
 from spanner.kspanner.common import ipow_ceil
+from spanner.sim import Msg, NodeProgram, RoundLedger, SimError, default_bit_budget, run
 
 
 def _crossing(g, a):
@@ -185,6 +192,223 @@ def test_sparser_sqrt_instance_size_bound():
     bound = k * a ** (1 + 2.0 / k) + b
     assert res.spanner.size <= 2 * bound
     assert verify_stretch(_crossing(g, set(range(a))), res.spanner, 7).passed
+
+
+def test_sparser_rejects_sides_outside_the_graph():
+    g = generate("path", {"n": 6})
+    with pytest.raises(ValueError, match="^bipartition side A names vertex 99, "):
+        sparser_bipartite_spanner(g, Bipartition([0, 2, 4, 99], [1, 3, 5]), 4)
+    with pytest.raises(ValueError, match="^bipartition side B names vertex 7, "):
+        sparser_bipartite_spanner(g, Bipartition([0, 2, 4], [1, 3, 5, 8, 7]), 2)
+
+
+# -- the star-graph BFS against the vertex program it replaces ---------------
+
+
+class RefStarBFS(NodeProgram):
+    """Reference for ``starbip._grow_star_clusters``: star-graph BFS from
+    the new centers as a vertex program, three rounds per star hop
+    (cluster vertices announce, star members relay the best offer to their
+    leader, the leader adopts and broadcasts).  Ties prefer the larger
+    cluster ID, then the smallest relay edge."""
+
+    name = "star-bfs"
+
+    TAG_OFFER, TAG_RELAY, TAG_ADOPT = 0, 1, 2
+
+    def __init__(self, depth):
+        self.depth = depth
+
+    def init(self, view):
+        p = view.private or {}
+        return {
+            "leader": p.get("leader"),      # None for non-star vertices
+            "is_center": bool(p.get("center")),
+            "cid": None,
+            "hop": None,
+            "uplink": None,
+            "announced": False,
+            "buffer": [],                   # buffered offers/relays
+        }
+
+    def on_round(self, state, view, rnd, inbox):
+        out = {}
+        phase = rnd % 3  # 1: adopt/broadcast, 2: announce, 0: relay
+        for sender, body in inbox:
+            tag = body[0]
+            if tag == self.TAG_ADOPT and sender == state["leader"]:
+                state["cid"] = body[1]
+                state["hop"] = body[2]
+            elif tag in (self.TAG_OFFER, self.TAG_RELAY):
+                state["buffer"].append((sender, body))
+        if rnd == 1 and state["is_center"]:
+            state["cid"] = view.vid
+            state["hop"] = 0
+            m = Msg(8 + view.bits.id_bits + view.bits.counter(self.depth),
+                    (self.TAG_ADOPT, view.vid, 0))
+            for u in view.private.get("members", ()):
+                out[u] = m
+        if phase == 2 and state["cid"] is not None and not state["announced"]:
+            state["announced"] = True
+            m = Msg(8 + view.bits.id_bits, (self.TAG_OFFER, state["cid"]))
+            for u in view.neighbors:
+                out.setdefault(u, m)
+        if phase == 0 and state["cid"] is None and state["buffer"]:
+            if state["leader"] is not None and state["leader"] != view.vid:
+                # member: relay the best offer heard to the leader
+                best = None
+                for sender, body in state["buffer"]:
+                    if body[0] != self.TAG_OFFER:
+                        continue
+                    key = (body[1], -sender)
+                    if best is None or key > best:
+                        best = key
+                if best is not None:
+                    m = Msg(8 + 2 * view.bits.id_bits,
+                            (self.TAG_RELAY, best[0], -best[1]))
+                    out[state["leader"]] = m
+                state["buffer"] = []
+        if phase == 1 and rnd > 1 and state["cid"] is None \
+                and state["leader"] == view.vid:
+            hop = (rnd - 1) // 3
+            if hop <= self.depth and state["buffer"]:
+                best = None
+                for sender, body in state["buffer"]:
+                    if body[0] == self.TAG_RELAY:
+                        key = (body[1], -sender, -body[2])
+                    else:  # direct offer to the leader
+                        key = (body[1], -view.vid, -sender)
+                    if best is None or key > best:
+                        best = key
+                state["buffer"] = []
+                if best is not None:
+                    cid, rel, off = best[0], -best[1], -best[2]
+                    state["cid"] = cid
+                    state["hop"] = hop
+                    state["uplink"] = (rel, off)
+                    m = Msg(8 + view.bits.id_bits + view.bits.counter(self.depth),
+                            (self.TAG_ADOPT, cid, hop))
+                    for u in view.private.get("members", ()):
+                        out[u] = m
+        done = rnd >= 3 * (self.depth + 1)
+        return out, done and not out
+
+    def on_finish(self, state, view):
+        return {
+            "cid": state["cid"],
+            "hop": state["hop"],
+            "uplink": state["uplink"],
+        }
+
+
+def ref_grow_star_clusters(g, cfg, ledger, st, centers, depth):
+    private = {}
+    for v in g.vertices:
+        s = st.star_of.get(v)
+        private[v] = {
+            "leader": s,
+            "center": v in centers,
+            "members": tuple(st.members.get(v, ())) if v == s else (),
+        }
+    outputs, led = run(g, RefStarBFS(depth), cfg, private=private)
+    ledger.extend_sequential(led, name=f"star-bfs:d{depth}")
+    cluster_of = {}
+    uplinks = {}
+    for s in st.stars():
+        res = outputs[s]
+        cluster_of[s] = res["cid"]
+        if res["uplink"] is not None:
+            uplinks[s] = res["uplink"]
+    return cluster_of, uplinks
+
+
+def random_star_bfs_inputs(rng):
+    """A graph on up to 40 sparse IDs with an A side, a larger B side and
+    vertices on neither side, A-B edges at one of four densities plus a
+    few within-side and outside edges; k = 3..8; a strict or audit config
+    at a roomy budget or at the floor 8 + id_bits, where RELAY's
+    8 + 2 * id_bits bits (and, in whole builds, the election's tuples)
+    overrun it; max_rounds 0..3(depth+1)+1 or uncapped for the deepest
+    star BFS of a build with this k (at least depth 1); and stall_limit
+    0..5 or the default."""
+    ids = rng.sample(range(1, 400), rng.randint(2, 40))
+    na = rng.randint(1, max(1, len(ids) // 3))
+    a, rest = ids[:na], ids[na:]
+    b = rest[:len(rest) - rng.randint(0, min(3, len(rest)))]
+    p = rng.choice((0.1, 0.25, 0.5, 0.9))
+    edges = {(u, v) for u in a for v in b if rng.random() < p}
+    for _ in range(rng.randint(0, 4)):
+        u, v = rng.sample(ids, 2)
+        edges.add((u, v))
+    g = Graph(sorted(ids), sorted(edges))
+    k = rng.randint(3, 8)
+    depth = max(1, k // 2 - 1)
+    floor = 8 + g.id_bits
+    budget = rng.choice((None, floor))
+    if budget is None and default_bit_budget(g.n) < floor:
+        budget = 2 * floor  # the default cannot carry a sparse ID here
+    cfg = SimConfig(msg_bit_budget=budget, strict=rng.random() < 0.5)
+    if rng.random() < 0.6:
+        cfg.max_rounds = rng.randint(0, 3 * (depth + 1) + 1)
+    if rng.random() < 0.5:
+        cfg.stall_limit = rng.randint(0, 5)
+    return g, Bipartition(a, b), k, cfg
+
+
+def _star_bfs_outcome(call):
+    """The result, or the exception's type and text.  A stall names the
+    vertices the round loop calls, which differ between the two (the
+    program calls every vertex until its last round, the clock only the
+    ones that act), so a stall is compared by the round that raised it."""
+    rounds = []
+    guard = sim._round_guard
+
+    def record(cfg, name, rnd, silent, callees):
+        rounds.append(rnd)
+        guard(cfg, name, rnd, silent, callees)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_round_guard", record)
+        try:
+            return call()
+        except SimError as exc:
+            if "neither halt nor communicate" in str(exc):
+                return type(exc), "stalled in round", rounds[-1]
+            return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(0, 10**9))
+def test_star_bfs_matches_reference_program(seed):
+    """The clocked star BFS returns the same clusters, uplinks and ledger
+    with its violation records, and raises the same errors, as the vertex
+    program it replaces: once from random centers on the stars of
+    ``_form_stars``, and once inside a whole build."""
+    rng = random.Random(seed)
+    g, part, k, cfg = random_star_bfs_inputs(rng)
+    state = starbip.StarState(g, set(part.a), set(part.b))
+    starbip._form_stars(g, cfg.resolved(g), RoundLedger(), state, Spanner(g))
+    stars = state.stars()
+    centers = set(rng.sample(stars, rng.randint(0, len(stars))))
+    depth = rng.randint(1, max(1, k // 2 - 1))
+
+    def grow(impl):
+        ledger = RoundLedger()
+        cluster_of, uplinks = impl(g, cfg, ledger, state, centers, depth)
+        return cluster_of, uplinks, ledger.to_json()
+
+    assert _star_bfs_outcome(lambda: grow(starbip._grow_star_clusters)) \
+        == _star_bfs_outcome(lambda: grow(ref_grow_star_clusters))
+
+    def build():
+        res = sparser_bipartite_spanner(g, part, k, cfg)
+        return (sorted(res.spanner.edges), list(res.spanner.provenance.items()),
+                res.ledger.to_json())
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(starbip, "_grow_star_clusters", ref_grow_star_clusters)
+        want = _star_bfs_outcome(build)
+    assert _star_bfs_outcome(build) == want
 
 
 # -- zero superclustering -----------------------------------------------------
