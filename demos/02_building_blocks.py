@@ -3,10 +3,10 @@ bounded-depth cluster growth, tree aggregation, ruling sets (plain and on
 power graphs), and the balanced tree partitioning."""
 
 from spanner import (
+    Forest,
     WeightedTree,
     bfs_dist,
     clustering_roles,
-    forest_aggregate,
     generate,
     grow_bfs_clusters,
     partition_tree,
@@ -23,9 +23,10 @@ print("vertex 2 is equidistant and joins the larger center ID (4)")
 print("rounds:", ledger.rounds_used)
 
 # a clustering is a forest keyed by center; each member contributes 1 to
-# its own cluster's tree
+# its own cluster's tree.  A Forest checks its role table once and then
+# runs any number of convergecasts and broadcasts over those trees.
 ones = {v: {c: 1} for v, c in clusters.membership.items()}
-sizes, _ = forest_aggregate(g, clustering_roles(clusters), ones, "sum")
+sizes, _ = Forest(g, clustering_roles(clusters)).aggregate(ones)
 print("cluster sizes via convergecast:", sizes)
 
 # -- ruling sets ----------------------------------------------------------------

@@ -32,9 +32,8 @@ from .clustering import (
     WeightedTree,
 )
 from .primitives import (
+    Forest,
     clustering_roles,
-    forest_aggregate,
-    forest_broadcast,
     grow_bfs_clusters,
     partition_tree,
     ruling_set_log,
@@ -73,7 +72,7 @@ __all__ = [
     "SimTimeout", "run",
     "Clustering", "Supercluster", "Superclustering", "TreePartition",
     "WeightedTree",
-    "clustering_roles", "forest_aggregate", "forest_broadcast",
+    "Forest", "clustering_roles",
     "grow_bfs_clusters", "partition_tree",
     "ruling_set_log", "ruling_set_power",
     "Bipartition", "bipartite_3_spanner", "improved_3_spanner",

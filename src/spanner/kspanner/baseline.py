@@ -15,10 +15,8 @@ from typing import Dict, Optional
 from ..clustering import Clustering
 from ..graph import Graph, Spanner
 from ..results import SpannerRun
-from ..sim import Msg, RoundLedger, SimConfig, announce
-from .common import cluster_steps, exchange
-
-TAG_EDGE = 0
+from ..sim import RoundLedger, SimConfig, announce
+from .common import EDGE, cluster_steps, exchange
 
 
 def _survives(seed: int, center: int, level: int, inv_prob: float) -> bool:
@@ -83,10 +81,10 @@ def baswana_sen_baseline(
         out = {}
         for v, u in new_edges:
             H.add(v, u, f"bs-tree:L{i}")
-            out.setdefault(v, {})[u] = Msg(8, (TAG_EDGE,))
+            out.setdefault(v, {})[u] = EDGE
         for v, u in uncovered:
             H.add(v, u, f"bs-cover:L{i}")
-            out.setdefault(v, {})[u] = Msg(8, (TAG_EDGE,))
+            out.setdefault(v, {})[u] = EDGE
         exchange(g, cfg, ledger, f"bs-edges:L{i}", out)
         clustering = Clustering(
             level=i, membership=membership, parents=parents, depth_bound=i
@@ -106,7 +104,7 @@ def baswana_sen_baseline(
                 per_cluster[c] = s
         for c, u in sorted(per_cluster.items()):
             H.add(v, u, "bs-final")
-            out.setdefault(v, {})[u] = Msg(8, (TAG_EDGE,))
+            out.setdefault(v, {})[u] = EDGE
     exchange(g, cfg, ledger, "bs-final-edges", out)
     trace["size"] = H.size
     return SpannerRun(H, ledger, trace)

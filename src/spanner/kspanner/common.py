@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from functools import partial
 from itertools import count
 from typing import (
     Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple,
@@ -17,7 +16,7 @@ from typing import (
 
 from ..clustering import Clustering
 from ..graph import Graph
-from ..primitives import RoleTable, clustering_roles, forest_aggregate, forest_broadcast
+from ..primitives import Forest, RoleTable, clustering_roles
 from ..sim import (
     BitCost, Msg, RoundLedger, SimConfig, SimError, SimTimeout, _bulk, exchange,
 )
@@ -32,50 +31,28 @@ def ipow_ceil(n: int, num: int, den: int) -> int:
     return max(1, math.ceil(n ** (num / den) - 1e-9))
 
 
-def clustering_aggregate(
-    g: Graph,
-    cfg: SimConfig,
-    ledger: RoundLedger,
-    roles: RoleTable,
-    key_of: Dict[int, Hashable],
-    name: str,
-    values: Dict[int, int],
-    combine: str = "sum",
-    bound: Optional[int] = None,
-) -> Dict[Hashable, int]:
-    """Convergecast over the trees of a (super)clustering, given by its
-    role table and each member's tree key; returns tree key -> aggregate
-    of the members' ``values``."""
-    per_tree = {v: {key_of[v]: x} for v, x in values.items() if v in key_of}
-    result, led = forest_aggregate(g, roles, per_tree, combine, bound, cfg)
-    ledger.extend_sequential(led, name=name)
-    return result
+def forest_steps(g, cfg, ledger, roles: RoleTable,
+                 key_of: Dict[int, Hashable]) -> Tuple[Callable, Callable]:
+    """``up(name, values, combine="sum", bound=None)``, the convergecast of
+    the members' values to tree key -> aggregate, and ``down(name,
+    tree_values, bound=None)``, the broadcast of one value per tree key to
+    member -> value, over one Forest, so the table is checked once for
+    every call.  ``key_of`` maps each member to its tree key; each call
+    folds its run into ``ledger`` as one phase ``name``."""
+    forest = Forest(g, roles)
 
+    def up(name, values, combine="sum", bound=None):
+        per_tree = {v: {key_of[v]: x} for v, x in values.items() if v in key_of}
+        result, led = forest.aggregate(per_tree, combine, bound, cfg)
+        ledger.extend_sequential(led, name=name)
+        return result
 
-def clustering_broadcast(
-    g: Graph,
-    cfg: SimConfig,
-    ledger: RoundLedger,
-    roles: RoleTable,
-    key_of: Dict[int, Hashable],
-    name: str,
-    tree_values: Dict[Hashable, int],
-    bound: Optional[int] = None,
-) -> Dict[int, int]:
-    """Push one value per tree key down its tree; returns member -> value."""
-    got, led = forest_broadcast(g, roles, tree_values, bound, cfg)
-    ledger.extend_sequential(led, name=name)
-    return {v: got[v].get(key, 0) for v, key in key_of.items()}
+    def down(name, tree_values, bound=None):
+        got, led = forest.broadcast(tree_values, bound, cfg)
+        ledger.extend_sequential(led, name=name)
+        return {v: got[v].get(key, 0) for v, key in key_of.items()}
 
-
-def forest_steps(g, cfg, ledger, roles, key_of) -> Tuple[Callable, Callable]:
-    """``up(name, values, ...)``, the convergecast, and ``down(name,
-    tree_values, ...)``, the broadcast, over one forest whose role table is
-    built once by the caller and reused by every call."""
-    return (
-        partial(clustering_aggregate, g, cfg, ledger, roles, key_of),
-        partial(clustering_broadcast, g, cfg, ledger, roles, key_of),
-    )
+    return up, down
 
 
 def cluster_steps(g, cfg, ledger, clustering: Clustering) -> Tuple[Callable, Callable]:
@@ -231,25 +208,6 @@ def elect(g: Graph, cfg: SimConfig, ledger: RoundLedger, *, steps: Sequence[str]
 # -- chunked ID streams ------------------------------------------------------
 
 
-def chunk_size(bits: BitCost, budget: int) -> int:
-    """IDs per (TAG_IDS, ids) message: as many as fit the budget after the
-    tag, at least one."""
-    return max(1, (budget - 8) // bits.id_bits)
-
-
-def id_chunks(bits: BitCost, budget: int, ids) -> List[Msg]:
-    """Frame an ID list as budget-sized (TAG_IDS, ids) messages followed by
-    one (TAG_END,) marker, to be sent over an edge one per round."""
-    ids = tuple(ids)
-    per_msg = chunk_size(bits, budget)
-    msgs = []
-    for i in range(0, len(ids), per_msg):
-        piece = ids[i : i + per_msg]
-        msgs.append(bits.msg((TAG_IDS, piece), ids=len(piece)))
-    msgs.append(bits.msg((TAG_END,)))
-    return msgs
-
-
 def _stream(
     g: Graph,
     cfg: SimConfig,
@@ -258,8 +216,10 @@ def _stream(
     lists: Dict[int, Dict[int, List[int]]],
 ) -> Dict[int, List[Tuple[int, tuple]]]:
     """Stream every ID list ``lists[v][u]`` from vertex v to its neighbor u
-    as the bodies of its ``id_chunks`` messages, message r of every stream
-    in round r, and fold the rounds into ``ledger`` as one phase ``name``.
+    as (TAG_IDS, ids) chunks of per_msg IDs, as many as fit the budget
+    after the tag (at least one), followed by one (TAG_END,) marker,
+    message r of every stream in round r, and fold the rounds into
+    ``ledger`` as one phase ``name``.
     Returns the receivers' inboxes, v -> [(sender, body)] in round, then
     sender order; a vertex that received nothing has no entry.
 
@@ -272,7 +232,7 @@ def _stream(
     of g sends nothing."""
     cfg.check(g)
     bits = BitCost(g)
-    per_msg = chunk_size(bits, cfg.budget_for(g))
+    per_msg = max(1, (cfg.budget_for(g) - BitCost.TAG) // bits.id_bits)
     by_round: List[List[Tuple[int, int, tuple]]] = []
     messages = longest = 0
     for v in sorted(lists):

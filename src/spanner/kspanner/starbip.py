@@ -32,6 +32,9 @@ from .common import (
 )
 
 TAG_CHOSE, TAG_ACK, TAG_STARMAX, TAG_VACK, TAG_SUCCESS, TAG_MARKED, TAG_EDGE = range(7)
+ACK, VACK, SUCCESS, MARKED, EDGE = (
+    Msg(8, (tag,)) for tag in (TAG_ACK, TAG_VACK, TAG_SUCCESS, TAG_MARKED, TAG_EDGE)
+)
 
 
 class StarState:
@@ -243,7 +246,7 @@ def _mark_announce(g, cfg, ledger, st, newly_marked_stars, nbr_marked, name):
     out = {}
     for s in sorted(newly_marked_stars):
         for v in st.star_vertices(s):
-            out[v] = {u: Msg(8, (TAG_MARKED,)) for u in g.adj[v]}
+            out[v] = {u: MARKED for u in g.adj[v]}
     for v, inbox in exchange(g, cfg, ledger, name, out).items():
         nbr_marked[v].update(sender for sender, _body in inbox)
 
@@ -274,7 +277,7 @@ def _phase(g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i):
         out = {}
         for s in stars:
             for c, (rep, contact) in reps[s].items():
-                out.setdefault(rep, {})[contact] = Msg(8, (TAG_ACK,))
+                out.setdefault(rep, {})[contact] = ACK
         got = exchange(g, cfg, ledger, f"bip-count:L{i}", out)
         acks = {v: len(inbox) for v, inbox in got.items()}
         deg = up(f"bip-deg:L{i}", acks, bound=max(2, 2 * g.n))
@@ -314,7 +317,7 @@ def _phase(g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i):
             out = {}
             for s in sorted(newly_marked):
                 for c, (rep, contact) in reps[s].items():
-                    out.setdefault(rep, {})[contact] = Msg(8, (TAG_MARKED,))
+                    out.setdefault(rep, {})[contact] = MARKED
             got = exchange(g, cfg, ledger, f"bip-delta:L{i}.{iterations}", out)
             dec = {v: len(inbox) for v, inbox in got.items()}
             drop = up(f"bip-deg-delta:L{i}.{iterations}", dec, bound=max(2, 2 * g.n))
@@ -335,7 +338,7 @@ def _phase(g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i):
                     if c not in per_cluster or key < per_cluster[c]:
                         per_cluster[c] = key
         for c, (v, u) in sorted(per_cluster.items()):
-            out.setdefault(v, {})[u] = Msg(8, (TAG_EDGE,))
+            out.setdefault(v, {})[u] = EDGE
             H.add(v, u, f"star-uncovered:L{i}")
     exchange(g, cfg, ledger, f"bip-cover:L{i}", out)
 
@@ -360,7 +363,7 @@ def _approx_degree(g, cfg, ledger, trace, st, cluster_of, marked, nbr_marked,
                 if s2 not in per_star or u < per_star[s2]:
                     per_star[s2] = u
         if per_star:
-            out[leader] = {u: Msg(8, (TAG_ACK,)) for u in per_star.values()}
+            out[leader] = {u: ACK for u in per_star.values()}
     got = exchange(g, cfg, ledger, f"bip-type2:{label}", out)
     acks = {v: sum(1 for _s, b in got[v] if b[0] == TAG_ACK) for v in g.vertices}
     # members pass their ACK counts up to the leader (radius-1 gather)
@@ -469,10 +472,7 @@ def _election(g, cfg, ledger, st, gtree, up, down, remaining, marked,
         s = st.star_of.get(v)
         if s is None or s in marked or v not in known_max:
             continue
-        targets = {
-            sender: Msg(8, (TAG_VACK,))
-            for sender, b in heard[v] if b[1:] == known_max[v]
-        }
+        targets = {sender: VACK for sender, b in heard[v] if b[1:] == known_max[v]}
         if targets:
             out[v] = targets
     got4 = exchange(g, cfg, ledger, f"bip-vacks:{label}", out)
@@ -499,14 +499,14 @@ def _mark_after_join(g, cfg, ledger, st, down, new_joiners, marked, label):
     for v in sorted(hit):
         s = st.star_of.get(v)
         if s is not None and v != s:
-            out[v] = {s: Msg(8, (TAG_SUCCESS,))}
+            out[v] = {s: SUCCESS}
     got2 = exchange(g, cfg, ledger, f"bip-mark-up:{label}", out)
     newly = {s for s in st.stars() if s not in marked and (s in hit or got2[s])}
     # leaders tell members the star is marked
     out = {}
     for s in sorted(newly):
         if st.members[s]:
-            out[s] = {v: Msg(8, (TAG_MARKED,)) for v in st.members[s]}
+            out[s] = {v: MARKED for v in st.members[s]}
     exchange(g, cfg, ledger, f"bip-mark-down:{label}", out)
     marked |= newly
     return newly
@@ -524,6 +524,6 @@ def _last_phase(g, cfg, ledger, H, st, cluster_of, gtree):
         for c, (rep, contact) in sorted(reps[s].items()):
             if c == own:
                 continue
-            out.setdefault(rep, {})[contact] = Msg(8, (TAG_EDGE,))
+            out.setdefault(rep, {})[contact] = EDGE
             H.add(rep, contact, "star-final")
     exchange(g, cfg, ledger, "bip-final-edges", out)

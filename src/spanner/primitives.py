@@ -8,7 +8,9 @@ vertex's mail and the state the host tracks for it and returns its
 outbox.  The log-round ruling set and the power-graph hop-flood are
 broadcast BFS floods, run layer by layer through ``sim._flood``.  Every
 wrapper is a pure function of (graph, inputs) and returns the assembled
-result together with the run's RoundLedger.
+result together with the run's RoundLedger.  The convergecast and the
+broadcast are the two methods of a ``Forest``, which checks its role
+table once, when it is built, and serves every call over those trees.
 """
 
 from __future__ import annotations
@@ -105,9 +107,7 @@ COMBINERS = {"sum": lambda a, b: a + b, "max": max, "min": min}
 NO_ROUTES: Dict[int, int] = {}  # a vertex with one role routes all mail to it
 
 
-def _check_roles(
-    g: Graph, roles: RoleTable, name: str
-) -> Tuple[Dict[int, Dict[int, int]], int]:
+def _check_roles(g: Graph, roles: RoleTable) -> Tuple[Dict[int, Dict[int, int]], int]:
     """Check that the role table describes edge-disjoint trees whose edges
     both ends agree on; raises SimError otherwise.  Returns, for each
     vertex with several roles, neighbor -> index of the role whose tree
@@ -115,7 +115,7 @@ def _check_roles(
     and the number of tree edges."""
     strays = [v for v in roles if v not in g.adj]
     if strays:
-        raise SimError(f"{name}: role table names non-vertices {sorted(strays)[:5]}")
+        raise SimError(f"forest: role table names non-vertices {sorted(strays)[:5]}")
     named = set()  # (child, parent, key) as the child names its parent
     listed = set()  # (child, parent, key) as the parent lists its child
     entries = 0
@@ -133,7 +133,7 @@ def _check_roles(
                 for u in children if parent is None else (parent, *children):
                     if u in by_edge:
                         raise SimError(
-                            f"{name}: edge ({v}, {u}) lies in two roles of vertex {v}"
+                            f"forest: edge ({v}, {u}) lies in two roles of vertex {v}"
                         )
                     by_edge[u] = i
     if named != listed:
@@ -141,17 +141,17 @@ def _check_roles(
             for key, parent, children in rs:
                 if parent is not None and (v, parent, key) not in listed:
                     raise SimError(
-                        f"{name}: parent {parent} does not list child {v} "
+                        f"forest: parent {parent} does not list child {v} "
                         f"under tree {key!r}"
                     )
                 for c in children:
                     if (c, v, key) not in named:
                         raise SimError(
-                            f"{name}: child {c} does not name parent {v} "
+                            f"forest: child {c} does not name parent {v} "
                             f"under tree {key!r}"
                         )
     if entries != len(listed):
-        raise SimError(f"{name}: a vertex lists the same child twice")
+        raise SimError("forest: a vertex lists the same child twice")
     return routes, entries
 
 
@@ -172,117 +172,128 @@ def clustering_roles(clustering: Clustering) -> RoleTable:
     }
 
 
-def forest_aggregate(
-    g: Graph,
-    roles: RoleTable,
-    values: Dict[int, Dict[Hashable, int]],
-    combine: str = "sum",
-    bound: Optional[int] = None,
-    cfg: Optional[SimConfig] = None,
-) -> Tuple[Dict[Hashable, int], RoundLedger]:
-    """Every tree root learns combine() over values[vertex][tree_key] of its
-    tree (0 where missing); returns tree_key -> aggregate.
+class Forest:
+    """The trees of one role table, checked once: ``aggregate``, the
+    convergecast, and ``broadcast`` run over them as often as the caller
+    needs.  Building one raises SimError unless the table describes
+    edge-disjoint trees of g whose edges both ends agree on (see
+    ``_check_roles``); it keeps what depends only on the table, the
+    routes, the number of tree edges, the leaves and the roots."""
 
-    Convergecast: a leaf reports in round 1, and every other tree vertex
-    sends its partial aggregate to its parent, one ``8 + counter(bound)``-bit
-    message, in the round its last child's report arrives.  Runs in
-    O(depth) rounds; trees aggregate in parallel because they are
-    edge-disjoint.  ``bound`` caps the partial aggregates (default 2n+1).
-    """
-    name = "forest-aggregate"
-    fn = COMBINERS[combine]
-    bound = bound if bound is not None else max(2 * g.n + 1, 2)
-    routes, edges = _check_roles(g, roles, name)
-    width = BitCost.TAG + BitCost(g).counter(bound)
-    acc = {}
-    left = {}  # per role: children yet to report
-    leaves = []  # vertices with a childless role, the ones that act first
-    for v, rs in roles.items():
-        own = values.get(v, {})
-        acc[v] = [own.get(key, 0) for key, _p, _ch in rs]
-        left[v] = counts = [len(ch) for _key, _p, ch in rs]
-        if 0 in counts:
-            leaves.append(v)
+    def __init__(self, g: Graph, roles: RoleTable):
+        self.g = g
+        self.roles = roles
+        self.routes, self.edges = _check_roles(g, roles)
+        # the vertices with a childless role act first in a convergecast,
+        # those with a root role in a broadcast
+        self.leaves = [v for v, rs in roles.items() if any(not r[2] for r in rs)]
+        self.roots = [v for v, rs in roles.items() if any(r[1] is None for r in rs)]
 
-    def step(v, rnd, inbox):
-        rs, partial = roles[v], acc[v]
-        out = {}
-        if not inbox:  # round 1, the only call without mail
-            for i, (_key, parent, children) in enumerate(rs):
-                if not children and parent is not None:
+    def aggregate(
+        self,
+        values: Dict[int, Dict[Hashable, int]],
+        combine: str = "sum",
+        bound: Optional[int] = None,
+        cfg: Optional[SimConfig] = None,
+    ) -> Tuple[Dict[Hashable, int], RoundLedger]:
+        """Every tree root learns combine() over values[vertex][tree_key] of
+        its tree (0 where missing); returns tree_key -> aggregate.
+
+        Convergecast: a leaf reports in round 1, and every other tree vertex
+        sends its partial aggregate to its parent, one ``8 +
+        counter(bound)``-bit message, in the round its last child's report
+        arrives.  Runs in O(depth) rounds; trees aggregate in parallel
+        because they are edge-disjoint.  ``bound`` caps the partial
+        aggregates (default 2n+1).
+        """
+        name = "forest-aggregate"
+        g, roles, routes = self.g, self.roles, self.routes
+        fn = COMBINERS[combine]
+        bound = bound if bound is not None else max(2 * g.n + 1, 2)
+        width = BitCost.TAG + BitCost(g).counter(bound)
+        acc = {}
+        left = {}  # per role: children yet to report
+        for v, rs in roles.items():
+            own = values.get(v, {})
+            acc[v] = [own.get(key, 0) for key, _p, _ch in rs]
+            left[v] = [len(ch) for _key, _p, ch in rs]
+
+        def step(v, rnd, inbox):
+            rs, partial = roles[v], acc[v]
+            out = {}
+            if not inbox:  # round 1, the only call without mail
+                for i, (_key, parent, children) in enumerate(rs):
+                    if not children and parent is not None:
+                        out[parent] = Msg(width, partial[i])
+                return out
+            count, by_edge = left[v], routes.get(v, NO_ROUTES)
+            for sender, x in inbox:
+                i = by_edge.get(sender, 0)
+                partial[i] = fn(partial[i], x)
+                count[i] -= 1
+                parent = rs[i][1]
+                if count[i] == 0 and parent is not None:
                     out[parent] = Msg(width, partial[i])
             return out
-        count, by_edge = left[v], routes.get(v, NO_ROUTES)
-        for sender, x in inbox:
-            i = by_edge.get(sender, 0)
-            partial[i] = fn(partial[i], x)
-            count[i] -= 1
-            parent = rs[i][1]
-            if count[i] == 0 and parent is not None:
-                out[parent] = Msg(width, partial[i])
-        return out
 
-    ledger = _cascade(g, cfg or SimConfig(), name, leaves, step)
-    if ledger.messages_total < edges:
-        _stalled(name, [v for v, count in left.items() if any(count)])
-    result = {}
-    for v, rs in roles.items():
-        for (key, parent, _ch), x in zip(rs, acc[v]):
-            if parent is None:
-                result[key] = x
-    return result, ledger
+        ledger = _cascade(g, cfg or SimConfig(), name, self.leaves, step)
+        if ledger.messages_total < self.edges:
+            _stalled(name, [v for v, count in left.items() if any(count)])
+        result = {}
+        for v, rs in roles.items():
+            for (key, parent, _ch), x in zip(rs, acc[v]):
+                if parent is None:
+                    result[key] = x
+        return result, ledger
 
+    def broadcast(
+        self,
+        root_values: Dict[Hashable, int],
+        bound: Optional[int] = None,
+        cfg: Optional[SimConfig] = None,
+    ) -> Tuple[Dict[int, Dict[Hashable, int]], RoundLedger]:
+        """Every tree root pushes root_values[tree_key] (0 where missing)
+        down its tree; returns vertex -> {tree_key: value}, {} for a vertex
+        with no role.
 
-def forest_broadcast(
-    g: Graph,
-    roles: RoleTable,
-    root_values: Dict[Hashable, int],
-    bound: Optional[int] = None,
-    cfg: Optional[SimConfig] = None,
-) -> Tuple[Dict[int, Dict[Hashable, int]], RoundLedger]:
-    """Every tree root pushes root_values[tree_key] (0 where missing) down
-    its tree; returns vertex -> {tree_key: value}, {} for a vertex with no
-    role.
+        A root sends in round 1, and every other tree vertex forwards the
+        value, one ``8 + counter(bound)``-bit message per child, in the
+        round it arrives."""
+        name = "forest-broadcast"
+        g, roles, routes = self.g, self.roles, self.routes
+        bound = bound if bound is not None else max(2 * g.n + 1, 2)
+        width = BitCost.TAG + BitCost(g).counter(bound)
+        got = {
+            v: [root_values.get(key, 0) if p is None else None for key, p, _ch in rs]
+            for v, rs in roles.items()
+        }
 
-    A root sends in round 1, and every other tree vertex forwards the
-    value, one ``8 + counter(bound)``-bit message per child, in the round
-    it arrives."""
-    name = "forest-broadcast"
-    bound = bound if bound is not None else max(2 * g.n + 1, 2)
-    routes, edges = _check_roles(g, roles, name)
-    width = BitCost.TAG + BitCost(g).counter(bound)
-    got = {
-        v: [root_values.get(key, 0) if p is None else None for key, p, _ch in rs]
-        for v, rs in roles.items()
-    }
-    roots = [v for v, rs in roles.items() if any(r[1] is None for r in rs)]
-
-    def step(v, rnd, inbox):
-        rs, known = roles[v], got[v]
-        out = {}
-        if not inbox:  # round 1, the only call without mail
-            for i, (_key, parent, children) in enumerate(rs):
-                if parent is None and known[i] is not None:
-                    m = Msg(width, known[i])
-                    for c in children:
-                        out[c] = m
+        def step(v, rnd, inbox):
+            rs, known = roles[v], got[v]
+            out = {}
+            if not inbox:  # round 1, the only call without mail
+                for i, (_key, parent, children) in enumerate(rs):
+                    if parent is None and known[i] is not None:
+                        m = Msg(width, known[i])
+                        for c in children:
+                            out[c] = m
+                return out
+            by_edge = routes.get(v, NO_ROUTES)
+            for sender, x in inbox:
+                i = by_edge.get(sender, 0)
+                known[i] = x
+                m = Msg(width, x)
+                for c in rs[i][2]:
+                    out[c] = m
             return out
-        by_edge = routes.get(v, NO_ROUTES)
-        for sender, x in inbox:
-            i = by_edge.get(sender, 0)
-            known[i] = x
-            m = Msg(width, x)
-            for c in rs[i][2]:
-                out[c] = m
-        return out
 
-    ledger = _cascade(g, cfg or SimConfig(), name, roots, step)
-    if ledger.messages_total < edges:
-        _stalled(name, [v for v, known in got.items() if None in known])
-    result: Dict[int, Dict[Hashable, int]] = {v: {} for v in g.vertices}
-    for v, rs in roles.items():
-        result[v] = {key: x for (key, _p, _ch), x in zip(rs, got[v])}
-    return result, ledger
+        ledger = _cascade(g, cfg or SimConfig(), name, self.roots, step)
+        if ledger.messages_total < self.edges:
+            _stalled(name, [v for v, known in got.items() if None in known])
+        result: Dict[int, Dict[Hashable, int]] = {v: {} for v in g.vertices}
+        for v, rs in roles.items():
+            result[v] = {key: x for (key, _p, _ch), x in zip(rs, got[v])}
+        return result, ledger
 
 
 # ---------------------------------------------------------------------------

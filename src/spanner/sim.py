@@ -29,8 +29,10 @@ no message is in flight.
 
 The library's protocols keep their per-vertex state host-side and run as
 step closures: cluster growth, the power-graph min-flood, the tree
-partition and the forest convergecast and broadcast in ``primitives``, and
-the star-graph BFS of ``kspanner.starbip``, which acts on a clock.
+partition and the forest convergecast and broadcast in ``primitives``
+(the methods of a ``Forest``, which checks its role table once, when it
+is built), and the star-graph BFS of ``kspanner.starbip``, which acts on
+a clock.
 ``exchange`` posts one precomputed round through the same send step.
 Rounds that can violate nothing, because every message goes to a neighbour
 within the budget and one per edge, handle no message objects: ``_bulk``

@@ -13,7 +13,7 @@ from .clustering import WeightedTree
 from .graph import Graph, Spanner
 from .primitives import grow_bfs_clusters, partition_tree, ruling_set_log
 from .results import SpannerRun
-from .sim import BitCost, RoundLedger, SimConfig, SimError, SimTimeout, _bulk, announce
+from .sim import BitCost, RoundLedger, SimConfig, SimError, _bulk, _round_guard, announce
 
 
 class Bipartition:
@@ -79,14 +79,8 @@ def _star_spanner(
     weighted = g.weighted
     weight = g.weight
 
-    def start(rnd):
-        if rnd > cfg.max_rounds:
-            raise SimTimeout(
-                f"program 'star-spanner' exceeded max_rounds={cfg.max_rounds}"
-            )
-
     if g.vertices:
-        start(1)
+        _round_guard(cfg, "star-spanner", 1, 0, ())
     # round 1: receiver -> [(sender, center)], in sender order
     chose: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
     sent = 0
@@ -119,7 +113,7 @@ def _star_spanner(
         ledger.per_phase.append(("star-spanner", 0))
         return ledger
     _bulk(ledger, sent, BitCost.TAG + g.id_bits)
-    start(2)
+    _round_guard(cfg, "star-spanner", 2, 0, ())
     picked = 0
     for v in sorted(chose):
         per_star: Dict[int, int] = {}
@@ -134,7 +128,7 @@ def _star_spanner(
     _bulk(ledger, picked, BitCost.TAG)
     ledger.rounds_used = 2
     ledger.per_phase.append(("star-spanner", 2))
-    start(3)
+    _round_guard(cfg, "star-spanner", 3, 0, ())
     return ledger
 
 

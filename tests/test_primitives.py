@@ -7,28 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spanner import (
+    Forest,
     Graph,
     SimConfig,
     WeightedTree,
     bfs_dist,
     clustering_roles,
-    forest_aggregate,
-    forest_broadcast,
     generate,
     grow_bfs_clusters,
     partition_tree,
     ruling_set_log,
     ruling_set_power,
 )
+from spanner import primitives
 from spanner.clustering import Clustering, TreePart, TreePartition, orient_tree
 from spanner.graph import canon
-from spanner.kspanner.common import (
-    TAG_END,
-    TAG_IDS,
-    chunked_gather,
-    chunked_scatter,
-    id_chunks,
-)
+from spanner.kspanner.common import TAG_END, TAG_IDS, chunked_gather, chunked_scatter
 from spanner.sim import (
     BitCost, NodeProgram, RoundLedger, SimError, SimTimeout, _post, run,
 )
@@ -96,7 +90,7 @@ def test_grow_matches_centralized(seed):
 
 def cluster_aggregate(g, cl, values, combine):
     per_tree = {v: {cl.membership[v]: x} for v, x in values.items()}
-    return forest_aggregate(g, clustering_roles(cl), per_tree, combine)
+    return Forest(g, clustering_roles(cl)).aggregate(per_tree, combine)
 
 
 def test_aggregate_cluster_sizes():
@@ -142,18 +136,19 @@ def test_forest_vertex_in_two_edge_disjoint_trees():
     values = {v: {key: rng.randint(0, 9) for key, _p, _ch in rs} for v, rs in roles.items()}
     members = {key: [v for v, rs in roles.items() if key in {r[0] for r in rs}]
                for key in trees}
+    forest = Forest(g, roles)
     for combine, fn in (("sum", sum), ("max", max), ("min", min)):
-        agg, ledger = forest_aggregate(g, roles, values, combine, bound=100)
+        agg, ledger = forest.aggregate(values, combine, bound=100)
         assert agg == {key: fn(values[v][key] for v in vs) for key, vs in members.items()}
         assert ledger.rounds_used <= 2
-    sums, _ = forest_aggregate(g, roles, values, bound=100)
-    got, ledger = forest_broadcast(g, roles, sums, bound=100)
+    sums, _ = forest.aggregate(values, bound=100)
+    got, ledger = forest.broadcast(sums, bound=100)
     assert got == {v: {r[0]: sums[r[0]] for r in roles.get(v, ())} for v in g.vertices}
     assert ledger.rounds_used <= 2
 
 
 class RefAggregate(NodeProgram):
-    """Reference for ``forest_aggregate``: the convergecast as a vertex
+    """Reference for ``Forest.aggregate``: the convergecast as a vertex
     program, one role per tree the vertex sits in."""
 
     name = "forest-aggregate"
@@ -189,7 +184,7 @@ class RefAggregate(NodeProgram):
 
 
 class RefBroadcast(NodeProgram):
-    """Reference for ``forest_broadcast``: each root pushes its value down
+    """Reference for ``Forest.broadcast``: each root pushes its value down
     as a vertex program."""
 
     name = "forest-broadcast"
@@ -280,16 +275,23 @@ def random_forest(rng):
             roles.setdefault(v, []).append((key, p, ch))
     extra = [(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 10))]
     g = Graph(ids, used | {canon(u, v) for u, v in extra if u != v})
-    values = {v: {key: rng.randint(0, 40) for key, _p, _ch in rs if rng.random() < 0.8}
-              for v, rs in roles.items() if rng.random() < 0.8}
-    root_values = {key: rng.randint(0, 40) for rs in roles.values()
-                   for key, p, _ch in rs if p is None and rng.random() < 0.8}
+    values, root_values = random_values(rng, roles)
     bound = rng.choice((None, 1, 2**8, 2**20, 2**20))
     budget = rng.choice((None, 8 + g.id_bits + rng.randint(0, 12)))
     cfg = SimConfig(msg_bit_budget=budget, strict=rng.random() < 0.5)
     if rng.random() < 0.25:
         cfg.max_rounds = rng.randint(0, 4)
     return g, roles, values, root_values, bound, cfg
+
+
+def random_values(rng, roles):
+    """Random contributions to the trees of ``roles`` and random root
+    values, each left out with probability 0.2."""
+    values = {v: {key: rng.randint(0, 40) for key, _p, _ch in rs if rng.random() < 0.8}
+              for v, rs in roles.items() if rng.random() < 0.8}
+    root_values = {key: rng.randint(0, 40) for rs in roles.values()
+                   for key, p, _ch in rs if p is None and rng.random() < 0.8}
+    return values, root_values
 
 
 def _outcome(call):
@@ -306,12 +308,18 @@ def test_forest_helpers_match_reference_programs(seed, combine):
     """The host-scheduled convergecast and broadcast return the same
     outputs (key order included), the same ledger with its violation
     records, and the same exception type and text as the vertex programs
-    they replace."""
-    g, roles, values, root_values, bound, cfg = random_forest(random.Random(seed))
-    assert _outcome(lambda: forest_aggregate(g, roles, values, combine, bound, cfg)) \
-        == _outcome(lambda: ref_forest_aggregate(g, roles, values, combine, bound, cfg))
-    assert _outcome(lambda: forest_broadcast(g, roles, root_values, bound, cfg)) \
-        == _outcome(lambda: ref_forest_broadcast(g, roles, root_values, bound, cfg))
+    they replace.  One Forest runs each direction twice, on two value
+    sets, so no call leaves state behind that the next one reads."""
+    rng = random.Random(seed)
+    g, roles, values, root_values, bound, cfg = random_forest(rng)
+    values2, root_values2 = random_values(rng, roles)
+    forest = Forest(g, roles)
+    for vals in (values, values2):
+        assert _outcome(lambda: forest.aggregate(vals, combine, bound, cfg)) \
+            == _outcome(lambda: ref_forest_aggregate(g, roles, vals, combine, bound, cfg))
+    for vals in (root_values, root_values2):
+        assert _outcome(lambda: forest.broadcast(vals, bound, cfg)) \
+            == _outcome(lambda: ref_forest_broadcast(g, roles, vals, bound, cfg))
 
 
 BROKEN_TABLES = {
@@ -329,14 +337,16 @@ BROKEN_TABLES = {
 
 @pytest.mark.parametrize("text", sorted(BROKEN_TABLES))
 @pytest.mark.parametrize("helper", ["aggregate", "broadcast"])
-def test_forest_role_table_checked(helper, text):
+def test_forest_role_table_checked(helper, text, monkeypatch):
+    """Building the Forest raises, before the helper could run a round."""
     g = generate("path", {"n": 3})
-    roles = BROKEN_TABLES[text]
-    with pytest.raises(SimError, match=text):
-        if helper == "aggregate":
-            forest_aggregate(g, roles, {})
-        else:
-            forest_broadcast(g, roles, {})
+
+    def no_rounds(*args):
+        raise AssertionError("a round ran over a broken role table")
+
+    monkeypatch.setattr(primitives, "_cascade", no_rounds)
+    with pytest.raises(SimError, match=f"^forest: .*{text}"):
+        getattr(Forest(g, BROKEN_TABLES[text]), helper)({})
 
 
 def test_forest_stalls_once_mail_runs_out():
@@ -345,10 +355,11 @@ def test_forest_stalls_once_mail_runs_out():
     g = generate("cycle", {"n": 3})
     roles = {0: [("a", 2, (1,))], 1: [("a", 0, (2,))], 2: [("a", 1, (0,))]}
     cfg = SimConfig(max_rounds=2)
+    forest = Forest(g, roles)
     with pytest.raises(SimTimeout, match="'forest-aggregate' stalled"):
-        forest_aggregate(g, roles, {}, cfg=cfg)
+        forest.aggregate({}, cfg=cfg)
     with pytest.raises(SimTimeout, match="'forest-broadcast' stalled"):
-        forest_broadcast(g, roles, {}, cfg=cfg)
+        forest.broadcast({}, cfg=cfg)
 
 
 @pytest.mark.parametrize("extra", [None, 0, 1])
@@ -368,6 +379,20 @@ def test_id_chunks_boundaries(extra):
     assert out[0] == {1: tuple(ids)}
     assert ledger.messages_total == len(msgs)
     assert ledger.max_bits_seen <= budget
+
+
+def id_chunks(bits, budget, ids):
+    """Frame an ID list as budget-sized (TAG_IDS, ids) messages followed by
+    one (TAG_END,) marker, to be sent over an edge one per round: the
+    reference framing of the chunked streams."""
+    ids = tuple(ids)
+    per_msg = max(1, (budget - 8) // bits.id_bits)
+    msgs = []
+    for i in range(0, len(ids), per_msg):
+        piece = ids[i : i + per_msg]
+        msgs.append(bits.msg((TAG_IDS, piece), ids=len(piece)))
+    msgs.append(bits.msg((TAG_END,)))
+    return msgs
 
 
 class RefGather(NodeProgram):
@@ -706,7 +731,7 @@ def test_partition_random_trees(seed):
 def test_forest_broadcast_roleless_vertex_gets_empty_dict():
     g = generate("path", {"n": 6})
     cl, _ = grow_bfs_clusters(g, {1}, 1)  # clusters 0, 1, 2 only
-    got, _ = forest_broadcast(g, clustering_roles(cl), {1: 5})
+    got, _ = Forest(g, clustering_roles(cl)).broadcast({1: 5})
     assert list(got) == list(g.vertices)
     assert got == {0: {1: 5}, 1: {1: 5}, 2: {1: 5}, 3: {}, 4: {}, 5: {}}
 
@@ -734,10 +759,10 @@ def test_wrappers_match_audit_mode(seed):
 
     def builds(cfg):
         cl, led1 = grow_bfs_clusters(g, picked, 2, cfg)
-        roles = clustering_roles(cl)
+        forest = Forest(g, clustering_roles(cl))
         values = {v: {cl.membership[v]: 1} for v in cl.membership}
-        sizes, led2 = forest_aggregate(g, roles, values, cfg=cfg)
-        got, led3 = forest_broadcast(g, roles, sizes, cfg=cfg)
+        sizes, led2 = forest.aggregate(values, cfg=cfg)
+        got, led3 = forest.broadcast(sizes, cfg=cfg)
         ruled, led4 = ruling_set_log(g, picked, cfg)
         power, led5 = ruling_set_power(g, picked, 1, cfg)
         ledgers = [led.to_json() for led in (led1, led2, led3, led4, led5)]

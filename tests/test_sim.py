@@ -642,3 +642,17 @@ def test_library_node_programs():
             if sub.__module__.split(".")[0] == "spanner":
                 found.add(sub.__name__)
     assert found == {"FloodMax"}
+
+
+def test_export_lists_resolve():
+    # every exported name exists, and the forest helpers are exported as
+    # the one Forest class
+    import spanner
+    import spanner.kspanner
+
+    for pkg in (spanner, spanner.kspanner):
+        missing = [name for name in pkg.__all__ if not hasattr(pkg, name)]
+        assert missing == [], pkg.__name__
+        assert len(set(pkg.__all__)) == len(pkg.__all__)
+    assert spanner.Forest is spanner.primitives.Forest
+    assert "Forest" in spanner.__all__
