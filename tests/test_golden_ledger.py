@@ -11,6 +11,7 @@ import pytest
 from spanner import (
     Bipartition,
     SimConfig,
+    baswana_sen_baseline,
     bipartite_3_spanner,
     cons_zero_superclustering,
     generate,
@@ -42,6 +43,8 @@ def _build(alg, k, name):
         return build(g, k, cfg)
     if alg == "naive":
         return naive_spanner(g, k)
+    if alg == "bs-baseline":
+        return baswana_sen_baseline(g, k, seed=0)
     if alg == "improved":
         return improved_spanner(g, k)
     if alg == "sparserbip":
@@ -100,6 +103,12 @@ GOLDEN = {
         "5b67bd8fa9110f38d1dfef6d3610c38d506098d553187058b55bc6d5520d3cbe",
     ("zerosc-audit", 4, "er10-100"):
         "dec4d87032c7f54c90d317dd6b1fce171961ef26e56b93f671addfeb01fe918d",
+    # digests of the randomized comparator (seed 0) at the commit before
+    # its scripted rounds moved onto the shared step helpers
+    ("bs-baseline", 3, "er10-100"):
+        "628abe39357bdbb1ccff69a97228baa5a84d0b1c1745f455c99ce6015a8407fa",
+    ("bs-baseline", 4, "grid-10x10"):
+        "80d67159064d9f4c431ee9dbc10a5c79442f16bf5a054c446d25893fb7a672d9",
 }
 
 
