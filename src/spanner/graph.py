@@ -29,7 +29,7 @@ class Graph:
     Immutable after construction; safe to share across concurrent readers.
     """
 
-    __slots__ = ("vertices", "adj", "weights", "edge_set", "_index")
+    __slots__ = ("vertices", "adj", "weights", "edge_set", "_index", "id_bits")
 
     def __init__(
         self,
@@ -75,6 +75,8 @@ class Graph:
         else:
             self.weights = None
         self._index = {v: i for i, v in enumerate(vs)}
+        # width of one vertex ID in bits: ceil(log2(max_id + 1)), at least 1
+        self.id_bits: int = max(1, self.max_id.bit_length())
 
     # -- basic accessors -------------------------------------------------
 
@@ -89,10 +91,6 @@ class Graph:
     @property
     def max_id(self) -> int:
         return self.vertices[-1] if self.vertices else 0
-
-    @property
-    def id_bits(self) -> int:
-        return max(1, self.max_id.bit_length())
 
     @property
     def weighted(self) -> bool:
