@@ -1,7 +1,7 @@
 """Round-synchronous CONGEST execution engine.
 
-Per round every vertex may send at most ``congestion_factor`` bounded-size
-messages over each incident edge.  A message sent in round r is delivered in
+Per round every vertex may send at most one bounded-size message over each
+incident edge.  A message sent in round r is delivered in
 round r+1.  Execution is bit-deterministic: vertices are processed in ID
 order, so every inbox arrives sorted by sender.
 
@@ -80,7 +80,6 @@ def default_bit_budget(n: int) -> int:
 class SimConfig:
     msg_bit_budget: Optional[int] = None  # None => ceil(8 log2 n) at run time
     max_rounds: int = 1_000_000
-    congestion_factor: int = 1
     strict: bool = True
     stall_limit: int = 20_000  # consecutive silent rounds before deadlock error
 
@@ -90,15 +89,12 @@ class SimConfig:
         return default_bit_budget(g.n)
 
     def check(self, g: Graph) -> None:
-        """Every budget must fit one tagged vertex ID, every edge must
-        carry at least one message per round, and the stall guard must let
-        round 1 run."""
+        """Every budget must fit one tagged vertex ID, and the stall guard
+        must let round 1 run."""
         b = self.budget_for(g)
         floor = BitCost.TAG + g.id_bits
         if b < floor:
             raise SimError(f"msg_bit_budget {b} below minimum {floor}")
-        if self.congestion_factor < 1:
-            raise SimError(f"congestion_factor {self.congestion_factor} below 1")
         if self.stall_limit < 0:
             raise SimError(f"stall_limit {self.stall_limit} below 0")
 
@@ -268,9 +264,9 @@ def _post(
     so an edge's load is its message count here.
 
     An outbox of single in-budget messages to neighbours can violate
-    nothing (``congestion_factor`` is at least 1), so it is checked in bulk
-    and accounted at once; any other outbox takes the per-message loop,
-    the only code that records violations or raises.  Each receiver gets
+    nothing, so it is checked in bulk and accounted at once; any other
+    outbox takes the per-message loop, the only code that records
+    violations or raises.  Each receiver gets
     one entry per sender either way, so inbox order is sender order."""
     nbrs = g.adj[v]
     # bulk check: one Msg per edge, all within budget, all to neighbours
@@ -295,7 +291,7 @@ def _post(
         load = len(msgs)
         if load > ledger.per_round_edge_load:
             ledger.per_round_edge_load = load
-        if load > cfg.congestion_factor:
+        if load > 1:
             rec = {"kind": "congestion", "round": rnd, "edge": [v, u],
                    "load": load, "program": name}
             if cfg.strict:

@@ -82,9 +82,7 @@ class DoubleSend(NodeProgram):
 def test_congestion_enforced():
     g = generate("path", {"n": 3})
     with pytest.raises(BudgetError):
-        run(g, DoubleSend(), SimConfig(congestion_factor=1))
-    out, ledger = run(g, DoubleSend(), SimConfig(congestion_factor=2))
-    assert ledger.per_round_edge_load == 2
+        run(g, DoubleSend(), SimConfig())
 
 
 class EchoOnce(NodeProgram):
@@ -167,10 +165,7 @@ def scripted_rounds(draw):
         v = draw(st.sampled_from(ids))
         u = draw(st.integers(0, 41).filter(lambda u: u not in g.adj[v]))
         out.setdefault(v, {})[u] = draw(msg)
-    cfg = SimConfig(
-        congestion_factor=draw(st.integers(1, 2)),
-        msg_bit_budget=None if draw(sometimes) else 4,
-    )
+    cfg = SimConfig(msg_bit_budget=None if draw(sometimes) else 4)
     return g, out, cfg, stray
 
 
@@ -313,14 +308,6 @@ def test_ledger_json_shape():
     assert j["rounds"] == 3
 
 
-def test_congestion_factor_below_one_rejected():
-    g = generate("path", {"n": 3})
-    with pytest.raises(SimError, match="congestion_factor 0"):
-        run(g, FloodMax(), SimConfig(congestion_factor=0))
-    with pytest.raises(SimError):
-        exchange(g, SimConfig(congestion_factor=0), RoundLedger(), "x", {})
-
-
 def test_stall_limit_below_zero_rejected():
     # a negative limit would report a stall before round 1
     g = generate("path", {"n": 6})
@@ -345,7 +332,7 @@ def _reference_post(g, cfg, budget, ledger, name, rnd, v, outbox, inboxes):
         load = len(msgs)
         if load > ledger.per_round_edge_load:
             ledger.per_round_edge_load = load
-        if load > cfg.congestion_factor:
+        if load > 1:
             rec = {"kind": "congestion", "round": rnd, "edge": [v, u],
                    "load": load, "program": name}
             if cfg.strict:
@@ -445,8 +432,8 @@ class Script(NodeProgram):
 def scripts(draw):
     """A graph with n <= 12 and sparse IDs, and up to three scripted rounds
     per vertex: broadcasts of one message, outboxes to a shuffled subset of
-    neighbours holding single messages, message lists (loads above the
-    congestion factor) or empty lists, over-budget bits, sometimes a
+    neighbours holding single messages, message lists (loads above one
+    message per edge) or empty lists, over-budget bits, sometimes a
     message to a non-neighbour, and halt votes of both kinds."""
     ids = sorted(draw(st.sets(st.integers(0, 40), min_size=1, max_size=12)))
     pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
@@ -470,10 +457,7 @@ def scripts(draw):
                 out[stray] = draw(msg)
             steps.append((out, draw(st.sampled_from((True, True, False)))))
         script[v] = steps
-    cfg = SimConfig(
-        congestion_factor=draw(st.integers(1, 2)),
-        msg_bit_budget=draw(st.sampled_from((None, 16, 24))),
-    )
+    cfg = SimConfig(msg_bit_budget=draw(st.sampled_from((None, 16, 24))))
     return g, script, cfg
 
 

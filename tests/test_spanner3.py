@@ -53,14 +53,6 @@ def test_bipartite_k24_round_cap():
     assert res.ledger.to_json()["per_phase"] == [{"name": "star-spanner", "rounds": 2}]
 
 
-def test_star_rounds_reject_congestion_below_one():
-    g = generate("complete-bipartite", {"a": 2, "b": 4})
-    with pytest.raises(SimError, match="congestion_factor 0 below 1"):
-        bipartite_3_spanner(
-            g, Bipartition(range(2), range(2, 6)), SimConfig(congestion_factor=0)
-        )
-
-
 def test_bipartite_vertex_without_a_neighbor():
     # B vertex 5 is isolated from A; no obligation arises
     g = Graph(range(6), [(0, 2), (0, 3), (1, 3), (4, 5)])
