@@ -1,7 +1,14 @@
 """(2k-1)-spanner constructions: the cluster-by-cluster baseline, the
 star-graph bipartite spanner, the superclustered construction with its
 zero-level superclustering, and the randomized comparator.  The first four
-share one local-maxima election, ``common.elect``, and its steps."""
+share one local-maxima election, ``common.elect``, and its steps.
+
+Every scripted step runs through one of four helpers: ``common.forest_steps``
+(the convergecast and broadcast over cluster or supercluster trees),
+``sim.announce`` (a label to all neighbours), ``common.signal`` (bare tokens
+to chosen neighbours) and ``common.connect`` (the Baswana-Sen edge step: one
+edge per pick, and a token that tells the other end).  Rounds that carry
+data to chosen receivers, such as the star relays, call ``exchange``."""
 
 from .naive import naive_spanner
 from .starbip import sparser_bipartite_spanner

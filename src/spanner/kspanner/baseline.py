@@ -16,7 +16,7 @@ from ..clustering import Clustering
 from ..graph import Graph, Spanner
 from ..results import SpannerRun
 from ..sim import RoundLedger, SimConfig, announce
-from .common import EDGE, cluster_steps, exchange
+from .common import cluster_steps, connect, contacts
 
 
 def _survives(seed: int, center: int, level: int, inv_prob: float) -> bool:
@@ -55,8 +55,7 @@ def baswana_sen_baseline(
 
         membership: Dict[int, int] = {}
         parents: Dict[int, Optional[int]] = {}
-        new_edges = []
-        uncovered = []
+        joins, covers = [], []
         for v in g.vertices:
             own = clustering.membership.get(v)
             if own in sampled:
@@ -69,23 +68,13 @@ def baswana_sen_baseline(
                 sender, c = min(offers, key=lambda sc: (sc[1], sc[0]))
                 membership[v] = c
                 parents[v] = sender
-                new_edges.append((v, sender))
+                joins.append((v, sender, f"bs-tree:L{i}"))
             else:
                 # connect once to every neighboring old cluster
-                per_cluster: Dict[int, int] = {}
-                for s, (c, _sampled) in status[v].items():
-                    if c not in per_cluster or s < per_cluster[c]:
-                        per_cluster[c] = s
-                for c, u in sorted(per_cluster.items()):
-                    uncovered.append((v, u))
-        out = {}
-        for v, u in new_edges:
-            H.add(v, u, f"bs-tree:L{i}")
-            out.setdefault(v, {})[u] = EDGE
-        for v, u in uncovered:
-            H.add(v, u, f"bs-cover:L{i}")
-            out.setdefault(v, {})[u] = EDGE
-        exchange(g, cfg, ledger, f"bs-edges:L{i}", out)
+                nbr_cluster = {s: c for s, (c, _sampled) in status[v].items()}
+                covers.extend((v, u, f"bs-cover:L{i}")
+                              for u in contacts(nbr_cluster).values())
+        connect(g, cfg, ledger, H, f"bs-edges:L{i}", joins + covers)
         clustering = Clustering(
             level=i, membership=membership, parents=parents, depth_bound=i
         )
@@ -95,16 +84,9 @@ def baswana_sen_baseline(
     nbr_cluster = announce(
         g, cfg, ledger, "bs-final-status", clustering.membership, 8 + g.id_bits
     )
-    out = {}
-    for v in g.vertices:
-        own = clustering.membership.get(v)
-        per_cluster: Dict[int, int] = {}
-        for s, c in nbr_cluster[v].items():
-            if c != own and (c not in per_cluster or s < per_cluster[c]):
-                per_cluster[c] = s
-        for c, u in sorted(per_cluster.items()):
-            H.add(v, u, "bs-final")
-            out.setdefault(v, {})[u] = EDGE
-    exchange(g, cfg, ledger, "bs-final-edges", out)
+    connect(g, cfg, ledger, H, "bs-final-edges", (
+        (v, u, "bs-final") for v in g.vertices
+        for u in contacts(nbr_cluster[v], skip=clustering.membership.get(v)).values()
+    ))
     trace["size"] = H.size
     return SpannerRun(H, ledger, trace)

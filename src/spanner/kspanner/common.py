@@ -1,9 +1,22 @@
-"""Protocol helpers shared by the k-spanner constructions: the convergecast
-and broadcast over cluster or supercluster trees, the local-maxima election
-that the cluster-by-cluster and the superclustered constructions run (and
-whose steps the star-graph and zero-level constructions reuse), and the
-chunked ID streams.  ``exchange``, the one-round scripted step, is the
-simulator's own and is re-exported here."""
+"""Protocol helpers shared by the k-spanner constructions.
+
+Four step helpers carry every scripted step of the constructions:
+
+* ``forest_steps`` (``cluster_steps`` over a clustering): the convergecast
+  and broadcast over cluster or supercluster trees;
+* ``sim.announce``: one round in which vertices tell all their neighbours
+  a label;
+* ``signal``: one round of bare tokens to chosen neighbours;
+* ``connect``: one edge per pick enters the spanner, and the picking end
+  tells the other one with a token (the Baswana-Sen step);
+
+plus ``contacts``, which picks the smallest-ID neighbour in each adjacent
+cluster.  The local-maxima election that the cluster-by-cluster and the
+superclustered constructions run (and whose steps the star-graph and
+zero-level constructions reuse) is built from these steps; the chunked ID
+streams live here too.  ``exchange``, the simulator's one-round scripted
+step, is re-exported here for the rounds that carry data to chosen
+receivers."""
 
 from __future__ import annotations
 
@@ -11,17 +24,18 @@ import math
 from collections import defaultdict
 from itertools import count
 from typing import (
-    Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple,
+    Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple,
 )
 
 from ..clustering import Clustering
-from ..graph import Graph
+from ..graph import Graph, Spanner
 from ..primitives import Forest, RoleTable, clustering_roles
 from ..sim import (
-    BitCost, Msg, RoundLedger, SimConfig, SimError, SimTimeout, _bulk, exchange,
+    BitCost, Msg, RoundLedger, SimConfig, SimError, SimTimeout, _bulk, announce,
+    exchange,
 )
 
-TAG_IDS, TAG_END, TAG_ACK, TAG_TUPLE, TAG_VOTE, TAG_JOIN, TAG_EDGE = range(7)
+TAG_IDS, TAG_END = range(2)
 
 
 def ipow_ceil(n: int, num: int, den: int) -> int:
@@ -61,21 +75,46 @@ def cluster_steps(g, cfg, ledger, clustering: Clustering) -> Tuple[Callable, Cal
                         clustering.membership)
 
 
-# -- the local-maxima election -----------------------------------------------
-
-ACK, VOTE, JOIN, EDGE = (
-    Msg(8, (tag,)) for tag in (TAG_ACK, TAG_VOTE, TAG_JOIN, TAG_EDGE)
-)
+# -- scripted rounds ---------------------------------------------------------
 
 
-def contacts(nbr_labels: Dict[int, Hashable], keep, skip=None) -> Dict[Hashable, int]:
-    """The smallest-ID neighbour in each adjacent tree whose key is in
-    ``keep``, leaving out ``skip``: tree key -> neighbour."""
+def signal(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
+           pairs: Iterable[Tuple[int, int]]) -> Dict[int, List[Tuple[int, Any]]]:
+    """One round of bare tokens: each distinct (sender, receiver) pair of
+    ``pairs`` carries one ``BitCost.TAG``-bit message, posted through
+    ``exchange`` as phase ``name`` (one round iff a pair exists).  Returns
+    the inboxes, v -> [(sender, None)] in sender order.  A receiver that
+    is not the sender's neighbour raises the send step's SimError."""
+    token = Msg(BitCost.TAG, None)
+    out: Dict[int, Dict[int, Msg]] = defaultdict(dict)
+    for v, u in pairs:
+        out[v][u] = token
+    return exchange(g, cfg, ledger, name, out)
+
+
+def connect(g: Graph, cfg: SimConfig, ledger: RoundLedger, H: Spanner, name: str,
+            picks: Iterable[Tuple[int, int, str]]) -> None:
+    """The Baswana-Sen edge step: every pick (v, u, tag) adds the edge
+    {v, u} to ``H`` under ``tag`` (the first tag of an edge stays), in
+    the given order, and v tells u in one ``signal`` round ``name``."""
+    picks = list(picks)
+    for v, u, tag in picks:
+        H.add(v, u, tag)
+    signal(g, cfg, ledger, name, ((v, u) for v, u, _tag in picks))
+
+
+def contacts(nbr_labels: Dict[int, Hashable], keep=None, skip=None) -> Dict[Hashable, int]:
+    """The smallest-ID neighbour in each adjacent tree, of those whose key
+    is in ``keep`` (None: every tree), leaving out ``skip``: tree key ->
+    neighbour, in the order the trees are first seen."""
     best: Dict[Hashable, int] = {}
     for u, c in nbr_labels.items():
-        if c in keep and c != skip and (c not in best or u < best[c]):
+        if (keep is None or c in keep) and c != skip and (c not in best or u < best[c]):
             best[c] = u
     return best
+
+
+# -- the local-maxima election -----------------------------------------------
 
 
 def unmarked_degree(g, cfg, ledger, names: Sequence[str], labels, nbr_labels,
@@ -85,14 +124,11 @@ def unmarked_degree(g, cfg, ledger, names: Sequence[str], labels, nbr_labels,
     and ``up`` sums per tree the acknowledgements its members received,
     plus 1 per unmarked member when they self-report.  ``names`` are the
     ack round's and the convergecast's phases."""
-    out = {}
-    for v in g.vertices:
-        if v not in marked:
-            best = contacts(nbr_labels[v], remaining,
-                            labels.get(v) if self_report else None)
-            if best:
-                out[v] = {u: ACK for u in best.values()}
-    got = exchange(g, cfg, ledger, names[0], out)
+    got = signal(g, cfg, ledger, names[0], (
+        (v, u) for v in g.vertices if v not in marked
+        for u in contacts(nbr_labels[v], remaining,
+                          labels.get(v) if self_report else None).values()
+    ))
     counts = {v: len(inbox) for v, inbox in got.items()}
     if self_report:
         for v in labels:
@@ -105,16 +141,11 @@ def advertise(g, cfg, ledger, names: Sequence[str], labels, remaining,
               deg, down: Callable, cbits: int):
     """Tuple step: ``down`` tells every member its remaining tree's degree,
     and the member sends (degree, tree key) to all its neighbours in one
-    ``8 + id_bits + cbits``-bit message.  Returns member -> degree and the
-    tuple round's inboxes."""
+    ``8 + id_bits + cbits``-bit message.  Returns member -> degree and
+    what each vertex heard, v -> {neighbour: (degree, tree key)}."""
     know = down(names[0], {c: deg.get(c, 0) for c in remaining})
-    width = 8 + g.id_bits + cbits
-    out = {}
-    for v, c in labels.items():
-        if c in remaining:
-            m = Msg(width, (TAG_TUPLE, know.get(v, 0), c))
-            out[v] = {u: m for u in g.adj[v]}
-    return know, exchange(g, cfg, ledger, names[1], out)
+    tuples = {v: (know.get(v, 0), c) for v, c in labels.items() if c in remaining}
+    return know, announce(g, cfg, ledger, names[1], tuples, 8 + g.id_bits + cbits)
 
 
 def announce_join(g, cfg, ledger, names: Sequence[str], joiners: Iterable,
@@ -122,9 +153,9 @@ def announce_join(g, cfg, ledger, names: Sequence[str], joiners: Iterable,
     """Join step: ``down`` tells the joiners' members, and each tells all
     its neighbours.  Returns those members and every vertex that heard one."""
     know = down(names[0], {c: 1 for c in joiners})
-    out = {v: {u: JOIN for u in g.adj[v]} for v, x in know.items() if x}
-    got = exchange(g, cfg, ledger, names[1], out)
-    return set(out) | {v for v, inbox in got.items() if inbox}
+    told = [v for v, x in know.items() if x]
+    got = signal(g, cfg, ledger, names[1], ((v, u) for v in told for u in g.adj[v]))
+    return set(told) | {v for v, inbox in got.items() if inbox}
 
 
 def elect(g: Graph, cfg: SimConfig, ledger: RoundLedger, *, steps: Sequence[str],
@@ -160,7 +191,7 @@ def elect(g: Graph, cfg: SimConfig, ledger: RoundLedger, *, steps: Sequence[str]
         know, got = advertise(g, cfg, ledger, names[2:4], labels, remaining,
                               deg, down, cbits)
         # every unmarked vertex votes for the largest (degree, key) it heard
-        out, votes = {}, {}
+        ballots, votes = [], {}
         for v in g.vertices:
             if v in marked:
                 continue
@@ -168,7 +199,7 @@ def elect(g: Graph, cfg: SimConfig, ledger: RoundLedger, *, steps: Sequence[str]
             best = sender = None
             if self_report and own in remaining:
                 best = (know.get(v, 0), own)
-            for s, (_tag, d, c) in got[v]:
+            for s, (d, c) in got[v].items():
                 if best is None or (d, c) > best:
                     best, sender = (d, c), s
                 elif (d, c) == best and sender is not None and s < sender:
@@ -178,8 +209,8 @@ def elect(g: Graph, cfg: SimConfig, ledger: RoundLedger, *, steps: Sequence[str]
             if self_report and best[1] == own:
                 votes[v] = 1
             else:
-                out[v] = {sender: VOTE}
-        for v, inbox in exchange(g, cfg, ledger, names[4], out).items():
+                ballots.append((v, sender))
+        for v, inbox in signal(g, cfg, ledger, names[4], ballots).items():
             votes[v] = votes.get(v, 0) + len(inbox)
         vote_sum = up(names[5], votes)
         new = {

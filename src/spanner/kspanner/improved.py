@@ -14,8 +14,8 @@ from ..clustering import Supercluster, Superclustering, WeightedTree, orient_tre
 from ..graph import Graph
 from ..primitives import RoleTable, grow_bfs_clusters, partition_tree
 from ..results import SpannerRun
-from ..sim import Msg, RoundLedger, SimConfig, announce
-from .common import EDGE, cluster_steps, elect, exchange, forest_steps, ipow_ceil
+from ..sim import RoundLedger, SimConfig, announce
+from .common import cluster_steps, connect, contacts, elect, forest_steps, ipow_ceil
 from .naive import naive_spanner
 from .zero import cons_zero_superclustering, cover_low_expansion
 
@@ -23,7 +23,6 @@ RECURSION_BASE = 64
 
 STEPS = ("sc-ack", "sc-deg-up", "sc-deg-down", "sc-tuples", "sc-votes",
          "sc-votes-up", "sc-join-down", "sc-success")
-TAG_UNCOV = 0
 
 
 def _sc_roles(scs: Sequence[Supercluster]) -> RoleTable:
@@ -157,23 +156,15 @@ def _cover_remaining(g, k, cfg, ledger, trace, H, clustering, scs, vset,
     """Low-expansion superclusters: direct edges into singletons, bipartite
     spanners toward the outside and recursion inside for the rest."""
     singles = {s for s in remaining if len(scs[s].clusters) == 1}
-    out = {}
-    for v, scid in sc_of_vertex.items():
-        if scid in singles:
-            out[v] = {u: Msg(8 + g.id_bits, (TAG_UNCOV, scid)) for u in g.adj[v]}
-    got = exchange(g, cfg, ledger, f"sc-uncov:P{i}", out)
-    out = {}
-    for v in g.vertices:
-        if v in marked:
-            continue
-        best: Dict[int, int] = {}
-        for s, b in got[v]:
-            if b[0] == TAG_UNCOV and (b[1] not in best or s < best[b[1]]):
-                best[b[1]] = s
-        for scid, u in sorted(best.items()):
-            out.setdefault(v, {})[u] = EDGE
-            H.add(v, u, f"sc-single:L{i}")
-    exchange(g, cfg, ledger, f"sc-single-edges:P{i}", out)
+    nbr_single = announce(
+        g, cfg, ledger, f"sc-uncov:P{i}",
+        {v: scid for v, scid in sc_of_vertex.items() if scid in singles},
+        8 + g.id_bits,
+    )
+    connect(g, cfg, ledger, H, f"sc-single-edges:P{i}", (
+        (v, u, f"sc-single:L{i}") for v in g.vertices if v not in marked
+        for u in contacts(nbr_single[v]).values()
+    ))
 
     sub_ledgers: List[RoundLedger] = []
     instances = trace.setdefault("bipartite_instances", {}).setdefault(i, [])

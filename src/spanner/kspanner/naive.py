@@ -13,7 +13,7 @@ from ..graph import Graph, Spanner
 from ..primitives import grow_bfs_clusters
 from ..results import SpannerRun
 from ..sim import RoundLedger, SimConfig, announce
-from .common import EDGE, cluster_steps, contacts, elect, exchange, ipow_ceil
+from .common import cluster_steps, connect, contacts, elect, ipow_ceil
 
 STEPS = ("ack", "deg", "deg-down", "tuples", "votes", "votes-up", "join-down",
          "join-announce")
@@ -75,16 +75,10 @@ def _phase(g, cfg, ledger, trace, H, clustering, k, i) -> Clustering:
     trace["iterations"][i] = trace["si_records"][-1]["iteration"]
 
     # losers' unmarked neighborhoods: one edge per adjacent remaining cluster
-    out = {}
-    for v in g.vertices:
-        if v in marked:
-            continue
-        best = contacts(nbr_cluster[v], remaining)
-        if best:
-            out[v] = {u: EDGE for u in best.values()}
-            for u in best.values():
-                H.add(v, u, f"uncovered:L{i}")
-    exchange(g, cfg, ledger, f"cover:L{i}", out)
+    connect(g, cfg, ledger, H, f"cover:L{i}", (
+        (v, u, f"uncovered:L{i}") for v in g.vertices if v not in marked
+        for u in contacts(nbr_cluster[v], remaining).values()
+    ))
 
     new_clustering, led = grow_bfs_clusters(g, joined, i, cfg, level=i)
     ledger.extend_sequential(led, name=f"grow:L{i}")
@@ -97,13 +91,8 @@ def _final_phase(g, cfg, ledger, H, clustering) -> None:
     nbr_cluster = announce(
         g, cfg, ledger, "announce:final", clustering.membership, 8 + g.id_bits
     )
-    centers = clustering.centers
-    out = {}
-    for v in g.vertices:
-        # v's own tree already connects it to its own cluster
-        best = contacts(nbr_cluster[v], centers, clustering.membership.get(v))
-        if best:
-            out[v] = {u: EDGE for u in best.values()}
-            for u in best.values():
-                H.add(v, u, "final")
-    exchange(g, cfg, ledger, "final-edges", out)
+    # v's own tree already connects it to its own cluster
+    connect(g, cfg, ledger, H, "final-edges", (
+        (v, u, "final") for v in g.vertices
+        for u in contacts(nbr_cluster[v], skip=clustering.membership.get(v)).values()
+    ))

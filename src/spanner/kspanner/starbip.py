@@ -21,19 +21,16 @@ from ..graph import Graph, Spanner
 from ..results import SpannerRun
 from ..sim import BitCost, Msg, RoundLedger, SimConfig, SimTimeout, _cascade, announce
 from .common import (
-    TAG_TUPLE,
     advertise,
     announce_join,
     chunked_gather,
     chunked_scatter,
     cluster_steps,
+    connect,
+    contacts,
     exchange,
     ipow_ceil,
-)
-
-TAG_CHOSE, TAG_ACK, TAG_STARMAX, TAG_VACK, TAG_SUCCESS, TAG_MARKED, TAG_EDGE = range(7)
-ACK, VACK, SUCCESS, MARKED, EDGE = (
-    Msg(8, (tag,)) for tag in (TAG_ACK, TAG_VACK, TAG_SUCCESS, TAG_MARKED, TAG_EDGE)
+    signal,
 )
 
 
@@ -58,7 +55,6 @@ def _form_stars(g, cfg, ledger, st: StarState, H: Spanner) -> None:
     """One round: every B vertex with an A neighbor picks its star center
     (closest first on weighted graphs, then smallest ID) and tells all its
     neighbors; star edges enter the spanner."""
-    out: Dict[int, Dict[int, Msg]] = {}
     for v in sorted(st.b):
         cands = [u for u in g.adj[v] if u in st.a]
         if not cands:
@@ -66,16 +62,13 @@ def _form_stars(g, cfg, ledger, st: StarState, H: Spanner) -> None:
         c = min(cands, key=lambda u: (g.weight(v, u), u))
         st.star_of[v] = c
         H.add(v, c, "star")
-        m = Msg(8 + g.id_bits, (TAG_CHOSE, c))
-        out[v] = {u: m for u in g.adj[v]}
-    got = exchange(g, cfg, ledger, "star-formation", out)
+    # so far st.star_of holds the B vertices' choices only
+    chosen = announce(g, cfg, ledger, "star-formation", st.star_of, 8 + g.id_bits)
     for a in sorted(st.a):
         st.star_of[a] = a
         st.members[a] = []
     for v in g.vertices:
-        for sender, body in got[v]:
-            if body[0] == TAG_CHOSE:
-                st.nbr_star[v][sender] = body[1]
+        st.nbr_star[v].update(chosen[v])
         for u in g.adj[v]:
             if u in st.a:
                 st.nbr_star[v][u] = u
@@ -243,11 +236,11 @@ def sparser_bipartite_spanner(
 
 def _mark_announce(g, cfg, ledger, st, newly_marked_stars, nbr_marked, name):
     """Vertices of newly marked stars tell their neighbors."""
-    out = {}
-    for s in sorted(newly_marked_stars):
-        for v in st.star_vertices(s):
-            out[v] = {u: MARKED for u in g.adj[v]}
-    for v, inbox in exchange(g, cfg, ledger, name, out).items():
+    got = signal(g, cfg, ledger, name, (
+        (v, u) for s in sorted(newly_marked_stars)
+        for v in st.star_vertices(s) for u in g.adj[v]
+    ))
+    for v, inbox in got.items():
         nbr_marked[v].update(sender for sender, _body in inbox)
 
 
@@ -274,11 +267,8 @@ def _phase(g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i):
         )
     else:
         reps = _compute_reps(g, cfg, ledger, st, nbr_cluster, f"L{i}")
-        out = {}
-        for s in stars:
-            for c, (rep, contact) in reps[s].items():
-                out.setdefault(rep, {})[contact] = ACK
-        got = exchange(g, cfg, ledger, f"bip-count:L{i}", out)
+        got = signal(g, cfg, ledger, f"bip-count:L{i}",
+                     (pair for s in stars for pair in reps[s].values()))
         acks = {v: len(inbox) for v, inbox in got.items()}
         deg = up(f"bip-deg:L{i}", acks, bound=max(2, 2 * g.n))
 
@@ -314,33 +304,27 @@ def _phase(g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i):
             )
         else:
             # deltas: each newly marked star retracts one unit per cluster
-            out = {}
-            for s in sorted(newly_marked):
-                for c, (rep, contact) in reps[s].items():
-                    out.setdefault(rep, {})[contact] = MARKED
-            got = exchange(g, cfg, ledger, f"bip-delta:L{i}.{iterations}", out)
+            got = signal(g, cfg, ledger, f"bip-delta:L{i}.{iterations}",
+                         (pair for s in sorted(newly_marked) for pair in reps[s].values()))
             dec = {v: len(inbox) for v, inbox in got.items()}
             drop = up(f"bip-deg-delta:L{i}.{iterations}", dec, bound=max(2, 2 * g.n))
             for c in remaining:
                 deg[c] -= drop.get(c, 0)
     trace["phases"][i] = {"iterations": iterations, "joined": len(joined)}
 
-    # uncovered stars: one edge per (unmarked star, remaining cluster) pair
-    out = {}
+    # uncovered stars: one edge per (unmarked star, remaining cluster)
+    # pair, from the star's smallest vertex next to the cluster
+    picks = []
     for s in stars:
         if s in marked:
             continue
-        per_cluster: Dict[int, Tuple[int, int]] = {}
-        for v in st.star_vertices(s):
-            for u, c in nbr_cluster[v].items():
-                if c in remaining:
-                    key = (v, u)
-                    if c not in per_cluster or key < per_cluster[c]:
-                        per_cluster[c] = key
-        for c, (v, u) in sorted(per_cluster.items()):
-            out.setdefault(v, {})[u] = EDGE
-            H.add(v, u, f"star-uncovered:L{i}")
-    exchange(g, cfg, ledger, f"bip-cover:L{i}", out)
+        reached: Set[int] = set()
+        for v in sorted(st.star_vertices(s)):
+            for c, u in contacts(nbr_cluster[v], remaining).items():
+                if c not in reached:
+                    reached.add(c)
+                    picks.append((v, u, f"star-uncovered:L{i}"))
+    connect(g, cfg, ledger, H, f"bip-cover:L{i}", picks)
 
     new_cluster_of, uplinks = _grow_star_clusters(g, cfg, ledger, st, joined, i)
     for s, (rel, off) in sorted(uplinks.items()):
@@ -353,32 +337,28 @@ def _approx_degree(g, cfg, ledger, trace, st, cluster_of, marked, nbr_marked,
     """Phase-1 unmarked star-degree 2-approximation: stars seen by the
     leader's own edges, plus one ACK per unmarked star sent leader-to-star.
     Each estimate is recorded in ``trace["approx"]``."""
-    out = {}
+    pairs = []
     for leader in st.stars():
         if leader in marked:
             continue
-        per_star: Dict[int, int] = {}
-        for u, s2 in st.nbr_star[leader].items():
-            if s2 != leader and u not in nbr_marked[leader]:
-                if s2 not in per_star or u < per_star[s2]:
-                    per_star[s2] = u
-        if per_star:
-            out[leader] = {u: ACK for u in per_star.values()}
-    got = exchange(g, cfg, ledger, f"bip-type2:{label}", out)
-    acks = {v: sum(1 for _s, b in got[v] if b[0] == TAG_ACK) for v in g.vertices}
+        unmarked = {u: s2 for u, s2 in st.nbr_star[leader].items()
+                    if u not in nbr_marked[leader]}
+        pairs.extend((leader, u) for u in contacts(unmarked, skip=leader).values())
+    got = signal(g, cfg, ledger, f"bip-type2:{label}", pairs)
+    acks = {v: len(inbox) for v, inbox in got.items()}
     # members pass their ACK counts up to the leader (radius-1 gather)
     cbits = max(1, g.n.bit_length())
     out = {}
     for s in st.stars():
         for v in st.members[s]:
-            if acks.get(v):
-                out[v] = {s: Msg(8 + cbits, (TAG_ACK, acks[v]))}
+            if acks[v]:
+                out[v] = {s: Msg(8 + cbits, acks[v])}
     got = exchange(g, cfg, ledger, f"bip-type2-up:{label}", out)
     deg = {}
     for s in st.stars():
         if cluster_of.get(s) is None or s in marked:
             continue
-        type2 = acks.get(s, 0) + sum(b[1] for _x, b in got[s] if b[0] == TAG_ACK)
+        type2 = acks[s] + sum(x for _v, x in got[s])
         seen = {s}
         for u, s2 in st.nbr_star[s].items():
             if u not in nbr_marked[s]:
@@ -444,38 +424,36 @@ def _election(g, cfg, ledger, st, gtree, up, down, remaining, marked,
         for v, c in gtree.membership.items() if c in remaining
     }
     # members of unmarked stars relay their best tuple to the leader
+    width = 8 + g.id_bits + cbits
     out = {}
     for s in st.stars():
         if s in marked:
             continue
         for v in st.members[s]:
             if heard[v]:
-                best = max(b[1:] for _s, b in heard[v])
-                out[v] = {s: Msg(8 + g.id_bits + cbits, (TAG_TUPLE,) + best)}
+                out[v] = {s: Msg(width, max(heard[v].values()))}
     got2 = exchange(g, cfg, ledger, f"bip-star-max-up:{label}", out)
     star_max: Dict[int, Tuple] = {}
     for s in st.stars():
         if s not in marked and (heard[s] or got2[s]):
-            star_max[s] = max(b[1:] for _x, b in heard[s] + got2[s])
+            star_max[s] = max([*heard[s].values(), *(t for _v, t in got2[s])])
     out = {}
     for s, best in sorted(star_max.items()):
-        m = Msg(8 + g.id_bits + cbits, (TAG_STARMAX,) + best)
+        m = Msg(width, best)
         out[s] = {u: m for u in st.members[s]}
     got3 = exchange(g, cfg, ledger, f"bip-star-max-down:{label}", out)
     known_max: Dict[int, Tuple] = dict(star_max)
     for v in g.vertices:
-        for sender, b in got3[v]:
-            known_max[v] = b[1:]
+        for _leader, best in got3[v]:
+            known_max[v] = best
     # ACK every neighbor whose tuple equals the star's maximum
-    out = {}
+    acks = []
     for v in g.vertices:
         s = st.star_of.get(v)
         if s is None or s in marked or v not in known_max:
             continue
-        targets = {sender: VACK for sender, b in heard[v] if b[1:] == known_max[v]}
-        if targets:
-            out[v] = targets
-    got4 = exchange(g, cfg, ledger, f"bip-vacks:{label}", out)
+        acks.extend((v, u) for u, t in heard[v].items() if t == known_max[v])
+    got4 = signal(g, cfg, ledger, f"bip-vacks:{label}", acks)
     ok = {}
     for v, owed in tuple_sent.items():
         ackers = {s for s, _b in got4[v]}
@@ -495,19 +473,14 @@ def _mark_after_join(g, cfg, ledger, st, down, new_joiners, marked, label):
         new_joiners, down,
     )
     # members relay the hit to their leader, leaders mark the star
-    out = {}
-    for v in sorted(hit):
-        s = st.star_of.get(v)
-        if s is not None and v != s:
-            out[v] = {s: SUCCESS}
-    got2 = exchange(g, cfg, ledger, f"bip-mark-up:{label}", out)
+    got2 = signal(g, cfg, ledger, f"bip-mark-up:{label}", (
+        (v, st.star_of[v]) for v in sorted(hit)
+        if st.star_of.get(v) not in (None, v)
+    ))
     newly = {s for s in st.stars() if s not in marked and (s in hit or got2[s])}
     # leaders tell members the star is marked
-    out = {}
-    for s in sorted(newly):
-        if st.members[s]:
-            out[s] = {v: MARKED for v in st.members[s]}
-    exchange(g, cfg, ledger, f"bip-mark-down:{label}", out)
+    signal(g, cfg, ledger, f"bip-mark-down:{label}",
+           ((s, v) for s in sorted(newly) for v in st.members[s]))
     marked |= newly
     return newly
 
@@ -518,12 +491,7 @@ def _last_phase(g, cfg, ledger, H, st, cluster_of, gtree):
         g, cfg, ledger, "bip-announce:last", gtree.membership, 8 + g.id_bits
     )
     reps = _compute_reps(g, cfg, ledger, st, nbr_cluster, "last")
-    out = {}
-    for s in st.stars():
-        own = cluster_of.get(s)
-        for c, (rep, contact) in sorted(reps[s].items()):
-            if c == own:
-                continue
-            out.setdefault(rep, {})[contact] = EDGE
-            H.add(rep, contact, "star-final")
-    exchange(g, cfg, ledger, "bip-final-edges", out)
+    connect(g, cfg, ledger, H, "bip-final-edges", (
+        (rep, contact, "star-final") for s in st.stars()
+        for c, (rep, contact) in reps[s].items() if c != cluster_of.get(s)
+    ))

@@ -22,7 +22,8 @@ from spanner import (
 from spanner.cli import run_algorithm, stretch_bound
 from spanner.graph import Spanner
 from spanner.kspanner import starbip
-from spanner.kspanner.common import ipow_ceil
+from spanner.graph import GraphError
+from spanner.kspanner.common import connect, contacts, ipow_ceil, signal
 from spanner.sim import Msg, NodeProgram, RoundLedger, SimError, default_bit_budget, run
 
 
@@ -542,6 +543,68 @@ def test_improved_odd_k_runs_reduced_levels():
     res = improved_spanner(g, 5)
     assert res.trace["phases"] == 2  # (k-1)/2
     assert verify_stretch(g, res.spanner, 9).passed
+
+
+# -- the step helpers ---------------------------------------------------------
+
+
+def test_signal_bills_one_round_iff_a_pair_exists():
+    g = generate("path", {"n": 3})
+    ledger = RoundLedger()
+    got = signal(g, SimConfig(), ledger, "quiet", [])
+    assert got == {0: [], 1: [], 2: []}
+    assert ledger.to_json()["per_phase"] == [{"name": "quiet", "rounds": 0}]
+    assert (ledger.rounds_used, ledger.messages_total) == (0, 0)
+    signal(g, SimConfig(), ledger, "token", [(1, 2)])
+    assert ledger.per_phase[-1] == ("token", 1)
+    assert (ledger.rounds_used, ledger.messages_total) == (1, 1)
+    assert ledger.max_bits_seen == 8
+
+
+def test_signal_sends_one_token_per_pair_in_sender_order():
+    g = Graph(range(4), [(0, 1), (0, 2), (0, 3)])  # a star around 0
+    ledger = RoundLedger()
+    got = signal(g, SimConfig(), ledger, "acks",
+                 [(3, 0), (1, 0), (3, 0), (0, 2), (2, 0)])
+    assert got[0] == [(1, None), (2, None), (3, None)]
+    assert got[2] == [(0, None)]
+    assert got[1] == got[3] == []
+    assert ledger.messages_total == 4
+
+
+def test_signal_to_a_non_neighbour_raises_the_send_step_error():
+    g = generate("path", {"n": 4})
+    with pytest.raises(SimError, match=r"^acks: vertex 1 sent to non-neighbor 3$"):
+        signal(g, SimConfig(), RoundLedger(), "acks", [(2, 0), (1, 3), (1, 2)])
+
+
+def test_connect_adds_in_pick_order_then_signals():
+    g = generate("path", {"n": 3})
+    for picks, first in (([(0, 1, "a"), (1, 0, "b")], "a"),
+                         ([(1, 0, "b"), (0, 1, "a")], "b")):
+        H = Spanner(g)
+        ledger = RoundLedger()
+        connect(g, SimConfig(), ledger, H, "edges", picks + [(2, 1, "c")])
+        assert H.provenance == {(0, 1): first, (1, 2): "c"}
+        assert ledger.per_phase == [("edges", 1)]
+        assert ledger.messages_total == 3
+
+
+def test_connect_rejects_a_non_edge():
+    g = generate("path", {"n": 3})
+    ledger = RoundLedger()
+    with pytest.raises(GraphError, match="not in base graph"):
+        connect(g, SimConfig(), ledger, Spanner(g), "edges", [(0, 2, "a")])
+    assert ledger.per_phase == []
+
+
+def test_contacts_smallest_neighbour_per_tree():
+    heard = {5: "a", 3: "a", 7: "b", 9: "c", 8: "b"}
+    assert list(contacts(heard).items()) == [("a", 3), ("b", 7), ("c", 9)]
+    assert contacts(heard, keep={"b", "c"}) == {"b": 7, "c": 9}
+    assert contacts(heard, skip="a") == {"b": 7, "c": 9}
+    assert contacts(heard, keep={"a", "b"}, skip="b") == {"a": 3}
+    assert contacts({}) == {}
 
 
 # -- baseline -----------------------------------------------------------------
