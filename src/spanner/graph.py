@@ -113,7 +113,8 @@ class Graph:
     def subgraph(self, keep: Iterable[int]) -> "Graph":
         """Induced subgraph on the given vertex set (IDs preserved)."""
         ks = set(keep)
-        es = [e for e in self.edge_set if e[0] in ks and e[1] in ks]
+        adj = self.adj
+        es = [(v, u) for v in ks if v in adj for u in adj[v] if u > v and u in ks]
         w = {e: self.weights[e] for e in es} if self.weights else None
         return Graph(ks, es, w)
 

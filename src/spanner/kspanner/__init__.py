@@ -7,8 +7,12 @@ Every scripted step runs through one of four helpers: ``common.forest_steps``
 (the convergecast and broadcast over cluster or supercluster trees),
 ``sim.announce`` (a label to all neighbours), ``common.signal`` (bare tokens
 to chosen neighbours) and ``common.connect`` (the Baswana-Sen edge step: one
-edge per pick, and a token that tells the other end).  Rounds that carry
-data to chosen receivers, such as the star relays, call ``exchange``."""
+edge per pick, and a token that tells the other end).  Forest passes over
+clean trees within the budget and the round cap, announcements within the
+budget and every token round are accounted in bulk, without per-vertex
+sends; the other calls step through the simulator's send step.  Rounds
+that carry data to chosen receivers, such as the star relays, call
+``exchange``."""
 
 from .naive import naive_spanner
 from .starbip import sparser_bipartite_spanner

@@ -62,7 +62,8 @@ def baswana_sen_baseline(
                 membership[v] = own
                 parents[v] = clustering.parents[v]
                 continue
-            offers = [(s, c) for s, (c, sampled) in status[v].items() if sampled]
+            heard = status.get(v, {})
+            offers = [(s, c) for s, (c, sampled) in heard.items() if sampled]
             if offers:
                 # join one sampled neighboring cluster through one edge
                 sender, c = min(offers, key=lambda sc: (sc[1], sc[0]))
@@ -71,7 +72,7 @@ def baswana_sen_baseline(
                 joins.append((v, sender, f"bs-tree:L{i}"))
             else:
                 # connect once to every neighboring old cluster
-                nbr_cluster = {s: c for s, (c, _sampled) in status[v].items()}
+                nbr_cluster = {s: c for s, (c, _sampled) in heard.items()}
                 covers.extend((v, u, f"bs-cover:L{i}")
                               for u in contacts(nbr_cluster).values())
         connect(g, cfg, ledger, H, f"bs-edges:L{i}", joins + covers)
@@ -86,7 +87,8 @@ def baswana_sen_baseline(
     )
     connect(g, cfg, ledger, H, "bs-final-edges", (
         (v, u, "bs-final") for v in g.vertices
-        for u in contacts(nbr_cluster[v], skip=clustering.membership.get(v)).values()
+        for u in contacts(nbr_cluster.get(v, {}),
+                          skip=clustering.membership.get(v)).values()
     ))
     trace["size"] = H.size
     return SpannerRun(H, ledger, trace)

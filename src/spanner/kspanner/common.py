@@ -11,12 +11,18 @@ Four step helpers carry every scripted step of the constructions:
   tells the other one with a token (the Baswana-Sen step);
 
 plus ``contacts``, which picks the smallest-ID neighbour in each adjacent
-cluster.  The local-maxima election that the cluster-by-cluster and the
-superclustered constructions run (and whose steps the star-graph and
-zero-level constructions reuse) is built from these steps; the chunked ID
-streams live here too.  ``exchange``, the simulator's one-round scripted
-step, is re-exported here for the rounds that carry data to chosen
-receivers."""
+cluster.  None of the four sends per-vertex messages when it cannot
+violate anything: a forest pass over a clean ``Forest`` within the budget
+and the round cap walks a schedule the ``Forest`` computed once,
+``announce`` within the budget and every ``signal`` are accounted at once
+(``sim._bulk``), and only the other calls step through the send step.
+``announce`` and ``signal`` return only the vertices that received
+something, so readers use ``.get``.  The local-maxima election that the
+cluster-by-cluster and the superclustered constructions run (and whose
+steps the star-graph and zero-level constructions reuse) is built from
+these steps; the chunked ID streams live here too.  ``exchange``, the
+simulator's one-round scripted step, is re-exported here for the rounds
+that carry data to chosen receivers."""
 
 from __future__ import annotations
 
@@ -31,8 +37,8 @@ from ..clustering import Clustering
 from ..graph import Graph, Spanner
 from ..primitives import Forest, RoleTable, clustering_roles
 from ..sim import (
-    BitCost, Msg, RoundLedger, SimConfig, SimError, SimTimeout, _bulk, announce,
-    exchange,
+    BitCost, RoundLedger, SimConfig, SimError, SimTimeout, _bulk, _close_round,
+    announce, exchange,
 )
 
 TAG_IDS, TAG_END = range(2)
@@ -81,15 +87,35 @@ def cluster_steps(g, cfg, ledger, clustering: Clustering) -> Tuple[Callable, Cal
 def signal(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
            pairs: Iterable[Tuple[int, int]]) -> Dict[int, List[Tuple[int, Any]]]:
     """One round of bare tokens: each distinct (sender, receiver) pair of
-    ``pairs`` carries one ``BitCost.TAG``-bit message, posted through
-    ``exchange`` as phase ``name`` (one round iff a pair exists).  Returns
-    the inboxes, v -> [(sender, None)] in sender order.  A receiver that
-    is not the sender's neighbour raises the send step's SimError."""
-    token = Msg(BitCost.TAG, None)
-    out: Dict[int, Dict[int, Msg]] = defaultdict(dict)
+    ``pairs`` whose sender is a vertex of g carries one ``BitCost.TAG``-bit
+    message, as phase ``name`` (one round iff such a pair exists).  Returns
+    the receivers' inboxes, v -> [(sender, None)] in sender order; a vertex
+    that received nothing has no entry.
+
+    A token fits every budget and goes once over its edge, so the round
+    can violate nothing and is accounted at once with ``_bulk``.  A
+    receiver that is not the sender's neighbour raises the send step's
+    SimError, at the first such sender in ID order (its smallest such
+    receiver), before anything is accounted."""
+    out: Dict[int, Dict[int, None]] = defaultdict(dict)
     for v, u in pairs:
-        out[v][u] = token
-    return exchange(g, cfg, ledger, name, out)
+        out[v][u] = None
+    cfg.check(g)
+    adj, edges = g.adj, g.edge_set
+    got: Dict[int, List[Tuple[int, Any]]] = defaultdict(list)
+    messages = 0
+    for v in sorted(v for v in out if v in adj):
+        targets = out[v]
+        for u in targets:
+            if ((v, u) if v < u else (u, v)) not in edges:
+                bad = min(u for u in targets if not g.has_edge(v, u))
+                raise SimError(f"{name}: vertex {v} sent to non-neighbor {bad}")
+            got[u].append((v, None))
+        messages += len(targets)
+    if messages:
+        _bulk(ledger, messages, BitCost.TAG)
+    _close_round(ledger, name, messages > 0)
+    return dict(got)
 
 
 def connect(g: Graph, cfg: SimConfig, ledger: RoundLedger, H: Spanner, name: str,
@@ -126,14 +152,14 @@ def unmarked_degree(g, cfg, ledger, names: Sequence[str], labels, nbr_labels,
     ack round's and the convergecast's phases."""
     got = signal(g, cfg, ledger, names[0], (
         (v, u) for v in g.vertices if v not in marked
-        for u in contacts(nbr_labels[v], remaining,
+        for u in contacts(nbr_labels.get(v, {}), remaining,
                           labels.get(v) if self_report else None).values()
     ))
     counts = {v: len(inbox) for v, inbox in got.items()}
     if self_report:
         for v in labels:
             if v not in marked:
-                counts[v] += 1
+                counts[v] = counts.get(v, 0) + 1
     return up(names[1], counts)
 
 
@@ -155,7 +181,7 @@ def announce_join(g, cfg, ledger, names: Sequence[str], joiners: Iterable,
     know = down(names[0], {c: 1 for c in joiners})
     told = [v for v, x in know.items() if x]
     got = signal(g, cfg, ledger, names[1], ((v, u) for v in told for u in g.adj[v]))
-    return set(told) | {v for v, inbox in got.items() if inbox}
+    return set(told).union(got)
 
 
 def elect(g: Graph, cfg: SimConfig, ledger: RoundLedger, *, steps: Sequence[str],
@@ -199,7 +225,7 @@ def elect(g: Graph, cfg: SimConfig, ledger: RoundLedger, *, steps: Sequence[str]
             best = sender = None
             if self_report and own in remaining:
                 best = (know.get(v, 0), own)
-            for s, (d, c) in got[v].items():
+            for s, (d, c) in got.get(v, {}).items():
                 if best is None or (d, c) > best:
                     best, sender = (d, c), s
                 elif (d, c) == best and sender is not None and s < sender:

@@ -163,7 +163,7 @@ def _cover_remaining(g, k, cfg, ledger, trace, H, clustering, scs, vset,
     )
     connect(g, cfg, ledger, H, f"sc-single-edges:P{i}", (
         (v, u, f"sc-single:L{i}") for v in g.vertices if v not in marked
-        for u in contacts(nbr_single[v]).values()
+        for u in contacts(nbr_single.get(v, {})).values()
     ))
 
     sub_ledgers: List[RoundLedger] = []

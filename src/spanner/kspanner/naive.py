@@ -77,7 +77,7 @@ def _phase(g, cfg, ledger, trace, H, clustering, k, i) -> Clustering:
     # losers' unmarked neighborhoods: one edge per adjacent remaining cluster
     connect(g, cfg, ledger, H, f"cover:L{i}", (
         (v, u, f"uncovered:L{i}") for v in g.vertices if v not in marked
-        for u in contacts(nbr_cluster[v], remaining).values()
+        for u in contacts(nbr_cluster.get(v, {}), remaining).values()
     ))
 
     new_clustering, led = grow_bfs_clusters(g, joined, i, cfg, level=i)
@@ -94,5 +94,6 @@ def _final_phase(g, cfg, ledger, H, clustering) -> None:
     # v's own tree already connects it to its own cluster
     connect(g, cfg, ledger, H, "final-edges", (
         (v, u, "final") for v in g.vertices
-        for u in contacts(nbr_cluster[v], skip=clustering.membership.get(v)).values()
+        for u in contacts(nbr_cluster.get(v, {}),
+                          skip=clustering.membership.get(v)).values()
     ))

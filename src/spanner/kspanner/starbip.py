@@ -68,7 +68,7 @@ def _form_stars(g, cfg, ledger, st: StarState, H: Spanner) -> None:
         st.star_of[a] = a
         st.members[a] = []
     for v in g.vertices:
-        st.nbr_star[v].update(chosen[v])
+        st.nbr_star[v].update(chosen.get(v, {}))
         for u in g.adj[v]:
             if u in st.a:
                 st.nbr_star[v][u] = u
@@ -320,7 +320,7 @@ def _phase(g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i):
             continue
         reached: Set[int] = set()
         for v in sorted(st.star_vertices(s)):
-            for c, u in contacts(nbr_cluster[v], remaining).items():
+            for c, u in contacts(nbr_cluster.get(v, {}), remaining).items():
                 if c not in reached:
                     reached.add(c)
                     picks.append((v, u, f"star-uncovered:L{i}"))
@@ -351,14 +351,14 @@ def _approx_degree(g, cfg, ledger, trace, st, cluster_of, marked, nbr_marked,
     out = {}
     for s in st.stars():
         for v in st.members[s]:
-            if acks[v]:
+            if v in acks:
                 out[v] = {s: Msg(8 + cbits, acks[v])}
     got = exchange(g, cfg, ledger, f"bip-type2-up:{label}", out)
     deg = {}
     for s in st.stars():
         if cluster_of.get(s) is None or s in marked:
             continue
-        type2 = acks[s] + sum(x for _v, x in got[s])
+        type2 = acks.get(s, 0) + sum(x for _v, x in got.get(s, ()))
         seen = {s}
         for u, s2 in st.nbr_star[s].items():
             if u not in nbr_marked[s]:
@@ -378,10 +378,10 @@ def _compute_reps(g, cfg, ledger, st, nbr_cluster, label):
     items = {}
     for s in st.stars():
         hub_of[s] = s
-        items[s] = sorted({c for c in nbr_cluster[s].values()})
+        items[s] = sorted(set(nbr_cluster.get(s, {}).values()))
         for v in st.members[s]:
             hub_of[v] = s
-            items[v] = sorted({c for c in nbr_cluster[v].values()})
+            items[v] = sorted(set(nbr_cluster.get(v, {}).values()))
     gathered = chunked_gather(g, cfg, ledger, f"bip-reps-up:{label}",
                               hub_of, items)
     reps: Dict[int, Dict[int, Tuple[int, int]]] = {}
@@ -430,21 +430,22 @@ def _election(g, cfg, ledger, st, gtree, up, down, remaining, marked,
         if s in marked:
             continue
         for v in st.members[s]:
-            if heard[v]:
+            if v in heard:
                 out[v] = {s: Msg(width, max(heard[v].values()))}
     got2 = exchange(g, cfg, ledger, f"bip-star-max-up:{label}", out)
     star_max: Dict[int, Tuple] = {}
     for s in st.stars():
-        if s not in marked and (heard[s] or got2[s]):
-            star_max[s] = max([*heard[s].values(), *(t for _v, t in got2[s])])
+        if s not in marked and (s in heard or s in got2):
+            star_max[s] = max([*heard.get(s, {}).values(),
+                               *(t for _v, t in got2.get(s, ()))])
     out = {}
     for s, best in sorted(star_max.items()):
         m = Msg(width, best)
         out[s] = {u: m for u in st.members[s]}
     got3 = exchange(g, cfg, ledger, f"bip-star-max-down:{label}", out)
     known_max: Dict[int, Tuple] = dict(star_max)
-    for v in g.vertices:
-        for _leader, best in got3[v]:
+    for v, inbox in got3.items():
+        for _leader, best in inbox:
             known_max[v] = best
     # ACK every neighbor whose tuple equals the star's maximum
     acks = []
@@ -452,11 +453,11 @@ def _election(g, cfg, ledger, st, gtree, up, down, remaining, marked,
         s = st.star_of.get(v)
         if s is None or s in marked or v not in known_max:
             continue
-        acks.extend((v, u) for u, t in heard[v].items() if t == known_max[v])
+        acks.extend((v, u) for u, t in heard.get(v, {}).items() if t == known_max[v])
     got4 = signal(g, cfg, ledger, f"bip-vacks:{label}", acks)
     ok = {}
     for v, owed in tuple_sent.items():
-        ackers = {s for s, _b in got4[v]}
+        ackers = {s for s, _b in got4.get(v, ())}
         ok[v] = 1 if all(u in ackers for u in owed) else 0
     is_max = up(f"bip-maxima:{label}", ok, combine="min", bound=2)
     return {
@@ -477,7 +478,7 @@ def _mark_after_join(g, cfg, ledger, st, down, new_joiners, marked, label):
         (v, st.star_of[v]) for v in sorted(hit)
         if st.star_of.get(v) not in (None, v)
     ))
-    newly = {s for s in st.stars() if s not in marked and (s in hit or got2[s])}
+    newly = {s for s in st.stars() if s not in marked and (s in hit or s in got2)}
     # leaders tell members the star is marked
     signal(g, cfg, ledger, f"bip-mark-down:{label}",
            ((s, v) for s in sorted(newly) for v in st.members[s]))

@@ -1,20 +1,24 @@
 """Distributed building blocks shared by every spanner algorithm.
 
-Cluster growth, the power-graph min-flood, the tree partition and the
-forest convergecast and broadcast act only in round 1 or when mail
-arrives, so each runs as host-scheduled rounds through the engine's send
-step (``sim._cascade``): a ``step(v, rnd, inbox)`` closure reads the
-vertex's mail and the state the host tracks for it and returns its
-outbox.  The log-round ruling set and the power-graph hop-flood are
-broadcast BFS floods, run layer by layer through ``sim._flood``.  Every
-wrapper is a pure function of (graph, inputs) and returns the assembled
-result together with the run's RoundLedger.  The convergecast and the
-broadcast are the two methods of a ``Forest``, which checks its role
-table once, when it is built, and serves every call over those trees.
+Cluster growth, the power-graph min-flood and the tree partition act only
+in round 1 or when mail arrives, so each runs as host-scheduled rounds
+through the engine's send step (``sim._cascade``): a ``step(v, rnd,
+inbox)`` closure reads the vertex's mail and the state the host tracks
+for it and returns its outbox.  The log-round ruling set and the
+power-graph hop-flood are broadcast BFS floods, run layer by layer
+through ``sim._flood``.  Every wrapper is a pure function of (graph,
+inputs) and returns the assembled result together with the run's
+RoundLedger.  The convergecast and the broadcast are the two methods of a
+``Forest``, which checks its role table once, when it is built, computes
+each pass's schedule there, and serves every call over those trees: a
+call over a clean forest within the budget and the round cap is one walk
+over the schedule, accounted in bulk (``sim._bulk``); any other call
+runs as ``_cascade`` steps.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from .clustering import Clustering, TreePart, TreePartition, WeightedTree, orient_tree
@@ -26,6 +30,7 @@ from .sim import (
     SimConfig,
     SimError,
     SimTimeout,
+    _bulk,
     _cascade,
     _flood,
     _round_guard,
@@ -103,8 +108,9 @@ def grow_bfs_clusters(
 
 RoleTable = Dict[int, List[Tuple[Hashable, Optional[int], Tuple[int, ...]]]]
 
-COMBINERS = {"sum": lambda a, b: a + b, "max": max, "min": min}
+COMBINERS = {"sum": operator.add, "max": max, "min": min}
 NO_ROUTES: Dict[int, int] = {}  # a vertex with one role routes all mail to it
+NO_VALUES: Dict[Hashable, int] = {}  # a vertex without values contributes 0s
 
 
 def _check_roles(g: Graph, roles: RoleTable) -> Tuple[Dict[int, Dict[int, int]], int]:
@@ -176,9 +182,23 @@ class Forest:
     """The trees of one role table, checked once: ``aggregate``, the
     convergecast, and ``broadcast`` run over them as often as the caller
     needs.  Building one raises SimError unless the table describes
-    edge-disjoint trees of g whose edges both ends agree on (see
-    ``_check_roles``); it keeps what depends only on the table, the
-    routes, the number of tree edges, the leaves and the roots."""
+    edge-disjoint trees whose edges both ends agree on (see
+    ``_check_roles``); it keeps what depends only on the table: the
+    routes, the number of tree edges, the leaves, the roots and each
+    pass's schedule.
+
+    Roles are numbered in table order.  The convergecast's schedule lists
+    every non-root role with its parent's role, ordered by send round and
+    then vertex ID: a childless role sends in round 1, any other in the
+    round after its last child's report.  The broadcast's lists every
+    non-root role after its parent's.  A forest is clean when every tree
+    edge is an edge of g and both schedules reach every role; a table
+    with a cycle is not.  Over a clean forest, a pass within the budget
+    and the round cap can violate nothing (one message per tree edge, to
+    a neighbour, within the budget), so it runs as one walk over its
+    schedule and is accounted at once with ``_bulk``.  Every other call
+    runs round by round through ``_cascade``, whose send step raises or
+    records each violation and whose guards apply the round cap."""
 
     def __init__(self, g: Graph, roles: RoleTable):
         self.g = g
@@ -188,6 +208,88 @@ class Forest:
         # those with a root role in a broadcast
         self.leaves = [v for v, rs in roles.items() if any(not r[2] for r in rs)]
         self.roots = [v for v, rs in roles.items() if any(r[1] is None for r in rs)]
+        self._schedule()
+
+    def _schedule(self) -> None:
+        g, roles, routes = self.g, self.roles, self.routes
+        self.base: Dict[int, int] = {}  # v -> the number of v's first role
+        self.role_keys: List[Tuple[int, Hashable]] = []  # role -> (vertex, key)
+        for v, rs in roles.items():
+            self.base[v] = len(self.role_keys)
+            self.role_keys.extend((v, key) for key, _p, _ch in rs)
+        parent_of: List[Optional[int]] = []  # role -> the parent's role
+        waiting: List[int] = []  # role -> its number of children
+        in_g = True
+        for v, rs in roles.items():
+            for _key, parent, children in rs:
+                waiting.append(len(children))
+                if parent is None:
+                    parent_of.append(None)
+                else:
+                    parent_of.append(self.base[parent]
+                                     + routes.get(parent, NO_ROUTES).get(v, 0))
+                    in_g = in_g and g.has_edge(v, parent)
+        self.root_roles = [(r, self.role_keys[r][1])
+                           for r, p in enumerate(parent_of) if p is None]
+        # convergecast: (send round, sender, role, parent's role), childless
+        # roles first; `ready` grows while it is walked
+        latest = [0] * len(parent_of)  # the last send round of a role's children
+        ready = [r for r, w in enumerate(waiting) if not w]
+        sends = []
+        for r in ready:
+            p = parent_of[r]
+            if p is not None:
+                rnd = latest[r] + 1
+                sends.append((rnd, self.role_keys[r][0], r, p))
+                if rnd > latest[p]:
+                    latest[p] = rnd
+                waiting[p] -= 1
+                if not waiting[p]:
+                    ready.append(p)
+        sends.sort()
+        self.up = [(r, p) for _rnd, _v, r, p in sends]
+        self.up_rounds = sends[-1][0] if sends else 0
+        # broadcast: (parent's role, role), every role after its parent's
+        children: List[List[int]] = [[] for _ in parent_of]
+        for r, p in enumerate(parent_of):
+            if p is not None:
+                children[p].append(r)
+        depth = [0] * len(parent_of)
+        self.down: List[Tuple[int, int]] = []
+        reached = [r for r, _key in self.root_roles]
+        for p in reached:
+            for r in children[p]:
+                depth[r] = depth[p] + 1
+                self.down.append((p, r))
+                reached.append(r)
+        self.down_rounds = max(depth, default=0)
+        # a role is reached from the roots exactly when no cycle lies above
+        # it; then no cycle lies below it either, so it has a send round
+        self.clean = in_g and len(reached) == len(parent_of)
+
+    def _walks(self, cfg: SimConfig, width: int, rounds: int) -> bool:
+        """Whether a pass of ``rounds`` send rounds and ``width``-bit
+        messages runs as one walk over its schedule: the forest is clean,
+        the width is within the budget, and the round cap admits the round
+        after the last send, which ``_cascade`` runs to deliver the last
+        messages.  Checks the config first, as ``_cascade`` does."""
+        cfg.check(self.g)
+        return (self.clean and width <= cfg.budget_for(self.g)
+                and rounds < cfg.max_rounds)
+
+    def _walked(self, name: str, width: int, rounds: int) -> RoundLedger:
+        """The ledger of one walked pass: one message over every tree edge."""
+        ledger = RoundLedger()
+        if self.edges:
+            _bulk(ledger, self.edges, width)
+        ledger.rounds_used = rounds
+        ledger.per_phase.append((name, rounds))
+        return ledger
+
+    def _own(self, v: int, per_role: List) -> List:
+        """v's entries of a per-role list, in role order."""
+        b = self.base[v]
+        return per_role[b : b + len(self.roles[v])]
 
     def aggregate(
         self,
@@ -204,47 +306,47 @@ class Forest:
         counter(bound)``-bit message, in the round its last child's report
         arrives.  Runs in O(depth) rounds; trees aggregate in parallel
         because they are edge-disjoint.  ``bound`` caps the partial
-        aggregates (default 2n+1).
+        aggregates (default 2n+1).  A partial combines the role's own
+        value with its children's reports in arrival order (round, then
+        sender ID) on either path.
         """
         name = "forest-aggregate"
-        g, roles, routes = self.g, self.roles, self.routes
+        g, roles, routes, base = self.g, self.roles, self.routes, self.base
         fn = COMBINERS[combine]
         bound = bound if bound is not None else max(2 * g.n + 1, 2)
         width = BitCost.TAG + BitCost(g).counter(bound)
-        acc = {}
-        left = {}  # per role: children yet to report
-        for v, rs in roles.items():
-            own = values.get(v, {})
-            acc[v] = [own.get(key, 0) for key, _p, _ch in rs]
-            left[v] = [len(ch) for _key, _p, ch in rs]
+        cfg = cfg or SimConfig()
+        acc = [values.get(v, NO_VALUES).get(key, 0) for v, key in self.role_keys]
+        if self._walks(cfg, width, self.up_rounds):
+            for r, p in self.up:
+                acc[p] = fn(acc[p], acc[r])
+            ledger = self._walked(name, width, self.up_rounds)
+        else:
+            left = [len(ch) for rs in roles.values() for _key, _p, ch in rs]
 
-        def step(v, rnd, inbox):
-            rs, partial = roles[v], acc[v]
-            out = {}
-            if not inbox:  # round 1, the only call without mail
-                for i, (_key, parent, children) in enumerate(rs):
-                    if not children and parent is not None:
-                        out[parent] = Msg(width, partial[i])
+            def step(v, rnd, inbox):
+                rs, b = roles[v], base[v]
+                out = {}
+                if not inbox:  # round 1, the only call without mail
+                    for i, (_key, parent, children) in enumerate(rs):
+                        if not children and parent is not None:
+                            out[parent] = Msg(width, acc[b + i])
+                    return out
+                by_edge = routes.get(v, NO_ROUTES)
+                for sender, x in inbox:
+                    i = by_edge.get(sender, 0)
+                    r = b + i
+                    acc[r] = fn(acc[r], x)
+                    left[r] -= 1
+                    parent = rs[i][1]
+                    if left[r] == 0 and parent is not None:
+                        out[parent] = Msg(width, acc[r])
                 return out
-            count, by_edge = left[v], routes.get(v, NO_ROUTES)
-            for sender, x in inbox:
-                i = by_edge.get(sender, 0)
-                partial[i] = fn(partial[i], x)
-                count[i] -= 1
-                parent = rs[i][1]
-                if count[i] == 0 and parent is not None:
-                    out[parent] = Msg(width, partial[i])
-            return out
 
-        ledger = _cascade(g, cfg or SimConfig(), name, self.leaves, step)
-        if ledger.messages_total < self.edges:
-            _stalled(name, [v for v, count in left.items() if any(count)])
-        result = {}
-        for v, rs in roles.items():
-            for (key, parent, _ch), x in zip(rs, acc[v]):
-                if parent is None:
-                    result[key] = x
-        return result, ledger
+            ledger = _cascade(g, cfg, name, self.leaves, step)
+            if ledger.messages_total < self.edges:
+                _stalled(name, [v for v in roles if any(self._own(v, left))])
+        return {key: acc[r] for r, key in self.root_roles}, ledger
 
     def broadcast(
         self,
@@ -258,41 +360,47 @@ class Forest:
 
         A root sends in round 1, and every other tree vertex forwards the
         value, one ``8 + counter(bound)``-bit message per child, in the
-        round it arrives."""
+        round it arrives.  A root whose value is None sends nothing."""
         name = "forest-broadcast"
-        g, roles, routes = self.g, self.roles, self.routes
+        g, roles, routes, base = self.g, self.roles, self.routes, self.base
         bound = bound if bound is not None else max(2 * g.n + 1, 2)
         width = BitCost.TAG + BitCost(g).counter(bound)
-        got = {
-            v: [root_values.get(key, 0) if p is None else None for key, p, _ch in rs]
-            for v, rs in roles.items()
-        }
+        cfg = cfg or SimConfig()
+        got: List[Optional[int]] = [None] * len(self.role_keys)
+        for r, key in self.root_roles:
+            got[r] = root_values.get(key, 0)
+        if (self._walks(cfg, width, self.down_rounds)
+                and all(got[r] is not None for r, _key in self.root_roles)):
+            for p, r in self.down:
+                got[r] = got[p]
+            ledger = self._walked(name, width, self.down_rounds)
+        else:
 
-        def step(v, rnd, inbox):
-            rs, known = roles[v], got[v]
-            out = {}
-            if not inbox:  # round 1, the only call without mail
-                for i, (_key, parent, children) in enumerate(rs):
-                    if parent is None and known[i] is not None:
-                        m = Msg(width, known[i])
-                        for c in children:
-                            out[c] = m
+            def step(v, rnd, inbox):
+                rs, b = roles[v], base[v]
+                out = {}
+                if not inbox:  # round 1, the only call without mail
+                    for i, (_key, parent, children) in enumerate(rs):
+                        if parent is None and got[b + i] is not None:
+                            m = Msg(width, got[b + i])
+                            for c in children:
+                                out[c] = m
+                    return out
+                by_edge = routes.get(v, NO_ROUTES)
+                for sender, x in inbox:
+                    i = by_edge.get(sender, 0)
+                    got[b + i] = x
+                    m = Msg(width, x)
+                    for c in rs[i][2]:
+                        out[c] = m
                 return out
-            by_edge = routes.get(v, NO_ROUTES)
-            for sender, x in inbox:
-                i = by_edge.get(sender, 0)
-                known[i] = x
-                m = Msg(width, x)
-                for c in rs[i][2]:
-                    out[c] = m
-            return out
 
-        ledger = _cascade(g, cfg or SimConfig(), name, self.roots, step)
-        if ledger.messages_total < self.edges:
-            _stalled(name, [v for v, known in got.items() if None in known])
+            ledger = _cascade(g, cfg, name, self.roots, step)
+            if ledger.messages_total < self.edges:
+                _stalled(name, [v for v in roles if None in self._own(v, got)])
         result: Dict[int, Dict[Hashable, int]] = {v: {} for v in g.vertices}
         for v, rs in roles.items():
-            result[v] = {key: x for (key, _p, _ch), x in zip(rs, got[v])}
+            result[v] = {key: x for (key, _p, _ch), x in zip(rs, self._own(v, got))}
         return result, ledger
 
 

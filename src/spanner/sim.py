@@ -29,20 +29,30 @@ no message is in flight.
 
 The library's protocols keep their per-vertex state host-side and run as
 step closures: cluster growth, the power-graph min-flood, the tree
-partition and the forest convergecast and broadcast in ``primitives``
-(the methods of a ``Forest``, which checks its role table once, when it
-is built), and the star-graph BFS of ``kspanner.starbip``, which acts on
-a clock.
+partition and, when they cannot run as a walk (see below), the forest
+convergecast and broadcast in ``primitives`` (the methods of a
+``Forest``, which checks its role table once, when it is built), and the
+star-graph BFS of ``kspanner.starbip``, which acts on a clock.
 ``exchange`` posts one precomputed round through the same send step.
 Rounds that can violate nothing, because every message goes to a neighbour
 within the budget and one per edge, handle no message objects: ``_bulk``
-folds each batch into the ledger at once.  These are the two star rounds
-of the 3-spanners (``spanner3._star_spanner``), the chunked ID streams
-(``kspanner.common._stream``) and the layers of ``_flood`` within the
-budget.  ``_flood`` runs a broadcast BFS flood, in which every reached
-vertex sends one message to each neighbour (the log-round ruling set and
-the power-graph hop-flood); a layer over the budget goes through
-``_post``.
+folds each batch into the ledger at once.  These are:
+
+* the forest passes over a clean ``Forest`` (every tree edge in g, every
+  role reached from the leaves and from the roots), each one walk over a
+  schedule the ``Forest`` computes once; a pass over the budget, past
+  the round cap or with a ``None`` root value steps through ``_cascade``;
+* ``announce`` within the budget (over it, the round goes through
+  ``exchange``) and ``kspanner.common.signal``, whose tokens always fit;
+* the two star rounds of the 3-spanners (``spanner3._star_spanner``) and
+  the chunked ID streams (``kspanner.common._stream``);
+* the layers of ``_flood`` within the budget.  ``_flood`` runs a broadcast
+  BFS flood, in which every reached vertex sends one message to each
+  neighbour (the log-round ruling set and the power-graph hop-flood); a
+  layer over the budget goes through ``_post``.
+
+``exchange``, ``announce`` and ``signal`` return only the vertices that
+received something.
 """
 
 from __future__ import annotations
@@ -343,6 +353,14 @@ def run(
     return outputs, ledger
 
 
+def _close_round(ledger: RoundLedger, name: str, sent: bool) -> None:
+    """Fold one scripted round into ``ledger`` as phase ``name``: one
+    round if it carried a message, none otherwise."""
+    rounds = 1 if sent else 0
+    ledger.rounds_used += rounds
+    ledger.per_phase.append((name, rounds))
+
+
 def exchange(
     g: Graph,
     cfg: SimConfig,
@@ -351,21 +369,21 @@ def exchange(
     out: Dict[int, Dict[int, Any]],
 ) -> Dict[int, List[Tuple[int, Any]]]:
     """One scripted round whose outgoing messages were precomputed from each
-    vertex's tracked local state: post every outbox ``out[v]`` through the
-    send step, fold the round into ``ledger`` as phase ``name`` (one round
-    iff anything was sent) and return v -> [(sender, body)]."""
+    vertex's tracked local state: post every outbox ``out[v]`` of a vertex
+    v of g through the send step, in ID order, fold the round into
+    ``ledger`` as phase ``name`` (one round iff anything was sent) and
+    return the receivers' inboxes, v -> [(sender, body)] in sender order;
+    a vertex that received nothing has no entry."""
     cfg.check(g)
     budget = cfg.budget_for(g)
-    inboxes: Dict[int, List[Tuple[int, Any]]] = {v: [] for v in g.vertices}
+    inboxes: Dict[int, List[Tuple[int, Any]]] = defaultdict(list)
     sent_before = ledger.messages_total
-    for v in g.vertices:
-        outbox = out.get(v)
+    for v in sorted(v for v in out if v in g.adj):
+        outbox = out[v]
         if outbox:
             _post(g, cfg, budget, ledger, name, 1, v, outbox, inboxes)
-    rounds = 1 if ledger.messages_total > sent_before else 0
-    ledger.rounds_used += rounds
-    ledger.per_phase.append((name, rounds))
-    return inboxes
+    _close_round(ledger, name, ledger.messages_total > sent_before)
+    return dict(inboxes)
 
 
 def _round_guard(cfg: SimConfig, name: str, rnd: int, silent: int,
@@ -499,13 +517,34 @@ def announce(
     bits: int,
 ) -> Dict[int, Dict[int, Any]]:
     """One scripted round: every vertex in ``labels`` sends its label to all
-    its neighbors as one ``bits``-bit message; returns v -> {neighbor: label}."""
-    out = {}
-    for v, label in labels.items():
-        m = Msg(bits, label)
-        out[v] = {u: m for u in g.adj[v]}
-    got = exchange(g, cfg, ledger, name, out)
-    return {v: dict(inbox) for v, inbox in got.items()}
+    its neighbors as one ``bits``-bit message.  Returns the receivers'
+    labels, v -> {neighbor: label} in neighbor order; a vertex that heard
+    nothing has no entry.  A label keyed by a non-vertex raises KeyError.
+
+    Within the budget every message goes to a neighbour, one per edge, so
+    the round can violate nothing and is accounted at once with
+    :func:`_bulk`.  Over the budget every outbox goes through
+    :func:`exchange`, whose send step raises or records each overrun."""
+    adj = g.adj
+    if not adj.keys() >= labels.keys():
+        raise KeyError(next(v for v in labels if v not in adj))
+    if bits > cfg.budget_for(g):
+        out = {v: dict.fromkeys(adj[v], Msg(bits, label)) for v, label in labels.items()}
+        got = exchange(g, cfg, ledger, name, out)
+        return {v: dict(inbox) for v, inbox in got.items()}
+    cfg.check(g)
+    heard: Dict[int, Dict[int, Any]] = defaultdict(dict)
+    messages = 0
+    for v in sorted(labels):
+        label = labels[v]
+        nbrs = adj[v]
+        messages += len(nbrs)
+        for u in nbrs:
+            heard[u][v] = label
+    if messages:
+        _bulk(ledger, messages, bits)
+    _close_round(ledger, name, messages > 0)
+    return dict(heard)
 
 
 # -- small generally useful programs ---------------------------------------

@@ -89,7 +89,7 @@ def _star_spanner(
         if nbr_parts is None:
             heard = {u: part[u] for u in g.adj[v] if u in part}
         else:
-            heard = nbr_parts[v]
+            heard = nbr_parts.get(v, {})
         best: Dict[int, int] = {}
         targets = []
         for u in g.adj[v]:

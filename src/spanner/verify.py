@@ -13,12 +13,13 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from .clustering import Clustering, Superclustering
 from .graph import Edge, Graph, Spanner
+
+if TYPE_CHECKING:  # numpy loads only with the all-pairs oracle and the fits
+    import numpy as np
 
 REL_TOL = 1e-9
 
@@ -171,6 +172,8 @@ def verify_stretch(g: Graph, h: Spanner, t: float) -> StretchReport:
 
 def floyd_warshall(g: Graph, edges: Iterable[Edge]) -> np.ndarray:
     """All-pairs distances over the given edge subset (min-plus squaring)."""
+    import numpy as np
+
     idx = {v: i for i, v in enumerate(g.vertices)}
     n = g.n
     d = np.full((n, n), np.inf)
@@ -348,6 +351,8 @@ def fit_bounds(
     """Least-squares constant a for y ~ a * f(x), plus max(y/f)."""
     if len(values) != len(predictors) or not values:
         raise ValueError("need matching nonempty value/predictor lists")
+    import numpy as np
+
     y = np.asarray(values, dtype=float)
     f = np.asarray(predictors, dtype=float)
     if np.any(f <= 0) or float(np.dot(f, f)) == 0.0:
@@ -365,6 +370,8 @@ def fit_exponent(ns: List[float], ys: List[float]) -> Tuple[float, float]:
     """Log-log regression y ~ c * n^e; returns (e, c)."""
     if len(ns) < 2:
         raise ValueError("need at least two points")
+    import numpy as np
+
     lx = np.log(np.asarray(ns, dtype=float))
     ly = np.log(np.asarray(ys, dtype=float))
     e, logc = np.polyfit(lx, ly, 1)

@@ -1,4 +1,9 @@
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +11,8 @@ from hypothesis import strategies as st
 
 from spanner import Graph, bfs_dist, generate, load, save
 from spanner.graph import GraphError, with_random_weights
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_complete_edge_count():
@@ -166,6 +173,44 @@ def test_subgraph_induced():
     g = generate("complete", {"n": 5})
     sub = g.subgraph({0, 1, 2})
     assert sub.n == 3 and sub.m == 3
+
+
+def _subgraph_by_edge_scan(g, keep):
+    """Reference for ``Graph.subgraph``: every edge of g with both ends kept."""
+    ks = set(keep)
+    es = [e for e in g.edge_set if e[0] in ks and e[1] in ks]
+    w = {e: g.weights[e] for e in es} if g.weights else None
+    return Graph(ks, es, w)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(0, 10**9), st.booleans())
+def test_subgraph_matches_edge_scan(seed, weighted):
+    """The induced subgraph built from the kept vertices' neighbours equals
+    the one built by scanning every edge, weights included, also when the
+    kept set names vertices that are not in g."""
+    rng = random.Random(seed)
+    g = generate("erdos-renyi", {"n": rng.randint(1, 30), "p": rng.random()}, seed=seed)
+    g = Graph([3 * v + 1 for v in g.vertices], [(3 * u + 1, 3 * v + 1) for u, v in g.edge_set])
+    if weighted:
+        g = with_random_weights(g, seed)
+    keep = [v for v in g.vertices if rng.random() < 0.6] + rng.sample(range(100), 2)
+    sub = g.subgraph(keep)
+    ref = _subgraph_by_edge_scan(g, keep)
+    assert sub == ref
+    assert sub.adj == ref.adj and sub.weighted == ref.weighted
+
+
+def test_library_import_leaves_numpy_unloaded():
+    """numpy loads only with the all-pairs oracle and the fit helpers."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    code = "import sys, spanner, spanner.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_spanner_rejects_foreign_edge():

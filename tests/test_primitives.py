@@ -23,8 +23,9 @@ from spanner import primitives
 from spanner.clustering import Clustering, TreePart, TreePartition, orient_tree
 from spanner.graph import canon
 from spanner.kspanner.common import TAG_END, TAG_IDS, chunked_gather, chunked_scatter
+from spanner import sim
 from spanner.sim import (
-    BitCost, NodeProgram, RoundLedger, SimError, SimTimeout, _post, run,
+    BitCost, Msg, NodeProgram, RoundLedger, SimError, SimTimeout, _post, run,
 )
 from spanner.verify import audit_ruling_set
 
@@ -252,12 +253,90 @@ def ref_forest_broadcast(g, roles, root_values, bound, cfg):
     return result, ledger
 
 
+def cascade_forest_aggregate(g, roles, values, combine, bound, cfg):
+    """Reference for ``Forest.aggregate``: the convergecast as a
+    ``_cascade`` step, every round posted through the send step."""
+    name = "forest-aggregate"
+    routes, edges = primitives._check_roles(g, roles)
+    fn = {"sum": lambda a, b: a + b, "max": max, "min": min}[combine]
+    bound = bound if bound is not None else max(2 * g.n + 1, 2)
+    width = 8 + BitCost(g).counter(bound)
+    acc = {v: [values.get(v, {}).get(key, 0) for key, _p, _ch in rs]
+           for v, rs in roles.items()}
+    left = {v: [len(ch) for _key, _p, ch in rs] for v, rs in roles.items()}
+
+    def step(v, rnd, inbox):
+        rs, partial = roles[v], acc[v]
+        out = {}
+        if not inbox:
+            for i, (_key, parent, children) in enumerate(rs):
+                if not children and parent is not None:
+                    out[parent] = Msg(width, partial[i])
+            return out
+        for sender, x in inbox:
+            i = routes.get(v, {}).get(sender, 0)
+            partial[i] = fn(partial[i], x)
+            left[v][i] -= 1
+            if left[v][i] == 0 and rs[i][1] is not None:
+                out[rs[i][1]] = Msg(width, partial[i])
+        return out
+
+    leaves = [v for v, rs in roles.items() if any(not r[2] for r in rs)]
+    ledger = sim._cascade(g, cfg or SimConfig(), name, leaves, step)
+    if ledger.messages_total < edges:
+        primitives._stalled(name, [v for v, count in left.items() if any(count)])
+    result = {}
+    for v, rs in roles.items():
+        for (key, parent, _ch), x in zip(rs, acc[v]):
+            if parent is None:
+                result[key] = x
+    return result, ledger
+
+
+def cascade_forest_broadcast(g, roles, root_values, bound, cfg):
+    """Reference for ``Forest.broadcast``: the broadcast as a ``_cascade``
+    step, every round posted through the send step."""
+    name = "forest-broadcast"
+    routes, edges = primitives._check_roles(g, roles)
+    bound = bound if bound is not None else max(2 * g.n + 1, 2)
+    width = 8 + BitCost(g).counter(bound)
+    got = {v: [root_values.get(key, 0) if p is None else None for key, p, _ch in rs]
+           for v, rs in roles.items()}
+
+    def step(v, rnd, inbox):
+        rs, known = roles[v], got[v]
+        out = {}
+        if not inbox:
+            for i, (_key, parent, children) in enumerate(rs):
+                if parent is None and known[i] is not None:
+                    for c in children:
+                        out[c] = Msg(width, known[i])
+            return out
+        for sender, x in inbox:
+            i = routes.get(v, {}).get(sender, 0)
+            known[i] = x
+            for c in rs[i][2]:
+                out[c] = Msg(width, x)
+        return out
+
+    roots = [v for v, rs in roles.items() if any(r[1] is None for r in rs)]
+    ledger = sim._cascade(g, cfg or SimConfig(), name, roots, step)
+    if ledger.messages_total < edges:
+        primitives._stalled(name, [v for v, known in got.items() if None in known])
+    result = {v: {} for v in g.vertices}
+    for v, rs in roles.items():
+        result[v] = {key: x for (key, _p, _ch), x in zip(rs, got[v])}
+    return result, ledger
+
+
 def random_forest(rng):
     """Up to four edge-disjoint trees on sparse IDs (n <= 14, IDs up to
-    600) that may share vertices, plus extra graph edges, random
+    600) that may share vertices, sometimes a cycle of roles with a tree
+    hanging off it (a table that stalls), plus extra graph edges, random
     contributions, a value bound that may overrun the budget, and a config
     that is strict or audit, with a tight or default budget and a small or
-    default round cap."""
+    default round cap.  Sometimes tree edges are left out of the graph.
+    Also returns whether the table is acyclic."""
     ids = sorted(rng.sample(range(601), rng.randint(1, 14)))
     used = set()
     roles = {}
@@ -273,23 +352,45 @@ def random_forest(rng):
                 edges.append(e)
         for v, (p, ch) in orient_tree(members[0], edges).items():
             roles.setdefault(v, []).append((key, p, ch))
-    extra = [(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 10))]
-    g = Graph(ids, used | {canon(u, v) for u, v in extra if u != v})
+    acyclic = True
+    for _attempt in range(8 if len(ids) >= 3 and rng.random() < 0.3 else 0):
+        ring = rng.sample(ids, rng.randint(3, min(5, len(ids))))
+        ring_edges = {canon(ring[i - 1], ring[i]) for i in range(len(ring))}
+        if not ring_edges & used:
+            acyclic = False
+            used |= ring_edges
+            hang = [v for v in ids if v not in ring and canon(v, ring[0]) not in used]
+            hang = hang[:1] if rng.random() < 0.5 else []
+            for i, v in enumerate(ring):
+                nxt = ring[(i + 1) % len(ring)]
+                roles.setdefault(v, []).append(
+                    ("ring", ring[i - 1], (nxt, *hang) if i == 0 else (nxt,)))
+            for v in hang:
+                used.add(canon(v, ring[0]))
+                roles.setdefault(v, []).append(("ring", ring[0], ()))
+            break
+    extra = {canon(u, v) for u, v in ((rng.choice(ids), rng.choice(ids))
+                                      for _ in range(rng.randint(0, 10))) if u != v}
+    missing = set(rng.sample(sorted(used), rng.randint(1, len(used)))) \
+        if used and rng.random() < 0.15 else set()
+    g = Graph(ids, (used | extra) - missing)
     values, root_values = random_values(rng, roles)
     bound = rng.choice((None, 1, 2**8, 2**20, 2**20))
     budget = rng.choice((None, 8 + g.id_bits + rng.randint(0, 12)))
     cfg = SimConfig(msg_bit_budget=budget, strict=rng.random() < 0.5)
-    if rng.random() < 0.25:
-        cfg.max_rounds = rng.randint(0, 4)
-    return g, roles, values, root_values, bound, cfg
+    if rng.random() < 0.3:
+        cfg.max_rounds = rng.randint(0, 6)
+    return g, roles, values, root_values, bound, cfg, acyclic
 
 
 def random_values(rng, roles):
     """Random contributions to the trees of ``roles`` and random root
-    values, each left out with probability 0.2."""
+    values, each left out with probability 0.2; a root value is None with
+    probability 0.05."""
     values = {v: {key: rng.randint(0, 40) for key, _p, _ch in rs if rng.random() < 0.8}
               for v, rs in roles.items() if rng.random() < 0.8}
-    root_values = {key: rng.randint(0, 40) for rs in roles.values()
+    root_values = {key: rng.randint(0, 40) if rng.random() < 0.95 else None
+                   for rs in roles.values()
                    for key, p, _ch in rs if p is None and rng.random() < 0.8}
     return values, root_values
 
@@ -302,24 +403,32 @@ def _outcome(call):
     return repr(out), ledger.to_json()
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+@settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.integers(0, 10**9), st.sampled_from(("sum", "max", "min")))
 def test_forest_helpers_match_reference_programs(seed, combine):
-    """The host-scheduled convergecast and broadcast return the same
-    outputs (key order included), the same ledger with its violation
-    records, and the same exception type and text as the vertex programs
-    they replace.  One Forest runs each direction twice, on two value
+    """The scheduled convergecast and broadcast return the same outputs
+    (key order included), the same ledger with its violation records, and
+    the same exception type and text as the ``_cascade`` steps they
+    replace, on every table, stalling ones included; and, where the
+    vertex programs terminate (an acyclic table, no None root value), as
+    those programs.  One Forest runs each direction twice, on two value
     sets, so no call leaves state behind that the next one reads."""
     rng = random.Random(seed)
-    g, roles, values, root_values, bound, cfg = random_forest(rng)
+    g, roles, values, root_values, bound, cfg, acyclic = random_forest(rng)
     values2, root_values2 = random_values(rng, roles)
     forest = Forest(g, roles)
     for vals in (values, values2):
-        assert _outcome(lambda: forest.aggregate(vals, combine, bound, cfg)) \
-            == _outcome(lambda: ref_forest_aggregate(g, roles, vals, combine, bound, cfg))
+        got = _outcome(lambda: forest.aggregate(vals, combine, bound, cfg))
+        assert got == _outcome(
+            lambda: cascade_forest_aggregate(g, roles, vals, combine, bound, cfg))
+        if acyclic:
+            assert got == _outcome(
+                lambda: ref_forest_aggregate(g, roles, vals, combine, bound, cfg))
     for vals in (root_values, root_values2):
-        assert _outcome(lambda: forest.broadcast(vals, bound, cfg)) \
-            == _outcome(lambda: ref_forest_broadcast(g, roles, vals, bound, cfg))
+        got = _outcome(lambda: forest.broadcast(vals, bound, cfg))
+        assert got == _outcome(lambda: cascade_forest_broadcast(g, roles, vals, bound, cfg))
+        if acyclic and None not in vals.values():
+            assert got == _outcome(lambda: ref_forest_broadcast(g, roles, vals, bound, cfg))
 
 
 BROKEN_TABLES = {

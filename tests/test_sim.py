@@ -190,7 +190,8 @@ def test_exchange_matches_scripted_run(case):
 
         def via_run():
             got, ledger = run(g, Scripted("scripted"), cfg, private=out)
-            return got, ledger.to_json()
+            # exchange returns only the vertices that received something
+            return {v: inbox for v, inbox in got.items() if inbox}, ledger.to_json()
 
         result = _outcome(via_exchange)
         assert result == _outcome(via_run)
