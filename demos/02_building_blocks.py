@@ -22,11 +22,14 @@ print("5-path, centers {0, 4}, depth 2 ->", clusters.membership)
 print("vertex 2 is equidistant and joins the larger center ID (4)")
 print("rounds:", ledger.rounds_used)
 
-# a clustering is a forest keyed by center; each member contributes 1 to
-# its own cluster's tree.  A Forest checks its role table once and then
-# runs any number of convergecasts and broadcasts over those trees.
-ones = {v: {c: 1} for v, c in clusters.membership.items()}
-sizes, _ = Forest(g, clustering_roles(clusters)).aggregate(ones)
+# a clustering is a forest keyed by center, one role per member.  A Forest
+# checks its role table once and then runs any number of convergecasts and
+# broadcasts over those trees; both take and return one value per role, in
+# the order of forest.role_keys.  Each member contributes 1, and each root
+# role ends up holding its cluster's size.
+forest = Forest(g, clustering_roles(clusters))
+totals, _ = forest.aggregate([1] * len(forest.role_keys))
+sizes = {center: totals[r] for r, center in forest.root_roles}
 print("cluster sizes via convergecast:", sizes)
 
 # -- ruling sets ----------------------------------------------------------------

@@ -110,8 +110,7 @@ def emit_report(out_base: str, g: Graph, run: SpannerRun, report, k: int,
                 alg: str) -> None:
     """Write the spanner edge list, stretch report, ledger, and a CSV row."""
     os.makedirs(os.path.dirname(os.path.abspath(out_base)), exist_ok=True)
-    sub = run.spanner.to_graph()
-    save(sub, out_base + ".spanner.edges")
+    save(run.spanner.base, out_base + ".spanner.edges", sorted(run.spanner.edges))
     report.dump(out_base + ".stretch.json")
     run.ledger.dump(out_base + ".ledger.json")
     row = {

@@ -191,9 +191,6 @@ class Spanner:
             adj[v].append(u)
         return adj
 
-    def to_graph(self) -> Graph:
-        return self.base.edge_subgraph(self.base.vertices, self.edges)
-
     def __repr__(self):
         return f"Spanner({self.size} edges of {self.base!r})"
 
@@ -361,13 +358,14 @@ def with_random_weights(g: Graph, seed: int, lo: int = 1, hi: int = 9) -> Graph:
 _VERTS_PREFIX = "# vertices:"
 
 
-def save(g: Graph, path: str) -> None:
+def save(g: Graph, path: str, edges: Optional[Iterable[Edge]] = None) -> None:
+    """Write g, or only the sorted canonical ``edges`` of g when given."""
     lines = []
     if g.vertices == tuple(range(g.n)):
         lines.append(f"n={g.n}")
     else:
         lines.append(_VERTS_PREFIX + " " + " ".join(str(v) for v in g.vertices))
-    for u, v in g.edges():
+    for u, v in g.edges() if edges is None else edges:
         if g.weights is not None:
             lines.append(f"{u} {v} {g.weights[(u, v)]:g}")
         else:

@@ -11,18 +11,17 @@ Four step helpers carry every scripted step of the constructions:
   tells the other one with a token (the Baswana-Sen step);
 
 plus ``contacts``, which picks the smallest-ID neighbour in each adjacent
-cluster.  None of the four sends per-vertex messages when it cannot
-violate anything: a forest pass over a clean ``Forest`` within the budget
-and the round cap walks a schedule the ``Forest`` computed once,
-``announce`` within the budget and every ``signal`` are accounted at once
-(``sim._bulk``), and only the other calls step through the send step.
-``announce`` and ``signal`` return only the vertices that received
-something, so readers use ``.get``.  The local-maxima election that the
-cluster-by-cluster and the superclustered constructions run (and whose
-steps the star-graph and zero-level constructions reuse) is built from
-these steps; the chunked ID streams live here too.  ``exchange``, the
-simulator's one-round scripted step, is re-exported here for the rounds
-that carry data to chosen receivers."""
+cluster.  None of them, nor the floods of ``primitives`` run between them
+(cluster growth, the power-graph ruling set), sends per-vertex messages
+when it cannot violate anything: a forest pass over a clean ``Forest``
+walks a precomputed schedule, and the rest are accounted at once
+(``sim._bulk``).  ``announce`` and ``signal`` return only the vertices
+that received something, so readers use ``.get``.  The local-maxima
+election that the cluster-by-cluster and the superclustered constructions
+run (and whose steps the star-graph and zero-level constructions reuse)
+is built from these steps; the chunked ID streams live here too.
+``exchange``, the simulator's one-round scripted step, is re-exported
+here for the rounds that carry data to chosen receivers."""
 
 from __future__ import annotations
 
@@ -57,20 +56,30 @@ def forest_steps(g, cfg, ledger, roles: RoleTable,
     the members' values to tree key -> aggregate, and ``down(name,
     tree_values, bound=None)``, the broadcast of one value per tree key to
     member -> value, over one Forest, so the table is checked once for
-    every call.  ``key_of`` maps each member to its tree key; each call
-    folds its run into ``ledger`` as one phase ``name``."""
+    every call.  ``key_of`` maps each member to its tree key (a member
+    with no role there is left out); each call folds its run into
+    ``ledger`` as one phase ``name``."""
     forest = Forest(g, roles)
+    size = len(forest.role_keys)
+    number = dict(zip(forest.role_keys, range(size)))
+    role_of = {v: number[v, key] for v, key in key_of.items() if (v, key) in number}
+    member: List[Optional[int]] = [None] * size  # role -> its member, if any
+    for v, r in role_of.items():
+        member[r] = v
 
     def up(name, values, combine="sum", bound=None):
-        per_tree = {v: {key_of[v]: x} for v, x in values.items() if v in key_of}
-        result, led = forest.aggregate(per_tree, combine, bound, cfg)
+        own = [values.get(v, 0) for v in member]
+        got, led = forest.aggregate(own, combine, bound, cfg)
         ledger.extend_sequential(led, name=name)
-        return result
+        return {key: got[r] for r, key in forest.root_roles}
 
     def down(name, tree_values, bound=None):
-        got, led = forest.broadcast(tree_values, bound, cfg)
+        at_roots = [0] * size
+        for r, key in forest.root_roles:
+            at_roots[r] = tree_values.get(key, 0)
+        got, led = forest.broadcast(at_roots, bound, cfg)
         ledger.extend_sequential(led, name=name)
-        return {v: got[v].get(key, 0) for v, key in key_of.items()}
+        return {v: got[r] for v, r in role_of.items()}
 
     return up, down
 

@@ -1,25 +1,22 @@
 """Distributed building blocks shared by every spanner algorithm.
 
-Cluster growth, the power-graph min-flood and the tree partition act only
-in round 1 or when mail arrives, so each runs as host-scheduled rounds
-through the engine's send step (``sim._cascade``): a ``step(v, rnd,
-inbox)`` closure reads the vertex's mail and the state the host tracks
-for it and returns its outbox.  The log-round ruling set and the
-power-graph hop-flood are broadcast BFS floods, run layer by layer
-through ``sim._flood``.  Every wrapper is a pure function of (graph,
-inputs) and returns the assembled result together with the run's
-RoundLedger.  The convergecast and the broadcast are the two methods of a
-``Forest``, which checks its role table once, when it is built, computes
-each pass's schedule there, and serves every call over those trees: a
-call over a clean forest within the budget and the round cap is one walk
-over the schedule, accounted in bulk (``sim._bulk``); any other call
-runs as ``_cascade`` steps.
+Every wrapper is a pure function of (graph, inputs) and returns the
+assembled result together with the run's RoundLedger.  Cluster growth, the
+power-graph min-flood and hop-flood and the log-round ruling set are
+floods, run layer by layer on the host as relay floods (``sim._relay``,
+the last two through ``sim._flood``) and accounted in bulk within the
+budget.  The tree partition runs as ``sim._cascade`` steps.  The
+convergecast and the broadcast are the two methods of a ``Forest``, which
+checks its role table once and serves every call over those trees with
+one value per role: a call over a clean forest within the budget and the
+round cap is one walk over a schedule, accounted in bulk (``sim._bulk``);
+any other call runs as ``_cascade`` steps.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .clustering import Clustering, TreePart, TreePartition, WeightedTree, orient_tree
 from .graph import Graph, canon
@@ -33,6 +30,7 @@ from .sim import (
     _bulk,
     _cascade,
     _flood,
+    _relay,
     _round_guard,
 )
 
@@ -52,44 +50,45 @@ def grow_bfs_clusters(
     vertex within reach joins the cluster of its nearest center, breaking
     ties toward the larger center ID.
 
-    A center offers ``(center, 1)`` to its neighbors in round 1.  Offers a
-    vertex receives in one round share one hop distance, so the winner is
-    simply the largest center ID heard that round; the parent is the
-    smallest-ID neighbor that relayed it.  The vertex forwards the offer
-    one hop further while the depth bound allows, one ``8 + id_bits +
-    counter(depth)``-bit message per other neighbor.
+    A center offers ``(center, 1)`` to its neighbors in round 1, and a
+    vertex that joins forwards the offer one hop further while the depth
+    bound allows, one ``8 + id_bits + counter(depth)``-bit message to every
+    neighbor but its parent.  Offers a vertex receives in one round share
+    one hop distance, so it joins the largest center ID heard that round,
+    with the first (smallest-ID) neighbor that relayed it as parent.  The
+    rounds run as a relay flood (``sim._relay``): accounted in bulk within
+    the budget, else by posting each sender's outbox.
     """
     width = BitCost.TAG + g.id_bits + BitCost(g).counter(depth)
-    joined: Dict[int, Tuple[int, Optional[int]]] = {}  # v -> (center, parent)
+    adj = g.adj
+    center = {v: v for v in centers}
+    parent: Dict[int, Optional[int]] = dict.fromkeys(center)
 
-    def step(v, rnd, inbox):
-        if not inbox:  # round 1, the only call without mail: v is a center
-            joined[v] = (v, None)
-            if depth < 1:
-                return None
-            m = Msg(width, (v, 1))
-            return {u: m for u in g.adj[v]}
-        if v in joined:
-            return None
-        best_center = -1
-        best_from = dist = None
-        for sender, (center, d) in inbox:
-            if center > best_center:
-                best_center, best_from, dist = center, sender, d
-            elif center == best_center and sender < best_from:
-                best_from = sender
-        joined[v] = (best_center, best_from)
-        if dist >= depth:
-            return None
-        m = Msg(width, (best_center, dist + 1))
-        return {u: m for u in g.adj[v] if u != best_from}
+    def deliver(layer):
+        offers: Dict[int, Tuple[int, int]] = {}  # v -> (center, sender)
+        for v in layer:
+            c = center[v]
+            for u in adj[v]:
+                if u not in center:
+                    o = offers.get(u)
+                    if o is None or c > o[0]:
+                        offers[u] = (c, v)
+        for u, (c, v) in offers.items():
+            center[u] = c
+            parent[u] = v
+        return offers
 
-    ledger = _cascade(g, cfg or SimConfig(), "grow-clusters", set(centers), step)
-    order = sorted(joined)
+    cfg = cfg or SimConfig()
+    cfg.check(g)
+    ledger = RoundLedger()
+    _relay(g, cfg, cfg.budget_for(g), ledger, "grow-clusters", center, depth, width,
+           parent, deliver)
+    ledger.per_phase.append(("grow-clusters", ledger.rounds_used))
+    order = sorted(center)
     clustering = Clustering(
         level=level if level is not None else depth,
-        membership={v: joined[v][0] for v in order},
-        parents={v: joined[v][1] for v in order},
+        membership={v: center[v] for v in order},
+        parents={v: parent[v] for v in order},
         depth_bound=depth,
     )
     return clustering, ledger
@@ -110,7 +109,6 @@ RoleTable = Dict[int, List[Tuple[Hashable, Optional[int], Tuple[int, ...]]]]
 
 COMBINERS = {"sum": operator.add, "max": max, "min": min}
 NO_ROUTES: Dict[int, int] = {}  # a vertex with one role routes all mail to it
-NO_VALUES: Dict[Hashable, int] = {}  # a vertex without values contributes 0s
 
 
 def _check_roles(g: Graph, roles: RoleTable) -> Tuple[Dict[int, Dict[int, int]], int]:
@@ -179,76 +177,48 @@ def clustering_roles(clustering: Clustering) -> RoleTable:
 
 
 class Forest:
-    """The trees of one role table, checked once: ``aggregate``, the
-    convergecast, and ``broadcast`` run over them as often as the caller
-    needs.  Building one raises SimError unless the table describes
-    edge-disjoint trees whose edges both ends agree on (see
-    ``_check_roles``); it keeps what depends only on the table: the
-    routes, the number of tree edges, the leaves, the roots and each
-    pass's schedule.
+    """The trees of one role table, checked once (``_check_roles`` raises
+    SimError unless they are edge-disjoint and both ends of every tree
+    edge agree on it), for ``aggregate``, the convergecast, and
+    ``broadcast`` to run over as often as needed.  Both passes read and
+    return one value per role: role r is ``role_keys[r]``, a (vertex, tree
+    key) pair in table order, v's roles are numbered from ``base[v]`` on,
+    and ``root_roles`` lists (role, tree key) for every root.
 
-    Roles are numbered in table order.  The convergecast's schedule lists
-    every non-root role with its parent's role, ordered by send round and
-    then vertex ID: a childless role sends in round 1, any other in the
-    round after its last child's report.  The broadcast's lists every
-    non-root role after its parent's.  A forest is clean when every tree
-    edge is an edge of g and both schedules reach every role; a table
-    with a cycle is not.  Over a clean forest, a pass within the budget
-    and the round cap can violate nothing (one message per tree edge, to
-    a neighbour, within the budget), so it runs as one walk over its
-    schedule and is accounted at once with ``_bulk``.  Every other call
-    runs round by round through ``_cascade``, whose send step raises or
-    records each violation and whose guards apply the round cap."""
+    A pass over a clean forest (every tree edge in g, no cycle) within the
+    budget and the round cap can violate nothing (one message per tree
+    edge, to a neighbour, within the budget), so it runs as one walk over
+    its schedule and is accounted at once with ``_bulk``.  The broadcast's
+    schedule, built with the forest, lists every non-root role after its
+    parent's; the convergecast's, built by the first ``aggregate``, lists
+    every non-root role with its parent's by send round, then vertex ID (a
+    childless role sends in round 1, any other in the round after its last
+    child's report).  Every other call runs round by round through
+    ``_cascade``, whose send step raises or records each violation and
+    whose guards apply the round cap."""
 
     def __init__(self, g: Graph, roles: RoleTable):
         self.g = g
         self.roles = roles
         self.routes, self.edges = _check_roles(g, roles)
-        # the vertices with a childless role act first in a convergecast,
-        # those with a root role in a broadcast
-        self.leaves = [v for v, rs in roles.items() if any(not r[2] for r in rs)]
-        self.roots = [v for v, rs in roles.items() if any(r[1] is None for r in rs)]
-        self._schedule()
-
-    def _schedule(self) -> None:
-        g, roles, routes = self.g, self.roles, self.routes
         self.base: Dict[int, int] = {}  # v -> the number of v's first role
         self.role_keys: List[Tuple[int, Hashable]] = []  # role -> (vertex, key)
         for v, rs in roles.items():
             self.base[v] = len(self.role_keys)
             self.role_keys.extend((v, key) for key, _p, _ch in rs)
-        parent_of: List[Optional[int]] = []  # role -> the parent's role
-        waiting: List[int] = []  # role -> its number of children
+        self.parent_of: List[Optional[int]] = []  # role -> the parent's role
+        parent_of = self.parent_of
         in_g = True
         for v, rs in roles.items():
-            for _key, parent, children in rs:
-                waiting.append(len(children))
+            for _key, parent, _ch in rs:
                 if parent is None:
                     parent_of.append(None)
                 else:
                     parent_of.append(self.base[parent]
-                                     + routes.get(parent, NO_ROUTES).get(v, 0))
+                                     + self.routes.get(parent, NO_ROUTES).get(v, 0))
                     in_g = in_g and g.has_edge(v, parent)
         self.root_roles = [(r, self.role_keys[r][1])
                            for r, p in enumerate(parent_of) if p is None]
-        # convergecast: (send round, sender, role, parent's role), childless
-        # roles first; `ready` grows while it is walked
-        latest = [0] * len(parent_of)  # the last send round of a role's children
-        ready = [r for r, w in enumerate(waiting) if not w]
-        sends = []
-        for r in ready:
-            p = parent_of[r]
-            if p is not None:
-                rnd = latest[r] + 1
-                sends.append((rnd, self.role_keys[r][0], r, p))
-                if rnd > latest[p]:
-                    latest[p] = rnd
-                waiting[p] -= 1
-                if not waiting[p]:
-                    ready.append(p)
-        sends.sort()
-        self.up = [(r, p) for _rnd, _v, r, p in sends]
-        self.up_rounds = sends[-1][0] if sends else 0
         # broadcast: (parent's role, role), every role after its parent's
         children: List[List[int]] = [[] for _ in parent_of]
         for r, p in enumerate(parent_of):
@@ -266,6 +236,29 @@ class Forest:
         # a role is reached from the roots exactly when no cycle lies above
         # it; then no cycle lies below it either, so it has a send round
         self.clean = in_g and len(reached) == len(parent_of)
+        self.up: Optional[List[Tuple[int, int]]] = None  # see _convergecast
+
+    def _convergecast(self) -> None:
+        """The convergecast's schedule: (role, parent's role) by send round,
+        then sender; ``ready`` grows while it is walked."""
+        parent_of = self.parent_of
+        waiting = [len(ch) for rs in self.roles.values() for _key, _p, ch in rs]
+        latest = [0] * len(parent_of)  # the last send round of a role's children
+        ready = [r for r, w in enumerate(waiting) if not w]
+        sends = []
+        for r in ready:
+            p = parent_of[r]
+            if p is not None:
+                rnd = latest[r] + 1
+                sends.append((rnd, self.role_keys[r][0], r, p))
+                if rnd > latest[p]:
+                    latest[p] = rnd
+                waiting[p] -= 1
+                if not waiting[p]:
+                    ready.append(p)
+        sends.sort()
+        self.up = [(r, p) for _rnd, _v, r, p in sends]
+        self.up_rounds = sends[-1][0] if sends else 0
 
     def _walks(self, cfg: SimConfig, width: int, rounds: int) -> bool:
         """Whether a pass of ``rounds`` send rounds and ``width``-bit
@@ -293,13 +286,14 @@ class Forest:
 
     def aggregate(
         self,
-        values: Dict[int, Dict[Hashable, int]],
+        values: Sequence[int],
         combine: str = "sum",
         bound: Optional[int] = None,
         cfg: Optional[SimConfig] = None,
-    ) -> Tuple[Dict[Hashable, int], RoundLedger]:
-        """Every tree root learns combine() over values[vertex][tree_key] of
-        its tree (0 where missing); returns tree_key -> aggregate.
+    ) -> Tuple[List[int], RoundLedger]:
+        """Every role learns combine() over the values of the roles in its
+        subtree, ``values[r]`` being role r's own; returns those
+        aggregates in role order, so a root role holds its tree's.
 
         Convergecast: a leaf reports in round 1, and every other tree vertex
         sends its partial aggregate to its parent, one ``8 +
@@ -316,47 +310,49 @@ class Forest:
         bound = bound if bound is not None else max(2 * g.n + 1, 2)
         width = BitCost.TAG + BitCost(g).counter(bound)
         cfg = cfg or SimConfig()
-        acc = [values.get(v, NO_VALUES).get(key, 0) for v, key in self.role_keys]
+        acc = list(values)
+        if self.up is None:
+            self._convergecast()
         if self._walks(cfg, width, self.up_rounds):
             for r, p in self.up:
                 acc[p] = fn(acc[p], acc[r])
-            ledger = self._walked(name, width, self.up_rounds)
-        else:
-            left = [len(ch) for rs in roles.values() for _key, _p, ch in rs]
+            return acc, self._walked(name, width, self.up_rounds)
+        left = [len(ch) for rs in roles.values() for _key, _p, ch in rs]
 
-            def step(v, rnd, inbox):
-                rs, b = roles[v], base[v]
-                out = {}
-                if not inbox:  # round 1, the only call without mail
-                    for i, (_key, parent, children) in enumerate(rs):
-                        if not children and parent is not None:
-                            out[parent] = Msg(width, acc[b + i])
-                    return out
-                by_edge = routes.get(v, NO_ROUTES)
-                for sender, x in inbox:
-                    i = by_edge.get(sender, 0)
-                    r = b + i
-                    acc[r] = fn(acc[r], x)
-                    left[r] -= 1
-                    parent = rs[i][1]
-                    if left[r] == 0 and parent is not None:
-                        out[parent] = Msg(width, acc[r])
+        def step(v, rnd, inbox):
+            rs, b = roles[v], base[v]
+            out = {}
+            if not inbox:  # round 1, the only call without mail
+                for i, (_key, parent, children) in enumerate(rs):
+                    if not children and parent is not None:
+                        out[parent] = Msg(width, acc[b + i])
                 return out
+            by_edge = routes.get(v, NO_ROUTES)
+            for sender, x in inbox:
+                i = by_edge.get(sender, 0)
+                r = b + i
+                acc[r] = fn(acc[r], x)
+                left[r] -= 1
+                parent = rs[i][1]
+                if left[r] == 0 and parent is not None:
+                    out[parent] = Msg(width, acc[r])
+            return out
 
-            ledger = _cascade(g, cfg, name, self.leaves, step)
-            if ledger.messages_total < self.edges:
-                _stalled(name, [v for v in roles if any(self._own(v, left))])
-        return {key: acc[r] for r, key in self.root_roles}, ledger
+        leaves = [v for v, rs in roles.items() if any(not r[2] for r in rs)]
+        ledger = _cascade(g, cfg, name, leaves, step)
+        if ledger.messages_total < self.edges:
+            _stalled(name, [v for v in roles if any(self._own(v, left))])
+        return acc, ledger
 
     def broadcast(
         self,
-        root_values: Dict[Hashable, int],
+        values: Sequence[Optional[int]],
         bound: Optional[int] = None,
         cfg: Optional[SimConfig] = None,
-    ) -> Tuple[Dict[int, Dict[Hashable, int]], RoundLedger]:
-        """Every tree root pushes root_values[tree_key] (0 where missing)
-        down its tree; returns vertex -> {tree_key: value}, {} for a vertex
-        with no role.
+    ) -> Tuple[List[Optional[int]], RoundLedger]:
+        """Every root role r pushes ``values[r]`` down its tree (the other
+        roles' entries are not read); returns every role's value in role
+        order.
 
         A root sends in round 1, and every other tree vertex forwards the
         value, one ``8 + counter(bound)``-bit message per child, in the
@@ -367,41 +363,38 @@ class Forest:
         width = BitCost.TAG + BitCost(g).counter(bound)
         cfg = cfg or SimConfig()
         got: List[Optional[int]] = [None] * len(self.role_keys)
-        for r, key in self.root_roles:
-            got[r] = root_values.get(key, 0)
+        for r, _key in self.root_roles:
+            got[r] = values[r]
         if (self._walks(cfg, width, self.down_rounds)
                 and all(got[r] is not None for r, _key in self.root_roles)):
             for p, r in self.down:
                 got[r] = got[p]
-            ledger = self._walked(name, width, self.down_rounds)
-        else:
+            return got, self._walked(name, width, self.down_rounds)
 
-            def step(v, rnd, inbox):
-                rs, b = roles[v], base[v]
-                out = {}
-                if not inbox:  # round 1, the only call without mail
-                    for i, (_key, parent, children) in enumerate(rs):
-                        if parent is None and got[b + i] is not None:
-                            m = Msg(width, got[b + i])
-                            for c in children:
-                                out[c] = m
-                    return out
-                by_edge = routes.get(v, NO_ROUTES)
-                for sender, x in inbox:
-                    i = by_edge.get(sender, 0)
-                    got[b + i] = x
-                    m = Msg(width, x)
-                    for c in rs[i][2]:
-                        out[c] = m
+        def step(v, rnd, inbox):
+            rs, b = roles[v], base[v]
+            out = {}
+            if not inbox:  # round 1, the only call without mail
+                for i, (_key, parent, children) in enumerate(rs):
+                    if parent is None and got[b + i] is not None:
+                        m = Msg(width, got[b + i])
+                        for c in children:
+                            out[c] = m
                 return out
+            by_edge = routes.get(v, NO_ROUTES)
+            for sender, x in inbox:
+                i = by_edge.get(sender, 0)
+                got[b + i] = x
+                m = Msg(width, x)
+                for c in rs[i][2]:
+                    out[c] = m
+            return out
 
-            ledger = _cascade(g, cfg, name, self.roots, step)
-            if ledger.messages_total < self.edges:
-                _stalled(name, [v for v in roles if None in self._own(v, got)])
-        result: Dict[int, Dict[Hashable, int]] = {v: {} for v in g.vertices}
-        for v, rs in roles.items():
-            result[v] = {key: x for (key, _p, _ch), x in zip(rs, self._own(v, got))}
-        return result, ledger
+        roots = [v for v, rs in roles.items() if any(r[1] is None for r in rs)]
+        ledger = _cascade(g, cfg, name, roots, step)
+        if ledger.messages_total < self.edges:
+            _stalled(name, [v for v in roles if None in self._own(v, got)])
+        return got, ledger
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +479,14 @@ def ruling_set_power(
 
     The min-flood forwards each improvement at once, ``(smallest ID, hop)``
     in ``8 + id_bits + counter(3t-1)`` bits to every neighbor but the one
-    it came from, so it quiesces as soon as the minima stabilize.  The
-    hop-flood sends ``hop`` in ``8 + counter(3t-1)`` bits to every
-    neighbor; a vertex forwards it once, in the round it first hears it.
+    it came from, so it quiesces as soon as the minima stabilize.  Every
+    message of a round carries the same hop, so a vertex keeps the
+    smallest ID offered below its own and the first (smallest-ID) sender
+    of it.  The hop-flood sends ``hop`` in ``8 + counter(3t-1)`` bits to
+    every neighbor; a vertex forwards it once, in the round it first hears
+    it.  Both run as relay floods (``sim._relay``, the hop-flood through
+    ``sim._flood``): accounted in bulk within the budget, else by posting
+    each sender's outbox.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -496,45 +494,38 @@ def ruling_set_power(
     if not cand:
         raise ValueError("candidate set must be nonempty")
     cfg = cfg or SimConfig()
+    cfg.check(g)
     radius = 3 * t - 1
     counter = BitCost(g).counter(radius)
     low_width = BitCost.TAG + g.id_bits + counter
     hop_width = BitCost.TAG + counter
     budget = cfg.budget_for(g)
-    low: Dict[int, int] = {}  # smallest source ID heard in this wave
+    adj = g.adj
 
-    def min_step(v, rnd, inbox):
-        if not inbox:  # round 1: v is a source
-            low[v] = v
-            m = Msg(low_width, (v, 1))
-            return {u: m for u in g.adj[v]}
-        best = low.get(v)
-        best_h = None
-        for sender, (mid, hop) in inbox:
-            if best is None or mid < best:
-                best, best_h, best_from = mid, hop, sender
-        if best_h is None:
-            return None
-        low[v] = best
-        if best_h >= radius:
-            return None
-        m = Msg(low_width, (best, best_h + 1))
-        return {u: m for u in g.adj[v] if u != best_from}
+    def deliver(layer):  # reads and updates this wave's low and came
+        sends = [(v, low[v]) for v in layer]  # as they were before this round
+        improved = set()
+        for v, x in sends:
+            for u in adj[v]:
+                if x < low.get(u, x + 1):  # u has heard nothing as small
+                    low[u] = x
+                    came[u] = v
+                    improved.add(u)
+        return improved
 
     ledger = RoundLedger()
     active = cand
     chosen: Set[int] = set()
     while active:
-        low.clear()
-        led = _cascade(g, cfg, "min-flood", active, min_step)
+        # the smallest source ID each vertex heard, and who told it last
+        low, came = dict(zip(active, active)), {}
+        led = RoundLedger()
+        _relay(g, cfg, budget, led, "min-flood", active, radius, low_width, came, deliver)
         ledger.extend_sequential(led, name="power-min-flood")
         joiners = {v for v in active if low[v] == v}
         chosen |= joiners
         led = RoundLedger()
-        heard, sent = _flood(g, cfg, budget, led, "hop-flood", joiners, radius, hop_width)
-        # as in _cascade, the round after the last send runs too (the
-        # min-flood has already run round 1 under the same cap)
-        _round_guard(cfg, "hop-flood", sent + 1, 0, ())
+        heard = _flood(g, cfg, budget, led, "hop-flood", joiners, radius, hop_width)[0]
         ledger.extend_sequential(led, name="power-deactivate")
         active = active - heard
     return chosen, ledger

@@ -1,57 +1,40 @@
 """Round-synchronous CONGEST execution engine.
 
 Per round every vertex may send at most one bounded-size message over each
-incident edge.  A message sent in round r is delivered in
-round r+1.  Execution is bit-deterministic: vertices are processed in ID
-order, so every inbox arrives sorted by sender.
+incident edge; a message sent in round r is delivered in round r+1.
+Execution is bit-deterministic: vertices act in ID order, so every inbox
+arrives sorted by sender.  ``rounds_used`` is the last round that carried
+a message.
 
-One round loop, ``_cascade``, runs every multi-round protocol.  Each round
-it calls ``step(v, rnd, inbox)`` in ID order for the vertices with mail
-and those the caller names (round 1) or an optional clock wakes, and posts
-each returned outbox through the send step, ``_post``, which accounts
-bits, congestion, neighbours and rounds.  The round cap and the stall
-guard are checked before every round.  ``rounds_used`` counts
-communication rounds, i.e. the index of the last round that carried at
-least one message.  The send step checks a whole outbox at once and, if
-that check fails, falls back to a per-message loop that alone records or
-raises violations.
+The send step, ``_post``, checks and accounts one vertex's outbox (bits,
+congestion, neighbours) as a whole and, if that check fails, falls back
+to a per-message loop that alone records or raises violations.  Two round
+loops call it, and both apply the round cap through ``_round_guard``
+before every round they run:
 
-:func:`run` adapts a :class:`NodeProgram` to that loop.  A program supplies
-three hooks:
+* ``_cascade`` calls ``step(v, rnd, inbox)`` in ID order for the vertices
+  with mail, those the caller names (round 1) and those an optional clock
+  wakes, and also applies the stall guard.  :func:`run` adapts a
+  :class:`NodeProgram` to it (hooks ``init(view)``, ``on_round(state,
+  view, rnd, inbox) -> (outbox, halt_vote)`` and ``on_finish(state,
+  view)``), with the vertices that have not voted halt as the clock.  The
+  tree partition, the star-graph BFS of ``kspanner.starbip`` and every
+  forest pass that cannot be walked (see below) run as step closures.
+* ``_relay`` runs a relay flood layer by layer on the host: each sender
+  messages every neighbour but one it names, and the caller delivers the
+  round.  It carries cluster growth and the power-graph min-flood of
+  ``primitives`` and, through ``_flood``, the broadcast BFS floods of the
+  log-round ruling set and the power-graph hop-flood.
 
-* ``init(view)``       -> per-vertex local state
-* ``on_round(state, view, rnd, inbox)`` -> (outbox, halt_vote)
-* ``on_finish(state, view)`` -> local output
-
-Every vertex is called in round 1; after that the vertices that have not
-voted halt are the clock, so a run ends once every vertex votes halt and
-no message is in flight.
-
-The library's protocols keep their per-vertex state host-side and run as
-step closures: cluster growth, the power-graph min-flood, the tree
-partition and, when they cannot run as a walk (see below), the forest
-convergecast and broadcast in ``primitives`` (the methods of a
-``Forest``, which checks its role table once, when it is built), and the
-star-graph BFS of ``kspanner.starbip``, which acts on a clock.
-``exchange`` posts one precomputed round through the same send step.
-Rounds that can violate nothing, because every message goes to a neighbour
-within the budget and one per edge, handle no message objects: ``_bulk``
-folds each batch into the ledger at once.  These are:
-
-* the forest passes over a clean ``Forest`` (every tree edge in g, every
-  role reached from the leaves and from the roots), each one walk over a
-  schedule the ``Forest`` computes once; a pass over the budget, past
-  the round cap or with a ``None`` root value steps through ``_cascade``;
-* ``announce`` within the budget (over it, the round goes through
-  ``exchange``) and ``kspanner.common.signal``, whose tokens always fit;
-* the two star rounds of the 3-spanners (``spanner3._star_spanner``) and
-  the chunked ID streams (``kspanner.common._stream``);
-* the layers of ``_flood`` within the budget.  ``_flood`` runs a broadcast
-  BFS flood, in which every reached vertex sends one message to each
-  neighbour (the log-round ruling set and the power-graph hop-flood); a
-  layer over the budget goes through ``_post``.
-
-``exchange``, ``announce`` and ``signal`` return only the vertices that
+Rounds that can violate nothing, because every message goes to a
+neighbour within the budget and one per edge, handle no message objects:
+``_bulk`` folds each batch into the ledger at once.  These are the rounds
+of ``_relay`` within the budget (over it, each sender's outbox is
+posted); every forest pass over a clean ``primitives.Forest``, one walk
+over a schedule computed once; ``announce`` within the budget and
+``kspanner.common.signal``; and the star rounds of the 3-spanners and the
+chunked ID streams.  ``exchange`` posts one precomputed round through the
+send step; it, ``announce`` and ``signal`` return only the vertices that
 received something.
 """
 
@@ -278,7 +261,7 @@ def _post(
     outbox takes the per-message loop, the only code that records
     violations or raises.  Each receiver gets
     one entry per sender either way, so inbox order is sender order."""
-    nbrs = g.adj[v]
+    nbrs, edges = g.adj[v], g.edge_set
     # bulk check: one Msg per edge, all within budget, all to neighbours
     top = 0
     for m in outbox.values():
@@ -287,7 +270,8 @@ def _post(
         if m.bits > top:
             top = m.bits
     else:
-        if top <= budget and (tuple(outbox) == nbrs or set(nbrs).issuperset(outbox)):
+        if top <= budget and (tuple(outbox) == nbrs or all(
+                ((v, u) if v < u else (u, v)) in edges for u in outbox)):
             _bulk(ledger, len(outbox), top)
             for u, m in outbox.items():
                 inboxes[u].append((v, m.body))
@@ -453,58 +437,76 @@ def _cascade(
     return ledger
 
 
-def _flood(
-    g: Graph,
-    cfg: SimConfig,
-    budget: int,
-    ledger: RoundLedger,
-    name: str,
-    sources: Iterable[int],
-    radius: int,
-    width: int,
-    offset: int = 0,
-) -> Tuple[Set[int], int]:
-    """A multi-source BFS flood to ``radius``: in round ``offset + d + 1``
-    every vertex at distance ``d < radius`` from the sources sends one
-    ``width``-bit message to each of its neighbours.  Returns the vertices
-    within ``radius`` of a source, the sources included, and the number
-    of rounds that carried a message; ``ledger.rounds_used`` becomes the
-    last of those rounds, as in :func:`run`.  The caller checks the bit
-    budget's floor and the round cap.
+def _relay(g: Graph, cfg: SimConfig, budget: int, ledger: RoundLedger, name: str,
+           first: Iterable[int], limit: int, width: int, skip: Dict[int, Optional[int]],
+           deliver: Callable[[List[int]], Iterable[int]], offset: int = 0) -> int:
+    """A relay flood, run layer by layer on the host: in round ``offset +
+    d + 1``, for ``d < limit``, every vertex v of the layer (``first``
+    for d = 0) sends one ``width``-bit message to each neighbour but
+    ``skip.get(v)``, and ``deliver(layer)`` then acts for the receivers
+    and returns the next layer.  Returns the number of rounds that carried
+    a message; ``ledger.rounds_used`` becomes the last of them.
 
-    A layer within the budget sends one message per edge to neighbours
+    A round within the budget sends one message per edge, to neighbours
     only, so it can violate nothing and is accounted at once, as the bulk
-    check of :func:`_post` would account each of its outboxes.  A layer
-    over the budget posts every sender's outbox through :func:`_post` in
-    ID order, which raises or records each violation exactly as for a
-    program."""
+    check of :func:`_post` would account each outbox.  Over the budget
+    each sender's outbox goes through :func:`_post` in ID order, which
+    raises or records each violation as for a program.  As in
+    :func:`_cascade`, ``first`` must name vertices, and the round cap
+    applies before the first round (if any) and before the round after
+    each one that carried a message; the caller checks the config."""
     adj = g.adj
-    reached = set(sources)
-    layer = reached
+    layer = sorted(set(first))
+    strays = [v for v in layer if v not in adj]
+    if strays:
+        raise SimError(f"{name}: active non-vertices {strays[:5]}")
+    if layer:
+        _round_guard(cfg, name, offset + 1, 0, ())
     sent = 0
-    while sent < radius:
+    while layer and sent < limit:
+        rnd = offset + sent + 1
         if width <= budget:
             messages = sum(map(len, map(adj.__getitem__, layer)))
+            if skip:
+                messages -= sum(skip.get(v) is not None for v in layer)
             if not messages:
                 break
             _bulk(ledger, messages, width)
         else:
-            senders = [v for v in sorted(layer) if adj[v]]
-            if not senders:
+            m, sink = Msg(width, None), defaultdict(list)  # nobody reads the bodies
+            sent_before = ledger.messages_total
+            for v in layer:
+                s = skip.get(v)
+                outbox = {u: m for u in adj[v] if u != s}
+                if outbox:
+                    _post(g, cfg, budget, ledger, name, rnd, v, outbox, sink)
+            if ledger.messages_total == sent_before:
                 break
-            m = Msg(width, sent + 1)  # the receivers' hop count
-            sink = defaultdict(list)  # the flood reads no inbox
-            for v in senders:
-                outbox = dict.fromkeys(adj[v], m)
-                _post(g, cfg, budget, ledger, name, offset + sent + 1, v, outbox, sink)
         sent += 1
-        nxt: Set[int] = set()
-        for v in layer:
-            nxt.update(adj[v])
-        layer = nxt - reached
-        reached |= layer
-    if sent:
-        ledger.rounds_used = offset + sent
+        ledger.rounds_used = rnd
+        _round_guard(cfg, name, rnd + 1, 0, ())
+        layer = sorted(deliver(layer))
+    return sent
+
+
+def _flood(g: Graph, cfg: SimConfig, budget: int, ledger: RoundLedger, name: str,
+           sources: Iterable[int], radius: int, width: int,
+           offset: int = 0) -> Tuple[Set[int], int]:
+    """A multi-source BFS flood to ``radius``, a :func:`_relay` that skips
+    no neighbour: in round ``offset + d + 1`` every vertex at distance
+    ``d < radius`` from the sources sends one ``width``-bit message to
+    each of its neighbours.  Returns the vertices within ``radius`` of a
+    source, the sources included, and the number of rounds that carried a
+    message."""
+    adj = g.adj
+    reached = set(sources)
+
+    def deliver(layer):
+        new = {u for v in layer for u in adj[v]} - reached
+        reached.update(new)
+        return new
+
+    sent = _relay(g, cfg, budget, ledger, name, reached, radius, width, {}, deliver, offset)
     return reached, sent
 
 

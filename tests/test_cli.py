@@ -4,8 +4,11 @@ import os
 
 import pytest
 
-from spanner import RoundLedger, generate, improved_3_spanner, load, save, spanner3
-from spanner.cli import main
+from spanner import (
+    Graph, RoundLedger, SimConfig, generate, improved_3_spanner, load, save, spanner3,
+    verify_stretch, with_random_weights,
+)
+from spanner.cli import emit_report, main
 from spanner.sim import SimError
 
 
@@ -100,6 +103,32 @@ def test_reports_byte_identical(tmp_path):
     for suffix in (".spanner.edges", ".stretch.json", ".ledger.json", ".csv"):
         with open(out1 + suffix, "rb") as f1, open(out2 + suffix, "rb") as f2:
             assert f1.read() == f2.read(), suffix
+
+
+@pytest.mark.parametrize("kind", ["unweighted", "weighted", "sparse-ids"])
+def test_spanner_edges_file_matches_saved_subgraph(tmp_path, kind):
+    # emit_report writes the spanner's sorted edges without building a
+    # Graph; the file is byte-identical to saving the spanner as an edge
+    # subgraph of its base, header and weights included
+    g = generate("erdos-renyi", {"n": 40, "p": 0.2}, seed=3)
+    if kind == "weighted":
+        g = with_random_weights(g, 5)
+    elif kind == "sparse-ids":
+        g = Graph([3 * v + 7 for v in g.vertices],
+                  [(3 * u + 7, 3 * v + 7) for u, v in g.edges()])
+    run = improved_3_spanner(g, SimConfig())
+    H = run.spanner
+    assert 0 < H.size < g.m
+    out = str(tmp_path / "r")
+    emit_report(out, g, run, verify_stretch(g, H, 3), 2, "imp3")
+    save(g.edge_subgraph(g.vertices, H.edges), str(tmp_path / "want.edges"))
+    with open(out + ".spanner.edges", "rb") as fh:
+        got = fh.read()
+    with open(tmp_path / "want.edges", "rb") as fh:
+        assert got == fh.read()
+    header = got.split(b"\n", 1)[0]
+    assert header.startswith(b"# vertices: 7 10 13" if kind == "sparse-ids" else b"n=40")
+    assert len(got.split(b"\n", 2)[1].split()) == (3 if kind == "weighted" else 2)
 
 
 def test_verify_subcommand_pass_and_fail(tmp_path):

@@ -89,9 +89,43 @@ def test_grow_matches_centralized(seed):
 # -- forest convergecast / broadcast ----------------------------------------
 
 
+def per_role(forest, values):
+    """A vertex -> {tree key: value} table as one value per role, in the
+    forest's role order, 0 where missing."""
+    return [values.get(v, {}).get(key, 0) for v, key in forest.role_keys]
+
+
+def at_roots(forest, results):
+    """Per-role results as tree key -> its root role's result."""
+    return {key: results[r] for r, key in forest.root_roles}
+
+
+def per_vertex(forest, results):
+    """Per-role results as vertex -> {tree key: result}, {} for a vertex of
+    g with no role."""
+    out = {v: {} for v in forest.g.vertices}
+    for (v, key), x in zip(forest.role_keys, results):
+        out[v][key] = x
+    return out
+
+
+def aggregate_by_key(forest, values, *args, **kw):
+    """``Forest.aggregate`` from and to the vertex -> {key: value} shape."""
+    got, ledger = forest.aggregate(per_role(forest, values), *args, **kw)
+    return at_roots(forest, got), ledger
+
+
+def broadcast_by_key(forest, root_values, *args, **kw):
+    """``Forest.broadcast`` from tree key -> value (0 where missing) to
+    vertex -> {key: value}."""
+    got, ledger = forest.broadcast(
+        [root_values.get(key, 0) for _v, key in forest.role_keys], *args, **kw)
+    return per_vertex(forest, got), ledger
+
+
 def cluster_aggregate(g, cl, values, combine):
     per_tree = {v: {cl.membership[v]: x} for v, x in values.items()}
-    return Forest(g, clustering_roles(cl)).aggregate(per_tree, combine)
+    return aggregate_by_key(Forest(g, clustering_roles(cl)), per_tree, combine)
 
 
 def test_aggregate_cluster_sizes():
@@ -139,13 +173,18 @@ def test_forest_vertex_in_two_edge_disjoint_trees():
                for key in trees}
     forest = Forest(g, roles)
     for combine, fn in (("sum", sum), ("max", max), ("min", min)):
-        agg, ledger = forest.aggregate(values, combine, bound=100)
+        agg, ledger = aggregate_by_key(forest, values, combine, bound=100)
         assert agg == {key: fn(values[v][key] for v in vs) for key, vs in members.items()}
         assert ledger.rounds_used <= 2
-    sums, _ = forest.aggregate(values, bound=100)
-    got, ledger = forest.broadcast(sums, bound=100)
+    sums, _ = aggregate_by_key(forest, values, bound=100)
+    got, ledger = broadcast_by_key(forest, sums, bound=100)
     assert got == {v: {r[0]: sums[r[0]] for r in roles.get(v, ())} for v in g.vertices}
     assert ledger.rounds_used <= 2
+    # per role: role r is forest.role_keys[r], and a non-root role's
+    # aggregate is its subtree's
+    assert forest.role_keys[forest.base[4]:forest.base[4] + 2] == [(4, "a"), (4, "b")]
+    subtree, _ = forest.aggregate(per_role(forest, values), bound=100)
+    assert subtree[forest.base[4] + 1] == sum(values[v]["b"] for v in (4, 7))
 
 
 class RefAggregate(NodeProgram):
@@ -407,25 +446,26 @@ def _outcome(call):
 @given(st.integers(0, 10**9), st.sampled_from(("sum", "max", "min")))
 def test_forest_helpers_match_reference_programs(seed, combine):
     """The scheduled convergecast and broadcast return the same outputs
-    (key order included), the same ledger with its violation records, and
-    the same exception type and text as the ``_cascade`` steps they
-    replace, on every table, stalling ones included; and, where the
-    vertex programs terminate (an acyclic table, no None root value), as
-    those programs.  One Forest runs each direction twice, on two value
-    sets, so no call leaves state behind that the next one reads."""
+    (key order included, read through the role order), the same ledger
+    with its violation records, and the same exception type and text as
+    the ``_cascade`` steps they replace, on every table, stalling ones
+    included; and, where the vertex programs terminate (an acyclic table,
+    no None root value), as those programs.  One Forest runs each
+    direction twice, on two value sets, so no call leaves state behind
+    that the next one reads."""
     rng = random.Random(seed)
     g, roles, values, root_values, bound, cfg, acyclic = random_forest(rng)
     values2, root_values2 = random_values(rng, roles)
     forest = Forest(g, roles)
     for vals in (values, values2):
-        got = _outcome(lambda: forest.aggregate(vals, combine, bound, cfg))
+        got = _outcome(lambda: aggregate_by_key(forest, vals, combine, bound, cfg))
         assert got == _outcome(
             lambda: cascade_forest_aggregate(g, roles, vals, combine, bound, cfg))
         if acyclic:
             assert got == _outcome(
                 lambda: ref_forest_aggregate(g, roles, vals, combine, bound, cfg))
     for vals in (root_values, root_values2):
-        got = _outcome(lambda: forest.broadcast(vals, bound, cfg))
+        got = _outcome(lambda: broadcast_by_key(forest, vals, bound, cfg))
         assert got == _outcome(lambda: cascade_forest_broadcast(g, roles, vals, bound, cfg))
         if acyclic and None not in vals.values():
             assert got == _outcome(lambda: ref_forest_broadcast(g, roles, vals, bound, cfg))
@@ -455,7 +495,7 @@ def test_forest_role_table_checked(helper, text, monkeypatch):
 
     monkeypatch.setattr(primitives, "_cascade", no_rounds)
     with pytest.raises(SimError, match=f"^forest: .*{text}"):
-        getattr(Forest(g, BROKEN_TABLES[text]), helper)({})
+        getattr(Forest(g, BROKEN_TABLES[text]), helper)([])
 
 
 def test_forest_stalls_once_mail_runs_out():
@@ -466,9 +506,9 @@ def test_forest_stalls_once_mail_runs_out():
     cfg = SimConfig(max_rounds=2)
     forest = Forest(g, roles)
     with pytest.raises(SimTimeout, match="'forest-aggregate' stalled"):
-        forest.aggregate({}, cfg=cfg)
+        forest.aggregate([0, 0, 0], cfg=cfg)
     with pytest.raises(SimTimeout, match="'forest-broadcast' stalled"):
-        forest.broadcast({}, cfg=cfg)
+        forest.broadcast([0, 0, 0], cfg=cfg)
 
 
 @pytest.mark.parametrize("extra", [None, 0, 1])
@@ -838,11 +878,18 @@ def test_partition_random_trees(seed):
 
 
 def test_forest_broadcast_roleless_vertex_gets_empty_dict():
+    # the result holds one value per role, so a vertex with no role has
+    # no entry; read per vertex through the role order, it gets {}
     g = generate("path", {"n": 6})
     cl, _ = grow_bfs_clusters(g, {1}, 1)  # clusters 0, 1, 2 only
-    got, _ = Forest(g, clustering_roles(cl)).broadcast({1: 5})
-    assert list(got) == list(g.vertices)
-    assert got == {0: {1: 5}, 1: {1: 5}, 2: {1: 5}, 3: {}, 4: {}, 5: {}}
+    forest = Forest(g, clustering_roles(cl))
+    assert forest.role_keys == [(0, 1), (1, 1), (2, 1)]
+    assert forest.root_roles == [(1, 1)]
+    got, _ = forest.broadcast([None, 5, None])  # only the root's entry is read
+    assert got == [5, 5, 5]
+    by_vertex = per_vertex(forest, got)
+    assert list(by_vertex) == list(g.vertices)
+    assert by_vertex == {0: {1: 5}, 1: {1: 5}, 2: {1: 5}, 3: {}, 4: {}, 5: {}}
 
 
 def test_ruling_power_candidate_never_woken():
@@ -869,8 +916,7 @@ def test_wrappers_match_audit_mode(seed):
     def builds(cfg):
         cl, led1 = grow_bfs_clusters(g, picked, 2, cfg)
         forest = Forest(g, clustering_roles(cl))
-        values = {v: {cl.membership[v]: 1} for v in cl.membership}
-        sizes, led2 = forest.aggregate(values, cfg=cfg)
+        sizes, led2 = forest.aggregate([1] * len(forest.role_keys), cfg=cfg)
         got, led3 = forest.broadcast(sizes, cfg=cfg)
         ruled, led4 = ruling_set_log(g, picked, cfg)
         power, led5 = ruling_set_power(g, picked, 1, cfg)
@@ -1212,6 +1258,78 @@ def test_primitives_match_reference_programs(seed):
     tcfg = _at_floor(cfg, Graph(tree.vertices(), tree.edges), pad)
     assert _outcome(lambda: partition_tree(tree, tcfg)) \
         == _outcome(lambda: ref_partition_tree(tree, tcfg))
+
+
+PATH5 = generate("path", {"n": 5})
+FLOOR5 = 8 + PATH5.id_bits  # the budget floor, below every flood message on PATH5
+FLOOD_CFGS = {
+    # the last message of a run arrives in the receive-only round 3 (round
+    # 4 for "quiet-tail"), so a cap one lower stops exactly there
+    "cap-at-receive": SimConfig(max_rounds=2),
+    "cap-admits": SimConfig(max_rounds=3),
+    "audit-over-budget": SimConfig(msg_bit_budget=FLOOR5, strict=False),
+    "strict-over-budget": SimConfig(msg_bit_budget=FLOOR5),
+}
+
+
+def _pinned(outcome):
+    """An outcome as (exception type, text) or (rounds, messages, the
+    violations' rounds and edges)."""
+    if isinstance(outcome[0], type):
+        return outcome
+    ledger = outcome[1]
+    return ledger["rounds"], ledger["messages"], [
+        (rec["round"], rec["edge"]) for rec in ledger["violations"]]
+
+
+BITS5 = "{'kind': 'bits', 'round': 1, 'edge': [0, 1], 'bits': 13, 'budget': 11, "
+
+
+@pytest.mark.parametrize("case, want", [
+    ("cap-at-receive",
+     (SimTimeout, "program 'grow-clusters' exceeded max_rounds=2")),
+    ("cap-admits", (2, 4, [])),
+    ("audit-over-budget", (2, 4, [(1, [0, 1]), (1, [4, 3]), (2, [1, 2]), (2, [3, 2])])),
+    ("strict-over-budget", (sim.BudgetError, BITS5 + "'program': 'grow-clusters'}")),
+])
+def test_grow_clusters_layers_at_the_edges(case, want):
+    """Centers 0 and 4 of the 5-path, depth 2: rounds 1 and 2 send, and
+    vertex 2 joins center 4 (via 3) in the receive-only round 3.  The
+    layered flood matches the vertex program on result, ledger with its
+    violation records, and exception type and text."""
+    cfg = FLOOD_CFGS[case]
+    got = _outcome(lambda: grow_bfs_clusters(PATH5, {0, 4}, 2, cfg))
+    assert got == _outcome(lambda: ref_grow_bfs_clusters(PATH5, {0, 4}, 2, cfg))
+    assert _pinned(got) == want
+    if not isinstance(want[0], type):
+        assert "parents={0: None, 1: 0, 2: 3, 3: 4, 4: None}" in got[0]
+
+
+@pytest.mark.parametrize("case, want", [
+    ("cap-at-receive", (SimTimeout, "program 'min-flood' exceeded max_rounds=2")),
+    ("cap-admits", (4, 10, [])),
+    ("audit-over-budget",
+     (4, 10, [(1, [0, 1]), (1, [4, 3]), (2, [1, 2]), (2, [3, 2])])),
+    ("strict-over-budget", (sim.BudgetError, BITS5 + "'program': 'min-flood'}")),
+    ("quiet-tail", (SimTimeout, "program 'min-flood' exceeded max_rounds=3")),
+])
+def test_min_flood_layers_at_the_edges(case, want):
+    """Candidates 0 and 4 of the 5-path, t=1 (radius 2): the min-flood
+    sends in rounds 1 and 2 and vertex 2 takes 0 (from 1) in the
+    receive-only round 3; both candidates join, and the hop-flood sends in
+    rounds 1 and 2.  In "quiet-tail" (candidate 0 of the 4-path, t=2)
+    round 3's sender 2 reaches the end of the path, whose improvement in
+    round 4 has no neighbour left to tell.  The layered flood matches the
+    vertex program as in the test above."""
+    g, cands, t = PATH5, {0, 4}, 1
+    cfg = FLOOD_CFGS.get(case)
+    if case == "quiet-tail":
+        g, cands, t, cfg = generate("path", {"n": 4}), {0}, 2, SimConfig(max_rounds=3)
+    got = _outcome(lambda: ruling_set_power(g, cands, t, cfg))
+    assert got == _outcome(lambda: ref_ruling_set_power(g, cands, t, cfg))
+    assert _pinned(got) == want
+    if not isinstance(want[0], type):
+        assert got[0] == "{0, 4}"
 
 
 # -- the log-round ruling set against the vertex program it replaces ---------
