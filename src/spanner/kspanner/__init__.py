@@ -3,16 +3,16 @@ star-graph bipartite spanner, the superclustered construction with its
 zero-level superclustering, and the randomized comparator.  The first four
 share one local-maxima election, ``common.elect``, and its steps.
 
-Every scripted step runs through one of four helpers: ``common.forest_steps``
-(the convergecast and broadcast over cluster or supercluster trees),
-``sim.announce`` (a label to all neighbours), ``common.signal`` (bare tokens
-to chosen neighbours) and ``common.connect`` (the Baswana-Sen edge step: one
-edge per pick, and a token that tells the other end).  Forest passes over
-clean trees within the budget and the round cap, announcements within the
-budget and every token round are accounted in bulk, without per-vertex
-sends; the other calls step through the simulator's send step.  Rounds
-that carry data to chosen receivers, such as the star relays, call
-``exchange``."""
+Every scripted step runs through ``common.forest_steps`` (the convergecast
+and broadcast over cluster or supercluster trees) or through ``exchange``,
+the simulator's one scripted round, re-exported by ``common``.  Its shapes
+are ``sim.announce`` (a label to all neighbours), ``common.signal`` (bare
+tokens to chosen neighbours) and ``common.connect`` (the Baswana-Sen edge
+step: one edge per pick, and a token that tells the other end); the star
+relays carry data to chosen receivers.  Forest passes over clean trees
+within the budget and the round cap and every scripted round within the
+budget are accounted in bulk, without per-vertex sends; the other calls
+step through the simulator's send step."""
 
 from .naive import naive_spanner
 from .starbip import sparser_bipartite_spanner

@@ -1,27 +1,27 @@
 """Protocol helpers shared by the k-spanner constructions.
 
-Four step helpers carry every scripted step of the constructions:
+Two kinds of step carry every scripted step of the constructions:
 
 * ``forest_steps`` (``cluster_steps`` over a clustering): the convergecast
   and broadcast over cluster or supercluster trees;
-* ``sim.announce``: one round in which vertices tell all their neighbours
-  a label;
-* ``signal``: one round of bare tokens to chosen neighbours;
-* ``connect``: one edge per pick enters the spanner, and the picking end
-  tells the other one with a token (the Baswana-Sen step);
+* ``exchange``, the simulator's one scripted round, re-exported here: each
+  sender sends one message to all its neighbours or to receivers it
+  names, and each receiver gets {sender: body}.  Its shapes are
+  ``sim.announce`` (a label to all neighbours), ``signal`` (bare tokens to
+  chosen neighbours) and ``connect`` (one edge per pick enters the
+  spanner, and the picking end tells the other one with a token: the
+  Baswana-Sen step); the star relays of ``starbip`` call it directly;
 
 plus ``contacts``, which picks the smallest-ID neighbour in each adjacent
 cluster.  None of them, nor the floods of ``primitives`` run between them
 (cluster growth, the power-graph ruling set), sends per-vertex messages
 when it cannot violate anything: a forest pass over a clean ``Forest``
 walks a precomputed schedule, and the rest are accounted at once
-(``sim._bulk``).  ``announce`` and ``signal`` return only the vertices
-that received something, so readers use ``.get``.  The local-maxima
-election that the cluster-by-cluster and the superclustered constructions
-run (and whose steps the star-graph and zero-level constructions reuse)
-is built from these steps; the chunked ID streams live here too.
-``exchange``, the simulator's one-round scripted step, is re-exported
-here for the rounds that carry data to chosen receivers."""
+(``sim._bulk``).  A scripted round returns only the vertices that
+received something, so readers use ``.get``.  The local-maxima election
+that the cluster-by-cluster and the superclustered constructions run (and
+whose steps the star-graph and zero-level constructions reuse) is built
+from these steps; the chunked ID streams live here too."""
 
 from __future__ import annotations
 
@@ -29,15 +29,14 @@ import math
 from collections import defaultdict
 from itertools import count
 from typing import (
-    Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple,
+    Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple,
 )
 
 from ..clustering import Clustering
 from ..graph import Graph, Spanner
 from ..primitives import Forest, RoleTable, clustering_roles
 from ..sim import (
-    BitCost, RoundLedger, SimConfig, SimError, SimTimeout, _bulk, _close_round,
-    announce, exchange,
+    BitCost, RoundLedger, SimConfig, SimError, SimTimeout, _bulk, announce, exchange,
 )
 
 TAG_IDS, TAG_END = range(2)
@@ -94,37 +93,15 @@ def cluster_steps(g, cfg, ledger, clustering: Clustering) -> Tuple[Callable, Cal
 
 
 def signal(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
-           pairs: Iterable[Tuple[int, int]]) -> Dict[int, List[Tuple[int, Any]]]:
-    """One round of bare tokens: each distinct (sender, receiver) pair of
-    ``pairs`` whose sender is a vertex of g carries one ``BitCost.TAG``-bit
-    message, as phase ``name`` (one round iff such a pair exists).  Returns
-    the receivers' inboxes, v -> [(sender, None)] in sender order; a vertex
-    that received nothing has no entry.
-
-    A token fits every budget and goes once over its edge, so the round
-    can violate nothing and is accounted at once with ``_bulk``.  A
-    receiver that is not the sender's neighbour raises the send step's
-    SimError, at the first such sender in ID order (its smallest such
-    receiver), before anything is accounted."""
-    out: Dict[int, Dict[int, None]] = defaultdict(dict)
+           pairs: Iterable[Tuple[int, int]]) -> Dict[int, Dict[int, None]]:
+    """One round of bare tokens: an :func:`exchange` round in which each
+    distinct (sender, receiver) pair of ``pairs`` carries one
+    ``BitCost.TAG``-bit message.  Returns the receivers' inboxes, v ->
+    {sender: None} in sender order."""
+    to: Dict[int, Dict[int, None]] = defaultdict(dict)
     for v, u in pairs:
-        out[v][u] = None
-    cfg.check(g)
-    adj, edges = g.adj, g.edge_set
-    got: Dict[int, List[Tuple[int, Any]]] = defaultdict(list)
-    messages = 0
-    for v in sorted(v for v in out if v in adj):
-        targets = out[v]
-        for u in targets:
-            if ((v, u) if v < u else (u, v)) not in edges:
-                bad = min(u for u in targets if not g.has_edge(v, u))
-                raise SimError(f"{name}: vertex {v} sent to non-neighbor {bad}")
-            got[u].append((v, None))
-        messages += len(targets)
-    if messages:
-        _bulk(ledger, messages, BitCost.TAG)
-    _close_round(ledger, name, messages > 0)
-    return dict(got)
+        to[v][u] = None
+    return exchange(g, cfg, ledger, name, dict.fromkeys(to), BitCost.TAG, to)
 
 
 def connect(g: Graph, cfg: SimConfig, ledger: RoundLedger, H: Spanner, name: str,

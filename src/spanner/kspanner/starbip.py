@@ -241,7 +241,7 @@ def _mark_announce(g, cfg, ledger, st, newly_marked_stars, nbr_marked, name):
         for v in st.star_vertices(s) for u in g.adj[v]
     ))
     for v, inbox in got.items():
-        nbr_marked[v].update(sender for sender, _body in inbox)
+        nbr_marked[v].update(inbox)
 
 
 def _phase(g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i):
@@ -348,17 +348,13 @@ def _approx_degree(g, cfg, ledger, trace, st, cluster_of, marked, nbr_marked,
     acks = {v: len(inbox) for v, inbox in got.items()}
     # members pass their ACK counts up to the leader (radius-1 gather)
     cbits = max(1, g.n.bit_length())
-    out = {}
-    for s in st.stars():
-        for v in st.members[s]:
-            if v in acks:
-                out[v] = {s: Msg(8 + cbits, acks[v])}
-    got = exchange(g, cfg, ledger, f"bip-type2-up:{label}", out)
+    to = {v: (s,) for s in st.stars() for v in st.members[s] if v in acks}
+    got = exchange(g, cfg, ledger, f"bip-type2-up:{label}", acks, 8 + cbits, to)
     deg = {}
     for s in st.stars():
         if cluster_of.get(s) is None or s in marked:
             continue
-        type2 = acks.get(s, 0) + sum(x for _v, x in got.get(s, ()))
+        type2 = acks.get(s, 0) + sum(got.get(s, {}).values())
         seen = {s}
         for u, s2 in st.nbr_star[s].items():
             if u not in nbr_marked[s]:
@@ -425,28 +421,19 @@ def _election(g, cfg, ledger, st, gtree, up, down, remaining, marked,
     }
     # members of unmarked stars relay their best tuple to the leader
     width = 8 + g.id_bits + cbits
-    out = {}
-    for s in st.stars():
-        if s in marked:
-            continue
-        for v in st.members[s]:
-            if v in heard:
-                out[v] = {s: Msg(width, max(heard[v].values()))}
-    got2 = exchange(g, cfg, ledger, f"bip-star-max-up:{label}", out)
+    to = {v: (s,) for s in st.stars() if s not in marked
+          for v in st.members[s] if v in heard}
+    best = {v: max(heard[v].values()) for v in to}
+    got2 = exchange(g, cfg, ledger, f"bip-star-max-up:{label}", best, width, to)
     star_max: Dict[int, Tuple] = {}
     for s in st.stars():
         if s not in marked and (s in heard or s in got2):
-            star_max[s] = max([*heard.get(s, {}).values(),
-                               *(t for _v, t in got2.get(s, ()))])
-    out = {}
-    for s, best in sorted(star_max.items()):
-        m = Msg(width, best)
-        out[s] = {u: m for u in st.members[s]}
-    got3 = exchange(g, cfg, ledger, f"bip-star-max-down:{label}", out)
+            star_max[s] = max([*heard.get(s, {}).values(), *got2.get(s, {}).values()])
+    got3 = exchange(g, cfg, ledger, f"bip-star-max-down:{label}", star_max, width,
+                    st.members)
     known_max: Dict[int, Tuple] = dict(star_max)
-    for v, inbox in got3.items():
-        for _leader, best in inbox:
-            known_max[v] = best
+    for v, inbox in got3.items():  # a member hears its own leader only
+        known_max[v] = inbox[st.star_of[v]]
     # ACK every neighbor whose tuple equals the star's maximum
     acks = []
     for v in g.vertices:
@@ -457,7 +444,7 @@ def _election(g, cfg, ledger, st, gtree, up, down, remaining, marked,
     got4 = signal(g, cfg, ledger, f"bip-vacks:{label}", acks)
     ok = {}
     for v, owed in tuple_sent.items():
-        ackers = {s for s, _b in got4.get(v, ())}
+        ackers = got4.get(v, {})
         ok[v] = 1 if all(u in ackers for u in owed) else 0
     is_max = up(f"bip-maxima:{label}", ok, combine="min", bound=2)
     return {

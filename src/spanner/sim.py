@@ -26,16 +26,18 @@ before every round they run:
   ``primitives`` and, through ``_flood``, the broadcast BFS floods of the
   log-round ruling set and the power-graph hop-flood.
 
+``exchange`` is the one scripted round: each sender sends one message,
+of one width per round, to all its neighbours or to the receivers it
+names, and each receiver gets ``{sender: body}``.  ``announce`` and
+``kspanner.common.signal`` are its label and token shapes.
+
 Rounds that can violate nothing, because every message goes to a
 neighbour within the budget and one per edge, handle no message objects:
 ``_bulk`` folds each batch into the ledger at once.  These are the rounds
-of ``_relay`` within the budget (over it, each sender's outbox is
-posted); every forest pass over a clean ``primitives.Forest``, one walk
-over a schedule computed once; ``announce`` within the budget and
-``kspanner.common.signal``; and the star rounds of the 3-spanners and the
-chunked ID streams.  ``exchange`` posts one precomputed round through the
-send step; it, ``announce`` and ``signal`` return only the vertices that
-received something.
+of ``_relay`` and ``exchange`` within the budget (over it, each sender's
+outbox is posted); every forest pass over a clean ``primitives.Forest``,
+one walk over a schedule computed once; and the star rounds of the
+3-spanners and the chunked ID streams.
 """
 
 from __future__ import annotations
@@ -44,7 +46,9 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Callable, Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from .graph import Graph
 
@@ -337,37 +341,69 @@ def run(
     return outputs, ledger
 
 
-def _close_round(ledger: RoundLedger, name: str, sent: bool) -> None:
-    """Fold one scripted round into ``ledger`` as phase ``name``: one
-    round if it carried a message, none otherwise."""
-    rounds = 1 if sent else 0
-    ledger.rounds_used += rounds
-    ledger.per_phase.append((name, rounds))
-
-
 def exchange(
     g: Graph,
     cfg: SimConfig,
     ledger: RoundLedger,
     name: str,
-    out: Dict[int, Dict[int, Any]],
-) -> Dict[int, List[Tuple[int, Any]]]:
-    """One scripted round whose outgoing messages were precomputed from each
-    vertex's tracked local state: post every outbox ``out[v]`` of a vertex
-    v of g through the send step, in ID order, fold the round into
-    ``ledger`` as phase ``name`` (one round iff anything was sent) and
-    return the receivers' inboxes, v -> [(sender, body)] in sender order;
-    a vertex that received nothing has no entry."""
+    bodies: Dict[int, Any],
+    bits: int,
+    to: Optional[Dict[int, Collection[int]]] = None,
+) -> Dict[int, Dict[int, Any]]:
+    """The one scripted round: every vertex v of g in ``bodies``, in ID
+    order, sends ``bodies[v]`` as one ``bits``-bit message to each receiver
+    in ``to[v]``; ``to`` defaults to ``g.adj``, all neighbours, and a
+    sender with no entry in it sends nothing.  The round is folded into
+    ``ledger`` as phase ``name``, one round iff anything was sent.
+    Returns the receivers' inboxes, v -> {sender: body} in sender order; a
+    vertex that received nothing has no entry.
+
+    Within the budget every message goes once over its edge, so once the
+    receivers are known to be neighbours the round can violate nothing
+    and is accounted at once with :func:`_bulk`.  A receiver that is not
+    the sender's neighbour raises the send step's SimError, at the first
+    such sender in ID order (its smallest such receiver), before anything
+    is accounted.  Over the budget each sender's outbox goes through
+    :func:`_post` in ID order, which raises or records each violation."""
     cfg.check(g)
     budget = cfg.budget_for(g)
-    inboxes: Dict[int, List[Tuple[int, Any]]] = defaultdict(list)
-    sent_before = ledger.messages_total
-    for v in sorted(v for v in out if v in g.adj):
-        outbox = out[v]
-        if outbox:
-            _post(g, cfg, budget, ledger, name, 1, v, outbox, inboxes)
-    _close_round(ledger, name, ledger.messages_total > sent_before)
-    return dict(inboxes)
+    adj = g.adj
+    if to is None:
+        to = adj
+    heard: Dict[int, Dict[int, Any]] = defaultdict(dict)
+    if bits > budget:
+        inboxes: Dict[int, List[Tuple[int, Any]]] = defaultdict(list)
+        for v in sorted(bodies):
+            targets = to.get(v) if v in adj else None
+            if targets:
+                outbox = dict.fromkeys(targets, Msg(bits, bodies[v]))
+                _post(g, cfg, budget, ledger, name, 1, v, outbox, inboxes)
+        for u, inbox in inboxes.items():
+            heard[u].update(inbox)
+    elif to is adj:
+        for v in sorted(bodies):
+            body = bodies[v]
+            for u in adj.get(v, ()):
+                heard[u][v] = body
+    else:
+        edges = g.edge_set
+        for v in sorted(bodies):
+            targets = to.get(v)
+            if not targets or v not in adj:
+                continue
+            body = bodies[v]
+            for u in targets:
+                if ((v, u) if v < u else (u, v)) not in edges:
+                    bad = min(u for u in targets if not g.has_edge(v, u))
+                    raise SimError(f"{name}: vertex {v} sent to non-neighbor {bad}")
+                heard[u][v] = body
+    messages = sum(map(len, heard.values()))
+    if messages and bits <= budget:
+        _bulk(ledger, messages, bits)
+    rounds = 1 if messages else 0
+    ledger.rounds_used += rounds
+    ledger.per_phase.append((name, rounds))
+    return dict(heard)
 
 
 def _round_guard(cfg: SimConfig, name: str, rnd: int, silent: int,
@@ -518,35 +554,12 @@ def announce(
     labels: Dict[int, Any],
     bits: int,
 ) -> Dict[int, Dict[int, Any]]:
-    """One scripted round: every vertex in ``labels`` sends its label to all
-    its neighbors as one ``bits``-bit message.  Returns the receivers'
-    labels, v -> {neighbor: label} in neighbor order; a vertex that heard
-    nothing has no entry.  A label keyed by a non-vertex raises KeyError.
-
-    Within the budget every message goes to a neighbour, one per edge, so
-    the round can violate nothing and is accounted at once with
-    :func:`_bulk`.  Over the budget every outbox goes through
-    :func:`exchange`, whose send step raises or records each overrun."""
-    adj = g.adj
-    if not adj.keys() >= labels.keys():
-        raise KeyError(next(v for v in labels if v not in adj))
-    if bits > cfg.budget_for(g):
-        out = {v: dict.fromkeys(adj[v], Msg(bits, label)) for v, label in labels.items()}
-        got = exchange(g, cfg, ledger, name, out)
-        return {v: dict(inbox) for v, inbox in got.items()}
-    cfg.check(g)
-    heard: Dict[int, Dict[int, Any]] = defaultdict(dict)
-    messages = 0
-    for v in sorted(labels):
-        label = labels[v]
-        nbrs = adj[v]
-        messages += len(nbrs)
-        for u in nbrs:
-            heard[u][v] = label
-    if messages:
-        _bulk(ledger, messages, bits)
-    _close_round(ledger, name, messages > 0)
-    return dict(heard)
+    """An :func:`exchange` round in which every vertex in ``labels`` sends
+    its label to all its neighbours as one ``bits``-bit message; a label
+    keyed by a non-vertex raises KeyError first."""
+    if not g.adj.keys() >= labels.keys():
+        raise KeyError(next(v for v in labels if v not in g.adj))
+    return exchange(g, cfg, ledger, name, labels, bits)
 
 
 # -- small generally useful programs ---------------------------------------

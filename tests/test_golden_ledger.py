@@ -39,6 +39,9 @@ def _build(alg, k, name):
         # audit mode at the budget floor: every overrun is a violation
         # record in the ledger instead of an error
         cfg = SimConfig(strict=False, msg_bit_budget=8 + g.id_bits)
+        if alg == "sparserbip-audit":
+            return sparser_bipartite_spanner(
+                g, Bipartition(range(16), range(16, g.n)), k, cfg)
         build = improved_spanner if alg == "improved-audit" else cons_zero_superclustering
         return build(g, k, cfg)
     if alg == "naive":
@@ -103,6 +106,12 @@ GOLDEN = {
         "5b67bd8fa9110f38d1dfef6d3610c38d506098d553187058b55bc6d5520d3cbe",
     ("zerosc-audit", 4, "er10-100"):
         "dec4d87032c7f54c90d317dd6b1fce171961ef26e56b93f671addfeb01fe918d",
+    # digest at the commit before every scripted round went through
+    # ``sim.exchange``; the ledger holds the over-budget records of the
+    # tuple announcements and the star relays (1,379 bip-tuples, 158 each
+    # bip-star-max-up and bip-star-max-down)
+    ("sparserbip-audit", 6, "rbip-16x80"):
+        "4da961c4640f0ae7756a2663af2368be84c69f67d9f3a4b7ef8845725f5cac02",
     # digests of the randomized comparator (seed 0) at the commit before
     # its scripted rounds moved onto the shared step helpers
     ("bs-baseline", 3, "er10-100"):

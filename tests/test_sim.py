@@ -146,27 +146,32 @@ class Scripted(NodeProgram):
 
 @st.composite
 def scripted_rounds(draw):
-    """A graph with n <= 12 (sparse IDs), per-vertex outboxes with several
-    messages per edge, over-budget bits and empty outboxes, sometimes one
-    message to a non-neighbour, and sometimes a budget below the floor."""
+    """A graph with n <= 12 (sparse IDs), one body per sender (sometimes
+    one keyed by a non-vertex) and one width per round, up to 4 bits over
+    the budget; receivers drawn as neighbour subsets (senders without an
+    entry stay silent) or None (all neighbours), sometimes with one
+    non-neighbour, and sometimes a budget below the floor."""
     ids = sorted(draw(st.sets(st.integers(0, 40), min_size=1, max_size=12)))
     pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
     g = Graph(ids, [e for e in pairs if draw(st.booleans())])
     budget = default_bit_budget(max(g.n, 2))
-    msg = st.builds(Msg, st.integers(1, budget + 4), st.integers(0, 9))
+    bits = draw(st.integers(1, budget + 4))
     sometimes = st.sampled_from((True, True, True, False))
-    out = {}
-    for v in ids:
-        if g.adj[v] and draw(sometimes):
-            targets = draw(st.lists(st.sampled_from(g.adj[v]), unique=True))
-            out[v] = {u: draw(msg | st.lists(msg, max_size=3)) for u in targets}
-    stray = not draw(sometimes)
+    bodies = {v: draw(st.integers(0, 9)) for v in ids if draw(sometimes)}
+    if not draw(sometimes):
+        bodies[draw(st.integers(41, 45))] = 0
+    to = None
+    if draw(st.booleans()):
+        to = {v: draw(st.lists(st.sampled_from(g.adj[v]), unique=True))
+              if g.adj[v] else [] for v in ids if draw(sometimes)}
+    stray = to is not None and not draw(sometimes)
     if stray:
         v = draw(st.sampled_from(ids))
         u = draw(st.integers(0, 41).filter(lambda u: u not in g.adj[v]))
-        out.setdefault(v, {})[u] = draw(msg)
+        bodies.setdefault(v, 0)
+        to.setdefault(v, []).append(u)
     cfg = SimConfig(msg_bit_budget=None if draw(sometimes) else 4)
-    return g, out, cfg, stray
+    return g, bodies, bits, to, cfg, stray
 
 
 def _outcome(fn):
@@ -179,14 +184,24 @@ def _outcome(fn):
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(scripted_rounds())
 def test_exchange_matches_scripted_run(case):
-    g, out, base_cfg, stray = case
+    """``exchange`` delivers what the engine delivers when every sender's
+    outbox (``bodies[v]``, ``bits`` wide, to each receiver) runs as a vertex
+    program, with
+    the same ledger or the same exception type and text, in audit and in
+    strict mode."""
+    g, bodies, bits, to, base_cfg, stray = case
+    out = {}
+    for v, body in bodies.items():
+        if v in g.adj and (to is None or v in to):
+            m = Msg(bits, body)
+            out[v] = {u: m for u in (g.adj[v] if to is None else to[v])}
     for strict in (False, True):
         cfg = base_cfg.with_(strict=strict)
 
         def via_exchange():
             ledger = RoundLedger()
-            got = exchange(g, cfg, ledger, "scripted", out)
-            return got, ledger.to_json()
+            got = exchange(g, cfg, ledger, "scripted", bodies, bits, to)
+            return {v: list(inbox.items()) for v, inbox in got.items()}, ledger.to_json()
 
         def via_run():
             got, ledger = run(g, Scripted("scripted"), cfg, private=out)

@@ -566,8 +566,8 @@ def test_signal_sends_one_token_per_pair_in_sender_order():
     ledger = RoundLedger()
     got = signal(g, SimConfig(), ledger, "acks",
                  [(3, 0), (1, 0), (3, 0), (0, 2), (2, 0)])
-    assert got[0] == [(1, None), (2, None), (3, None)]
-    assert got[2] == [(0, None)]
+    assert list(got[0].items()) == [(1, None), (2, None), (3, None)]
+    assert got[2] == {0: None}
     assert 1 not in got and 3 not in got
     assert ledger.messages_total == 4
 
@@ -636,6 +636,18 @@ def ref_signal(g, cfg, ledger, name, pairs):
     return _exchange_all_vertices(g, cfg, ledger, name, out)
 
 
+def ref_exchange(g, cfg, ledger, name, bodies, bits, to):
+    """Reference for ``exchange`` with chosen receivers: one Msg per sender
+    to each of its receivers, posted message by message."""
+    out = {}
+    for v, body in bodies.items():
+        if v in to:
+            m = Msg(bits, body)
+            out[v] = {u: m for u in to[v]}
+    got = _exchange_all_vertices(g, cfg, ledger, name, out)
+    return {v: dict(inbox) for v, inbox in got.items()}
+
+
 def _round_outcome(call, reference=False):
     """The entries in receiver order, each in its own order, and the
     ledger; or the exception's type and text.  A reference's empty
@@ -654,12 +666,13 @@ def _round_outcome(call, reference=False):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.integers(0, 10**9))
 def test_announce_and_signal_match_posted_rounds(seed):
-    """The bulk-accounted ``announce`` and ``signal`` return what the
-    posted rounds return, minus the vertices that received nothing, with
-    the same ledger or the same exception type and text: on graphs with
-    n <= 12 and sparse IDs, in strict and audit mode, at the budget floor
-    and one bit below it, with labels narrower and wider than the budget,
-    labels keyed by non-vertices, and pairs with repeats, non-vertex
+    """``announce``, ``signal`` and ``exchange`` with chosen receivers
+    (the star-relay shape) return what the posted rounds return, minus the
+    vertices that received nothing, with the same ledger or the same
+    exception type and text: on graphs with n <= 12 and sparse IDs, in
+    strict and audit mode, at the budget floor and one bit below it, with
+    labels and bodies narrower and wider than the budget, labels keyed by
+    non-vertices, pairs and receiver lists with repeats, non-vertex
     senders and non-neighbour receivers."""
     rng = random.Random(seed)
     ids = sorted(rng.sample(range(70), rng.randint(1, 12)))
@@ -687,6 +700,17 @@ def test_announce_and_signal_match_posted_rounds(seed):
         pairs.append((v, u))
     assert _round_outcome(lambda led: signal(g, cfg, led, "sig", pairs)) \
         == _round_outcome(lambda led: ref_signal(g, cfg, led, "sig", pairs), True)
+    bodies = {v: rng.choice((v, (v, 2), "y")) for v in ids + [99] if rng.random() < 0.7}
+    to = {}
+    for v in ids + [99]:
+        if rng.random() < 0.8:
+            nbrs = g.adj.get(v, ())
+            to[v] = [rng.choice(nbrs) if nbrs and rng.random() < 0.95
+                     else rng.choice(ids + [98]) for _ in range(rng.randint(0, 3))]
+    width = rng.randint(1, floor + 2)
+    assert _round_outcome(lambda led: sim.exchange(g, cfg, led, "rel", bodies, width, to)) \
+        == _round_outcome(
+            lambda led: ref_exchange(g, cfg, led, "rel", bodies, width, to), True)
 
 
 def test_contacts_smallest_neighbour_per_tree():
