@@ -4,15 +4,19 @@ zero-level superclustering, and the randomized comparator.  The first four
 share one local-maxima election, ``common.elect``, and its steps.
 
 Every scripted step runs through ``common.forest_steps`` (the convergecast
-and broadcast over cluster or supercluster trees) or through ``exchange``,
-the simulator's one scripted round, re-exported by ``common``.  Its shapes
-are ``sim.announce`` (a label to all neighbours), ``common.signal`` (bare
-tokens to chosen neighbours) and ``common.connect`` (the Baswana-Sen edge
-step: one edge per pick, and a token that tells the other end); the star
-relays carry data to chosen receivers.  Forest passes over clean trees
-within the budget and the round cap and every scripted round within the
-budget are accounted in bulk, without per-vertex sends; the other calls
-step through the simulator's send step."""
+and broadcast over cluster or supercluster trees), through ``exchange``,
+the simulator's one scripted round, re-exported by ``common``, or through
+``common.signal``.  ``exchange`` carries the rounds whose receivers read
+the bodies or the senders: ``sim.announce`` (a label to all neighbours),
+the star relays that carry data to chosen receivers, and the token rounds
+that tell who sent.  ``common.signal`` sends bare tokens to chosen
+neighbours and returns each receiver's count of senders, for the rounds
+that only count them; ``common.connect`` (the Baswana-Sen edge step: one
+edge per pick, and a token that tells the other end) is one.  Forest
+passes over clean trees within the budget and the round cap and every
+scripted round within the budget are accounted in bulk, without
+per-vertex sends; the other calls step through the simulator's send
+step."""
 
 from .naive import naive_spanner
 from .starbip import sparser_bipartite_spanner

@@ -1,16 +1,19 @@
 """Protocol helpers shared by the k-spanner constructions.
 
-Two kinds of step carry every scripted step of the constructions:
+Three kinds of step carry every scripted step of the constructions:
 
 * ``forest_steps`` (``cluster_steps`` over a clustering): the convergecast
   and broadcast over cluster or supercluster trees;
 * ``exchange``, the simulator's one scripted round, re-exported here: each
   sender sends one message to all its neighbours or to receivers it
-  names, and each receiver gets {sender: body}.  Its shapes are
-  ``sim.announce`` (a label to all neighbours), ``signal`` (bare tokens to
-  chosen neighbours) and ``connect`` (one edge per pick enters the
-  spanner, and the picking end tells the other one with a token: the
-  Baswana-Sen step); the star relays of ``starbip`` call it directly;
+  names, and each receiver gets {sender: body}.  It carries every round
+  whose receivers read the bodies or the senders: ``sim.announce`` (a
+  label to all neighbours), the star relays of ``starbip`` and the token
+  rounds that tell who sent;
+* ``signal``, bare tokens to chosen neighbours for receivers that only
+  count them: it returns receiver -> number of distinct senders, and
+  ``connect`` (one edge per pick enters the spanner, and the picking end
+  tells the other one with a token: the Baswana-Sen step) is one;
 
 plus ``contacts``, which picks the smallest-ID neighbour in each adjacent
 cluster.  None of them, nor the floods of ``primitives`` run between them
@@ -21,7 +24,8 @@ walks a precomputed schedule, and the rest are accounted at once
 received something, so readers use ``.get``.  The local-maxima election
 that the cluster-by-cluster and the superclustered constructions run (and
 whose steps the star-graph and zero-level constructions reuse) is built
-from these steps; the chunked ID streams live here too."""
+from these steps, with each vertex's contacts computed once per
+election; the chunked ID streams live here too."""
 
 from __future__ import annotations
 
@@ -93,15 +97,42 @@ def cluster_steps(g, cfg, ledger, clustering: Clustering) -> Tuple[Callable, Cal
 
 
 def signal(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
-           pairs: Iterable[Tuple[int, int]]) -> Dict[int, Dict[int, None]]:
-    """One round of bare tokens: an :func:`exchange` round in which each
-    distinct (sender, receiver) pair of ``pairs`` carries one
-    ``BitCost.TAG``-bit message.  Returns the receivers' inboxes, v ->
-    {sender: None} in sender order."""
-    to: Dict[int, Dict[int, None]] = defaultdict(dict)
-    for v, u in pairs:
-        to[v][u] = None
-    return exchange(g, cfg, ledger, name, dict.fromkeys(to), BitCost.TAG, to)
+           pairs: Iterable[Tuple[int, int]]) -> Dict[int, int]:
+    """One round of bare tokens: each distinct (sender, receiver) pair of
+    ``pairs`` carries one ``BitCost.TAG``-bit message, and a sender that
+    is not a vertex of g sends nothing.  The round is folded into
+    ``ledger`` as phase ``name``, one round iff a pair was sent.  Returns
+    receiver -> number of distinct senders, in no particular order; a
+    vertex that received nothing has no entry.  Rounds whose receivers
+    read who sent call :func:`exchange` instead.
+
+    ``cfg.check`` guarantees a budget of at least ``BitCost.TAG`` plus one
+    ID, so a token never exceeds it, and each pair is one message over its
+    edge: once the receivers are known to be neighbours the round can
+    violate nothing and is accounted at once with ``_bulk``.  A receiver
+    that is not the sender's neighbour raises the send step's SimError, at
+    the first such sender in ID order (its smallest such receiver), before
+    anything is accounted."""
+    cfg.check(g)
+    adj, edges = g.adj, g.edge_set
+    counts: Dict[int, int] = {}
+    bad = []
+    for v, u in set(pairs):
+        if v not in adj:
+            continue
+        if ((v, u) if v < u else (u, v)) not in edges:
+            bad.append((v, u))
+        counts[u] = counts.get(u, 0) + 1
+    if bad:
+        v, u = min(bad)
+        raise SimError(f"{name}: vertex {v} sent to non-neighbor {u}")
+    messages = sum(counts.values())
+    if messages:
+        _bulk(ledger, messages, BitCost.TAG)
+    rounds = 1 if messages else 0
+    ledger.rounds_used += rounds
+    ledger.per_phase.append((name, rounds))
+    return counts
 
 
 def connect(g: Graph, cfg: SimConfig, ledger: RoundLedger, H: Spanner, name: str,
@@ -129,22 +160,22 @@ def contacts(nbr_labels: Dict[int, Hashable], keep=None, skip=None) -> Dict[Hash
 # -- the local-maxima election -----------------------------------------------
 
 
-def unmarked_degree(g, cfg, ledger, names: Sequence[str], labels, nbr_labels,
-                    remaining, marked, up: Callable, self_report: bool):
-    """Ack step: every unmarked vertex acknowledges one neighbour in each
-    adjacent remaining tree (its own left out when members self-report),
-    and ``up`` sums per tree the acknowledgements its members received,
-    plus 1 per unmarked member when they self-report.  ``names`` are the
-    ack round's and the convergecast's phases."""
-    got = signal(g, cfg, ledger, names[0], (
-        (v, u) for v in g.vertices if v not in marked
-        for u in contacts(nbr_labels.get(v, {}), remaining,
-                          labels.get(v) if self_report else None).values()
+def unmarked_degree(g, cfg, ledger, names: Sequence[str], labels, near, unmarked,
+                    remaining, up: Callable, self_report: bool):
+    """Ack step: every vertex of ``unmarked`` acknowledges one neighbour
+    in each adjacent remaining tree, its contact there (``near``: vertex
+    -> {tree key: smallest neighbour in it}, its own tree left out when
+    members self-report), and ``up`` sums per tree the acknowledgements
+    its members received, plus 1 per unmarked member when they
+    self-report.  ``names`` are the ack round's and the convergecast's
+    phases."""
+    counts = signal(g, cfg, ledger, names[0], (
+        (v, u) for v in unmarked
+        for c, u in near.get(v, {}).items() if c in remaining
     ))
-    counts = {v: len(inbox) for v, inbox in got.items()}
     if self_report:
-        for v in labels:
-            if v not in marked:
+        for v in unmarked:
+            if v in labels:
                 counts[v] = counts.get(v, 0) + 1
     return up(names[1], counts)
 
@@ -162,11 +193,12 @@ def advertise(g, cfg, ledger, names: Sequence[str], labels, remaining,
 
 def announce_join(g, cfg, ledger, names: Sequence[str], joiners: Iterable,
                   down: Callable) -> Set[int]:
-    """Join step: ``down`` tells the joiners' members, and each tells all
-    its neighbours.  Returns those members and every vertex that heard one."""
+    """Join step: ``down`` tells the joiners' members, and each sends a
+    token to all its neighbours.  Returns those members and every vertex
+    that heard one."""
     know = down(names[0], {c: 1 for c in joiners})
     told = [v for v, x in know.items() if x]
-    got = signal(g, cfg, ledger, names[1], ((v, u) for v in told for u in g.adj[v]))
+    got = exchange(g, cfg, ledger, names[1], dict.fromkeys(told), BitCost.TAG)
     return set(told).union(got)
 
 
@@ -190,23 +222,29 @@ def elect(g: Graph, cfg: SimConfig, ledger: RoundLedger, *, steps: Sequence[str]
     own tree's tuple compete in its vote.  Every iteration appends one
     record to ``records`` (with ``sc_members`` of the joiners when
     ``members`` maps tree keys to vertices).  Returns the joined keys, the
-    remaining keys and the marked vertices."""
+    remaining keys and the marked vertices.
+
+    Each vertex's contacts are computed once, over every adjacent tree,
+    and each iteration keeps those of the remaining trees: the smallest
+    neighbour in a tree does not depend on which other trees remain, and
+    filtering keeps the order in which the trees were first seen."""
     remaining = set(remaining)
     joined: Set[Hashable] = set()
     marked: Set[int] = set()
+    unmarked = list(g.vertices)
+    near = {v: contacts(heard, None, labels.get(v) if self_report else None)
+            for v, heard in nbr_labels.items()}
     for it in count(1):
         if it > cap:
             raise SimTimeout(f"{where} phase {level} exceeded its iteration cap {cap}")
         names = [f"{s}.{it}" for s in steps]
-        deg = unmarked_degree(g, cfg, ledger, names[0:2], labels, nbr_labels,
-                              remaining, marked, up, self_report)
+        deg = unmarked_degree(g, cfg, ledger, names[0:2], labels, near, unmarked,
+                              remaining, up, self_report)
         know, got = advertise(g, cfg, ledger, names[2:4], labels, remaining,
                               deg, down, cbits)
         # every unmarked vertex votes for the largest (degree, key) it heard
         ballots, votes = [], {}
-        for v in g.vertices:
-            if v in marked:
-                continue
+        for v in unmarked:
             own = labels.get(v)
             best = sender = None
             if self_report and own in remaining:
@@ -222,8 +260,8 @@ def elect(g: Graph, cfg: SimConfig, ledger: RoundLedger, *, steps: Sequence[str]
                 votes[v] = 1
             else:
                 ballots.append((v, sender))
-        for v, inbox in signal(g, cfg, ledger, names[4], ballots).items():
-            votes[v] = votes.get(v, 0) + len(inbox)
+        for v, n in signal(g, cfg, ledger, names[4], ballots).items():
+            votes[v] = votes.get(v, 0) + n
         vote_sum = up(names[5], votes)
         new = {
             c for c in remaining
@@ -246,6 +284,7 @@ def elect(g: Graph, cfg: SimConfig, ledger: RoundLedger, *, steps: Sequence[str]
         joined |= new
         remaining -= new
         marked |= announce_join(g, cfg, ledger, names[6:8], new, down)
+        unmarked = [v for v in unmarked if v not in marked]
 
 
 # -- chunked ID streams ------------------------------------------------------

@@ -235,11 +235,9 @@ def sparser_bipartite_spanner(
 
 
 def _mark_announce(g, cfg, ledger, st, newly_marked_stars, nbr_marked, name):
-    """Vertices of newly marked stars tell their neighbors."""
-    got = signal(g, cfg, ledger, name, (
-        (v, u) for s in sorted(newly_marked_stars)
-        for v in st.star_vertices(s) for u in g.adj[v]
-    ))
+    """Vertices of newly marked stars send a token to all their neighbors."""
+    senders = [v for s in sorted(newly_marked_stars) for v in st.star_vertices(s)]
+    got = exchange(g, cfg, ledger, name, dict.fromkeys(senders), BitCost.TAG)
     for v, inbox in got.items():
         nbr_marked[v].update(inbox)
 
@@ -267,9 +265,8 @@ def _phase(g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i):
         )
     else:
         reps = _compute_reps(g, cfg, ledger, st, nbr_cluster, f"L{i}")
-        got = signal(g, cfg, ledger, f"bip-count:L{i}",
-                     (pair for s in stars for pair in reps[s].values()))
-        acks = {v: len(inbox) for v, inbox in got.items()}
+        acks = signal(g, cfg, ledger, f"bip-count:L{i}",
+                      (pair for s in stars for pair in reps[s].values()))
         deg = up(f"bip-deg:L{i}", acks, bound=max(2, 2 * g.n))
 
     joined: Set[int] = set()
@@ -304,9 +301,8 @@ def _phase(g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i):
             )
         else:
             # deltas: each newly marked star retracts one unit per cluster
-            got = signal(g, cfg, ledger, f"bip-delta:L{i}.{iterations}",
+            dec = signal(g, cfg, ledger, f"bip-delta:L{i}.{iterations}",
                          (pair for s in sorted(newly_marked) for pair in reps[s].values()))
-            dec = {v: len(inbox) for v, inbox in got.items()}
             drop = up(f"bip-deg-delta:L{i}.{iterations}", dec, bound=max(2, 2 * g.n))
             for c in remaining:
                 deg[c] -= drop.get(c, 0)
@@ -344,8 +340,7 @@ def _approx_degree(g, cfg, ledger, trace, st, cluster_of, marked, nbr_marked,
         unmarked = {u: s2 for u, s2 in st.nbr_star[leader].items()
                     if u not in nbr_marked[leader]}
         pairs.extend((leader, u) for u in contacts(unmarked, skip=leader).values())
-    got = signal(g, cfg, ledger, f"bip-type2:{label}", pairs)
-    acks = {v: len(inbox) for v, inbox in got.items()}
+    acks = signal(g, cfg, ledger, f"bip-type2:{label}", pairs)
     # members pass their ACK counts up to the leader (radius-1 gather)
     cbits = max(1, g.n.bit_length())
     to = {v: (s,) for s in st.stars() for v in st.members[s] if v in acks}
@@ -435,13 +430,14 @@ def _election(g, cfg, ledger, st, gtree, up, down, remaining, marked,
     for v, inbox in got3.items():  # a member hears its own leader only
         known_max[v] = inbox[st.star_of[v]]
     # ACK every neighbor whose tuple equals the star's maximum
-    acks = []
+    acks = {}
     for v in g.vertices:
         s = st.star_of.get(v)
         if s is None or s in marked or v not in known_max:
             continue
-        acks.extend((v, u) for u, t in heard.get(v, {}).items() if t == known_max[v])
-    got4 = signal(g, cfg, ledger, f"bip-vacks:{label}", acks)
+        acks[v] = [u for u, t in heard.get(v, {}).items() if t == known_max[v]]
+    got4 = exchange(g, cfg, ledger, f"bip-vacks:{label}", dict.fromkeys(acks),
+                    BitCost.TAG, acks)
     ok = {}
     for v, owed in tuple_sent.items():
         ackers = got4.get(v, {})

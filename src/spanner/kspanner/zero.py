@@ -21,7 +21,7 @@ from ..graph import Graph, Spanner, canon
 from ..primitives import grow_bfs_clusters, partition_tree, ruling_set_power
 from ..sim import RoundLedger, SimConfig, announce
 from ..spanner3 import Bipartition
-from .common import cluster_steps, ipow_ceil, unmarked_degree
+from .common import cluster_steps, contacts, ipow_ceil, unmarked_degree
 from .starbip import sparser_bipartite_spanner
 
 
@@ -42,10 +42,11 @@ def _cluster_expansion(g, cfg, ledger, clustering, label) -> Dict[int, int]:
         8 + g.id_bits,
     )
     up, _down = cluster_steps(g, cfg, ledger, clustering)
+    labels = clustering.membership
+    near = {v: contacts(heard, None, labels.get(v)) for v, heard in nbr_cluster.items()}
     return unmarked_degree(
         g, cfg, ledger, (f"zero-acks:{label}", f"zero-deg:{label}"),
-        clustering.membership, nbr_cluster, clustering.centers, set(), up,
-        self_report=True,
+        labels, near, g.vertices, clustering.centers, up, self_report=True,
     )
 
 

@@ -28,16 +28,17 @@ before every round they run:
 
 ``exchange`` is the one scripted round: each sender sends one message,
 of one width per round, to all its neighbours or to the receivers it
-names, and each receiver gets ``{sender: body}``.  ``announce`` and
-``kspanner.common.signal`` are its label and token shapes.
+names, and each receiver gets ``{sender: body}``.  ``announce`` is its
+label shape.  Token rounds whose receivers only count the senders go
+through ``kspanner.common.signal``, which returns the counts.
 
 Rounds that can violate nothing, because every message goes to a
 neighbour within the budget and one per edge, handle no message objects:
 ``_bulk`` folds each batch into the ledger at once.  These are the rounds
 of ``_relay`` and ``exchange`` within the budget (over it, each sender's
 outbox is posted); every forest pass over a clean ``primitives.Forest``,
-one walk over a schedule computed once; and the star rounds of the
-3-spanners and the chunked ID streams.
+one walk over a schedule computed once; the token rounds of ``signal``;
+and the star rounds of the 3-spanners and the chunked ID streams.
 """
 
 from __future__ import annotations
@@ -410,7 +411,7 @@ def _round_guard(cfg: SimConfig, name: str, rnd: int, silent: int,
                  callees: Iterable[int]) -> None:
     """Raise SimTimeout before round ``rnd`` calls ``callees`` if the round
     is past ``cfg.max_rounds`` or follows more than ``cfg.stall_limit``
-    consecutive rounds (``silent``) that carried no message."""
+    consecutive silent rounds (``silent``), as the caller counts them."""
     if rnd > cfg.max_rounds:
         raise SimTimeout(f"program {name!r} exceeded max_rounds={cfg.max_rounds}")
     if silent > cfg.stall_limit:
@@ -437,7 +438,11 @@ def _cascade(
     besides those, or returns None: the run ends at the first round that
     has no mail and for which the clock returns None (without a clock:
     once the mail runs out).  Before each round :func:`_round_guard`
-    applies the round cap and the stall guard.  Returns a fresh ledger
+    applies the round cap and the stall guard.  A round counts as silent
+    for the stall guard only if it called some vertex and none of them
+    sent: the idle rounds a clock keeps on schedule, which call nobody,
+    do not count, while vertices that are called and never send still
+    stall.  Returns a fresh ledger
     with one phase ``name``; ``rounds_used`` is the last round that
     carried a message."""
     cfg.check(g)
@@ -466,7 +471,7 @@ def _cascade(
         if next_in:
             ledger.rounds_used = rnd
             silent = 0
-        else:
+        elif callees:
             silent += 1
         inboxes = next_in
     ledger.per_phase.append((name, ledger.rounds_used))

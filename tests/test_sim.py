@@ -299,6 +299,25 @@ def test_stall_guard_raises():
         run(g, Sleeper(), SimConfig(stall_limit=50))
 
 
+def test_stall_counts_only_rounds_that_call_a_vertex():
+    # awake vertices that never send stall; a clock that calls nobody does not
+    g = generate("path", {"n": 3})
+    with pytest.raises(SimTimeout, match=r"^program 'sleeper' stalled: 3 vertices "):
+        run(g, Sleeper(), SimConfig(stall_limit=3))
+    calls = []
+
+    def step(v, rnd, inbox):
+        calls.append((v, rnd))
+
+    ledger = _cascade(g, SimConfig(stall_limit=3), "idle", (), step,
+                      lambda rnd: () if rnd <= 10 else None)
+    assert (calls, ledger.rounds_used) == ([], 0)
+    with pytest.raises(SimTimeout, match=r"^program 'idle' stalled: 1 vertices "):
+        _cascade(g, SimConfig(stall_limit=3), "idle", (), step,
+                 lambda rnd: (1,) if rnd <= 10 else None)
+    assert calls == [(1, r) for r in range(1, 5)]
+
+
 def test_max_rounds_names_program():
     g = generate("path", {"n": 3})
     with pytest.raises(SimTimeout, match="sleeper"):

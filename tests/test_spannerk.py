@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -21,10 +23,16 @@ from spanner import (
 )
 from spanner.cli import run_algorithm, stretch_bound
 from spanner.graph import Spanner
-from spanner.kspanner import starbip
+from spanner.kspanner import starbip, zero
 from spanner.graph import GraphError
-from spanner.kspanner.common import connect, contacts, ipow_ceil, signal
-from spanner.sim import Msg, NodeProgram, RoundLedger, SimError, default_bit_budget, run
+from spanner.kspanner.common import (
+    advertise, cluster_steps, connect, contacts, elect, ipow_ceil, signal,
+)
+from spanner.primitives import grow_bfs_clusters
+from spanner.sim import (
+    BitCost, Msg, NodeProgram, NodeView, RoundLedger, SimError, SimTimeout,
+    default_bit_budget,
+)
 
 
 def _crossing(g, a):
@@ -85,7 +93,6 @@ def test_naive_iteration_and_round_caps():
 
 def test_naive_iteration_cap_raises_sim_timeout(monkeypatch):
     from spanner.kspanner import naive
-    from spanner.sim import SimTimeout
 
     monkeypatch.setattr(naive, "_iteration_cap", lambda n, k, i: 0)
     with pytest.raises(SimTimeout, match="iteration cap 0"):
@@ -291,8 +298,12 @@ class RefStarBFS(NodeProgram):
                             (self.TAG_ADOPT, cid, hop))
                     for u in view.private.get("members", ()):
                         out[u] = m
-        done = rnd >= 3 * (self.depth + 1)
-        return out, done and not out
+        # stay awake only for what the next round brings without mail: the
+        # announcement after an adoption, the adoption of buffered offers
+        adopted = phase == 1 and state["cid"] is not None and not state["announced"]
+        waiting = (phase == 0 and state["cid"] is None and bool(state["buffer"])
+                   and state["leader"] == view.vid)
+        return out, not (adopted or waiting)
 
     def on_finish(self, state, view):
         return {
@@ -303,6 +314,12 @@ class RefStarBFS(NodeProgram):
 
 
 def ref_grow_star_clusters(g, cfg, ledger, st, centers, depth):
+    """Runs ``RefStarBFS`` through the round loop on the schedule's clock:
+    the centres in round 1, then the vertices with mail and those that did
+    not vote halt, through round 3(depth+1).  A vertex stays awake only
+    for work that comes without mail, so the loop calls the vertices that
+    act, and the stall guard, which counts only rounds that call some
+    vertex, sees the rounds it sees for the clocked BFS."""
     private = {}
     for v in g.vertices:
         s = st.star_of.get(v)
@@ -311,7 +328,20 @@ def ref_grow_star_clusters(g, cfg, ledger, st, centers, depth):
             "center": v in centers,
             "members": tuple(st.members.get(v, ())) if v == s else (),
         }
-    outputs, led = run(g, RefStarBFS(depth), cfg, private=private)
+    program, bits, budget = RefStarBFS(depth), BitCost(g), cfg.budget_for(g)
+    views = {v: NodeView(v, g.adj[v], private[v], bits, budget) for v in g.vertices}
+    states = {v: program.init(view) for v, view in views.items()}
+    awake = set()
+    last = 3 * (depth + 1)
+
+    def step(v, rnd, inbox):
+        outbox, halt = program.on_round(states[v], views[v], rnd, inbox)
+        (awake.discard if halt else awake.add)(v)
+        return outbox
+
+    led = sim._cascade(g, cfg, program.name, centers, step,
+                       lambda rnd: set(awake) if rnd <= last else None)
+    outputs = {v: program.on_finish(states[v], views[v]) for v in g.vertices}
     ledger.extend_sequential(led, name=f"star-bfs:d{depth}")
     cluster_of = {}
     uplinks = {}
@@ -357,25 +387,12 @@ def random_star_bfs_inputs(rng):
 
 
 def _star_bfs_outcome(call):
-    """The result, or the exception's type and text.  A stall names the
-    vertices the round loop calls, which differ between the two (the
-    program calls every vertex until its last round, the clock only the
-    ones that act), so a stall is compared by the round that raised it."""
-    rounds = []
-    guard = sim._round_guard
-
-    def record(cfg, name, rnd, silent, callees):
-        rounds.append(rnd)
-        guard(cfg, name, rnd, silent, callees)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sim, "_round_guard", record)
-        try:
-            return call()
-        except SimError as exc:
-            if "neither halt nor communicate" in str(exc):
-                return type(exc), "stalled in round", rounds[-1]
-            return type(exc), str(exc)
+    """The result, or the exception's type and text.  Both call the same
+    vertices in every round, so a stall names the same ones."""
+    try:
+        return call()
+    except SimError as exc:
+        return type(exc), str(exc)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -410,6 +427,24 @@ def test_star_bfs_matches_reference_program(seed):
         mp.setattr(starbip, "_grow_star_clusters", ref_grow_star_clusters)
         want = _star_bfs_outcome(build)
     assert _star_bfs_outcome(build) == want
+
+
+def test_star_bfs_idle_rounds_do_not_stall():
+    # K_{3,6} with no centres: the clock keeps the rounds through 3(depth+1)
+    # but calls no vertex, so a stall limit below that still lets it return
+    # on schedule, with the result it has without a limit
+    g = Graph(range(9), [(a, b) for a in range(3) for b in range(3, 9)])
+    state = starbip.StarState(g, {0, 1, 2}, set(range(3, 9)))
+    starbip._form_stars(g, SimConfig(), RoundLedger(), state, Spanner(g))
+
+    def grow(cfg):
+        ledger = RoundLedger()
+        got = starbip._grow_star_clusters(g, cfg, ledger, state, set(), 2)
+        return got, ledger.to_json()
+
+    assert grow(SimConfig(stall_limit=3)) == grow(SimConfig()) \
+        == (({0: None, 1: None, 2: None}, {}), RoundLedger().to_json()
+            | {"per_phase": [{"name": "star-bfs:d2", "rounds": 0}]})
 
 
 # -- zero superclustering -----------------------------------------------------
@@ -566,9 +601,7 @@ def test_signal_sends_one_token_per_pair_in_sender_order():
     ledger = RoundLedger()
     got = signal(g, SimConfig(), ledger, "acks",
                  [(3, 0), (1, 0), (3, 0), (0, 2), (2, 0)])
-    assert list(got[0].items()) == [(1, None), (2, None), (3, None)]
-    assert got[2] == {0: None}
-    assert 1 not in got and 3 not in got
+    assert got == {0: 3, 2: 1}  # the repeated (3, 0) counts once
     assert ledger.messages_total == 4
 
 
@@ -663,13 +696,26 @@ def _round_outcome(call, reference=False):
     return entries, ledger.to_json()
 
 
+def _count_outcome(call):
+    """The counts in receiver order and the ledger, or the exception's
+    type and text."""
+    ledger = RoundLedger(rounds_used=3, max_bits_seen=3, messages_total=5,
+                         per_phase=[("before", 3)])
+    try:
+        got = call(ledger)
+    except (SimError, KeyError) as exc:
+        return type(exc), str(exc)
+    return sorted(got.items()), ledger.to_json()
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.integers(0, 10**9))
 def test_announce_and_signal_match_posted_rounds(seed):
-    """``announce``, ``signal`` and ``exchange`` with chosen receivers
-    (the star-relay shape) return what the posted rounds return, minus the
-    vertices that received nothing, with the same ledger or the same
-    exception type and text: on graphs with n <= 12 and sparse IDs, in
+    """``announce`` and ``exchange`` with chosen receivers (the
+    star-relay shape) return what the posted rounds return, minus the
+    vertices that received nothing, and ``signal`` returns each receiver's
+    count of the senders the posted round delivers to it, with the same
+    ledger or the same exception type and text: on graphs with n <= 12 and sparse IDs, in
     strict and audit mode, at the budget floor and one bit below it, with
     labels and bodies narrower and wider than the budget, labels keyed by
     non-vertices, pairs and receiver lists with repeats, non-vertex
@@ -698,8 +744,13 @@ def test_announce_and_signal_match_posted_rounds(seed):
         else:
             u = rng.choice(ids + [98])
         pairs.append((v, u))
-    assert _round_outcome(lambda led: signal(g, cfg, led, "sig", pairs)) \
-        == _round_outcome(lambda led: ref_signal(g, cfg, led, "sig", pairs), True)
+
+    def ref_counts(led):
+        return {v: len(inbox) for v, inbox in
+                ref_signal(g, cfg, led, "sig", pairs).items() if inbox}
+
+    assert _count_outcome(lambda led: signal(g, cfg, led, "sig", pairs)) \
+        == _count_outcome(ref_counts)
     bodies = {v: rng.choice((v, (v, 2), "y")) for v in ids + [99] if rng.random() < 0.7}
     to = {}
     for v in ids + [99]:
@@ -720,6 +771,174 @@ def test_contacts_smallest_neighbour_per_tree():
     assert contacts(heard, skip="a") == {"b": 7, "c": 9}
     assert contacts(heard, keep={"a", "b"}, skip="b") == {"a": 3}
     assert contacts({}) == {}
+
+
+# -- the election against a copy that recomputes contacts every iteration ---
+
+
+def ref_token_inboxes(g, cfg, ledger, name, pairs):
+    """A token round that returns inboxes, v -> {sender: None}: one
+    ``exchange`` round with one token per distinct pair."""
+    to = defaultdict(dict)
+    for v, u in pairs:
+        to[v][u] = None
+    return sim.exchange(g, cfg, ledger, name, dict.fromkeys(to), BitCost.TAG, to)
+
+
+def ref_unmarked_degree(g, cfg, ledger, names, labels, nbr_labels, remaining,
+                        marked, up, self_report):
+    """Reference ack step: every unmarked vertex's contacts are computed
+    over the remaining trees in every call, and the acks are counted from
+    the inboxes."""
+    got = ref_token_inboxes(g, cfg, ledger, names[0], (
+        (v, u) for v in g.vertices if v not in marked
+        for u in contacts(nbr_labels.get(v, {}), remaining,
+                          labels.get(v) if self_report else None).values()
+    ))
+    counts = {v: len(inbox) for v, inbox in got.items()}
+    if self_report:
+        for v in labels:
+            if v not in marked:
+                counts[v] = counts.get(v, 0) + 1
+    return up(names[1], counts)
+
+
+def ref_elect(g, cfg, ledger, *, steps, labels, nbr_labels, remaining, threshold,
+              cap, up, down, self_report, cbits, records, where, level, members=None):
+    """Reference election: scans every vertex for the unmarked ones in
+    each step and reads the votes and the join tokens from inboxes."""
+    remaining = set(remaining)
+    joined, marked = set(), set()
+    for it in itertools.count(1):
+        if it > cap:
+            raise SimTimeout(f"{where} phase {level} exceeded its iteration cap {cap}")
+        names = [f"{s}.{it}" for s in steps]
+        deg = ref_unmarked_degree(g, cfg, ledger, names[0:2], labels, nbr_labels,
+                                  remaining, marked, up, self_report)
+        know, got = advertise(g, cfg, ledger, names[2:4], labels, remaining,
+                              deg, down, cbits)
+        ballots, votes = [], {}
+        for v in g.vertices:
+            if v in marked:
+                continue
+            own = labels.get(v)
+            best = sender = None
+            if self_report and own in remaining:
+                best = (know.get(v, 0), own)
+            for s, (d, c) in got.get(v, {}).items():
+                if best is None or (d, c) > best:
+                    best, sender = (d, c), s
+                elif (d, c) == best and sender is not None and s < sender:
+                    sender = s
+            if best is None:
+                continue
+            if self_report and best[1] == own:
+                votes[v] = 1
+            else:
+                ballots.append((v, sender))
+        for v, inbox in ref_token_inboxes(g, cfg, ledger, names[4], ballots).items():
+            votes[v] = votes.get(v, 0) + len(inbox)
+        vote_sum = up(names[5], votes)
+        new = {c for c in remaining if deg.get(c, 0) >= max(threshold, 1)
+               and vote_sum.get(c, 0) == deg.get(c, 0)}
+        record = {"where": where, "level": level, "iteration": it,
+                  "marked_before": frozenset(marked), "joined": sorted(new),
+                  "deg": {c: deg.get(c, 0) for c in sorted(new)}}
+        if members is not None:
+            record["sc_members"] = {c: frozenset(members[c]) for c in new}
+        records.append(record)
+        if not new:
+            return joined, remaining, marked
+        joined |= new
+        remaining -= new
+        know = down(names[6], {c: 1 for c in new})
+        told = [v for v, x in know.items() if x]
+        heard = ref_token_inboxes(g, cfg, ledger, names[7],
+                                  ((v, u) for v in told for u in g.adj[v]))
+        marked |= set(told).union(heard)
+
+
+def ref_cluster_expansion(g, cfg, ledger, clustering, label):
+    """Reference for ``zero._cluster_expansion`` over the reference ack step."""
+    nbr_cluster = sim.announce(g, cfg, ledger, f"zero-announce:{label}",
+                               clustering.membership, 8 + g.id_bits)
+    up, _down = cluster_steps(g, cfg, ledger, clustering)
+    return ref_unmarked_degree(
+        g, cfg, ledger, (f"zero-acks:{label}", f"zero-deg:{label}"),
+        clustering.membership, nbr_cluster, clustering.centers, set(), up, True)
+
+
+def random_election_inputs(rng):
+    """A graph on up to 14 sparse IDs; a BFS clustering of depth 0..2
+    around random centres, whose labels sometimes also name a few vertices
+    outside every tree (the join broadcast never reaches them, so their
+    neighbours can stay unmarked next to a joined tree); a random subset
+    of the trees remaining; and a strict or audit config at the budget
+    floor, where the tuples overrun it, or at a roomy budget."""
+    ids = sorted(rng.sample(range(60), rng.randint(1, 14)))
+    p = rng.choice((0.15, 0.3, 0.6))
+    g = Graph(ids, [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]
+                    if rng.random() < p])
+    floor = 8 + g.id_bits
+    centers = rng.sample(ids, rng.randint(1, len(ids)))
+    clustering, _led = grow_bfs_clusters(g, centers, rng.randint(0, 2),
+                                         SimConfig(msg_bit_budget=4 * floor))
+    labels = dict(clustering.membership)
+    if rng.random() < 0.4:
+        for v in ids:
+            if v not in labels and rng.random() < 0.5:
+                labels[v] = rng.choice(centers)
+    trees = sorted(clustering.centers)
+    remaining = rng.sample(trees, rng.randint(len(trees) // 2, len(trees)))
+    cfg = SimConfig(msg_bit_budget=rng.choice((floor, 4 * floor)),
+                    strict=rng.random() < 0.5)
+    return g, clustering, labels, remaining, cfg
+
+
+def _election_outcome(elect_impl, g, cfg, clustering, labels, kw):
+    """Joined, remaining and marked, the records and the ledger; or the
+    exception's type and text."""
+    ledger, records = RoundLedger(), []
+    try:
+        up, down = cluster_steps(g, cfg, ledger, clustering)
+        nbr_labels = sim.announce(g, cfg, ledger, "ann", labels, 8 + g.id_bits)
+        joined, remaining, marked = elect_impl(
+            g, cfg, ledger, labels=labels, nbr_labels=nbr_labels, up=up, down=down,
+            records=records, **kw)
+    except SimError as exc:
+        return type(exc), str(exc)
+    return sorted(joined), sorted(remaining), sorted(marked), records, ledger.to_json()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 10**9))
+def test_election_matches_per_iteration_contacts(seed):
+    """``elect``, which computes each vertex's contacts once and walks a
+    shrinking list of unmarked vertices, and ``zero._cluster_expansion``
+    give the same joined, remaining and marked sets, records and ledger,
+    or the same exception, as a copy that recomputes the contacts over the
+    remaining trees and scans every vertex in every iteration: members
+    self-reporting or not, with and without ``members``, iteration caps
+    that are hit and ones that are not."""
+    rng = random.Random(seed)
+    g, clustering, labels, remaining, cfg = random_election_inputs(rng)
+    kw = dict(steps=[f"step{i}" for i in range(8)], remaining=remaining,
+              threshold=rng.randint(0, 4), cap=rng.randint(0, 6),
+              self_report=rng.random() < 0.5, cbits=max(1, g.n.bit_length()),
+              where="test", level=1,
+              members=clustering.members() if rng.random() < 0.5 else None)
+    assert _election_outcome(elect, g, cfg, clustering, labels, kw) \
+        == _election_outcome(ref_elect, g, cfg, clustering, labels, kw)
+
+    def expansion(impl):
+        ledger = RoundLedger()
+        try:
+            deg = impl(g, cfg, ledger, clustering, "Z1")
+        except SimError as exc:
+            return type(exc), str(exc)
+        return deg, ledger.to_json()
+
+    assert expansion(zero._cluster_expansion) == expansion(ref_cluster_expansion)
 
 
 # -- baseline -----------------------------------------------------------------
