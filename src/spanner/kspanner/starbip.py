@@ -201,7 +201,15 @@ def sparser_bipartite_spanner(
     cfg: Optional[SimConfig] = None,
 ) -> SpannerRun:
     """(2k-1)-spanner of the A-to-B edges with O(k|A|^{1+2/k} + |B|) edges
-    (odd k: exponent 1 + 2/(k-1)).  Within-side edges are ignored."""
+    (odd k: exponent 1 + 2/(k-1)).  Within-side edges are ignored.
+
+    With at most one A vertex the build ends after star formation, in one
+    round.  Every B vertex then has exactly one A neighbour, so
+    ``_form_stars`` already puts every A-to-B edge into H; the edges a
+    later phase could still add are within-side edges, which the spanner
+    ignores (a low-expansion cover's instance holds none); and the phase
+    thresholds already read |A|, so every vertex of the instance is
+    assumed to know it.  The size bound is then just |B|."""
     if k < 2:
         raise ValueError("k must be >= 2")
     cfg = (cfg or SimConfig()).resolved(g)
@@ -220,7 +228,8 @@ def sparser_bipartite_spanner(
     _form_stars(g, cfg, ledger, st, H)
     trace["stars"] = {s: tuple(ms) for s, ms in st.members.items()}
     A = len(st.stars())
-    if A == 0:
+    if A <= 1:
+        trace["size"] = H.size
         return SpannerRun(H, ledger, trace)
 
     cluster_of: Dict[int, Optional[int]] = {s: s for s in st.stars()}

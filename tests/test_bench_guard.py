@@ -15,11 +15,14 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# workload -> (operations per pass, digest prefix at seed 0)
+# workload -> (operations per pass, digest prefix at seed 0).  The
+# fixture and cli-er2000 digests were re-pinned when one-vertex bipartite
+# covers began to end at star formation; short-runs builds no bipartite
+# cover, and its digest held.
 WORKLOADS = {
-    "fixture": (85, "fd5ebbf16187"),
+    "fixture": (85, "814a9c463816"),
     "short-runs": (380, "a70e2189d152"),
-    "cli-er2000": (2, "820127d252a6"),
+    "cli-er2000": (2, "ae2038946f80"),
 }
 
 

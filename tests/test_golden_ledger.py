@@ -112,6 +112,14 @@ GOLDEN = {
     # bip-star-max-up and bip-star-max-down)
     ("sparserbip-audit", 6, "rbip-16x80"):
         "4da961c4640f0ae7756a2663af2368be84c69f67d9f3a4b7ef8845725f5cac02",
+    # digests after one-vertex bipartite covers end at star formation:
+    # the low-expansion covers of paths and cycles are mostly one-vertex
+    # instances (path-100 takes 3 rounds, cycle-120 3; both took 24
+    # before, with the same edges)
+    ("improved", 4, "path-100"):
+        "04d29528f16163f20e95d3714ff3247afde27065a3ffc697cdb8abf7253dfcdc",
+    ("improved", 4, "cycle-120"):
+        "6407805a797fa7944b6e43f5b9ccfaa4d74e021c442ca384bc762a92ebe58f9a",
     # digests of the randomized comparator (seed 0) at the commit before
     # its scripted rounds moved onto the shared step helpers
     ("bs-baseline", 3, "er10-100"):

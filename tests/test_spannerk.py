@@ -210,6 +210,66 @@ def test_sparser_rejects_sides_outside_the_graph():
         sparser_bipartite_spanner(g, Bipartition([0, 2, 4], [1, 3, 5, 8, 7]), 2)
 
 
+@pytest.mark.parametrize("k", [3, 4, 6])
+def test_sparser_one_vertex_a_side_ends_at_star_formation(k):
+    # B = 1..7, of which 1..5 are next to the one A vertex; every B vertex
+    # next to it sends its choice once, over its one edge
+    g = Graph(range(9), [(0, b) for b in range(1, 6)] + [(6, 7)])
+    res = sparser_bipartite_spanner(g, Bipartition({0}, range(1, 8)), k)
+    assert res.ledger.rounds_used == 1
+    assert res.ledger.per_phase == [("star-formation", 1)]
+    assert res.ledger.messages_total == 5
+    assert res.spanner.edges == {(0, b) for b in range(1, 6)}
+    assert res.trace["size"] == 5
+    # a zero-vertex A side sends nothing
+    res = sparser_bipartite_spanner(g, Bipartition(set(), range(1, 8)), k)
+    assert res.ledger.rounds_used == 0 and res.ledger.messages_total == 0
+    assert res.spanner.size == res.trace["size"] == 0
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.data())
+def test_sparser_at_most_one_a_vertex_keeps_exactly_the_cross_edges(data):
+    """With |A| <= 1 the spanner is exactly the A-to-B edges, whatever the
+    B side's own edges, at the budget floor in strict mode and in audit
+    mode, with no violation recorded."""
+    ids = data.draw(st.lists(st.integers(0, 300), min_size=1, max_size=14,
+                             unique=True))
+    a = set(ids[:data.draw(st.integers(0, 1))])
+    b = [v for v in ids if v not in a]
+    cross = [(u, v) for u in a for v in b if data.draw(st.booleans())]
+    inner = [e for e in itertools.combinations(b, 2)
+             if data.draw(st.integers(0, 3)) == 0]
+    g = Graph(ids, cross + inner)
+    k = data.draw(st.integers(3, 6))
+    strict = data.draw(st.booleans())
+    cfg = SimConfig(strict=strict, msg_bit_budget=8 + g.id_bits)
+    res = sparser_bipartite_spanner(g, Bipartition(a, b), k, cfg)
+    assert res.spanner.edges == {tuple(sorted(e)) for e in cross}
+    assert res.ledger.rounds_used == (1 if cross else 0)
+    assert not res.ledger.violations
+    assert verify_stretch(_crossing(g, a), res.spanner, 2 * k - 1).passed
+
+
+def test_improved_one_vertex_covers_end_at_star_formation(monkeypatch):
+    # every one-vertex low-expansion cover of improved k=4 on a path and a
+    # grid stops after its star-formation round; larger covers go on
+    seen = []
+
+    def spy(g, part, k, cfg=None):
+        res = sparser_bipartite_spanner(g, part, k, cfg)
+        seen.append((len(part.a), [name for name, _r in res.ledger.per_phase]))
+        return res
+
+    monkeypatch.setattr(zero, "sparser_bipartite_spanner", spy)
+    for kind, params in (("path", {"n": 100}), ("grid", {"rows": 10, "cols": 10})):
+        g = generate(kind, params)
+        assert verify_stretch(g, improved_spanner(g, 4).spanner, 7).passed
+    assert 1 in {a for a, _names in seen} and max(a for a, _names in seen) > 1
+    for a, names in seen:
+        assert (names == ["star-formation"]) == (a <= 1), (a, names)
+
+
 # -- the star-graph BFS against the vertex program it replaces ---------------
 
 
