@@ -13,10 +13,8 @@ that tell who sent.  ``common.signal`` sends bare tokens to chosen
 neighbours and returns each receiver's count of senders, for the rounds
 that only count them; ``common.connect`` (the Baswana-Sen edge step: one
 edge per pick, and a token that tells the other end) is one.  Forest
-passes over clean trees within the budget and the round cap and every
-scripted round within the budget are accounted in bulk, without
-per-vertex sends; the other calls step through the simulator's send
-step."""
+passes and scripted rounds are accounted without per-vertex sends: in
+bulk within the budget, message by message over it."""
 
 from .naive import naive_spanner
 from .starbip import sparser_bipartite_spanner

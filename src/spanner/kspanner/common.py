@@ -18,9 +18,8 @@ Three kinds of step carry every scripted step of the constructions:
 plus ``contacts``, which picks the smallest-ID neighbour in each adjacent
 cluster.  None of them, nor the floods of ``primitives`` run between them
 (cluster growth, the power-graph ruling set), sends per-vertex messages
-when it cannot violate anything: a forest pass over a clean ``Forest``
-walks a precomputed schedule, and the rest are accounted at once
-(``sim._bulk``).  A scripted round returns only the vertices that
+when it cannot violate anything: a ``Forest`` pass walks a precomputed
+schedule, and all of them are accounted at once (``sim._bulk``).  A scripted round returns only the vertices that
 received something, so readers use ``.get``.  The local-maxima election
 that the cluster-by-cluster and the superclustered constructions run (and
 whose steps the star-graph and zero-level constructions reuse) is built

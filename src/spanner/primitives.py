@@ -4,19 +4,22 @@ Every wrapper is a pure function of (graph, inputs) and returns the
 assembled result together with the run's RoundLedger.  Cluster growth, the
 power-graph min-flood and hop-flood and the log-round ruling set are
 floods, run layer by layer on the host as relay floods (``sim._relay``,
-the last two through ``sim._flood``) and accounted in bulk within the
-budget.  The tree partition runs as ``sim._cascade`` steps.  The
-convergecast and the broadcast are the two methods of a ``Forest``, which
-checks its role table once and serves every call over those trees with
-one value per role: a call over a clean forest within the budget and the
-round cap is one walk over a schedule, accounted in bulk (``sim._bulk``);
-any other call runs as ``_cascade`` steps.
+the last two through ``sim._flood``).  The tree partition runs as
+``sim._cascade`` steps.  The convergecast and the broadcast are the two
+methods of a ``Forest``, which checks its role table once and rejects a
+table with a cycle or a tree edge outside the graph; every call over
+those trees reads and returns one value per role and is one walk over a
+schedule.  The floods and the forest passes are accounted in bulk
+(``sim._bulk``) within the budget and message by message
+(``sim._overrun``) over it.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from .clustering import Clustering, TreePart, TreePartition, WeightedTree, orient_tree
 from .graph import Graph, canon
@@ -26,10 +29,10 @@ from .sim import (
     RoundLedger,
     SimConfig,
     SimError,
-    SimTimeout,
     _bulk,
     _cascade,
     _flood,
+    _overrun,
     _relay,
     _round_guard,
 )
@@ -57,7 +60,7 @@ def grow_bfs_clusters(
     one hop distance, so it joins the largest center ID heard that round,
     with the first (smallest-ID) neighbor that relayed it as parent.  The
     rounds run as a relay flood (``sim._relay``): accounted in bulk within
-    the budget, else by posting each sender's outbox.
+    the budget, else message by message.
     """
     width = BitCost.TAG + g.id_bits + BitCost(g).counter(depth)
     adj = g.adj
@@ -159,14 +162,6 @@ def _check_roles(g: Graph, roles: RoleTable) -> Tuple[Dict[int, Dict[int, int]],
     return routes, entries
 
 
-def _stalled(name: str, stuck: List[int]) -> None:
-    """The mail ran out before every tree edge carried its one message."""
-    raise SimTimeout(
-        f"program {name!r} stalled: {len(stuck)} vertices (e.g. {stuck[:5]}) "
-        "wait for a tree message that never comes"
-    )
-
-
 def clustering_roles(clustering: Clustering) -> RoleTable:
     """A clustering as a forest keyed by center."""
     children = clustering.children()
@@ -177,25 +172,28 @@ def clustering_roles(clustering: Clustering) -> RoleTable:
 
 
 class Forest:
-    """The trees of one role table, checked once (``_check_roles`` raises
-    SimError unless they are edge-disjoint and both ends of every tree
-    edge agree on it), for ``aggregate``, the convergecast, and
-    ``broadcast`` to run over as often as needed.  Both passes read and
-    return one value per role: role r is ``role_keys[r]``, a (vertex, tree
-    key) pair in table order, v's roles are numbered from ``base[v]`` on,
-    and ``root_roles`` lists (role, tree key) for every root.
+    """The trees of one role table, checked once, for ``aggregate``, the
+    convergecast, and ``broadcast`` to run over as often as needed.  The
+    constructor raises SimError ("forest: ...") unless the trees are
+    edge-disjoint, both ends of every tree edge agree on it
+    (``_check_roles``), every tree edge is an edge of g, and no role lies
+    on or below a cycle.  Both passes read and return one value per role:
+    role r is ``role_keys[r]``, a (vertex, tree key) pair in table order,
+    v's roles are numbered from ``base[v]`` on, and ``root_roles`` lists
+    (role, tree key) for every root.
 
-    A pass over a clean forest (every tree edge in g, no cycle) within the
-    budget and the round cap can violate nothing (one message per tree
-    edge, to a neighbour, within the budget), so it runs as one walk over
-    its schedule and is accounted at once with ``_bulk``.  The broadcast's
-    schedule, built with the forest, lists every non-root role after its
-    parent's; the convergecast's, built by the first ``aggregate``, lists
-    every non-root role with its parent's by send round, then vertex ID (a
-    childless role sends in round 1, any other in the round after its last
-    child's report).  Every other call runs round by round through
-    ``_cascade``, whose send step raises or records each violation and
-    whose guards apply the round cap."""
+    A pass sends one message over every tree edge, to a neighbour, so it
+    runs as one walk over its schedule.  The broadcast's schedule, built
+    with the forest, lists every non-root role after its parent's; the
+    convergecast's, built by the first ``aggregate``, lists every non-root
+    role with its parent's by send round, then sender ID, then receiver
+    ID (a childless role sends in round 1, any other in the round after
+    its last child's report).  As in ``_cascade``, the config is checked
+    first and the round cap applies before round 1 and before the round
+    after the last send, which delivers the last messages.  Within the
+    budget the pass is accounted at once with ``_bulk``; over it, its
+    messages go through ``_overrun`` in (round, sender, receiver) order,
+    which raises or records each violation."""
 
     def __init__(self, g: Graph, roles: RoleTable):
         self.g = g
@@ -208,15 +206,16 @@ class Forest:
             self.role_keys.extend((v, key) for key, _p, _ch in rs)
         self.parent_of: List[Optional[int]] = []  # role -> the parent's role
         parent_of = self.parent_of
-        in_g = True
         for v, rs in roles.items():
-            for _key, parent, _ch in rs:
+            for key, parent, _ch in rs:
                 if parent is None:
                     parent_of.append(None)
-                else:
-                    parent_of.append(self.base[parent]
-                                     + self.routes.get(parent, NO_ROUTES).get(v, 0))
-                    in_g = in_g and g.has_edge(v, parent)
+                    continue
+                if not g.has_edge(v, parent):
+                    raise SimError(f"forest: tree edge ({v}, {parent}) of tree {key!r} "
+                                   "is not an edge of the graph")
+                parent_of.append(self.base[parent]
+                                 + self.routes.get(parent, NO_ROUTES).get(v, 0))
         self.root_roles = [(r, self.role_keys[r][1])
                            for r, p in enumerate(parent_of) if p is None]
         # broadcast: (parent's role, role), every role after its parent's
@@ -224,24 +223,30 @@ class Forest:
         for r, p in enumerate(parent_of):
             if p is not None:
                 children[p].append(r)
-        depth = [0] * len(parent_of)
+        self.depth = [0] * len(parent_of)
         self.down: List[Tuple[int, int]] = []
         reached = [r for r, _key in self.root_roles]
         for p in reached:
             for r in children[p]:
-                depth[r] = depth[p] + 1
+                self.depth[r] = self.depth[p] + 1
                 self.down.append((p, r))
                 reached.append(r)
-        self.down_rounds = max(depth, default=0)
-        # a role is reached from the roots exactly when no cycle lies above
-        # it; then no cycle lies below it either, so it has a send round
-        self.clean = in_g and len(reached) == len(parent_of)
-        self.up: Optional[List[Tuple[int, int]]] = None  # see _convergecast
+        # a role is reached from the roots exactly when no cycle lies above it
+        if len(reached) < len(parent_of):
+            seen = set(reached)
+            stuck = sorted({self.role_keys[r][0] for r in range(len(parent_of))
+                            if r not in seen})
+            raise SimError(f"forest: roles of vertices {stuck[:5]} lie on or below "
+                           "a cycle")
+        self.down_rounds = max(self.depth, default=0)
+        # (send round, sender, receiver, role, parent's role); see _convergecast
+        self.up: Optional[List[Tuple[int, int, int, int, int]]] = None
 
     def _convergecast(self) -> None:
-        """The convergecast's schedule: (role, parent's role) by send round,
-        then sender; ``ready`` grows while it is walked."""
-        parent_of = self.parent_of
+        """The convergecast's schedule: one (send round, sender, receiver,
+        role, parent's role) entry per non-root role, sorted; ``ready``
+        grows while it is walked."""
+        parent_of, keys = self.parent_of, self.role_keys
         waiting = [len(ch) for rs in self.roles.values() for _key, _p, ch in rs]
         latest = [0] * len(parent_of)  # the last send round of a role's children
         ready = [r for r, w in enumerate(waiting) if not w]
@@ -250,39 +255,36 @@ class Forest:
             p = parent_of[r]
             if p is not None:
                 rnd = latest[r] + 1
-                sends.append((rnd, self.role_keys[r][0], r, p))
+                sends.append((rnd, keys[r][0], keys[p][0], r, p))
                 if rnd > latest[p]:
                     latest[p] = rnd
                 waiting[p] -= 1
                 if not waiting[p]:
                     ready.append(p)
         sends.sort()
-        self.up = [(r, p) for _rnd, _v, r, p in sends]
+        self.up = sends
         self.up_rounds = sends[-1][0] if sends else 0
 
-    def _walks(self, cfg: SimConfig, width: int, rounds: int) -> bool:
-        """Whether a pass of ``rounds`` send rounds and ``width``-bit
-        messages runs as one walk over its schedule: the forest is clean,
-        the width is within the budget, and the round cap admits the round
-        after the last send, which ``_cascade`` runs to deliver the last
-        messages.  Checks the config first, as ``_cascade`` does."""
-        cfg.check(self.g)
-        return (self.clean and width <= cfg.budget_for(self.g)
-                and rounds < cfg.max_rounds)
-
-    def _walked(self, name: str, width: int, rounds: int) -> RoundLedger:
-        """The ledger of one walked pass: one message over every tree edge."""
+    def _pass(self, name: str, cfg: SimConfig, width: int, rounds: int,
+              sends: Callable[[], List[Tuple[int, int, int]]]) -> RoundLedger:
+        """The ledger of one pass of ``rounds`` send rounds that sends one
+        ``width``-bit message over every tree edge; ``sends()`` lists them
+        as (round, sender, receiver) triples in that order."""
+        g = self.g
+        cfg.check(g)
+        budget = cfg.budget_for(g)
         ledger = RoundLedger()
+        if self.role_keys:
+            _round_guard(cfg, name, 1, 0, ())
         if self.edges:
-            _bulk(ledger, self.edges, width)
+            if width > budget:
+                _overrun(g, cfg, ledger, name, sends(), width, budget)
+            else:
+                _bulk(ledger, self.edges, width)
+            _round_guard(cfg, name, rounds + 1, 0, ())
         ledger.rounds_used = rounds
         ledger.per_phase.append((name, rounds))
         return ledger
-
-    def _own(self, v: int, per_role: List) -> List:
-        """v's entries of a per-role list, in role order."""
-        b = self.base[v]
-        return per_role[b : b + len(self.roles[v])]
 
     def aggregate(
         self,
@@ -302,98 +304,47 @@ class Forest:
         because they are edge-disjoint.  ``bound`` caps the partial
         aggregates (default 2n+1).  A partial combines the role's own
         value with its children's reports in arrival order (round, then
-        sender ID) on either path.
+        sender ID).
         """
-        name = "forest-aggregate"
-        g, roles, routes, base = self.g, self.roles, self.routes, self.base
         fn = COMBINERS[combine]
-        bound = bound if bound is not None else max(2 * g.n + 1, 2)
-        width = BitCost.TAG + BitCost(g).counter(bound)
-        cfg = cfg or SimConfig()
-        acc = list(values)
+        bound = bound if bound is not None else max(2 * self.g.n + 1, 2)
+        width = BitCost.TAG + BitCost(self.g).counter(bound)
         if self.up is None:
             self._convergecast()
-        if self._walks(cfg, width, self.up_rounds):
-            for r, p in self.up:
-                acc[p] = fn(acc[p], acc[r])
-            return acc, self._walked(name, width, self.up_rounds)
-        left = [len(ch) for rs in roles.values() for _key, _p, ch in rs]
-
-        def step(v, rnd, inbox):
-            rs, b = roles[v], base[v]
-            out = {}
-            if not inbox:  # round 1, the only call without mail
-                for i, (_key, parent, children) in enumerate(rs):
-                    if not children and parent is not None:
-                        out[parent] = Msg(width, acc[b + i])
-                return out
-            by_edge = routes.get(v, NO_ROUTES)
-            for sender, x in inbox:
-                i = by_edge.get(sender, 0)
-                r = b + i
-                acc[r] = fn(acc[r], x)
-                left[r] -= 1
-                parent = rs[i][1]
-                if left[r] == 0 and parent is not None:
-                    out[parent] = Msg(width, acc[r])
-            return out
-
-        leaves = [v for v, rs in roles.items() if any(not r[2] for r in rs)]
-        ledger = _cascade(g, cfg, name, leaves, step)
-        if ledger.messages_total < self.edges:
-            _stalled(name, [v for v in roles if any(self._own(v, left))])
+        up = self.up
+        ledger = self._pass("forest-aggregate", cfg or SimConfig(), width, self.up_rounds,
+                            lambda: [s[:3] for s in up])
+        acc = list(values)
+        for _rnd, _v, _u, r, p in up:
+            acc[p] = fn(acc[p], acc[r])
         return acc, ledger
 
     def broadcast(
         self,
-        values: Sequence[Optional[int]],
+        values: Sequence[int],
         bound: Optional[int] = None,
         cfg: Optional[SimConfig] = None,
-    ) -> Tuple[List[Optional[int]], RoundLedger]:
+    ) -> Tuple[List[int], RoundLedger]:
         """Every root role r pushes ``values[r]`` down its tree (the other
         roles' entries are not read); returns every role's value in role
-        order.
+        order.  A root value of None raises ValueError before any round.
 
         A root sends in round 1, and every other tree vertex forwards the
         value, one ``8 + counter(bound)``-bit message per child, in the
-        round it arrives.  A root whose value is None sends nothing."""
-        name = "forest-broadcast"
-        g, roles, routes, base = self.g, self.roles, self.routes, self.base
-        bound = bound if bound is not None else max(2 * g.n + 1, 2)
-        width = BitCost.TAG + BitCost(g).counter(bound)
-        cfg = cfg or SimConfig()
-        got: List[Optional[int]] = [None] * len(self.role_keys)
-        for r, _key in self.root_roles:
+        round it arrives."""
+        got: List = [None] * len(self.role_keys)
+        for r, key in self.root_roles:
+            if values[r] is None:
+                raise ValueError(f"forest-broadcast: the root of tree {key!r} has no value")
             got[r] = values[r]
-        if (self._walks(cfg, width, self.down_rounds)
-                and all(got[r] is not None for r, _key in self.root_roles)):
-            for p, r in self.down:
-                got[r] = got[p]
-            return got, self._walked(name, width, self.down_rounds)
-
-        def step(v, rnd, inbox):
-            rs, b = roles[v], base[v]
-            out = {}
-            if not inbox:  # round 1, the only call without mail
-                for i, (_key, parent, children) in enumerate(rs):
-                    if parent is None and got[b + i] is not None:
-                        m = Msg(width, got[b + i])
-                        for c in children:
-                            out[c] = m
-                return out
-            by_edge = routes.get(v, NO_ROUTES)
-            for sender, x in inbox:
-                i = by_edge.get(sender, 0)
-                got[b + i] = x
-                m = Msg(width, x)
-                for c in rs[i][2]:
-                    out[c] = m
-            return out
-
-        roots = [v for v, rs in roles.items() if any(r[1] is None for r in rs)]
-        ledger = _cascade(g, cfg, name, roots, step)
-        if ledger.messages_total < self.edges:
-            _stalled(name, [v for v in roles if None in self._own(v, got)])
+        bound = bound if bound is not None else max(2 * self.g.n + 1, 2)
+        width = BitCost.TAG + BitCost(self.g).counter(bound)
+        depth, keys = self.depth, self.role_keys
+        ledger = self._pass("forest-broadcast", cfg or SimConfig(), width, self.down_rounds,
+                            lambda: sorted((depth[p] + 1, keys[p][0], keys[r][0])
+                                           for p, r in self.down))
+        for p, r in self.down:
+            got[r] = got[p]
         return got, ledger
 
 
@@ -485,8 +436,8 @@ def ruling_set_power(
     of it.  The hop-flood sends ``hop`` in ``8 + counter(3t-1)`` bits to
     every neighbor; a vertex forwards it once, in the round it first hears
     it.  Both run as relay floods (``sim._relay``, the hop-flood through
-    ``sim._flood``): accounted in bulk within the budget, else by posting
-    each sender's outbox.
+    ``sim._flood``): accounted in bulk within the budget, else message by
+    message.
     """
     if t < 1:
         raise ValueError("t must be >= 1")

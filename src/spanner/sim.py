@@ -8,23 +8,23 @@ a message.
 
 The send step, ``_post``, checks and accounts one vertex's outbox (bits,
 congestion, neighbours) as a whole and, if that check fails, falls back
-to a per-message loop that alone records or raises violations.  Two round
-loops call it, and both apply the round cap through ``_round_guard``
-before every round they run:
+to a per-message loop that alone records or raises violations.  One
+round loop calls it, ``_cascade``: it calls ``step(v, rnd, inbox)`` in ID
+order for the vertices with mail, those the caller names (round 1) and
+those an optional clock wakes, and applies the round cap and the stall
+guard through ``_round_guard`` before every round it runs.  :func:`run`
+adapts a :class:`NodeProgram` to it (hooks ``init(view)``,
+``on_round(state, view, rnd, inbox) -> (outbox, halt_vote)`` and
+``on_finish(state, view)``), with the vertices that have not voted halt
+as the clock.  The tree partition and the star-graph BFS of
+``kspanner.starbip`` run as step closures.
 
-* ``_cascade`` calls ``step(v, rnd, inbox)`` in ID order for the vertices
-  with mail, those the caller names (round 1) and those an optional clock
-  wakes, and also applies the stall guard.  :func:`run` adapts a
-  :class:`NodeProgram` to it (hooks ``init(view)``, ``on_round(state,
-  view, rnd, inbox) -> (outbox, halt_vote)`` and ``on_finish(state,
-  view)``), with the vertices that have not voted halt as the clock.  The
-  tree partition, the star-graph BFS of ``kspanner.starbip`` and every
-  forest pass that cannot be walked (see below) run as step closures.
-* ``_relay`` runs a relay flood layer by layer on the host: each sender
-  messages every neighbour but one it names, and the caller delivers the
-  round.  It carries cluster growth and the power-graph min-flood of
-  ``primitives`` and, through ``_flood``, the broadcast BFS floods of the
-  log-round ruling set and the power-graph hop-flood.
+``_relay`` runs a relay flood layer by layer on the host, with the round
+cap before every round it runs: each sender messages every neighbour but
+one it names, and the caller delivers the round.  It carries cluster
+growth and the power-graph min-flood of ``primitives`` and, through
+``_flood``, the broadcast BFS floods of the log-round ruling set and the
+power-graph hop-flood.
 
 ``exchange`` is the one scripted round: each sender sends one message,
 of one width per round, to all its neighbours or to the receivers it
@@ -35,10 +35,11 @@ through ``kspanner.common.signal``, which returns the counts.
 Rounds that can violate nothing, because every message goes to a
 neighbour within the budget and one per edge, handle no message objects:
 ``_bulk`` folds each batch into the ledger at once.  These are the rounds
-of ``_relay`` and ``exchange`` within the budget (over it, each sender's
-outbox is posted); every forest pass over a clean ``primitives.Forest``,
-one walk over a schedule computed once; the token rounds of ``signal``;
-and the star rounds of the 3-spanners and the chunked ID streams.
+of ``_relay``, ``exchange`` and every ``primitives.Forest`` pass (one
+walk over a schedule computed once) within the budget, over which
+``_overrun`` checks them message by message; the token rounds of
+``signal``; and the star rounds of the 3-spanners and the chunked ID
+streams.
 """
 
 from __future__ import annotations
@@ -243,6 +244,32 @@ def _bulk(ledger: RoundLedger, messages: int, width: int) -> None:
         ledger.per_round_edge_load = 1
 
 
+def _overrun(
+    g: Graph,
+    cfg: SimConfig,
+    ledger: RoundLedger,
+    name: str,
+    sends: Sequence[Tuple[int, int, int]],
+    bits: int,
+    budget: int,
+) -> None:
+    """The send step's per-message loop for one ``bits``-bit message over
+    the ``budget`` per (round, sender, receiver) triple of ``sends``, in
+    that order: a non-neighbour receiver raises SimError, and each message
+    raises BudgetError (strict) or is recorded; then :func:`_bulk`."""
+    adj = g.adj
+    for rnd, v, u in sends:
+        if u not in adj or u not in adj[v]:
+            raise SimError(f"{name}: vertex {v} sent to non-neighbor {u}")
+        rec = {"kind": "bits", "round": rnd, "edge": [v, u],
+               "bits": bits, "budget": budget, "program": name}
+        if cfg.strict:
+            raise BudgetError(str(rec))
+        ledger.violations.append(rec)
+    if sends:
+        _bulk(ledger, len(sends), bits)
+
+
 def _post(
     g: Graph,
     cfg: SimConfig,
@@ -263,9 +290,10 @@ def _post(
 
     An outbox of single in-budget messages to neighbours can violate
     nothing, so it is checked in bulk and accounted at once; any other
-    outbox takes the per-message loop, the only code that records
-    violations or raises.  Each receiver gets
-    one entry per sender either way, so inbox order is sender order."""
+    outbox takes the per-message loop, which records or raises each
+    violation (:func:`_overrun` does the same for single messages).  Each
+    receiver gets one entry per sender either way, so inbox order is
+    sender order."""
     nbrs, edges = g.adj[v], g.edge_set
     # bulk check: one Msg per edge, all within budget, all to neighbours
     top = 0
@@ -364,8 +392,10 @@ def exchange(
     and is accounted at once with :func:`_bulk`.  A receiver that is not
     the sender's neighbour raises the send step's SimError, at the first
     such sender in ID order (its smallest such receiver), before anything
-    is accounted.  Over the budget each sender's outbox goes through
-    :func:`_post` in ID order, which raises or records each violation."""
+    is delivered.  Over the budget the same messages, senders in ID order
+    and each one's distinct receivers in ID order, go through
+    :func:`_overrun` before delivery, which raises or records each
+    violation."""
     cfg.check(g)
     budget = cfg.budget_for(g)
     adj = g.adj
@@ -373,15 +403,11 @@ def exchange(
         to = adj
     heard: Dict[int, Dict[int, Any]] = defaultdict(dict)
     if bits > budget:
-        inboxes: Dict[int, List[Tuple[int, Any]]] = defaultdict(list)
-        for v in sorted(bodies):
-            targets = to.get(v) if v in adj else None
-            if targets:
-                outbox = dict.fromkeys(targets, Msg(bits, bodies[v]))
-                _post(g, cfg, budget, ledger, name, 1, v, outbox, inboxes)
-        for u, inbox in inboxes.items():
-            heard[u].update(inbox)
-    elif to is adj:
+        _overrun(g, cfg, ledger, name, [
+            (1, v, u) for v in sorted(bodies) if v in adj
+            for u in sorted(set(to.get(v) or ()))
+        ], bits, budget)
+    if to is adj:
         for v in sorted(bodies):
             body = bodies[v]
             for u in adj.get(v, ()):
@@ -488,10 +514,10 @@ def _relay(g: Graph, cfg: SimConfig, budget: int, ledger: RoundLedger, name: str
     and returns the next layer.  Returns the number of rounds that carried
     a message; ``ledger.rounds_used`` becomes the last of them.
 
-    A round within the budget sends one message per edge, to neighbours
-    only, so it can violate nothing and is accounted at once, as the bulk
-    check of :func:`_post` would account each outbox.  Over the budget
-    each sender's outbox goes through :func:`_post` in ID order, which
+    A round sends one message per edge, to neighbours only.  Within the
+    budget it can violate nothing and is accounted at once with
+    :func:`_bulk`.  Over the budget its messages, senders in ID order and
+    each one's receivers in ID order, go through :func:`_overrun`, which
     raises or records each violation as for a program.  As in
     :func:`_cascade`, ``first`` must name vertices, and the round cap
     applies before the first round (if any) and before the round after
@@ -506,23 +532,17 @@ def _relay(g: Graph, cfg: SimConfig, budget: int, ledger: RoundLedger, name: str
     sent = 0
     while layer and sent < limit:
         rnd = offset + sent + 1
+        messages = sum(map(len, map(adj.__getitem__, layer)))
+        if skip:
+            messages -= sum(skip.get(v) is not None for v in layer)
+        if not messages:
+            break
         if width <= budget:
-            messages = sum(map(len, map(adj.__getitem__, layer)))
-            if skip:
-                messages -= sum(skip.get(v) is not None for v in layer)
-            if not messages:
-                break
             _bulk(ledger, messages, width)
         else:
-            m, sink = Msg(width, None), defaultdict(list)  # nobody reads the bodies
-            sent_before = ledger.messages_total
-            for v in layer:
-                s = skip.get(v)
-                outbox = {u: m for u in adj[v] if u != s}
-                if outbox:
-                    _post(g, cfg, budget, ledger, name, rnd, v, outbox, sink)
-            if ledger.messages_total == sent_before:
-                break
+            _overrun(g, cfg, ledger, name, [
+                (rnd, v, u) for v in layer for u in adj[v] if u != skip.get(v)
+            ], width, budget)
         sent += 1
         ledger.rounds_used = rnd
         _round_guard(cfg, name, rnd + 1, 0, ())

@@ -5,8 +5,11 @@ sha256 over one JSON document of the three."""
 
 import hashlib
 import json
+import sys
 
 import pytest
+
+from spanner import sim
 
 from spanner import (
     Bipartition,
@@ -167,3 +170,20 @@ def test_star_rounds_and_id_streams_never_violate(name):
                     if v["program"] == "star-spanner"
                     or v["program"].startswith("bip-reps-")], alg
     assert builds["imp3"].ledger.violations
+
+
+def test_only_the_round_loop_posts(monkeypatch):
+    # the send step serves only ``sim._cascade`` (the tree partition and
+    # the star-graph BFS here): every other over-budget round of the
+    # improved-audit build, whose ledger holds thousands of violation
+    # records, is accounted through ``sim._overrun``
+    callers = set()
+    post = sim._post
+
+    def spy(*args):
+        callers.add(sys._getframe(1).f_code.co_name)
+        return post(*args)
+
+    monkeypatch.setattr(sim, "_post", spy)
+    _build("improved-audit", 6, "hyper-64")
+    assert callers == {"_cascade"}

@@ -292,6 +292,14 @@ def ref_forest_broadcast(g, roles, root_values, bound, cfg):
     return result, ledger
 
 
+def _stalled(name, stuck):
+    """The mail ran out before every tree edge carried its one message."""
+    raise SimTimeout(
+        f"program {name!r} stalled: {len(stuck)} vertices (e.g. {stuck[:5]}) "
+        "wait for a tree message that never comes"
+    )
+
+
 def cascade_forest_aggregate(g, roles, values, combine, bound, cfg):
     """Reference for ``Forest.aggregate``: the convergecast as a
     ``_cascade`` step, every round posted through the send step."""
@@ -323,7 +331,7 @@ def cascade_forest_aggregate(g, roles, values, combine, bound, cfg):
     leaves = [v for v, rs in roles.items() if any(not r[2] for r in rs)]
     ledger = sim._cascade(g, cfg or SimConfig(), name, leaves, step)
     if ledger.messages_total < edges:
-        primitives._stalled(name, [v for v, count in left.items() if any(count)])
+        _stalled(name, [v for v, count in left.items() if any(count)])
     result = {}
     for v, rs in roles.items():
         for (key, parent, _ch), x in zip(rs, acc[v]):
@@ -361,7 +369,7 @@ def cascade_forest_broadcast(g, roles, root_values, bound, cfg):
     roots = [v for v, rs in roles.items() if any(r[1] is None for r in rs)]
     ledger = sim._cascade(g, cfg or SimConfig(), name, roots, step)
     if ledger.messages_total < edges:
-        primitives._stalled(name, [v for v, known in got.items() if None in known])
+        _stalled(name, [v for v, known in got.items() if None in known])
     result = {v: {} for v in g.vertices}
     for v, rs in roles.items():
         result[v] = {key: x for (key, _p, _ch), x in zip(rs, got[v])}
@@ -371,7 +379,7 @@ def cascade_forest_broadcast(g, roles, root_values, bound, cfg):
 def random_forest(rng):
     """Up to four edge-disjoint trees on sparse IDs (n <= 14, IDs up to
     600) that may share vertices, sometimes a cycle of roles with a tree
-    hanging off it (a table that stalls), plus extra graph edges, random
+    hanging off it (a table the Forest rejects), plus extra graph edges, random
     contributions, a value bound that may overrun the budget, and a config
     that is strict or audit, with a tight or default budget and a small or
     default round cap.  Sometimes tree edges are left out of the graph.
@@ -445,30 +453,38 @@ def _outcome(call):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.integers(0, 10**9), st.sampled_from(("sum", "max", "min")))
 def test_forest_helpers_match_reference_programs(seed, combine):
-    """The scheduled convergecast and broadcast return the same outputs
-    (key order included, read through the role order), the same ledger
-    with its violation records, and the same exception type and text as
-    the ``_cascade`` steps they replace, on every table, stalling ones
-    included; and, where the vertex programs terminate (an acyclic table,
-    no None root value), as those programs.  One Forest runs each
-    direction twice, on two value sets, so no call leaves state behind
-    that the next one reads."""
+    """A table with a cycle or a tree edge outside g is rejected by the
+    Forest constructor, and a None root value by ``broadcast``.  On every
+    other draw the scheduled convergecast and broadcast return the same
+    outputs (key order included, read through the role order), the same
+    ledger with its violation records, and the same exception type and
+    text as the ``_cascade`` steps they replace and as the vertex
+    programs.  One Forest runs each direction twice, on two value sets,
+    so no call leaves state behind that the next one reads."""
     rng = random.Random(seed)
     g, roles, values, root_values, bound, cfg, acyclic = random_forest(rng)
     values2, root_values2 = random_values(rng, roles)
+    in_g = all(g.has_edge(v, p) for v, rs in roles.items() for _key, p, _ch in rs
+               if p is not None)
+    if not (acyclic and in_g):
+        with pytest.raises(SimError, match="^forest: "):
+            Forest(g, roles)
+        return
     forest = Forest(g, roles)
     for vals in (values, values2):
         got = _outcome(lambda: aggregate_by_key(forest, vals, combine, bound, cfg))
         assert got == _outcome(
             lambda: cascade_forest_aggregate(g, roles, vals, combine, bound, cfg))
-        if acyclic:
-            assert got == _outcome(
-                lambda: ref_forest_aggregate(g, roles, vals, combine, bound, cfg))
+        assert got == _outcome(
+            lambda: ref_forest_aggregate(g, roles, vals, combine, bound, cfg))
     for vals in (root_values, root_values2):
+        if None in vals.values():
+            with pytest.raises(ValueError, match="^forest-broadcast: the root of tree "):
+                broadcast_by_key(forest, vals, bound, cfg)
+            continue
         got = _outcome(lambda: broadcast_by_key(forest, vals, bound, cfg))
         assert got == _outcome(lambda: cascade_forest_broadcast(g, roles, vals, bound, cfg))
-        if acyclic and None not in vals.values():
-            assert got == _outcome(lambda: ref_forest_broadcast(g, roles, vals, bound, cfg))
+        assert got == _outcome(lambda: ref_forest_broadcast(g, roles, vals, bound, cfg))
 
 
 BROKEN_TABLES = {
@@ -493,22 +509,43 @@ def test_forest_role_table_checked(helper, text, monkeypatch):
     def no_rounds(*args):
         raise AssertionError("a round ran over a broken role table")
 
-    monkeypatch.setattr(primitives, "_cascade", no_rounds)
+    monkeypatch.setattr(primitives, "_bulk", no_rounds)
+    monkeypatch.setattr(primitives, "_overrun", no_rounds)
     with pytest.raises(SimError, match=f"^forest: .*{text}"):
         getattr(Forest(g, BROKEN_TABLES[text]), helper)([])
 
 
-def test_forest_stalls_once_mail_runs_out():
-    # a consistent table whose tree is a cycle: no role is a leaf or a root,
-    # so nothing is ever sent; the stall is reported before a round cap of 2
+def test_forest_rejects_cycles_and_tree_edges_outside_g():
+    # a consistent table whose tree is a cycle: no role is a leaf or a
+    # root, so no pass could ever deliver its messages
     g = generate("cycle", {"n": 3})
     roles = {0: [("a", 2, (1,))], 1: [("a", 0, (2,))], 2: [("a", 1, (0,))]}
-    cfg = SimConfig(max_rounds=2)
+    with pytest.raises(SimError, match=r"^forest: roles of vertices \[0, 1, 2\] lie on "
+                                       r"or below a cycle$"):
+        Forest(g, roles)
+    # a path tree 0-1-2 over a graph that lacks its edge (1, 2)
+    path = {0: [("a", None, (1,))], 1: [("a", 0, (2,))], 2: [("a", 1, ())]}
+    with pytest.raises(SimError, match=r"^forest: tree edge \(2, 1\) of tree 'a' is "
+                                       r"not an edge of the graph$"):
+        Forest(Graph(range(3), [(0, 1)]), path)
+
+
+def test_forest_overrun_records_in_round_sender_receiver_order():
+    # vertex 5 is a leaf in tree "a" (parent 9) and in tree "b" (parent
+    # 1): over the budget its two reports are recorded in receiver order,
+    # not in role order
+    g = Graph([1, 5, 9], [(1, 5), (5, 9)])
+    roles = {5: [("a", 9, ()), ("b", 1, ())], 9: [("a", None, (5,))],
+             1: [("b", None, (5,))]}
+    cfg = SimConfig(strict=False, msg_bit_budget=8 + g.id_bits)
     forest = Forest(g, roles)
-    with pytest.raises(SimTimeout, match="'forest-aggregate' stalled"):
-        forest.aggregate([0, 0, 0], cfg=cfg)
-    with pytest.raises(SimTimeout, match="'forest-broadcast' stalled"):
-        forest.broadcast([0, 0, 0], cfg=cfg)
+    agg, up = forest.aggregate([1, 2, 3, 4], bound=2**20, cfg=cfg)
+    got, down = forest.broadcast([0, 0, 7, 8], bound=2**20, cfg=cfg)
+    assert (agg, got) == ([1, 2, 4, 6], [7, 8, 7, 8])
+    for ledger, edges in ((up, [[5, 1], [5, 9]]), (down, [[1, 5], [9, 5]])):
+        assert (ledger.rounds_used, ledger.messages_total) == (1, 2)
+        assert [(rec["round"], rec["edge"]) for rec in ledger.violations] == \
+            [(1, edge) for edge in edges]
 
 
 @pytest.mark.parametrize("extra", [None, 0, 1])
