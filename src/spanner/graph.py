@@ -183,14 +183,6 @@ class Spanner:
     def size(self) -> int:
         return len(self.edges)
 
-    def adjacency(self) -> Dict[int, List[int]]:
-        """Adjacency restricted to spanner edges, over all base vertices."""
-        adj: Dict[int, List[int]] = {v: [] for v in self.base.vertices}
-        for u, v in sorted(self.edges):
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
-
     def __repr__(self):
         return f"Spanner({self.size} edges of {self.base!r})"
 
@@ -352,10 +344,17 @@ def with_random_weights(g: Graph, seed: int, lo: int = 1, hi: int = 9) -> Graph:
 #
 # Format: optional header "n=<int>" (vertices 0..n-1), "#" comments, one edge
 # per line "u v [w]".  Graphs whose vertex set is not contiguous from 0 save
-# their vertex list in a comment the loader recognizes, so save/load is the
+# their vertex list in a comment the loader recognizes, and each weight is
+# written as text that reads back as the same float, so save/load is the
 # identity for every graph.
 
 _VERTS_PREFIX = "# vertices:"
+
+
+def _weight_text(w: float) -> str:
+    """``:g`` text of w when it reads back as w, else the shortest that does."""
+    text = f"{w:g}"
+    return text if float(text) == w else repr(w)
 
 
 def save(g: Graph, path: str, edges: Optional[Iterable[Edge]] = None) -> None:
@@ -367,7 +366,7 @@ def save(g: Graph, path: str, edges: Optional[Iterable[Edge]] = None) -> None:
         lines.append(_VERTS_PREFIX + " " + " ".join(str(v) for v in g.vertices))
     for u, v in g.edges() if edges is None else edges:
         if g.weights is not None:
-            lines.append(f"{u} {v} {g.weights[(u, v)]:g}")
+            lines.append(f"{u} {v} {_weight_text(g.weights[(u, v)])}")
         else:
             lines.append(f"{u} {v}")
     with open(path, "w") as fh:

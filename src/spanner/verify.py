@@ -1,10 +1,12 @@
 """Centralized, algorithm-independent oracles and structural auditors.
 
 Everything here is computed solely from (graph, spanner) or from recorded
-structures; nothing reaches into algorithm internals.  Stretch checking
-runs a bidirectional hop search per graph edge missing from the spanner
-(weighted: a capped Dijkstra per source); a Floyd-Warshall all-pairs
-reference cross-validates it on small graphs.
+structures; nothing reaches into algorithm internals.  Unweighted stretch
+checking counts the spanner's own edges at once (stretch 1) and looks only
+at the graph edges the spanner leaves out: distances 2 and 3 by tests on
+the spanner's neighbour sets, longer ones by a bidirectional hop search.
+Weighted checking runs a capped Dijkstra per source.  A Floyd-Warshall
+all-pairs reference cross-validates both on small graphs.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def _check_subgraph(g: Graph, h: Spanner) -> None:
 
 
 def _hops(adj, s, t):
-    """Exact hop distance from s to t != s over adjacency lists, or None.
+    """Exact hop distance from s to t != s over neighbour sets, or None.
 
     Bidirectional search: grow the ball with the smaller frontier by one
     level until it touches the other frontier.  The two balls stay
@@ -100,11 +102,32 @@ def _dijkstra(adj, src, cap, wanted):
     return dist
 
 
+def _missing_hops(adj, s, t):
+    """Hop distance in the spanner between the endpoints of a missing edge
+    (s, t), over neighbour sets: 2 and 3 by set tests, beyond by search."""
+    ns, nt = adj[s], adj[t]
+    if not ns.isdisjoint(nt):
+        return 2
+    if len(ns) > len(nt):
+        ns, nt = nt, ns
+    for x in ns:
+        if not adj[x].isdisjoint(nt):
+            return 3
+    return _hops(adj, s, t)
+
+
 def verify_stretch(g: Graph, h: Spanner, t: float) -> StretchReport:
     """Exact per-edge stretch of g's edges inside the spanner h.
 
     Per spanner folklore, bounding the stretch of every graph edge bounds
     the stretch of every vertex pair, so the report quantifies over E(g).
+    Since H is a subgraph of g, its edges count at once with stretch 1; the
+    unweighted check visits only E(g) minus E(H), in sorted order: distance
+    2 is a disjointness test of the endpoints' neighbour sets in H,
+    distance 3 a test of the smaller endpoint's neighbours' sets against
+    the other endpoint's, and only longer distances run the bidirectional
+    search.  The histogram keeps the insertion order of a pass over the
+    sorted edges of g: key "1" sits where the smallest spanner edge falls.
     """
     _check_subgraph(g, h)
     hist: Dict[str, int] = {}
@@ -115,27 +138,41 @@ def verify_stretch(g: Graph, h: Spanner, t: float) -> StretchReport:
     slack = 1.0 + REL_TOL
 
     if not g.weighted:
-        adj = h.adjacency()
-        for src in g.vertices:
-            for u in g.adj[src]:
-                if u <= src:
-                    continue
-                checked += 1
-                d = 1 if (src, u) in h.edges else _hops(adj, src, u)
-                if d is None:
-                    unreachable += 1
-                    hist["inf"] = hist.get("inf", 0) + 1
-                    if not math.isinf(worst_val):
-                        worst, worst_val = (src, u), math.inf
-                else:
-                    hist[str(d)] = hist.get(str(d), 0) + 1
-                    if d > worst_val:
-                        worst_val, worst = float(d), (src, u)
+        missing = sorted(g.edge_set - h.edges)
+        # H's neighbour sets: g's, less the missing edges
+        adj = {v: set(ns) for v, ns in g.adj.items()}
+        for u, v in missing:
+            adj[u].discard(v)
+            adj[v].discard(u)
+        # the spanner edges all have stretch 1; the smallest one places key
+        # "1" in the histogram and is the worst edge until a missing one
+        first_kept = min(h.edges) if h.edges else None
+        if first_kept is not None:
+            worst_val, worst = 1.0, first_kept
+        for e in missing:
+            if first_kept is not None and e > first_kept:
+                hist["1"] = len(h.edges)
+                first_kept = None
+            d = _missing_hops(adj, *e)
+            if d is None:
+                unreachable += 1
+                hist["inf"] = hist.get("inf", 0) + 1
+                if not math.isinf(worst_val):
+                    worst, worst_val = e, math.inf
+            else:
+                hist[str(d)] = hist.get(str(d), 0) + 1
+                if d > worst_val:
+                    worst_val, worst = float(d), e
+        if first_kept is not None:
+            hist["1"] = len(h.edges)
+        checked = g.m
     else:
-        wadj = {
-            v: [(u, g.weight(v, u)) for u in nbrs]
-            for v, nbrs in h.adjacency().items()
-        }
+        wadj: Dict[int, List[Tuple[int, float]]] = {v: [] for v in g.vertices}
+        gw = g.weights
+        for u, v in h.edges:
+            w = gw[(u, v)]
+            wadj[u].append((v, w))
+            wadj[v].append((u, w))
         for src in g.vertices:
             targets = {u: g.weight(src, u) for u in g.adj[src] if u > src}
             if not targets:

@@ -119,6 +119,18 @@ def test_weighted_roundtrip(tmp_path):
     assert load(path) == g
 
 
+def test_weights_roundtrip_exactly(tmp_path):
+    # six significant digits would turn these into 1.23457e+06 and 1.23457
+    ws = [1234567.0, 1.2345678, 0.1, 1e-7, 2.0 ** 60, 1 / 3, 3.0]
+    g = Graph(range(len(ws) + 1), [(i, i + 1) for i in range(len(ws))],
+              {(i, i + 1): w for i, w in enumerate(ws)})
+    path = str(tmp_path / "exact.edges")
+    save(g, path)
+    assert load(path) == g
+    with open(path) as fh:
+        assert fh.read().splitlines()[-1] == "6 7 3"  # integers keep their text
+
+
 def test_malformed_line_reports_lineno(tmp_path):
     path = str(tmp_path / "bad.edges")
     with open(path, "w") as fh:

@@ -16,14 +16,20 @@ from spanner import (
     Supercluster,
     Superclustering,
     audit_superclustering,
+    baswana_sen_baseline,
+    bfs_dist,
     fit_bounds,
     fit_exponent,
     generate,
+    improved_3_spanner,
+    improved_spanner,
     verify_stretch,
     verify_stretch_allpairs,
     with_random_weights,
 )
+from spanner import cli, verify
 from spanner.clustering import Clustering
+from spanner.pins import corpus
 from spanner.verify import REL_TOL
 
 
@@ -239,10 +245,19 @@ def _ref_dijkstra(g, adj, src, cap, wanted):
     return dist
 
 
+def _sorted_adjacency(h):
+    """Spanner adjacency over all base vertices, neighbours in ID order."""
+    adj = {v: [] for v in h.base.vertices}
+    for u, v in sorted(h.edges):
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
 def ref_verify_stretch(g, h, t):
     """Reference: per-source capped BFS (weighted: Dijkstra) over the
     spanner, rerun uncapped for the targets beyond the cap."""
-    adj = h.adjacency()
+    adj = _sorted_adjacency(h)
     hist, worst, worst_val, unreachable, checked = {}, None, 0.0, 0, 0
     slack = 1.0 + REL_TOL
     for src in g.vertices:
@@ -304,3 +319,143 @@ def test_verify_stretch_matches_reference_and_allpairs(seed, t, weighted):
     assert rep == ref
     assert list(rep.histogram.items()) == list(ref.histogram.items())
     assert rep == verify_stretch_allpairs(g, h, t)
+
+
+def _assert_reports_agree(g, h, t, allpairs=True):
+    """verify_stretch equals the reference (and the Floyd-Warshall report),
+    field by field with the histogram's insertion order."""
+    rep = verify_stretch(g, h, t)
+    refs = [ref_verify_stretch(g, h, t)]
+    if allpairs:
+        refs.append(verify_stretch_allpairs(g, h, t))
+    for ref in refs:
+        assert rep == ref
+        assert list(rep.histogram.items()) == list(ref.histogram.items())
+    return rep
+
+
+def _spanner_of(g, edges):
+    h = Spanner(g)
+    for u, v in edges:
+        h.add(u, v, "kept")
+    return h
+
+
+@pytest.mark.parametrize("edges, kept, first_key", [
+    # triangle without its smallest edge: distance 2
+    ([(0, 1), (0, 2), (1, 2)], [(0, 2), (1, 2)], "2"),
+    # 4-cycle without its smallest edge: distance 3
+    ([(0, 1), (1, 2), (2, 3), (0, 3)], [(1, 2), (2, 3), (0, 3)], "3"),
+    # two components, the smaller edge left out: unreachable
+    ([(0, 1), (2, 3)], [(2, 3)], "inf"),
+])
+def test_smallest_edge_missing_orders_its_key_before_one(edges, kept, first_key):
+    g = Graph(range(4), edges)
+    rep = _assert_reports_agree(g, _spanner_of(g, kept), 3)
+    assert list(rep.histogram) == [first_key, "1"]
+    assert rep.worst_edge == (0, 1)
+
+
+def test_empty_spanner_every_edge_unreachable():
+    g = generate("cycle", {"n": 6})
+    rep = _assert_reports_agree(g, Spanner(g), 3)
+    assert rep.histogram == {"inf": 6} and rep.unreachable == 6
+    assert rep.worst_edge == (0, 1) and not rep.passed
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_graph_without_edges(n):
+    g = Graph(range(n), [])
+    rep = _assert_reports_agree(g, Spanner(g), 3)
+    assert rep.histogram == {} and rep.edges_checked == 0
+    assert rep.worst_edge is None and rep.max_stretch == 0.0 and rep.passed
+
+
+def test_spanner_equal_to_graph():
+    g = generate("erdos-renyi", {"n": 30, "p": 0.2}, seed=4)
+    rep = _assert_reports_agree(g, _full_spanner(g), 3)
+    assert rep.histogram == {"1": g.m}
+    assert rep.worst_edge == min(g.edge_set) and rep.max_stretch == 1.0
+
+
+def test_missing_edge_beyond_distance_three():
+    # 6-cycle without (2, 3): the detour 2-1-0-5-4-3 has five hops
+    g = generate("cycle", {"n": 6})
+    h = _spanner_of(g, [e for e in g.edges() if e != (2, 3)])
+    rep = _assert_reports_agree(g, h, 3)
+    assert list(rep.histogram.items()) == [("1", 5), ("5", 1)]
+    assert rep.worst_edge == (2, 3) and not rep.passed
+
+
+@pytest.mark.parametrize("args", [
+    ["--alg", "bip3", "--gen", "bip:a=8,b=30,p=0.3"],
+    ["--alg", "sparserbip", "--k", "4", "--gen", "bip:a=8,b=30,p=0.3"],
+])
+def test_bipartite_cli_checks_the_crossing_subgraph(tmp_path, monkeypatch, args):
+    """The CLI verifies a bipartite spanner against the crossing subgraph,
+    a different Graph object than the spanner's base."""
+    calls = []
+
+    def checked(g, h, t):
+        calls.append((g, h))
+        return _assert_reports_agree(g, h, t)
+
+    monkeypatch.setattr(cli, "verify_stretch", checked)
+    assert cli.main(["run", *args, "--out", str(tmp_path / "b")]) == 0
+    [(g, h)] = calls
+    assert h.base is not g and h.edges <= g.edge_set
+
+
+@pytest.fixture(scope="module")
+def large_spanners():
+    """Graphs above the Floyd-Warshall size: the corpus graph with n >= 300
+    and a denser one on which imp3 leaves edges out, each with imp3,
+    improved k=3 and the Baswana-Sen baseline at k=4."""
+    graphs = [
+        ("er02-300", dict(corpus())["er02-300"]),
+        ("er05-400", generate("erdos-renyi", {"n": 400, "p": 0.05}, seed=0)),
+    ]
+    out = []
+    for name, g in graphs:
+        out.append((f"imp3:{name}", g, improved_3_spanner(g).spanner, 3))
+        out.append((f"improved-k3:{name}", g, improved_spanner(g, 3).spanner, 5))
+        out.append((f"bs-k4:{name}", g, baswana_sen_baseline(g, 4, seed=0).spanner, 7))
+    return out
+
+
+def test_large_spanners_match_reference(large_spanners):
+    far = 0
+    for label, g, h, t in large_spanners:
+        assert g.n >= 300, label
+        rep = _assert_reports_agree(g, h, t, allpairs=False)
+        far += sum(c for key, c in rep.histogram.items() if key != "inf" and int(key) >= 4)
+    assert far > 0  # some missing edge needs the search beyond distance 3
+
+
+def test_hops_runs_only_for_missing_edges_beyond_distance_three(
+    large_spanners, monkeypatch
+):
+    """Counting guard: the bidirectional search runs once per missing edge
+    at distance >= 4 or unreachable, never for a spanner edge."""
+    calls = []
+    real = verify._hops
+
+    def counted(adj, s, t):
+        calls.append((s, t))
+        return real(adj, s, t)
+
+    monkeypatch.setattr(verify, "_hops", counted)
+    for label, g, h, t in large_spanners:
+        if not label.startswith("bs-k4:"):
+            continue
+        hg = Graph(g.vertices, h.edges)
+        expected = []
+        for u, v in sorted(g.edge_set - h.edges):
+            d = bfs_dist(hg, u).get(v)
+            if d is None or d >= 4:
+                expected.append((u, v))
+        assert expected, label
+        calls.clear()
+        verify_stretch(g, h, t)
+        assert calls == expected, label
+        assert not set(calls) & h.edges
