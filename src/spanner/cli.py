@@ -166,6 +166,7 @@ def cmd_run(args) -> int:
         strict=not args.audit,
         max_rounds=args.max_rounds,
     )
+    cfg.check(g)  # also where a construction would run no round
     result = run_algorithm(alg, g, k, cfg, args.seed, gen_kind, gen_params)
     bound = stretch_bound(alg, k)
     if alg == "zerosc":
@@ -234,7 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--msg-bits", type=int, default=None)
     r.add_argument("--audit", action="store_true",
                    help="record budget violations instead of failing")
-    r.add_argument("--max-rounds", type=int, default=1_000_000)
+    r.add_argument("--max-rounds", type=int, default=1_000_000,
+                   help="round cap of every phase: a phase whose last message goes "
+                        "out in round R needs R < MAX_ROUNDS (at least 1; exit 4 "
+                        "otherwise)")
     r.add_argument("--out", required=True, help="output path base")
     r.set_defaults(fn=cmd_run)
 

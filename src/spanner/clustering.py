@@ -68,6 +68,14 @@ class Clustering:
             canon(v, p) for v, p in self.parents.items() if p is not None
         }
 
+    def tree_edges_by_center(self) -> Dict[int, FrozenSet[Edge]]:
+        """Each cluster's tree edges, keyed by its center, in one scan."""
+        by_center: Dict[int, List[Edge]] = {c: [] for c in self.membership.values()}
+        for v, p in self.parents.items():
+            if p is not None:
+                by_center[self.membership[v]].append(canon(v, p))
+        return {c: frozenset(es) for c, es in by_center.items()}
+
     def children(self) -> Dict[int, List[int]]:
         ch: Dict[int, List[int]] = {v: [] for v in self.membership}
         for v, p in self.parents.items():

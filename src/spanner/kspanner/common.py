@@ -19,8 +19,10 @@ plus ``contacts``, which picks the smallest-ID neighbour in each adjacent
 cluster.  None of them, nor the floods of ``primitives`` run between them
 (cluster growth, the power-graph ruling set), sends per-vertex messages
 when it cannot violate anything: a ``Forest`` pass walks a precomputed
-schedule, and all of them are accounted at once (``sim._bulk``).  A scripted round returns only the vertices that
-received something, so readers use ``.get``.  The local-maxima election
+schedule, and every step, the chunked ID streams included, is charged to
+the ledger whole by ``sim._charge``, under the simulator's one round-cap
+rule.  A scripted round returns only the vertices that received
+something, so readers use ``.get``.  The local-maxima election
 that the cluster-by-cluster and the superclustered constructions run (and
 whose steps the star-graph and zero-level constructions reuse) is built
 from these steps, with each vertex's contacts computed once per
@@ -39,7 +41,7 @@ from ..clustering import Clustering
 from ..graph import Graph, Spanner
 from ..primitives import Forest, RoleTable, clustering_roles
 from ..sim import (
-    BitCost, RoundLedger, SimConfig, SimError, SimTimeout, _bulk, announce, exchange,
+    BitCost, RoundLedger, SimConfig, SimError, SimTimeout, _charge, announce, exchange,
 )
 
 TAG_IDS, TAG_END = range(2)
@@ -99,7 +101,7 @@ def signal(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
            pairs: Iterable[Tuple[int, int]]) -> Dict[int, int]:
     """One round of bare tokens: each distinct (sender, receiver) pair of
     ``pairs`` carries one ``BitCost.TAG``-bit message, and a sender that
-    is not a vertex of g sends nothing.  The round is folded into
+    is not a vertex of g sends nothing.  The round is charged to
     ``ledger`` as phase ``name``, one round iff a pair was sent.  Returns
     receiver -> number of distinct senders, in no particular order; a
     vertex that received nothing has no entry.  Rounds whose receivers
@@ -108,10 +110,10 @@ def signal(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
     ``cfg.check`` guarantees a budget of at least ``BitCost.TAG`` plus one
     ID, so a token never exceeds it, and each pair is one message over its
     edge: once the receivers are known to be neighbours the round can
-    violate nothing and is accounted at once with ``_bulk``.  A receiver
+    violate nothing and is charged in bulk (``sim._charge``).  A receiver
     that is not the sender's neighbour raises the send step's SimError, at
     the first such sender in ID order (its smallest such receiver), before
-    anything is accounted."""
+    the round is charged."""
     cfg.check(g)
     adj, edges = g.adj, g.edge_set
     counts: Dict[int, int] = {}
@@ -126,11 +128,7 @@ def signal(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
         v, u = min(bad)
         raise SimError(f"{name}: vertex {v} sent to non-neighbor {u}")
     messages = sum(counts.values())
-    if messages:
-        _bulk(ledger, messages, BitCost.TAG)
-    rounds = 1 if messages else 0
-    ledger.rounds_used += rounds
-    ledger.per_phase.append((name, rounds))
+    _charge(g, cfg, ledger, name, 1 if messages else 0, messages, BitCost.TAG)
     return counts
 
 
@@ -299,18 +297,18 @@ def _stream(
     """Stream every ID list ``lists[v][u]`` from vertex v to its neighbor u
     as (TAG_IDS, ids) chunks of per_msg IDs, as many as fit the budget
     after the tag (at least one), followed by one (TAG_END,) marker,
-    message r of every stream in round r, and fold the rounds into
+    message r of every stream in round r, and charge the rounds to
     ``ledger`` as one phase ``name``.
     Returns the receivers' inboxes, v -> [(sender, body)] in round, then
     sender order; a vertex that received nothing has no entry.
 
     The phase lasts as long as the longest stream, and a stream of L IDs
-    costs ceil(L / per_msg) + 1 messages.  They are accounted in bulk,
-    because no round can violate anything: each chunk fits the budget by
-    construction, and every edge carries one message per round.  A target
-    that is not a neighbor raises the send step's SimError, at the first
-    such (sender, target) pair in ID order; a sender that is not a vertex
-    of g sends nothing."""
+    costs ceil(L / per_msg) + 1 messages.  They are charged in bulk
+    (``sim._charge``), because no round can violate anything: each chunk
+    fits the budget by construction, and every edge carries one message
+    per round.  A target that is not a neighbor raises the send step's
+    SimError, at the first such (sender, target) pair in ID order; a
+    sender that is not a vertex of g sends nothing."""
     cfg.check(g)
     bits = BitCost(g)
     per_msg = max(1, (cfg.budget_for(g) - BitCost.TAG) // bits.id_bits)
@@ -338,10 +336,8 @@ def _stream(
     for rnd in by_round:
         for v, u, body in rnd:
             got[u].append((v, body))
-    if messages:
-        _bulk(ledger, messages, BitCost.TAG + min(longest, per_msg) * bits.id_bits)
-    ledger.rounds_used += len(by_round)
-    ledger.per_phase.append((name, len(by_round)))
+    _charge(g, cfg, ledger, name, len(by_round), messages,
+            BitCost.TAG + min(longest, per_msg) * bits.id_bits)
     return got
 
 

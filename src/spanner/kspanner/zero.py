@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..clustering import Clustering, Supercluster, Superclustering, WeightedTree
-from ..graph import Graph, Spanner, canon
+from ..graph import Graph, Spanner
 from ..primitives import grow_bfs_clusters, partition_tree, ruling_set_power
 from ..sim import RoundLedger, SimConfig, announce
 from ..spanner3 import Bipartition
@@ -145,15 +145,12 @@ def cons_zero_superclustering(
     # splitting clusters that grew past sqrt(n) vertices
     bound = max(1, math.ceil(math.sqrt(n)))
     members = clustering.members()
+    trees = clustering.tree_edges_by_center()
     superclusters: List[Supercluster] = []
     part_ledgers: List[RoundLedger] = []
     for c in sorted(members):
         vs = members[c]
-        tree_edges = frozenset(
-            canon(v, p)
-            for v, p in clustering.parents.items()
-            if p is not None and clustering.membership[v] == c
-        )
+        tree_edges = trees[c]
         if len(vs) < bound:
             superclusters.append(
                 Supercluster(

@@ -9,9 +9,11 @@ the last two through ``sim._flood``).  The tree partition runs as
 methods of a ``Forest``, which checks its role table once and rejects a
 table with a cycle or a tree edge outside the graph; every call over
 those trees reads and returns one value per role and is one walk over a
-schedule.  The floods and the forest passes are accounted in bulk
-(``sim._bulk``) within the budget and message by message
-(``sim._overrun``) over it.
+schedule, charged whole by ``sim._charge``.  The floods and the forest
+passes are accounted in bulk within the budget and message by message
+over it, and all of them follow the simulator's one round-cap rule: a
+phase whose last message goes out in round R raises SimTimeout when
+R >= ``max_rounds``.
 """
 
 from __future__ import annotations
@@ -29,12 +31,10 @@ from .sim import (
     RoundLedger,
     SimConfig,
     SimError,
-    _bulk,
     _cascade,
+    _charge,
     _flood,
-    _overrun,
     _relay,
-    _round_guard,
 )
 
 # ---------------------------------------------------------------------------
@@ -188,12 +188,11 @@ class Forest:
     convergecast's, built by the first ``aggregate``, lists every non-root
     role with its parent's by send round, then sender ID, then receiver
     ID (a childless role sends in round 1, any other in the round after
-    its last child's report).  As in ``_cascade``, the config is checked
-    first and the round cap applies before round 1 and before the round
-    after the last send, which delivers the last messages.  Within the
-    budget the pass is accounted at once with ``_bulk``; over it, its
-    messages go through ``_overrun`` in (round, sender, receiver) order,
-    which raises or records each violation."""
+    its last child's report).  The config is checked first, and each pass
+    is charged whole (``sim._charge``): within the budget at once, over
+    it with its messages in (round, sender, receiver) order, each of
+    which raises or leaves a violation record; then the round cap
+    applies to its last send round."""
 
     def __init__(self, g: Graph, roles: RoleTable):
         self.g = g
@@ -270,20 +269,9 @@ class Forest:
         """The ledger of one pass of ``rounds`` send rounds that sends one
         ``width``-bit message over every tree edge; ``sends()`` lists them
         as (round, sender, receiver) triples in that order."""
-        g = self.g
-        cfg.check(g)
-        budget = cfg.budget_for(g)
+        cfg.check(self.g)
         ledger = RoundLedger()
-        if self.role_keys:
-            _round_guard(cfg, name, 1, 0, ())
-        if self.edges:
-            if width > budget:
-                _overrun(g, cfg, ledger, name, sends(), width, budget)
-            else:
-                _bulk(ledger, self.edges, width)
-            _round_guard(cfg, name, rounds + 1, 0, ())
-        ledger.rounds_used = rounds
-        ledger.per_phase.append((name, rounds))
+        _charge(self.g, cfg, ledger, name, rounds, self.edges, width, sends)
         return ledger
 
     def aggregate(
@@ -369,9 +357,8 @@ def ruling_set_log(
     rounds 4L+1..4L+4 (3 hops + 1 receive-only), so the whole run is
     O(log n) rounds with one message per edge per round.
 
-    Every candidate keeps the phase clock for all 4 * id_bits rounds, so
-    the round loop's round cap and stall guard (``sim._round_guard``)
-    apply to every round of that schedule.
+    Each level is one broadcast flood (``sim._flood``) at offset 4L, so
+    the round cap applies to the last round that sends.
     """
     name = "ruling-set-log"
     cand = set(candidates)
@@ -387,19 +374,11 @@ def ruling_set_log(
     ledger = RoundLedger()
     levels = g.id_bits
     active = cand
-    silent = 0  # consecutive rounds that carried no message
     for level in range(levels):
         bit = levels - 1 - level
-        offset = 4 * level
-        for rnd in range(offset + 1, offset + 5):
-            # after a silent round nobody has mail, so the vertices called
-            # are the active candidates
-            _round_guard(cfg, name, rnd, silent, active)
-            if rnd == offset + 1:
-                zeros = [v for v in active if not v >> bit & 1]
-                heard, sent = _flood(g, cfg, budget, ledger, name, zeros, 3, width, offset)
-                active = {v for v in active if not (v >> bit & 1 and v in heard)}
-            silent = 0 if rnd - offset <= sent else silent + 1
+        zeros = [v for v in active if not v >> bit & 1]
+        heard = _flood(g, cfg, budget, ledger, name, zeros, 3, width, 4 * level)[0]
+        active = {v for v in active if not (v >> bit & 1 and v in heard)}
     ledger.per_phase.append((name, ledger.rounds_used))
     return active, ledger
 

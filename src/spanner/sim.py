@@ -6,40 +6,41 @@ Execution is bit-deterministic: vertices act in ID order, so every inbox
 arrives sorted by sender.  ``rounds_used`` is the last round that carried
 a message.
 
+One round-cap rule holds for every phase, run or scripted (``_cap``): a
+phase whose last message goes out in round R needs round R+1 to deliver
+it, so it raises SimTimeout when R >= ``max_rounds``, and a cap below 1
+is rejected up front.
+
 The send step, ``_post``, checks and accounts one vertex's outbox (bits,
 congestion, neighbours) as a whole and, if that check fails, falls back
 to a per-message loop that alone records or raises violations.  One
 round loop calls it, ``_cascade``: it calls ``step(v, rnd, inbox)`` in ID
 order for the vertices with mail, those the caller names (round 1) and
-those an optional clock wakes, and applies the round cap and the stall
-guard through ``_round_guard`` before every round it runs.  :func:`run`
-adapts a :class:`NodeProgram` to it (hooks ``init(view)``,
+those an optional clock wakes, and before every round it runs applies
+the round cap and a guard against ``STALL_LIMIT`` silent rounds.
+:func:`run` adapts a :class:`NodeProgram` to it (hooks ``init(view)``,
 ``on_round(state, view, rnd, inbox) -> (outbox, halt_vote)`` and
 ``on_finish(state, view)``), with the vertices that have not voted halt
 as the clock.  The tree partition and the star-graph BFS of
 ``kspanner.starbip`` run as step closures.
 
-``_relay`` runs a relay flood layer by layer on the host, with the round
-cap before every round it runs: each sender messages every neighbour but
+``_relay`` runs a relay flood layer by layer on the host, with the cap
+after every round that sends: each sender messages every neighbour but
 one it names, and the caller delivers the round.  It carries cluster
 growth and the power-graph min-flood of ``primitives`` and, through
 ``_flood``, the broadcast BFS floods of the log-round ruling set and the
-power-graph hop-flood.
+power-graph hop-flood.  Every other host-scheduled phase knows its
+rounds in advance and is charged whole by ``_charge``: ``exchange``, the
+one scripted round (each sender sends one message to all its neighbours
+or to the receivers it names, and each receiver gets ``{sender:
+body}``; ``announce`` is its label shape), the token rounds of
+``kspanner.common.signal``, the chunked ID streams, every
+``primitives.Forest`` pass and the star rounds of the 3-spanners.
 
-``exchange`` is the one scripted round: each sender sends one message,
-of one width per round, to all its neighbours or to the receivers it
-names, and each receiver gets ``{sender: body}``.  ``announce`` is its
-label shape.  Token rounds whose receivers only count the senders go
-through ``kspanner.common.signal``, which returns the counts.
-
-Rounds that can violate nothing, because every message goes to a
-neighbour within the budget and one per edge, handle no message objects:
-``_bulk`` folds each batch into the ledger at once.  These are the rounds
-of ``_relay``, ``exchange`` and every ``primitives.Forest`` pass (one
-walk over a schedule computed once) within the budget, over which
-``_overrun`` checks them message by message; the token rounds of
-``signal``; and the star rounds of the 3-spanners and the chunked ID
-streams.
+All of these send one message per edge and round, to neighbours, so
+within the budget they can violate nothing and handle no message
+objects: ``_bulk`` folds each batch into the ledger at once.  Over the
+budget ``_overrun`` checks them message by message.
 """
 
 from __future__ import annotations
@@ -67,6 +68,9 @@ class SimTimeout(SimError):
     """max_rounds exceeded before global halt."""
 
 
+STALL_LIMIT = 20_000  # consecutive silent rounds before _cascade reports a deadlock
+
+
 def default_bit_budget(n: int) -> int:
     """ceil(8 * log2 n); 16 bits for n <= 2, where that leaves no room for
     a tagged ID plus a counter."""
@@ -80,7 +84,6 @@ class SimConfig:
     msg_bit_budget: Optional[int] = None  # None => ceil(8 log2 n) at run time
     max_rounds: int = 1_000_000
     strict: bool = True
-    stall_limit: int = 20_000  # consecutive silent rounds before deadlock error
 
     def budget_for(self, g: Graph) -> int:
         if self.msg_bit_budget is not None:
@@ -88,14 +91,14 @@ class SimConfig:
         return default_bit_budget(g.n)
 
     def check(self, g: Graph) -> None:
-        """Every budget must fit one tagged vertex ID, and the stall guard
+        """Every budget must fit one tagged vertex ID, and the round cap
         must let round 1 run."""
         b = self.budget_for(g)
         floor = BitCost.TAG + g.id_bits
         if b < floor:
             raise SimError(f"msg_bit_budget {b} below minimum {floor}")
-        if self.stall_limit < 0:
-            raise SimError(f"stall_limit {self.stall_limit} below 0")
+        if self.max_rounds < 1:
+            raise SimError(f"max_rounds {self.max_rounds} below 1")
 
     def resolved(self, g: Graph) -> "SimConfig":
         """Freeze the bit budget at this graph's size so sub-simulations on
@@ -270,6 +273,35 @@ def _overrun(
         _bulk(ledger, len(sends), bits)
 
 
+def _cap(cfg: SimConfig, name: str, last: int) -> None:
+    """The round cap: a phase whose last message goes out in round
+    ``last`` needs round ``last + 1`` to deliver it, so it raises
+    SimTimeout when ``last >= cfg.max_rounds``."""
+    if last >= cfg.max_rounds:
+        raise SimTimeout(f"program {name!r} exceeded max_rounds={cfg.max_rounds}")
+
+
+def _charge(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str, rounds: int,
+            messages: int, width: int,
+            sends: Optional[Callable[[], Sequence[Tuple[int, int, int]]]] = None) -> None:
+    """Charge a host-scheduled phase of ``messages`` messages, the widest
+    of ``width`` bits, whose last message goes out in round ``rounds`` (0:
+    none), to ``ledger`` as phase ``name``.  Over the budget its messages,
+    ``sends()`` as :func:`_overrun` takes them, are checked one by one
+    (a caller that never exceeds the budget passes none); within it they
+    are folded in at once with :func:`_bulk`.  Then the round cap applies
+    (:func:`_cap`), and the phase adds ``rounds`` to ``rounds_used`` and
+    one ``per_phase`` entry."""
+    budget = cfg.budget_for(g)
+    if width > budget:
+        _overrun(g, cfg, ledger, name, sends(), width, budget)
+    elif messages:
+        _bulk(ledger, messages, width)
+    _cap(cfg, name, rounds)
+    ledger.rounds_used += rounds
+    ledger.per_phase.append((name, rounds))
+
+
 def _post(
     g: Graph,
     cfg: SimConfig,
@@ -382,31 +414,23 @@ def exchange(
     """The one scripted round: every vertex v of g in ``bodies``, in ID
     order, sends ``bodies[v]`` as one ``bits``-bit message to each receiver
     in ``to[v]``; ``to`` defaults to ``g.adj``, all neighbours, and a
-    sender with no entry in it sends nothing.  The round is folded into
-    ``ledger`` as phase ``name``, one round iff anything was sent.
-    Returns the receivers' inboxes, v -> {sender: body} in sender order; a
-    vertex that received nothing has no entry.
+    sender with no entry in it sends nothing.  The round is charged to
+    ``ledger`` as phase ``name`` (:func:`_charge`), one round iff anything
+    was sent.  Returns the receivers' inboxes, v -> {sender: body} in
+    sender order; a vertex that received nothing has no entry.
 
-    Within the budget every message goes once over its edge, so once the
-    receivers are known to be neighbours the round can violate nothing
-    and is accounted at once with :func:`_bulk`.  A receiver that is not
-    the sender's neighbour raises the send step's SimError, at the first
-    such sender in ID order (its smallest such receiver), before anything
-    is delivered.  Over the budget the same messages, senders in ID order
-    and each one's distinct receivers in ID order, go through
-    :func:`_overrun` before delivery, which raises or records each
-    violation."""
+    Within the budget a receiver that is not the sender's neighbour
+    raises the send step's SimError, at the first such sender in ID order
+    (its smallest such receiver), before the round is charged.  Over the
+    budget the same messages, senders in ID order and each one's distinct
+    receivers in ID order, go through :func:`_overrun`, which raises or
+    records each violation, a non-neighbour included, in that order."""
     cfg.check(g)
-    budget = cfg.budget_for(g)
+    over = bits > cfg.budget_for(g)
     adj = g.adj
     if to is None:
         to = adj
     heard: Dict[int, Dict[int, Any]] = defaultdict(dict)
-    if bits > budget:
-        _overrun(g, cfg, ledger, name, [
-            (1, v, u) for v in sorted(bodies) if v in adj
-            for u in sorted(set(to.get(v) or ()))
-        ], bits, budget)
     if to is adj:
         for v in sorted(bodies):
             body = bodies[v]
@@ -420,32 +444,16 @@ def exchange(
                 continue
             body = bodies[v]
             for u in targets:
-                if ((v, u) if v < u else (u, v)) not in edges:
+                if ((v, u) if v < u else (u, v)) not in edges and not over:
                     bad = min(u for u in targets if not g.has_edge(v, u))
                     raise SimError(f"{name}: vertex {v} sent to non-neighbor {bad}")
                 heard[u][v] = body
     messages = sum(map(len, heard.values()))
-    if messages and bits <= budget:
-        _bulk(ledger, messages, bits)
-    rounds = 1 if messages else 0
-    ledger.rounds_used += rounds
-    ledger.per_phase.append((name, rounds))
+    _charge(g, cfg, ledger, name, 1 if messages else 0, messages, bits, lambda: [
+        (1, v, u) for v in sorted(bodies) if v in adj
+        for u in sorted(set(to.get(v) or ()))
+    ])
     return dict(heard)
-
-
-def _round_guard(cfg: SimConfig, name: str, rnd: int, silent: int,
-                 callees: Iterable[int]) -> None:
-    """Raise SimTimeout before round ``rnd`` calls ``callees`` if the round
-    is past ``cfg.max_rounds`` or follows more than ``cfg.stall_limit``
-    consecutive silent rounds (``silent``), as the caller counts them."""
-    if rnd > cfg.max_rounds:
-        raise SimTimeout(f"program {name!r} exceeded max_rounds={cfg.max_rounds}")
-    if silent > cfg.stall_limit:
-        callees = sorted(callees)
-        raise SimTimeout(
-            f"program {name!r} stalled: {len(callees)} vertices "
-            f"(e.g. {callees[:5]}) neither halt nor communicate"
-        )
 
 
 def _cascade(
@@ -463,14 +471,13 @@ def _cascade(
     received mail.  The clock ``wake(rnd)`` names the vertices to call
     besides those, or returns None: the run ends at the first round that
     has no mail and for which the clock returns None (without a clock:
-    once the mail runs out).  Before each round :func:`_round_guard`
-    applies the round cap and the stall guard.  A round counts as silent
-    for the stall guard only if it called some vertex and none of them
-    sent: the idle rounds a clock keeps on schedule, which call nobody,
-    do not count, while vertices that are called and never send still
-    stall.  Returns a fresh ledger
-    with one phase ``name``; ``rounds_used`` is the last round that
-    carried a message."""
+    once the mail runs out).  Not knowing which round sends last, it
+    applies the round cap before each round ``rnd`` to round ``rnd - 1``,
+    and raises SimTimeout after more than ``STALL_LIMIT`` silent rounds:
+    rounds that called some vertex and in which none of them sent (the
+    idle rounds a clock keeps on schedule, which call nobody, do not
+    count).  Returns a fresh ledger with one phase ``name``;
+    ``rounds_used`` is the last round that carried a message."""
     cfg.check(g)
     budget = cfg.budget_for(g)
     ledger = RoundLedger()
@@ -488,7 +495,12 @@ def _cascade(
             callees = sorted(inboxes)
         else:
             break
-        _round_guard(cfg, name, rnd, silent, callees)
+        _cap(cfg, name, rnd - 1)
+        if silent > STALL_LIMIT:
+            raise SimTimeout(
+                f"program {name!r} stalled: {len(callees)} vertices "
+                f"(e.g. {callees[:5]}) neither halt nor communicate"
+            )
         next_in: Dict[int, List[Tuple[int, Any]]] = defaultdict(list)
         for v in callees:
             outbox = step(v, rnd, inboxes.get(v, ()))
@@ -520,15 +532,13 @@ def _relay(g: Graph, cfg: SimConfig, budget: int, ledger: RoundLedger, name: str
     each one's receivers in ID order, go through :func:`_overrun`, which
     raises or records each violation as for a program.  As in
     :func:`_cascade`, ``first`` must name vertices, and the round cap
-    applies before the first round (if any) and before the round after
-    each one that carried a message; the caller checks the config."""
+    (:func:`_cap`) applies after each round that carried a message; the
+    caller checks the config."""
     adj = g.adj
     layer = sorted(set(first))
     strays = [v for v in layer if v not in adj]
     if strays:
         raise SimError(f"{name}: active non-vertices {strays[:5]}")
-    if layer:
-        _round_guard(cfg, name, offset + 1, 0, ())
     sent = 0
     while layer and sent < limit:
         rnd = offset + sent + 1
@@ -545,7 +555,7 @@ def _relay(g: Graph, cfg: SimConfig, budget: int, ledger: RoundLedger, name: str
             ], width, budget)
         sent += 1
         ledger.rounds_used = rnd
-        _round_guard(cfg, name, rnd + 1, 0, ())
+        _cap(cfg, name, rnd)
         layer = sorted(deliver(layer))
     return sent
 

@@ -1,6 +1,8 @@
 """3-spanner constructions: the two-round bipartite core, balanced
 partitioning of high-degree vertices, the O(log n)-round spanner for
 general (possibly weighted) graphs, and the two-round small-ID variant.
+The two star rounds are charged as one phase through ``sim._charge``, so
+they follow the simulator's one round-cap rule.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from .clustering import WeightedTree
 from .graph import Graph, Spanner
 from .primitives import grow_bfs_clusters, partition_tree, ruling_set_log
 from .results import SpannerRun
-from .sim import BitCost, RoundLedger, SimConfig, SimError, _bulk, _round_guard, announce
+from .sim import BitCost, RoundLedger, SimConfig, SimError, _charge, announce
 
 
 class Bipartition:
@@ -58,29 +60,25 @@ def _star_spanner(
     picks one such neighbor as its star center for instance j (the closest
     one on weighted graphs, ties toward the smaller ID) and sends CHOSE
     (tag, center) to its part-j neighbors; with ``internal`` it also keeps
-    its edges inside its own part.  Round 2: every part vertex picks, per
-    star it heard about (its own star included, duplicating a star edge),
-    one of the senders by the same rule and sends it an 8-bit SELECTED.
-    Edges enter ``spanner`` as the vertices decide them, in ID order, every
-    round-1 edge before any round-2 edge.  An edge that a part vertex tags
-    ``cross`` in round 2 and someone tags ``star`` was already a round-1
-    star edge of that vertex, so it keeps ``star``.
+    its edges inside its own part, each added by its smaller endpoint.
+    Round 2: every part vertex picks, per star it heard about, one of the
+    senders by the same rule and sends it an 8-bit SELECTED; in its own
+    star that edge is the sender's round-1 star edge, so it is not added
+    again.  Edges enter ``spanner`` as the vertices decide them, in ID
+    order, every round-1 edge before any round-2 edge.  An edge that a
+    part vertex tags ``cross`` in round 2 and someone tags ``star`` was
+    already a round-1 star edge of that vertex, so it keeps ``star``.
 
-    Both rounds are accounted in bulk, as one ``star-spanner`` phase of 0
-    or 2 rounds, because neither can violate anything: CHOSE has exactly
-    the one-ID floor width that ``cfg.check`` enforces, SELECTED is
-    narrower, and every message goes to a neighbor, one per edge (a sender
-    names one center per part, so it is picked at most once per
-    receiver).  ``max_rounds`` is checked where a message-driven run would
-    start a round: round 1 if there is a vertex, round 2 if a CHOSE was
-    sent, round 3, which delivers the SELECTED replies, if one was sent."""
+    Both rounds are charged as one ``star-spanner`` phase of 0 or 2
+    rounds, in bulk, because neither can violate anything: CHOSE has
+    exactly the one-ID floor width that ``cfg.check`` enforces, SELECTED
+    is narrower, and every message goes to a neighbor, one per edge (a
+    sender names one center per part, so it is picked at most once per
+    receiver)."""
     cfg.check(g)
-    ledger = RoundLedger()
     weighted = g.weighted
     weight = g.weight
 
-    if g.vertices:
-        _round_guard(cfg, "star-spanner", 1, 0, ())
     # round 1: receiver -> [(sender, center)], in sender order
     chose: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
     sent = 0
@@ -97,7 +95,7 @@ def _star_spanner(
             if j is None:
                 continue
             if j == mine:
-                if internal:
+                if internal and u > v:
                     spanner.add(v, u, "internal")
                 continue
             targets.append((u, j))
@@ -109,11 +107,7 @@ def _star_spanner(
         for u, j in targets:
             chose[u].append((v, best[j]))
         sent += len(targets)
-    if not sent:
-        ledger.per_phase.append(("star-spanner", 0))
-        return ledger
-    _bulk(ledger, sent, BitCost.TAG + g.id_bits)
-    _round_guard(cfg, "star-spanner", 2, 0, ())
+    # round 2: one SELECTED per star a part vertex heard about
     picked = 0
     for v in sorted(chose):
         per_star: Dict[int, int] = {}
@@ -123,12 +117,12 @@ def _star_spanner(
             ):
                 per_star[center] = sender
         for center, sender in sorted(per_star.items()):
-            spanner.add(v, sender, "star" if center == v else "cross")
+            if center != v:
+                spanner.add(v, sender, "cross")
         picked += len(per_star)
-    _bulk(ledger, picked, BitCost.TAG)
-    ledger.rounds_used = 2
-    ledger.per_phase.append(("star-spanner", 2))
-    _round_guard(cfg, "star-spanner", 3, 0, ())
+    ledger = RoundLedger()
+    _charge(g, cfg, ledger, "star-spanner", 2 if sent else 0, sent + picked,
+            BitCost.TAG + g.id_bits)
     return ledger
 
 
@@ -199,15 +193,12 @@ def partition_high_degree(
         raise SimError(f"ruling set failed to dominate {sorted(uncovered)[:5]}")
     bound = max(1, math.isqrt(g.n))
     members = clusters.members()
+    trees = clusters.tree_edges_by_center()
     parts: List[Set[int]] = []
     part_ledgers = []
     for center in sorted(members):
-        tree_edges = frozenset(
-            e for e in clusters.tree_edges()
-            if clusters.membership[e[0]] == center
-        )
         wt = WeightedTree(
-            edges=tree_edges,
+            edges=trees[center],
             root=center,
             weights={v: 1 if v in vh else 0 for v in members[center]},
             bound=bound,

@@ -216,6 +216,15 @@ def test_budget_below_floor_is_simulator_error(tmp_path, capsys):
         assert f"below minimum {floor}" in capsys.readouterr().err
 
 
+def test_round_cap_below_one_is_simulator_error(tmp_path, capsys):
+    # imp3 on a path runs no round, yet the config is still rejected
+    for gen in ("path:n=50", "er:n=50,p=0.1"):
+        code = run_cli(["run", "--alg", "imp3", "--gen", gen, "--max-rounds", "0",
+                        "--out", str(tmp_path / "r")])
+        assert code == 4
+        assert capsys.readouterr().err == "error: max_rounds 0 below 1\n"
+
+
 def test_strict_budget_overrun_is_simulator_error(tmp_path, capsys):
     # 16 bits fit a tagged ID, but a min-flood message needs 17
     code = run_cli(

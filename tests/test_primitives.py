@@ -509,8 +509,7 @@ def test_forest_role_table_checked(helper, text, monkeypatch):
     def no_rounds(*args):
         raise AssertionError("a round ran over a broken role table")
 
-    monkeypatch.setattr(primitives, "_bulk", no_rounds)
-    monkeypatch.setattr(primitives, "_overrun", no_rounds)
+    monkeypatch.setattr(primitives, "_charge", no_rounds)
     with pytest.raises(SimError, match=f"^forest: .*{text}"):
         getattr(Forest(g, BROKEN_TABLES[text]), helper)([])
 
@@ -1280,16 +1279,8 @@ def test_primitives_match_reference_programs(seed):
     g, centers, cands, depth, t, tree, pad, cfg = random_primitive_inputs(
         random.Random(seed))
     gcfg = _at_floor(cfg, g, pad)
-    got = _outcome(lambda: grow_bfs_clusters(g, centers, depth, gcfg))
-    want = _outcome(lambda: ref_grow_bfs_clusters(g, centers, depth, gcfg))
-    if not centers and gcfg.max_rounds == 0 and want[0] is SimTimeout:
-        # with no centers nothing acts, so no round starts; a vertex
-        # program is called in round 1 at every vertex and hits the cap
-        assert want[1] == "program 'grow-clusters' exceeded max_rounds=0"
-        empty = Clustering(level=depth, membership={}, parents={}, depth_bound=depth)
-        assert got == (repr(empty), RoundLedger(per_phase=[("grow-clusters", 0)]).to_json())
-    else:
-        assert got == want
+    assert _outcome(lambda: grow_bfs_clusters(g, centers, depth, gcfg)) \
+        == _outcome(lambda: ref_grow_bfs_clusters(g, centers, depth, gcfg))
     assert _outcome(lambda: ruling_set_power(g, cands, t, gcfg)) \
         == _outcome(lambda: ref_ruling_set_power(g, cands, t, gcfg))
     tcfg = _at_floor(cfg, Graph(tree.vertices(), tree.edges), pad)
@@ -1432,9 +1423,7 @@ def random_ruling_inputs(rng):
     """An ER, path, cycle, grid or bounded-ID graph with n <= 40, or a
     graph on IDs {0, 1} (with or without its edge), where the 10-bit hop
     message exceeds the 9-bit floor budget; candidates (rarely none); and
-    a strict or audit config at the floor budget 8 + id_bits, with
-    max_rounds 0..4*id_bits+1 or uncapped and stall_limit -1..5 or the
-    default."""
+    a strict or audit config at the floor budget 8 + id_bits."""
     kind = rng.choice(("er", "path", "cycle", "grid", "bounded-id", "pair"))
     n = rng.randint(3, 40)
     if kind == "er":
@@ -1451,10 +1440,6 @@ def random_ruling_inputs(rng):
         g = generate(kind, {"n": n})
     cands = set(rng.sample(g.vertices, rng.randint(0 if rng.random() < 0.05 else 1, g.n)))
     cfg = SimConfig(msg_bit_budget=8 + g.id_bits, strict=rng.random() < 0.5)
-    if rng.random() < 0.5:
-        cfg.max_rounds = rng.randint(0, 4 * g.id_bits + 1)
-    if rng.random() < 0.5:
-        cfg.stall_limit = rng.randint(-1, 5)
     return g, cands, cfg
 
 
@@ -1471,7 +1456,9 @@ def _ruling_outcome(call):
 def test_ruling_log_matches_reference_program(seed):
     """The layer-by-layer ruling set returns the same set, the same ledger
     with its violation records, and the same exception type and text as
-    the vertex program it replaces, round cap and stall guard included."""
+    the vertex program it replaces, at the default round cap: the program
+    keeps its phase clock to round 4 * id_bits, while the floods are
+    capped at their last sending round (see ``tests/test_round_cap.py``)."""
     g, cands, cfg = random_ruling_inputs(random.Random(seed))
     assert _ruling_outcome(lambda: ruling_set_log(g, cands, cfg)) \
         == _ruling_outcome(lambda: ref_ruling_set_log(g, cands, cfg))

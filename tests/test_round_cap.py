@@ -1,0 +1,122 @@
+"""One round-cap rule for every host-scheduled phase: a phase whose last
+message goes out in round R needs round R + 1 to deliver it, so it passes
+at ``max_rounds = R + 1`` and raises SimTimeout at ``max_rounds = R``.
+Only ``sim`` applies the rule, and the cap is the one round limit a
+``SimConfig`` carries."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from spanner import Bipartition, SimConfig, generate
+from spanner.clustering import WeightedTree
+from spanner.graph import Spanner, canon
+from spanner.kspanner.common import chunked_gather, chunked_scatter, connect, signal
+from spanner.primitives import (
+    Forest,
+    grow_bfs_clusters,
+    partition_tree,
+    ruling_set_log,
+    ruling_set_power,
+)
+from spanner.sim import RoundLedger, SimTimeout, announce, exchange
+from spanner.spanner3 import bipartite_3_spanner
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "spanner"
+
+# the 5-path 0-1-2-3-4: id_bits 3, default budget 19 bits, so a chunk
+# of an ID stream holds 3 IDs
+PATH5 = generate("path", {"n": 5})
+CHAIN = Forest(PATH5, {v: [("t", v - 1 if v else None, (v + 1,) if v < 4 else ())]
+                       for v in range(5)})
+TREE5 = WeightedTree(edges=frozenset(canon(v, v + 1) for v in range(4)), root=0,
+                     weights=dict.fromkeys(range(5), 1), bound=2)
+
+
+def _fresh(step):
+    """Run ``step(cfg, ledger)`` on a fresh ledger and return the ledger."""
+    def call(cfg):
+        ledger = RoundLedger()
+        step(cfg, ledger)
+        return ledger
+    return call
+
+
+# helper -> (a call with the config that returns the run's ledger, the
+# phase that sends last, its last sending round R)
+CHARGED = {
+    "exchange": (_fresh(lambda cfg, led: exchange(
+        PATH5, cfg, led, "ex", {0: "x", 3: "y"}, 9, to={0: [1], 3: [2, 4]})), "ex", 1),
+    "announce": (_fresh(lambda cfg, led: announce(
+        PATH5, cfg, led, "ann", {2: 7}, 9)), "ann", 1),
+    "signal": (_fresh(lambda cfg, led: signal(
+        PATH5, cfg, led, "sig", [(0, 1), (2, 1)])), "sig", 1),
+    "connect": (_fresh(lambda cfg, led: connect(
+        PATH5, cfg, led, Spanner(PATH5), "con", [(3, 4, "pick")])), "con", 1),
+    # 7 IDs: three chunks and the end marker
+    "chunked_gather": (_fresh(lambda cfg, led: chunked_gather(
+        PATH5, cfg, led, "gather", {1: 0, 2: 2}, {1: list(range(7))})), "gather", 4),
+    "chunked_scatter": (_fresh(lambda cfg, led: chunked_scatter(
+        PATH5, cfg, led, "scatter", {2: {1: [4], 3: list(range(4))}})), "scatter", 3),
+    "Forest.aggregate": (lambda cfg: CHAIN.aggregate([1] * 5, cfg=cfg)[1],
+                         "forest-aggregate", 4),
+    "Forest.broadcast": (lambda cfg: CHAIN.broadcast([1, 0, 0, 0, 0], cfg=cfg)[1],
+                         "forest-broadcast", 4),
+    "bipartite_3_spanner": (lambda cfg: bipartite_3_spanner(
+        PATH5, Bipartition({0, 2, 4}, {1, 3}), cfg).ledger, "star-spanner", 2),
+    "grow_bfs_clusters": (lambda cfg: grow_bfs_clusters(PATH5, {0}, 4, cfg)[1],
+                          "grow-clusters", 4),
+    # radius 2: the min-flood and the hop-flood each send in rounds 1 and 2
+    "ruling_set_power": (lambda cfg: ruling_set_power(PATH5, {0}, 1, cfg)[1],
+                         "min-flood", 2),
+    # bit 2: candidate 1 floods rounds 1-3 and knocks out 4; bit 1: rounds
+    # 5-7; bit 0: 1 has the bit set and nobody floods
+    "ruling_set_log": (lambda cfg: ruling_set_log(PATH5, {1, 4}, cfg)[1],
+                       "ruling-set-log", 7),
+    # reports climb in rounds 1-4, and root 0 assigns its part in round 5
+    "partition_tree": (lambda cfg: partition_tree(TREE5, cfg)[1], "tree-partition", 5),
+}
+
+
+@pytest.mark.parametrize("helper", sorted(CHARGED))
+def test_phase_needs_the_round_after_its_last_send(helper):
+    call, name, last = CHARGED[helper]
+    ledger = call(SimConfig(max_rounds=last + 1))
+    assert max(rounds for _name, rounds in ledger.per_phase) == last
+    with pytest.raises(SimTimeout) as exc:
+        call(SimConfig(max_rounds=last))
+    assert str(exc.value) == f"program {name!r} exceeded max_rounds={last}"
+
+
+def test_silent_phases_pass_at_a_cap_of_one():
+    # nothing sent, no round to deliver: R = 0 < 1
+    cfg = SimConfig(max_rounds=1)
+    ledger = RoundLedger()
+    exchange(PATH5, cfg, ledger, "ex", {}, 9)
+    signal(PATH5, cfg, ledger, "sig", [])
+    chunked_scatter(PATH5, cfg, ledger, "scatter", {})
+    assert ledger.to_json() == RoundLedger(
+        per_phase=[("ex", 0), ("sig", 0), ("scatter", 0)]).to_json()
+    assert grow_bfs_clusters(PATH5, (), 3, cfg)[1].rounds_used == 0
+
+
+RULE_HELPERS = {"_bulk", "_overrun", "_round_guard", "_cap"}
+
+
+def test_only_sim_applies_the_rule():
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "sim.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                named = {alias.name for alias in node.names}
+                assert not named & RULE_HELPERS, (path.name, sorted(named & RULE_HELPERS))
+
+
+def test_sim_config_fields():
+    tree = ast.parse((SRC / "sim.py").read_text())
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "SimConfig")
+    fields = [node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)]
+    assert fields == ["msg_bit_budget", "max_rounds", "strict"]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanner import BudgetError, Graph, Msg, NodeProgram, SimConfig, generate, run
+from spanner import BudgetError, Graph, Msg, NodeProgram, SimConfig, generate, run, sim
 from spanner.sim import (
     BitCost,
     FloodMax,
@@ -293,27 +293,29 @@ class Sleeper(NodeProgram):
         return {}, False  # never halts, never sends
 
 
-def test_stall_guard_raises():
+def test_stall_guard_raises(monkeypatch):
+    monkeypatch.setattr(sim, "STALL_LIMIT", 50)
     g = generate("path", {"n": 3})
     with pytest.raises(SimTimeout):
-        run(g, Sleeper(), SimConfig(stall_limit=50))
+        run(g, Sleeper(), SimConfig())
 
 
-def test_stall_counts_only_rounds_that_call_a_vertex():
+def test_stall_counts_only_rounds_that_call_a_vertex(monkeypatch):
     # awake vertices that never send stall; a clock that calls nobody does not
+    monkeypatch.setattr(sim, "STALL_LIMIT", 3)
     g = generate("path", {"n": 3})
     with pytest.raises(SimTimeout, match=r"^program 'sleeper' stalled: 3 vertices "):
-        run(g, Sleeper(), SimConfig(stall_limit=3))
+        run(g, Sleeper(), SimConfig())
     calls = []
 
     def step(v, rnd, inbox):
         calls.append((v, rnd))
 
-    ledger = _cascade(g, SimConfig(stall_limit=3), "idle", (), step,
+    ledger = _cascade(g, SimConfig(), "idle", (), step,
                       lambda rnd: () if rnd <= 10 else None)
     assert (calls, ledger.rounds_used) == ([], 0)
     with pytest.raises(SimTimeout, match=r"^program 'idle' stalled: 1 vertices "):
-        _cascade(g, SimConfig(stall_limit=3), "idle", (), step,
+        _cascade(g, SimConfig(), "idle", (), step,
                  lambda rnd: (1,) if rnd <= 10 else None)
     assert calls == [(1, r) for r in range(1, 5)]
 
@@ -343,13 +345,18 @@ def test_ledger_json_shape():
     assert j["rounds"] == 3
 
 
-def test_stall_limit_below_zero_rejected():
-    # a negative limit would report a stall before round 1
+def test_max_rounds_below_one_rejected():
+    # a cap below 1 would stop a phase before its first round
     g = generate("path", {"n": 6})
-    with pytest.raises(SimError, match=r"^stall_limit -1 below 0$"):
-        run(g, FloodMax(), SimConfig(stall_limit=-1))
-    with pytest.raises(SimError, match=r"^stall_limit -1 below 0$"):
-        _cascade(g, SimConfig(stall_limit=-1), "cascade", {0}, lambda v, rnd, inbox: None)
+    for cap in (0, -1):
+        want = rf"^max_rounds {cap} below 1$"
+        with pytest.raises(SimError, match=want):
+            SimConfig(max_rounds=cap).check(g)
+        with pytest.raises(SimError, match=want):
+            run(g, FloodMax(), SimConfig(max_rounds=cap))
+        with pytest.raises(SimError, match=want):
+            _cascade(g, SimConfig(max_rounds=cap), "cascade", {0},
+                     lambda v, rnd, inbox: None)
 
 
 # -- the engine against a reference copy of its per-message loop -------------
@@ -411,7 +418,7 @@ def _reference_run(g, program, cfg):
             raise SimTimeout(
                 f"program {program.name!r} exceeded max_rounds={cfg.max_rounds}"
             )
-        if silent > cfg.stall_limit:
+        if silent > sim.STALL_LIMIT:
             raise SimTimeout(
                 f"program {program.name!r} stalled: {len(callees)} vertices "
                 f"(e.g. {callees[:5]}) neither halt nor communicate"

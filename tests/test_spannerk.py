@@ -420,8 +420,8 @@ def random_star_bfs_inputs(rng):
     at a roomy budget or at the floor 8 + id_bits, where RELAY's
     8 + 2 * id_bits bits (and, in whole builds, the election's tuples)
     overrun it; max_rounds 0..3(depth+1)+1 or uncapped for the deepest
-    star BFS of a build with this k (at least depth 1); and stall_limit
-    0..5 or the default."""
+    star BFS of a build with this k (at least depth 1); and a stall limit
+    of 0..5 or ``sim.STALL_LIMIT``, for the caller to patch in."""
     ids = rng.sample(range(1, 400), rng.randint(2, 40))
     na = rng.randint(1, max(1, len(ids) // 3))
     a, rest = ids[:na], ids[na:]
@@ -441,9 +441,8 @@ def random_star_bfs_inputs(rng):
     cfg = SimConfig(msg_bit_budget=budget, strict=rng.random() < 0.5)
     if rng.random() < 0.6:
         cfg.max_rounds = rng.randint(0, 3 * (depth + 1) + 1)
-    if rng.random() < 0.5:
-        cfg.stall_limit = rng.randint(0, 5)
-    return g, Bipartition(a, b), k, cfg
+    stall = rng.randint(0, 5) if rng.random() < 0.5 else sim.STALL_LIMIT
+    return g, Bipartition(a, b), k, cfg, stall
 
 
 def _star_bfs_outcome(call):
@@ -463,9 +462,11 @@ def test_star_bfs_matches_reference_program(seed):
     program it replaces: once from random centers on the stars of
     ``_form_stars``, and once inside a whole build."""
     rng = random.Random(seed)
-    g, part, k, cfg = random_star_bfs_inputs(rng)
+    g, part, k, cfg, stall = random_star_bfs_inputs(rng)
     state = starbip.StarState(g, set(part.a), set(part.b))
-    starbip._form_stars(g, cfg.resolved(g), RoundLedger(), state, Spanner(g))
+    # star formation is set-up here, so it runs uncapped
+    starbip._form_stars(g, cfg.resolved(g).with_(max_rounds=SimConfig.max_rounds),
+                        RoundLedger(), state, Spanner(g))
     stars = state.stars()
     centers = set(rng.sample(stars, rng.randint(0, len(stars))))
     depth = rng.randint(1, max(1, k // 2 - 1))
@@ -475,18 +476,19 @@ def test_star_bfs_matches_reference_program(seed):
         cluster_of, uplinks = impl(g, cfg, ledger, state, centers, depth)
         return cluster_of, uplinks, ledger.to_json()
 
-    assert _star_bfs_outcome(lambda: grow(starbip._grow_star_clusters)) \
-        == _star_bfs_outcome(lambda: grow(ref_grow_star_clusters))
-
     def build():
         res = sparser_bipartite_spanner(g, part, k, cfg)
         return (sorted(res.spanner.edges), list(res.spanner.provenance.items()),
                 res.ledger.to_json())
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(starbip, "_grow_star_clusters", ref_grow_star_clusters)
-        want = _star_bfs_outcome(build)
-    assert _star_bfs_outcome(build) == want
+    with pytest.MonkeyPatch.context() as limit:
+        limit.setattr(sim, "STALL_LIMIT", stall)
+        assert _star_bfs_outcome(lambda: grow(starbip._grow_star_clusters)) \
+            == _star_bfs_outcome(lambda: grow(ref_grow_star_clusters))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(starbip, "_grow_star_clusters", ref_grow_star_clusters)
+            want = _star_bfs_outcome(build)
+        assert _star_bfs_outcome(build) == want
 
 
 def test_star_bfs_idle_rounds_do_not_stall():
@@ -497,12 +499,15 @@ def test_star_bfs_idle_rounds_do_not_stall():
     state = starbip.StarState(g, {0, 1, 2}, set(range(3, 9)))
     starbip._form_stars(g, SimConfig(), RoundLedger(), state, Spanner(g))
 
-    def grow(cfg):
+    def grow():
         ledger = RoundLedger()
-        got = starbip._grow_star_clusters(g, cfg, ledger, state, set(), 2)
+        got = starbip._grow_star_clusters(g, SimConfig(), ledger, state, set(), 2)
         return got, ledger.to_json()
 
-    assert grow(SimConfig(stall_limit=3)) == grow(SimConfig()) \
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "STALL_LIMIT", 3)
+        limited = grow()
+    assert limited == grow() \
         == (({0: None, 1: None, 2: None}, {}), RoundLedger().to_json()
             | {"per_phase": [{"name": "star-bfs:d2", "rounds": 0}]})
 
