@@ -15,7 +15,7 @@ from typing import Dict, Optional
 from ..clustering import Clustering
 from ..graph import Graph, Spanner
 from ..results import SpannerRun
-from ..sim import RoundLedger, SimConfig, announce
+from ..sim import RoundLedger, SimConfig, exchange
 from .common import cluster_steps, connect, contacts
 
 
@@ -47,7 +47,7 @@ def baswana_sen_baseline(
         }
         _up, down = cluster_steps(g, cfg, ledger, clustering)
         know = down(f"bs-sample:L{i}", {c: 1 for c in sampled})
-        status = announce(
+        status = exchange(
             g, cfg, ledger, f"bs-status:L{i}",
             {v: (c, know.get(v, 0)) for v, c in clustering.membership.items()},
             8 + g.id_bits + 1,
@@ -82,7 +82,7 @@ def baswana_sen_baseline(
         trace["levels"][i] = len(sampled)
 
     # last level: everyone connects to each neighboring cluster
-    nbr_cluster = announce(
+    nbr_cluster = exchange(
         g, cfg, ledger, "bs-final-status", clustering.membership, 8 + g.id_bits
     )
     connect(g, cfg, ledger, H, "bs-final-edges", (

@@ -7,7 +7,7 @@ Three kinds of step carry every scripted step of the constructions:
 * ``exchange``, the simulator's one scripted round, re-exported here: each
   sender sends one message to all its neighbours or to receivers it
   names, and each receiver gets {sender: body}.  It carries every round
-  whose receivers read the bodies or the senders: ``sim.announce`` (a
+  whose receivers read the bodies or the senders: the label rounds (a
   label to all neighbours), the star relays of ``starbip`` and the token
   rounds that tell who sent;
 * ``signal``, bare tokens to chosen neighbours for receivers that only
@@ -26,7 +26,9 @@ something, so readers use ``.get``.  The local-maxima election
 that the cluster-by-cluster and the superclustered constructions run (and
 whose steps the star-graph and zero-level constructions reuse) is built
 from these steps, with each vertex's contacts computed once per
-election; the chunked ID streams live here too."""
+election.  ``_stream``, the one budget-sized ID-list stream (each list in
+chunks and an end marker, one message per edge and round), lives here
+too; ``starbip`` gathers and scatters its representatives with it."""
 
 from __future__ import annotations
 
@@ -41,10 +43,8 @@ from ..clustering import Clustering
 from ..graph import Graph, Spanner
 from ..primitives import Forest, RoleTable, clustering_roles
 from ..sim import (
-    BitCost, RoundLedger, SimConfig, SimError, SimTimeout, _charge, announce, exchange,
+    BitCost, RoundLedger, SimConfig, SimError, SimTimeout, _charge, exchange,
 )
-
-TAG_IDS, TAG_END = range(2)
 
 
 def ipow_ceil(n: int, num: int, den: int) -> int:
@@ -185,7 +185,7 @@ def advertise(g, cfg, ledger, names: Sequence[str], labels, remaining,
     what each vertex heard, v -> {neighbour: (degree, tree key)}."""
     know = down(names[0], {c: deg.get(c, 0) for c in remaining})
     tuples = {v: (know.get(v, 0), c) for v, c in labels.items() if c in remaining}
-    return know, announce(g, cfg, ledger, names[1], tuples, 8 + g.id_bits + cbits)
+    return know, exchange(g, cfg, ledger, names[1], tuples, 8 + g.id_bits + cbits)
 
 
 def announce_join(g, cfg, ledger, names: Sequence[str], joiners: Iterable,
@@ -292,15 +292,15 @@ def _stream(
     cfg: SimConfig,
     ledger: RoundLedger,
     name: str,
-    lists: Dict[int, Dict[int, List[int]]],
-) -> Dict[int, List[Tuple[int, tuple]]]:
+    lists: Dict[int, Dict[int, Sequence[int]]],
+) -> Dict[int, Dict[int, Tuple[int, ...]]]:
     """Stream every ID list ``lists[v][u]`` from vertex v to its neighbor u
-    as (TAG_IDS, ids) chunks of per_msg IDs, as many as fit the budget
-    after the tag (at least one), followed by one (TAG_END,) marker,
-    message r of every stream in round r, and charge the rounds to
-    ``ledger`` as one phase ``name``.
-    Returns the receivers' inboxes, v -> [(sender, body)] in round, then
-    sender order; a vertex that received nothing has no entry.
+    as chunks of per_msg IDs, as many as fit the budget after the tag (at
+    least one), followed by one end marker, message r of every stream in
+    round r, and charge the rounds to ``ledger`` as one phase ``name``.
+    Returns the receivers' inboxes, u -> {sender: the IDs it streamed, as
+    a tuple} in sender order; an empty list arrives as ``()``, and a
+    vertex that received nothing has no entry.
 
     The phase lasts as long as the longest stream, and a stream of L IDs
     costs ceil(L / per_msg) + 1 messages.  They are charged in bulk
@@ -310,10 +310,9 @@ def _stream(
     SimError, at the first such (sender, target) pair in ID order; a
     sender that is not a vertex of g sends nothing."""
     cfg.check(g)
-    bits = BitCost(g)
-    per_msg = max(1, (cfg.budget_for(g) - BitCost.TAG) // bits.id_bits)
-    by_round: List[List[Tuple[int, int, tuple]]] = []
-    messages = longest = 0
+    per_msg = max(1, (cfg.budget_for(g) - BitCost.TAG) // g.id_bits)
+    got: Dict[int, Dict[int, Tuple[int, ...]]] = defaultdict(dict)
+    messages = rounds = longest = 0
     for v in sorted(lists):
         per_nbr = lists[v]
         if not per_nbr or v not in g.adj:
@@ -322,68 +321,11 @@ def _stream(
         if strays:
             raise SimError(f"{name}: vertex {v} sent to non-neighbor {min(strays)}")
         for u, ids in per_nbr.items():
-            ids = tuple(ids)
-            bodies = [(TAG_IDS, ids[i : i + per_msg])
-                      for i in range(0, len(ids), per_msg)]
-            bodies.append((TAG_END,))
-            while len(by_round) < len(bodies):
-                by_round.append([])
-            for rnd, body in zip(by_round, bodies):
-                rnd.append((v, u, body))
-            messages += len(bodies)
+            ids = got[u][v] = tuple(ids)
+            sent = -(-len(ids) // per_msg) + 1
+            messages += sent
+            rounds = max(rounds, sent)
             longest = max(longest, len(ids))
-    got: Dict[int, List[Tuple[int, tuple]]] = defaultdict(list)
-    for rnd in by_round:
-        for v, u, body in rnd:
-            got[u].append((v, body))
-    _charge(g, cfg, ledger, name, len(by_round), messages,
-            BitCost.TAG + min(longest, per_msg) * bits.id_bits)
-    return got
-
-
-def chunked_gather(
-    g: Graph,
-    cfg: SimConfig,
-    ledger: RoundLedger,
-    name: str,
-    hub_of: Dict[int, int],
-    items: Dict[int, List[int]],
-) -> Dict[int, Dict[int, Tuple[int, ...]]]:
-    """Radius-1 gather: every vertex streams ``items[v]`` to its hub
-    ``hub_of[v]``.  Returns, per vertex, {sender: ids} of the lists it
-    received, plus its own items under its own ID when it is its own hub."""
-    lists = {
-        v: {hub: items.get(v, ())}
-        for v, hub in hub_of.items()
-        if hub is not None and hub != v
-    }
-    got = _stream(g, cfg, ledger, name, lists)
-    outputs: Dict[int, Dict[int, Tuple[int, ...]]] = {v: {} for v in g.vertices}
-    for v, inbox in got.items():
-        collected: Dict[int, List[int]] = {}
-        for sender, body in inbox:
-            ids = collected.setdefault(sender, [])
-            if body[0] == TAG_IDS:
-                ids.extend(body[1])
-        outputs[v] = {m: tuple(ids) for m, ids in collected.items()}
-    for v, hub in hub_of.items():
-        if hub == v and items.get(v) and v in outputs:
-            outputs[v][v] = tuple(items[v])
-    return outputs
-
-
-def chunked_scatter(
-    g: Graph,
-    cfg: SimConfig,
-    ledger: RoundLedger,
-    name: str,
-    plans: Dict[int, Dict[int, List[int]]],
-) -> Dict[int, Tuple[int, ...]]:
-    """Radius-1 scatter: every hub h streams ``plans[h][u]`` to each member
-    u.  Returns, per vertex, the IDs it received."""
-    got = _stream(g, cfg, ledger, name, plans)
-    received = dict.fromkeys(g.vertices, ())
-    for v, inbox in got.items():
-        received[v] = tuple(i for _s, body in inbox if body[0] == TAG_IDS
-                            for i in body[1])
-    return received
+    _charge(g, cfg, ledger, name, rounds, messages,
+            BitCost.TAG + min(longest, per_msg) * g.id_bits)
+    return dict(got)

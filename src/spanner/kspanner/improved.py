@@ -14,7 +14,7 @@ from ..clustering import Supercluster, Superclustering, WeightedTree, orient_tre
 from ..graph import Graph
 from ..primitives import RoleTable, grow_bfs_clusters, partition_tree
 from ..results import SpannerRun
-from ..sim import RoundLedger, SimConfig, announce
+from ..sim import RoundLedger, SimConfig, exchange
 from .common import cluster_steps, connect, contacts, elect, forest_steps, ipow_ceil
 from .naive import naive_spanner
 from .zero import cons_zero_superclustering, cover_low_expansion
@@ -103,7 +103,7 @@ def _phase(g, k, cfg, ledger, trace, H, clustering, superclustering,
     sc_roles = _sc_roles(superclustering.superclusters)
 
     # announce supercluster membership once per phase
-    nbr_sc = announce(
+    nbr_sc = exchange(
         g, cfg, ledger, f"sc-announce:P{i}", sc_of_vertex, 8 + g.id_bits
     )
     # aggregate over the cluster trees, then over the supercluster trees;
@@ -156,7 +156,7 @@ def _cover_remaining(g, k, cfg, ledger, trace, H, clustering, scs, vset,
     """Low-expansion superclusters: direct edges into singletons, bipartite
     spanners toward the outside and recursion inside for the rest."""
     singles = {s for s in remaining if len(scs[s].clusters) == 1}
-    nbr_single = announce(
+    nbr_single = exchange(
         g, cfg, ledger, f"sc-uncov:P{i}",
         {v: scid for v, scid in sc_of_vertex.items() if scid in singles},
         8 + g.id_bits,

@@ -12,7 +12,7 @@ from ..clustering import Clustering
 from ..graph import Graph, Spanner
 from ..primitives import grow_bfs_clusters
 from ..results import SpannerRun
-from ..sim import RoundLedger, SimConfig, announce
+from ..sim import RoundLedger, SimConfig, exchange
 from .common import cluster_steps, connect, contacts, elect, ipow_ceil
 
 STEPS = ("ack", "deg", "deg-down", "tuples", "votes", "votes-up", "join-down",
@@ -60,7 +60,7 @@ def naive_spanner(
 
 
 def _phase(g, cfg, ledger, trace, H, clustering, k, i) -> Clustering:
-    nbr_cluster = announce(
+    nbr_cluster = exchange(
         g, cfg, ledger, f"announce:L{i}", clustering.membership, 8 + g.id_bits
     )
     up, down = cluster_steps(g, cfg, ledger, clustering)
@@ -88,7 +88,7 @@ def _phase(g, cfg, ledger, trace, H, clustering, k, i) -> Clustering:
 
 
 def _final_phase(g, cfg, ledger, H, clustering) -> None:
-    nbr_cluster = announce(
+    nbr_cluster = exchange(
         g, cfg, ledger, "announce:final", clustering.membership, 8 + g.id_bits
     )
     # v's own tree already connects it to its own cluster

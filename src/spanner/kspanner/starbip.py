@@ -19,12 +19,11 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..clustering import Clustering
 from ..graph import Graph, Spanner
 from ..results import SpannerRun
-from ..sim import BitCost, Msg, RoundLedger, SimConfig, SimTimeout, _cascade, announce
+from ..sim import BitCost, Msg, RoundLedger, SimConfig, SimTimeout, _cascade
 from .common import (
+    _stream,
     advertise,
     announce_join,
-    chunked_gather,
-    chunked_scatter,
     cluster_steps,
     connect,
     contacts,
@@ -63,7 +62,7 @@ def _form_stars(g, cfg, ledger, st: StarState, H: Spanner) -> None:
         st.star_of[v] = c
         H.add(v, c, "star")
     # so far st.star_of holds the B vertices' choices only
-    chosen = announce(g, cfg, ledger, "star-formation", st.star_of, 8 + g.id_bits)
+    chosen = exchange(g, cfg, ledger, "star-formation", st.star_of, 8 + g.id_bits)
     for a in sorted(st.a):
         st.star_of[a] = a
         st.members[a] = []
@@ -243,14 +242,6 @@ def sparser_bipartite_spanner(
     return SpannerRun(H, ledger, trace)
 
 
-def _mark_announce(g, cfg, ledger, st, newly_marked_stars, nbr_marked, name):
-    """Vertices of newly marked stars send a token to all their neighbors."""
-    senders = [v for s in sorted(newly_marked_stars) for v in st.star_vertices(s)]
-    got = exchange(g, cfg, ledger, name, dict.fromkeys(senders), BitCost.TAG)
-    for v, inbox in got.items():
-        nbr_marked[v].update(inbox)
-
-
 def _phase(g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i):
     """One clustering level of the star-graph election."""
     threshold = ipow_ceil(A, i, kp)
@@ -260,7 +251,7 @@ def _phase(g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i):
     marked: Set[int] = set()        # marked stars
     nbr_marked: Dict[int, Set[int]] = {v: set() for v in g.vertices}
 
-    nbr_cluster = announce(
+    nbr_cluster = exchange(
         g, cfg, ledger, f"bip-announce:L{i}", gtree.membership, 8 + g.id_bits
     )
     up, down = cluster_steps(g, cfg, ledger, gtree)
@@ -299,10 +290,12 @@ def _phase(g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i):
         newly_marked = _mark_after_join(
             g, cfg, ledger, st, down, new_joiners, marked, f"L{i}.{iterations}"
         )
-        _mark_announce(
-            g, cfg, ledger, st, newly_marked, nbr_marked,
-            f"bip-marked:L{i}.{iterations}"
-        )
+        # the vertices of newly marked stars send a token to all neighbours
+        senders = [v for s in sorted(newly_marked) for v in st.star_vertices(s)]
+        got = exchange(g, cfg, ledger, f"bip-marked:L{i}.{iterations}",
+                       dict.fromkeys(senders), BitCost.TAG)
+        for v, inbox in got.items():
+            nbr_marked[v].update(inbox)
         if i == 1:
             deg = _approx_degree(
                 g, cfg, ledger, trace, st, cluster_of, marked, nbr_marked,
@@ -373,21 +366,19 @@ def _approx_degree(g, cfg, ledger, trace, st, cluster_of, marked, nbr_marked,
 
 def _compute_reps(g, cfg, ledger, st, nbr_cluster, label):
     """Leaders learn which member can reach which cluster and assign one
-    representative per neighboring cluster (chunked gather + scatter)."""
-    hub_of = {}
-    items = {}
-    for s in st.stars():
-        hub_of[s] = s
-        items[s] = sorted(set(nbr_cluster.get(s, {}).values()))
-        for v in st.members[s]:
-            hub_of[v] = s
-            items[v] = sorted(set(nbr_cluster.get(v, {}).values()))
-    gathered = chunked_gather(g, cfg, ledger, f"bip-reps-up:{label}",
-                              hub_of, items)
+    representative per neighboring cluster: every member streams its
+    sorted adjacent clusters to its leader, which adds its own, and the
+    leader streams each member its (possibly empty) assignment back."""
+    def adjacent(v):
+        return sorted(set(nbr_cluster.get(v, {}).values()))
+
+    gathered = _stream(g, cfg, ledger, f"bip-reps-up:{label}", {
+        v: {s: adjacent(v)} for s in st.stars() for v in st.members[s]
+    })
     reps: Dict[int, Dict[int, Tuple[int, int]]] = {}
     plans: Dict[int, Dict[int, List[int]]] = {}
     for s in st.stars():
-        lists = gathered[s]
+        lists = {**gathered.get(s, {}), s: adjacent(s)}
         per_cluster: Dict[int, int] = {}
         for member in sorted(lists):
             for c in lists[member]:
@@ -405,7 +396,9 @@ def _compute_reps(g, cfg, ledger, st, nbr_cluster, label):
                 plan[member].append(c)
         if plan:
             plans[s] = plan
-    chunked_scatter(g, cfg, ledger, f"bip-reps-down:{label}", plans)
+    # this stream tells each member its assignment; the host reads the
+    # same assignments from ``reps``, so only the bill is kept
+    _stream(g, cfg, ledger, f"bip-reps-down:{label}", plans)
     return reps
 
 
@@ -480,7 +473,7 @@ def _mark_after_join(g, cfg, ledger, st, down, new_joiners, marked, label):
 
 def _last_phase(g, cfg, ledger, H, st, cluster_of, gtree):
     """Every star adds one edge toward each of its neighboring clusters."""
-    nbr_cluster = announce(
+    nbr_cluster = exchange(
         g, cfg, ledger, "bip-announce:last", gtree.membership, 8 + g.id_bits
     )
     reps = _compute_reps(g, cfg, ledger, st, nbr_cluster, "last")

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..clustering import Clustering, Supercluster, Superclustering, WeightedTree
 from ..graph import Graph, Spanner
 from ..primitives import grow_bfs_clusters, partition_tree, ruling_set_power
-from ..sim import RoundLedger, SimConfig, announce
+from ..sim import RoundLedger, SimConfig, exchange
 from ..spanner3 import Bipartition
 from .common import cluster_steps, contacts, ipow_ceil, unmarked_degree
 from .starbip import sparser_bipartite_spanner
@@ -37,7 +37,7 @@ class ZeroResult:
 def _cluster_expansion(g, cfg, ledger, clustering, label) -> Dict[int, int]:
     """deg(C) = |C| + |Gamma(C) \\ C|: the election's unmarked-degree step
     with every cluster remaining, nothing marked and members self-reporting."""
-    nbr_cluster = announce(
+    nbr_cluster = exchange(
         g, cfg, ledger, f"zero-announce:{label}", clustering.membership,
         8 + g.id_bits,
     )

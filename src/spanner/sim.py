@@ -12,12 +12,12 @@ it, so it raises SimTimeout when R >= ``max_rounds``, and a cap below 1
 is rejected up front.
 
 The send step, ``_post``, checks and accounts one vertex's outbox (bits,
-congestion, neighbours) as a whole and, if that check fails, falls back
-to a per-message loop that alone records or raises violations.  One
-round loop calls it, ``_cascade``: it calls ``step(v, rnd, inbox)`` in ID
-order for the vertices with mail, those the caller names (round 1) and
-those an optional clock wakes, and before every round it runs applies
-the round cap and a guard against ``STALL_LIMIT`` silent rounds.
+congestion, neighbours) message by message, recording or raising each
+violation.  One round loop calls it, ``_cascade``: it calls ``step(v,
+rnd, inbox)`` in ID order for the vertices with mail, those the caller
+names (round 1) and those an optional clock wakes, and before every
+round it runs it applies the round cap and a guard against
+``STALL_LIMIT`` silent rounds.
 :func:`run` adapts a :class:`NodeProgram` to it (hooks ``init(view)``,
 ``on_round(state, view, rnd, inbox) -> (outbox, halt_vote)`` and
 ``on_finish(state, view)``), with the vertices that have not voted halt
@@ -33,9 +33,9 @@ power-graph hop-flood.  Every other host-scheduled phase knows its
 rounds in advance and is charged whole by ``_charge``: ``exchange``, the
 one scripted round (each sender sends one message to all its neighbours
 or to the receivers it names, and each receiver gets ``{sender:
-body}``; ``announce`` is its label shape), the token rounds of
-``kspanner.common.signal``, the chunked ID streams, every
-``primitives.Forest`` pass and the star rounds of the 3-spanners.
+body}``), the token rounds of ``kspanner.common.signal``, the chunked
+ID streams (``kspanner.common._stream``), every ``primitives.Forest``
+pass and the star rounds of the 3-spanners.
 
 All of these send one message per edge and round, to neighbours, so
 within the budget they can violate nothing and handle no message
@@ -159,7 +159,7 @@ class RoundLedger:
     violations: List[dict] = field(default_factory=list)
     per_phase: List[Tuple[str, int]] = field(default_factory=list)
 
-    def extend_sequential(self, other: "RoundLedger", name: Optional[str] = None):
+    def extend_sequential(self, other: "RoundLedger", name: str):
         self.rounds_used += other.rounds_used
         self.max_bits_seen = max(self.max_bits_seen, other.max_bits_seen)
         self.per_round_edge_load = max(
@@ -167,10 +167,7 @@ class RoundLedger:
         )
         self.messages_total += other.messages_total
         self.violations.extend(other.violations)
-        if name is not None:
-            self.per_phase.append((name, other.rounds_used))
-        else:
-            self.per_phase.extend(other.per_phase)
+        self.per_phase.append((name, other.rounds_used))
 
     def extend_parallel(self, others: List["RoundLedger"], name: str):
         """Merge ledgers of simulations that ran side by side (rounds = max)."""
@@ -317,30 +314,11 @@ def _post(
     ``{neighbor: Msg or [Msg, ...]}`` for round ``rnd`` and queue
     ``(v, body)`` in the receivers' ``inboxes`` (which hold every vertex or
     default to an empty list).  Congestion and bit-budget overruns raise in
-    strict mode and are recorded otherwise.  A vertex posts once per round,
-    so an edge's load is its message count here.
-
-    An outbox of single in-budget messages to neighbours can violate
-    nothing, so it is checked in bulk and accounted at once; any other
-    outbox takes the per-message loop, which records or raises each
-    violation (:func:`_overrun` does the same for single messages).  Each
-    receiver gets one entry per sender either way, so inbox order is
-    sender order."""
-    nbrs, edges = g.adj[v], g.edge_set
-    # bulk check: one Msg per edge, all within budget, all to neighbours
-    top = 0
-    for m in outbox.values():
-        if m.__class__ is not Msg:
-            break
-        if m.bits > top:
-            top = m.bits
-    else:
-        if top <= budget and (tuple(outbox) == nbrs or all(
-                ((v, u) if v < u else (u, v)) in edges for u in outbox)):
-            _bulk(ledger, len(outbox), top)
-            for u, m in outbox.items():
-                inboxes[u].append((v, m.body))
-            return
+    strict mode and are recorded otherwise, receivers in ID order
+    (:func:`_overrun` does the same for the host-scheduled phases).  A
+    vertex posts once per round, so an edge's load is its message count
+    here, and inbox order is sender order."""
+    nbrs = g.adj[v]
     for u in sorted(outbox):
         if u not in g.adj or u not in nbrs:
             raise SimError(f"{name}: vertex {v} sent to non-neighbor {u}")
@@ -579,22 +557,6 @@ def _flood(g: Graph, cfg: SimConfig, budget: int, ledger: RoundLedger, name: str
 
     sent = _relay(g, cfg, budget, ledger, name, reached, radius, width, {}, deliver, offset)
     return reached, sent
-
-
-def announce(
-    g: Graph,
-    cfg: SimConfig,
-    ledger: RoundLedger,
-    name: str,
-    labels: Dict[int, Any],
-    bits: int,
-) -> Dict[int, Dict[int, Any]]:
-    """An :func:`exchange` round in which every vertex in ``labels`` sends
-    its label to all its neighbours as one ``bits``-bit message; a label
-    keyed by a non-vertex raises KeyError first."""
-    if not g.adj.keys() >= labels.keys():
-        raise KeyError(next(v for v in labels if v not in g.adj))
-    return exchange(g, cfg, ledger, name, labels, bits)
 
 
 # -- small generally useful programs ---------------------------------------

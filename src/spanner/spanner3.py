@@ -15,7 +15,7 @@ from .clustering import WeightedTree
 from .graph import Graph, Spanner
 from .primitives import grow_bfs_clusters, partition_tree, ruling_set_log
 from .results import SpannerRun
-from .sim import BitCost, RoundLedger, SimConfig, SimError, _charge, announce
+from .sim import BitCost, RoundLedger, SimConfig, SimError, _charge, exchange
 
 
 class Bipartition:
@@ -221,6 +221,7 @@ def improved_3_spanner(g: Graph, cfg: Optional[SimConfig] = None) -> SpannerRun:
     edges of low-degree vertices, then the partitioned star construction
     over the high-degree vertices.  Supports weighted graphs."""
     cfg = cfg or SimConfig()
+    cfg.check(g)  # also where no vertex is of high degree and no round runs
     spanner = Spanner(g)
     thr = high_degree_threshold(g.n)
     for v in g.vertices:
@@ -231,7 +232,7 @@ def improved_3_spanner(g: Graph, cfg: Optional[SimConfig] = None) -> SpannerRun:
     if parts:
         part_map = {v: i for i, vs in enumerate(parts) for v in vs}
         # one announce round so every vertex learns its neighbors' parts
-        heard = announce(
+        heard = exchange(
             g, cfg, ledger, "part-announce", part_map, 8 + len(parts).bit_length()
         )
         led = _star_spanner(g, cfg, spanner, part_map, internal=True, nbr_parts=heard)

@@ -8,8 +8,8 @@ from spanner import (
     Graph, RoundLedger, SimConfig, generate, improved_3_spanner, load, save, spanner3,
     verify_stretch, with_random_weights,
 )
-from spanner.cli import emit_report, main
-from spanner.sim import SimError
+from spanner.cli import ALGORITHMS, emit_report, main, parse_gen_spec, run_algorithm
+from spanner.sim import BitCost, SimError
 
 
 def run_cli(args):
@@ -223,6 +223,22 @@ def test_round_cap_below_one_is_simulator_error(tmp_path, capsys):
                         "--out", str(tmp_path / "r")])
         assert code == 4
         assert capsys.readouterr().err == "error: max_rounds 0 below 1\n"
+
+
+@pytest.mark.parametrize("alg", ALGORITHMS)
+def test_every_algorithm_checks_its_config(alg):
+    # a library call rejects an invalid config up front, also where the
+    # construction would run no round (imp3 on a path has no vertex of
+    # high degree)
+    spec = "kbip:a=1,b=3" if alg in ("bip3", "sparserbip") else "path:n=50"
+    kind, params = parse_gen_spec(spec)
+    g = generate(kind, params)
+    for cfg, text in ((SimConfig(max_rounds=0), "max_rounds 0 below 1"),
+                      (SimConfig(msg_bit_budget=2),
+                       f"msg_bit_budget 2 below minimum {BitCost.TAG + g.id_bits}")):
+        with pytest.raises(SimError) as exc:
+            run_algorithm(alg, g, 3, cfg, 0, kind, params)
+        assert str(exc.value) == text
 
 
 def test_strict_budget_overrun_is_simulator_error(tmp_path, capsys):

@@ -22,7 +22,7 @@ from spanner import (
 from spanner import primitives
 from spanner.clustering import Clustering, TreePart, TreePartition, orient_tree
 from spanner.graph import canon
-from spanner.kspanner.common import TAG_END, TAG_IDS, chunked_gather, chunked_scatter
+from spanner.kspanner.common import _stream
 from spanner import sim
 from spanner.sim import (
     BitCost, Msg, NodeProgram, RoundLedger, SimError, SimTimeout, _post, run,
@@ -558,12 +558,15 @@ def test_id_chunks_boundaries(extra):
     assert all(m.bits <= budget for m in msgs)
     assert msgs[-1].body == (TAG_END,)
     assert [i for m in msgs[:-1] if m.body[0] == TAG_IDS for i in m.body[1]] == ids
-    # the same stream end to end: leaf 1 gathers its list at the center
+    # the same stream end to end: leaf 1 streams its list to the center
     ledger = RoundLedger()
-    out = chunked_gather(g, SimConfig(), ledger, "gather", {1: 0}, {1: ids})
-    assert out[0] == {1: tuple(ids)}
+    out = _stream(g, SimConfig(), ledger, "gather", {1: {0: ids}})
+    assert out == {0: {1: tuple(ids)}}
     assert ledger.messages_total == len(msgs)
     assert ledger.max_bits_seen <= budget
+
+
+TAG_IDS, TAG_END = range(2)
 
 
 def id_chunks(bits, budget, ids):
@@ -581,8 +584,9 @@ def id_chunks(bits, budget, ids):
 
 
 class RefGather(NodeProgram):
-    """Reference for ``chunked_gather``: members stream their lists to the
-    hub as a vertex program; hubs halt once every expected member ended."""
+    """Reference for a gather over ``_stream``: members stream their lists
+    to the hub as a vertex program; hubs halt once every expected member
+    ended."""
 
     name = "chunked-gather"
 
@@ -622,8 +626,9 @@ class RefGather(NodeProgram):
 
 
 class RefScatter(NodeProgram):
-    """Reference for ``chunked_scatter``: hubs stream per-member lists as a
-    vertex program; members halt once their hub's stream ended."""
+    """Reference for a scatter over ``_stream``: hubs stream per-member
+    lists as a vertex program; members halt once their hub's stream
+    ended."""
 
     name = "chunked-scatter"
 
@@ -695,6 +700,11 @@ def _result(fn):
         return type(exc).__name__, str(exc)
 
 
+def _inboxes(got):
+    """A stream's result with each receiver's entries in their order."""
+    return {v: list(heard.items()) for v, heard in got.items()}
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(star_streams())
 def test_chunked_streams_match_reference_programs(case):
@@ -707,20 +717,24 @@ def test_chunked_streams_match_reference_programs(case):
                        "expect": expect.get(v, ())} for v in g.vertices}
         out, led = run(g, RefGather(), cfg, private=private)
         ledger.extend_sequential(led, name="up")
-        return out
+        # a stream delivers only what was streamed: no hub's own list, and
+        # no entry for a vertex that received nothing
+        return {v: [(m, ids) for m, ids in got.items() if m != v]
+                for v, got in out.items() if set(got) - {v}}
 
     def ref_scatter(ledger):
         private = {v: {"plan": plans.get(v, {}), "hub": hub_of.get(v)}
                    for v in g.vertices}
         out, led = run(g, RefScatter(), cfg, private=private)
         ledger.extend_sequential(led, name="down")
-        return out
+        return {u: [(h, out[u])] for h, plan in plans.items() for u in plan}
 
+    gather = {v: {hub: items.get(v, ())} for v, hub in hub_of.items() if hub != v}
     assert _result(
-        lambda led: chunked_gather(g, cfg, led, "up", hub_of, items)
+        lambda led: _inboxes(_stream(g, cfg, led, "up", gather))
     ) == _result(ref_gather)
     assert _result(
-        lambda led: chunked_scatter(g, cfg, led, "down", plans)
+        lambda led: _inboxes(_stream(g, cfg, led, "down", plans))
     ) == _result(ref_scatter)
 
 
@@ -736,12 +750,12 @@ def test_chunked_streams_reject_non_neighbour_targets():
         want[name] = str(exc.value)
     ledger = RoundLedger()
     with pytest.raises(SimError) as exc:
-        chunked_gather(g, SimConfig(), ledger, "up", {1: 0, 3: 0, 4: 0},
-                       {1: [2], 3: [1, 2], 4: [0]})
+        _stream(g, SimConfig(), ledger, "up",
+                {1: {0: [2]}, 3: {0: [1, 2]}, 4: {0: [0]}})
     assert str(exc.value) == want["up"] == "up: vertex 3 sent to non-neighbor 0"
     with pytest.raises(SimError) as exc:
-        chunked_scatter(g, SimConfig(), ledger, "down",
-                        {0: {1: [4], 4: [], 3: [1]}, 3: {4: [0]}})
+        _stream(g, SimConfig(), ledger, "down",
+                {0: {1: [4], 4: [], 3: [1]}, 3: {4: [0]}})
     assert str(exc.value) == want["down"] == "down: vertex 0 sent to non-neighbor 3"
     assert ledger.to_json() == RoundLedger().to_json()
 

@@ -12,7 +12,7 @@ import pytest
 from spanner import Bipartition, SimConfig, generate
 from spanner.clustering import WeightedTree
 from spanner.graph import Spanner, canon
-from spanner.kspanner.common import chunked_gather, chunked_scatter, connect, signal
+from spanner.kspanner.common import _stream, connect, signal
 from spanner.primitives import (
     Forest,
     grow_bfs_clusters,
@@ -20,7 +20,7 @@ from spanner.primitives import (
     ruling_set_log,
     ruling_set_power,
 )
-from spanner.sim import RoundLedger, SimTimeout, announce, exchange
+from spanner.sim import RoundLedger, SimTimeout, exchange
 from spanner.spanner3 import bipartite_3_spanner
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "spanner"
@@ -48,16 +48,16 @@ def _fresh(step):
 CHARGED = {
     "exchange": (_fresh(lambda cfg, led: exchange(
         PATH5, cfg, led, "ex", {0: "x", 3: "y"}, 9, to={0: [1], 3: [2, 4]})), "ex", 1),
-    "announce": (_fresh(lambda cfg, led: announce(
+    "exchange.all": (_fresh(lambda cfg, led: exchange(
         PATH5, cfg, led, "ann", {2: 7}, 9)), "ann", 1),
     "signal": (_fresh(lambda cfg, led: signal(
         PATH5, cfg, led, "sig", [(0, 1), (2, 1)])), "sig", 1),
     "connect": (_fresh(lambda cfg, led: connect(
         PATH5, cfg, led, Spanner(PATH5), "con", [(3, 4, "pick")])), "con", 1),
     # 7 IDs: three chunks and the end marker
-    "chunked_gather": (_fresh(lambda cfg, led: chunked_gather(
-        PATH5, cfg, led, "gather", {1: 0, 2: 2}, {1: list(range(7))})), "gather", 4),
-    "chunked_scatter": (_fresh(lambda cfg, led: chunked_scatter(
+    "_stream.gather": (_fresh(lambda cfg, led: _stream(
+        PATH5, cfg, led, "gather", {1: {0: list(range(7))}})), "gather", 4),
+    "_stream.scatter": (_fresh(lambda cfg, led: _stream(
         PATH5, cfg, led, "scatter", {2: {1: [4], 3: list(range(4))}})), "scatter", 3),
     "Forest.aggregate": (lambda cfg: CHAIN.aggregate([1] * 5, cfg=cfg)[1],
                          "forest-aggregate", 4),
@@ -95,7 +95,7 @@ def test_silent_phases_pass_at_a_cap_of_one():
     ledger = RoundLedger()
     exchange(PATH5, cfg, ledger, "ex", {}, 9)
     signal(PATH5, cfg, ledger, "sig", [])
-    chunked_scatter(PATH5, cfg, ledger, "scatter", {})
+    _stream(PATH5, cfg, ledger, "scatter", {})
     assert ledger.to_json() == RoundLedger(
         per_phase=[("ex", 0), ("sig", 0), ("scatter", 0)]).to_json()
     assert grow_bfs_clusters(PATH5, (), 3, cfg)[1].rounds_used == 0

@@ -15,7 +15,6 @@ from spanner.sim import (
     _cascade,
     _flood,
     _post,
-    announce,
     default_bit_budget,
     exchange,
 )
@@ -122,7 +121,7 @@ def test_determinism_bit_identical():
 def test_phase_outputs_visible_in_next_init():
     g = generate("path", {"n": 3})
     labels = {v: v * 10 for v in g.vertices}
-    out = announce(g, SimConfig(), RoundLedger(), "announce", labels, 8 + g.id_bits)
+    out = exchange(g, SimConfig(), RoundLedger(), "announce", labels, 8 + g.id_bits)
     assert out[1] == {0: 0, 2: 20}
 
 

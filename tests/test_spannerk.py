@@ -714,12 +714,14 @@ def _exchange_all_vertices(g, cfg, ledger, name, out):
 
 
 def ref_announce(g, cfg, ledger, name, labels, bits):
-    """Reference for ``sim.announce``: one Msg per sender to every
-    neighbour, posted message by message."""
+    """Reference for ``exchange`` to all neighbours: one Msg per sender
+    to every neighbour, posted message by message; a label keyed by a
+    non-vertex sends nothing."""
     out = {}
     for v, label in labels.items():
-        m = Msg(bits, label)
-        out[v] = {u: m for u in g.adj[v]}
+        if v in g.adj:
+            m = Msg(bits, label)
+            out[v] = {u: m for u in g.adj[v]}
     got = _exchange_all_vertices(g, cfg, ledger, name, out)
     return {v: dict(inbox) for v, inbox in got.items()}
 
@@ -754,7 +756,7 @@ def _round_outcome(call, reference=False):
                          per_phase=[("before", 3)])
     try:
         got = call(ledger)
-    except (SimError, KeyError) as exc:
+    except SimError as exc:
         return type(exc), str(exc)
     entries = [(v, list(x.items()) if isinstance(x, dict) else list(x))
                for v, x in sorted(got.items()) if x or not reference]
@@ -768,7 +770,7 @@ def _count_outcome(call):
                          per_phase=[("before", 3)])
     try:
         got = call(ledger)
-    except (SimError, KeyError) as exc:
+    except SimError as exc:
         return type(exc), str(exc)
     return sorted(got.items()), ledger.to_json()
 
@@ -776,12 +778,12 @@ def _count_outcome(call):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.integers(0, 10**9))
 def test_announce_and_signal_match_posted_rounds(seed):
-    """``announce`` and ``exchange`` with chosen receivers (the
-    star-relay shape) return what the posted rounds return, minus the
-    vertices that received nothing, and ``signal`` returns each receiver's
-    count of the senders the posted round delivers to it, with the same
-    ledger or the same exception type and text: on graphs with n <= 12 and sparse IDs, in
-    strict and audit mode, at the budget floor and one bit below it, with
+    """``exchange`` to all neighbours (the label shape) and with chosen
+    receivers (the star-relay shape) return what the posted rounds
+    return, minus the vertices that received nothing, and ``signal``
+    returns each receiver's count of the senders the posted round delivers
+    to it, with the same ledger or the same exception type and text: on
+    graphs with n <= 12 and sparse IDs, in strict and audit mode, at the budget floor and one bit below it, with
     labels and bodies narrower and wider than the budget, labels keyed by
     non-vertices, pairs and receiver lists with repeats, non-vertex
     senders and non-neighbour receivers."""
@@ -798,7 +800,7 @@ def test_announce_and_signal_match_posted_rounds(seed):
         labels[rng.choice((70, 71, ids[0] + 0.5))] = 0
     labels = dict(rng.sample(sorted(labels.items(), key=repr), len(labels)))
     bits = rng.randint(1, floor + 2)
-    assert _round_outcome(lambda led: sim.announce(g, cfg, led, "ann", labels, bits)) \
+    assert _round_outcome(lambda led: sim.exchange(g, cfg, led, "ann", labels, bits)) \
         == _round_outcome(lambda led: ref_announce(g, cfg, led, "ann", labels, bits), True)
     pairs = []
     for _ in range(rng.randint(0, 3 * len(ids))):
@@ -925,7 +927,7 @@ def ref_elect(g, cfg, ledger, *, steps, labels, nbr_labels, remaining, threshold
 
 def ref_cluster_expansion(g, cfg, ledger, clustering, label):
     """Reference for ``zero._cluster_expansion`` over the reference ack step."""
-    nbr_cluster = sim.announce(g, cfg, ledger, f"zero-announce:{label}",
+    nbr_cluster = sim.exchange(g, cfg, ledger, f"zero-announce:{label}",
                                clustering.membership, 8 + g.id_bits)
     up, _down = cluster_steps(g, cfg, ledger, clustering)
     return ref_unmarked_degree(
@@ -966,7 +968,7 @@ def _election_outcome(elect_impl, g, cfg, clustering, labels, kw):
     ledger, records = RoundLedger(), []
     try:
         up, down = cluster_steps(g, cfg, ledger, clustering)
-        nbr_labels = sim.announce(g, cfg, ledger, "ann", labels, 8 + g.id_bits)
+        nbr_labels = sim.exchange(g, cfg, ledger, "ann", labels, 8 + g.id_bits)
         joined, remaining, marked = elect_impl(
             g, cfg, ledger, labels=labels, nbr_labels=nbr_labels, up=up, down=down,
             records=records, **kw)
