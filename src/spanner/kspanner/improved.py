@@ -131,10 +131,8 @@ def _phase(g, k, cfg, ledger, trace, H, clustering, superclustering,
     )
     trace["iterations"][i] = trace["si_records"][-1]["iteration"]
 
-    _cover_remaining(
-        g, k, cfg, ledger, trace, H, clustering, scs, vset, sc_of_vertex,
-        remaining, marked, nbr_sc, i,
-    )
+    _cover_remaining(g, k, cfg, ledger, trace, H, scs, vset, sc_of_vertex, remaining,
+                     marked, i)
 
     # new clusters around all centers of the successful superclusters
     z_i = sorted({c for scid in joined_sc for c in scs[scid].clusters})
@@ -151,8 +149,8 @@ def _phase(g, k, cfg, ledger, trace, H, clustering, superclustering,
     return new_clustering, new_sc
 
 
-def _cover_remaining(g, k, cfg, ledger, trace, H, clustering, scs, vset,
-                     sc_of_vertex, remaining, marked, nbr_sc, i):
+def _cover_remaining(g, k, cfg, ledger, trace, H, scs, vset, sc_of_vertex, remaining,
+                     marked, i):
     """Low-expansion superclusters: direct edges into singletons, bipartite
     spanners toward the outside and recursion inside for the rest."""
     singles = {s for s in remaining if len(scs[s].clusters) == 1}

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..clustering import Clustering
 from ..graph import Graph, Spanner
 from ..results import SpannerRun
-from ..sim import BitCost, Msg, RoundLedger, SimConfig, SimTimeout, _cascade
+from ..sim import BitCost, RoundLedger, SimConfig, SimError, SimTimeout, _charge
 from .common import (
     _stream,
     advertise,
@@ -127,68 +127,58 @@ def _grow_star_clusters(
     offer it heard.  Ties prefer the larger cluster ID, then the smallest
     relaying vertex, then the smallest offerer.
 
-    The host tracks every vertex's cluster, the uplinks and each leader's
-    buffered offer.  Mail alone cannot drive the BFS: a leader acts on
-    buffered offers in an adopt round in which it may get no mail, and a
-    leader without members announces its adoption in a round with no
-    mail.  So the clock wakes the leaders holding offers in adopt rounds
-    and the leaders that just adopted in announce rounds.  It runs until
-    round 3(depth+1), so every round of the schedule is checked against
-    the round cap and the stall guard, whether or not it carries mail."""
+    The rounds run as host loops over the stars, and the phase is charged
+    whole (``sim._charge``), its messages at their own widths: the round
+    cap applies to its last sending round, which may come before round
+    3(depth+1) or be round 0."""
+    cfg.check(g)
+    strays = sorted(v for v in centers if v not in g.adj)
+    if strays:
+        raise SimError(f"star-bfs: active non-vertices {strays[:5]}")
     adopt_bits = BitCost.TAG + g.id_bits + BitCost(g).counter(depth)
     offer_bits = BitCost.TAG + g.id_bits
     relay_bits = BitCost.TAG + 2 * g.id_bits
     cid: Dict[int, int] = {}  # vertex -> cluster, once it knows one
     uplinks: Dict[int, Tuple[int, int]] = {}
-    offers: Dict[int, Tuple[int, int, int]] = {}  # leader -> (cid, -relay, -offerer)
-    fresh: List[int] = []  # leaders that adopted in the last adopt round
-    last = 3 * (depth + 1)
-
-    def adopt(s, c, hop):
-        cid[s] = c
-        fresh.append(s)
-        m = Msg(adopt_bits, (c, hop))
-        return {u: m for u in st.members[s]}
-
-    def wake(rnd):
-        nonlocal fresh
-        if rnd > last:
-            return None
-        if rnd % 3 == 2:
-            woken, fresh = fresh, []
-            return woken
-        return offers if rnd % 3 == 1 else ()
-
-    def step(v, rnd, inbox):
-        phase = rnd % 3
-        if rnd == 1:  # v is a center
-            return adopt(v, v, 0)
-        if phase == 1:  # v is a leader with relays or buffered offers
-            best = offers.pop(v, None)
-            if rnd > 3 * depth + 1:
-                return None
-            for member, (c, offerer) in inbox:
-                key = (c, -member, -offerer)
-                if best is None or key > best:
-                    best = key
-            c, rel, off = best
-            uplinks[v] = (-rel, -off)
-            return adopt(v, c, (rnd - 1) // 3)
-        if phase == 2:  # v just adopted, or its leader told it
-            if inbox:
-                cid[v] = inbox[0][1][0]
-            m = Msg(offer_bits, cid[v])
-            return {u: m for u in g.adj[v]}
-        s = st.star_of.get(v)  # v heard offers
-        if s is None or v in cid:
-            return None
-        c, neg = max((c, -sender) for sender, c in inbox)
-        if v == s:
-            offers[v] = (c, -v, neg)
-            return None
-        return {s: Msg(relay_bits, (c, -neg))}
-
-    led = _cascade(g, cfg, "star-bfs", centers, step, wake)
+    sent: List[Tuple[int, int, List[int], int]] = []  # (round, sender, receivers, bits)
+    adopted = {s: (s, None) for s in centers}  # leader -> (cluster, uplink)
+    for hop in range(depth + 1):
+        rnd = 3 * hop + 1
+        announce = []
+        for s in sorted(adopted):
+            c, uplink = adopted[s]
+            if uplink:
+                uplinks[s] = uplink
+            members = sorted(st.members[s])
+            if members:
+                sent.append((rnd, s, members, adopt_bits))
+            for v in (s, *members):
+                cid[v] = c
+                announce.append(v)
+        heard: Dict[int, Tuple[int, int]] = {}  # v -> its best (cluster, -offerer)
+        for v in sorted(announce):
+            if g.adj[v]:
+                sent.append((rnd + 1, v, list(g.adj[v]), offer_bits))
+            key = (cid[v], -v)
+            for u in g.adj[v]:
+                if u not in heard or key > heard[u]:
+                    heard[u] = key
+        offers: Dict[int, Tuple[int, int, int]] = {}  # leader -> (cid, -relay, -offerer)
+        for v in sorted(heard):
+            s = st.star_of.get(v)
+            if s is None or v in cid:
+                continue
+            if v != s:
+                sent.append((rnd + 2, v, [s], relay_bits))
+            key = (heard[v][0], -v, heard[v][1])
+            if s not in offers or key > offers[s]:
+                offers[s] = key
+        adopted = {s: (c, (-rel, -off)) for s, (c, rel, off) in offers.items()}
+    led = RoundLedger()
+    _charge(g, cfg, led, "star-bfs", sent[-1][0] if sent else 0,
+            sum(len(to) for _r, _v, to, _b in sent),
+            max((bits for _r, _v, _to, bits in sent), default=0),
+            lambda: [(r, v, u, bits) for r, v, to, bits in sent for u in to])
     ledger.extend_sequential(led, name=f"star-bfs:d{depth}")
     return {s: cid.get(s) for s in st.stars()}, uplinks
 

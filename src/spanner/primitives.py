@@ -4,16 +4,16 @@ Every wrapper is a pure function of (graph, inputs) and returns the
 assembled result together with the run's RoundLedger.  Cluster growth, the
 power-graph min-flood and hop-flood and the log-round ruling set are
 floods, run layer by layer on the host as relay floods (``sim._relay``,
-the last two through ``sim._flood``).  The tree partition runs as
-``sim._cascade`` steps.  The convergecast and the broadcast are the two
-methods of a ``Forest``, which checks its role table once and rejects a
-table with a cycle or a tree edge outside the graph; every call over
-those trees reads and returns one value per role and is one walk over a
-schedule, charged whole by ``sim._charge``.  The floods and the forest
-passes are accounted in bulk within the budget and message by message
-over it, and all of them follow the simulator's one round-cap rule: a
-phase whose last message goes out in round R raises SimTimeout when
-R >= ``max_rounds``.
+the last two through ``sim._flood``).  The convergecast and the broadcast
+are the two methods of a ``Forest``, which checks its role table once and
+rejects a table with a cycle or a tree edge outside the graph; every call
+over those trees reads and returns one value per role and is one walk
+over a schedule.  The tree partition computes its two waves on the host
+from the oriented tree.  The forest passes and the tree partition are
+charged whole by ``sim._charge``.  All of these are accounted in bulk
+within the budget and message by message over it, and all of them follow
+the simulator's one round-cap rule: a phase whose last message goes out
+in round R raises SimTimeout when R >= ``max_rounds``.
 """
 
 from __future__ import annotations
@@ -27,11 +27,10 @@ from .clustering import Clustering, TreePart, TreePartition, WeightedTree, orien
 from .graph import Graph, canon
 from .sim import (
     BitCost,
-    Msg,
     RoundLedger,
+    Send,
     SimConfig,
     SimError,
-    _cascade,
     _charge,
     _flood,
     _relay,
@@ -265,10 +264,10 @@ class Forest:
         self.up_rounds = sends[-1][0] if sends else 0
 
     def _pass(self, name: str, cfg: SimConfig, width: int, rounds: int,
-              sends: Callable[[], List[Tuple[int, int, int]]]) -> RoundLedger:
+              sends: Callable[[], List[Send]]) -> RoundLedger:
         """The ledger of one pass of ``rounds`` send rounds that sends one
         ``width``-bit message over every tree edge; ``sends()`` lists them
-        as (round, sender, receiver) triples in that order."""
+        as (round, sender, receiver, width) in that order."""
         cfg.check(self.g)
         ledger = RoundLedger()
         _charge(self.g, cfg, ledger, name, rounds, self.edges, width, sends)
@@ -301,7 +300,7 @@ class Forest:
             self._convergecast()
         up = self.up
         ledger = self._pass("forest-aggregate", cfg or SimConfig(), width, self.up_rounds,
-                            lambda: [s[:3] for s in up])
+                            lambda: [(*s[:3], width) for s in up])
         acc = list(values)
         for _rnd, _v, _u, r, p in up:
             acc[p] = fn(acc[p], acc[r])
@@ -329,7 +328,7 @@ class Forest:
         width = BitCost.TAG + BitCost(self.g).counter(bound)
         depth, keys = self.depth, self.role_keys
         ledger = self._pass("forest-broadcast", cfg or SimConfig(), width, self.down_rounds,
-                            lambda: sorted((depth[p] + 1, keys[p][0], keys[r][0])
+                            lambda: sorted((depth[p] + 1, keys[p][0], keys[r][0], width)
                                            for p, r in self.down))
         for p, r in self.down:
             got[r] = got[p]
@@ -466,9 +465,6 @@ def ruling_set_power(
 # ---------------------------------------------------------------------------
 
 
-TAG_LEFT, TAG_NOLEFT, TAG_ASSIGN = 0, 1, 2
-
-
 def partition_tree(
     t: WeightedTree, cfg: Optional[SimConfig] = None
 ) -> Tuple[TreePartition, RoundLedger]:
@@ -480,82 +476,82 @@ def partition_tree(
     the child's leftover set (``8 + counter(B)`` bits) or a no-leftover
     marker (8 bits), groups leftover children (in increasing child ID)
     into parts of weight in (B, 2B], and keeps the light tail plus itself
-    as its own root part.  Top-down, every vertex that resolves a part
-    identity pushes it, ``8 + id_bits + counter(n)`` bits, into the
-    leftover subtrees that merged into it.
+    as its own root part.  A leaf reports in round 1, every other vertex
+    in the round after its last child's report.  Top-down, every vertex
+    that resolves a part identity pushes it, ``8 + id_bits + counter(n)``
+    bits, into the leftover subtrees that merged into it: in the round it
+    resolves the part, one hop further per round.
+
+    Both waves are computed on the host from the oriented tree and charged
+    as one phase (``sim._charge``), its messages at their own widths.
     """
     if t.bound < 1:
         raise ValueError("bound B must be >= 1")
     t.validate()
     tree_graph = Graph(t.vertices(), t.edges)
+    cfg = cfg or SimConfig()
+    cfg.check(tree_graph)
     tree = orient_tree(t.root, t.edges)
     bound = t.bound
     bits = BitCost(tree_graph)
     left_width = BitCost.TAG + bits.counter(bound)
     assign_width = BitCost.TAG + tree_graph.id_bits + bits.counter(len(tree))
-    waiting = {v: set(ch) for v, (_p, ch) in tree.items()}
-    leftovers: Dict[int, List[Tuple[int, int]]] = {v: [] for v in tree}
+    sends: List[Send] = []
+    report: Dict[int, int] = {}  # v -> the round v reports to its parent
+    left: Dict[int, int] = {}  # v -> the weight of v's leftover set, if reported
     tail: Dict[int, List[int]] = {}  # leftover children merged into v's root part
-    part: Dict[int, Tuple[int, int]] = {}  # (root_id, idx) once resolved
+    part: Dict[int, Tuple[int, int]] = {}  # (root_id, idx)
 
-    def assign(out, children, key):
-        m = Msg(assign_width, (TAG_ASSIGN, *key))
-        for c in children:
-            out[c] = m
+    def assign(v, children, key, rnd):
+        """v sends ``key`` to ``children`` in round ``rnd``; each forwards
+        it to its own tail in the round it arrives."""
+        todo = [(v, children, rnd)]
+        for u, kids, r in todo:
+            for c in kids:
+                sends.append((r, u, c, assign_width))
+                part[c] = key
+                todo.append((c, tail[c], r + 1))
 
-    def step(v, rnd, inbox):
-        out = {}
-        for sender, body in inbox:
-            if body[0] == TAG_ASSIGN:
-                part[v] = body[1:]
-                assign(out, tail[v], part[v])
-            else:
-                waiting[v].discard(sender)
-                if body[0] == TAG_LEFT:
-                    leftovers[v].append((sender, body[1]))
-        if waiting[v] or v in tail:
-            return out
-        # every child has reported (a leaf: round 1); group the leftovers
+    for v in reversed(tree):  # BFS order reversed: children first
+        parent, children = tree[v]
+        rnd = report[v] = 1 + max((report[c] for c in children), default=0)
         acc: List[int] = []
         acc_w = 0
         idx = 0
-        for child, w in sorted(leftovers[v]):
-            acc.append(child)
-            acc_w += w
+        for c in children:  # sorted
+            if c not in left:
+                continue
+            acc.append(c)
+            acc_w += left[c]
             if acc_w > bound:
                 idx += 1
-                assign(out, acc, (v, idx))
+                assign(v, acc, (v, idx), rnd)
                 acc = []
                 acc_w = 0
         tail[v] = acc
         tail_w = acc_w + t.weights.get(v, 0)
-        parent = tree[v][0]
         if parent is not None and tail_w <= bound:
-            out[parent] = Msg(left_width, (TAG_LEFT, tail_w))
-            return out
-        # the global root's part, or a heavy root part, finalizes here
+            left[v] = tail_w
+            sends.append((rnd, v, parent, left_width))
+            continue
+        # the global root's part, or a heavy root part, resolves here
         if parent is not None:
-            out[parent] = Msg(BitCost.TAG, (TAG_NOLEFT,))
+            sends.append((rnd, v, parent, BitCost.TAG))
         part[v] = (v, 0)
-        assign(out, acc, part[v])
-        return out
+        assign(v, acc, part[v], rnd)
 
-    ledger = _cascade(tree_graph, cfg or SimConfig(), "tree-partition", tree, step)
+    ledger = RoundLedger()
+    _charge(tree_graph, cfg, ledger, "tree-partition",
+            max((s[0] for s in sends), default=0), len(sends),
+            max((s[3] for s in sends), default=0), lambda: sorted(sends))
 
-    keys: List[Tuple[int, int]] = []
     owned: Dict[Tuple[int, int], Set[int]] = {}
     for v in sorted(tree):
-        key = part.get(v)
-        if key is None:
-            raise SimError(f"vertex {v} left unassigned by tree partition")
-        owned.setdefault(key, set()).add(v)
-        if key not in keys:
-            keys.append(key)
+        owned.setdefault(part[v], set()).add(v)
     # part 0 is the (possibly light) part owned by the global root
     root_key = part[t.root]
-    keys.sort(key=lambda k: (k != root_key, k))
     parts = []
-    for key in keys:
+    for key in sorted(owned, key=lambda k: (k != root_key, k)):
         vs = owned[key]
         # the part tree is exactly the parent edges of its owned vertices,
         # except the upward edge of a part whose root is itself owned

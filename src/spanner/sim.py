@@ -21,8 +21,9 @@ round it runs it applies the round cap and a guard against
 :func:`run` adapts a :class:`NodeProgram` to it (hooks ``init(view)``,
 ``on_round(state, view, rnd, inbox) -> (outbox, halt_vote)`` and
 ``on_finish(state, view)``), with the vertices that have not voted halt
-as the clock.  The tree partition and the star-graph BFS of
-``kspanner.starbip`` run as step closures.
+as the clock.  The library's own phases do not use this loop: each is
+scheduled on the host and enters the ledger through ``_relay`` or
+``_charge``.
 
 ``_relay`` runs a relay flood layer by layer on the host, with the cap
 after every round that sends: each sender messages every neighbour but
@@ -35,12 +36,14 @@ one scripted round (each sender sends one message to all its neighbours
 or to the receivers it names, and each receiver gets ``{sender:
 body}``), the token rounds of ``kspanner.common.signal``, the chunked
 ID streams (``kspanner.common._stream``), every ``primitives.Forest``
-pass and the star rounds of the 3-spanners.
+pass, ``primitives.partition_tree``, the star-graph BFS of
+``kspanner.starbip`` and the star rounds of the 3-spanners.
 
 All of these send one message per edge and round, to neighbours, so
 within the budget they can violate nothing and handle no message
-objects: ``_bulk`` folds each batch into the ledger at once.  Over the
-budget ``_overrun`` checks them message by message.
+objects: ``_bulk`` folds each batch into the ledger at once, at its
+widest message.  Over the budget ``_overrun`` checks them message by
+message, each at its own width.
 """
 
 from __future__ import annotations
@@ -244,30 +247,41 @@ def _bulk(ledger: RoundLedger, messages: int, width: int) -> None:
         ledger.per_round_edge_load = 1
 
 
+Send = Tuple[int, int, int, int]  # (round, sender, receiver, bits)
+
+
 def _overrun(
     g: Graph,
     cfg: SimConfig,
     ledger: RoundLedger,
     name: str,
-    sends: Sequence[Tuple[int, int, int]],
-    bits: int,
+    sends: Sequence[Send],
     budget: int,
 ) -> None:
-    """The send step's per-message loop for one ``bits``-bit message over
-    the ``budget`` per (round, sender, receiver) triple of ``sends``, in
-    that order: a non-neighbour receiver raises SimError, and each message
-    raises BudgetError (strict) or is recorded; then :func:`_bulk`."""
+    """The send step's per-message loop over the (round, sender, receiver,
+    bits) messages of ``sends``, in that order: a message in a round past
+    the cap raises SimTimeout (:func:`_cap` on the round before it), a
+    non-neighbour receiver raises SimError, and each message above the
+    ``budget`` raises BudgetError (strict) or is recorded; then
+    :func:`_bulk` at the widest message."""
     adj = g.adj
-    for rnd, v, u in sends:
+    cap = cfg.max_rounds
+    widest = 0
+    for rnd, v, u, bits in sends:
+        if rnd > cap:
+            _cap(cfg, name, rnd - 1)
         if u not in adj or u not in adj[v]:
             raise SimError(f"{name}: vertex {v} sent to non-neighbor {u}")
-        rec = {"kind": "bits", "round": rnd, "edge": [v, u],
-               "bits": bits, "budget": budget, "program": name}
-        if cfg.strict:
-            raise BudgetError(str(rec))
-        ledger.violations.append(rec)
+        if bits > budget:
+            rec = {"kind": "bits", "round": rnd, "edge": [v, u],
+                   "bits": bits, "budget": budget, "program": name}
+            if cfg.strict:
+                raise BudgetError(str(rec))
+            ledger.violations.append(rec)
+        if bits > widest:
+            widest = bits
     if sends:
-        _bulk(ledger, len(sends), bits)
+        _bulk(ledger, len(sends), widest)
 
 
 def _cap(cfg: SimConfig, name: str, last: int) -> None:
@@ -280,7 +294,7 @@ def _cap(cfg: SimConfig, name: str, last: int) -> None:
 
 def _charge(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str, rounds: int,
             messages: int, width: int,
-            sends: Optional[Callable[[], Sequence[Tuple[int, int, int]]]] = None) -> None:
+            sends: Optional[Callable[[], Sequence[Send]]] = None) -> None:
     """Charge a host-scheduled phase of ``messages`` messages, the widest
     of ``width`` bits, whose last message goes out in round ``rounds`` (0:
     none), to ``ledger`` as phase ``name``.  Over the budget its messages,
@@ -291,7 +305,7 @@ def _charge(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str, rounds: in
     one ``per_phase`` entry."""
     budget = cfg.budget_for(g)
     if width > budget:
-        _overrun(g, cfg, ledger, name, sends(), width, budget)
+        _overrun(g, cfg, ledger, name, sends(), budget)
     elif messages:
         _bulk(ledger, messages, width)
     _cap(cfg, name, rounds)
@@ -428,7 +442,7 @@ def exchange(
                 heard[u][v] = body
     messages = sum(map(len, heard.values()))
     _charge(g, cfg, ledger, name, 1 if messages else 0, messages, bits, lambda: [
-        (1, v, u) for v in sorted(bodies) if v in adj
+        (1, v, u, bits) for v in sorted(bodies) if v in adj
         for u in sorted(set(to.get(v) or ()))
     ])
     return dict(heard)
@@ -508,10 +522,9 @@ def _relay(g: Graph, cfg: SimConfig, budget: int, ledger: RoundLedger, name: str
     budget it can violate nothing and is accounted at once with
     :func:`_bulk`.  Over the budget its messages, senders in ID order and
     each one's receivers in ID order, go through :func:`_overrun`, which
-    raises or records each violation as for a program.  As in
-    :func:`_cascade`, ``first`` must name vertices, and the round cap
-    (:func:`_cap`) applies after each round that carried a message; the
-    caller checks the config."""
+    raises or records each violation as for a program.  ``first`` must
+    name vertices, and the round cap (:func:`_cap`) applies after each
+    round that carried a message; the caller checks the config."""
     adj = g.adj
     layer = sorted(set(first))
     strays = [v for v in layer if v not in adj]
@@ -529,8 +542,8 @@ def _relay(g: Graph, cfg: SimConfig, budget: int, ledger: RoundLedger, name: str
             _bulk(ledger, messages, width)
         else:
             _overrun(g, cfg, ledger, name, [
-                (rnd, v, u) for v in layer for u in adj[v] if u != skip.get(v)
-            ], width, budget)
+                (rnd, v, u, width) for v in layer for u in adj[v] if u != skip.get(v)
+            ], budget)
         sent += 1
         ledger.rounds_used = rnd
         _cap(cfg, name, rnd)

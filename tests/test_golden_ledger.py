@@ -5,7 +5,6 @@ sha256 over one JSON document of the three."""
 
 import hashlib
 import json
-import sys
 
 import pytest
 
@@ -173,17 +172,12 @@ def test_star_rounds_and_id_streams_never_violate(name):
 
 
 def test_only_the_round_loop_posts(monkeypatch):
-    # the send step serves only ``sim._cascade`` (the tree partition and
-    # the star-graph BFS here): every other over-budget round of the
-    # improved-audit build, whose ledger holds thousands of violation
-    # records, is accounted through ``sim._overrun``
-    callers = set()
-    post = sim._post
-
+    # the send step serves only ``sim.run``'s round loop: every over-budget
+    # round of the improved-audit build, whose ledger holds thousands of
+    # violation records (the tree partition's at three widths among them),
+    # is accounted through ``sim._overrun``
     def spy(*args):
-        callers.add(sys._getframe(1).f_code.co_name)
-        return post(*args)
+        raise AssertionError("a library phase posted through the send step")
 
     monkeypatch.setattr(sim, "_post", spy)
     _build("improved-audit", 6, "hyper-64")
-    assert callers == {"_cascade"}

@@ -12,6 +12,7 @@ import pytest
 from spanner import Bipartition, SimConfig, generate
 from spanner.clustering import WeightedTree
 from spanner.graph import Spanner, canon
+from spanner.kspanner import starbip
 from spanner.kspanner.common import _stream, connect, signal
 from spanner.primitives import (
     Forest,
@@ -30,6 +31,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "spanner"
 PATH5 = generate("path", {"n": 5})
 CHAIN = Forest(PATH5, {v: [("t", v - 1 if v else None, (v + 1,) if v < 4 else ())]
                        for v in range(5)})
+# stars 0: [1], 2: [3] and 4: [] on the 5-path
+STARS5 = starbip.StarState(PATH5, {0, 2, 4}, {1, 3})
+starbip._form_stars(PATH5, SimConfig(), RoundLedger(), STARS5, Spanner(PATH5))
 TREE5 = WeightedTree(edges=frozenset(canon(v, v + 1) for v in range(4)), root=0,
                      weights=dict.fromkeys(range(5), 1), bound=2)
 
@@ -74,6 +78,10 @@ CHARGED = {
     # 5-7; bit 0: 1 has the bit set and nobody floods
     "ruling_set_log": (lambda cfg: ruling_set_log(PATH5, {1, 4}, cfg)[1],
                        "ruling-set-log", 7),
+    # the BFS from star 0 reaches star 2 in hop 1 and star 4 in hop 2, whose
+    # leader announces in round 8; hop 3 of the schedule sends nothing
+    "star-bfs": (_fresh(lambda cfg, led: starbip._grow_star_clusters(
+        PATH5, cfg, led, STARS5, {0}, 3)), "star-bfs", 8),
     # reports climb in rounds 1-4, and root 0 assigns its part in round 5
     "partition_tree": (lambda cfg: partition_tree(TREE5, cfg)[1], "tree-partition", 5),
 }
@@ -102,6 +110,8 @@ def test_silent_phases_pass_at_a_cap_of_one():
 
 
 RULE_HELPERS = {"_bulk", "_overrun", "_round_guard", "_cap"}
+# the vertex-program round loop and what only it uses
+ROUND_LOOP = {"_cascade", "_post", "STALL_LIMIT", "Msg"}
 
 
 def test_only_sim_applies_the_rule():
@@ -112,6 +122,25 @@ def test_only_sim_applies_the_rule():
             if isinstance(node, ast.ImportFrom):
                 named = {alias.name for alias in node.names}
                 assert not named & RULE_HELPERS, (path.name, sorted(named & RULE_HELPERS))
+
+
+def test_only_sim_runs_the_round_loop():
+    # every library phase is host-scheduled and enters the ledger through
+    # ``_charge`` or ``_relay``; the package root re-exports ``Msg``, which
+    # a NodeProgram run by ``sim.run`` sends, and nothing else of the loop
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "sim.py":
+            continue
+        used = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                used |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+        allowed = {"Msg"} if path == SRC / "__init__.py" else set()
+        assert not used & ROUND_LOOP - allowed, (path.name, sorted(used & ROUND_LOOP))
 
 
 def test_sim_config_fields():

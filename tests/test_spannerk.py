@@ -378,8 +378,8 @@ def ref_grow_star_clusters(g, cfg, ledger, st, centers, depth):
     the centres in round 1, then the vertices with mail and those that did
     not vote halt, through round 3(depth+1).  A vertex stays awake only
     for work that comes without mail, so the loop calls the vertices that
-    act, and the stall guard, which counts only rounds that call some
-    vertex, sees the rounds it sees for the clocked BFS."""
+    act.  The clock keeps every round of the schedule, so the loop applies
+    the round cap through round 3·depth+2 even where nothing is sent."""
     private = {}
     for v in g.vertices:
         s = st.star_of.get(v)
@@ -413,15 +413,32 @@ def ref_grow_star_clusters(g, cfg, ledger, st, centers, depth):
     return cluster_of, uplinks
 
 
+def _last_send(g, cfg, st, centers, depth):
+    """The reference's last sending round R, from an uncapped audit run."""
+    probe = RoundLedger()
+    ref_grow_star_clusters(g, cfg.with_(max_rounds=SimConfig.max_rounds, strict=False),
+                           probe, st, centers, depth)
+    return probe.rounds_used
+
+
+def ref_capped_at_last_send(g, cfg, ledger, st, centers, depth):
+    """``ref_grow_star_clusters`` under the library's round-cap rule, which
+    applies the cap to R alone: uncapped when R lies below the cap."""
+    if _last_send(g, cfg, st, centers, depth) < cfg.max_rounds:
+        cfg = cfg.with_(max_rounds=SimConfig.max_rounds)
+    return ref_grow_star_clusters(g, cfg, ledger, st, centers, depth)
+
+
 def random_star_bfs_inputs(rng):
     """A graph on up to 40 sparse IDs with an A side, a larger B side and
     vertices on neither side, A-B edges at one of four densities plus a
     few within-side and outside edges; k = 3..8; a strict or audit config
     at a roomy budget or at the floor 8 + id_bits, where RELAY's
     8 + 2 * id_bits bits (and, in whole builds, the election's tuples)
-    overrun it; max_rounds 0..3(depth+1)+1 or uncapped for the deepest
-    star BFS of a build with this k (at least depth 1); and a stall limit
-    of 0..5 or ``sim.STALL_LIMIT``, for the caller to patch in."""
+    overrun it; and max_rounds 0..3(depth+1)+1 or uncapped for the deepest
+    star BFS of a build with this k (at least depth 1).  Its last draws,
+    which nothing reads, keep every seed's later draws as they were when
+    they chose a stall limit."""
     ids = rng.sample(range(1, 400), rng.randint(2, 40))
     na = rng.randint(1, max(1, len(ids) // 3))
     a, rest = ids[:na], ids[na:]
@@ -441,28 +458,32 @@ def random_star_bfs_inputs(rng):
     cfg = SimConfig(msg_bit_budget=budget, strict=rng.random() < 0.5)
     if rng.random() < 0.6:
         cfg.max_rounds = rng.randint(0, 3 * (depth + 1) + 1)
-    stall = rng.randint(0, 5) if rng.random() < 0.5 else sim.STALL_LIMIT
-    return g, Bipartition(a, b), k, cfg, stall
+    if rng.random() < 0.5:
+        rng.randint(0, 5)
+    return g, Bipartition(a, b), k, cfg
 
 
 def _star_bfs_outcome(call):
-    """The result, or the exception's type and text.  Both call the same
-    vertices in every round, so a stall names the same ones."""
+    """What the call returned, or the exception's type and text."""
     try:
-        return call()
+        return "returned", call()
     except SimError as exc:
-        return type(exc), str(exc)
+        return "raised", type(exc), str(exc)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(st.integers(0, 10**9))
 def test_star_bfs_matches_reference_program(seed):
-    """The clocked star BFS returns the same clusters, uplinks and ledger
-    with its violation records, and raises the same errors, as the vertex
-    program it replaces: once from random centers on the stars of
-    ``_form_stars``, and once inside a whole build."""
+    """The host-scheduled star BFS returns the same clusters, uplinks and
+    ledger with its violation records, and raises the same errors, as the
+    vertex program it replaces: once from random centers on the stars of
+    ``_form_stars``, and once inside a whole build.  The library applies
+    the round cap to its last sending round R, while the reference's
+    clock keeps every round through 3(depth+1) under it.  So at a cap in
+    (R, 3·depth+2] the reference raises and the library returns the
+    reference's uncapped result; elsewhere the two agree as they are."""
     rng = random.Random(seed)
-    g, part, k, cfg, stall = random_star_bfs_inputs(rng)
+    g, part, k, cfg = random_star_bfs_inputs(rng)
     state = starbip.StarState(g, set(part.a), set(part.b))
     # star formation is set-up here, so it runs uncapped
     starbip._form_stars(g, cfg.resolved(g).with_(max_rounds=SimConfig.max_rounds),
@@ -481,33 +502,28 @@ def test_star_bfs_matches_reference_program(seed):
         return (sorted(res.spanner.edges), list(res.spanner.provenance.items()),
                 res.ledger.to_json())
 
-    with pytest.MonkeyPatch.context() as limit:
-        limit.setattr(sim, "STALL_LIMIT", stall)
-        assert _star_bfs_outcome(lambda: grow(starbip._grow_star_clusters)) \
-            == _star_bfs_outcome(lambda: grow(ref_grow_star_clusters))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(starbip, "_grow_star_clusters", ref_grow_star_clusters)
-            want = _star_bfs_outcome(build)
-        assert _star_bfs_outcome(build) == want
+    got = _star_bfs_outcome(lambda: grow(starbip._grow_star_clusters))
+    assert got == _star_bfs_outcome(lambda: grow(ref_capped_at_last_send))
+    reference = _star_bfs_outcome(lambda: grow(ref_grow_star_clusters))
+    if _last_send(g, cfg, state, centers, depth) < cfg.max_rounds <= 3 * depth + 2:
+        assert reference[0] == "raised"
+    else:
+        assert got == reference
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(starbip, "_grow_star_clusters", ref_capped_at_last_send)
+        want = _star_bfs_outcome(build)
+    assert _star_bfs_outcome(build) == want
 
 
-def test_star_bfs_idle_rounds_do_not_stall():
-    # K_{3,6} with no centres: the clock keeps the rounds through 3(depth+1)
-    # but calls no vertex, so a stall limit below that still lets it return
-    # on schedule, with the result it has without a limit
+def test_star_bfs_without_centres_passes_a_cap_of_one():
+    # K_{3,6} with no centres sends nothing, R = 0, so the BFS needs no
+    # round to deliver anything and returns every star unclustered
     g = Graph(range(9), [(a, b) for a in range(3) for b in range(3, 9)])
     state = starbip.StarState(g, {0, 1, 2}, set(range(3, 9)))
     starbip._form_stars(g, SimConfig(), RoundLedger(), state, Spanner(g))
-
-    def grow():
-        ledger = RoundLedger()
-        got = starbip._grow_star_clusters(g, SimConfig(), ledger, state, set(), 2)
-        return got, ledger.to_json()
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sim, "STALL_LIMIT", 3)
-        limited = grow()
-    assert limited == grow() \
+    ledger = RoundLedger()
+    got = starbip._grow_star_clusters(g, SimConfig(max_rounds=1), ledger, state, set(), 2)
+    assert (got, ledger.to_json()) \
         == (({0: None, 1: None, 2: None}, {}), RoundLedger().to_json()
             | {"per_phase": [{"name": "star-bfs:d2", "rounds": 0}]})
 
