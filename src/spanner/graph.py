@@ -7,6 +7,7 @@ per edge; an unweighted graph behaves as if every weight were 1.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -65,8 +66,8 @@ class Graph:
                 e = canon(*e)
                 if e not in eset:
                     raise GraphError(f"weight given for non-edge {e}")
-                if not (wt > 0):
-                    raise GraphError(f"non-positive weight {wt} on {e}")
+                if not 0 < wt < math.inf:
+                    raise GraphError(f"weight {wt} on {e} is not positive and finite")
                 w[e] = float(wt)
             missing = eset - set(w)
             if missing:
@@ -139,8 +140,8 @@ class Graph:
                     raise GraphError(f"self-loop at {v}")
         if self.weights is not None:
             for e, w in self.weights.items():
-                if not (w > 0):
-                    raise GraphError(f"non-positive weight on {e}")
+                if not 0 < w < math.inf:
+                    raise GraphError(f"weight {w} on {e} is not positive and finite")
 
     def __eq__(self, other) -> bool:
         return (
@@ -378,7 +379,7 @@ def load(path: str) -> Graph:
     declared: Optional[Sequence[int]] = None
     edges: List[Edge] = []
     weights: Dict[Edge, float] = {}
-    saw_weight = False
+    plain = False  # an unweighted edge line was seen
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -405,14 +406,17 @@ def load(path: str) -> Graph:
             e = canon(u, v)
             vertices.update(e)
             edges.append(e)
-            if len(parts) == 3:
-                saw_weight = True
-                try:
-                    weights[e] = float(parts[2])
-                except ValueError:
-                    raise GraphError(f"{path}:{lineno}: bad weight in {line!r}")
+            if len(parts) == 2:
+                plain = True
+                continue
+            if e in weights:
+                raise GraphError(f"{path}:{lineno}: repeated weighted edge {e}")
+            try:
+                weights[e] = float(parts[2])
+            except ValueError:
+                raise GraphError(f"{path}:{lineno}: bad weight in {line!r}")
     if declared is not None:
         vertices.update(declared)
-    if saw_weight and len(weights) != len(set(edges)):
+    if weights and plain:
         raise GraphError(f"{path}: mixed weighted and unweighted lines")
-    return Graph(vertices, edges, weights if saw_weight else None)
+    return Graph(vertices, edges, weights or None)

@@ -16,7 +16,7 @@ from ..clustering import Clustering
 from ..graph import Graph, Spanner
 from ..results import SpannerRun
 from ..sim import RoundLedger, SimConfig, exchange
-from .common import cluster_steps, connect, contacts
+from .common import cluster_steps, connect, contacts, last_level
 
 
 def _survives(seed: int, center: int, level: int, inv_prob: float) -> bool:
@@ -81,14 +81,7 @@ def baswana_sen_baseline(
         )
         trace["levels"][i] = len(sampled)
 
-    # last level: everyone connects to each neighboring cluster
-    nbr_cluster = exchange(
-        g, cfg, ledger, "bs-final-status", clustering.membership, 8 + g.id_bits
-    )
-    connect(g, cfg, ledger, H, "bs-final-edges", (
-        (v, u, "bs-final") for v in g.vertices
-        for u in contacts(nbr_cluster.get(v, {}),
-                          skip=clustering.membership.get(v)).values()
-    ))
+    last_level(g, cfg, ledger, H, clustering, ("bs-final-status", "bs-final-edges"),
+               "bs-final")
     trace["size"] = H.size
     return SpannerRun(H, ledger, trace)

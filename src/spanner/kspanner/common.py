@@ -143,6 +143,22 @@ def connect(g: Graph, cfg: SimConfig, ledger: RoundLedger, H: Spanner, name: str
     signal(g, cfg, ledger, name, ((v, u) for v, u, _tag in picks))
 
 
+def last_level(g: Graph, cfg: SimConfig, ledger: RoundLedger, H: Spanner,
+               clustering: Clustering, names: Sequence[str], tag: str) -> None:
+    """The last level of the cluster-by-cluster constructions: every
+    vertex announces its cluster to all its neighbours (phase
+    ``names[0]``), then adds one edge to each adjacent cluster but its
+    own, which its tree already reaches, under ``tag`` (the ``connect``
+    round ``names[1]``)."""
+    nbr_cluster = exchange(g, cfg, ledger, names[0], clustering.membership,
+                           8 + g.id_bits)
+    connect(g, cfg, ledger, H, names[1], (
+        (v, u, tag) for v in g.vertices
+        for u in contacts(nbr_cluster.get(v, {}),
+                          skip=clustering.membership.get(v)).values()
+    ))
+
+
 def contacts(nbr_labels: Dict[int, Hashable], keep=None, skip=None) -> Dict[Hashable, int]:
     """The smallest-ID neighbour in each adjacent tree, of those whose key
     is in ``keep`` (None: every tree), leaving out ``skip``: tree key ->

@@ -192,18 +192,19 @@ def _regroup(g, k, cfg, ledger, H, clustering, successful: List[Supercluster],
     superclusters: List[Supercluster] = []
     depth_bound = max((sc.depth_bound for sc in successful), default=1)
     depth_bound = max(depth_bound, i)
+
+    def add(cs, tree_edges, root):
+        """One supercluster of the clusters ``cs``, named by their largest
+        member vertex."""
+        superclusters.append(Supercluster(
+            sc_id=max(max(members[c]) for c in cs), clusters=frozenset(cs),
+            tree_edges=tree_edges, root=root, depth_bound=depth_bound,
+        ))
+
     for c in sorted(big):
         # a singleton supercluster's lone center needs no connecting tree;
         # intra-supercluster traffic rides its (vertex-disjoint) cluster tree
-        superclusters.append(
-            Supercluster(
-                sc_id=max(members[c]),
-                clusters=frozenset([c]),
-                tree_edges=frozenset(),
-                root=c,
-                depth_bound=depth_bound,
-            )
-        )
+        add([c], frozenset(), c)
 
     b_clusters = ipow_ceil(n, k - 2 * i, 2 * k)  # n^(1/2 - i/k)
     b_vertices = big_bound
@@ -214,14 +215,8 @@ def _regroup(g, k, cfg, ledger, H, clustering, successful: List[Supercluster],
             continue
         if not sc.tree_edges:
             # lone-vertex tree: the single center forms one supercluster
-            c = sc.root
-            if c in small_centers:
-                superclusters.append(
-                    Supercluster(
-                        sc_id=max(members[c]), clusters=frozenset([c]),
-                        tree_edges=frozenset(), root=c, depth_bound=depth_bound,
-                    )
-                )
+            if sc.root in small_centers:
+                add([sc.root], frozenset(), sc.root)
             continue
         wt1 = WeightedTree(
             edges=sc.tree_edges,
@@ -236,15 +231,7 @@ def _regroup(g, k, cfg, ledger, H, clustering, successful: List[Supercluster],
             if not cs:
                 continue
             if not part.edges:
-                superclusters.append(
-                    Supercluster(
-                        sc_id=max(max(members[c]) for c in cs),
-                        clusters=frozenset(cs),
-                        tree_edges=frozenset(),
-                        root=part.root,
-                        depth_bound=depth_bound,
-                    )
-                )
+                add(cs, frozenset(), part.root)
                 continue
             wt2 = WeightedTree(
                 edges=part.edges,
@@ -257,15 +244,7 @@ def _regroup(g, k, cfg, ledger, H, clustering, successful: List[Supercluster],
             for p2 in tp2.parts:
                 cs2 = [c for c in sorted(p2.owned) if c in cs]
                 if cs2:
-                    superclusters.append(
-                        Supercluster(
-                            sc_id=max(max(members[c]) for c in cs2),
-                            clusters=frozenset(cs2),
-                            tree_edges=p2.edges,
-                            root=p2.root,
-                            depth_bound=depth_bound,
-                        )
-                    )
+                    add(cs2, p2.edges, p2.root)
     if part_ledgers:
         ledger.extend_parallel(part_ledgers, name=f"regroup:P{i}")
     return Superclustering(

@@ -13,7 +13,7 @@ from ..graph import Graph, Spanner
 from ..primitives import grow_bfs_clusters
 from ..results import SpannerRun
 from ..sim import RoundLedger, SimConfig, exchange
-from .common import cluster_steps, connect, contacts, elect, ipow_ceil
+from .common import cluster_steps, connect, contacts, elect, ipow_ceil, last_level
 
 STEPS = ("ack", "deg", "deg-down", "tuples", "votes", "votes-up", "join-down",
          "join-announce")
@@ -54,7 +54,7 @@ def naive_spanner(
         clustering = _phase(g, cfg, ledger, trace, H, clustering, k, i)
         trace["levels"][i] = len(clustering.centers)
 
-    _final_phase(g, cfg, ledger, H, clustering)
+    last_level(g, cfg, ledger, H, clustering, ("announce:final", "final-edges"), "final")
     trace["size"] = H.size
     return SpannerRun(H, ledger, trace)
 
@@ -85,15 +85,3 @@ def _phase(g, cfg, ledger, trace, H, clustering, k, i) -> Clustering:
     for e in new_clustering.tree_edges():
         H.add(*e, f"tree:L{i}")
     return new_clustering
-
-
-def _final_phase(g, cfg, ledger, H, clustering) -> None:
-    nbr_cluster = exchange(
-        g, cfg, ledger, "announce:final", clustering.membership, 8 + g.id_bits
-    )
-    # v's own tree already connects it to its own cluster
-    connect(g, cfg, ledger, H, "final-edges", (
-        (v, u, "final") for v in g.vertices
-        for u in contacts(nbr_cluster.get(v, {}),
-                          skip=clustering.membership.get(v)).values()
-    ))

@@ -3,17 +3,18 @@
 Every wrapper is a pure function of (graph, inputs) and returns the
 assembled result together with the run's RoundLedger.  Cluster growth, the
 power-graph min-flood and hop-flood and the log-round ruling set are
-floods, run layer by layer on the host as relay floods (``sim._relay``,
-the last two through ``sim._flood``).  The convergecast and the broadcast
-are the two methods of a ``Forest``, which checks its role table once and
-rejects a table with a cycle or a tree edge outside the graph; every call
-over those trees reads and returns one value per role and is one walk
-over a schedule.  The tree partition computes its two waves on the host
-from the oriented tree.  The forest passes and the tree partition are
-charged whole by ``sim._charge``.  All of these are accounted in bulk
-within the budget and message by message over it, and all of them follow
-the simulator's one round-cap rule: a phase whose last message goes out
-in round R raises SimTimeout when R >= ``max_rounds``.
+relay floods, run layer by layer on the host (``_relay``, the broadcast
+floods through ``_flood``) without touching a ledger.  The convergecast
+and the broadcast are the two methods of a ``Forest``, which checks its
+role table once and rejects a table with a cycle or a tree edge outside
+the graph; every call over those trees reads and returns one value per
+role and is one walk over a schedule.  The tree partition computes its
+two waves on the host from the oriented tree.  Every phase of these
+enters its ledger through one ``sim._charge`` call, once its host code
+has run (a flood's through ``_charge_flood``): accounted in bulk within
+the budget and message by message over it, under the simulator's one
+round-cap rule: a phase whose last message goes out in round R raises
+SimTimeout when R >= ``max_rounds``.
 """
 
 from __future__ import annotations
@@ -25,16 +26,84 @@ from typing import (
 
 from .clustering import Clustering, TreePart, TreePartition, WeightedTree, orient_tree
 from .graph import Graph, canon
-from .sim import (
-    BitCost,
-    RoundLedger,
-    Send,
-    SimConfig,
-    SimError,
-    _charge,
-    _flood,
-    _relay,
-)
+from .sim import BitCost, RoundLedger, Send, SimConfig, SimError, _charge
+
+# ---------------------------------------------------------------------------
+# Relay floods
+# ---------------------------------------------------------------------------
+
+# one round of a relay flood: (round, its senders in ID order, each
+# sender's skipped neighbour or None -- None throughout when no sender
+# skips one -- and the round's message count)
+Layer = Tuple[int, List[int], Optional[List[Optional[int]]], int]
+
+
+def _relay(g: Graph, name: str, first: Iterable[int], limit: int,
+           skip: Dict[int, Optional[int]], deliver: Callable[[List[int]], Iterable[int]],
+           offset: int = 0) -> List[Layer]:
+    """A relay flood, run layer by layer on the host: in round ``offset +
+    d + 1``, for ``d < limit``, every vertex v of the layer (``first``
+    for d = 0) sends one message to each neighbour but ``skip.get(v)``,
+    and ``deliver(layer)`` then acts for the receivers and returns the
+    next layer.  The flood ends at the first round that would send
+    nothing.  ``first`` must name vertices (SimError otherwise).
+
+    Returns what it sent, one :data:`Layer` per round that carried a
+    message, the skipped neighbours as they stood when the round went
+    out; :func:`_charge_flood` charges it."""
+    adj = g.adj
+    layer = sorted(set(first))
+    strays = [v for v in layer if v not in adj]
+    if strays:
+        raise SimError(f"{name}: active non-vertices {strays[:5]}")
+    sent: List[Layer] = []
+    while layer and len(sent) < limit:
+        messages = sum(map(len, map(adj.__getitem__, layer)))
+        skipped = [skip.get(v) for v in layer] if skip else None
+        if skipped:
+            messages -= len(skipped) - skipped.count(None)
+        if not messages:
+            break
+        sent.append((offset + len(sent) + 1, layer, skipped, messages))
+        layer = sorted(deliver(layer))
+    return sent
+
+
+def _flood(g: Graph, name: str, sources: Iterable[int], radius: int,
+           offset: int = 0) -> Tuple[Set[int], List[Layer]]:
+    """A multi-source BFS flood to ``radius``, a :func:`_relay` that skips
+    no neighbour: in round ``offset + d + 1`` every vertex at distance
+    ``d < radius`` from the sources sends one message to each of its
+    neighbours.  Returns the vertices within ``radius`` of a source, the
+    sources included, and what the flood sent."""
+    adj = g.adj
+    reached = set(sources)
+
+    def deliver(layer):
+        new = {u for v in layer for u in adj[v]} - reached
+        reached.update(new)
+        return new
+
+    return reached, _relay(g, name, reached, radius, {}, deliver, offset)
+
+
+def _charge_flood(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
+                  sent: Sequence[Layer], width: int) -> None:
+    """Charge the rounds a relay flood ``sent``, ``width``-bit messages
+    all, to ``ledger`` as phase ``name`` in one ``sim._charge``: its last
+    sending round and its message count; over the budget its messages,
+    round by round, senders in ID order and each one's receivers in ID
+    order."""
+    adj = g.adj
+
+    def sends():
+        return [(rnd, v, u, width) for rnd, layer, skipped, _m in sent
+                for v, s in zip(layer, skipped or [None] * len(layer))
+                for u in adj[v] if u != s]
+
+    _charge(g, cfg, ledger, name, sent[-1][0] if sent else 0,
+            sum(layer[3] for layer in sent), width, sends)
+
 
 # ---------------------------------------------------------------------------
 # BFS cluster growth
@@ -58,8 +127,7 @@ def grow_bfs_clusters(
     neighbor but its parent.  Offers a vertex receives in one round share
     one hop distance, so it joins the largest center ID heard that round,
     with the first (smallest-ID) neighbor that relayed it as parent.  The
-    rounds run as a relay flood (``sim._relay``): accounted in bulk within
-    the budget, else message by message.
+    rounds run as a relay flood (:func:`_relay`), charged as one phase.
     """
     width = BitCost.TAG + g.id_bits + BitCost(g).counter(depth)
     adj = g.adj
@@ -83,9 +151,8 @@ def grow_bfs_clusters(
     cfg = cfg or SimConfig()
     cfg.check(g)
     ledger = RoundLedger()
-    _relay(g, cfg, cfg.budget_for(g), ledger, "grow-clusters", center, depth, width,
-           parent, deliver)
-    ledger.per_phase.append(("grow-clusters", ledger.rounds_used))
+    _charge_flood(g, cfg, ledger, "grow-clusters",
+                  _relay(g, "grow-clusters", center, depth, parent, deliver), width)
     order = sorted(center)
     clustering = Clustering(
         level=level if level is not None else depth,
@@ -356,8 +423,9 @@ def ruling_set_log(
     rounds 4L+1..4L+4 (3 hops + 1 receive-only), so the whole run is
     O(log n) rounds with one message per edge per round.
 
-    Each level is one broadcast flood (``sim._flood``) at offset 4L, so
-    the round cap applies to the last round that sends.
+    Each level is one broadcast flood (:func:`_flood`) at offset 4L, and
+    all levels are charged as one phase, so the round cap applies to the
+    last round that sends.
     """
     name = "ruling-set-log"
     cand = set(candidates)
@@ -368,17 +436,17 @@ def ruling_set_log(
         raise SimError(f"{name}: active non-vertices {strays[:5]}")
     cfg = cfg or SimConfig()
     cfg.check(g)
-    budget = cfg.budget_for(g)
-    width = BitCost.TAG + BitCost(g).counter(3)
-    ledger = RoundLedger()
     levels = g.id_bits
     active = cand
+    sent: List[Layer] = []
     for level in range(levels):
         bit = levels - 1 - level
         zeros = [v for v in active if not v >> bit & 1]
-        heard = _flood(g, cfg, budget, ledger, name, zeros, 3, width, 4 * level)[0]
+        heard, layers = _flood(g, name, zeros, 3, 4 * level)
+        sent += layers
         active = {v for v in active if not (v >> bit & 1 and v in heard)}
-    ledger.per_phase.append((name, ledger.rounds_used))
+    ledger = RoundLedger()
+    _charge_flood(g, cfg, ledger, name, sent, BitCost.TAG + BitCost(g).counter(3))
     return active, ledger
 
 
@@ -413,9 +481,8 @@ def ruling_set_power(
     smallest ID offered below its own and the first (smallest-ID) sender
     of it.  The hop-flood sends ``hop`` in ``8 + counter(3t-1)`` bits to
     every neighbor; a vertex forwards it once, in the round it first hears
-    it.  Both run as relay floods (``sim._relay``, the hop-flood through
-    ``sim._flood``): accounted in bulk within the budget, else message by
-    message.
+    it.  Both run as relay floods (:func:`_relay`, the hop-flood through
+    :func:`_flood`), each charged as one phase.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -428,7 +495,6 @@ def ruling_set_power(
     counter = BitCost(g).counter(radius)
     low_width = BitCost.TAG + g.id_bits + counter
     hop_width = BitCost.TAG + counter
-    budget = cfg.budget_for(g)
     adj = g.adj
 
     def deliver(layer):  # reads and updates this wave's low and came
@@ -449,12 +515,14 @@ def ruling_set_power(
         # the smallest source ID each vertex heard, and who told it last
         low, came = dict(zip(active, active)), {}
         led = RoundLedger()
-        _relay(g, cfg, budget, led, "min-flood", active, radius, low_width, came, deliver)
+        _charge_flood(g, cfg, led, "min-flood",
+                      _relay(g, "min-flood", active, radius, came, deliver), low_width)
         ledger.extend_sequential(led, name="power-min-flood")
         joiners = {v for v in active if low[v] == v}
         chosen |= joiners
+        heard, sent = _flood(g, "hop-flood", joiners, radius)
         led = RoundLedger()
-        heard = _flood(g, cfg, budget, led, "hop-flood", joiners, radius, hop_width)[0]
+        _charge_flood(g, cfg, led, "hop-flood", sent, hop_width)
         ledger.extend_sequential(led, name="power-deactivate")
         active = active - heard
     return chosen, ledger

@@ -22,28 +22,24 @@ round it runs it applies the round cap and a guard against
 ``on_round(state, view, rnd, inbox) -> (outbox, halt_vote)`` and
 ``on_finish(state, view)``), with the vertices that have not voted halt
 as the clock.  The library's own phases do not use this loop: each is
-scheduled on the host and enters the ledger through ``_relay`` or
-``_charge``.
-
-``_relay`` runs a relay flood layer by layer on the host, with the cap
-after every round that sends: each sender messages every neighbour but
-one it names, and the caller delivers the round.  It carries cluster
-growth and the power-graph min-flood of ``primitives`` and, through
-``_flood``, the broadcast BFS floods of the log-round ruling set and the
-power-graph hop-flood.  Every other host-scheduled phase knows its
-rounds in advance and is charged whole by ``_charge``: ``exchange``, the
-one scripted round (each sender sends one message to all its neighbours
-or to the receivers it names, and each receiver gets ``{sender:
-body}``), the token rounds of ``kspanner.common.signal``, the chunked
-ID streams (``kspanner.common._stream``), every ``primitives.Forest``
-pass, ``primitives.partition_tree``, the star-graph BFS of
-``kspanner.starbip`` and the star rounds of the 3-spanners.
+scheduled on the host and enters its ledger through one helper,
+``_charge``, the only code besides this loop and the ``RoundLedger``
+merges that writes a ledger.  It takes a phase whole, once its host
+code has run: ``exchange``, the one scripted round (each sender sends
+one message to all its neighbours or to the receivers it names, and each
+receiver gets ``{sender: body}``), the token rounds of
+``kspanner.common.signal``, the chunked ID streams
+(``kspanner.common._stream``), every ``primitives.Forest`` pass,
+``primitives.partition_tree``, the relay floods of ``primitives`` (cluster
+growth, the power-graph min-flood and hop-flood, the log-round ruling
+set), the star-graph BFS of ``kspanner.starbip`` and the star rounds of
+the 3-spanners.
 
 All of these send one message per edge and round, to neighbours, so
 within the budget they can violate nothing and handle no message
-objects: ``_bulk`` folds each batch into the ledger at once, at its
-widest message.  Over the budget ``_overrun`` checks them message by
-message, each at its own width.
+objects: ``_charge`` folds each phase into the ledger at once, at its
+widest message.  Over the budget ``_overrun`` first checks its messages
+one by one, each at its own width.
 """
 
 from __future__ import annotations
@@ -53,7 +49,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import (
-    Any, Callable, Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+    Any, Callable, Collection, Dict, Iterable, List, Optional, Sequence, Tuple,
 )
 
 from .graph import Graph
@@ -234,19 +230,6 @@ class NodeProgram:
         return state
 
 
-def _bulk(ledger: RoundLedger, messages: int, width: int) -> None:
-    """Fold a non-empty batch of ``messages`` messages, the widest of
-    ``width`` bits, into ``ledger``.  The caller shows that the batch can
-    violate nothing: every message goes to a neighbour within the budget,
-    one per edge and round, so the load of every edge that carries one is
-    1."""
-    ledger.messages_total += messages
-    if width > ledger.max_bits_seen:
-        ledger.max_bits_seen = width
-    if ledger.per_round_edge_load < 1:
-        ledger.per_round_edge_load = 1
-
-
 Send = Tuple[int, int, int, int]  # (round, sender, receiver, bits)
 
 
@@ -257,13 +240,13 @@ def _overrun(
     name: str,
     sends: Sequence[Send],
     budget: int,
-) -> None:
-    """The send step's per-message loop over the (round, sender, receiver,
-    bits) messages of ``sends``, in that order: a message in a round past
-    the cap raises SimTimeout (:func:`_cap` on the round before it), a
-    non-neighbour receiver raises SimError, and each message above the
-    ``budget`` raises BudgetError (strict) or is recorded; then
-    :func:`_bulk` at the widest message."""
+) -> int:
+    """The send step's per-message checks over the (round, sender,
+    receiver, bits) messages of ``sends``, in that order: a message in a
+    round past the cap raises SimTimeout (:func:`_cap` on the round before
+    it), a non-neighbour receiver raises SimError, and each message above
+    the ``budget`` raises BudgetError (strict) or is recorded.  Returns
+    the widest message's bits (0: none)."""
     adj = g.adj
     cap = cfg.max_rounds
     widest = 0
@@ -280,8 +263,7 @@ def _overrun(
             ledger.violations.append(rec)
         if bits > widest:
             widest = bits
-    if sends:
-        _bulk(ledger, len(sends), widest)
+    return widest
 
 
 def _cap(cfg: SimConfig, name: str, last: int) -> None:
@@ -297,17 +279,27 @@ def _charge(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str, rounds: in
             sends: Optional[Callable[[], Sequence[Send]]] = None) -> None:
     """Charge a host-scheduled phase of ``messages`` messages, the widest
     of ``width`` bits, whose last message goes out in round ``rounds`` (0:
-    none), to ``ledger`` as phase ``name``.  Over the budget its messages,
-    ``sends()`` as :func:`_overrun` takes them, are checked one by one
-    (a caller that never exceeds the budget passes none); within it they
-    are folded in at once with :func:`_bulk`.  Then the round cap applies
-    (:func:`_cap`), and the phase adds ``rounds`` to ``rounds_used`` and
-    one ``per_phase`` entry."""
+    none), to ``ledger`` as phase ``name``.  Every library phase enters
+    its ledger here, and only here.
+
+    Within the budget the phase can violate nothing: every message goes
+    to a neighbour, one per edge and round, so the messages are folded in
+    at once, at the widest, with an edge load of 1.  Over it they are
+    checked one by one first, ``sends()`` as :func:`_overrun` takes them
+    (a caller that never exceeds the budget passes none), and then folded
+    in the same way.  Then the round cap applies (:func:`_cap`), and the
+    phase adds ``rounds`` to ``rounds_used`` and one ``per_phase``
+    entry."""
     budget = cfg.budget_for(g)
     if width > budget:
-        _overrun(g, cfg, ledger, name, sends(), budget)
-    elif messages:
-        _bulk(ledger, messages, width)
+        sent = sends()
+        messages, width = len(sent), _overrun(g, cfg, ledger, name, sent, budget)
+    if messages:
+        ledger.messages_total += messages
+        if width > ledger.max_bits_seen:
+            ledger.max_bits_seen = width
+        if ledger.per_round_edge_load < 1:
+            ledger.per_round_edge_load = 1
     _cap(cfg, name, rounds)
     ledger.rounds_used += rounds
     ledger.per_phase.append((name, rounds))
@@ -506,70 +498,6 @@ def _cascade(
         inboxes = next_in
     ledger.per_phase.append((name, ledger.rounds_used))
     return ledger
-
-
-def _relay(g: Graph, cfg: SimConfig, budget: int, ledger: RoundLedger, name: str,
-           first: Iterable[int], limit: int, width: int, skip: Dict[int, Optional[int]],
-           deliver: Callable[[List[int]], Iterable[int]], offset: int = 0) -> int:
-    """A relay flood, run layer by layer on the host: in round ``offset +
-    d + 1``, for ``d < limit``, every vertex v of the layer (``first``
-    for d = 0) sends one ``width``-bit message to each neighbour but
-    ``skip.get(v)``, and ``deliver(layer)`` then acts for the receivers
-    and returns the next layer.  Returns the number of rounds that carried
-    a message; ``ledger.rounds_used`` becomes the last of them.
-
-    A round sends one message per edge, to neighbours only.  Within the
-    budget it can violate nothing and is accounted at once with
-    :func:`_bulk`.  Over the budget its messages, senders in ID order and
-    each one's receivers in ID order, go through :func:`_overrun`, which
-    raises or records each violation as for a program.  ``first`` must
-    name vertices, and the round cap (:func:`_cap`) applies after each
-    round that carried a message; the caller checks the config."""
-    adj = g.adj
-    layer = sorted(set(first))
-    strays = [v for v in layer if v not in adj]
-    if strays:
-        raise SimError(f"{name}: active non-vertices {strays[:5]}")
-    sent = 0
-    while layer and sent < limit:
-        rnd = offset + sent + 1
-        messages = sum(map(len, map(adj.__getitem__, layer)))
-        if skip:
-            messages -= sum(skip.get(v) is not None for v in layer)
-        if not messages:
-            break
-        if width <= budget:
-            _bulk(ledger, messages, width)
-        else:
-            _overrun(g, cfg, ledger, name, [
-                (rnd, v, u, width) for v in layer for u in adj[v] if u != skip.get(v)
-            ], budget)
-        sent += 1
-        ledger.rounds_used = rnd
-        _cap(cfg, name, rnd)
-        layer = sorted(deliver(layer))
-    return sent
-
-
-def _flood(g: Graph, cfg: SimConfig, budget: int, ledger: RoundLedger, name: str,
-           sources: Iterable[int], radius: int, width: int,
-           offset: int = 0) -> Tuple[Set[int], int]:
-    """A multi-source BFS flood to ``radius``, a :func:`_relay` that skips
-    no neighbour: in round ``offset + d + 1`` every vertex at distance
-    ``d < radius`` from the sources sends one ``width``-bit message to
-    each of its neighbours.  Returns the vertices within ``radius`` of a
-    source, the sources included, and the number of rounds that carried a
-    message."""
-    adj = g.adj
-    reached = set(sources)
-
-    def deliver(layer):
-        new = {u for v in layer for u in adj[v]} - reached
-        reached.update(new)
-        return new
-
-    sent = _relay(g, cfg, budget, ledger, name, reached, radius, width, {}, deliver, offset)
-    return reached, sent
 
 
 # -- small generally useful programs ---------------------------------------

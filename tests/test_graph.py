@@ -232,3 +232,43 @@ def test_spanner_rejects_foreign_edge():
     h = Spanner(g)
     with pytest.raises(GraphError):
         h.add(0, 3, "bogus")
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 0.0])
+def test_weight_must_be_positive_and_finite(bad):
+    with pytest.raises(GraphError, match="not positive and finite"):
+        Graph([0, 1, 2], [(0, 1), (1, 2)], {(0, 1): bad, (1, 2): 1.0})
+    g = Graph([0, 1], [(0, 1)], {(0, 1): 1.0})
+    g.weights[(0, 1)] = bad
+    with pytest.raises(GraphError, match="not positive and finite"):
+        g.validate()
+
+
+def _write(tmp_path, text):
+    path = str(tmp_path / "g.edges")
+    with open(path, "w") as fh:
+        fh.write(text)
+    return path
+
+
+@pytest.mark.parametrize("text,match", [
+    # an infinite weight would make the edge unreachable in verify_stretch
+    ("0 1 inf\n1 2 1\n", "not positive and finite"),
+    # the second line would silently overwrite the first weight
+    ("0 1 2\n1 0 5\n", ":2: repeated weighted edge"),
+    # the unweighted repeat hid the mix from a count of distinct edges
+    ("0 1 2\n0 1\n", "mixed weighted and unweighted"),
+    ("0 1\n1 2 3\n", "mixed weighted and unweighted"),
+])
+def test_load_rejects_malformed_weights(tmp_path, text, match):
+    with pytest.raises(GraphError, match=match):
+        load(_write(tmp_path, text))
+
+
+def test_cli_rejects_malformed_weights(tmp_path):
+    from spanner.cli import main
+
+    for text in ("0 1 inf\n", "0 1 2\n1 0 5\n", "0 1 2\n0 1\n"):
+        path = _write(tmp_path, text)
+        assert main(["run", "--alg", "imp3", "--graph", path,
+                     "--out", str(tmp_path / "r")]) == 2, text

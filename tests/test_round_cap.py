@@ -149,3 +149,49 @@ def test_sim_config_fields():
                if isinstance(node, ast.ClassDef) and node.name == "SimConfig")
     fields = [node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)]
     assert fields == ["msg_bit_budget", "max_rounds", "strict"]
+
+
+LEDGER_FIELDS = {"rounds_used", "per_phase", "messages_total", "max_bits_seen",
+                 "per_round_edge_load", "violations"}
+
+
+def test_only_sim_writes_the_ledger():
+    # every library phase enters its ledger through ``sim._charge``; only
+    # sim (that helper, the vertex-program loop and the RoundLedger
+    # merges) assigns to, appends to or extends a ledger field
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "sim.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                written = [t.attr for t in targets if isinstance(t, ast.Attribute)]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("append", "extend")
+                  and isinstance(node.func.value, ast.Attribute)):
+                written = [node.func.value.attr]
+            else:
+                continue
+            assert not LEDGER_FIELDS.intersection(written), (path.name, node.lineno)
+
+
+# ruling_set_power charges each wave's two floods into sub-ledgers, which
+# its ledger merges under these names
+MERGED_AS = {"power-min-flood": "min-flood", "power-deactivate": "hop-flood"}
+
+
+@pytest.mark.parametrize("helper", ["grow_bfs_clusters", "ruling_set_log",
+                                    "ruling_set_power"])
+def test_each_flood_phase_is_one_charge(helper, monkeypatch):
+    import spanner.primitives as primitives
+
+    charged = []
+    real = primitives._charge
+
+    def spy(g, cfg, ledger, name, *rest):
+        charged.append(name)
+        real(g, cfg, ledger, name, *rest)
+
+    monkeypatch.setattr(primitives, "_charge", spy)
+    ledger = CHARGED[helper][0](SimConfig())
+    assert charged == [MERGED_AS.get(name, name) for name, _rounds in ledger.per_phase]

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spanner import BudgetError, Graph, Msg, NodeProgram, SimConfig, generate, run, sim
+from spanner.primitives import _charge_flood, _flood
 from spanner.sim import (
     BitCost,
     FloodMax,
@@ -13,7 +14,6 @@ from spanner.sim import (
     SimError,
     SimTimeout,
     _cascade,
-    _flood,
     _post,
     default_bit_budget,
     exchange,
@@ -548,10 +548,12 @@ def test_clock_rounds_count_towards_the_round_cap():
 # -- the broadcast flood -----------------------------------------------------
 
 
-def _flood_by_post(g, cfg, budget, name, sources, radius, width, offset):
-    """Reference for ``_flood``: every layer posted vertex by vertex
-    through the send step, the next layer read off the inboxes."""
+def _flood_by_post(g, cfg, name, sources, radius, width, offset):
+    """Reference for ``_flood`` charged by ``_charge_flood``: every layer
+    posted vertex by vertex through the send step, the next layer read
+    off the inboxes."""
     ledger = RoundLedger()
+    budget = cfg.budget_for(g)
     reached = set(sources)
     layer = sorted(reached)
     sent = 0
@@ -567,64 +569,79 @@ def _flood_by_post(g, cfg, budget, name, sources, radius, width, offset):
         ledger.rounds_used = offset + sent
         layer = sorted(set(inboxes) - reached)
         reached.update(layer)
+    ledger.per_phase.append((name, ledger.rounds_used))
     return reached, sent, ledger
+
+
+def _charged_flood(g, cfg, name, sources, radius, width, offset):
+    """``_flood`` charged to a fresh ledger: the vertices reached, the
+    number of rounds that sent and the ledger."""
+    ledger = RoundLedger()
+    reached, sent = _flood(g, name, sources, radius, offset)
+    _charge_flood(g, cfg, ledger, name, sent, width)
+    return reached, len(sent), ledger
 
 
 @st.composite
 def broadcast_cases(draw):
     """A graph with n <= 12 (sparse IDs, maybe isolated vertices), sources
-    (maybe none), radius 0..4, a round offset, a message width at, below
-    or above the budget, and strict or audit mode."""
+    (maybe none), radius 0..4, a round offset, and a config with a message
+    budget at, below or above the width, strict or audit."""
     ids = sorted(draw(st.sets(st.integers(0, 300), min_size=1, max_size=12)))
     rng = draw(st.randoms(use_true_random=False))
     p = rng.choice((0.0, 0.15, 0.3, 0.6))
     g = Graph(ids, [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]
                     if rng.random() < p])
     sources = set(rng.sample(ids, rng.randint(0, len(ids))))
-    cfg = SimConfig(strict=draw(st.booleans()))
+    strict = draw(st.booleans())
     width = draw(st.integers(8, 24))
     budget = draw(st.sampled_from((width - 1, width, width + 3)))
-    return g, cfg, budget, sources, draw(st.integers(0, 4)), width, draw(st.integers(0, 8))
+    cfg = SimConfig(msg_bit_budget=budget, strict=strict)
+    return g, cfg, sources, draw(st.integers(0, 4)), width, draw(st.integers(0, 8))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(broadcast_cases())
 def test_flood_matches_posting_each_layer(case):
-    # _flood's accounting premise: a layer accounted in bulk gets the same
+    # the flood's accounting premise: a flood charged whole gets the same
     # messages, rounds, bits, edge load and violations as one posted
     # sender by sender
-    g, cfg, budget, sources, radius, width, offset = case
+    g, cfg, sources, radius, width, offset = case
 
-    def bulk():
-        ledger = RoundLedger()
-        reached, sent = _flood(g, cfg, budget, ledger, "flood", sources, radius,
-                               width, offset)
+    def charged():
+        reached, sent, ledger = _charged_flood(g, cfg, "flood", sources, radius,
+                                               width, offset)
         return sorted(reached), sent, ledger.to_json()
 
     def by_post():
-        reached, sent, ledger = _flood_by_post(g, cfg, budget, "flood", sources,
+        reached, sent, ledger = _flood_by_post(g, cfg, "flood", sources,
                                                radius, width, offset)
         return sorted(reached), sent, ledger.to_json()
 
-    assert _outcome(bulk) == _outcome(by_post)
+    assert _outcome(charged) == _outcome(by_post)
 
 
 def test_flood_isolated_source_sends_nothing():
     g = Graph([0, 1, 2], [(1, 2)])
+    assert _flood(g, "flood", {0}, 3, 4) == ({0}, [])
     for budget in (16, 9):  # within and over the 10-bit width
-        ledger = RoundLedger()
-        assert _flood(g, SimConfig(), budget, ledger, "flood", {0}, 3, 10, 4) == ({0}, 0)
-        assert ledger.to_json() == RoundLedger().to_json()
+        cfg = SimConfig(msg_bit_budget=budget)
+        reached, sent, ledger = _charged_flood(g, cfg, "flood", {0}, 3, 10, 4)
+        assert (reached, sent) == ({0}, 0)
+        assert ledger.to_json() == RoundLedger(per_phase=[("flood", 0)]).to_json()
 
 
 def test_flood_layers_and_rounds():
     g = generate("path", {"n": 6})
-    ledger = RoundLedger()
-    reached, sent = _flood(g, SimConfig(), 16, ledger, "flood", {0, 5}, 2, 10, 8)
-    assert (reached, sent) == (set(range(6)), 2)
     # round 9: the two ends, one edge each; round 10: vertices 1 and 4
+    assert _flood(g, "flood", {0, 5}, 2, 8) == (
+        set(range(6)), [(9, [0, 5], None, 2), (10, [1, 4], None, 4)])
+    cfg = SimConfig(msg_bit_budget=16)
+    reached, sent, ledger = _charged_flood(g, cfg, "flood", {0, 5}, 2, 10, 8)
+    assert (reached, sent) == (set(range(6)), 2)
     assert (ledger.rounds_used, ledger.messages_total) == (10, 2 + 4)
     assert (ledger.max_bits_seen, ledger.per_round_edge_load) == (10, 1)
+    assert ledger.per_phase == [("flood", 10)]
 
 
 def test_flood_over_budget_strict_raises_as_post():
@@ -633,14 +650,14 @@ def test_flood_over_budget_strict_raises_as_post():
     with pytest.raises(BudgetError) as want:
         _post(g, SimConfig(), 11, RoundLedger(), "flood", 3, 0, outbox, defaultdict(list))
     with pytest.raises(BudgetError) as got:
-        _flood(g, SimConfig(), 11, RoundLedger(), "flood", {0}, 1, 12, 2)
+        _charged_flood(g, SimConfig(msg_bit_budget=11), "flood", {0}, 1, 12, 2)
     assert str(got.value) == str(want.value)
 
 
 def test_flood_over_budget_audit_records_each_edge():
     g = Graph(range(5), [(0, u) for u in range(1, 5)])
-    ledger = RoundLedger()
-    _flood(g, SimConfig(strict=False), 11, ledger, "flood", {0}, 1, 12, 2)
+    cfg = SimConfig(msg_bit_budget=11, strict=False)
+    ledger = _charged_flood(g, cfg, "flood", {0}, 1, 12, 2)[2]
     assert ledger.violations == [
         {"kind": "bits", "round": 3, "edge": [0, u], "bits": 12, "budget": 11,
          "program": "flood"}
