@@ -4,6 +4,7 @@ power graphs), and the balanced tree partitioning."""
 
 from spanner import (
     Forest,
+    RoundLedger,
     WeightedTree,
     bfs_dist,
     clustering_roles,
@@ -22,13 +23,16 @@ print("5-path, centers {0, 4}, depth 2 ->", clusters.membership)
 print("vertex 2 is equidistant and joins the larger center ID (4)")
 print("rounds:", ledger.rounds_used)
 
-# a clustering is a forest keyed by center, one role per member.  A Forest
-# checks its role table once and then runs any number of convergecasts and
-# broadcasts over those trees; both take and return one value per role, in
-# the order of forest.role_keys.  Each member contributes 1, and each root
-# role ends up holding its cluster's size.
+# a clustering is a forest keyed by center: one role per member, (member,
+# center) -> its tree parent.  A Forest checks that table once (vertices,
+# parents' roles, tree edges in g and in one tree only, no cycles) and then
+# runs any number of convergecasts and broadcasts over those trees; both
+# take and return one value per role, in the order of forest.role_keys,
+# and charge the ledger they are given under the phase name they are
+# given.  Each member contributes 1, and each root role ends up holding
+# its cluster's size.
 forest = Forest(g, clustering_roles(clusters))
-totals, _ = forest.aggregate([1] * len(forest.role_keys))
+totals = forest.aggregate([1] * len(forest.role_keys), RoundLedger(), "sizes")
 sizes = {center: totals[r] for r, center in forest.root_roles}
 print("cluster sizes via convergecast:", sizes)
 

@@ -76,13 +76,6 @@ class Clustering:
                 by_center[self.membership[v]].append(canon(v, p))
         return {c: frozenset(es) for c, es in by_center.items()}
 
-    def children(self) -> Dict[int, List[int]]:
-        ch: Dict[int, List[int]] = {v: [] for v in self.membership}
-        for v, p in self.parents.items():
-            if p is not None:
-                ch[p].append(v)
-        return {v: sorted(c) for v, c in ch.items()}
-
     def depths(self) -> Dict[int, int]:
         d: Dict[int, int] = {}
         for c in self.centers:

@@ -18,9 +18,10 @@ Three kinds of step carry every scripted step of the constructions:
 plus ``contacts``, which picks the smallest-ID neighbour in each adjacent
 cluster.  None of them, nor the floods of ``primitives`` run between them
 (cluster growth, the power-graph ruling set), sends per-vertex messages
-when it cannot violate anything: a ``Forest`` pass walks a precomputed
-schedule, and every step, the chunked ID streams included, is charged to
-the ledger whole by ``sim._charge``, under the simulator's one round-cap
+when it cannot violate anything: a ``Forest`` pass is one walk over its
+roles, the join announcement counts its tokens without building inboxes,
+and every step, the chunked ID streams included, is charged to the
+ledger whole by ``sim._charge``, under the simulator's one round-cap
 rule.  A scripted round returns only the vertices that received
 something, so readers use ``.get``.  The local-maxima election
 that the cluster-by-cluster and the superclustered constructions run (and
@@ -61,28 +62,25 @@ def forest_steps(g, cfg, ledger, roles: RoleTable,
     tree_values, bound=None)``, the broadcast of one value per tree key to
     member -> value, over one Forest, so the table is checked once for
     every call.  ``key_of`` maps each member to its tree key (a member
-    with no role there is left out); each call folds its run into
+    with no role there is left out, and ``down`` lists the members in
+    role order); each call charges its pass to
     ``ledger`` as one phase ``name``."""
     forest = Forest(g, roles)
-    size = len(forest.role_keys)
-    number = dict(zip(forest.role_keys, range(size)))
-    role_of = {v: number[v, key] for v, key in key_of.items() if (v, key) in number}
-    member: List[Optional[int]] = [None] * size  # role -> its member, if any
-    for v, r in role_of.items():
-        member[r] = v
+    roots = forest.root_roles
+    # role -> its vertex if that is a member of the role's tree, else None
+    member = [v if key_of.get(v) == key else None for v, key in forest.role_keys]
+    role_of = {v: r for r, v in enumerate(member) if v is not None}
 
     def up(name, values, combine="sum", bound=None):
         own = [values.get(v, 0) for v in member]
-        got, led = forest.aggregate(own, combine, bound, cfg)
-        ledger.extend_sequential(led, name=name)
-        return {key: got[r] for r, key in forest.root_roles}
+        got = forest.aggregate(own, ledger, name, combine, bound, cfg)
+        return {key: got[r] for r, key in roots}
 
     def down(name, tree_values, bound=None):
-        at_roots = [0] * size
-        for r, key in forest.root_roles:
+        at_roots = [0] * len(member)
+        for r, key in roots:
             at_roots[r] = tree_values.get(key, 0)
-        got, led = forest.broadcast(at_roots, bound, cfg)
-        ledger.extend_sequential(led, name=name)
+        got = forest.broadcast(at_roots, ledger, name, bound, cfg)
         return {v: got[r] for v, r in role_of.items()}
 
     return up, down
@@ -208,11 +206,16 @@ def announce_join(g, cfg, ledger, names: Sequence[str], joiners: Iterable,
                   down: Callable) -> Set[int]:
     """Join step: ``down`` tells the joiners' members, and each sends a
     token to all its neighbours.  Returns those members and every vertex
-    that heard one."""
+    that heard one.  The token round is the ``exchange`` of an empty body
+    from every told member to all its neighbours, charged without
+    building its inboxes: Σ deg(told) ``BitCost.TAG``-bit messages, which
+    the budget floor always admits, all to neighbours."""
     know = down(names[0], {c: 1 for c in joiners})
     told = [v for v, x in know.items() if x]
-    got = exchange(g, cfg, ledger, names[1], dict.fromkeys(told), BitCost.TAG)
-    return set(told).union(got)
+    nbrs = [g.adj[v] for v in told]
+    messages = sum(map(len, nbrs))
+    _charge(g, cfg, ledger, names[1], 1 if messages else 0, messages, BitCost.TAG)
+    return set(told).union(*nbrs)
 
 
 def elect(g: Graph, cfg: SimConfig, ledger: RoundLedger, *, steps: Sequence[str],

@@ -27,13 +27,10 @@ STEPS = ("sc-ack", "sc-deg-up", "sc-deg-down", "sc-tuples", "sc-votes",
 
 def _sc_roles(scs: Sequence[Supercluster]) -> RoleTable:
     """Superclusters as a forest keyed by sc_id: every connecting tree,
-    oriented from its root, gives its vertices one (sc_id, parent, children)
-    role each."""
-    roles: RoleTable = {}
-    for sc in scs:
-        for v, (p, ch) in orient_tree(sc.root, sc.tree_edges).items():
-            roles.setdefault(v, []).append((sc.sc_id, p, ch))
-    return roles
+    oriented from its root, gives each of its vertices a role whose parent
+    is the vertex's parent there."""
+    return {(v, sc.sc_id): p for sc in scs
+            for v, (p, _ch) in orient_tree(sc.root, sc.tree_edges).items()}
 
 
 def improved_spanner(

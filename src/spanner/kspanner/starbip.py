@@ -377,11 +377,9 @@ def _compute_reps(g, cfg, ledger, st, nbr_cluster, label):
         reps[s] = {}
         # every member gets a (possibly empty) assignment stream
         plan: Dict[int, List[int]] = {v: [] for v in st.members[s]}
+        near = {m: contacts(nbr_cluster[m]) for m in set(per_cluster.values())}
         for c, member in sorted(per_cluster.items()):
-            contact = min(
-                u for u, cc in nbr_cluster[member].items() if cc == c
-            )
-            reps[s][c] = (member, contact)
+            reps[s][c] = (member, near[member][c])
             if member != s:
                 plan[member].append(c)
         if plan:

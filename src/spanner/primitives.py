@@ -5,21 +5,25 @@ assembled result together with the run's RoundLedger.  Cluster growth, the
 power-graph min-flood and hop-flood and the log-round ruling set are
 relay floods, run layer by layer on the host (``_relay``, the broadcast
 floods through ``_flood``) without touching a ledger.  The convergecast
-and the broadcast are the two methods of a ``Forest``, which checks its
-role table once and rejects a table with a cycle or a tree edge outside
-the graph; every call over those trees reads and returns one value per
-role and is one walk over a schedule.  The tree partition computes its
-two waves on the host from the oriented tree.  Every phase of these
-enters its ledger through one ``sim._charge`` call, once its host code
-has run (a flood's through ``_charge_flood``): accounted in bulk within
-the budget and message by message over it, under the simulator's one
-round-cap rule: a phase whose last message goes out in round R raises
-SimTimeout when R >= ``max_rounds``.
+and the broadcast are the two methods of a ``Forest``, built from parent
+pointers, (vertex, tree key) -> parent: it checks the table once and
+rejects a non-vertex, a parent with no role in its child's tree, a tree
+edge outside the graph or in two trees, and a role on or below a cycle;
+every call over those trees reads and returns one value per role, is one
+walk over the roles and charges the caller's ledger under the caller's
+phase name.  The tree partition computes its two waves on the host from
+the oriented tree.  Every phase of these enters its ledger through one
+``sim._charge`` call, once its host code has run (a flood's through
+``_charge_flood``): accounted in bulk within the budget and message by
+message over it, under the simulator's one round-cap rule: a phase whose
+last message goes out in round R raises SimTimeout when R >=
+``max_rounds``.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import defaultdict
 from typing import (
     Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple,
 )
@@ -167,239 +171,187 @@ def grow_bfs_clusters(
 # Tree convergecast / broadcast over edge-disjoint forests
 # ---------------------------------------------------------------------------
 #
-# A vertex may participate in several trees at once (e.g. supercluster
-# connecting trees share vertices but never edges).  A role table lists,
-# per vertex, one (tree_key, parent, children) role per tree it sits in: a
+# A vertex may sit in several trees at once (e.g. supercluster connecting
+# trees share vertices but never edges).  A role table maps each (vertex,
+# tree key) role to the vertex's parent in that tree, None at a root: a
 # clustering is one such forest keyed by center, a superclustering another
-# keyed by sc_id.  Messages carry no tree identifier: the edge they travel
-# on determines the tree.
+# keyed by sc_id.  A parent's role is (parent, tree key), and a role's
+# children are the roles that name it.  Messages carry no tree identifier:
+# the edge they travel on determines the tree.
 
-RoleTable = Dict[int, List[Tuple[Hashable, Optional[int], Tuple[int, ...]]]]
+RoleTable = Dict[Tuple[int, Hashable], Optional[int]]
 
 COMBINERS = {"sum": operator.add, "max": max, "min": min}
-NO_ROUTES: Dict[int, int] = {}  # a vertex with one role routes all mail to it
-
-
-def _check_roles(g: Graph, roles: RoleTable) -> Tuple[Dict[int, Dict[int, int]], int]:
-    """Check that the role table describes edge-disjoint trees whose edges
-    both ends agree on; raises SimError otherwise.  Returns, for each
-    vertex with several roles, neighbor -> index of the role whose tree
-    holds the connecting edge (a vertex with one role needs no routing),
-    and the number of tree edges."""
-    strays = [v for v in roles if v not in g.adj]
-    if strays:
-        raise SimError(f"forest: role table names non-vertices {sorted(strays)[:5]}")
-    named = set()  # (child, parent, key) as the child names its parent
-    listed = set()  # (child, parent, key) as the parent lists its child
-    entries = 0
-    routes: Dict[int, Dict[int, int]] = {}
-    for v, rs in roles.items():
-        for key, parent, children in rs:
-            if parent is not None:
-                named.add((v, parent, key))
-            if children:
-                listed.update([(c, v, key) for c in children])
-                entries += len(children)
-        if len(rs) > 1:
-            by_edge = routes[v] = {}
-            for i, (_key, parent, children) in enumerate(rs):
-                for u in children if parent is None else (parent, *children):
-                    if u in by_edge:
-                        raise SimError(
-                            f"forest: edge ({v}, {u}) lies in two roles of vertex {v}"
-                        )
-                    by_edge[u] = i
-    if named != listed:
-        for v, rs in roles.items():
-            for key, parent, children in rs:
-                if parent is not None and (v, parent, key) not in listed:
-                    raise SimError(
-                        f"forest: parent {parent} does not list child {v} "
-                        f"under tree {key!r}"
-                    )
-                for c in children:
-                    if (c, v, key) not in named:
-                        raise SimError(
-                            f"forest: child {c} does not name parent {v} "
-                            f"under tree {key!r}"
-                        )
-    if entries != len(listed):
-        raise SimError("forest: a vertex lists the same child twice")
-    return routes, entries
 
 
 def clustering_roles(clustering: Clustering) -> RoleTable:
     """A clustering as a forest keyed by center."""
-    children = clustering.children()
-    return {
-        v: [(c, clustering.parents[v], tuple(children[v]))]
-        for v, c in clustering.membership.items()
-    }
+    parents = clustering.parents
+    return {(v, c): parents[v] for v, c in clustering.membership.items()}
 
 
 class Forest:
     """The trees of one role table, checked once, for ``aggregate``, the
     convergecast, and ``broadcast`` to run over as often as needed.  The
-    constructor raises SimError ("forest: ...") unless the trees are
-    edge-disjoint, both ends of every tree edge agree on it
-    (``_check_roles``), every tree edge is an edge of g, and no role lies
-    on or below a cycle.  Both passes read and return one value per role:
-    role r is ``role_keys[r]``, a (vertex, tree key) pair in table order,
-    v's roles are numbered from ``base[v]`` on, and ``root_roles`` lists
-    (role, tree key) for every root.
+    constructor raises SimError ("forest: ...") unless every role's
+    vertex is a vertex of g, every parent has a role in its child's tree,
+    every tree edge is an edge of g and lies in one tree only, and no
+    role lies on or below a cycle.  Both passes read and return one value
+    per role: role r is ``role_keys[r]``, the table's r-th (vertex, tree
+    key) pair, ``number`` maps each pair back to r, and ``root_roles``
+    lists (role, tree key) for every root.
 
-    A pass sends one message over every tree edge, to a neighbour, so it
-    runs as one walk over its schedule.  The broadcast's schedule, built
-    with the forest, lists every non-root role after its parent's; the
-    convergecast's, built by the first ``aggregate``, lists every non-root
-    role with its parent's by send round, then sender ID, then receiver
-    ID (a childless role sends in round 1, any other in the round after
-    its last child's report).  The config is checked first, and each pass
-    is charged whole (``sim._charge``): within the budget at once, over
-    it with its messages in (round, sender, receiver) order, each of
-    which raises or leaves a violation record; then the round cap
-    applies to its last send round."""
+    A pass sends one message over every tree edge, to a neighbour, and
+    lasts as many rounds as the deepest role lies below its root, so it
+    is one walk over the roles: the broadcast copies every root's value
+    to its tree, the convergecast folds every non-root role into its
+    parent's, children first.  The config is checked first, and each
+    pass is charged whole (``sim._charge``) to the caller's ledger under
+    the caller's phase name: within the budget at once, over it with its
+    messages in (round, sender, receiver) order, each of which raises or
+    leaves a violation record naming the pass ``forest-aggregate`` or
+    ``forest-broadcast``; then the round cap applies to its last send
+    round."""
 
     def __init__(self, g: Graph, roles: RoleTable):
         self.g = g
-        self.roles = roles
-        self.routes, self.edges = _check_roles(g, roles)
-        self.base: Dict[int, int] = {}  # v -> the number of v's first role
-        self.role_keys: List[Tuple[int, Hashable]] = []  # role -> (vertex, key)
-        for v, rs in roles.items():
-            self.base[v] = len(self.role_keys)
-            self.role_keys.extend((v, key) for key, _p, _ch in rs)
-        self.parent_of: List[Optional[int]] = []  # role -> the parent's role
-        parent_of = self.parent_of
-        for v, rs in roles.items():
-            for key, parent, _ch in rs:
-                if parent is None:
-                    parent_of.append(None)
-                    continue
-                if not g.has_edge(v, parent):
-                    raise SimError(f"forest: tree edge ({v}, {parent}) of tree {key!r} "
-                                   "is not an edge of the graph")
-                parent_of.append(self.base[parent]
-                                 + self.routes.get(parent, NO_ROUTES).get(v, 0))
-        self.root_roles = [(r, self.role_keys[r][1])
-                           for r, p in enumerate(parent_of) if p is None]
-        # broadcast: (parent's role, role), every role after its parent's
-        children: List[List[int]] = [[] for _ in parent_of]
-        for r, p in enumerate(parent_of):
-            if p is not None:
-                children[p].append(r)
-        self.depth = [0] * len(parent_of)
-        self.down: List[Tuple[int, int]] = []
-        reached = [r for r, _key in self.root_roles]
-        for p in reached:
-            for r in children[p]:
-                self.depth[r] = self.depth[p] + 1
-                self.down.append((p, r))
-                reached.append(r)
-        # a role is reached from the roots exactly when no cycle lies above it
-        if len(reached) < len(parent_of):
-            seen = set(reached)
-            stuck = sorted({self.role_keys[r][0] for r in range(len(parent_of))
-                            if r not in seen})
+        keys = self.role_keys = list(roles)  # role -> (vertex, key)
+        number = self.number = dict(zip(keys, range(len(keys))))
+        adj, edges = g.adj, g.edge_set
+        strays = [v for v, _key in keys if v not in adj]
+        if strays:
+            raise SimError("forest: role table names non-vertices "
+                           f"{sorted(set(strays))[:5]}")
+        parent_of: List[Optional[int]] = []  # role -> its parent's role
+        children: Dict[int, List[int]] = defaultdict(list)  # role -> its children's roles
+        tree_of: Dict[Tuple[int, int], Hashable] = {}  # tree edge -> tree key
+        for (v, key), p in roles.items():
+            if p is None:
+                parent_of.append(None)
+                continue
+            r = number.get((p, key))
+            if r is None:
+                raise SimError(f"forest: parent {p} of vertex {v} has no role in "
+                               f"tree {key!r}")
+            e = (v, p) if v < p else (p, v)
+            if e not in edges:
+                raise SimError(f"forest: tree edge ({v}, {p}) of tree {key!r} is "
+                               "not an edge of the graph")
+            # an edge named twice in one tree closes a cycle, rejected below
+            if tree_of.setdefault(e, key) != key:
+                raise SimError(f"forest: edge {e} lies in two roles' trees, "
+                               f"{tree_of[e]!r} and {key!r}")
+            children[r].append(len(parent_of))
+            parent_of.append(r)
+        self.parent_of = parent_of
+        roots = [r for r, p in enumerate(parent_of) if p is None]
+        self.root_roles = [(r, keys[r][1]) for r in roots]
+        # every non-root role after its parent's, level by level from the
+        # roots; a role is reached exactly when no cycle lies above it
+        self.below: List[int] = []
+        self.rounds = 0
+        level = roots
+        while True:
+            level = [c for r in level if r in children for c in children[r]]
+            if not level:
+                break
+            self.rounds += 1
+            self.below += level
+        self.edges = len(self.below)
+        if len(roots) + self.edges < len(keys):
+            seen = set(roots).union(self.below)
+            stuck = sorted({keys[r][0] for r in range(len(keys)) if r not in seen})
             raise SimError(f"forest: roles of vertices {stuck[:5]} lie on or below "
                            "a cycle")
-        self.down_rounds = max(self.depth, default=0)
-        # (send round, sender, receiver, role, parent's role); see _convergecast
-        self.up: Optional[List[Tuple[int, int, int, int, int]]] = None
+        root_of = self.root_of = list(range(len(keys)))  # role -> its root's role
+        for r in self.below:
+            root_of[r] = root_of[parent_of[r]]
 
-    def _convergecast(self) -> None:
-        """The convergecast's schedule: one (send round, sender, receiver,
-        role, parent's role) entry per non-root role, sorted; ``ready``
-        grows while it is walked."""
-        parent_of, keys = self.parent_of, self.role_keys
-        waiting = [len(ch) for rs in self.roles.values() for _key, _p, ch in rs]
-        latest = [0] * len(parent_of)  # the last send round of a role's children
-        ready = [r for r, w in enumerate(waiting) if not w]
-        sends = []
-        for r in ready:
-            p = parent_of[r]
-            if p is not None:
-                rnd = latest[r] + 1
-                sends.append((rnd, keys[r][0], keys[p][0], r, p))
-                if rnd > latest[p]:
-                    latest[p] = rnd
-                waiting[p] -= 1
-                if not waiting[p]:
-                    ready.append(p)
-        sends.sort()
-        self.up = sends
-        self.up_rounds = sends[-1][0] if sends else 0
-
-    def _pass(self, name: str, cfg: SimConfig, width: int, rounds: int,
-              sends: Callable[[], List[Send]]) -> RoundLedger:
-        """The ledger of one pass of ``rounds`` send rounds that sends one
-        ``width``-bit message over every tree edge; ``sends()`` lists them
-        as (round, sender, receiver, width) in that order."""
+    def _pass(self, cfg: Optional[SimConfig], ledger: RoundLedger, name: str,
+              label: str, width: int, sends: Callable[[], List[Send]]) -> None:
+        """Charge one pass that sends one ``width``-bit message over every
+        tree edge to ``ledger`` as phase ``name``, its records and errors
+        naming ``label``; ``sends()`` lists the messages as (round,
+        sender, receiver, width) in that order."""
+        cfg = cfg or SimConfig()
         cfg.check(self.g)
-        ledger = RoundLedger()
-        _charge(self.g, cfg, ledger, name, rounds, self.edges, width, sends)
-        return ledger
+        _charge(self.g, cfg, ledger, name, self.rounds, self.edges, width, sends, label)
 
     def aggregate(
         self,
         values: Sequence[int],
+        ledger: RoundLedger,
+        name: str,
         combine: str = "sum",
         bound: Optional[int] = None,
         cfg: Optional[SimConfig] = None,
-    ) -> Tuple[List[int], RoundLedger]:
+    ) -> List[int]:
         """Every role learns combine() over the values of the roles in its
         subtree, ``values[r]`` being role r's own; returns those
-        aggregates in role order, so a root role holds its tree's.
+        aggregates in role order, so a root role holds its tree's.  The
+        pass is charged to ``ledger`` as phase ``name``.
 
         Convergecast: a leaf reports in round 1, and every other tree vertex
         sends its partial aggregate to its parent, one ``8 +
         counter(bound)``-bit message, in the round its last child's report
         arrives.  Runs in O(depth) rounds; trees aggregate in parallel
         because they are edge-disjoint.  ``bound`` caps the partial
-        aggregates (default 2n+1).  A partial combines the role's own
-        value with its children's reports in arrival order (round, then
-        sender ID).
+        aggregates (default 2n+1).  The values are integers, so the order
+        in which a role combines its children's reports does not matter.
         """
         fn = COMBINERS[combine]
         bound = bound if bound is not None else max(2 * self.g.n + 1, 2)
         width = BitCost.TAG + BitCost(self.g).counter(bound)
-        if self.up is None:
-            self._convergecast()
-        up = self.up
-        ledger = self._pass("forest-aggregate", cfg or SimConfig(), width, self.up_rounds,
-                            lambda: [(*s[:3], width) for s in up])
+        parent_of, keys, below = self.parent_of, self.role_keys, self.below
+
+        def sends():
+            height = [0] * len(parent_of)  # a role's send round, less one
+            for r in reversed(below):
+                p = parent_of[r]
+                if height[r] >= height[p]:
+                    height[p] = height[r] + 1
+            return sorted((height[r] + 1, keys[r][0], keys[parent_of[r]][0], width)
+                          for r in below)
+
+        self._pass(cfg, ledger, name, "forest-aggregate", width, sends)
         acc = list(values)
-        for _rnd, _v, _u, r, p in up:
+        for r in reversed(below):
+            p = parent_of[r]
             acc[p] = fn(acc[p], acc[r])
-        return acc, ledger
+        return acc
 
     def broadcast(
         self,
         values: Sequence[int],
+        ledger: RoundLedger,
+        name: str,
         bound: Optional[int] = None,
         cfg: Optional[SimConfig] = None,
-    ) -> Tuple[List[int], RoundLedger]:
+    ) -> List[int]:
         """Every root role r pushes ``values[r]`` down its tree (the other
         roles' entries are not read); returns every role's value in role
-        order.  A root value of None raises ValueError before any round.
+        order.  The pass is charged to ``ledger`` as phase ``name``; a
+        root value of None raises ValueError before any round.
 
         A root sends in round 1, and every other tree vertex forwards the
         value, one ``8 + counter(bound)``-bit message per child, in the
         round it arrives."""
-        got: List = [None] * len(self.role_keys)
         for r, key in self.root_roles:
             if values[r] is None:
                 raise ValueError(f"forest-broadcast: the root of tree {key!r} has no value")
-            got[r] = values[r]
         bound = bound if bound is not None else max(2 * self.g.n + 1, 2)
         width = BitCost.TAG + BitCost(self.g).counter(bound)
-        depth, keys = self.depth, self.role_keys
-        ledger = self._pass("forest-broadcast", cfg or SimConfig(), width, self.down_rounds,
-                            lambda: sorted((depth[p] + 1, keys[p][0], keys[r][0], width)
-                                           for p, r in self.down))
-        for p, r in self.down:
-            got[r] = got[p]
-        return got, ledger
+        parent_of, keys, below = self.parent_of, self.role_keys, self.below
+
+        def sends():
+            depth = [0] * len(parent_of)  # a role's receive round
+            for r in below:
+                depth[r] = depth[parent_of[r]] + 1
+            return sorted((depth[r], keys[parent_of[r]][0], keys[r][0], width)
+                          for r in below)
+
+        self._pass(cfg, ledger, name, "forest-broadcast", width, sends)
+        return [values[q] for q in self.root_of]
 
 
 # ---------------------------------------------------------------------------

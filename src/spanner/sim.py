@@ -29,7 +29,9 @@ code has run: ``exchange``, the one scripted round (each sender sends
 one message to all its neighbours or to the receivers it names, and each
 receiver gets ``{sender: body}``), the token rounds of
 ``kspanner.common.signal``, the chunked ID streams
-(``kspanner.common._stream``), every ``primitives.Forest`` pass,
+(``kspanner.common._stream``), every ``primitives.Forest`` pass (charged
+to its caller's ledger under the caller's phase name, its records and
+errors naming the pass: ``_charge``'s ``label``),
 ``primitives.partition_tree``, the relay floods of ``primitives`` (cluster
 growth, the power-graph min-flood and hop-flood, the log-round ruling
 set), the star-graph BFS of ``kspanner.starbip`` and the star rounds of
@@ -276,11 +278,14 @@ def _cap(cfg: SimConfig, name: str, last: int) -> None:
 
 def _charge(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str, rounds: int,
             messages: int, width: int,
-            sends: Optional[Callable[[], Sequence[Send]]] = None) -> None:
+            sends: Optional[Callable[[], Sequence[Send]]] = None,
+            label: Optional[str] = None) -> None:
     """Charge a host-scheduled phase of ``messages`` messages, the widest
     of ``width`` bits, whose last message goes out in round ``rounds`` (0:
     none), to ``ledger`` as phase ``name``.  Every library phase enters
-    its ledger here, and only here.
+    its ledger here, and only here.  Violation records and SimTimeout or
+    BudgetError texts name the program ``label`` (default ``name``), so
+    a pass charged under its caller's phase name still names itself.
 
     Within the budget the phase can violate nothing: every message goes
     to a neighbour, one per edge and round, so the messages are folded in
@@ -291,16 +296,17 @@ def _charge(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str, rounds: in
     phase adds ``rounds`` to ``rounds_used`` and one ``per_phase``
     entry."""
     budget = cfg.budget_for(g)
+    label = label or name
     if width > budget:
         sent = sends()
-        messages, width = len(sent), _overrun(g, cfg, ledger, name, sent, budget)
+        messages, width = len(sent), _overrun(g, cfg, ledger, label, sent, budget)
     if messages:
         ledger.messages_total += messages
         if width > ledger.max_bits_seen:
             ledger.max_bits_seen = width
         if ledger.per_round_edge_load < 1:
             ledger.per_round_edge_load = 1
-    _cap(cfg, name, rounds)
+    _cap(cfg, label, rounds)
     ledger.rounds_used += rounds
     ledger.per_phase.append((name, rounds))
 

@@ -110,16 +110,21 @@ def per_vertex(forest, results):
 
 
 def aggregate_by_key(forest, values, *args, **kw):
-    """``Forest.aggregate`` from and to the vertex -> {key: value} shape."""
-    got, ledger = forest.aggregate(per_role(forest, values), *args, **kw)
+    """``Forest.aggregate`` from and to the vertex -> {key: value} shape,
+    charged to a fresh ledger as phase "forest-aggregate"."""
+    ledger = RoundLedger()
+    got = forest.aggregate(per_role(forest, values), ledger, "forest-aggregate",
+                           *args, **kw)
     return at_roots(forest, got), ledger
 
 
 def broadcast_by_key(forest, root_values, *args, **kw):
     """``Forest.broadcast`` from tree key -> value (0 where missing) to
-    vertex -> {key: value}."""
-    got, ledger = forest.broadcast(
-        [root_values.get(key, 0) for _v, key in forest.role_keys], *args, **kw)
+    vertex -> {key: value}, charged to a fresh ledger as phase
+    "forest-broadcast"."""
+    ledger = RoundLedger()
+    got = forest.broadcast([root_values.get(key, 0) for _v, key in forest.role_keys],
+                           ledger, "forest-broadcast", *args, **kw)
     return per_vertex(forest, got), ledger
 
 
@@ -162,15 +167,15 @@ def test_forest_vertex_in_two_edge_disjoint_trees():
         "b": (1, [(1, 4), (4, 7), (0, 1), (1, 2)]),
         "c": (6, []),
     }
-    roles = {}
-    for key, (root, edges) in trees.items():
-        for v, (p, ch) in orient_tree(root, edges).items():
-            roles.setdefault(v, []).append((key, p, ch))
-    assert len(roles[0]) == len(roles[4]) == 2
+    roles = {(v, key): p for key, (root, edges) in trees.items()
+             for v, (p, _ch) in orient_tree(root, edges).items()}
+    assert [key for v, key in roles if v == 0] == [key for v, key in roles if v == 4] \
+        == ["a", "b"]
     rng = random.Random(3)
-    values = {v: {key: rng.randint(0, 9) for key, _p, _ch in rs} for v, rs in roles.items()}
-    members = {key: [v for v, rs in roles.items() if key in {r[0] for r in rs}]
-               for key in trees}
+    values = {}
+    for v, key in roles:
+        values.setdefault(v, {})[key] = rng.randint(0, 9)
+    members = {key: [v for v, k in roles if k == key] for key in trees}
     forest = Forest(g, roles)
     for combine, fn in (("sum", sum), ("max", max), ("min", min)):
         agg, ledger = aggregate_by_key(forest, values, combine, bound=100)
@@ -178,13 +183,15 @@ def test_forest_vertex_in_two_edge_disjoint_trees():
         assert ledger.rounds_used <= 2
     sums, _ = aggregate_by_key(forest, values, bound=100)
     got, ledger = broadcast_by_key(forest, sums, bound=100)
-    assert got == {v: {r[0]: sums[r[0]] for r in roles.get(v, ())} for v in g.vertices}
+    assert got == {v: {key: sums[key] for u, key in roles if u == v} for v in g.vertices}
     assert ledger.rounds_used <= 2
-    # per role: role r is forest.role_keys[r], and a non-root role's
-    # aggregate is its subtree's
-    assert forest.role_keys[forest.base[4]:forest.base[4] + 2] == [(4, "a"), (4, "b")]
-    subtree, _ = forest.aggregate(per_role(forest, values), bound=100)
-    assert subtree[forest.base[4] + 1] == sum(values[v]["b"] for v in (4, 7))
+    # per role: role r is the table's r-th pair, numbered back by
+    # forest.number, and a non-root role's aggregate is its subtree's
+    assert forest.role_keys == list(roles)
+    r = forest.number[4, "b"]
+    assert forest.role_keys[r] == (4, "b")
+    subtree = forest.aggregate(per_role(forest, values), RoundLedger(), "sub", bound=100)
+    assert subtree[r] == sum(values[v]["b"] for v in (4, 7))
 
 
 class RefAggregate(NodeProgram):
@@ -261,6 +268,20 @@ class RefBroadcast(NodeProgram):
         return {r["key"]: r["value"] for r in state["roles"]}
 
 
+def vertex_roles(roles):
+    """A parent-pointer role table as each vertex sees it: vertex ->
+    [(tree key, parent, sorted children)], in table order, the children
+    being the roles that name the vertex as parent in the same tree."""
+    children = defaultdict(list)
+    for (v, key), p in roles.items():
+        if p is not None:
+            children[p, key].append(v)
+    rows = {}
+    for (v, key), p in roles.items():
+        rows.setdefault(v, []).append((key, p, tuple(sorted(children[v, key]))))
+    return rows
+
+
 def _ref_edge_roles(roles):
     by_edge = {}
     for i, (_key, parent, children) in enumerate(roles):
@@ -273,19 +294,17 @@ def _ref_edge_roles(roles):
 
 def ref_forest_aggregate(g, roles, values, combine, bound, cfg):
     bound = bound if bound is not None else max(2 * g.n + 1, 2)
-    private = {v: {"roles": rs, "values": values.get(v, {})} for v, rs in roles.items()}
+    private = {v: {"roles": rs, "values": values.get(v, {})}
+               for v, rs in vertex_roles(roles).items()}
     outputs, ledger = run(g, RefAggregate(combine, bound), cfg, private=private)
-    result = {}
-    for v in roles:
-        result.update(outputs[v])
-    return result, ledger
+    return {key: outputs[v][key] for (v, key), p in roles.items() if p is None}, ledger
 
 
 def ref_forest_broadcast(g, roles, root_values, bound, cfg):
     bound = bound if bound is not None else max(2 * g.n + 1, 2)
     private = {v: {"roles": rs, "values": {key: root_values.get(key, 0)
                                            for key, p, _ch in rs if p is None}}
-               for v, rs in roles.items()}
+               for v, rs in vertex_roles(roles).items()}
     outputs, ledger = run(g, RefBroadcast(bound), cfg, private=private)
     result = {v: {} for v in g.vertices}
     result.update(outputs)
@@ -304,16 +323,18 @@ def cascade_forest_aggregate(g, roles, values, combine, bound, cfg):
     """Reference for ``Forest.aggregate``: the convergecast as a
     ``_cascade`` step, every round posted through the send step."""
     name = "forest-aggregate"
-    routes, edges = primitives._check_roles(g, roles)
+    rows = vertex_roles(roles)
+    routes = {v: _ref_edge_roles(rs) for v, rs in rows.items()}
+    edges = sum(p is not None for p in roles.values())
     fn = {"sum": lambda a, b: a + b, "max": max, "min": min}[combine]
     bound = bound if bound is not None else max(2 * g.n + 1, 2)
     width = 8 + BitCost(g).counter(bound)
     acc = {v: [values.get(v, {}).get(key, 0) for key, _p, _ch in rs]
-           for v, rs in roles.items()}
-    left = {v: [len(ch) for _key, _p, ch in rs] for v, rs in roles.items()}
+           for v, rs in rows.items()}
+    left = {v: [len(ch) for _key, _p, ch in rs] for v, rs in rows.items()}
 
     def step(v, rnd, inbox):
-        rs, partial = roles[v], acc[v]
+        rs, partial = rows[v], acc[v]
         out = {}
         if not inbox:
             for i, (_key, parent, children) in enumerate(rs):
@@ -321,37 +342,36 @@ def cascade_forest_aggregate(g, roles, values, combine, bound, cfg):
                     out[parent] = Msg(width, partial[i])
             return out
         for sender, x in inbox:
-            i = routes.get(v, {}).get(sender, 0)
+            i = routes[v][sender]
             partial[i] = fn(partial[i], x)
             left[v][i] -= 1
             if left[v][i] == 0 and rs[i][1] is not None:
                 out[rs[i][1]] = Msg(width, partial[i])
         return out
 
-    leaves = [v for v, rs in roles.items() if any(not r[2] for r in rs)]
+    leaves = [v for v, rs in rows.items() if any(not r[2] for r in rs)]
     ledger = sim._cascade(g, cfg or SimConfig(), name, leaves, step)
     if ledger.messages_total < edges:
         _stalled(name, [v for v, count in left.items() if any(count)])
-    result = {}
-    for v, rs in roles.items():
-        for (key, parent, _ch), x in zip(rs, acc[v]):
-            if parent is None:
-                result[key] = x
-    return result, ledger
+    roots = {(v, key): x for v, rs in rows.items()
+             for (key, _p, _ch), x in zip(rs, acc[v])}
+    return {key: roots[v, key] for (v, key), p in roles.items() if p is None}, ledger
 
 
 def cascade_forest_broadcast(g, roles, root_values, bound, cfg):
     """Reference for ``Forest.broadcast``: the broadcast as a ``_cascade``
     step, every round posted through the send step."""
     name = "forest-broadcast"
-    routes, edges = primitives._check_roles(g, roles)
+    rows = vertex_roles(roles)
+    routes = {v: _ref_edge_roles(rs) for v, rs in rows.items()}
+    edges = sum(p is not None for p in roles.values())
     bound = bound if bound is not None else max(2 * g.n + 1, 2)
     width = 8 + BitCost(g).counter(bound)
     got = {v: [root_values.get(key, 0) if p is None else None for key, p, _ch in rs]
-           for v, rs in roles.items()}
+           for v, rs in rows.items()}
 
     def step(v, rnd, inbox):
-        rs, known = roles[v], got[v]
+        rs, known = rows[v], got[v]
         out = {}
         if not inbox:
             for i, (_key, parent, children) in enumerate(rs):
@@ -360,18 +380,18 @@ def cascade_forest_broadcast(g, roles, root_values, bound, cfg):
                         out[c] = Msg(width, known[i])
             return out
         for sender, x in inbox:
-            i = routes.get(v, {}).get(sender, 0)
+            i = routes[v][sender]
             known[i] = x
             for c in rs[i][2]:
                 out[c] = Msg(width, x)
         return out
 
-    roots = [v for v, rs in roles.items() if any(r[1] is None for r in rs)]
+    roots = [v for v, rs in rows.items() if any(r[1] is None for r in rs)]
     ledger = sim._cascade(g, cfg or SimConfig(), name, roots, step)
     if ledger.messages_total < edges:
         _stalled(name, [v for v, known in got.items() if None in known])
     result = {v: {} for v in g.vertices}
-    for v, rs in roles.items():
+    for v, rs in rows.items():
         result[v] = {key: x for (key, _p, _ch), x in zip(rs, got[v])}
     return result, ledger
 
@@ -397,8 +417,8 @@ def random_forest(rng):
                 used.add(e)
                 members.append(v)
                 edges.append(e)
-        for v, (p, ch) in orient_tree(members[0], edges).items():
-            roles.setdefault(v, []).append((key, p, ch))
+        for v, (p, _ch) in orient_tree(members[0], edges).items():
+            roles[v, key] = p
     acyclic = True
     for _attempt in range(8 if len(ids) >= 3 and rng.random() < 0.3 else 0):
         ring = rng.sample(ids, rng.randint(3, min(5, len(ids))))
@@ -409,12 +429,10 @@ def random_forest(rng):
             hang = [v for v in ids if v not in ring and canon(v, ring[0]) not in used]
             hang = hang[:1] if rng.random() < 0.5 else []
             for i, v in enumerate(ring):
-                nxt = ring[(i + 1) % len(ring)]
-                roles.setdefault(v, []).append(
-                    ("ring", ring[i - 1], (nxt, *hang) if i == 0 else (nxt,)))
+                roles[v, "ring"] = ring[i - 1]
             for v in hang:
                 used.add(canon(v, ring[0]))
-                roles.setdefault(v, []).append(("ring", ring[0], ()))
+                roles[v, "ring"] = ring[0]
             break
     extra = {canon(u, v) for u, v in ((rng.choice(ids), rng.choice(ids))
                                       for _ in range(rng.randint(0, 10))) if u != v}
@@ -434,11 +452,12 @@ def random_values(rng, roles):
     """Random contributions to the trees of ``roles`` and random root
     values, each left out with probability 0.2; a root value is None with
     probability 0.05."""
-    values = {v: {key: rng.randint(0, 40) for key, _p, _ch in rs if rng.random() < 0.8}
-              for v, rs in roles.items() if rng.random() < 0.8}
+    values = {}
+    for v, key in roles:
+        if rng.random() < 0.8:
+            values.setdefault(v, {})[key] = rng.randint(0, 40)
     root_values = {key: rng.randint(0, 40) if rng.random() < 0.95 else None
-                   for rs in roles.values()
-                   for key, p, _ch in rs if p is None and rng.random() < 0.8}
+                   for (_v, key), p in roles.items() if p is None and rng.random() < 0.8}
     return values, root_values
 
 
@@ -464,8 +483,7 @@ def test_forest_helpers_match_reference_programs(seed, combine):
     rng = random.Random(seed)
     g, roles, values, root_values, bound, cfg, acyclic = random_forest(rng)
     values2, root_values2 = random_values(rng, roles)
-    in_g = all(g.has_edge(v, p) for v, rs in roles.items() for _key, p, _ch in rs
-               if p is not None)
+    in_g = all(g.has_edge(v, p) for (v, _key), p in roles.items() if p is not None)
     if not (acyclic and in_g):
         with pytest.raises(SimError, match="^forest: "):
             Forest(g, roles)
@@ -489,14 +507,11 @@ def test_forest_helpers_match_reference_programs(seed, combine):
 
 BROKEN_TABLES = {
     # edge (0, 1) lies in tree "a" and in tree "b"
-    "two roles": {0: [("a", None, (1,)), ("b", 1, ())], 1: [("a", 0, ()), ("b", None, (0,))]},
-    # 1 names parent 0, which does not list it
-    "does not list child": {0: [("a", None, ())], 1: [("a", 0, ())]},
-    # 0 lists child 1, which roots its own tree
-    "does not name parent": {0: [("a", None, (1,))], 1: [("a", None, ())]},
-    # 1 names parent 0, which lists it under another tree
-    "does not list child 1 under tree 'b'": {1: [("b", 0, ())], 0: [("a", None, (1,))]},
-    "lists the same child twice": {0: [("a", None, (1, 1))], 1: [("a", 0, ())]},
+    "two roles": {(0, "a"): None, (1, "a"): 0, (1, "b"): None, (0, "b"): 1},
+    # 1 names parent 0 in tree 7, where 0 has no role
+    "parent 0 of vertex 1 has no role in tree 7": {(1, 7): 0, (0, 3): None},
+    # the 3-path has no vertex 7
+    "names non-vertices": {(0, "a"): None, (7, "a"): None},
 }
 
 
@@ -518,12 +533,18 @@ def test_forest_rejects_cycles_and_tree_edges_outside_g():
     # a consistent table whose tree is a cycle: no role is a leaf or a
     # root, so no pass could ever deliver its messages
     g = generate("cycle", {"n": 3})
-    roles = {0: [("a", 2, (1,))], 1: [("a", 0, (2,))], 2: [("a", 1, (0,))]}
+    roles = {(0, "a"): 2, (1, "a"): 0, (2, "a"): 1}
+    with pytest.raises(SimError, match=r"^forest: roles of vertices \[0, 1, 2\] lie on "
+                                       r"or below a cycle$"):
+        Forest(g, roles)
+    # 0 and 1 name each other, so edge (0, 1) is named twice in tree "a":
+    # a cycle of two roles, with 2 hanging below it
+    roles = {(0, "a"): 1, (1, "a"): 0, (2, "a"): 1}
     with pytest.raises(SimError, match=r"^forest: roles of vertices \[0, 1, 2\] lie on "
                                        r"or below a cycle$"):
         Forest(g, roles)
     # a path tree 0-1-2 over a graph that lacks its edge (1, 2)
-    path = {0: [("a", None, (1,))], 1: [("a", 0, (2,))], 2: [("a", 1, ())]}
+    path = {(0, "a"): None, (1, "a"): 0, (2, "a"): 1}
     with pytest.raises(SimError, match=r"^forest: tree edge \(2, 1\) of tree 'a' is "
                                        r"not an edge of the graph$"):
         Forest(Graph(range(3), [(0, 1)]), path)
@@ -534,17 +555,52 @@ def test_forest_overrun_records_in_round_sender_receiver_order():
     # 1): over the budget its two reports are recorded in receiver order,
     # not in role order
     g = Graph([1, 5, 9], [(1, 5), (5, 9)])
-    roles = {5: [("a", 9, ()), ("b", 1, ())], 9: [("a", None, (5,))],
-             1: [("b", None, (5,))]}
+    roles = {(5, "a"): 9, (5, "b"): 1, (9, "a"): None, (1, "b"): None}
     cfg = SimConfig(strict=False, msg_bit_budget=8 + g.id_bits)
     forest = Forest(g, roles)
-    agg, up = forest.aggregate([1, 2, 3, 4], bound=2**20, cfg=cfg)
-    got, down = forest.broadcast([0, 0, 7, 8], bound=2**20, cfg=cfg)
+    up, down = RoundLedger(), RoundLedger()
+    agg = forest.aggregate([1, 2, 3, 4], up, "up", bound=2**20, cfg=cfg)
+    got = forest.broadcast([0, 0, 7, 8], down, "down", bound=2**20, cfg=cfg)
     assert (agg, got) == ([1, 2, 4, 6], [7, 8, 7, 8])
     for ledger, edges in ((up, [[5, 1], [5, 9]]), (down, [[1, 5], [9, 5]])):
         assert (ledger.rounds_used, ledger.messages_total) == (1, 2)
         assert [(rec["round"], rec["edge"]) for rec in ledger.violations] == \
             [(1, edge) for edge in edges]
+
+
+@pytest.mark.parametrize("helper,label", [("aggregate", "forest-aggregate"),
+                                          ("broadcast", "forest-broadcast")])
+def test_forest_pass_in_the_callers_ledger_names_itself(helper, label):
+    """A pass charged to the caller's ledger under the caller's phase name
+    leaves exactly what a fresh ledger merged under that name would, and
+    names itself in what it reports: over the budget each audit record
+    and the strict BudgetError name the pass, as does the SimTimeout at
+    the round cap, while ``per_phase`` carries the caller's phase."""
+    g = generate("path", {"n": 5})
+    chain = Forest(g, {(v, "t"): v - 1 if v else None for v in range(5)})
+    floor = 8 + g.id_bits
+
+    def charge(cfg, ledger, name="sizes:P1", bound=2**20):
+        getattr(chain, helper)([1] * 5, ledger, name, bound=bound, cfg=cfg)
+        return ledger
+
+    def earlier():
+        ledger = RoundLedger()
+        sim._charge(g, SimConfig(), ledger, "before", 3, 2, floor)
+        return ledger
+
+    audit = SimConfig(strict=False, msg_bit_budget=floor)
+    ledger = charge(audit, earlier())
+    # the same pass charged to a ledger of its own, merged under the name
+    merged = earlier()
+    merged.extend_sequential(charge(audit, RoundLedger(), label), name="sizes:P1")
+    assert ledger.to_json() == merged.to_json()
+    assert ledger.per_phase == [("before", 3), ("sizes:P1", 4)]
+    assert [rec["program"] for rec in ledger.violations] == [label] * 4
+    with pytest.raises(sim.BudgetError, match=f"'program': '{label}'"):
+        charge(SimConfig(msg_bit_budget=floor), earlier())
+    with pytest.raises(SimTimeout, match=f"^program '{label}' exceeded max_rounds=4$"):
+        charge(SimConfig(max_rounds=4), earlier(), bound=None)
 
 
 @pytest.mark.parametrize("extra", [None, 0, 1])
@@ -935,7 +991,7 @@ def test_forest_broadcast_roleless_vertex_gets_empty_dict():
     forest = Forest(g, clustering_roles(cl))
     assert forest.role_keys == [(0, 1), (1, 1), (2, 1)]
     assert forest.root_roles == [(1, 1)]
-    got, _ = forest.broadcast([None, 5, None])  # only the root's entry is read
+    got = forest.broadcast([None, 5, None], RoundLedger(), "b")  # reads the root's only
     assert got == [5, 5, 5]
     by_vertex = per_vertex(forest, got)
     assert list(by_vertex) == list(g.vertices)
@@ -966,8 +1022,9 @@ def test_wrappers_match_audit_mode(seed):
     def builds(cfg):
         cl, led1 = grow_bfs_clusters(g, picked, 2, cfg)
         forest = Forest(g, clustering_roles(cl))
-        sizes, led2 = forest.aggregate([1] * len(forest.role_keys), cfg=cfg)
-        got, led3 = forest.broadcast(sizes, cfg=cfg)
+        led2, led3 = RoundLedger(), RoundLedger()
+        sizes = forest.aggregate([1] * len(forest.role_keys), led2, "sizes", cfg=cfg)
+        got = forest.broadcast(sizes, led3, "know", cfg=cfg)
         ruled, led4 = ruling_set_log(g, picked, cfg)
         power, led5 = ruling_set_power(g, picked, 1, cfg)
         ledgers = [led.to_json() for led in (led1, led2, led3, led4, led5)]

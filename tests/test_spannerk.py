@@ -26,7 +26,8 @@ from spanner.graph import Spanner
 from spanner.kspanner import starbip, zero
 from spanner.graph import GraphError
 from spanner.kspanner.common import (
-    advertise, cluster_steps, connect, contacts, elect, ipow_ceil, signal,
+    advertise, announce_join, cluster_steps, connect, contacts, elect, ipow_ceil,
+    signal,
 )
 from spanner.primitives import grow_bfs_clusters
 from spanner.sim import (
@@ -845,6 +846,46 @@ def test_announce_and_signal_match_posted_rounds(seed):
     assert _round_outcome(lambda led: sim.exchange(g, cfg, led, "rel", bodies, width, to)) \
         == _round_outcome(
             lambda led: ref_exchange(g, cfg, led, "rel", bodies, width, to), True)
+
+
+def _announce_join_by_exchange(g, cfg, ledger, names, joiners, down):
+    """The join step as one ``exchange``: the told members send an empty
+    body to all their neighbours, and the inboxes' keys join the set."""
+    know = down(names[0], {c: 1 for c in joiners})
+    told = [v for v, x in know.items() if x]
+    got = sim.exchange(g, cfg, ledger, names[1], dict.fromkeys(told), BitCost.TAG)
+    return set(told).union(got)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(0, 10**9))
+def test_announce_join_matches_the_exchange_it_replaced(seed):
+    """``announce_join`` charges its token round without building inboxes;
+    on random graphs, clusterings and joiner sets it returns the same set
+    and leaves the same ledger, or raises the same error, as the
+    ``exchange`` round it replaced, under strict and audit budgets and
+    under round caps that stop the broadcast or the token round."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 40)
+    g = generate("erdos-renyi", {"n": n, "p": rng.uniform(0.02, 0.4)}, seed=seed)
+    centers = rng.sample(g.vertices, rng.randint(1, n))
+    clustering, _ = grow_bfs_clusters(g, centers, rng.randint(0, 3))
+    heads = sorted(clustering.centers)
+    joiners = rng.sample(heads, rng.randint(0, len(heads)))
+    cfg = SimConfig(msg_bit_budget=rng.choice((None, 8 + g.id_bits)),
+                    strict=rng.random() < 0.5,
+                    max_rounds=rng.choice((1, 2, 4, 10**6)))
+    outcomes = []
+    for join in (announce_join, _announce_join_by_exchange):
+        ledger = RoundLedger()
+        _up, down = cluster_steps(g, cfg, ledger, clustering)
+        try:
+            hit = join(g, cfg, ledger, ("join-down", "join-announce"), joiners, down)
+        except SimError as exc:
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append((hit, ledger.to_json()))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_contacts_smallest_neighbour_per_tree():
