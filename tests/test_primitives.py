@@ -505,13 +505,16 @@ def test_forest_helpers_match_reference_programs(seed, combine):
         assert got == _outcome(lambda: ref_forest_broadcast(g, roles, vals, bound, cfg))
 
 
+# case id -> (role table, what the error says)
 BROKEN_TABLES = {
     # edge (0, 1) lies in tree "a" and in tree "b"
-    "two roles": {(0, "a"): None, (1, "a"): 0, (1, "b"): None, (0, "b"): 1},
-    # 1 names parent 0 in tree 7, where 0 has no role
-    "parent 0 of vertex 1 has no role in tree 7": {(1, 7): 0, (0, 3): None},
+    "two roles": ({(0, "a"): None, (1, "a"): 0, (1, "b"): None, (0, "b"): 1}, "two roles"),
+    # 1 names parent 0 in tree "b", but 0 has a role in tree "a" only, so
+    # no role of 0 can take 1 as its child under "b"
+    "does not list child 1 under tree 'b'": ({(1, "b"): 0, (0, "a"): None},
+                                             "parent 0 of vertex 1 has no role in tree 'b'"),
     # the 3-path has no vertex 7
-    "names non-vertices": {(0, "a"): None, (7, "a"): None},
+    "names non-vertices": ({(0, "a"): None, (7, "a"): None}, "names non-vertices"),
 }
 
 
@@ -525,8 +528,9 @@ def test_forest_role_table_checked(helper, text, monkeypatch):
         raise AssertionError("a round ran over a broken role table")
 
     monkeypatch.setattr(primitives, "_charge", no_rounds)
-    with pytest.raises(SimError, match=f"^forest: .*{text}"):
-        getattr(Forest(g, BROKEN_TABLES[text]), helper)([])
+    table, message = BROKEN_TABLES[text]
+    with pytest.raises(SimError, match=f"^forest: .*{message}"):
+        getattr(Forest(g, table), helper)([])
 
 
 def test_forest_rejects_cycles_and_tree_edges_outside_g():
