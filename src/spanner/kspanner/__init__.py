@@ -4,19 +4,22 @@ zero-level superclustering, and the randomized comparator.  The first four
 share one local-maxima election, ``common.elect``, and its steps.
 
 Every scripted step runs through ``common.forest_steps`` (the convergecast
-and broadcast over cluster or supercluster trees), through ``exchange``,
-the simulator's one scripted round, re-exported by ``common``, through
-``common.signal`` or, for the star graph's ID lists, through
-``common._stream``, the one chunked ID stream.  ``exchange`` carries the
-rounds whose receivers read the bodies or the senders: the label rounds
-(a label to all neighbours), the star relays that carry data to chosen
-receivers, and the token rounds that tell who sent.  ``common.signal``
-sends bare tokens to chosen neighbours and returns each receiver's count
-of senders, for the rounds that only count them; ``common.connect`` (the
+and broadcast over cluster or supercluster trees), through
+``common.label_contacts``, the label round (a tree key to all neighbours;
+each receiver keeps the smallest-ID sender of each key), through
+``exchange``, the simulator's one scripted round, re-exported by
+``common``, through ``common.signal`` or, for the star graph's ID lists,
+through ``common._stream``, the one chunked ID stream.  ``exchange``
+carries the rounds whose receivers read the bodies or the senders: the
+star relays that carry data to chosen receivers, the star graph's tuples
+and the token rounds that tell who sent.  ``common.signal`` sends bare
+tokens to chosen neighbours and returns each receiver's count of
+senders, for the rounds that only count them.  ``common.connect`` (the
 Baswana-Sen edge step: one edge per pick, and a token that tells the
-other end) is one.  Forest passes, scripted rounds and streams are
-accounted without per-vertex sends: in bulk within the budget, message by
-message over it."""
+other end) and the election's ack and vote rounds count their tokens
+themselves, because their receivers are neighbours by construction.
+Forest passes, scripted rounds and streams are accounted without
+per-vertex sends: in bulk within the budget, message by message over it."""
 
 from .naive import naive_spanner
 from .starbip import sparser_bipartite_spanner

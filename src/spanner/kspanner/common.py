@@ -1,43 +1,50 @@
 """Protocol helpers shared by the k-spanner constructions.
 
-Three kinds of step carry every scripted step of the constructions:
+Four kinds of step carry every scripted step of the constructions:
 
 * ``forest_steps`` (``cluster_steps`` over a clustering): the convergecast
   and broadcast over cluster or supercluster trees;
+* ``label_contacts``, the label round: every labelled vertex sends its
+  tree key to all its neighbours, and each receiver keeps its contacts,
+  the smallest-ID neighbour in each adjacent tree;
 * ``exchange``, the simulator's one scripted round, re-exported here: each
   sender sends one message to all its neighbours or to receivers it
-  names, and each receiver gets {sender: body}.  It carries every round
-  whose receivers read the bodies or the senders: the label rounds (a
-  label to all neighbours), the star relays of ``starbip`` and the token
-  rounds that tell who sent;
+  names, and each receiver gets {sender: body}.  It carries the rounds
+  whose receivers read the bodies or the senders: the star relays and
+  tuples of ``starbip`` and the token rounds that tell who sent;
 * ``signal``, bare tokens to chosen neighbours for receivers that only
-  count them: it returns receiver -> number of distinct senders, and
-  ``connect`` (one edge per pick enters the spanner, and the picking end
-  tells the other one with a token: the Baswana-Sen step) is one;
+  count them: it returns receiver -> number of distinct senders.
 
-plus ``contacts``, which picks the smallest-ID neighbour in each adjacent
-cluster.  None of them, nor the floods of ``primitives`` run between them
-(cluster growth, the power-graph ruling set), sends per-vertex messages
-when it cannot violate anything: a ``Forest`` pass is one walk over its
-roles, the join announcement counts its tokens without building inboxes,
-and every step, the chunked ID streams included, is charged to the
-ledger whole by ``sim._charge``, under the simulator's one round-cap
-rule.  A scripted round returns only the vertices that received
-something, so readers use ``.get``.  The local-maxima election
+Token rounds whose receivers are neighbours by construction count their
+tokens themselves and are charged as ``signal`` would charge them:
+``connect`` (one edge per pick enters the spanner, and the picking end
+tells the other one with a token: the Baswana-Sen step) and the ack and
+vote rounds of the election, whose receivers are contacts or entries of
+``g.adj``.  ``contacts`` picks the smallest-ID sender in each tree from an
+inbox.  None of these steps, nor the floods of ``primitives`` run between
+them (cluster growth, the power-graph ruling set), sends per-vertex
+messages when it cannot violate anything: a ``Forest`` pass is one walk
+over its roles, the label round, the election's tuple round and the join
+announcement count their messages without building inboxes
+(``_to_all``), and every step, the chunked ID streams included, is
+charged to the ledger whole by ``sim._charge``, under the simulator's one
+round-cap rule.  A scripted round returns only the vertices that
+received something, so readers use ``.get``.  The local-maxima election
 that the cluster-by-cluster and the superclustered constructions run (and
-whose steps the star-graph and zero-level constructions reuse) is built
-from these steps, with each vertex's contacts computed once per
-election.  ``_stream``, the one budget-sized ID-list stream (each list in
-chunks and an end marker, one message per edge and round), lives here
-too; ``starbip`` gathers and scatters its representatives with it."""
+whose ack and join steps the zero-level and star-graph constructions
+reuse) is built from these steps, over the contacts of one label round.
+``_stream``, the one budget-sized ID-list stream (each list in chunks and
+an end marker, one message per edge and round), lives here too;
+``starbip`` gathers and scatters its representatives with it."""
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from itertools import count
+from itertools import count, repeat
 from typing import (
-    Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple,
+    Callable, Collection, Dict, Hashable, Iterable, List, Optional, Sequence, Set,
+    Tuple,
 )
 
 from ..clustering import Clustering
@@ -130,30 +137,72 @@ def signal(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
     return counts
 
 
+def _to_all(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
+            senders: Collection, bits: int) -> None:
+    """Charge the round in which every vertex of g among ``senders`` sends
+    one ``bits``-bit message to all its neighbours as :func:`exchange`
+    charges it, without building inboxes: Σ deg(sender) messages, one
+    round iff any, and over the budget the same messages, senders in ID
+    order and each one's neighbours in ID order."""
+    adj = g.adj
+    messages = sum(map(len, map(adj.get, senders, repeat(()))))
+    _charge(g, cfg, ledger, name, 1 if messages else 0, messages, bits, lambda: [
+        (1, v, u, bits) for v in sorted(senders) if v in adj for u in adj[v]
+    ])
+
+
+def label_contacts(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
+                   labels: Dict[int, Hashable]) -> Dict[int, Dict[Hashable, int]]:
+    """The label round: every vertex of g in ``labels`` sends its tree key
+    to all its neighbours in one ``8 + id_bits``-bit message, charged to
+    ``ledger`` as phase ``name`` (:func:`_to_all`).  Returns, for each
+    vertex that heard a label, {tree key: its smallest-ID neighbour that
+    sent it} in the order the keys are first heard, senders walked in ID
+    order: :func:`contacts` of the inbox :func:`exchange` would deliver.
+    A label keyed by a non-vertex sends nothing; the receivers are
+    neighbours by construction, and ``cfg.check`` guarantees the budget
+    holds the message."""
+    cfg.check(g)
+    _to_all(g, cfg, ledger, name, labels, BitCost.TAG + g.id_bits)
+    near: Dict[int, Dict[Hashable, int]] = defaultdict(dict)
+    for v in sorted(labels):
+        c = labels[v]
+        for u in g.adj.get(v, ()):
+            near[u].setdefault(c, v)
+    return dict(near)
+
+
 def connect(g: Graph, cfg: SimConfig, ledger: RoundLedger, H: Spanner, name: str,
             picks: Iterable[Tuple[int, int, str]]) -> None:
     """The Baswana-Sen edge step: every pick (v, u, tag) adds the edge
     {v, u} to ``H`` under ``tag`` (the first tag of an edge stays), in
-    the given order, and v tells u in one ``signal`` round ``name``."""
+    the given order, and v tells u with a ``BitCost.TAG``-bit token, one
+    per distinct (v, u), in one round ``name``.  The receivers are
+    neighbours by construction: ``H`` must span g itself (ValueError
+    otherwise), and ``H.add`` rejects every non-edge of g before the
+    round is charged, so no token can go to a non-neighbour."""
+    if H.base is not g:
+        raise ValueError(f"{name}: the spanner is not over the graph of the round")
     picks = list(picks)
     for v, u, tag in picks:
         H.add(v, u, tag)
-    signal(g, cfg, ledger, name, ((v, u) for v, u, _tag in picks))
+    cfg.check(g)
+    messages = len({(v, u) for v, u, _tag in picks})
+    _charge(g, cfg, ledger, name, 1 if messages else 0, messages, BitCost.TAG)
 
 
 def last_level(g: Graph, cfg: SimConfig, ledger: RoundLedger, H: Spanner,
                clustering: Clustering, names: Sequence[str], tag: str) -> None:
     """The last level of the cluster-by-cluster constructions: every
-    vertex announces its cluster to all its neighbours (phase
+    vertex announces its cluster to all its neighbours (the label round
     ``names[0]``), then adds one edge to each adjacent cluster but its
     own, which its tree already reaches, under ``tag`` (the ``connect``
     round ``names[1]``)."""
-    nbr_cluster = exchange(g, cfg, ledger, names[0], clustering.membership,
-                           8 + g.id_bits)
+    own = clustering.membership
+    near = label_contacts(g, cfg, ledger, names[0], own)
     connect(g, cfg, ledger, H, names[1], (
         (v, u, tag) for v in g.vertices
-        for u in contacts(nbr_cluster.get(v, {}),
-                          skip=clustering.membership.get(v)).values()
+        for c, u in near.get(v, {}).items() if c != own.get(v)
     ))
 
 
@@ -175,31 +224,30 @@ def unmarked_degree(g, cfg, ledger, names: Sequence[str], labels, near, unmarked
                     remaining, up: Callable, self_report: bool):
     """Ack step: every vertex of ``unmarked`` acknowledges one neighbour
     in each adjacent remaining tree, its contact there (``near``: vertex
-    -> {tree key: smallest neighbour in it}, its own tree left out when
-    members self-report), and ``up`` sums per tree the acknowledgements
-    its members received, plus 1 per unmarked member when they
-    self-report.  ``names`` are the ack round's and the convergecast's
-    phases."""
-    counts = signal(g, cfg, ledger, names[0], (
-        (v, u) for v in unmarked
-        for c, u in near.get(v, {}).items() if c in remaining
-    ))
+    -> {tree key: smallest neighbour in it}, as :func:`label_contacts`
+    returns it; its own tree left out when members self-report), and
+    ``up`` sums per tree the acknowledgements its members received, plus
+    1 per unmarked member when they self-report.  ``names`` are the ack
+    round's and the convergecast's phases.
+
+    The ack round sends one ``BitCost.TAG``-bit token per acknowledgement
+    and is charged as :func:`signal` charges it: the contacts were read
+    off the label round, so every receiver is a neighbour, and a vertex
+    has one contact per tree, so no pair repeats."""
+    cfg.check(g)
+    counts: Dict[int, int] = {}
+    for v in unmarked:
+        own = labels.get(v) if self_report else None
+        for c, u in near.get(v, {}).items():
+            if c in remaining and c != own:
+                counts[u] = counts.get(u, 0) + 1
+    acks = sum(counts.values())
+    _charge(g, cfg, ledger, names[0], 1 if acks else 0, acks, BitCost.TAG)
     if self_report:
         for v in unmarked:
             if v in labels:
                 counts[v] = counts.get(v, 0) + 1
     return up(names[1], counts)
-
-
-def advertise(g, cfg, ledger, names: Sequence[str], labels, remaining,
-              deg, down: Callable, cbits: int):
-    """Tuple step: ``down`` tells every member its remaining tree's degree,
-    and the member sends (degree, tree key) to all its neighbours in one
-    ``8 + id_bits + cbits``-bit message.  Returns member -> degree and
-    what each vertex heard, v -> {neighbour: (degree, tree key)}."""
-    know = down(names[0], {c: deg.get(c, 0) for c in remaining})
-    tuples = {v: (know.get(v, 0), c) for v, c in labels.items() if c in remaining}
-    return know, exchange(g, cfg, ledger, names[1], tuples, 8 + g.id_bits + cbits)
 
 
 def announce_join(g, cfg, ledger, names: Sequence[str], joiners: Iterable,
@@ -208,28 +256,27 @@ def announce_join(g, cfg, ledger, names: Sequence[str], joiners: Iterable,
     token to all its neighbours.  Returns those members and every vertex
     that heard one.  The token round is the ``exchange`` of an empty body
     from every told member to all its neighbours, charged without
-    building its inboxes: Σ deg(told) ``BitCost.TAG``-bit messages, which
-    the budget floor always admits, all to neighbours."""
+    building its inboxes (:func:`_to_all`); the budget floor always
+    admits a token."""
     know = down(names[0], {c: 1 for c in joiners})
     told = [v for v, x in know.items() if x]
-    nbrs = [g.adj[v] for v in told]
-    messages = sum(map(len, nbrs))
-    _charge(g, cfg, ledger, names[1], 1 if messages else 0, messages, BitCost.TAG)
-    return set(told).union(*nbrs)
+    _to_all(g, cfg, ledger, names[1], told, BitCost.TAG)
+    return set(told).union(*map(g.adj.__getitem__, told))
 
 
 def elect(g: Graph, cfg: SimConfig, ledger: RoundLedger, *, steps: Sequence[str],
-          labels: Dict[int, Hashable], nbr_labels: Dict[int, Dict[int, Hashable]],
+          labels: Dict[int, Hashable], near: Dict[int, Dict[Hashable, int]],
           remaining: Iterable, threshold: int, cap: int, up: Callable, down: Callable,
           self_report: bool, cbits: int, records: List[dict], where: str,
           level: int, members: Optional[Dict] = None):
     """The local-maxima election over the trees of ``labels`` (member ->
-    tree key; ``nbr_labels`` holds each vertex's neighbours' keys).  Every
-    iteration runs the unmarked-degree, tuple and vote steps; each
-    remaining tree whose degree reaches ``threshold`` and whose every
-    acknowledgement came back as a vote joins, and its members and their
-    neighbours become marked.  The first iteration without joiners ends
-    the election; iteration ``cap + 1`` raises SimTimeout.
+    tree key; ``near`` holds each vertex's contacts, as the label round
+    :func:`label_contacts` returns them).  Every iteration runs the
+    unmarked-degree, tuple and vote steps; each remaining tree whose
+    degree reaches ``threshold`` and whose every acknowledgement came back
+    as a vote joins, and its members and their neighbours become marked.
+    The first iteration without joiners ends the election; iteration
+    ``cap + 1`` raises SimTimeout.
 
     ``steps`` names the eight phases (ack, degree up, degree down, tuples,
     votes, votes up, join down, join announce); each is suffixed by
@@ -240,44 +287,45 @@ def elect(g: Graph, cfg: SimConfig, ledger: RoundLedger, *, steps: Sequence[str]
     ``members`` maps tree keys to vertices).  Returns the joined keys, the
     remaining keys and the marked vertices.
 
-    Each vertex's contacts are computed once, over every adjacent tree,
-    and each iteration keeps those of the remaining trees: the smallest
-    neighbour in a tree does not depend on which other trees remain, and
-    filtering keeps the order in which the trees were first seen."""
+    The tuple step: ``down`` tells every member its remaining tree's
+    degree, and the member sends (degree, tree key) to all its neighbours
+    in one ``8 + id_bits + cbits``-bit message, charged as ``exchange``
+    charges it (:func:`_to_all`).  Each unmarked vertex then votes for its
+    smallest-ID neighbour with the largest tuple; a self-reporting member
+    of a remaining tree votes for its own tree instead when no neighbour's
+    tuple is larger or the largest is its own tree's.  The vote round's
+    one token per voter goes to a neighbour, read off ``g.adj``, so it is
+    charged as :func:`signal` charges it, without a neighbour check."""
     remaining = set(remaining)
     joined: Set[Hashable] = set()
     marked: Set[int] = set()
     unmarked = list(g.vertices)
-    near = {v: contacts(heard, None, labels.get(v) if self_report else None)
-            for v, heard in nbr_labels.items()}
+    adj = g.adj
+    width = 8 + g.id_bits + cbits
     for it in count(1):
         if it > cap:
             raise SimTimeout(f"{where} phase {level} exceeded its iteration cap {cap}")
         names = [f"{s}.{it}" for s in steps]
         deg = unmarked_degree(g, cfg, ledger, names[0:2], labels, near, unmarked,
                               remaining, up, self_report)
-        know, got = advertise(g, cfg, ledger, names[2:4], labels, remaining,
-                              deg, down, cbits)
-        # every unmarked vertex votes for the largest (degree, key) it heard
-        ballots, votes = [], {}
+        know = down(names[2], {c: deg.get(c, 0) for c in remaining})
+        tuples = {v: (know.get(v, 0), c) for v, c in labels.items() if c in remaining}
+        _to_all(g, cfg, ledger, names[3], tuples, width)
+        has, tuple_of = tuples.__contains__, tuples.__getitem__
+        votes: Dict[int, int] = {}
+        ballots = 0
         for v in unmarked:
-            own = labels.get(v)
-            best = sender = None
-            if self_report and own in remaining:
-                best = (know.get(v, 0), own)
-            for s, (d, c) in got.get(v, {}).items():
-                if best is None or (d, c) > best:
-                    best, sender = (d, c), s
-                elif (d, c) == best and sender is not None and s < sender:
-                    sender = s
-            if best is None:
-                continue
-            if self_report and best[1] == own:
-                votes[v] = 1
-            else:
-                ballots.append((v, sender))
-        for v, n in signal(g, cfg, ledger, names[4], ballots).items():
-            votes[v] = votes.get(v, 0) + n
+            u = max(filter(has, adj[v]), key=tuple_of, default=None)
+            if self_report:
+                own = labels.get(v)
+                if own in remaining and (u is None or tuples[u][1] == own
+                                         or tuples[u] <= (know.get(v, 0), own)):
+                    votes[v] = votes.get(v, 0) + 1
+                    continue
+            if u is not None:
+                votes[u] = votes.get(u, 0) + 1
+                ballots += 1
+        _charge(g, cfg, ledger, names[4], 1 if ballots else 0, ballots, BitCost.TAG)
         vote_sum = up(names[5], votes)
         new = {
             c for c in remaining

@@ -14,8 +14,10 @@ from ..clustering import Supercluster, Superclustering, WeightedTree, orient_tre
 from ..graph import Graph
 from ..primitives import RoleTable, grow_bfs_clusters, partition_tree
 from ..results import SpannerRun
-from ..sim import RoundLedger, SimConfig, exchange
-from .common import cluster_steps, connect, contacts, elect, forest_steps, ipow_ceil
+from ..sim import RoundLedger, SimConfig
+from .common import (
+    cluster_steps, connect, elect, forest_steps, ipow_ceil, label_contacts,
+)
 from .naive import naive_spanner
 from .zero import cons_zero_superclustering, cover_low_expansion
 
@@ -100,9 +102,7 @@ def _phase(g, k, cfg, ledger, trace, H, clustering, superclustering,
     sc_roles = _sc_roles(superclustering.superclusters)
 
     # announce supercluster membership once per phase
-    nbr_sc = exchange(
-        g, cfg, ledger, f"sc-announce:P{i}", sc_of_vertex, 8 + g.id_bits
-    )
+    near = label_contacts(g, cfg, ledger, f"sc-announce:P{i}", sc_of_vertex)
     # aggregate over the cluster trees, then over the supercluster trees;
     # broadcast the other way round
     cl_up, cl_down = cluster_steps(g, cfg, ledger, clustering)
@@ -120,7 +120,7 @@ def _phase(g, k, cfg, ledger, trace, H, clustering, superclustering,
 
     joined_sc, remaining, marked = elect(
         g, cfg, ledger, steps=[f"{s}:P{i}" for s in STEPS], labels=sc_of_vertex,
-        nbr_labels=nbr_sc, remaining=scs, threshold=exp_threshold,
+        near=near, remaining=scs, threshold=exp_threshold,
         cap=4 * ipow_ceil(n, k - 2, 2 * k) + 2,  # 4 n^(1/2-1/k) iterations
         up=up, down=down, self_report=True, cbits=max(1, (2 * n).bit_length()),
         records=trace["si_records"], where="superclusters", level=i,
@@ -151,14 +151,13 @@ def _cover_remaining(g, k, cfg, ledger, trace, H, scs, vset, sc_of_vertex, remai
     """Low-expansion superclusters: direct edges into singletons, bipartite
     spanners toward the outside and recursion inside for the rest."""
     singles = {s for s in remaining if len(scs[s].clusters) == 1}
-    nbr_single = exchange(
+    near = label_contacts(
         g, cfg, ledger, f"sc-uncov:P{i}",
         {v: scid for v, scid in sc_of_vertex.items() if scid in singles},
-        8 + g.id_bits,
     )
     connect(g, cfg, ledger, H, f"sc-single-edges:P{i}", (
         (v, u, f"sc-single:L{i}") for v in g.vertices if v not in marked
-        for u in contacts(nbr_single.get(v, {})).values()
+        for u in near.get(v, {}).values()
     ))
 
     sub_ledgers: List[RoundLedger] = []

@@ -12,8 +12,8 @@ from ..clustering import Clustering
 from ..graph import Graph, Spanner
 from ..primitives import grow_bfs_clusters
 from ..results import SpannerRun
-from ..sim import RoundLedger, SimConfig, exchange
-from .common import cluster_steps, connect, contacts, elect, ipow_ceil, last_level
+from ..sim import RoundLedger, SimConfig
+from .common import cluster_steps, connect, elect, ipow_ceil, label_contacts, last_level
 
 STEPS = ("ack", "deg", "deg-down", "tuples", "votes", "votes-up", "join-down",
          "join-announce")
@@ -60,13 +60,11 @@ def naive_spanner(
 
 
 def _phase(g, cfg, ledger, trace, H, clustering, k, i) -> Clustering:
-    nbr_cluster = exchange(
-        g, cfg, ledger, f"announce:L{i}", clustering.membership, 8 + g.id_bits
-    )
+    near = label_contacts(g, cfg, ledger, f"announce:L{i}", clustering.membership)
     up, down = cluster_steps(g, cfg, ledger, clustering)
     joined, remaining, marked = elect(
         g, cfg, ledger, steps=[f"{s}:L{i}" for s in STEPS],
-        labels=clustering.membership, nbr_labels=nbr_cluster,
+        labels=clustering.membership, near=near,
         remaining=clustering.centers, threshold=ipow_ceil(g.n, i, k),
         cap=_iteration_cap(g.n, k, i), up=up, down=down, self_report=False,
         cbits=max(1, g.n.bit_length()), records=trace["si_records"],
@@ -77,7 +75,7 @@ def _phase(g, cfg, ledger, trace, H, clustering, k, i) -> Clustering:
     # losers' unmarked neighborhoods: one edge per adjacent remaining cluster
     connect(g, cfg, ledger, H, f"cover:L{i}", (
         (v, u, f"uncovered:L{i}") for v in g.vertices if v not in marked
-        for u in contacts(nbr_cluster.get(v, {}), remaining).values()
+        for c, u in near.get(v, {}).items() if c in remaining
     ))
 
     new_clustering, led = grow_bfs_clusters(g, joined, i, cfg, level=i)

@@ -2,14 +2,14 @@
 
 The B side joins stars around A-side centers, and the cluster-by-cluster
 election then runs on the star graph with k' = k/2 levels (odd k: (k-1)/2),
-marking whole stars instead of vertices.  It shares the tuple and join
-steps of ``common.elect`` and replaces the vote by a per-edge maximum test
-relayed through each star.  Star-level clusters are realized
-as vertex-disjoint trees in the original graph (member - leader - uplink
-chains), so intra-cluster traffic costs O(1) rounds per star hop.  Phase 1
-uses the two-sided 2-approximation of the unmarked star-degree; later
-phases count exactly through per-cluster representatives and maintain the
-count by marked-star deltas.
+marking whole stars instead of vertices.  It shares the join step of
+``common.elect``, sends the same (degree, cluster) tuples and replaces the
+vote by a per-edge maximum test relayed through each star.  Star-level
+clusters are realized as vertex-disjoint trees in the original graph
+(member - leader - uplink chains), so intra-cluster traffic costs O(1)
+rounds per star hop.  Phase 1 uses the two-sided 2-approximation of the
+unmarked star-degree; later phases count exactly through per-cluster
+representatives and maintain the count by marked-star deltas.
 """
 
 from __future__ import annotations
@@ -22,13 +22,13 @@ from ..results import SpannerRun
 from ..sim import BitCost, RoundLedger, SimConfig, SimError, SimTimeout, _charge
 from .common import (
     _stream,
-    advertise,
     announce_join,
     cluster_steps,
     connect,
     contacts,
     exchange,
     ipow_ceil,
+    label_contacts,
     signal,
 )
 
@@ -41,7 +41,7 @@ class StarState:
         self.b = b_side
         self.star_of: Dict[int, Optional[int]] = {}
         self.members: Dict[int, List[int]] = {}
-        self.nbr_star: Dict[int, Dict[int, int]] = {v: {} for v in g.vertices}
+        self.nbr_star: Dict[int, Dict[int, int]] = {}
 
     def star_vertices(self, s: int) -> List[int]:
         return [s] + self.members.get(s, [])
@@ -53,7 +53,9 @@ class StarState:
 def _form_stars(g, cfg, ledger, st: StarState, H: Spanner) -> None:
     """One round: every B vertex with an A neighbor picks its star center
     (closest first on weighted graphs, then smallest ID) and tells all its
-    neighbors; star edges enter the spanner."""
+    neighbors in a label round; star edges enter the spanner.  Every
+    vertex then knows the star of each neighbour that chose one and of
+    each A neighbour (its own), ``st.nbr_star``."""
     for v in sorted(st.b):
         cands = [u for u in g.adj[v] if u in st.a]
         if not cands:
@@ -61,16 +63,14 @@ def _form_stars(g, cfg, ledger, st: StarState, H: Spanner) -> None:
         c = min(cands, key=lambda u: (g.weight(v, u), u))
         st.star_of[v] = c
         H.add(v, c, "star")
-    # so far st.star_of holds the B vertices' choices only
-    chosen = exchange(g, cfg, ledger, "star-formation", st.star_of, 8 + g.id_bits)
+    # so far st.star_of holds the B vertices' choices only; nbr_star keeps
+    # every sender's star, which the contacts alone would not tell
+    label_contacts(g, cfg, ledger, "star-formation", st.star_of)
     for a in sorted(st.a):
         st.star_of[a] = a
         st.members[a] = []
     for v in g.vertices:
-        st.nbr_star[v].update(chosen.get(v, {}))
-        for u in g.adj[v]:
-            if u in st.a:
-                st.nbr_star[v][u] = u
+        st.nbr_star[v] = {u: st.star_of[u] for u in g.adj[v] if u in st.star_of}
     for v in sorted(st.b):
         c = st.star_of.get(v)
         if c is not None:
@@ -241,9 +241,7 @@ def _phase(g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i):
     marked: Set[int] = set()        # marked stars
     nbr_marked: Dict[int, Set[int]] = {v: set() for v in g.vertices}
 
-    nbr_cluster = exchange(
-        g, cfg, ledger, f"bip-announce:L{i}", gtree.membership, 8 + g.id_bits
-    )
+    near = label_contacts(g, cfg, ledger, f"bip-announce:L{i}", gtree.membership)
     up, down = cluster_steps(g, cfg, ledger, gtree)
 
     # per-cluster representatives inside each star, and exact initial counts
@@ -254,7 +252,7 @@ def _phase(g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i):
             g, cfg, ledger, trace, st, cluster_of, marked, nbr_marked, f"L{i}.0"
         )
     else:
-        reps = _compute_reps(g, cfg, ledger, st, nbr_cluster, f"L{i}")
+        reps = _compute_reps(g, cfg, ledger, st, near, f"L{i}")
         acks = signal(g, cfg, ledger, f"bip-count:L{i}",
                       (pair for s in stars for pair in reps[s].values()))
         deg = up(f"bip-deg:L{i}", acks, bound=max(2, 2 * g.n))
@@ -308,8 +306,8 @@ def _phase(g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i):
             continue
         reached: Set[int] = set()
         for v in sorted(st.star_vertices(s)):
-            for c, u in contacts(nbr_cluster.get(v, {}), remaining).items():
-                if c not in reached:
+            for c, u in near.get(v, {}).items():
+                if c in remaining and c not in reached:
                     reached.add(c)
                     picks.append((v, u, f"star-uncovered:L{i}"))
     connect(g, cfg, ledger, H, f"bip-cover:L{i}", picks)
@@ -354,13 +352,14 @@ def _approx_degree(g, cfg, ledger, trace, st, cluster_of, marked, nbr_marked,
     return deg
 
 
-def _compute_reps(g, cfg, ledger, st, nbr_cluster, label):
+def _compute_reps(g, cfg, ledger, st, near, label):
     """Leaders learn which member can reach which cluster and assign one
     representative per neighboring cluster: every member streams its
-    sorted adjacent clusters to its leader, which adds its own, and the
-    leader streams each member its (possibly empty) assignment back."""
+    sorted adjacent clusters (the keys of its contacts ``near``, from the
+    label round) to its leader, which adds its own, and the leader
+    streams each member its (possibly empty) assignment back."""
     def adjacent(v):
-        return sorted(set(nbr_cluster.get(v, {}).values()))
+        return sorted(near.get(v, {}))
 
     gathered = _stream(g, cfg, ledger, f"bip-reps-up:{label}", {
         v: {s: adjacent(v)} for s in st.stars() for v in st.members[s]
@@ -377,7 +376,6 @@ def _compute_reps(g, cfg, ledger, st, nbr_cluster, label):
         reps[s] = {}
         # every member gets a (possibly empty) assignment stream
         plan: Dict[int, List[int]] = {v: [] for v in st.members[s]}
-        near = {m: contacts(nbr_cluster[m]) for m in set(per_cluster.values())}
         for c, member in sorted(per_cluster.items()):
             reps[s][c] = (member, near[member][c])
             if member != s:
@@ -394,10 +392,12 @@ def _election(g, cfg, ledger, st, gtree, up, down, remaining, marked,
               nbr_marked, deg, threshold, label):
     """Approximate local-maxima test by per-edge acknowledgements."""
     cbits = max(1, (2 * g.n).bit_length())
-    _know, heard = advertise(
-        g, cfg, ledger, (f"bip-tuple-down:{label}", f"bip-tuples:{label}"),
-        gtree.membership, remaining, deg, down, cbits,
-    )
+    width = 8 + g.id_bits + cbits
+    # tuple step: members of remaining clusters send (degree, cluster) to all
+    know = down(f"bip-tuple-down:{label}", {c: deg.get(c, 0) for c in remaining})
+    heard = exchange(g, cfg, ledger, f"bip-tuples:{label}", {
+        v: (know.get(v, 0), c) for v, c in gtree.membership.items() if c in remaining
+    }, width)
     # edges on which a member of a remaining cluster is owed an
     # acknowledgement back: neighbors in stars not known to be marked
     tuple_sent = {
@@ -405,7 +405,6 @@ def _election(g, cfg, ledger, st, gtree, up, down, remaining, marked,
         for v, c in gtree.membership.items() if c in remaining
     }
     # members of unmarked stars relay their best tuple to the leader
-    width = 8 + g.id_bits + cbits
     to = {v: (s,) for s in st.stars() if s not in marked
           for v in st.members[s] if v in heard}
     best = {v: max(heard[v].values()) for v in to}
@@ -461,10 +460,8 @@ def _mark_after_join(g, cfg, ledger, st, down, new_joiners, marked, label):
 
 def _last_phase(g, cfg, ledger, H, st, cluster_of, gtree):
     """Every star adds one edge toward each of its neighboring clusters."""
-    nbr_cluster = exchange(
-        g, cfg, ledger, "bip-announce:last", gtree.membership, 8 + g.id_bits
-    )
-    reps = _compute_reps(g, cfg, ledger, st, nbr_cluster, "last")
+    near = label_contacts(g, cfg, ledger, "bip-announce:last", gtree.membership)
+    reps = _compute_reps(g, cfg, ledger, st, near, "last")
     connect(g, cfg, ledger, H, "bip-final-edges", (
         (rep, contact, "star-final") for s in st.stars()
         for c, (rep, contact) in reps[s].items() if c != cluster_of.get(s)

@@ -19,9 +19,9 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..clustering import Clustering, Supercluster, Superclustering, WeightedTree
 from ..graph import Graph, Spanner
 from ..primitives import grow_bfs_clusters, partition_tree, ruling_set_power
-from ..sim import RoundLedger, SimConfig, exchange
+from ..sim import RoundLedger, SimConfig
 from ..spanner3 import Bipartition
-from .common import cluster_steps, contacts, ipow_ceil, unmarked_degree
+from .common import cluster_steps, ipow_ceil, label_contacts, unmarked_degree
 from .starbip import sparser_bipartite_spanner
 
 
@@ -37,13 +37,9 @@ class ZeroResult:
 def _cluster_expansion(g, cfg, ledger, clustering, label) -> Dict[int, int]:
     """deg(C) = |C| + |Gamma(C) \\ C|: the election's unmarked-degree step
     with every cluster remaining, nothing marked and members self-reporting."""
-    nbr_cluster = exchange(
-        g, cfg, ledger, f"zero-announce:{label}", clustering.membership,
-        8 + g.id_bits,
-    )
-    up, _down = cluster_steps(g, cfg, ledger, clustering)
     labels = clustering.membership
-    near = {v: contacts(heard, None, labels.get(v)) for v, heard in nbr_cluster.items()}
+    near = label_contacts(g, cfg, ledger, f"zero-announce:{label}", labels)
+    up, _down = cluster_steps(g, cfg, ledger, clustering)
     return unmarked_degree(
         g, cfg, ledger, (f"zero-acks:{label}", f"zero-deg:{label}"),
         labels, near, g.vertices, clustering.centers, up, self_report=True,

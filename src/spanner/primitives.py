@@ -92,12 +92,13 @@ def _flood(g: Graph, name: str, sources: Iterable[int], radius: int,
 
 
 def _charge_flood(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
-                  sent: Sequence[Layer], width: int) -> None:
+                  sent: Sequence[Layer], width: int, label: Optional[str] = None) -> None:
     """Charge the rounds a relay flood ``sent``, ``width``-bit messages
     all, to ``ledger`` as phase ``name`` in one ``sim._charge``: its last
     sending round and its message count; over the budget its messages,
     round by round, senders in ID order and each one's receivers in ID
-    order."""
+    order.  Records and errors name the flood ``label`` (default
+    ``name``)."""
     adj = g.adj
 
     def sends():
@@ -106,7 +107,7 @@ def _charge_flood(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
                 for u in adj[v] if u != s]
 
     _charge(g, cfg, ledger, name, sent[-1][0] if sent else 0,
-            sum(layer[3] for layer in sent), width, sends)
+            sum(layer[3] for layer in sent), width, sends, label)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +425,8 @@ def ruling_set_power(
     >= 3t apart and every candidate is within 3t-1 hops of one.  A wave
     costs at most 2(3t-1) rounds, and at least one candidate joins per
     wave; the ledger holds one power-min-flood and one power-deactivate
-    phase per wave.
+    phase per wave, whose records and errors name the floods min-flood
+    and hop-flood.
 
     The min-flood forwards each improvement at once, ``(smallest ID, hop)``
     in ``8 + id_bits + counter(3t-1)`` bits to every neighbor but the one
@@ -466,16 +468,13 @@ def ruling_set_power(
     while active:
         # the smallest source ID each vertex heard, and who told it last
         low, came = dict(zip(active, active)), {}
-        led = RoundLedger()
-        _charge_flood(g, cfg, led, "min-flood",
-                      _relay(g, "min-flood", active, radius, came, deliver), low_width)
-        ledger.extend_sequential(led, name="power-min-flood")
+        _charge_flood(g, cfg, ledger, "power-min-flood",
+                      _relay(g, "min-flood", active, radius, came, deliver), low_width,
+                      "min-flood")
         joiners = {v for v in active if low[v] == v}
         chosen |= joiners
         heard, sent = _flood(g, "hop-flood", joiners, radius)
-        led = RoundLedger()
-        _charge_flood(g, cfg, led, "hop-flood", sent, hop_width)
-        ledger.extend_sequential(led, name="power-deactivate")
+        _charge_flood(g, cfg, ledger, "power-deactivate", sent, hop_width, "hop-flood")
         active = active - heard
     return chosen, ledger
 

@@ -27,8 +27,13 @@ scheduled on the host and enters its ledger through one helper,
 merges that writes a ledger.  It takes a phase whole, once its host
 code has run: ``exchange``, the one scripted round (each sender sends
 one message to all its neighbours or to the receivers it names, and each
-receiver gets ``{sender: body}``), the token rounds of
-``kspanner.common.signal``, the chunked ID streams
+receiver gets ``{sender: body}``; the star relays, tuples and
+who-sent tokens of ``kspanner.starbip`` and the comparator's status
+round use it), the label round of ``kspanner.common.label_contacts``
+and the other rounds to all neighbours that build no inboxes, the token
+rounds of ``kspanner.common.signal`` and those that count their tokens
+themselves (``kspanner.common.connect``, the election's acks and
+votes), the chunked ID streams
 (``kspanner.common._stream``), every ``primitives.Forest`` pass (charged
 to its caller's ledger under the caller's phase name, its records and
 errors naming the pass: ``_charge``'s ``label``),

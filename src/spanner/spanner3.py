@@ -12,7 +12,7 @@ from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .clustering import WeightedTree
-from .graph import Graph, Spanner
+from .graph import Graph, Spanner, canon
 from .primitives import grow_bfs_clusters, partition_tree, ruling_set_log
 from .results import SpannerRun
 from .sim import BitCost, RoundLedger, SimConfig, SimError, _charge, exchange
@@ -62,12 +62,13 @@ def _star_spanner(
     (tag, center) to its part-j neighbors; with ``internal`` it also keeps
     its edges inside its own part, each added by its smaller endpoint.
     Round 2: every part vertex picks, per star it heard about, one of the
-    senders by the same rule and sends it an 8-bit SELECTED; in its own
-    star that edge is the sender's round-1 star edge, so it is not added
-    again.  Edges enter ``spanner`` as the vertices decide them, in ID
-    order, every round-1 edge before any round-2 edge.  An edge that a
-    part vertex tags ``cross`` in round 2 and someone tags ``star`` was
-    already a round-1 star edge of that vertex, so it keeps ``star``.
+    senders by the same rule and sends it an 8-bit SELECTED.  It adds that
+    edge as ``cross`` unless it is in its own star, where the edge is the
+    sender's round-1 star edge, or the edge is already in ``spanner``
+    (its own round-1 star edge where it picked the sender as a star
+    center).  Edges enter ``spanner`` as the
+    vertices decide them, in ID order, every round-1 edge before any
+    round-2 edge, and the first tag of an edge stays.
 
     Both rounds are charged as one ``star-spanner`` phase of 0 or 2
     rounds, in bulk, because neither can violate anything: CHOSE has
@@ -117,7 +118,7 @@ def _star_spanner(
             ):
                 per_star[center] = sender
         for center, sender in sorted(per_star.items()):
-            if center != v:
+            if center != v and canon(v, sender) not in spanner.edges:
                 spanner.add(v, sender, "cross")
         picked += len(per_star)
     ledger = RoundLedger()

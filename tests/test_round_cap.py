@@ -13,7 +13,7 @@ from spanner import Bipartition, SimConfig, generate
 from spanner.clustering import WeightedTree
 from spanner.graph import Spanner, canon
 from spanner.kspanner import starbip
-from spanner.kspanner.common import _stream, connect, signal
+from spanner.kspanner.common import _stream, connect, label_contacts, signal
 from spanner.primitives import (
     Forest,
     grow_bfs_clusters,
@@ -53,6 +53,8 @@ CHARGED = {
         PATH5, cfg, led, "ex", {0: "x", 3: "y"}, 9, to={0: [1], 3: [2, 4]})), "ex", 1),
     "exchange.all": (_fresh(lambda cfg, led: exchange(
         PATH5, cfg, led, "ann", {2: 7}, 9)), "ann", 1),
+    "label_contacts": (_fresh(lambda cfg, led: label_contacts(
+        PATH5, cfg, led, "labels", {2: 7, 4: 7})), "labels", 1),
     "signal": (_fresh(lambda cfg, led: signal(
         PATH5, cfg, led, "sig", [(0, 1), (2, 1)])), "sig", 1),
     "connect": (_fresh(lambda cfg, led: connect(
@@ -184,11 +186,6 @@ def test_only_sim_writes_the_ledger():
             assert not LEDGER_FIELDS.intersection(written), (path.name, node.lineno)
 
 
-# ruling_set_power charges each wave's two floods into sub-ledgers, which
-# its ledger merges under these names
-MERGED_AS = {"power-min-flood": "min-flood", "power-deactivate": "hop-flood"}
-
-
 @pytest.mark.parametrize("helper", ["grow_bfs_clusters", "ruling_set_log",
                                     "ruling_set_power"])
 def test_each_flood_phase_is_one_charge(helper, monkeypatch):
@@ -203,4 +200,46 @@ def test_each_flood_phase_is_one_charge(helper, monkeypatch):
 
     monkeypatch.setattr(primitives, "_charge", spy)
     ledger = CHARGED[helper][0](SimConfig())
-    assert charged == [MERGED_AS.get(name, name) for name, _rounds in ledger.per_phase]
+    assert charged == [name for name, _rounds in ledger.per_phase]
+
+
+def _label_width(node) -> bool:
+    """Whether an expression is the label width, ``8 + g.id_bits`` (or
+    ``BitCost.TAG + g.id_bits``, either way round)."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+        return False
+    sides = (node.left, node.right)
+    tag = [s for s in sides if (isinstance(s, ast.Constant) and s.value == 8)
+           or (isinstance(s, ast.Attribute) and s.attr == "TAG")]
+    ids = [s for s in sides if isinstance(s, ast.Attribute) and s.attr == "id_bits"]
+    return len(tag) == 1 and len(ids) == 1
+
+
+def _label_exchanges(source: str):
+    """The lines of the ``exchange`` calls in ``source`` whose body width
+    is the label width."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name != "exchange":
+            continue
+        widths = node.args[5:6] + [kw.value for kw in node.keywords if kw.arg == "bits"]
+        if any(map(_label_width, widths)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_label_rounds_go_through_one_helper():
+    # a tree key to all neighbours is ``common.label_contacts``'s round;
+    # an ``exchange`` of that width would build the inboxes it avoids
+    assert _label_exchanges(
+        "exchange(g, cfg, led, 'a', labels, 8 + g.id_bits)\n"
+        "sim.exchange(g, cfg, led, 'b', labels, bits=g.id_bits + BitCost.TAG)\n"
+        "exchange(g, cfg, led, 'c', tuples, 8 + g.id_bits + cbits)\n") == [1, 2]
+    found = {path.name: _label_exchanges(path.read_text())
+             for path in sorted((SRC / "kspanner").glob("*.py"))}
+    assert "common.py" in found
+    assert {name: lines for name, lines in found.items() if lines} == {}

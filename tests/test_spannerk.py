@@ -26,7 +26,7 @@ from spanner.graph import Spanner
 from spanner.kspanner import starbip, zero
 from spanner.graph import GraphError
 from spanner.kspanner.common import (
-    advertise, announce_join, cluster_steps, connect, contacts, elect, ipow_ceil,
+    announce_join, cluster_steps, connect, contacts, elect, ipow_ceil, label_contacts,
     signal,
 )
 from spanner.primitives import grow_bfs_clusters
@@ -713,6 +713,77 @@ def test_connect_rejects_a_non_edge():
     assert ledger.per_phase == []
 
 
+def test_connect_needs_a_spanner_over_its_own_graph():
+    # an equal graph is not enough: the picks' edges are checked against
+    # H.base, and the tokens go over the edges of g
+    g = generate("path", {"n": 3})
+    H = Spanner(generate("path", {"n": 3}))
+    ledger = RoundLedger()
+    with pytest.raises(ValueError,
+                       match=r"^edges: the spanner is not over the graph of the round$"):
+        connect(g, SimConfig(), ledger, H, "edges", [(0, 1, "a")])
+    assert (H.provenance, ledger.per_phase) == ({}, [])
+
+
+def test_connect_adds_before_it_checks_the_config():
+    g = generate("path", {"n": 3})
+    low = SimConfig(msg_bit_budget=8 + g.id_bits - 1)
+    H = Spanner(g)
+    with pytest.raises(GraphError, match="not in base graph"):
+        connect(g, low, RoundLedger(), H, "edges", [(0, 1, "a"), (0, 2, "b")])
+    with pytest.raises(SimError, match="below minimum"):
+        connect(g, low, RoundLedger(), H, "edges", [(1, 2, "c")])
+    assert H.provenance == {(0, 1): "a", (1, 2): "c"}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 10**9))
+def test_connect_charges_as_signal_did(seed):
+    """``connect`` charges its distinct picks without ``signal``; on
+    graphs with n <= 10 and sparse IDs, picks in both directions with
+    repeats and the odd non-edge, strict and audit configs at the budget
+    floor, below it and at the default, and round caps that stop the
+    round, it leaves the same spanner (provenance in insertion order) and
+    ledger, or raises the same error after the same adds, as adding the
+    picks and charging them through ``signal``."""
+    rng = random.Random(seed)
+    ids = sorted(rng.sample(range(50), rng.randint(1, 10)))
+    p = rng.random()
+    g = Graph(ids, [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]
+                    if rng.random() < p])
+    edges = sorted(g.edge_set)
+    picks = []
+    for _ in range(rng.randint(0, 12)):
+        if edges and rng.random() < 0.95:
+            v, u = rng.choice(edges)
+            if rng.random() < 0.5:
+                v, u = u, v
+        else:
+            v, u = rng.choice(ids), rng.choice(ids)
+        picks.append((v, u, rng.choice("ab")))
+    picks += rng.sample(picks, min(len(picks), rng.randint(0, 4)))
+    rng.shuffle(picks)
+    cfg = SimConfig(msg_bit_budget=rng.choice((None, 8 + g.id_bits, 7 + g.id_bits)),
+                    strict=rng.random() < 0.5, max_rounds=rng.choice((1, 10**6)))
+
+    def by_signal(H, ledger):
+        for v, u, tag in picks:
+            H.add(v, u, tag)
+        signal(g, cfg, ledger, "edges", [(v, u) for v, u, _tag in picks])
+
+    def outcome(call):
+        H = Spanner(g)
+        ledger = RoundLedger(rounds_used=2, messages_total=4, per_phase=[("before", 2)])
+        try:
+            call(H, ledger)
+        except (GraphError, SimError) as exc:
+            return type(exc), str(exc), list(H.provenance.items())
+        return list(H.provenance.items()), ledger.to_json()
+
+    assert outcome(lambda H, led: connect(g, cfg, led, H, "edges", picks)) \
+        == outcome(by_signal)
+
+
 def _exchange_all_vertices(g, cfg, ledger, name, out):
     """Reference for the scripted round: every vertex's outbox through the
     send step in ID order, with an inbox for every vertex."""
@@ -888,6 +959,55 @@ def test_announce_join_matches_the_exchange_it_replaced(seed):
     assert outcomes[0] == outcomes[1]
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 10**9))
+def test_label_contacts_match_the_exchange_they_replace(seed):
+    """The label round returns, for every vertex that heard a label,
+    ``contacts`` of the inbox ``exchange(labels, 8 + id_bits)`` delivers
+    (keys in the same order), and leaves the same ledger JSON, violation
+    records included, or raises the same exception type and text: on
+    graphs with n <= 12 and sparse IDs, labels from a BFS clustering,
+    some on vertices outside every tree and a few keyed by non-vertices,
+    strict and audit configs at the budget floor, below it and roomy, and
+    round caps that stop the round."""
+    rng = random.Random(seed)
+    ids = sorted(rng.sample(range(70), rng.randint(1, 12)))
+    p = rng.choice((0.15, 0.3, 0.6))
+    g = Graph(ids, [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]
+                    if rng.random() < p])
+    floor = 8 + g.id_bits
+    centers = rng.sample(ids, rng.randint(1, len(ids)))
+    clustering, _led = grow_bfs_clusters(g, centers, rng.randint(0, 2),
+                                         SimConfig(msg_bit_budget=4 * floor))
+    labels = dict(clustering.membership)
+    for v in ids:
+        if v not in labels and rng.random() < 0.5:
+            labels[v] = rng.choice(centers)
+    for _ in range(2 if rng.random() < 0.15 else 0):
+        labels[rng.choice((70, 71, ids[0] + 0.5))] = rng.choice(centers)
+    labels = dict(rng.sample(sorted(labels.items()), len(labels)))
+    cfg = SimConfig(msg_bit_budget=rng.choice((floor, floor - 1, 4 * floor)),
+                    strict=rng.random() < 0.5, max_rounds=rng.choice((1, 10**6)))
+
+    def outcome(call):
+        ledger = RoundLedger(rounds_used=3, max_bits_seen=3, messages_total=5,
+                             per_phase=[("before", 3)],
+                             violations=[{"kind": "bits", "program": "before"}])
+        try:
+            got = call(ledger)
+        except SimError as exc:
+            return type(exc), str(exc)
+        return [(v, list(near.items())) for v, near in sorted(got.items())], \
+            ledger.to_json()
+
+    def by_exchange(ledger):
+        got = sim.exchange(g, cfg, ledger, "ann", labels, 8 + g.id_bits)
+        return {v: contacts(inbox) for v, inbox in got.items()}
+
+    assert outcome(lambda led: label_contacts(g, cfg, led, "ann", labels)) \
+        == outcome(by_exchange)
+
+
 def test_contacts_smallest_neighbour_per_tree():
     heard = {5: "a", 3: "a", 7: "b", 9: "c", 8: "b"}
     assert list(contacts(heard).items()) == [("a", 3), ("b", 7), ("c", 9)]
@@ -930,7 +1050,8 @@ def ref_unmarked_degree(g, cfg, ledger, names, labels, nbr_labels, remaining,
 def ref_elect(g, cfg, ledger, *, steps, labels, nbr_labels, remaining, threshold,
               cap, up, down, self_report, cbits, records, where, level, members=None):
     """Reference election: scans every vertex for the unmarked ones in
-    each step and reads the votes and the join tokens from inboxes."""
+    each step and reads the tuples, the votes and the join tokens from
+    inboxes."""
     remaining = set(remaining)
     joined, marked = set(), set()
     for it in itertools.count(1):
@@ -939,8 +1060,10 @@ def ref_elect(g, cfg, ledger, *, steps, labels, nbr_labels, remaining, threshold
         names = [f"{s}.{it}" for s in steps]
         deg = ref_unmarked_degree(g, cfg, ledger, names[0:2], labels, nbr_labels,
                                   remaining, marked, up, self_report)
-        know, got = advertise(g, cfg, ledger, names[2:4], labels, remaining,
-                              deg, down, cbits)
+        know = down(names[2], {c: deg.get(c, 0) for c in remaining})
+        got = sim.exchange(g, cfg, ledger, names[3], {
+            v: (know.get(v, 0), c) for v, c in labels.items() if c in remaining
+        }, 8 + g.id_bits + cbits)
         ballots, votes = [], {}
         for v in g.vertices:
             if v in marked:
@@ -1025,10 +1148,14 @@ def _election_outcome(elect_impl, g, cfg, clustering, labels, kw):
     ledger, records = RoundLedger(), []
     try:
         up, down = cluster_steps(g, cfg, ledger, clustering)
-        nbr_labels = sim.exchange(g, cfg, ledger, "ann", labels, 8 + g.id_bits)
+        if elect_impl is elect:
+            heard = {"near": label_contacts(g, cfg, ledger, "ann", labels)}
+        else:
+            heard = {"nbr_labels": sim.exchange(g, cfg, ledger, "ann", labels,
+                                                8 + g.id_bits)}
         joined, remaining, marked = elect_impl(
-            g, cfg, ledger, labels=labels, nbr_labels=nbr_labels, up=up, down=down,
-            records=records, **kw)
+            g, cfg, ledger, labels=labels, up=up, down=down, records=records,
+            **heard, **kw)
     except SimError as exc:
         return type(exc), str(exc)
     return sorted(joined), sorted(remaining), sorted(marked), records, ledger.to_json()
@@ -1037,13 +1164,15 @@ def _election_outcome(elect_impl, g, cfg, clustering, labels, kw):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.integers(0, 10**9))
 def test_election_matches_per_iteration_contacts(seed):
-    """``elect``, which computes each vertex's contacts once and walks a
-    shrinking list of unmarked vertices, and ``zero._cluster_expansion``
-    give the same joined, remaining and marked sets, records and ledger,
-    or the same exception, as a copy that recomputes the contacts over the
-    remaining trees and scans every vertex in every iteration: members
-    self-reporting or not, with and without ``members``, iteration caps
-    that are hit and ones that are not."""
+    """``elect``, which reads the contacts of the label round, walks a
+    shrinking list of unmarked vertices and counts its token and tuple
+    rounds without inboxes, and ``zero._cluster_expansion`` give the same
+    joined, remaining and marked sets, records and ledger, or the same
+    exception, as a copy that reads the labels, tuples and tokens from
+    ``exchange`` inboxes, recomputes the contacts over the remaining trees
+    and scans every vertex in every iteration: members self-reporting or
+    not, with and without ``members``, iteration caps that are hit and
+    ones that are not."""
     rng = random.Random(seed)
     g, clustering, labels, remaining, cfg = random_election_inputs(rng)
     kw = dict(steps=[f"step{i}" for i in range(8)], remaining=remaining,
