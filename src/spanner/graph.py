@@ -359,19 +359,19 @@ def _weight_text(w: float) -> str:
 
 
 def save(g: Graph, path: str, edges: Optional[Iterable[Edge]] = None) -> None:
-    """Write g, or only the sorted canonical ``edges`` of g when given."""
-    lines = []
-    if g.vertices == tuple(range(g.n)):
-        lines.append(f"n={g.n}")
-    else:
-        lines.append(_VERTS_PREFIX + " " + " ".join(str(v) for v in g.vertices))
-    for u, v in g.edges() if edges is None else edges:
-        if g.weights is not None:
-            lines.append(f"{u} {v} {_weight_text(g.weights[(u, v)])}")
-        else:
-            lines.append(f"{u} {v}")
+    """Write g, or only the sorted canonical ``edges`` of g when given,
+    line by line straight to the file."""
+    weights = g.weights
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        if g.vertices == tuple(range(g.n)):
+            fh.write(f"n={g.n}\n")
+        else:
+            fh.write(_VERTS_PREFIX + " " + " ".join(map(str, g.vertices)) + "\n")
+        for u, v in g.edges() if edges is None else edges:
+            if weights is not None:
+                fh.write(f"{u} {v} {_weight_text(weights[(u, v)])}\n")
+            else:
+                fh.write(f"{u} {v}\n")
 
 
 def load(path: str) -> Graph:

@@ -12,7 +12,9 @@ each receiver keeps the smallest-ID sender of each key), through
 through ``common._stream``, the one chunked ID stream.  ``exchange``
 carries the rounds whose receivers read the bodies or the senders: the
 star relays that carry data to chosen receivers, the star graph's tuples
-and the token rounds that tell who sent.  ``common.signal`` sends bare
+and the token rounds that tell who sent.  The other rounds to all
+neighbours (the comparator's status round, the election's tuples and
+join tokens) build no inboxes: ``sim._to_all`` counts their messages.  ``common.signal`` sends bare
 tokens to chosen neighbours and returns each receiver's count of
 senders, for the rounds that only count them.  ``common.connect`` (the
 Baswana-Sen edge step: one edge per pick, and a token that tells the

@@ -15,8 +15,8 @@ from typing import Dict, Optional
 from ..clustering import Clustering
 from ..graph import Graph, Spanner
 from ..results import SpannerRun
-from ..sim import RoundLedger, SimConfig, exchange
-from .common import cluster_steps, connect, contacts, last_level
+from ..sim import RoundLedger, SimConfig, _to_all
+from .common import cluster_steps, connect, last_level
 
 
 def _survives(seed: int, center: int, level: int, inv_prob: float) -> bool:
@@ -47,34 +47,34 @@ def baswana_sen_baseline(
         }
         _up, down = cluster_steps(g, cfg, ledger, clustering)
         know = down(f"bs-sample:L{i}", {c: 1 for c in sampled})
-        status = exchange(
-            g, cfg, ledger, f"bs-status:L{i}",
-            {v: (c, know.get(v, 0)) for v, c in clustering.membership.items()},
-            8 + g.id_bits + 1,
-        )
+        # each clustered vertex sends (cluster, sampled flag) to all neighbours
+        old = clustering.membership
+        _to_all(g, cfg, ledger, f"bs-status:L{i}", old, 8 + g.id_bits + 1)
 
         membership: Dict[int, int] = {}
         parents: Dict[int, Optional[int]] = {}
         joins, covers = [], []
         for v in g.vertices:
-            own = clustering.membership.get(v)
+            own = old.get(v)
             if own in sampled:
                 membership[v] = own
                 parents[v] = clustering.parents[v]
                 continue
-            heard = status.get(v, {})
-            offers = [(s, c) for s, (c, sampled) in heard.items() if sampled]
+            heard = [u for u in g.adj[v] if u in old]
+            offers = [(old[u], u) for u in heard if know.get(u, 0)]
             if offers:
                 # join one sampled neighboring cluster through one edge
-                sender, c = min(offers, key=lambda sc: (sc[1], sc[0]))
+                c, sender = min(offers)
                 membership[v] = c
                 parents[v] = sender
                 joins.append((v, sender, f"bs-tree:L{i}"))
             else:
-                # connect once to every neighboring old cluster
-                nbr_cluster = {s: c for s, (c, _sampled) in heard.items()}
-                covers.extend((v, u, f"bs-cover:L{i}")
-                              for u in contacts(nbr_cluster).values())
+                # connect once to every neighboring old cluster, through the
+                # smallest-ID neighbour in it
+                first: Dict[int, int] = {}
+                for u in heard:
+                    first.setdefault(old[u], u)
+                covers.extend((v, u, f"bs-cover:L{i}") for u in first.values())
         connect(g, cfg, ledger, H, f"bs-edges:L{i}", joins + covers)
         clustering = Clustering(
             level=i, membership=membership, parents=parents, depth_bound=i

@@ -9,9 +9,9 @@ Four kinds of step carry every scripted step of the constructions:
   the smallest-ID neighbour in each adjacent tree;
 * ``exchange``, the simulator's one scripted round, re-exported here: each
   sender sends one message to all its neighbours or to receivers it
-  names, and each receiver gets {sender: body}.  It carries the rounds
-  whose receivers read the bodies or the senders: the star relays and
-  tuples of ``starbip`` and the token rounds that tell who sent;
+  names, and each receiver gets {sender: body}.  Only ``starbip`` calls
+  it, for the rounds whose receivers read the bodies or the senders: its
+  star relays and tuples and the token rounds that tell who sent;
 * ``signal``, bare tokens to chosen neighbours for receivers that only
   count them: it returns receiver -> number of distinct senders.
 
@@ -24,9 +24,9 @@ vote rounds of the election, whose receivers are contacts or entries of
 inbox.  None of these steps, nor the floods of ``primitives`` run between
 them (cluster growth, the power-graph ruling set), sends per-vertex
 messages when it cannot violate anything: a ``Forest`` pass is one walk
-over its roles, the label round, the election's tuple round and the join
-announcement count their messages without building inboxes
-(``_to_all``), and every step, the chunked ID streams included, is
+over its roles, the label round, the election's tuple round, the join
+announcement and the comparator's status round count their messages
+without building inboxes (``sim._to_all``), and every step, the chunked ID streams included, is
 charged to the ledger whole by ``sim._charge``, under the simulator's one
 round-cap rule.  A scripted round returns only the vertices that
 received something, so readers use ``.get``.  The local-maxima election
@@ -41,17 +41,16 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from itertools import count, repeat
+from itertools import count
 from typing import (
-    Callable, Collection, Dict, Hashable, Iterable, List, Optional, Sequence, Set,
-    Tuple,
+    Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple,
 )
 
 from ..clustering import Clustering
 from ..graph import Graph, Spanner
 from ..primitives import Forest, RoleTable, clustering_roles
 from ..sim import (
-    BitCost, RoundLedger, SimConfig, SimError, SimTimeout, _charge, exchange,
+    BitCost, RoundLedger, SimConfig, SimError, SimTimeout, _charge, _to_all, exchange,
 )
 
 
@@ -135,20 +134,6 @@ def signal(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
     messages = sum(counts.values())
     _charge(g, cfg, ledger, name, 1 if messages else 0, messages, BitCost.TAG)
     return counts
-
-
-def _to_all(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
-            senders: Collection, bits: int) -> None:
-    """Charge the round in which every vertex of g among ``senders`` sends
-    one ``bits``-bit message to all its neighbours as :func:`exchange`
-    charges it, without building inboxes: Σ deg(sender) messages, one
-    round iff any, and over the budget the same messages, senders in ID
-    order and each one's neighbours in ID order."""
-    adj = g.adj
-    messages = sum(map(len, map(adj.get, senders, repeat(()))))
-    _charge(g, cfg, ledger, name, 1 if messages else 0, messages, bits, lambda: [
-        (1, v, u, bits) for v in sorted(senders) if v in adj for u in adj[v]
-    ])
 
 
 def label_contacts(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,

@@ -51,26 +51,24 @@ class StarState:
 
 
 def _form_stars(g, cfg, ledger, st: StarState, H: Spanner) -> None:
-    """One round: every B vertex with an A neighbor picks its star center
-    (closest first on weighted graphs, then smallest ID) and tells all its
-    neighbors in a label round; star edges enter the spanner.  Every
-    vertex then knows the star of each neighbour that chose one and of
-    each A neighbour (its own), ``st.nbr_star``."""
+    """One round: every B vertex with an A neighbor picks its smallest-ID
+    one as its star center and tells all its neighbors in a label round;
+    star edges enter the spanner.  The graph is unweighted here
+    (``sparser_bipartite_spanner`` sends weighted ones to
+    ``bipartite_3_spanner``).  What each vertex heard, the star of each
+    neighbour that chose one and of each A neighbour (its own), is
+    ``st.nbr_star``, which ``sparser_bipartite_spanner`` fills only once a
+    later phase will read it."""
     for v in sorted(st.b):
-        cands = [u for u in g.adj[v] if u in st.a]
-        if not cands:
+        c = next((u for u in g.adj[v] if u in st.a), None)
+        if c is None:
             continue
-        c = min(cands, key=lambda u: (g.weight(v, u), u))
         st.star_of[v] = c
         H.add(v, c, "star")
-    # so far st.star_of holds the B vertices' choices only; nbr_star keeps
-    # every sender's star, which the contacts alone would not tell
     label_contacts(g, cfg, ledger, "star-formation", st.star_of)
     for a in sorted(st.a):
         st.star_of[a] = a
         st.members[a] = []
-    for v in g.vertices:
-        st.nbr_star[v] = {u: st.star_of[u] for u in g.adj[v] if u in st.star_of}
     for v in sorted(st.b):
         c = st.star_of.get(v)
         if c is not None:
@@ -220,6 +218,10 @@ def sparser_bipartite_spanner(
     if A <= 1:
         trace["size"] = H.size
         return SpannerRun(H, ledger, trace)
+    # what each vertex heard in star formation: every neighbour's star,
+    # which the contacts alone would not tell
+    for v in g.vertices:
+        st.nbr_star[v] = {u: st.star_of[u] for u in g.adj[v] if u in st.star_of}
 
     cluster_of: Dict[int, Optional[int]] = {s: s for s in st.stars()}
     gtree = _star_gtree(st, cluster_of, {}, 0)

@@ -27,14 +27,15 @@ scheduled on the host and enters its ledger through one helper,
 merges that writes a ledger.  It takes a phase whole, once its host
 code has run: ``exchange``, the one scripted round (each sender sends
 one message to all its neighbours or to the receivers it names, and each
-receiver gets ``{sender: body}``; the star relays, tuples and
-who-sent tokens of ``kspanner.starbip`` and the comparator's status
-round use it), the label round of ``kspanner.common.label_contacts``
-and the other rounds to all neighbours that build no inboxes, the token
-rounds of ``kspanner.common.signal`` and those that count their tokens
-themselves (``kspanner.common.connect``, the election's acks and
-votes), the chunked ID streams
-(``kspanner.common._stream``), every ``primitives.Forest`` pass (charged
+receiver gets ``{sender: body}``; only the star relays, tuples and
+who-sent tokens of ``kspanner.starbip`` use it), ``_to_all``, the rounds
+to all neighbours that build no inboxes (the label round of
+``kspanner.common.label_contacts``, the 3-spanner's part announcement,
+the comparator's status round, the election's tuples and join tokens),
+the token rounds of ``kspanner.common.signal`` and those that count
+their tokens themselves (``kspanner.common.connect``, the election's
+acks and votes), the chunked ID streams (``kspanner.common._stream``),
+every ``primitives.Forest`` pass (charged
 to its caller's ledger under the caller's phase name, its records and
 errors naming the pass: ``_charge``'s ``label``),
 ``primitives.partition_tree``, the relay floods of ``primitives`` (cluster
@@ -55,6 +56,7 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import (
     Any, Callable, Collection, Dict, Iterable, List, Optional, Sequence, Tuple,
 )
@@ -449,6 +451,20 @@ def exchange(
         for u in sorted(set(to.get(v) or ()))
     ])
     return dict(heard)
+
+
+def _to_all(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
+            senders: Collection, bits: int) -> None:
+    """Charge the round in which every vertex of g among ``senders`` sends
+    one ``bits``-bit message to all its neighbours as :func:`exchange`
+    charges it, without building inboxes: Σ deg(sender) messages, one
+    round iff any, and over the budget the same messages, senders in ID
+    order and each one's neighbours in ID order."""
+    adj = g.adj
+    messages = sum(map(len, map(adj.get, senders, repeat(()))))
+    _charge(g, cfg, ledger, name, 1 if messages else 0, messages, bits, lambda: [
+        (1, v, u, bits) for v in sorted(senders) if v in adj for u in adj[v]
+    ])
 
 
 def _cascade(

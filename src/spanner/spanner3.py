@@ -2,20 +2,22 @@
 partitioning of high-degree vertices, the O(log n)-round spanner for
 general (possibly weighted) graphs, and the two-round small-ID variant.
 The two star rounds are charged as one phase through ``sim._charge``, so
-they follow the simulator's one round-cap rule.
+they follow the simulator's one round-cap rule, and hold per-vertex state
+only: each vertex's picks, never one container per message.  The part
+announcement before them is a counted round to all neighbours
+(``sim._to_all``).
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .clustering import WeightedTree
 from .graph import Graph, Spanner, canon
 from .primitives import grow_bfs_clusters, partition_tree, ruling_set_log
 from .results import SpannerRun
-from .sim import BitCost, RoundLedger, SimConfig, SimError, _charge, exchange
+from .sim import BitCost, RoundLedger, SimConfig, SimError, _charge, _to_all
 
 
 class Bipartition:
@@ -49,20 +51,23 @@ def _star_spanner(
     spanner: Spanner,
     part: Dict[int, int],
     internal: bool,
-    nbr_parts: Optional[Dict[int, Dict[int, int]]] = None,
+    listeners: Optional[Collection[int]] = None,
 ) -> RoundLedger:
     """The two-round star construction over the parts ``part`` (vertex ->
     part index), run for every part in parallel; its edges go into
-    ``spanner``.  A vertex knows its neighbors' parts from ``nbr_parts``
-    (an earlier announce round) or, where that is None, from ``part``.
+    ``spanner``.  The vertices of ``listeners`` know their neighbors'
+    parts (from an earlier announce round, or from ``part``); None means
+    every vertex does.  A vertex that does not listen sends nothing.
 
-    Round 1: every vertex outside part j that has a neighbor inside part j
-    picks one such neighbor as its star center for instance j (the closest
-    one on weighted graphs, ties toward the smaller ID) and sends CHOSE
-    (tag, center) to its part-j neighbors; with ``internal`` it also keeps
-    its edges inside its own part, each added by its smaller endpoint.
-    Round 2: every part vertex picks, per star it heard about, one of the
-    senders by the same rule and sends it an 8-bit SELECTED.  It adds that
+    Round 1: every listening vertex outside part j that has a neighbor
+    inside part j picks one such neighbor as its star center for instance
+    j (the closest one on weighted graphs, ties toward the smaller ID) and
+    sends CHOSE (tag, center) to its part-j neighbors; with ``internal``
+    it also keeps its edges inside its own part, each added by its smaller
+    endpoint.  Each vertex keeps only its picks, part -> center.
+    Round 2: every part vertex walks its neighbors in ID order, reads each
+    listening sender's pick for its own part, picks per star one sender by
+    the same rule and sends it an 8-bit SELECTED.  It adds that
     edge as ``cross`` unless it is in its own star, where the edge is the
     sender's round-1 star edge, or the edge is already in ``spanner``
     (its own round-1 star edge where it picked the sender as a star
@@ -79,40 +84,45 @@ def _star_spanner(
     cfg.check(g)
     weighted = g.weighted
     weight = g.weight
+    adj = g.adj
 
-    # round 1: receiver -> [(sender, center)], in sender order
-    chose: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
+    # round 1: each listening vertex's star centers, part -> center
+    picks: Dict[int, Dict[int, int]] = {}
     sent = 0
     for v in g.vertices:
+        if listeners is not None and v not in listeners:
+            continue
         mine = part.get(v)
-        if nbr_parts is None:
-            heard = {u: part[u] for u in g.adj[v] if u in part}
-        else:
-            heard = nbr_parts.get(v, {})
         best: Dict[int, int] = {}
-        targets = []
-        for u in g.adj[v]:
-            j = heard.get(u)
+        for u in adj[v]:
+            j = part.get(u)
             if j is None:
                 continue
             if j == mine:
                 if internal and u > v:
                     spanner.add(v, u, "internal")
                 continue
-            targets.append((u, j))
+            sent += 1
             # neighbors come in ID order, so the first one wins ties
             if j not in best or (weighted and weight(v, u) < weight(v, best[j])):
                 best[j] = u
         for center in best.values():
             spanner.add(v, center, "star")
-        for u, j in targets:
-            chose[u].append((v, best[j]))
-        sent += len(targets)
+        if best:
+            picks[v] = best
     # round 2: one SELECTED per star a part vertex heard about
     picked = 0
-    for v in sorted(chose):
+    no_picks: Dict[int, int] = {}
+    for v in g.vertices:
+        j = part.get(v)
+        if j is None:
+            continue
         per_star: Dict[int, int] = {}
-        for sender, center in chose[v]:
+        for sender in adj[v]:
+            # a sender's picks leave out its own part
+            center = picks.get(sender, no_picks).get(j)
+            if center is None:
+                continue
             if center not in per_star or (
                 weighted and weight(v, sender) < weight(v, per_star[center])
             ):
@@ -131,17 +141,14 @@ def bipartite_3_spanner(
     g: Graph, part: Bipartition, cfg: Optional[SimConfig] = None
 ) -> SpannerRun:
     """Two-round 3-spanner of the A-to-B edges of a (possibly weighted)
-    bipartite instance; at most |B| + |A|^2 edges.  Only B vertices hear
-    of their A neighbors, so a vertex on neither side picks no star."""
+    bipartite instance; at most |B| + |A|^2 edges.  The A side is the one
+    part, and only B vertices listen to their A neighbors, so a vertex on
+    neither side picks no star."""
     part.check(g)
     spanner = Spanner(g)
-    heard = {
-        v: {u: 0 for u in g.adj[v] if u in part.a} if v in part.b else {}
-        for v in g.vertices
-    }
     ledger = _star_spanner(
         g, cfg or SimConfig(), spanner, {v: 0 for v in part.a}, internal=False,
-        nbr_parts=heard,
+        listeners=part.b,
     )
     return SpannerRun(spanner, ledger, trace={"rounds": ledger.rounds_used})
 
@@ -233,10 +240,8 @@ def improved_3_spanner(g: Graph, cfg: Optional[SimConfig] = None) -> SpannerRun:
     if parts:
         part_map = {v: i for i, vs in enumerate(parts) for v in vs}
         # one announce round so every vertex learns its neighbors' parts
-        heard = exchange(
-            g, cfg, ledger, "part-announce", part_map, 8 + len(parts).bit_length()
-        )
-        led = _star_spanner(g, cfg, spanner, part_map, internal=True, nbr_parts=heard)
+        _to_all(g, cfg, ledger, "part-announce", part_map, 8 + len(parts).bit_length())
+        led = _star_spanner(g, cfg, spanner, part_map, internal=True)
         ledger.extend_sequential(led, name="star-spanner")
     trace["size"] = spanner.size
     return SpannerRun(spanner, ledger, trace)

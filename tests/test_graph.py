@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spanner import Graph, bfs_dist, generate, load, save
-from spanner.graph import GraphError, with_random_weights
+from spanner.graph import GraphError, _weight_text, with_random_weights
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -129,6 +129,47 @@ def test_weights_roundtrip_exactly(tmp_path):
     assert load(path) == g
     with open(path) as fh:
         assert fh.read().splitlines()[-1] == "6 7 3"  # integers keep their text
+
+
+def _joined_save(g, path, edges=None):
+    """The writer ``save`` replaced: every line built first, then joined."""
+    lines = []
+    if g.vertices == tuple(range(g.n)):
+        lines.append(f"n={g.n}")
+    else:
+        lines.append("# vertices: " + " ".join(str(v) for v in g.vertices))
+    for u, v in g.edges() if edges is None else edges:
+        if g.weights is not None:
+            lines.append(f"{u} {v} {_weight_text(g.weights[(u, v)])}")
+        else:
+            lines.append(f"{u} {v}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def test_save_writes_the_bytes_of_the_joined_writer(tmp_path):
+    # unweighted and weighted (weights that need ``repr``), contiguous and
+    # sparse IDs, an empty graph and an edge subset
+    bid = generate("bounded-id", {"n": 20, "p": 0.2}, seed=5)
+    odd = Graph(range(4), [(0, 1), (1, 2), (2, 3)],
+                {(0, 1): 1 / 3, (1, 2): 1234567.0, (2, 3): 2.0})
+    cases = [
+        (generate("erdos-renyi", {"n": 30, "p": 0.2}, seed=2), None),
+        (with_random_weights(generate("grid", {"rows": 3, "cols": 4}), seed=1), None),
+        (odd, None),
+        (Graph(bid.vertices, bid.edge_set, {e: 0.1 * (e[0] + 1) for e in bid.edge_set}),
+         None),
+        (Graph([], []), None),
+        (Graph([3, 9], []), None),
+        (bid, bid.edges()[::3]),
+        (odd, [(1, 2)]),
+        (bid, []),
+    ]
+    for i, (g, edges) in enumerate(cases):
+        got, want = tmp_path / f"got{i}.edges", tmp_path / f"want{i}.edges"
+        save(g, str(got), edges)
+        _joined_save(g, str(want), edges)
+        assert got.read_bytes() == want.read_bytes(), i
 
 
 def test_malformed_line_reports_lineno(tmp_path):

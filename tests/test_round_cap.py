@@ -215,17 +215,24 @@ def _label_width(node) -> bool:
     return len(tag) == 1 and len(ids) == 1
 
 
-def _label_exchanges(source: str):
-    """The lines of the ``exchange`` calls in ``source`` whose body width
-    is the label width."""
-    lines = []
+def _exchange_calls(source: str):
+    """The ``exchange`` calls in ``source``, by name or as an attribute."""
+    calls = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name != "exchange":
-            continue
+        if name == "exchange":
+            calls.append(node)
+    return calls
+
+
+def _label_exchanges(source: str):
+    """The lines of the ``exchange`` calls in ``source`` whose body width
+    is the label width."""
+    lines = []
+    for node in _exchange_calls(source):
         widths = node.args[5:6] + [kw.value for kw in node.keywords if kw.arg == "bits"]
         if any(map(_label_width, widths)):
             lines.append(node.lineno)
@@ -243,3 +250,19 @@ def test_label_rounds_go_through_one_helper():
              for path in sorted((SRC / "kspanner").glob("*.py"))}
     assert "common.py" in found
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_only_the_star_graph_builds_inboxes():
+    # a round whose receivers need not read the bodies or the senders is
+    # charged by ``sim._to_all`` or counted by its caller; ``exchange``
+    # builds an inbox entry per message, so only ``starbip`` calls it
+    assert [node.lineno for node in _exchange_calls(
+        "exchange(g, cfg, led, 'a', bodies, 9)\n"
+        "_to_all(g, cfg, led, 'b', bodies, 9)\n"
+        "x = sim.exchange(g, cfg, led, 'c', bodies, 9, to)\n"
+        "f = exchange\n")] == [1, 3]
+    found = {path.relative_to(SRC).as_posix(): _exchange_calls(path.read_text())
+             for path in sorted(SRC.rglob("*.py"))}
+    assert {"spanner3.py", "kspanner/baseline.py", "kspanner/starbip.py"} <= set(found)
+    callers = {name for name, calls in found.items() if calls}
+    assert callers - {"sim.py", "kspanner/starbip.py"} == set()

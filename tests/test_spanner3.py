@@ -280,10 +280,11 @@ def test_smallid_rejects_large_ids():
 # -- the star rounds against a reference copy of their _cascade step ---------
 
 
-def _ref_star_spanner(g, cfg, spanner, part, internal, nbr_parts=None):
+def _ref_star_spanner(g, cfg, spanner, part, internal, listeners=None):
     """Reference for ``_star_spanner``: the two star rounds as one
     ``_cascade`` step that posts CHOSE and SELECTED messages through the
-    send step."""
+    send step, each vertex hearing its neighbours' parts when it is among
+    ``listeners`` (None: every vertex)."""
     if g.weighted:
         def rank(v, u):
             return (g.weight(v, u), u)
@@ -296,10 +297,9 @@ def _ref_star_spanner(g, cfg, spanner, part, internal, nbr_parts=None):
     def step(v, rnd, inbox):
         if not inbox:
             mine = part.get(v)
-            if nbr_parts is None:
+            heard = {}
+            if listeners is None or v in listeners:
                 heard = {u: part[u] for u in g.adj[v] if u in part}
-            else:
-                heard = nbr_parts[v]
             best: Dict[int, int] = {}
             for u in g.adj[v]:
                 j = heard.get(u)
@@ -337,10 +337,10 @@ def _ref_star_spanner(g, cfg, spanner, part, internal, nbr_parts=None):
 def star_cases(draw):
     """A graph with n <= 30 on sparse IDs (maybe empty, maybe with isolated
     vertices), unweighted or with weights from {1, 2, 3} so that ties are
-    common; a partial partition read from ``part`` or announced through
-    ``nbr_parts``, or a bipartition whose ``nbr_parts`` leaves vertices on
-    neither side; the budget at the one-ID floor or one bit below it,
-    strict or audit mode, and a round cap of 0-3 or none."""
+    common; a partial partition that every vertex hears, by default or as
+    explicit ``listeners``, or a bipartition whose B side listens, with
+    vertices on neither side; the budget at the one-ID floor or one bit
+    below it, strict or audit mode, and a round cap of 0-3 or none."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     ids = sorted(rng.sample(range(901), rng.choice((0, 1, 4, 12, 20, 30, 30))))
     p = rng.choice((0.0, 0.1, 0.2, 0.35, 0.6, 0.9))
@@ -354,17 +354,12 @@ def star_cases(draw):
     if shape == "bipartite":
         sides = {v: rng.choice("abn") for v in ids}
         part = {v: 0 for v in ids if sides[v] == "a"}
-        nbr_parts = {
-            v: {u: 0 for u in g.adj[v] if u in part} if sides[v] == "b" else {}
-            for v in ids
-        }
+        listeners = {v for v in ids if sides[v] == "b"}
         internal = False
     else:
         nparts = rng.randint(1, 5)
         part = {v: rng.randrange(nparts) for v in ids if rng.random() < 0.8}
-        nbr_parts = None
-        if shape == "announced":
-            nbr_parts = {v: {u: part[u] for u in g.adj[v] if u in part} for v in ids}
+        listeners = set(ids) if shape == "announced" else None
         internal = rng.random() < 0.5
     floor = BitCost.TAG + g.id_bits
     cfg = SimConfig(
@@ -372,13 +367,13 @@ def star_cases(draw):
         strict=rng.random() < 0.5,
         max_rounds=rng.choice((SimConfig.max_rounds, SimConfig.max_rounds, 0, 1, 2, 3)),
     )
-    return g, cfg, part, internal, nbr_parts
+    return g, cfg, part, internal, listeners
 
 
-def _star_outcome(build, g, cfg, part, internal, nbr_parts):
+def _star_outcome(build, g, cfg, part, internal, listeners):
     spanner = Spanner(g)
     try:
-        ledger = build(g, cfg, spanner, part, internal, nbr_parts)
+        ledger = build(g, cfg, spanner, part, internal, listeners)
     except SimError as exc:
         return type(exc).__name__, str(exc)
     return ledger.to_json(), sorted(spanner.edges), list(spanner.provenance.items())

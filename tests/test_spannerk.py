@@ -1218,6 +1218,22 @@ def test_baseline_deterministic_per_seed():
     assert a.spanner.edges == b.spanner.edges
 
 
+def test_baseline_status_round_over_the_budget():
+    # (cluster, sampled flag) is one bit wider than the floor: at the floor
+    # every singleton's status to every neighbour is one record, senders
+    # then receivers in ID order, and strict mode raises at the first
+    g = generate("erdos-renyi", {"n": 40, "p": 0.2}, seed=1)
+    floor = BitCost.TAG + g.id_bits
+    res = baswana_sen_baseline(g, 3, 0, SimConfig(msg_bit_budget=floor, strict=False))
+    assert [r for r in res.ledger.violations if r["program"] == "bs-status:L1"] == [
+        {"kind": "bits", "round": 1, "edge": [v, u], "bits": floor + 1,
+         "budget": floor, "program": "bs-status:L1"}
+        for v in g.vertices for u in g.adj[v]
+    ]
+    with pytest.raises(SimError, match="bs-status:L1"):
+        baswana_sen_baseline(g, 3, 0, SimConfig(msg_bit_budget=floor))
+
+
 def test_improved_disconnected():
     g1 = generate("erdos-renyi", {"n": 60, "p": 0.15}, seed=1)
     edges = list(g1.edge_set) + [
