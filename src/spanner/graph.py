@@ -292,46 +292,40 @@ def _bounded_id(n: int, p: float, seed: int) -> Graph:
     return Graph(ids, es)
 
 
+# kind -> (builder, its parameters in order: sizes and ``p``, takes the seed)
 GENERATORS = {
-    "path": ("n",),
-    "cycle": ("n",),
-    "grid": ("rows", "cols"),
-    "complete": ("n",),
-    "complete-bipartite": ("a", "b"),
-    "erdos-renyi": ("n", "p"),
-    "random-bipartite": ("a", "b", "p"),
-    "hypercube": ("d",),
-    "bounded-id": ("n", "p"),
+    "path": (_path, ("n",), False),
+    "cycle": (_cycle, ("n",), False),
+    "grid": (_grid, ("rows", "cols"), False),
+    "complete": (_complete, ("n",), False),
+    "complete-bipartite": (_complete_bipartite, ("a", "b"), False),
+    "erdos-renyi": (_erdos_renyi, ("n", "p"), True),
+    "random-bipartite": (_random_bipartite, ("a", "b", "p"), True),
+    "hypercube": (_hypercube, ("d",), False),
+    "bounded-id": (_bounded_id, ("n", "p"), True),
 }
 
 
 def generate(kind: str, params: Dict[str, object], seed: int = 0) -> Graph:
-    """Deterministic graph generation; same (kind, params, seed) => same graph."""
+    """Deterministic graph generation; same (kind, params, seed) => same graph.
+    A missing or unknown parameter and a negative size raise GraphError."""
     if kind not in GENERATORS:
         raise GraphError(f"unknown generator kind {kind!r}")
+    build, keys, seeded = GENERATORS[kind]
     p = dict(params)
+    unknown = sorted(set(p) - set(keys))
+    if unknown:
+        raise GraphError(f"generator {kind} has no parameter {unknown[0]!r}")
+    if kind == "bounded-id":
+        p.setdefault("p", 0.1)
     try:
-        if kind == "path":
-            return _path(int(p["n"]))
-        if kind == "cycle":
-            return _cycle(int(p["n"]))
-        if kind == "grid":
-            return _grid(int(p["rows"]), int(p["cols"]))
-        if kind == "complete":
-            return _complete(int(p["n"]))
-        if kind == "complete-bipartite":
-            return _complete_bipartite(int(p["a"]), int(p["b"]))
-        if kind == "erdos-renyi":
-            return _erdos_renyi(int(p["n"]), float(p["p"]), seed)
-        if kind == "random-bipartite":
-            return _random_bipartite(int(p["a"]), int(p["b"]), float(p["p"]), seed)
-        if kind == "hypercube":
-            return _hypercube(int(p["d"]))
-        if kind == "bounded-id":
-            return _bounded_id(int(p["n"]), float(p.get("p", 0.1)), seed)
+        args = [float(p[key]) if key == "p" else int(p[key]) for key in keys]
     except KeyError as exc:
         raise GraphError(f"generator {kind} missing parameter {exc}") from exc
-    raise AssertionError
+    for key, val in zip(keys, args):
+        if key != "p" and val < 0:
+            raise GraphError(f"generator {kind}: {key}={val} is negative")
+    return build(*args, seed) if seeded else build(*args)
 
 
 def with_random_weights(g: Graph, seed: int, lo: int = 1, hi: int = 9) -> Graph:

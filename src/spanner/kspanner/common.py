@@ -35,7 +35,8 @@ whose ack and join steps the zero-level and star-graph constructions
 reuse) is built from these steps, over the contacts of one label round.
 ``_stream``, the one budget-sized ID-list stream (each list in chunks and
 an end marker, one message per edge and round), lives here too;
-``starbip`` gathers and scatters its representatives with it."""
+``starbip`` gathers its representatives with it and charges their
+scatter, which no receiver reads, by ``_charge_stream``."""
 
 from __future__ import annotations
 
@@ -339,20 +340,13 @@ def elect(g: Graph, cfg: SimConfig, ledger: RoundLedger, *, steps: Sequence[str]
 # -- chunked ID streams ------------------------------------------------------
 
 
-def _stream(
-    g: Graph,
-    cfg: SimConfig,
-    ledger: RoundLedger,
-    name: str,
-    lists: Dict[int, Dict[int, Sequence[int]]],
-) -> Dict[int, Dict[int, Tuple[int, ...]]]:
-    """Stream every ID list ``lists[v][u]`` from vertex v to its neighbor u
-    as chunks of per_msg IDs, as many as fit the budget after the tag (at
-    least one), followed by one end marker, message r of every stream in
-    round r, and charge the rounds to ``ledger`` as one phase ``name``.
-    Returns the receivers' inboxes, u -> {sender: the IDs it streamed, as
-    a tuple} in sender order; an empty list arrives as ``()``, and a
-    vertex that received nothing has no entry.
+def _charge_stream(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
+                   lists: Dict[int, Dict[int, Sequence[int]]]) -> None:
+    """Charge the streams of every ID list ``lists[v][u]`` from vertex v
+    to its neighbor u, as chunks of per_msg IDs, as many as fit the
+    budget after the tag (at least one), followed by one end marker,
+    message r of every stream in round r, to ``ledger`` as one phase
+    ``name``.
 
     The phase lasts as long as the longest stream, and a stream of L IDs
     costs ceil(L / per_msg) + 1 messages.  They are charged in bulk
@@ -363,7 +357,6 @@ def _stream(
     sender that is not a vertex of g sends nothing."""
     cfg.check(g)
     per_msg = max(1, (cfg.budget_for(g) - BitCost.TAG) // g.id_bits)
-    got: Dict[int, Dict[int, Tuple[int, ...]]] = defaultdict(dict)
     messages = rounds = longest = 0
     for v in sorted(lists):
         per_nbr = lists[v]
@@ -372,12 +365,25 @@ def _stream(
         strays = [u for u in per_nbr if u not in g.adj[v]]
         if strays:
             raise SimError(f"{name}: vertex {v} sent to non-neighbor {min(strays)}")
-        for u, ids in per_nbr.items():
-            ids = got[u][v] = tuple(ids)
+        for ids in per_nbr.values():
             sent = -(-len(ids) // per_msg) + 1
             messages += sent
             rounds = max(rounds, sent)
             longest = max(longest, len(ids))
     _charge(g, cfg, ledger, name, rounds, messages,
             BitCost.TAG + min(longest, per_msg) * g.id_bits)
+
+
+def _stream(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
+            lists: Dict[int, Dict[int, Sequence[int]]]) -> Dict[int, Dict[int, Tuple[int, ...]]]:
+    """The ID streams of :func:`_charge_stream`, charged as it charges
+    them.  Returns the receivers' inboxes, u -> {sender: the IDs it
+    streamed, as a tuple} in sender order; an empty list arrives as
+    ``()``, and a vertex that received nothing has no entry."""
+    _charge_stream(g, cfg, ledger, name, lists)
+    got: Dict[int, Dict[int, Tuple[int, ...]]] = defaultdict(dict)
+    for v in sorted(lists):
+        if v in g.adj:
+            for u, ids in lists[v].items():
+                got[u][v] = tuple(ids)
     return dict(got)

@@ -1,9 +1,9 @@
 """Superclustered (2k-1)-spanner: run the local-maxima election
 (``common.elect``) over superclusters instead of clusters, cover
 low-expansion superclusters with bipartite spanners outside and recursion
-inside, regroup after every level with two balanced tree partitions, and
-finish with the cluster-by-cluster construction once only O(sqrt n)
-clusters remain."""
+inside (all of a level in one ``zero.cover_low_expansion`` call), regroup
+after every level with two balanced tree partitions, and finish with the
+cluster-by-cluster construction once only O(sqrt n) clusters remain."""
 
 from __future__ import annotations
 
@@ -160,18 +160,12 @@ def _cover_remaining(g, k, cfg, ledger, trace, H, scs, vset, sc_of_vertex, remai
         for u in near.get(v, {}).values()
     ))
 
-    sub_ledgers: List[RoundLedger] = []
-    instances = trace.setdefault("bipartite_instances", {}).setdefault(i, [])
-    for scid in sorted(remaining - singles):
-        members = sorted(vset[scid])
-        led, outside = cover_low_expansion(
-            g, k, cfg, H, members, marked, f"sc-bip:L{i}", f"sc-rec:L{i}"
-        )
-        if outside:
-            instances.append((frozenset(members), frozenset(outside)))
-        sub_ledgers.extend(led)
-    if sub_ledgers:
-        ledger.extend_parallel(sub_ledgers, name=f"sc-cover:P{i}")
+    covers = [sorted(vset[scid]) for scid in sorted(remaining - singles)]
+    outsides = cover_low_expansion(g, k, cfg, ledger, H, covers, marked,
+                                   (f"sc-bip:L{i}", f"sc-rec:L{i}"), f"sc-cover:P{i}")
+    trace.setdefault("bipartite_instances", {})[i] = [
+        (frozenset(m), frozenset(o)) for m, o in zip(covers, outsides) if o
+    ]
 
 
 def _regroup(g, k, cfg, ledger, H, clustering, successful: List[Supercluster],

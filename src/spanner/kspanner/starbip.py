@@ -19,8 +19,9 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..clustering import Clustering
 from ..graph import Graph, Spanner
 from ..results import SpannerRun
-from ..sim import BitCost, RoundLedger, SimConfig, SimError, SimTimeout, _charge
+from ..sim import BitCost, RoundLedger, SimConfig, SimError, SimTimeout, _charge, _to_all
 from .common import (
+    _charge_stream,
     _stream,
     announce_join,
     cluster_steps,
@@ -52,20 +53,22 @@ class StarState:
 
 def _form_stars(g, cfg, ledger, st: StarState, H: Spanner) -> None:
     """One round: every B vertex with an A neighbor picks its smallest-ID
-    one as its star center and tells all its neighbors in a label round;
+    one as its star center and tells all its neighbors in a label round,
+    charged as ``label_contacts`` charges it (no receiver reads contacts);
     star edges enter the spanner.  The graph is unweighted here
     (``sparser_bipartite_spanner`` sends weighted ones to
     ``bipartite_3_spanner``).  What each vertex heard, the star of each
     neighbour that chose one and of each A neighbour (its own), is
-    ``st.nbr_star``, which ``sparser_bipartite_spanner`` fills only once a
-    later phase will read it."""
+    ``st.nbr_star``, which ``sparser_bipartite_spanner`` fills only when
+    k' > 1, the one case in which a later phase reads it."""
     for v in sorted(st.b):
         c = next((u for u in g.adj[v] if u in st.a), None)
         if c is None:
             continue
         st.star_of[v] = c
         H.add(v, c, "star")
-    label_contacts(g, cfg, ledger, "star-formation", st.star_of)
+    cfg.check(g)
+    _to_all(g, cfg, ledger, "star-formation", st.star_of, BitCost.TAG + g.id_bits)
     for a in sorted(st.a):
         st.star_of[a] = a
         st.members[a] = []
@@ -196,7 +199,8 @@ def sparser_bipartite_spanner(
     later phase could still add are within-side edges, which the spanner
     ignores (a low-expansion cover's instance holds none); and the phase
     thresholds already read |A|, so every vertex of the instance is
-    assumed to know it.  The size bound is then just |B|."""
+    assumed to know it.  The size bound is then just |B|.  Only when
+    k' > 1 do star-graph phases run and read the filled ``st.nbr_star``."""
     if k < 2:
         raise ValueError("k must be >= 2")
     cfg = (cfg or SimConfig()).resolved(g)
@@ -218,10 +222,10 @@ def sparser_bipartite_spanner(
     if A <= 1:
         trace["size"] = H.size
         return SpannerRun(H, ledger, trace)
-    # what each vertex heard in star formation: every neighbour's star,
-    # which the contacts alone would not tell
-    for v in g.vertices:
-        st.nbr_star[v] = {u: st.star_of[u] for u in g.adj[v] if u in st.star_of}
+    # every neighbour's star, heard in star formation: the phases read it
+    if kp > 1:
+        for v in g.vertices:
+            st.nbr_star[v] = {u: st.star_of[u] for u in g.adj[v] if u in st.star_of}
 
     cluster_of: Dict[int, Optional[int]] = {s: s for s in st.stars()}
     gtree = _star_gtree(st, cluster_of, {}, 0)
@@ -385,8 +389,8 @@ def _compute_reps(g, cfg, ledger, st, near, label):
         if plan:
             plans[s] = plan
     # this stream tells each member its assignment; the host reads the
-    # same assignments from ``reps``, so only the bill is kept
-    _stream(g, cfg, ledger, f"bip-reps-down:{label}", plans)
+    # same assignments from ``reps``, so it is only charged
+    _charge_stream(g, cfg, ledger, f"bip-reps-down:{label}", plans)
     return reps
 
 

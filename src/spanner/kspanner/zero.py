@@ -5,21 +5,22 @@ per level, clusters with enough closed-neighborhood expansion (counted by
 the unmarked-degree step of ``common.elect``) nominate their centers, a
 power-graph ruling set thins the nominees, and bounded BFS growth
 re-clusters everything near a winner.  Low-expansion clusters' edges are
-covered immediately (bipartite spanner toward the outside plus recursion
-inside).  The final clusters, rebalanced by the partitioning routine, become
-superclusters over singleton clusters.
+covered immediately, all of a level in one ``cover_low_expansion`` call
+(bipartite spanner toward the outside plus recursion inside; a one-vertex
+cluster needs no sub-run).  The final clusters, rebalanced by the
+partitioning routine, become superclusters over singleton clusters.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Collection, Dict, List, Optional, Set, Tuple
 
 from ..clustering import Clustering, Supercluster, Superclustering, WeightedTree
-from ..graph import Graph, Spanner
+from ..graph import Graph, Spanner, canon
 from ..primitives import grow_bfs_clusters, partition_tree, ruling_set_power
-from ..sim import RoundLedger, SimConfig
+from ..sim import BitCost, RoundLedger, SimConfig, _charge
 from ..spanner3 import Bipartition
 from .common import cluster_steps, ipow_ceil, label_contacts, unmarked_degree
 from .starbip import sparser_bipartite_spanner
@@ -46,42 +47,62 @@ def _cluster_expansion(g, cfg, ledger, clustering, label) -> Dict[int, int]:
     )
 
 
-def cover_low_expansion(
-    g: Graph,
-    k: int,
-    cfg: SimConfig,
-    H: Spanner,
-    members: List[int],
-    excluded: Set[int],
-    bip_tag: str,
-    rec_tag: str,
-) -> Tuple[List[RoundLedger], Set[int]]:
-    """Cover the edges of a low-expansion vertex set: a bipartite spanner
-    toward its outside neighbors (those in ``excluded`` left out), tagged
-    ``bip_tag``, plus a recursive spanner on the inside, tagged
-    ``rec_tag``; both go into H.  Returns the sub-ledgers, to be run side by
-    side, and the outside set."""
+def cover_low_expansion(g: Graph, k: int, cfg: SimConfig, ledger: RoundLedger, H: Spanner,
+                        covers: List[List[int]], excluded: Set[int], tags: Tuple[str, str],
+                        name: str) -> List[Collection[int]]:
+    """Cover the edges of every low-expansion vertex set of a level, side
+    by side: for each set of ``covers``, a bipartite spanner toward its
+    outside neighbours (those in ``excluded`` left out), tagged
+    ``tags[0]``, plus a recursive spanner on the inside, tagged
+    ``tags[1]``.  Each instance's edges enter H once, in sorted order,
+    and an edge keeps its first tag.  The instances' ledgers merge into
+    ``ledger`` as one parallel phase ``name`` (none if no instance ran).
+    Returns each set's outside vertices.
+
+    A one-vertex set {a} needs no sub-run: its bipartite instance ends
+    at star formation (``sparser_bipartite_spanner``), which keeps every
+    cross edge and is one label round, a message from each outside
+    vertex to a at the instance's own ID width, charged as
+    ``label_contacts`` charges it."""
     from .improved import improved_spanner  # recursion
 
-    ledgers = []
-    mset = set(members)
-    cross = [
-        (v, u) for v in members for u in g.adj[v]
-        if u not in mset and u not in excluded
-    ]
-    outside = {u for _v, u in cross}
-    if cross:
-        bip = g.edge_subgraph(mset | outside, cross)
-        res = sparser_bipartite_spanner(bip, Bipartition(mset, outside), k, cfg)
-        for e in sorted(res.spanner.edges):
-            H.add(*e, bip_tag)
-        ledgers.append(res.ledger)
-    if any(u in mset for v in members for u in g.adj[v]):
-        res = improved_spanner(g.subgraph(mset), k, cfg)
-        for e in sorted(res.spanner.edges):
-            H.add(*e, rec_tag)
-        ledgers.append(res.ledger)
-    return ledgers, outside
+    def merge(edges, tag):
+        for e in edges:
+            if e not in H.edges:
+                H.edges.add(e)
+                H.provenance[e] = tag
+
+    ledgers: List[RoundLedger] = []
+    outsides: List[Collection[int]] = []
+    for members in covers:
+        mset = set(members)
+        if len(mset) == 1:
+            (a,) = mset
+            outside = [u for u in g.adj[a] if u not in excluded]
+            outsides.append(outside)
+            if outside:
+                merge((canon(a, u) for u in outside), tags[0])  # sorted, as g.adj is
+                width = BitCost.TAG + max(1, max(a, outside[-1]).bit_length())
+                led = RoundLedger()
+                _charge(g, cfg, led, "star-formation", 1, len(outside), width,
+                        lambda: [(1, u, a, width) for u in outside])
+                ledgers.append(led)
+            continue
+        cross = [(v, u) for v in members for u in g.adj[v]
+                 if u not in mset and u not in excluded]
+        outside = {u for _v, u in cross}
+        outsides.append(outside)
+        if cross:
+            bip = g.edge_subgraph(mset | outside, cross)
+            res = sparser_bipartite_spanner(bip, Bipartition(mset, outside), k, cfg)
+            merge(sorted(res.spanner.edges), tags[0])
+            ledgers.append(res.ledger)
+        if any(u in mset for v in members for u in g.adj[v]):
+            res = improved_spanner(g.subgraph(mset), k, cfg)
+            merge(sorted(res.spanner.edges), tags[1])
+            ledgers.append(res.ledger)
+    ledger.extend_parallel(ledgers, name=name)
+    return outsides
 
 
 def cons_zero_superclustering(
@@ -111,14 +132,8 @@ def cons_zero_superclustering(
         candidates = {c for c in clustering.centers if deg[c] >= threshold}
         low = sorted(c for c in clustering.centers if deg[c] < threshold)
         members = clustering.members()
-        sub_ledgers: List[RoundLedger] = []
-        for c in low:
-            led, _outside = cover_low_expansion(
-                g, k, cfg, H, members[c], set(), "zero-bip", "zero-recursion"
-            )
-            sub_ledgers.extend(led)
-        if sub_ledgers:
-            ledger.extend_parallel(sub_ledgers, name=f"zero-cover:Z{i}")
+        cover_low_expansion(g, k, cfg, ledger, H, [members[c] for c in low], set(),
+                            ("zero-bip", "zero-recursion"), f"zero-cover:Z{i}")
         trace["levels"][i] = {
             "clusters": len(clustering.centers),
             "candidates": len(candidates),

@@ -57,6 +57,17 @@ def test_unknown_algorithm_usage_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("spec", [
+    "er:n=-5,p=0.1", "path:n=-3", "grid:rows=-2,cols=3", "complete:n=-2",
+    "hypercube:d=-1", "path:n=8,bogus=3",
+])
+def test_bad_generator_spec_usage_error(tmp_path, spec, capsys):
+    code = run_cli(["run", "--alg", "imp3", "--gen", spec, "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert "generator" in capsys.readouterr().err
+    assert not os.path.exists(str(tmp_path / "r") + ".ledger.json")
+
+
 def test_missing_k_usage_error(tmp_path):
     code = run_cli(
         ["run", "--alg", "improved", "--gen", "er:n=10,p=0.1",

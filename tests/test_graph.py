@@ -51,6 +51,27 @@ def test_unknown_kind_rejected():
         generate("mystery", {}, seed=0)
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("erdos-renyi", {"n": -5, "p": 0.1}),
+    ("path", {"n": -3}),
+    ("grid", {"rows": -2, "cols": 3}),
+    ("complete", {"n": -2}),
+    ("hypercube", {"d": -1}),
+    ("path", {"n": 8, "bogus": 3}),
+    ("bounded-id", {"n": 8, "q": 0.1}),
+    ("complete-bipartite", {"a": 2}),
+])
+def test_bad_generator_parameters_rejected(kind, params):
+    # a negative size, an unknown key or a missing key builds no graph
+    with pytest.raises(GraphError):
+        generate(kind, params, seed=0)
+
+
+def test_bounded_id_p_is_optional():
+    assert generate("bounded-id", {"n": 30}, seed=4) == generate(
+        "bounded-id", {"n": 30, "p": 0.1}, seed=4)
+
+
 def test_bounded_id_range():
     g = generate("bounded-id", {"n": 50, "p": 0.1}, seed=2)
     assert g.n == 50

@@ -254,21 +254,32 @@ def test_sparser_at_most_one_a_vertex_keeps_exactly_the_cross_edges(data):
 
 def test_improved_one_vertex_covers_end_at_star_formation(monkeypatch):
     # every one-vertex low-expansion cover of improved k=4 on a path and a
-    # grid stops after its star-formation round; larger covers go on
-    seen = []
+    # grid is billed one star-formation round, a message from each outside
+    # vertex, without a sub-build; larger covers go on past star formation
+    one, larger = [], []
+    real_charge, real_sparser = zero._charge, zero.sparser_bipartite_spanner
 
-    def spy(g, part, k, cfg=None):
-        res = sparser_bipartite_spanner(g, part, k, cfg)
-        seen.append((len(part.a), [name for name, _r in res.ledger.per_phase]))
+    def charge(g, cfg, ledger, name, rounds, messages, *rest):
+        real_charge(g, cfg, ledger, name, rounds, messages, *rest)
+        one.append((ledger.to_json(), messages))
+
+    def sparser(g, part, k, cfg=None):
+        assert len(part.a) > 1
+        res = real_sparser(g, part, k, cfg)
+        larger.append([name for name, _r in res.ledger.per_phase])
         return res
 
-    monkeypatch.setattr(zero, "sparser_bipartite_spanner", spy)
+    monkeypatch.setattr(zero, "_charge", charge)
+    monkeypatch.setattr(zero, "sparser_bipartite_spanner", sparser)
     for kind, params in (("path", {"n": 100}), ("grid", {"rows": 10, "cols": 10})):
         g = generate(kind, params)
         assert verify_stretch(g, improved_spanner(g, 4).spanner, 7).passed
-    assert 1 in {a for a, _names in seen} and max(a for a, _names in seen) > 1
-    for a, names in seen:
-        assert (names == ["star-formation"]) == (a <= 1), (a, names)
+    assert one and larger
+    for ledger, messages in one:
+        assert ledger["per_phase"] == [{"name": "star-formation", "rounds": 1}]
+        assert ledger["rounds"] == 1 and ledger["messages"] == messages >= 1
+    for names in larger:
+        assert names[0] == "star-formation" and len(names) > 1, names
 
 
 # -- the star-graph BFS against the vertex program it replaces ---------------
