@@ -9,7 +9,8 @@ and broadcast over cluster or supercluster trees), through
 each receiver keeps the smallest-ID sender of each key), through
 ``exchange``, the simulator's one scripted round, re-exported by
 ``common``, through ``common.signal`` or, for the star graph's ID lists,
-through ``common._stream``, the one chunked ID stream.  ``exchange``
+through ``common._charge_stream``, the one chunked ID stream, which the
+host reads directly and only charges.  ``exchange``
 carries the rounds whose receivers read the bodies or the senders: the
 star relays that carry data to chosen receivers, the star graph's tuples
 and the token rounds that tell who sent.  The other rounds to all

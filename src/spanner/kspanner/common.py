@@ -33,10 +33,11 @@ received something, so readers use ``.get``.  The local-maxima election
 that the cluster-by-cluster and the superclustered constructions run (and
 whose ack and join steps the zero-level and star-graph constructions
 reuse) is built from these steps, over the contacts of one label round.
-``_stream``, the one budget-sized ID-list stream (each list in chunks and
-an end marker, one message per edge and round), lives here too;
-``starbip`` gathers its representatives with it and charges their
-scatter, which no receiver reads, by ``_charge_stream``."""
+``_charge_stream`` charges the one budget-sized ID-list stream (each
+list in chunks and an end marker, one message per edge and round);
+``starbip`` gathers its representatives' lists and scatters their
+assignments with it, and reads both lists on the host, where they
+already are."""
 
 from __future__ import annotations
 
@@ -373,17 +374,3 @@ def _charge_stream(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
     _charge(g, cfg, ledger, name, rounds, messages,
             BitCost.TAG + min(longest, per_msg) * g.id_bits)
 
-
-def _stream(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
-            lists: Dict[int, Dict[int, Sequence[int]]]) -> Dict[int, Dict[int, Tuple[int, ...]]]:
-    """The ID streams of :func:`_charge_stream`, charged as it charges
-    them.  Returns the receivers' inboxes, u -> {sender: the IDs it
-    streamed, as a tuple} in sender order; an empty list arrives as
-    ``()``, and a vertex that received nothing has no entry."""
-    _charge_stream(g, cfg, ledger, name, lists)
-    got: Dict[int, Dict[int, Tuple[int, ...]]] = defaultdict(dict)
-    for v in sorted(lists):
-        if v in g.adj:
-            for u, ids in lists[v].items():
-                got[u][v] = tuple(ids)
-    return dict(got)

@@ -22,7 +22,6 @@ from ..results import SpannerRun
 from ..sim import BitCost, RoundLedger, SimConfig, SimError, SimTimeout, _charge, _to_all
 from .common import (
     _charge_stream,
-    _stream,
     announce_join,
     cluster_steps,
     connect,
@@ -363,22 +362,21 @@ def _compute_reps(g, cfg, ledger, st, near, label):
     representative per neighboring cluster: every member streams its
     sorted adjacent clusters (the keys of its contacts ``near``, from the
     label round) to its leader, which adds its own, and the leader
-    streams each member its (possibly empty) assignment back."""
-    def adjacent(v):
-        return sorted(near.get(v, {}))
-
-    gathered = _stream(g, cfg, ledger, f"bip-reps-up:{label}", {
-        v: {s: adjacent(v)} for s in st.stars() for v in st.members[s]
+    streams each member its (possibly empty) assignment back.  The host
+    already holds every list a leader gathers, so the leader reads them
+    directly and both streams are only charged (``_charge_stream``)."""
+    adjacent = {v: sorted(near.get(v, {}))
+                for s in st.stars() for v in st.star_vertices(s)}
+    _charge_stream(g, cfg, ledger, f"bip-reps-up:{label}", {
+        v: {s: adjacent[v]} for s in st.stars() for v in st.members[s]
     })
     reps: Dict[int, Dict[int, Tuple[int, int]]] = {}
     plans: Dict[int, Dict[int, List[int]]] = {}
     for s in st.stars():
-        lists = {**gathered.get(s, {}), s: adjacent(s)}
         per_cluster: Dict[int, int] = {}
-        for member in sorted(lists):
-            for c in lists[member]:
-                if c not in per_cluster or member < per_cluster[c]:
-                    per_cluster[c] = member
+        for member in sorted(st.star_vertices(s)):
+            for c in adjacent[member]:
+                per_cluster.setdefault(c, member)
         reps[s] = {}
         # every member gets a (possibly empty) assignment stream
         plan: Dict[int, List[int]] = {v: [] for v in st.members[s]}

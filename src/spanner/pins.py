@@ -117,10 +117,12 @@ def compute_pins(verbose: bool = True) -> dict:
     log("running 3-spanner corpus ...")
     sizes3 = {}
     maxbits = {}
+    rounds3 = {}
     for name, g in corpus():
         res = improved_3_spanner(g)
         sizes3[name] = res.spanner.size
         maxbits[f"imp3:{name}"] = res.ledger.max_bits_seen
+        rounds3[name] = res.ledger.rounds_used
     fit3 = fit_bounds(
         [float(s) for s in sizes3.values()],
         [g.n ** 1.5 for _n, g in corpus()],
@@ -143,6 +145,12 @@ def compute_pins(verbose: bool = True) -> dict:
     pins["improved"] = {
         "sizes": sizes,
         "max_ratio": max(ratios.values()),
+    }
+    pins["round_claim"] = {
+        "improved": {f"{name}:k{k}": r.ledger.rounds_used for (name, k), r in runs.items()},
+        "imp3": rounds3,
+        "imp3_weighted": {name: improved_3_spanner(g).ledger.rounds_used
+                          for name, g in weighted_corpus()},
     }
 
     log("running bipartite corpus ...")

@@ -34,7 +34,7 @@ to all neighbours that build no inboxes (the label round of
 the comparator's status round, the election's tuples and join tokens),
 the token rounds of ``kspanner.common.signal`` and those that count
 their tokens themselves (``kspanner.common.connect``, the election's
-acks and votes), the chunked ID streams (``kspanner.common._stream``),
+acks and votes), the chunked ID streams (``kspanner.common._charge_stream``),
 every ``primitives.Forest`` pass (charged
 to its caller's ledger under the caller's phase name, its records and
 errors naming the pass: ``_charge``'s ``label``),

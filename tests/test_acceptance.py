@@ -35,6 +35,7 @@ from spanner.kspanner.common import ipow_ceil
 from spanner.pins import (
     BASELINE_K,
     BASELINE_SEEDS,
+    CORPUS_SPEC,
     SCALING_DIMS,
     SCALING_K,
     bipartite_corpus,
@@ -71,6 +72,11 @@ def improved_runs(graphs):
 @pytest.fixture(scope="module")
 def imp3_runs(graphs):
     return {name: improved_3_spanner(g) for name, g in graphs}
+
+
+@pytest.fixture(scope="module")
+def weighted_imp3_runs():
+    return {name: (g, improved_3_spanner(g)) for name, g in weighted_corpus()}
 
 
 def test_criterion_1_stretch_correctness(graphs, improved_runs):
@@ -122,10 +128,9 @@ def test_criterion_3_two_round_claims(graphs):
     assert not bad, bad
 
 
-def test_criterion_4_weighted_three_spanner():
+def test_criterion_4_weighted_three_spanner(weighted_imp3_runs):
     bad = []
-    for name, g in weighted_corpus():
-        res = improved_3_spanner(g)
+    for name, (g, res) in weighted_imp3_runs.items():
         rep = verify_stretch(g, res.spanner, 3)
         if not rep.passed:
             bad.append((name, rep.max_stretch))
@@ -362,3 +367,43 @@ def test_criterion_10_oracle_cross_validation(graphs, imp3_runs):
           f"graphs: {'PASS' if not bad else 'FAIL'} {bad}")
     assert checked >= 10
     assert not bad, bad
+
+
+def round_bound(n, k):
+    """The paper's round bound without its constant: 2^k n^(1/2-1/k) for
+    even k, 2^k n^(1/2-1/(2k)) for odd k."""
+    return 2**k * n ** (0.5 - 1 / (k if k % 2 == 0 else 2 * k))
+
+
+def test_criterion_11_round_claims(graphs, improved_runs, imp3_runs,
+                                   weighted_imp3_runs, pins):
+    pin = pins["round_claim"]
+    family = {name: kind for name, kind, _params, _seed in CORPUS_SPEC}
+    drift = []
+    ratios = {}
+    for name, g in graphs:
+        for k in (2, 3, 4, 5, 6):
+            rounds = improved_runs[(name, k)].ledger.rounds_used
+            if rounds != pin["improved"][f"{name}:k{k}"]:
+                drift.append(("improved", name, k, rounds))
+            key = (family[name], k)
+            ratios[key] = max(ratios.get(key, 0.0), rounds / round_bound(g.n, k))
+    per_log = {}
+    runs3 = [("imp3", name, family[name], g, imp3_runs[name]) for name, g in graphs]
+    runs3 += [("imp3_weighted", name, "weighted", g, res)
+              for name, (g, res) in weighted_imp3_runs.items()]
+    for section, name, fam, g, res in runs3:
+        rounds = res.ledger.rounds_used
+        if rounds != pin[section][name]:
+            drift.append((section, name, rounds))
+        if g.n > 1:
+            per_log[fam] = max(per_log.get(fam, 0.0), rounds / math.log2(g.n))
+    print("\nACCEPT-11 max rounds / (2^k n^(1/2-1/k), odd k n^(1/2-1/(2k))):")
+    for fam in sorted({f for f, _k in ratios}):
+        print(f"  {fam:20s} " + " ".join(
+            f"k{k}={ratios[(fam, k)]:.3f}" for k in (2, 3, 4, 5, 6)))
+    print("  imp3 max rounds / log2 n: " + ", ".join(
+        f"{fam} {r:.2f}" for fam, r in sorted(per_log.items())))
+    print(f"ACCEPT-11 exact round pins on {len(graphs)} graphs x k=2..6 and "
+          f"{len(runs3)} imp3 builds: {'PASS' if not drift else 'FAIL'} {drift[:3]}")
+    assert not drift, drift[:5]

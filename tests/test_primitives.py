@@ -22,7 +22,7 @@ from spanner import (
 from spanner import primitives
 from spanner.clustering import Clustering, TreePart, TreePartition, orient_tree
 from spanner.graph import canon
-from spanner.kspanner.common import _stream
+from spanner.kspanner.common import _charge_stream
 from spanner import sim
 from spanner.sim import (
     BitCost, Msg, NodeProgram, RoundLedger, SimError, SimTimeout, _post, run,
@@ -618,11 +618,11 @@ def test_id_chunks_boundaries(extra):
     assert all(m.bits <= budget for m in msgs)
     assert msgs[-1].body == (TAG_END,)
     assert [i for m in msgs[:-1] if m.body[0] == TAG_IDS for i in m.body[1]] == ids
-    # the same stream end to end: leaf 1 streams its list to the center
+    # the same stream's bill: leaf 1 streams its list to the center
     ledger = RoundLedger()
-    out = _stream(g, SimConfig(), ledger, "gather", {1: {0: ids}})
-    assert out == {0: {1: tuple(ids)}}
+    _charge_stream(g, SimConfig(), ledger, "gather", {1: {0: ids}})
     assert ledger.messages_total == len(msgs)
+    assert ledger.rounds_used == len(msgs)
     assert ledger.max_bits_seen <= budget
 
 
@@ -644,7 +644,7 @@ def id_chunks(bits, budget, ids):
 
 
 class RefGather(NodeProgram):
-    """Reference for a gather over ``_stream``: members stream their lists
+    """Reference for a gather over ``_charge_stream``: members stream their lists
     to the hub as a vertex program; hubs halt once every expected member
     ended."""
 
@@ -686,7 +686,7 @@ class RefGather(NodeProgram):
 
 
 class RefScatter(NodeProgram):
-    """Reference for a scatter over ``_stream``: hubs stream per-member
+    """Reference for a scatter over ``_charge_stream``: hubs stream per-member
     lists as a vertex program; members halt once their hub's stream
     ended."""
 
@@ -760,11 +760,6 @@ def _result(fn):
         return type(exc).__name__, str(exc)
 
 
-def _inboxes(got):
-    """A stream's result with each receiver's entries in their order."""
-    return {v: list(heard.items()) for v, heard in got.items()}
-
-
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(star_streams())
 def test_chunked_streams_match_reference_programs(case):
@@ -789,13 +784,23 @@ def test_chunked_streams_match_reference_programs(case):
         ledger.extend_sequential(led, name="down")
         return {u: [(h, out[u])] for h, plan in plans.items() for u in plan}
 
+    def charged(name, lists, read):
+        # the streams' bill, next to the lists their receivers read on the
+        # host instead of receiving them
+        def call(ledger):
+            _charge_stream(g, cfg, ledger, name, lists)
+            return read
+        return _result(call)
+
     gather = {v: {hub: items.get(v, ())} for v, hub in hub_of.items() if hub != v}
-    assert _result(
-        lambda led: _inboxes(_stream(g, cfg, led, "up", gather))
-    ) == _result(ref_gather)
-    assert _result(
-        lambda led: _inboxes(_stream(g, cfg, led, "down", plans))
-    ) == _result(ref_scatter)
+    # a hub reads its members' lists, in member order
+    read_up = {h: [(v, tuple(items.get(v, ()))) for v in sorted(ms)]
+               for h, ms in expect.items() if ms}
+    # a member reads its hub's assignment for it
+    read_down = {u: [(h, tuple(ids))] for h, plan in plans.items()
+                 for u, ids in plan.items()}
+    assert charged("up", gather, read_up) == _result(ref_gather)
+    assert charged("down", plans, read_down) == _result(ref_scatter)
 
 
 def test_chunked_streams_reject_non_neighbour_targets():
@@ -810,11 +815,11 @@ def test_chunked_streams_reject_non_neighbour_targets():
         want[name] = str(exc.value)
     ledger = RoundLedger()
     with pytest.raises(SimError) as exc:
-        _stream(g, SimConfig(), ledger, "up",
+        _charge_stream(g, SimConfig(), ledger, "up",
                 {1: {0: [2]}, 3: {0: [1, 2]}, 4: {0: [0]}})
     assert str(exc.value) == want["up"] == "up: vertex 3 sent to non-neighbor 0"
     with pytest.raises(SimError) as exc:
-        _stream(g, SimConfig(), ledger, "down",
+        _charge_stream(g, SimConfig(), ledger, "down",
                 {0: {1: [4], 4: [], 3: [1]}, 3: {4: [0]}})
     assert str(exc.value) == want["down"] == "down: vertex 0 sent to non-neighbor 3"
     assert ledger.to_json() == RoundLedger().to_json()

@@ -13,7 +13,7 @@ from spanner import Bipartition, SimConfig, generate
 from spanner.clustering import WeightedTree
 from spanner.graph import Spanner, canon
 from spanner.kspanner import starbip
-from spanner.kspanner.common import _stream, connect, label_contacts, signal
+from spanner.kspanner.common import _charge_stream, connect, label_contacts, signal
 from spanner.primitives import (
     Forest,
     grow_bfs_clusters,
@@ -60,9 +60,9 @@ CHARGED = {
     "connect": (_fresh(lambda cfg, led: connect(
         PATH5, cfg, led, Spanner(PATH5), "con", [(3, 4, "pick")])), "con", 1),
     # 7 IDs: three chunks and the end marker
-    "_stream.gather": (_fresh(lambda cfg, led: _stream(
+    "_charge_stream.gather": (_fresh(lambda cfg, led: _charge_stream(
         PATH5, cfg, led, "gather", {1: {0: list(range(7))}})), "gather", 4),
-    "_stream.scatter": (_fresh(lambda cfg, led: _stream(
+    "_charge_stream.scatter": (_fresh(lambda cfg, led: _charge_stream(
         PATH5, cfg, led, "scatter", {2: {1: [4], 3: list(range(4))}})), "scatter", 3),
     # a pass charged under its caller's phase name still names itself
     "Forest.aggregate": (_fresh(lambda cfg, led: CHAIN.aggregate(
@@ -105,7 +105,7 @@ def test_silent_phases_pass_at_a_cap_of_one():
     ledger = RoundLedger()
     exchange(PATH5, cfg, ledger, "ex", {}, 9)
     signal(PATH5, cfg, ledger, "sig", [])
-    _stream(PATH5, cfg, ledger, "scatter", {})
+    _charge_stream(PATH5, cfg, ledger, "scatter", {})
     assert ledger.to_json() == RoundLedger(
         per_phase=[("ex", 0), ("sig", 0), ("scatter", 0)]).to_json()
     assert grow_bfs_clusters(PATH5, (), 3, cfg)[1].rounds_used == 0

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from collections import defaultdict
@@ -20,15 +21,17 @@ from spanner import (
     naive_spanner,
     sparser_bipartite_spanner,
     verify_stretch,
+    verify_stretch_allpairs,
 )
 from spanner.cli import run_algorithm, stretch_bound
 from spanner.graph import Spanner
-from spanner.kspanner import starbip, zero
+from spanner.kspanner import baseline, starbip, zero
 from spanner.graph import GraphError
 from spanner.kspanner.common import (
     announce_join, cluster_steps, connect, contacts, elect, ipow_ceil, label_contacts,
     signal,
 )
+from spanner.pins import BASELINE_K, BASELINE_SEEDS, corpus
 from spanner.primitives import grow_bfs_clusters
 from spanner.sim import (
     BitCost, Msg, NodeProgram, NodeView, RoundLedger, SimError, SimTimeout,
@@ -1243,6 +1246,101 @@ def test_baseline_status_round_over_the_budget():
     ]
     with pytest.raises(SimError, match="bs-status:L1"):
         baswana_sen_baseline(g, 3, 0, SimConfig(msg_bit_budget=floor))
+
+
+def ref_survives(seed, center, level, prob):
+    """The comparator's coin without the memo: a fresh stream per draw."""
+    rng = random.Random(seed * 1_000_003 + center * 1_009 + level)
+    return rng.random() < prob
+
+
+def _bs_outcome(run):
+    """Everything a comparator build returns, order-sensitive."""
+    return (json.dumps(run.ledger.to_json()), sorted(run.spanner.edges),
+            list(run.spanner.provenance.items()), repr(run.trace))
+
+
+def _ref_bs(monkeypatch, g, k, seed, cfg=None):
+    with monkeypatch.context() as m:
+        m.setattr(baseline, "_survives", ref_survives)
+        return _bs_outcome(baswana_sen_baseline(g, k, seed, cfg))
+
+
+def test_baseline_coins_match_fresh_streams():
+    keys = {(s, v, level) for _name, g in corpus() for s in range(BASELINE_SEEDS)
+            for v in g.vertices for level in range(1, BASELINE_K)}
+    keys |= {(s, v, level) for s in (-1, -10**6, 2**31, 2**64 + 3, 10**30)
+             for v in (0, 1, 255, 10**6) for level in range(1, 6)}
+    for s, v, level in sorted(keys):
+        for prob in (0.0, 0.2, 0.5, 1.0):
+            assert baseline._survives(s, v, level, prob) == ref_survives(s, v, level, prob)
+        assert baseline._coin(s * 1_000_003 + v * 1_009 + level) == random.Random(
+            s * 1_000_003 + v * 1_009 + level).random()
+
+
+def test_baseline_coin_memo_is_bounded():
+    info = baseline._coin.cache_info()
+    assert info.maxsize is not None and info.maxsize <= 1 << 16
+
+
+@pytest.mark.parametrize("name", ["er10-60", "grid-6x8", "complete-24", "bid-60"])
+def test_baseline_builds_ignore_the_coin_memo(monkeypatch, name):
+    g = dict(corpus())[name]
+    floor = BitCost.TAG + g.id_bits
+    for cfg in (None, SimConfig(msg_bit_budget=floor, strict=False)):
+        for k in (2, 3, 4, 5):
+            for seed in (0, 1, 7, -3):
+                want = _ref_bs(monkeypatch, g, k, seed, cfg)
+                baseline._coin.cache_clear()
+                assert _bs_outcome(baswana_sen_baseline(g, k, seed, cfg)) == want
+                assert _bs_outcome(baswana_sen_baseline(g, k, seed, cfg)) == want
+
+
+def test_baseline_graphs_sharing_a_seed_build_as_fresh(monkeypatch):
+    graphs = dict(corpus())
+    pair = [graphs["er02-100"], graphs["bid-120"]]
+    for k, seed in ((3, 0), (4, 5)):
+        want = [_ref_bs(monkeypatch, g, k, seed) for g in pair]
+        for order in ((0, 1), (1, 0)):
+            baseline._coin.cache_clear()
+            for i in order:
+                assert _bs_outcome(baswana_sen_baseline(pair[i], k, seed)) == want[i]
+
+
+@st.composite
+def comparator_graphs(draw):
+    """Graphs on IDs 0..n-1 with n <= 30: Erdos-Renyi, a star, or a
+    disjoint union of two of them, some with isolated vertices."""
+    def part(n):
+        if draw(st.booleans()):
+            p = draw(st.sampled_from((0.05, 0.15, 0.3, 0.6, 1.0)))
+            return generate("erdos-renyi", {"n": n, "p": p}, draw(st.integers(0, 10**6)))
+        hub = draw(st.integers(0, n - 1))
+        return Graph(range(n), [(hub, v) for v in range(n) if v != hub])
+
+    n = draw(st.integers(1, 30))
+    isolated = draw(st.integers(0, min(3, n - 1)))
+    split = draw(st.integers(0, n - isolated - 1))
+    parts = [part(n - isolated - split)] + ([part(split)] if split else [])
+    ids = draw(st.permutations(range(n)))
+    edges, base = [], 0
+    for h in parts:
+        edges += [(ids[base + u], ids[base + v]) for u, v in h.edge_set]
+        base += h.n
+    return Graph(range(n), edges)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(comparator_graphs(), st.integers(-10**6, 10**6))
+def test_baseline_stretch_and_budget_on_small_graphs(g, seed):
+    for k in (2, 3, 4, 5):
+        run = baswana_sen_baseline(g, k, seed)  # strict budget mode
+        assert run.ledger.violations == []
+        rep = verify_stretch(g, run.spanner, 2 * k - 1)
+        ref = verify_stretch_allpairs(g, run.spanner, 2 * k - 1)
+        assert rep.passed, (k, rep.worst_edge, rep.max_stretch)
+        assert (rep.passed, rep.worst_edge) == (ref.passed, ref.worst_edge)
+        assert rep.max_stretch == pytest.approx(ref.max_stretch, abs=1e-9)
 
 
 def test_improved_disconnected():
