@@ -7,22 +7,19 @@ Every scripted step runs through ``common.forest_steps`` (the convergecast
 and broadcast over cluster or supercluster trees), through
 ``common.label_contacts``, the label round (a tree key to all neighbours;
 each receiver keeps the smallest-ID sender of each key), through
-``exchange``, the simulator's one scripted round, re-exported by
-``common``, through ``common.signal`` or, for the star graph's ID lists,
-through ``common._charge_stream``, the one chunked ID stream, which the
-host reads directly and only charges.  ``exchange``
-carries the rounds whose receivers read the bodies or the senders: the
-star relays that carry data to chosen receivers, the star graph's tuples
-and the token rounds that tell who sent.  The other rounds to all
-neighbours (the comparator's status round, the election's tuples and
-join tokens) build no inboxes: ``sim._to_all`` counts their messages.  ``common.signal`` sends bare
-tokens to chosen neighbours and returns each receiver's count of
-senders, for the rounds that only count them.  ``common.connect`` (the
-Baswana-Sen edge step: one edge per pick, and a token that tells the
-other end) and the election's ack and vote rounds count their tokens
-themselves, because their receivers are neighbours by construction.
-Forest passes, scripted rounds and streams are accounted without
-per-vertex sends: in bulk within the budget, message by message over it."""
+``common.signal`` (one message per chosen (sender, receiver) pair: bare
+tokens, or the star graph's relays at their width), through
+``sim._to_all`` (the other rounds to all neighbours: the comparator's
+status round, the elections' tuples and join tokens, the star graph's
+marked-star tokens) or, for the star graph's ID lists, through
+``common._charge_stream``, the one chunked ID stream.  No round builds
+inboxes: the host already holds what every receiver reads, and only
+charges the round.  ``common.connect`` (the Baswana-Sen edge step: one
+edge per pick, and a token that tells the other end) and the election's
+ack and vote rounds count their tokens themselves, because their
+receivers are neighbours by construction.  Forest passes, scripted
+rounds and streams are accounted without per-vertex sends: in bulk
+within the budget, message by message over it."""
 
 from .naive import naive_spanner
 from .starbip import sparser_bipartite_spanner

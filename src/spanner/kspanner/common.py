@@ -1,19 +1,16 @@
 """Protocol helpers shared by the k-spanner constructions.
 
-Four kinds of step carry every scripted step of the constructions:
+Three kinds of step carry every scripted step of the constructions:
 
 * ``forest_steps`` (``cluster_steps`` over a clustering): the convergecast
   and broadcast over cluster or supercluster trees;
 * ``label_contacts``, the label round: every labelled vertex sends its
   tree key to all its neighbours, and each receiver keeps its contacts,
   the smallest-ID neighbour in each adjacent tree;
-* ``exchange``, the simulator's one scripted round, re-exported here: each
-  sender sends one message to all its neighbours or to receivers it
-  names, and each receiver gets {sender: body}.  Only ``starbip`` calls
-  it, for the rounds whose receivers read the bodies or the senders: its
-  star relays and tuples and the token rounds that tell who sent;
-* ``signal``, bare tokens to chosen neighbours for receivers that only
-  count them: it returns receiver -> number of distinct senders.
+* ``signal``, one message per chosen (sender, receiver) pair, bare
+  tokens or, in ``starbip``, the star relays at their width: it returns
+  receiver -> number of distinct senders, and receivers that read what
+  was sent or who sent it read that off the pairs on the host.
 
 Token rounds whose receivers are neighbours by construction count their
 tokens themselves and are charged as ``signal`` would charge them:
@@ -24,15 +21,16 @@ vote rounds of the election, whose receivers are contacts or entries of
 inbox.  None of these steps, nor the floods of ``primitives`` run between
 them (cluster growth, the power-graph ruling set), sends per-vertex
 messages when it cannot violate anything: a ``Forest`` pass is one walk
-over its roles, the label round, the election's tuple round, the join
-announcement and the comparator's status round count their messages
-without building inboxes (``sim._to_all``), and every step, the chunked ID streams included, is
-charged to the ledger whole by ``sim._charge``, under the simulator's one
-round-cap rule.  A scripted round returns only the vertices that
-received something, so readers use ``.get``.  The local-maxima election
-that the cluster-by-cluster and the superclustered constructions run (and
-whose ack and join steps the zero-level and star-graph constructions
-reuse) is built from these steps, over the contacts of one label round.
+over its roles, the rounds to all neighbours (the label round, the
+elections' tuple rounds, the join announcement, the star graph's
+marked-star tokens and the comparator's status round) count their
+messages without building inboxes (``sim._to_all``), and every step,
+the chunked ID streams included, is charged to the ledger whole by
+``sim._charge``, under the simulator's one round-cap rule.  The
+local-maxima election that the cluster-by-cluster and the superclustered
+constructions run (and whose ack and join steps the zero-level and
+star-graph constructions reuse) is built from these steps, over the
+contacts of one label round.
 ``_charge_stream`` charges the one budget-sized ID-list stream (each
 list in chunks and an end marker, one message per edge and round);
 ``starbip`` gathers its representatives' lists and scatters their
@@ -52,7 +50,7 @@ from ..clustering import Clustering
 from ..graph import Graph, Spanner
 from ..primitives import Forest, RoleTable, clustering_roles
 from ..sim import (
-    BitCost, RoundLedger, SimConfig, SimError, SimTimeout, _charge, _to_all, exchange,
+    BitCost, RoundLedger, SimConfig, SimError, SimTimeout, _charge, _to_all,
 )
 
 
@@ -104,37 +102,40 @@ def cluster_steps(g, cfg, ledger, clustering: Clustering) -> Tuple[Callable, Cal
 
 
 def signal(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
-           pairs: Iterable[Tuple[int, int]]) -> Dict[int, int]:
-    """One round of bare tokens: each distinct (sender, receiver) pair of
-    ``pairs`` carries one ``BitCost.TAG``-bit message, and a sender that
-    is not a vertex of g sends nothing.  The round is charged to
-    ``ledger`` as phase ``name``, one round iff a pair was sent.  Returns
-    receiver -> number of distinct senders, in no particular order; a
-    vertex that received nothing has no entry.  Rounds whose receivers
-    read who sent call :func:`exchange` instead.
+           pairs: Iterable[Tuple[int, int]], bits: int = BitCost.TAG) -> Dict[int, int]:
+    """One round in which each distinct (sender, receiver) pair of
+    ``pairs`` carries one ``bits``-bit message (default a bare
+    ``BitCost.TAG``-bit token), and a sender that is not a vertex of g
+    sends nothing.  The round is charged to ``ledger`` as phase ``name``,
+    one round iff a pair was sent.  Returns receiver -> number of
+    distinct senders, in no particular order; a vertex that received
+    nothing has no entry.  Receivers that read what was sent, or who
+    sent it, read it off the pairs on the host.
 
-    ``cfg.check`` guarantees a budget of at least ``BitCost.TAG`` plus one
-    ID, so a token never exceeds it, and each pair is one message over its
-    edge: once the receivers are known to be neighbours the round can
-    violate nothing and is charged in bulk (``sim._charge``).  A receiver
-    that is not the sender's neighbour raises the send step's SimError, at
-    the first such sender in ID order (its smallest such receiver), before
-    the round is charged."""
+    Each pair is one message over its edge, so within the budget
+    (``cfg.check`` guarantees that a token fits it) the round can violate
+    nothing once the receivers are known to be neighbours, and is charged
+    in bulk (``sim._charge``): a receiver that is not the sender's
+    neighbour raises the send step's SimError, at the first such sender
+    in ID order (its smallest such receiver), before the round is
+    charged.  Over the budget the pairs go to ``sim._charge`` in
+    (sender, receiver) order, which raises or records each violation, a
+    non-neighbour included, in that order."""
     cfg.check(g)
     adj, edges = g.adj, g.edge_set
+    over = bits > cfg.budget_for(g)
+    sent = {(v, u) for v, u in pairs if v in adj}
     counts: Dict[int, int] = {}
     bad = []
-    for v, u in set(pairs):
-        if v not in adj:
-            continue
+    for v, u in sent:
         if ((v, u) if v < u else (u, v)) not in edges:
             bad.append((v, u))
         counts[u] = counts.get(u, 0) + 1
-    if bad:
+    if bad and not over:
         v, u = min(bad)
         raise SimError(f"{name}: vertex {v} sent to non-neighbor {u}")
-    messages = sum(counts.values())
-    _charge(g, cfg, ledger, name, 1 if messages else 0, messages, BitCost.TAG)
+    _charge(g, cfg, ledger, name, 1 if sent else 0, len(sent), bits,
+            lambda: [(1, v, u, bits) for v, u in sorted(sent)])
     return counts
 
 
@@ -145,7 +146,7 @@ def label_contacts(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
     ``ledger`` as phase ``name`` (:func:`_to_all`).  Returns, for each
     vertex that heard a label, {tree key: its smallest-ID neighbour that
     sent it} in the order the keys are first heard, senders walked in ID
-    order: :func:`contacts` of the inbox :func:`exchange` would deliver.
+    order: :func:`contacts` of the inbox the posted round would deliver.
     A label keyed by a non-vertex sends nothing; the receivers are
     neighbours by construction, and ``cfg.check`` guarantees the budget
     holds the message."""
@@ -241,10 +242,9 @@ def announce_join(g, cfg, ledger, names: Sequence[str], joiners: Iterable,
                   down: Callable) -> Set[int]:
     """Join step: ``down`` tells the joiners' members, and each sends a
     token to all its neighbours.  Returns those members and every vertex
-    that heard one.  The token round is the ``exchange`` of an empty body
-    from every told member to all its neighbours, charged without
-    building its inboxes (:func:`_to_all`); the budget floor always
-    admits a token."""
+    that heard one.  The token round, an empty body from every told
+    member to all its neighbours, is charged without building its
+    inboxes (:func:`_to_all`); the budget floor always admits a token."""
     know = down(names[0], {c: 1 for c in joiners})
     told = [v for v, x in know.items() if x]
     _to_all(g, cfg, ledger, names[1], told, BitCost.TAG)
@@ -276,8 +276,8 @@ def elect(g: Graph, cfg: SimConfig, ledger: RoundLedger, *, steps: Sequence[str]
 
     The tuple step: ``down`` tells every member its remaining tree's
     degree, and the member sends (degree, tree key) to all its neighbours
-    in one ``8 + id_bits + cbits``-bit message, charged as ``exchange``
-    charges it (:func:`_to_all`).  Each unmarked vertex then votes for its
+    in one ``8 + id_bits + cbits``-bit message, charged without building
+    inboxes (:func:`_to_all`).  Each unmarked vertex then votes for its
     smallest-ID neighbour with the largest tuple; a self-reporting member
     of a remaining tree votes for its own tree instead when no neighbour's
     tuple is larger or the largest is its own tree's.  The vote round's

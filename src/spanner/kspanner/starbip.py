@@ -14,6 +14,7 @@ representatives and maintain the count by marked-star deltas.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..clustering import Clustering
@@ -26,7 +27,6 @@ from .common import (
     cluster_steps,
     connect,
     contacts,
-    exchange,
     ipow_ceil,
     label_contacts,
     signal,
@@ -285,10 +285,10 @@ def _phase(g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i):
         )
         # the vertices of newly marked stars send a token to all neighbours
         senders = [v for s in sorted(newly_marked) for v in st.star_vertices(s)]
-        got = exchange(g, cfg, ledger, f"bip-marked:L{i}.{iterations}",
-                       dict.fromkeys(senders), BitCost.TAG)
-        for v, inbox in got.items():
-            nbr_marked[v].update(inbox)
+        _to_all(g, cfg, ledger, f"bip-marked:L{i}.{iterations}", senders, BitCost.TAG)
+        for v in senders:
+            for u in g.adj[v]:
+                nbr_marked[u].add(v)
         if i == 1:
             deg = _approx_degree(
                 g, cfg, ledger, trace, st, cluster_of, marked, nbr_marked,
@@ -338,13 +338,13 @@ def _approx_degree(g, cfg, ledger, trace, st, cluster_of, marked, nbr_marked,
     acks = signal(g, cfg, ledger, f"bip-type2:{label}", pairs)
     # members pass their ACK counts up to the leader (radius-1 gather)
     cbits = max(1, g.n.bit_length())
-    to = {v: (s,) for s in st.stars() for v in st.members[s] if v in acks}
-    got = exchange(g, cfg, ledger, f"bip-type2-up:{label}", acks, 8 + cbits, to)
+    signal(g, cfg, ledger, f"bip-type2-up:{label}", (
+        (v, s) for s in st.stars() for v in st.members[s] if v in acks), 8 + cbits)
     deg = {}
     for s in st.stars():
         if cluster_of.get(s) is None or s in marked:
             continue
-        type2 = acks.get(s, 0) + sum(got.get(s, {}).values())
+        type2 = sum(acks.get(v, 0) for v in st.star_vertices(s))
         seen = {s}
         for u, s2 in st.nbr_star[s].items():
             if u not in nbr_marked[s]:
@@ -394,14 +394,21 @@ def _compute_reps(g, cfg, ledger, st, near, label):
 
 def _election(g, cfg, ledger, st, gtree, up, down, remaining, marked,
               nbr_marked, deg, threshold, label):
-    """Approximate local-maxima test by per-edge acknowledgements."""
+    """Approximate local-maxima test by per-edge acknowledgements.  The
+    tuples go to all neighbours (``sim._to_all``), the star relays and
+    acknowledgements to chosen neighbours (``common.signal``), and every
+    receiver reads what it was sent on the host."""
     cbits = max(1, (2 * g.n).bit_length())
     width = 8 + g.id_bits + cbits
     # tuple step: members of remaining clusters send (degree, cluster) to all
     know = down(f"bip-tuple-down:{label}", {c: deg.get(c, 0) for c in remaining})
-    heard = exchange(g, cfg, ledger, f"bip-tuples:{label}", {
-        v: (know.get(v, 0), c) for v, c in gtree.membership.items() if c in remaining
-    }, width)
+    tuples = {v: (know.get(v, 0), c) for v, c in gtree.membership.items()
+              if c in remaining}
+    _to_all(g, cfg, ledger, f"bip-tuples:{label}", tuples, width)
+    heard: Dict[int, Dict[int, Tuple]] = defaultdict(dict)  # v -> {sender: tuple}
+    for v in sorted(tuples):
+        for u in g.adj[v]:
+            heard[u][v] = tuples[v]
     # edges on which a member of a remaining cluster is owed an
     # acknowledgement back: neighbors in stars not known to be marked
     tuple_sent = {
@@ -409,32 +416,34 @@ def _election(g, cfg, ledger, st, gtree, up, down, remaining, marked,
         for v, c in gtree.membership.items() if c in remaining
     }
     # members of unmarked stars relay their best tuple to the leader
-    to = {v: (s,) for s in st.stars() if s not in marked
-          for v in st.members[s] if v in heard}
-    best = {v: max(heard[v].values()) for v in to}
-    got2 = exchange(g, cfg, ledger, f"bip-star-max-up:{label}", best, width, to)
+    best = {v: max(heard[v].values()) for s in st.stars() if s not in marked
+            for v in st.members[s] if v in heard}
+    signal(g, cfg, ledger, f"bip-star-max-up:{label}",
+           ((v, st.star_of[v]) for v in best), width)
     star_max: Dict[int, Tuple] = {}
     for s in st.stars():
-        if s not in marked and (s in heard or s in got2):
-            star_max[s] = max([*heard.get(s, {}).values(), *got2.get(s, {}).values()])
-    got3 = exchange(g, cfg, ledger, f"bip-star-max-down:{label}", star_max, width,
-                    st.members)
+        if s in marked:
+            continue
+        got = [*heard.get(s, {}).values(), *(best[v] for v in st.members[s] if v in best)]
+        if got:
+            star_max[s] = max(got)
+    signal(g, cfg, ledger, f"bip-star-max-down:{label}",
+           ((s, v) for s in star_max for v in st.members[s]), width)
     known_max: Dict[int, Tuple] = dict(star_max)
-    for v, inbox in got3.items():  # a member hears its own leader only
-        known_max[v] = inbox[st.star_of[v]]
+    for s, t in star_max.items():
+        known_max.update(dict.fromkeys(st.members[s], t))
     # ACK every neighbor whose tuple equals the star's maximum
-    acks = {}
+    acks: Dict[int, Set[int]] = {}
     for v in g.vertices:
         s = st.star_of.get(v)
         if s is None or s in marked or v not in known_max:
             continue
-        acks[v] = [u for u, t in heard.get(v, {}).items() if t == known_max[v]]
-    got4 = exchange(g, cfg, ledger, f"bip-vacks:{label}", dict.fromkeys(acks),
-                    BitCost.TAG, acks)
+        acks[v] = {u for u, t in heard.get(v, {}).items() if t == known_max[v]}
+    signal(g, cfg, ledger, f"bip-vacks:{label}",
+           ((v, u) for v, acked in acks.items() for u in acked))
     ok = {}
     for v, owed in tuple_sent.items():
-        ackers = got4.get(v, {})
-        ok[v] = 1 if all(u in ackers for u in owed) else 0
+        ok[v] = 1 if all(v in acks.get(u, ()) for u in owed) else 0
     is_max = up(f"bip-maxima:{label}", ok, combine="min", bound=2)
     return {
         c for c in sorted(remaining)

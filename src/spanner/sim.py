@@ -25,16 +25,15 @@ as the clock.  The library's own phases do not use this loop: each is
 scheduled on the host and enters its ledger through one helper,
 ``_charge``, the only code besides this loop and the ``RoundLedger``
 merges that writes a ledger.  It takes a phase whole, once its host
-code has run: ``exchange``, the one scripted round (each sender sends
-one message to all its neighbours or to the receivers it names, and each
-receiver gets ``{sender: body}``; only the star relays, tuples and
-who-sent tokens of ``kspanner.starbip`` use it), ``_to_all``, the rounds
-to all neighbours that build no inboxes (the label round of
-``kspanner.common.label_contacts``, the 3-spanner's part announcement,
-the comparator's status round, the election's tuples and join tokens),
-the token rounds of ``kspanner.common.signal`` and those that count
-their tokens themselves (``kspanner.common.connect``, the election's
-acks and votes), the chunked ID streams (``kspanner.common._charge_stream``),
+code has run, and no library phase builds inboxes: the receivers read
+what was sent on the host.  Its callers are ``_to_all``, the rounds to
+all neighbours (the label round of ``kspanner.common.label_contacts``,
+the 3-spanner's part announcement, the comparator's status round, the
+elections' tuples and join tokens, the star graph's marked-star
+tokens), the rounds to chosen neighbours of ``kspanner.common.signal``
+(tokens, and the star graph's relays) and those that count their
+tokens themselves (``kspanner.common.connect``, the election's acks
+and votes), the chunked ID streams (``kspanner.common._charge_stream``),
 every ``primitives.Forest`` pass (charged
 to its caller's ledger under the caller's phase name, its records and
 errors naming the pass: ``_charge``'s ``label``),
@@ -399,67 +398,14 @@ def run(
     return outputs, ledger
 
 
-def exchange(
-    g: Graph,
-    cfg: SimConfig,
-    ledger: RoundLedger,
-    name: str,
-    bodies: Dict[int, Any],
-    bits: int,
-    to: Optional[Dict[int, Collection[int]]] = None,
-) -> Dict[int, Dict[int, Any]]:
-    """The one scripted round: every vertex v of g in ``bodies``, in ID
-    order, sends ``bodies[v]`` as one ``bits``-bit message to each receiver
-    in ``to[v]``; ``to`` defaults to ``g.adj``, all neighbours, and a
-    sender with no entry in it sends nothing.  The round is charged to
-    ``ledger`` as phase ``name`` (:func:`_charge`), one round iff anything
-    was sent.  Returns the receivers' inboxes, v -> {sender: body} in
-    sender order; a vertex that received nothing has no entry.
-
-    Within the budget a receiver that is not the sender's neighbour
-    raises the send step's SimError, at the first such sender in ID order
-    (its smallest such receiver), before the round is charged.  Over the
-    budget the same messages, senders in ID order and each one's distinct
-    receivers in ID order, go through :func:`_overrun`, which raises or
-    records each violation, a non-neighbour included, in that order."""
-    cfg.check(g)
-    over = bits > cfg.budget_for(g)
-    adj = g.adj
-    if to is None:
-        to = adj
-    heard: Dict[int, Dict[int, Any]] = defaultdict(dict)
-    if to is adj:
-        for v in sorted(bodies):
-            body = bodies[v]
-            for u in adj.get(v, ()):
-                heard[u][v] = body
-    else:
-        edges = g.edge_set
-        for v in sorted(bodies):
-            targets = to.get(v)
-            if not targets or v not in adj:
-                continue
-            body = bodies[v]
-            for u in targets:
-                if ((v, u) if v < u else (u, v)) not in edges and not over:
-                    bad = min(u for u in targets if not g.has_edge(v, u))
-                    raise SimError(f"{name}: vertex {v} sent to non-neighbor {bad}")
-                heard[u][v] = body
-    messages = sum(map(len, heard.values()))
-    _charge(g, cfg, ledger, name, 1 if messages else 0, messages, bits, lambda: [
-        (1, v, u, bits) for v in sorted(bodies) if v in adj
-        for u in sorted(set(to.get(v) or ()))
-    ])
-    return dict(heard)
-
-
 def _to_all(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
             senders: Collection, bits: int) -> None:
     """Charge the round in which every vertex of g among ``senders`` sends
-    one ``bits``-bit message to all its neighbours as :func:`exchange`
-    charges it, without building inboxes: Σ deg(sender) messages, one
-    round iff any, and over the budget the same messages, senders in ID
-    order and each one's neighbours in ID order."""
+    one ``bits``-bit message to all its neighbours, without building
+    inboxes (each receiver reads what it needs off its sorted neighbour
+    list on the host): Σ deg(sender) messages, one round iff any, and
+    over the budget the same messages, senders in ID order and each
+    one's neighbours in ID order, checked one by one (:func:`_charge`)."""
     adj = g.adj
     messages = sum(map(len, map(adj.get, senders, repeat(()))))
     _charge(g, cfg, ledger, name, 1 if messages else 0, messages, bits, lambda: [

@@ -1,7 +1,8 @@
-"""The README names package code in backticks (`sim.exchange`,
+"""The README names package code in backticks (`sim._to_all`,
 `kspanner.common.signal`, ...), and docstrings in double backticks
-(``sim._charge``); every such dotted reference must still resolve, so a
-rename or a deletion cannot leave the docs stale."""
+(``sim._charge``) or with a Sphinx role naming a name of their own module
+(:func:`_charge`); every such reference must still resolve, so a rename
+or a deletion cannot leave the docs stale."""
 
 import ast
 import importlib
@@ -16,6 +17,7 @@ README = ROOT / "README.md"
 SRC = ROOT / "src" / "spanner"
 DOTTED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(\))?`")
 DOUBLE_DOTTED = re.compile(r"``([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(\))?``")
+ROLE = re.compile(r":(?:func|class|data):`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`")
 
 
 def _modules():
@@ -50,6 +52,13 @@ def _resolve(refs):
     return checked, missing
 
 
+def _docstrings(path):
+    """Every module, class and function docstring in ``path``."""
+    return [ast.get_docstring(node) or "" for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))]
+
+
 def test_readme_references_resolve():
     checked, missing = _resolve(DOTTED.findall(README.read_text()))
     assert checked
@@ -59,10 +68,26 @@ def test_readme_references_resolve():
 def test_docstring_references_resolve():
     refs = []
     for path in sorted(SRC.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                                 ast.AsyncFunctionDef)):
-                refs += DOUBLE_DOTTED.findall(ast.get_docstring(node) or "")
+        for doc in _docstrings(path):
+            refs += DOUBLE_DOTTED.findall(doc)
     checked, missing = _resolve(refs)
+    assert checked
+    assert missing == []
+
+
+def test_docstring_roles_resolve_in_their_module():
+    checked, missing = 0, []
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
+        module = importlib.import_module(
+            ".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+        for ref in ROLE.findall("\n".join(_docstrings(path))):
+            checked += 1
+            obj = module
+            try:
+                for attr in ref.split("."):
+                    obj = getattr(obj, attr)
+            except AttributeError:
+                missing.append((path.name, ref))
     assert checked
     assert missing == []

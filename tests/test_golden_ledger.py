@@ -108,10 +108,12 @@ GOLDEN = {
         "5b67bd8fa9110f38d1dfef6d3610c38d506098d553187058b55bc6d5520d3cbe",
     ("zerosc-audit", 4, "er10-100"):
         "dec4d87032c7f54c90d317dd6b1fce171961ef26e56b93f671addfeb01fe918d",
-    # digest at the commit before every scripted round went through
-    # ``sim.exchange``; the ledger holds the over-budget records of the
-    # tuple announcements and the star relays (1,379 bip-tuples, 158 each
-    # bip-star-max-up and bip-star-max-down)
+    # digest from before the star graph's scripted rounds were charged by
+    # shared helpers, unchanged now that its tuples go through
+    # ``sim._to_all`` and its star relays through ``common.signal``; the
+    # ledger holds the over-budget records of the tuple announcements and
+    # the star relays (1,379 bip-tuples, 158 each bip-star-max-up and
+    # bip-star-max-down)
     ("sparserbip-audit", 6, "rbip-16x80"):
         "4da961c4640f0ae7756a2663af2368be84c69f67d9f3a4b7ef8845725f5cac02",
     # digests after one-vertex bipartite covers end at star formation:

@@ -21,7 +21,7 @@ from spanner.primitives import (
     ruling_set_log,
     ruling_set_power,
 )
-from spanner.sim import RoundLedger, SimTimeout, exchange
+from spanner.sim import RoundLedger, SimTimeout
 from spanner.spanner3 import bipartite_3_spanner
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "spanner"
@@ -49,10 +49,6 @@ def _fresh(step):
 # helper -> (a call with the config that returns the run's ledger, the
 # phase that sends last, its last sending round R)
 CHARGED = {
-    "exchange": (_fresh(lambda cfg, led: exchange(
-        PATH5, cfg, led, "ex", {0: "x", 3: "y"}, 9, to={0: [1], 3: [2, 4]})), "ex", 1),
-    "exchange.all": (_fresh(lambda cfg, led: exchange(
-        PATH5, cfg, led, "ann", {2: 7}, 9)), "ann", 1),
     "label_contacts": (_fresh(lambda cfg, led: label_contacts(
         PATH5, cfg, led, "labels", {2: 7, 4: 7})), "labels", 1),
     "signal": (_fresh(lambda cfg, led: signal(
@@ -103,11 +99,10 @@ def test_silent_phases_pass_at_a_cap_of_one():
     # nothing sent, no round to deliver: R = 0 < 1
     cfg = SimConfig(max_rounds=1)
     ledger = RoundLedger()
-    exchange(PATH5, cfg, ledger, "ex", {}, 9)
     signal(PATH5, cfg, ledger, "sig", [])
     _charge_stream(PATH5, cfg, ledger, "scatter", {})
     assert ledger.to_json() == RoundLedger(
-        per_phase=[("ex", 0), ("sig", 0), ("scatter", 0)]).to_json()
+        per_phase=[("sig", 0), ("scatter", 0)]).to_json()
     assert grow_bfs_clusters(PATH5, (), 3, cfg)[1].rounds_used == 0
 
 
@@ -201,68 +196,3 @@ def test_each_flood_phase_is_one_charge(helper, monkeypatch):
     monkeypatch.setattr(primitives, "_charge", spy)
     ledger = CHARGED[helper][0](SimConfig())
     assert charged == [name for name, _rounds in ledger.per_phase]
-
-
-def _label_width(node) -> bool:
-    """Whether an expression is the label width, ``8 + g.id_bits`` (or
-    ``BitCost.TAG + g.id_bits``, either way round)."""
-    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
-        return False
-    sides = (node.left, node.right)
-    tag = [s for s in sides if (isinstance(s, ast.Constant) and s.value == 8)
-           or (isinstance(s, ast.Attribute) and s.attr == "TAG")]
-    ids = [s for s in sides if isinstance(s, ast.Attribute) and s.attr == "id_bits"]
-    return len(tag) == 1 and len(ids) == 1
-
-
-def _exchange_calls(source: str):
-    """The ``exchange`` calls in ``source``, by name or as an attribute."""
-    calls = []
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name == "exchange":
-            calls.append(node)
-    return calls
-
-
-def _label_exchanges(source: str):
-    """The lines of the ``exchange`` calls in ``source`` whose body width
-    is the label width."""
-    lines = []
-    for node in _exchange_calls(source):
-        widths = node.args[5:6] + [kw.value for kw in node.keywords if kw.arg == "bits"]
-        if any(map(_label_width, widths)):
-            lines.append(node.lineno)
-    return lines
-
-
-def test_label_rounds_go_through_one_helper():
-    # a tree key to all neighbours is ``common.label_contacts``'s round;
-    # an ``exchange`` of that width would build the inboxes it avoids
-    assert _label_exchanges(
-        "exchange(g, cfg, led, 'a', labels, 8 + g.id_bits)\n"
-        "sim.exchange(g, cfg, led, 'b', labels, bits=g.id_bits + BitCost.TAG)\n"
-        "exchange(g, cfg, led, 'c', tuples, 8 + g.id_bits + cbits)\n") == [1, 2]
-    found = {path.name: _label_exchanges(path.read_text())
-             for path in sorted((SRC / "kspanner").glob("*.py"))}
-    assert "common.py" in found
-    assert {name: lines for name, lines in found.items() if lines} == {}
-
-
-def test_only_the_star_graph_builds_inboxes():
-    # a round whose receivers need not read the bodies or the senders is
-    # charged by ``sim._to_all`` or counted by its caller; ``exchange``
-    # builds an inbox entry per message, so only ``starbip`` calls it
-    assert [node.lineno for node in _exchange_calls(
-        "exchange(g, cfg, led, 'a', bodies, 9)\n"
-        "_to_all(g, cfg, led, 'b', bodies, 9)\n"
-        "x = sim.exchange(g, cfg, led, 'c', bodies, 9, to)\n"
-        "f = exchange\n")] == [1, 3]
-    found = {path.relative_to(SRC).as_posix(): _exchange_calls(path.read_text())
-             for path in sorted(SRC.rglob("*.py"))}
-    assert {"spanner3.py", "kspanner/baseline.py", "kspanner/starbip.py"} <= set(found)
-    callers = {name for name, calls in found.items() if calls}
-    assert callers - {"sim.py", "kspanner/starbip.py"} == set()

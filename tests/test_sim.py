@@ -16,7 +16,6 @@ from spanner.sim import (
     _cascade,
     _post,
     default_bit_budget,
-    exchange,
 )
 
 
@@ -118,16 +117,9 @@ def test_determinism_bit_identical():
     assert led1.to_json() == led2.to_json()
 
 
-def test_phase_outputs_visible_in_next_init():
-    g = generate("path", {"n": 3})
-    labels = {v: v * 10 for v in g.vertices}
-    out = exchange(g, SimConfig(), RoundLedger(), "announce", labels, 8 + g.id_bits)
-    assert out[1] == {0: 0, 2: 20}
-
-
 class Scripted(NodeProgram):
-    """Reference for ``exchange``: send the precomputed outbox in round 1,
-    output the inbox."""
+    """Sends the outbox its private input holds in round 1 and outputs
+    its inbox."""
 
     def __init__(self, name):
         self.name = name
@@ -143,34 +135,28 @@ class Scripted(NodeProgram):
         return state["got"]
 
 
-@st.composite
-def scripted_rounds(draw):
-    """A graph with n <= 12 (sparse IDs), one body per sender (sometimes
-    one keyed by a non-vertex) and one width per round, up to 4 bits over
-    the budget; receivers drawn as neighbour subsets (senders without an
-    entry stay silent) or None (all neighbours), sometimes with one
-    non-neighbour, and sometimes a budget below the floor."""
-    ids = sorted(draw(st.sets(st.integers(0, 40), min_size=1, max_size=12)))
-    pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
-    g = Graph(ids, [e for e in pairs if draw(st.booleans())])
-    budget = default_bit_budget(max(g.n, 2))
-    bits = draw(st.integers(1, budget + 4))
-    sometimes = st.sampled_from((True, True, True, False))
-    bodies = {v: draw(st.integers(0, 9)) for v in ids if draw(sometimes)}
-    if not draw(sometimes):
-        bodies[draw(st.integers(41, 45))] = 0
-    to = None
-    if draw(st.booleans()):
-        to = {v: draw(st.lists(st.sampled_from(g.adj[v]), unique=True))
-              if g.adj[v] else [] for v in ids if draw(sometimes)}
-    stray = to is not None and not draw(sometimes)
-    if stray:
-        v = draw(st.sampled_from(ids))
-        u = draw(st.integers(0, 41).filter(lambda u: u not in g.adj[v]))
-        bodies.setdefault(v, 0)
-        to.setdefault(v, []).append(u)
-    cfg = SimConfig(msg_bit_budget=None if draw(sometimes) else 4)
-    return g, bodies, bits, to, cfg, stray
+class Remember(NodeProgram):
+    """Outputs the private input its ``init`` read, after a silent round."""
+
+    name = "remember"
+
+    def init(self, view):
+        return view.private
+
+    def on_round(self, state, view, rnd, inbox):
+        return {}, True
+
+
+def test_phase_outputs_visible_in_next_init():
+    # phase 1 announces labels; phase 2's init reads each vertex's phase-1
+    # output through ``private``
+    g = generate("path", {"n": 3})
+    labels = {v: {u: Msg(8 + g.id_bits, v * 10) for u in g.adj[v]} for v in g.vertices}
+    heard, first = run(g, Scripted("announce"), private=labels)
+    assert heard[1] == [(0, 0), (2, 20)] and first.rounds_used == 1
+    out, second = run(g, Remember(), private=heard)
+    assert out == heard
+    assert second.rounds_used == 0 and second.messages_total == 0
 
 
 def _outcome(fn):
@@ -178,39 +164,6 @@ def _outcome(fn):
         return fn()
     except SimError as exc:
         return type(exc).__name__, str(exc)
-
-
-@settings(derandomize=True, max_examples=50, deadline=None)
-@given(scripted_rounds())
-def test_exchange_matches_scripted_run(case):
-    """``exchange`` delivers what the engine delivers when every sender's
-    outbox (``bodies[v]``, ``bits`` wide, to each receiver) runs as a vertex
-    program, with
-    the same ledger or the same exception type and text, in audit and in
-    strict mode."""
-    g, bodies, bits, to, base_cfg, stray = case
-    out = {}
-    for v, body in bodies.items():
-        if v in g.adj and (to is None or v in to):
-            m = Msg(bits, body)
-            out[v] = {u: m for u in (g.adj[v] if to is None else to[v])}
-    for strict in (False, True):
-        cfg = base_cfg.with_(strict=strict)
-
-        def via_exchange():
-            ledger = RoundLedger()
-            got = exchange(g, cfg, ledger, "scripted", bodies, bits, to)
-            return {v: list(inbox.items()) for v, inbox in got.items()}, ledger.to_json()
-
-        def via_run():
-            got, ledger = run(g, Scripted("scripted"), cfg, private=out)
-            # exchange returns only the vertices that received something
-            return {v: inbox for v, inbox in got.items() if inbox}, ledger.to_json()
-
-        result = _outcome(via_exchange)
-        assert result == _outcome(via_run)
-        if (stray or base_cfg.msg_bit_budget) and not strict:
-            assert result[0] == "SimError"
 
 
 class PaddedFloodMax(FloodMax):

@@ -2,7 +2,6 @@ import itertools
 import json
 import math
 import random
-from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +33,7 @@ from spanner.kspanner.common import (
 from spanner.pins import BASELINE_K, BASELINE_SEEDS, corpus
 from spanner.primitives import grow_bfs_clusters
 from spanner.sim import (
-    BitCost, Msg, NodeProgram, NodeView, RoundLedger, SimError, SimTimeout,
+    BitCost, BudgetError, Msg, NodeProgram, NodeView, RoundLedger, SimError, SimTimeout,
     default_bit_budget,
 )
 
@@ -253,6 +252,69 @@ def test_sparser_at_most_one_a_vertex_keeps_exactly_the_cross_edges(data):
     assert res.ledger.rounds_used == (1 if cross else 0)
     assert not res.ledger.violations
     assert verify_stretch(_crossing(g, a), res.spanner, 2 * k - 1).passed
+
+
+def random_bipartite_instance(rng, sparse):
+    """|A| in 0..8 and |B| in 0..20 on IDs in [0, n) (sparse: drawn from
+    [0, 10n)), A-to-B edges at one random density and, in about a third
+    of the instances, within-side edges, which the spanner ignores."""
+    na, nb = rng.randint(0, 8), rng.randint(0, 20)
+    n = na + nb
+    ids = rng.sample(range(10 * n if sparse else n), n)
+    a, b = ids[:na], ids[na:]
+    p = rng.random()
+    edges = [(u, v) for u in a for v in b if rng.random() < p]
+    if rng.random() < 0.3:
+        edges += [e for side in (a, b) for e in itertools.combinations(side, 2)
+                  if rng.random() < 0.1]
+    return Graph(ids, edges), Bipartition(a, b)
+
+
+def check_sparser(g, part, k):
+    """Build under the default strict budget and check the stretch of
+    every A-to-B edge in H against the Floyd-Warshall oracle, over the
+    A-to-B edges and H's own."""
+    res = sparser_bipartite_spanner(g, part, k)
+    assert res.ledger.violations == []
+    a = set(part.a)
+    cover = g.edge_subgraph(g.vertices, [e for e in g.edge_set if (e[0] in a) != (e[1] in a)]
+                            + sorted(res.spanner.edges))
+    rep = verify_stretch(cover, res.spanner, 2 * k - 1)
+    ref = verify_stretch_allpairs(cover, res.spanner, 2 * k - 1)
+    assert rep.passed, (k, rep.worst_edge, rep.max_stretch)
+    assert (rep.passed, rep.worst_edge) == (ref.passed, ref.worst_edge)
+    assert rep.max_stretch == pytest.approx(ref.max_stretch, abs=1e-9)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(st.integers(0, 10**9))
+def test_sparser_stretch_and_budget_on_small_instances(seed):
+    g, part = random_bipartite_instance(random.Random(seed), sparse=False)
+    for k in (3, 4, 5, 6):
+        check_sparser(g, part, k)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 10**9))
+def test_sparser_sparse_ids_fail_only_on_the_budget(seed):
+    """With IDs up to 10n the n-based default budget can be narrower than
+    a message: the one failure is the documented BudgetError (CLI exit
+    4) for a message over it, and every other build passes the checks."""
+    g, part = random_bipartite_instance(random.Random(seed), sparse=True)
+    for k in (3, 4, 5, 6):
+        try:
+            check_sparser(g, part, k)
+        except BudgetError as exc:
+            assert str(exc).startswith("{'kind': 'bits', "), str(exc)
+
+
+def test_sparser_sparse_ids_overrun_the_tuple_round():
+    # n = 4 gives a 16-bit budget; ID 19 takes 5 bits, so a tuple is
+    # 8 + 5 + 4 = 17 bits
+    g = Graph([0, 5, 12, 19], [(0, 5), (0, 12), (19, 5), (19, 12)])
+    with pytest.raises(BudgetError, match="'bits': 17, 'budget': 16, "
+                                          "'program': 'bip-tuples:L1.1'"):
+        sparser_bipartite_spanner(g, Bipartition([0, 19], [5, 12]), 4)
 
 
 def test_improved_one_vertex_covers_end_at_star_formation(monkeypatch):
@@ -798,9 +860,10 @@ def test_connect_charges_as_signal_did(seed):
         == outcome(by_signal)
 
 
-def _exchange_all_vertices(g, cfg, ledger, name, out):
-    """Reference for the scripted round: every vertex's outbox through the
-    send step in ID order, with an inbox for every vertex."""
+def _posted_round(g, cfg, ledger, name, out):
+    """Reference for a scripted round: every vertex's outbox through the
+    send step in ID order, with an inbox for every vertex, and the round
+    cap of the engine, which needs round 2 to deliver."""
     cfg.check(g)
     budget = cfg.budget_for(g)
     inboxes = {v: [] for v in g.vertices}
@@ -810,59 +873,35 @@ def _exchange_all_vertices(g, cfg, ledger, name, out):
         if outbox:
             sim._post(g, cfg, budget, ledger, name, 1, v, outbox, inboxes)
     rounds = 1 if ledger.messages_total > sent_before else 0
+    if rounds >= cfg.max_rounds:
+        raise SimTimeout(f"program {name!r} exceeded max_rounds={cfg.max_rounds}")
     ledger.rounds_used += rounds
     ledger.per_phase.append((name, rounds))
     return inboxes
 
 
 def ref_announce(g, cfg, ledger, name, labels, bits):
-    """Reference for ``exchange`` to all neighbours: one Msg per sender
-    to every neighbour, posted message by message; a label keyed by a
-    non-vertex sends nothing."""
+    """Reference for a round to all neighbours: one Msg per sender to
+    every neighbour, posted message by message; a label keyed by a
+    non-vertex sends nothing.  Returns v -> {sender: label} for every
+    vertex."""
     out = {}
     for v, label in labels.items():
         if v in g.adj:
             m = Msg(bits, label)
             out[v] = {u: m for u in g.adj[v]}
-    got = _exchange_all_vertices(g, cfg, ledger, name, out)
+    got = _posted_round(g, cfg, ledger, name, out)
     return {v: dict(inbox) for v, inbox in got.items()}
 
 
-def ref_signal(g, cfg, ledger, name, pairs):
-    """Reference for ``signal``: one tag-only Msg per distinct pair, posted
-    message by message."""
-    token = Msg(8, None)
+def ref_signal(g, cfg, ledger, name, pairs, bits=BitCost.TAG):
+    """Reference for ``signal``: one body-less ``bits``-bit Msg per
+    distinct pair, posted message by message."""
+    token = Msg(bits, None)
     out = {}
     for v, u in pairs:
         out.setdefault(v, {})[u] = token
-    return _exchange_all_vertices(g, cfg, ledger, name, out)
-
-
-def ref_exchange(g, cfg, ledger, name, bodies, bits, to):
-    """Reference for ``exchange`` with chosen receivers: one Msg per sender
-    to each of its receivers, posted message by message."""
-    out = {}
-    for v, body in bodies.items():
-        if v in to:
-            m = Msg(bits, body)
-            out[v] = {u: m for u in to[v]}
-    got = _exchange_all_vertices(g, cfg, ledger, name, out)
-    return {v: dict(inbox) for v, inbox in got.items()}
-
-
-def _round_outcome(call, reference=False):
-    """The entries in receiver order, each in its own order, and the
-    ledger; or the exception's type and text.  A reference's empty
-    entries are left out."""
-    ledger = RoundLedger(rounds_used=3, max_bits_seen=3, messages_total=5,
-                         per_phase=[("before", 3)])
-    try:
-        got = call(ledger)
-    except SimError as exc:
-        return type(exc), str(exc)
-    entries = [(v, list(x.items()) if isinstance(x, dict) else list(x))
-               for v, x in sorted(got.items()) if x or not reference]
-    return entries, ledger.to_json()
+    return _posted_round(g, cfg, ledger, name, out)
 
 
 def _count_outcome(call):
@@ -880,15 +919,14 @@ def _count_outcome(call):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.integers(0, 10**9))
 def test_announce_and_signal_match_posted_rounds(seed):
-    """``exchange`` to all neighbours (the label shape) and with chosen
-    receivers (the star-relay shape) return what the posted rounds
-    return, minus the vertices that received nothing, and ``signal``
-    returns each receiver's count of the senders the posted round delivers
-    to it, with the same ledger or the same exception type and text: on
-    graphs with n <= 12 and sparse IDs, in strict and audit mode, at the budget floor and one bit below it, with
-    labels and bodies narrower and wider than the budget, labels keyed by
-    non-vertices, pairs and receiver lists with repeats, non-vertex
-    senders and non-neighbour receivers."""
+    """A round to all neighbours charged by ``sim._to_all`` leaves the
+    ledger the posted round leaves, and ``signal`` returns each
+    receiver's count of the senders the posted round delivers to it,
+    with the same ledger or the same exception type and text: on graphs
+    with n <= 12 and sparse IDs, in strict and audit mode, at the budget
+    floor and one bit below it, with labels and tokens narrower and wider
+    than the budget, labels keyed by non-vertices, pairs with repeats,
+    non-vertex senders and non-neighbour receivers."""
     rng = random.Random(seed)
     ids = sorted(rng.sample(range(70), rng.randint(1, 12)))
     p = rng.random()
@@ -902,8 +940,17 @@ def test_announce_and_signal_match_posted_rounds(seed):
         labels[rng.choice((70, 71, ids[0] + 0.5))] = 0
     labels = dict(rng.sample(sorted(labels.items(), key=repr), len(labels)))
     bits = rng.randint(1, floor + 2)
-    assert _round_outcome(lambda led: sim.exchange(g, cfg, led, "ann", labels, bits)) \
-        == _round_outcome(lambda led: ref_announce(g, cfg, led, "ann", labels, bits), True)
+
+    def to_all(led):
+        cfg.check(g)
+        sim._to_all(g, cfg, led, "ann", labels, bits)
+        return {}
+
+    def posted(led):
+        ref_announce(g, cfg, led, "ann", labels, bits)
+        return {}
+
+    assert _count_outcome(to_all) == _count_outcome(posted)
     pairs = []
     for _ in range(rng.randint(0, 3 * len(ids))):
         v = rng.choice(ids) if rng.random() < 0.95 else 99
@@ -913,33 +960,25 @@ def test_announce_and_signal_match_posted_rounds(seed):
         else:
             u = rng.choice(ids + [98])
         pairs.append((v, u))
+    # tokens, messages below and at the budget, and messages above it
+    width = rng.choice((BitCost.TAG, rng.randint(1, floor), floor + rng.randint(1, 3)))
 
     def ref_counts(led):
         return {v: len(inbox) for v, inbox in
-                ref_signal(g, cfg, led, "sig", pairs).items() if inbox}
+                ref_signal(g, cfg, led, "sig", pairs, width).items() if inbox}
 
-    assert _count_outcome(lambda led: signal(g, cfg, led, "sig", pairs)) \
+    assert _count_outcome(lambda led: signal(g, cfg, led, "sig", pairs, width)) \
         == _count_outcome(ref_counts)
-    bodies = {v: rng.choice((v, (v, 2), "y")) for v in ids + [99] if rng.random() < 0.7}
-    to = {}
-    for v in ids + [99]:
-        if rng.random() < 0.8:
-            nbrs = g.adj.get(v, ())
-            to[v] = [rng.choice(nbrs) if nbrs and rng.random() < 0.95
-                     else rng.choice(ids + [98]) for _ in range(rng.randint(0, 3))]
-    width = rng.randint(1, floor + 2)
-    assert _round_outcome(lambda led: sim.exchange(g, cfg, led, "rel", bodies, width, to)) \
-        == _round_outcome(
-            lambda led: ref_exchange(g, cfg, led, "rel", bodies, width, to), True)
 
 
-def _announce_join_by_exchange(g, cfg, ledger, names, joiners, down):
-    """The join step as one ``exchange``: the told members send an empty
-    body to all their neighbours, and the inboxes' keys join the set."""
+def _announce_join_by_posting(g, cfg, ledger, names, joiners, down):
+    """The join step as one posted round: the told members send an empty
+    body to all their neighbours, and the vertices that heard one join
+    the set."""
     know = down(names[0], {c: 1 for c in joiners})
     told = [v for v, x in know.items() if x]
-    got = sim.exchange(g, cfg, ledger, names[1], dict.fromkeys(told), BitCost.TAG)
-    return set(told).union(got)
+    got = ref_announce(g, cfg, ledger, names[1], dict.fromkeys(told), BitCost.TAG)
+    return set(told).union(v for v, inbox in got.items() if inbox)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -948,7 +987,7 @@ def test_announce_join_matches_the_exchange_it_replaced(seed):
     """``announce_join`` charges its token round without building inboxes;
     on random graphs, clusterings and joiner sets it returns the same set
     and leaves the same ledger, or raises the same error, as the
-    ``exchange`` round it replaced, under strict and audit budgets and
+    posted round it replaced, under strict and audit budgets and
     under round caps that stop the broadcast or the token round."""
     rng = random.Random(seed)
     n = rng.randint(1, 40)
@@ -961,7 +1000,7 @@ def test_announce_join_matches_the_exchange_it_replaced(seed):
                     strict=rng.random() < 0.5,
                     max_rounds=rng.choice((1, 2, 4, 10**6)))
     outcomes = []
-    for join in (announce_join, _announce_join_by_exchange):
+    for join in (announce_join, _announce_join_by_posting):
         ledger = RoundLedger()
         _up, down = cluster_steps(g, cfg, ledger, clustering)
         try:
@@ -977,7 +1016,8 @@ def test_announce_join_matches_the_exchange_it_replaced(seed):
 @given(st.integers(0, 10**9))
 def test_label_contacts_match_the_exchange_they_replace(seed):
     """The label round returns, for every vertex that heard a label,
-    ``contacts`` of the inbox ``exchange(labels, 8 + id_bits)`` delivers
+    ``contacts`` of the inbox the posted round of ``8 + id_bits``-bit labels
+    delivers
     (keys in the same order), and leaves the same ledger JSON, violation
     records included, or raises the same exception type and text: on
     graphs with n <= 12 and sparse IDs, labels from a BFS clustering,
@@ -1014,12 +1054,12 @@ def test_label_contacts_match_the_exchange_they_replace(seed):
         return [(v, list(near.items())) for v, near in sorted(got.items())], \
             ledger.to_json()
 
-    def by_exchange(ledger):
-        got = sim.exchange(g, cfg, ledger, "ann", labels, 8 + g.id_bits)
-        return {v: contacts(inbox) for v, inbox in got.items()}
+    def by_posting(ledger):
+        got = ref_announce(g, cfg, ledger, "ann", labels, 8 + g.id_bits)
+        return {v: contacts(inbox) for v, inbox in got.items() if inbox}
 
     assert outcome(lambda led: label_contacts(g, cfg, led, "ann", labels)) \
-        == outcome(by_exchange)
+        == outcome(by_posting)
 
 
 def test_contacts_smallest_neighbour_per_tree():
@@ -1036,11 +1076,10 @@ def test_contacts_smallest_neighbour_per_tree():
 
 def ref_token_inboxes(g, cfg, ledger, name, pairs):
     """A token round that returns inboxes, v -> {sender: None}: one
-    ``exchange`` round with one token per distinct pair."""
-    to = defaultdict(dict)
-    for v, u in pairs:
-        to[v][u] = None
-    return sim.exchange(g, cfg, ledger, name, dict.fromkeys(to), BitCost.TAG, to)
+    posted round with one token per distinct pair, empty inboxes left
+    out."""
+    got = ref_signal(g, cfg, ledger, name, pairs)
+    return {v: dict(inbox) for v, inbox in got.items() if inbox}
 
 
 def ref_unmarked_degree(g, cfg, ledger, names, labels, nbr_labels, remaining,
@@ -1075,7 +1114,7 @@ def ref_elect(g, cfg, ledger, *, steps, labels, nbr_labels, remaining, threshold
         deg = ref_unmarked_degree(g, cfg, ledger, names[0:2], labels, nbr_labels,
                                   remaining, marked, up, self_report)
         know = down(names[2], {c: deg.get(c, 0) for c in remaining})
-        got = sim.exchange(g, cfg, ledger, names[3], {
+        got = ref_announce(g, cfg, ledger, names[3], {
             v: (know.get(v, 0), c) for v, c in labels.items() if c in remaining
         }, 8 + g.id_bits + cbits)
         ballots, votes = [], {}
@@ -1121,7 +1160,7 @@ def ref_elect(g, cfg, ledger, *, steps, labels, nbr_labels, remaining, threshold
 
 def ref_cluster_expansion(g, cfg, ledger, clustering, label):
     """Reference for ``zero._cluster_expansion`` over the reference ack step."""
-    nbr_cluster = sim.exchange(g, cfg, ledger, f"zero-announce:{label}",
+    nbr_cluster = ref_announce(g, cfg, ledger, f"zero-announce:{label}",
                                clustering.membership, 8 + g.id_bits)
     up, _down = cluster_steps(g, cfg, ledger, clustering)
     return ref_unmarked_degree(
@@ -1165,7 +1204,7 @@ def _election_outcome(elect_impl, g, cfg, clustering, labels, kw):
         if elect_impl is elect:
             heard = {"near": label_contacts(g, cfg, ledger, "ann", labels)}
         else:
-            heard = {"nbr_labels": sim.exchange(g, cfg, ledger, "ann", labels,
+            heard = {"nbr_labels": ref_announce(g, cfg, ledger, "ann", labels,
                                                 8 + g.id_bits)}
         joined, remaining, marked = elect_impl(
             g, cfg, ledger, labels=labels, up=up, down=down, records=records,
@@ -1183,7 +1222,7 @@ def test_election_matches_per_iteration_contacts(seed):
     rounds without inboxes, and ``zero._cluster_expansion`` give the same
     joined, remaining and marked sets, records and ledger, or the same
     exception, as a copy that reads the labels, tuples and tokens from
-    ``exchange`` inboxes, recomputes the contacts over the remaining trees
+    posted rounds' inboxes, recomputes the contacts over the remaining trees
     and scans every vertex in every iteration: members self-reporting or
     not, with and without ``members``, iteration caps that are hit and
     ones that are not."""
