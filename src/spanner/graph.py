@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, KeysView, List, Optional, Sequence, Tuple
 
 Edge = Tuple[int, int]
 
@@ -27,6 +27,8 @@ class GraphError(ValueError):
 class Graph:
     """Undirected simple graph with sorted neighbor lists.
 
+    A canonical input tuple is stored as it is (any other edge is
+    canonicalized), so edges share the caller's tuples and vertex ints.
     Immutable after construction; safe to share across concurrent readers.
     """
 
@@ -42,24 +44,23 @@ class Graph:
         if vs and vs[0] < 0:
             raise GraphError("vertex IDs must be non-negative")
         vset = set(vs)
-        adj: Dict[int, List[int]] = {v: [] for v in vs}
-        eset = set()
-        for u, v in edges:
+        es: Dict[Edge, None] = {}  # a dict, so the frozenset is sized once
+        for e in edges:
+            u, v = e
             if u == v:
                 raise GraphError(f"self-loop at {u}")
             if u not in vset or v not in vset:
                 raise GraphError(f"edge ({u},{v}) references unknown vertex")
-            e = canon(u, v)
-            if e in eset:
-                continue
-            eset.add(e)
-            adj[e[0]].append(e[1])
-            adj[e[1]].append(e[0])
+            es[e if u < v and type(e) is tuple else canon(u, v)] = None
+        self.edge_set = eset = frozenset(es)
+        adj: Dict[int, List[int]] = {v: [] for v in vs}
+        for u, v in eset:
+            adj[u].append(v)
+            adj[v].append(u)
         self.vertices: Tuple[int, ...] = tuple(vs)
         self.adj: Dict[int, Tuple[int, ...]] = {
             v: tuple(sorted(ns)) for v, ns in adj.items()
         }
-        self.edge_set = frozenset(eset)
         if weights is not None:
             w = {}
             for e, wt in weights.items():
@@ -163,26 +164,30 @@ class Graph:
 
 
 class Spanner:
-    """A growing edge subset of a base graph with per-edge provenance tags."""
+    """A growing edge subset of a base graph with per-edge provenance tags:
+    ``provenance`` (edge -> first tag, in insertion order) is the one store,
+    written only by ``add``; ``edges`` is a read-only view of its keys."""
 
-    __slots__ = ("base", "edges", "provenance")
+    __slots__ = ("base", "provenance")
 
     def __init__(self, base: Graph):
         self.base = base
-        self.edges: set = set()
         self.provenance: Dict[Edge, str] = {}
+
+    @property
+    def edges(self) -> KeysView[Edge]:
+        return self.provenance.keys()
 
     def add(self, u: int, v: int, tag: str) -> None:
         e = canon(u, v)
-        if e not in self.base.edge_set:
-            raise GraphError(f"spanner edge {e} not in base graph")
-        if e not in self.edges:
-            self.edges.add(e)
+        if e not in self.provenance:
+            if e not in self.base.edge_set:
+                raise GraphError(f"spanner edge {e} not in base graph")
             self.provenance[e] = tag
 
     @property
     def size(self) -> int:
-        return len(self.edges)
+        return len(self.provenance)
 
     def __repr__(self):
         return f"Spanner({self.size} edges of {self.base!r})"
@@ -248,27 +253,30 @@ def _complete_bipartite(a: int, b: int) -> Graph:
 
 
 def _erdos_renyi(n: int, p: float, seed: int) -> Graph:
+    """Pair u < v is an edge iff its ``random()`` draw is below p.  The draws
+    go row by row in ID order, and each edge tuple holds the graph's own
+    vertex objects, so no int is allocated per pair."""
     if not 0.0 <= p <= 1.0:
         raise GraphError(f"p={p} outside [0,1]")
-    rng = random.Random(seed)
-    es = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                es.append((i, j))
-    return Graph(range(n), es)
+    rand = random.Random(seed).random
+    ids = list(range(n))
+    es: List[Edge] = []
+    for i, u in enumerate(ids):
+        es += [(u, v) for v in ids[i + 1:] if rand() < p]
+    return Graph(ids, es)
 
 
 def _random_bipartite(a: int, b: int, p: float, seed: int) -> Graph:
+    """Sides [0, a) and [a, a + b); cross pairs drawn as in ``_erdos_renyi``."""
     if not 0.0 <= p <= 1.0:
         raise GraphError(f"p={p} outside [0,1]")
-    rng = random.Random(seed)
-    es = []
-    for i in range(a):
-        for j in range(b):
-            if rng.random() < p:
-                es.append((i, a + j))
-    return Graph(range(a + b), es)
+    rand = random.Random(seed).random
+    ids = list(range(a + b))
+    right = ids[a:]
+    es: List[Edge] = []
+    for u in ids[:a]:
+        es += [(u, v) for v in right if rand() < p]
+    return Graph(ids, es)
 
 
 def _hypercube(d: int) -> Graph:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Collection, Dict, List, Optional, Set, Tuple
 
 from ..clustering import Clustering, Supercluster, Superclustering, WeightedTree
-from ..graph import Graph, Spanner, canon
+from ..graph import Graph, Spanner
 from ..primitives import grow_bfs_clusters, partition_tree, ruling_set_power
 from ..sim import BitCost, RoundLedger, SimConfig, _charge
 from ..spanner3 import Bipartition
@@ -66,12 +66,6 @@ def cover_low_expansion(g: Graph, k: int, cfg: SimConfig, ledger: RoundLedger, H
     ``label_contacts`` charges it."""
     from .improved import improved_spanner  # recursion
 
-    def merge(edges, tag):
-        for e in edges:
-            if e not in H.edges:
-                H.edges.add(e)
-                H.provenance[e] = tag
-
     ledgers: List[RoundLedger] = []
     outsides: List[Collection[int]] = []
     for members in covers:
@@ -81,7 +75,8 @@ def cover_low_expansion(g: Graph, k: int, cfg: SimConfig, ledger: RoundLedger, H
             outside = [u for u in g.adj[a] if u not in excluded]
             outsides.append(outside)
             if outside:
-                merge((canon(a, u) for u in outside), tags[0])  # sorted, as g.adj is
+                for u in outside:  # sorted, as g.adj is
+                    H.add(a, u, tags[0])
                 width = BitCost.TAG + max(1, max(a, outside[-1]).bit_length())
                 led = RoundLedger()
                 _charge(g, cfg, led, "star-formation", 1, len(outside), width,
@@ -95,11 +90,13 @@ def cover_low_expansion(g: Graph, k: int, cfg: SimConfig, ledger: RoundLedger, H
         if cross:
             bip = g.edge_subgraph(mset | outside, cross)
             res = sparser_bipartite_spanner(bip, Bipartition(mset, outside), k, cfg)
-            merge(sorted(res.spanner.edges), tags[0])
+            for u, v in sorted(res.spanner.edges):
+                H.add(u, v, tags[0])
             ledgers.append(res.ledger)
         if any(u in mset for v in members for u in g.adj[v]):
             res = improved_spanner(g.subgraph(mset), k, cfg)
-            merge(sorted(res.spanner.edges), tags[1])
+            for u, v in sorted(res.spanner.edges):
+                H.add(u, v, tags[1])
             ledgers.append(res.ledger)
     ledger.extend_parallel(ledgers, name=name)
     return outsides

@@ -72,6 +72,9 @@ BIPARTITE_SPEC: List[Tuple[str, dict, int]] = [
     ("bip-10x90", {"a": 10, "b": 90, "p": 0.25}, 70),
 ]
 
+# paths and cycles of growing n for the round claims of improved at even k
+ROUND_SERIES = [(f"{kind}-{n}", kind, n, k) for kind in ("path", "cycle")
+                for n in (110, 220, 440, 880) for k in (4, 6)]
 SCALING_DIMS = (6, 7, 8, 9)  # hypercubes with n = 64..512
 SCALING_K = 4
 BASELINE_SEEDS = 20
@@ -151,6 +154,8 @@ def compute_pins(verbose: bool = True) -> dict:
         "imp3": rounds3,
         "imp3_weighted": {name: improved_3_spanner(g).ledger.rounds_used
                           for name, g in weighted_corpus()},
+        "series": {f"{name}:k{k}": improved_spanner(generate(kind, {"n": n}), k)
+                   .ledger.rounds_used for name, kind, n, k in ROUND_SERIES},
     }
 
     log("running bipartite corpus ...")

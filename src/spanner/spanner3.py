@@ -14,7 +14,7 @@ import math
 from typing import Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .clustering import WeightedTree
-from .graph import Graph, Spanner, canon
+from .graph import Graph, Spanner
 from .primitives import grow_bfs_clusters, partition_tree, ruling_set_log
 from .results import SpannerRun
 from .sim import BitCost, RoundLedger, SimConfig, SimError, _charge, _to_all
@@ -128,7 +128,7 @@ def _star_spanner(
             ):
                 per_star[center] = sender
         for center, sender in sorted(per_star.items()):
-            if center != v and canon(v, sender) not in spanner.edges:
+            if center != v:
                 spanner.add(v, sender, "cross")
         picked += len(per_star)
     ledger = RoundLedger()

@@ -3,8 +3,10 @@
 Everything here is computed solely from (graph, spanner) or from recorded
 structures; nothing reaches into algorithm internals.  Unweighted stretch
 checking counts the spanner's own edges at once (stretch 1) and looks only
-at the graph edges the spanner leaves out: distances 2 and 3 by tests on
-the spanner's neighbour sets, longer ones by a bidirectional hop search.
+at the graph edges the spanner leaves out: distances 2 and 3 by tests of
+the spanner's neighbour tuples (the graph's own, rebuilt only where an edge
+is missing) against one set per source, longer ones by a bidirectional
+hop search.
 Weighted checking runs a capped Dijkstra per source.  A Floyd-Warshall
 all-pairs reference cross-validates both on small graphs.
 """
@@ -15,6 +17,8 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from .clustering import Clustering, Superclustering
@@ -59,7 +63,7 @@ def _check_subgraph(g: Graph, h: Spanner) -> None:
 
 
 def _hops(adj, s, t):
-    """Exact hop distance from s to t != s over neighbour sets, or None.
+    """Exact hop distance from s to t != s over neighbour tuples, or None.
 
     Bidirectional search: grow the ball with the smaller frontier by one
     level until it touches the other frontier.  The two balls stay
@@ -102,16 +106,15 @@ def _dijkstra(adj, src, cap, wanted):
     return dist
 
 
-def _missing_hops(adj, s, t):
+def _missing_hops(adj, near, s, t):
     """Hop distance in the spanner between the endpoints of a missing edge
-    (s, t), over neighbour sets: 2 and 3 by set tests, beyond by search."""
-    ns, nt = adj[s], adj[t]
-    if not ns.isdisjoint(nt):
+    (s, t), where ``near`` is the set of s's neighbours: 2 and 3 by tests of
+    t's and its neighbours' tuples against ``near``, beyond by search."""
+    nt = adj[t]
+    if not near.isdisjoint(nt):
         return 2
-    if len(ns) > len(nt):
-        ns, nt = nt, ns
-    for x in ns:
-        if not adj[x].isdisjoint(nt):
+    for y in nt:
+        if not near.isdisjoint(adj[y]):
             return 3
     return _hops(adj, s, t)
 
@@ -122,12 +125,15 @@ def verify_stretch(g: Graph, h: Spanner, t: float) -> StretchReport:
     Per spanner folklore, bounding the stretch of every graph edge bounds
     the stretch of every vertex pair, so the report quantifies over E(g).
     Since H is a subgraph of g, its edges count at once with stretch 1; the
-    unweighted check visits only E(g) minus E(H), in sorted order: distance
-    2 is a disjointness test of the endpoints' neighbour sets in H,
-    distance 3 a test of the smaller endpoint's neighbours' sets against
-    the other endpoint's, and only longer distances run the bidirectional
-    search.  The histogram keeps the insertion order of a pass over the
-    sorted edges of g: key "1" sits where the smallest spanner edge falls.
+    unweighted check visits only E(g) minus E(H), in sorted order.  H's
+    neighbour tuples are g's own, rebuilt without the missing neighbours
+    only at the endpoints of missing edges; no neighbour set is copied.
+    One set of H-neighbours is built per source (the smaller endpoint):
+    distance 2 tests it against the other endpoint's tuple, distance 3
+    against that endpoint's neighbours' tuples, and only longer distances
+    run the bidirectional search.  The histogram keeps the insertion order
+    of a pass over the sorted edges of g: key "1" sits where the smallest
+    spanner edge falls.
     """
     _check_subgraph(g, h)
     hist: Dict[str, int] = {}
@@ -138,12 +144,16 @@ def verify_stretch(g: Graph, h: Spanner, t: float) -> StretchReport:
     slack = 1.0 + REL_TOL
 
     if not g.weighted:
-        missing = sorted(g.edge_set - h.edges)
-        # H's neighbour sets: g's, less the missing edges
-        adj = {v: set(ns) for v, ns in g.adj.items()}
-        for u, v in missing:
-            adj[u].discard(v)
-            adj[v].discard(u)
+        missing = sorted(g.edge_set.difference(h.provenance))
+        # H's neighbour tuples: g's, rebuilt without the missing neighbours
+        # at each endpoint of a missing edge, from a list (a tuple grown
+        # from an iterator is resized as it grows, which raised peak RSS)
+        adj = dict(g.adj)
+        ends = sorted(missing + [(v, u) for u, v in missing], key=itemgetter(0))
+        for v, run in groupby(ends, itemgetter(0)):
+            gone = {u for _v, u in run}
+            adj[v] = tuple([u for u in adj[v] if u not in gone])
+        src = near = None
         # the spanner edges all have stretch 1; the smallest one places key
         # "1" in the histogram and is the worst edge until a missing one
         first_kept = min(h.edges) if h.edges else None
@@ -153,7 +163,9 @@ def verify_stretch(g: Graph, h: Spanner, t: float) -> StretchReport:
             if first_kept is not None and e > first_kept:
                 hist["1"] = len(h.edges)
                 first_kept = None
-            d = _missing_hops(adj, *e)
+            if e[0] != src:
+                src, near = e[0], set(adj[e[0]])
+            d = _missing_hops(adj, near, *e)
             if d is None:
                 unreachable += 1
                 hist["inf"] = hist.get("inf", 0) + 1

@@ -36,6 +36,7 @@ from spanner.pins import (
     BASELINE_K,
     BASELINE_SEEDS,
     CORPUS_SPEC,
+    ROUND_SERIES,
     SCALING_DIMS,
     SCALING_K,
     bipartite_corpus,
@@ -401,6 +402,13 @@ def test_criterion_11_round_claims(graphs, improved_runs, imp3_runs,
             drift.append((section, name, rounds))
         if g.n > 1:
             per_log[fam] = max(per_log.get(fam, 0.0), rounds / math.log2(g.n))
+    series = {}
+    for name, kind, n, k in ROUND_SERIES:
+        rounds = improved_spanner(generate(kind, {"n": n}), k).ledger.rounds_used
+        if rounds != pin["series"][f"{name}:k{k}"]:
+            drift.append(("series", name, k, rounds))
+        series.setdefault((kind, k), []).append(
+            f"n={n} {rounds}/{rounds / round_bound(n, k):.3f}")
     print("\nACCEPT-11 max rounds / claim (k=2: log2 n; k>=3: 2^k n^(1/2-1/k), "
           "odd k n^(1/2-1/(2k))):")
     for fam in sorted({f for f, _k in ratios}):
@@ -408,6 +416,10 @@ def test_criterion_11_round_claims(graphs, improved_runs, imp3_runs,
             f"k{k}={ratios.get((fam, k), 0.0):.3f}" for k in (2, 3, 4, 5, 6)))
     print("  imp3 max rounds / log2 n: " + ", ".join(
         f"{fam} {r:.2f}" for fam, r in sorted(per_log.items())))
-    print(f"ACCEPT-11 exact round pins on {len(graphs)} graphs x k=2..6 and "
-          f"{len(runs3)} imp3 builds: {'PASS' if not drift else 'FAIL'} {drift[:3]}")
+    print("  improved series, rounds/ratio to claim:")
+    for (kind, k), row in series.items():
+        print(f"  {kind:5s} k{k} " + "  ".join(row))
+    print(f"ACCEPT-11 exact round pins on {len(graphs)} graphs x k=2..6, "
+          f"{len(runs3)} imp3 builds and {len(ROUND_SERIES)} series builds: "
+          f"{'PASS' if not drift else 'FAIL'} {drift[:3]}")
     assert not drift, drift[:5]

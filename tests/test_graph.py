@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import random
@@ -334,3 +335,167 @@ def test_cli_rejects_malformed_weights(tmp_path):
         path = _write(tmp_path, text)
         assert main(["run", "--alg", "imp3", "--graph", path,
                      "--out", str(tmp_path / "r")]) == 2, text
+
+
+# -- one tuple per edge, one int per vertex ------------------------------------
+
+
+def _double_loop(rows, cols, p, seed):
+    """Reference draw: one ``random()`` per pair, row by row in ID order."""
+    rng = random.Random(seed)
+    return [(u, v) for u in rows for v in cols(u) if rng.random() < p]
+
+
+@pytest.mark.parametrize("seed", [0, 17])
+@pytest.mark.parametrize("n", [0, 1, 2, 57])
+@pytest.mark.parametrize("p", [0, 0.03, 0.5, 1])
+def test_random_generators_match_the_double_loop(p, n, seed):
+    er = generate("erdos-renyi", {"n": n, "p": p}, seed)
+    ref = _double_loop(range(n), lambda u: range(u + 1, n), p, seed)
+    assert er == Graph(range(n), ref) and er.edges() == ref
+    a, b = n // 3, n - n // 3
+    bip = generate("random-bipartite", {"a": a, "b": b, "p": p}, seed)
+    ref = _double_loop(range(a), lambda u: range(a, a + b), p, seed)
+    assert bip == Graph(range(a + b), ref) and bip.edges() == ref
+
+
+def test_er_edges_hold_the_graphs_vertex_objects():
+    # IDs above 256 are not cached by the interpreter, so ``is`` tells
+    # a shared vertex object from a fresh int
+    for g in (generate("erdos-renyi", {"n": 1000, "p": 0.01}, 3),
+              generate("random-bipartite", {"a": 300, "b": 700, "p": 0.01}, 3)):
+        vertex = g.vertices
+        assert all(u is vertex[u] and v is vertex[v] for u, v in g.edge_set)
+        assert all(u is vertex[u] for ns in g.adj.values() for u in ns)
+
+
+def test_graph_keeps_canonical_input_tuples():
+    kept, flipped, listed = (1000, 2000), (3000, 2000), [2000, 4000]
+    twin = tuple([1000, 2000])  # equal to ``kept`` but another object
+    g = Graph([1000, 2000, 3000, 4000], [kept, flipped, listed, twin])
+    stored = {e: e for e in g.edge_set}
+    assert stored[kept] is kept  # the first of two equal tuples is kept
+    assert stored[(2000, 3000)] is not flipped and type(stored[(2000, 4000)]) is tuple
+    assert g.adj[2000] == (1000, 3000, 4000) and g.adj[2000][0] is kept[0]
+    assert g.edge_subgraph([1000, 2000], [(2000, 1000)]).edges() == [kept]
+
+
+@pytest.mark.parametrize("edges, match", [
+    ([(0, 1), (2, 2), (0, 9)], "self-loop at 2"),
+    ([(0, 1), (0, 9), (2, 2)], r"edge \(0,9\) references unknown vertex"),
+    ([(1, 0), (1, 0), (5, 1)], r"edge \(5,1\) references unknown vertex"),
+    ([[1, 1]], "self-loop at 1"),
+])
+def test_first_bad_edge_in_input_order_raises(edges, match):
+    with pytest.raises(GraphError, match=match):
+        Graph(range(3), edges)
+
+
+def test_repeated_edges_are_kept_once():
+    g = Graph(range(4), [(1, 0), (0, 1), (2, 1), [1, 2], (0, 1), (3, 1)])
+    assert g.edges() == [(0, 1), (1, 2), (1, 3)] and g.m == 3
+    assert g.adj == {0: (1,), 1: (0, 2, 3), 2: (1,), 3: (1,)}
+    g.validate()
+
+
+def test_live_er_graph_bytes_per_edge():
+    """Traced bytes per edge of a live ``er:n=1000,p=0.06`` graph (seed 0,
+    29,824 edges), vertices and neighbour lists included: 143.4 when every
+    pair allocated its own int and the edge set was copied from a set
+    into a frozenset, 112.8 with edges holding the shared vertex ints."""
+    import gc
+    import tracemalloc
+
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        before, _ = tracemalloc.get_traced_memory()
+        g = generate("erdos-renyi", {"n": 1000, "p": 0.06}, 0)
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert g.m == 29824
+    assert (after - before) / g.m < 125
+
+
+def test_spanner_has_one_store():
+    from spanner import Spanner
+
+    assert Spanner.__slots__ == ("base", "provenance")
+    g = generate("path", {"n": 5})
+    h = Spanner(g)
+    view = h.edges
+    h.add(2, 1, "a")
+    h.add(4, 3, "b")
+    h.add(1, 2, "c")  # the first tag wins
+    assert list(view) == list(h.provenance) == [(1, 2), (3, 4)]
+    assert h.provenance == {(1, 2): "a", (3, 4): "b"} and h.size == len(view) == 2
+    assert view <= g.edge_set and sorted(g.edge_set - view) == [(0, 1), (2, 3)]
+    with pytest.raises(AttributeError):
+        h.edges = set()
+    assert not hasattr(view, "add") and not hasattr(view, "discard")
+
+
+def test_spanner_non_edge_stores_nothing():
+    from spanner import Spanner
+
+    h = Spanner(generate("path", {"n": 4}))
+    h.add(0, 1, "a")
+    with pytest.raises(GraphError, match=r"spanner edge \(0, 3\) not in base graph"):
+        h.add(3, 0, "bogus")
+    assert h.provenance == {(0, 1): "a"}
+
+
+def test_cover_merge_keeps_the_first_tag():
+    from spanner import SimConfig, Spanner
+    from spanner.kspanner import zero
+    from spanner.sim import RoundLedger
+
+    g = generate("path", {"n": 10})
+    h = Spanner(g)
+    h.add(5, 4, "earlier")
+    zero.cover_low_expansion(g, 3, SimConfig().resolved(g), RoundLedger(), h,
+                             [[4], [6, 7]], set(), ("bip", "rec"), "cover")
+    assert list(h.provenance.items()) == [
+        ((4, 5), "earlier"), ((3, 4), "bip"), ((5, 6), "bip"), ((7, 8), "bip"),
+        ((6, 7), "rec")]
+
+
+# methods that change a dict in place
+_DICT_WRITES = {"setdefault", "update", "pop", "popitem", "clear",
+                "__setitem__", "__delitem__"}
+
+
+def _provenance_writes(tree):
+    """Lines that assign, delete or mutate an attribute named
+    ``provenance`` or one of its items."""
+    lines = []
+    for node in ast.walk(tree):
+        targets = []
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        for t in targets:
+            for sub in ast.walk(t):
+                if isinstance(sub, ast.Attribute) and sub.attr == "provenance":
+                    lines.append(node.lineno)
+        if (isinstance(node, ast.Attribute) and node.attr in _DICT_WRITES
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "provenance"):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_graph_writes_spanner_provenance():
+    src = ROOT / "src" / "spanner"
+    writers = {str(path.relative_to(src)): _provenance_writes(ast.parse(path.read_text()))
+               for path in sorted(src.rglob("*.py"))}
+    assert writers.pop("graph.py"), "the guard finds Spanner's own writes"
+    assert not {path: lines for path, lines in writers.items() if lines}
+    planted = "def f(H, e):\n    H.provenance[e] = 'x'\n    H.provenance.setdefault(e, 'y')\n"
+    assert _provenance_writes(ast.parse(planted)) == [2, 3]

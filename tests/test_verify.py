@@ -459,3 +459,37 @@ def test_hops_runs_only_for_missing_edges_beyond_distance_three(
         verify_stretch(g, h, t)
         assert calls == expected, label
         assert not set(calls) & h.edges
+
+
+def test_verify_stretch_copies_no_neighbour_sets():
+    """Traced peak of ``verify_stretch`` above the live g and H, for imp3 on
+    ``er:n=1000,p=0.06`` (seed 0: 29,824 edges, 4,243 missing from H).  A
+    copy of every neighbour set of g takes 2.28 MiB there; the check peaked
+    at 2.31 MiB above the live graphs when it made that copy, and at
+    0.75 MiB with g's neighbour tuples shared and rebuilt only at the
+    endpoints of missing edges.  The guard is half of the copy."""
+    import gc
+    import tracemalloc
+
+    g = generate("erdos-renyi", {"n": 1000, "p": 0.06}, 0)
+    h = improved_3_spanner(g).spanner
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        before, _ = tracemalloc.get_traced_memory()
+        copy = {v: set(ns) for v, ns in g.adj.items()}
+        copied = tracemalloc.get_traced_memory()[0] - before
+        del copy
+        gc.collect()
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        rep = verify_stretch(g, h, 3)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert rep.passed and g.m - h.size == 4243
+    assert copied > 2**20
+    assert peak < copied / 2, (peak, copied)
