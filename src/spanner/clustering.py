@@ -40,6 +40,15 @@ def orient_tree(
     return {v: (p, tuple(sorted(children[v]))) for v, p in parent.items()}
 
 
+def tree_span(root: int, edges: Iterable[Edge]) -> Set[int]:
+    """The vertices of a tree given by its root and edges: the root and
+    every edge endpoint."""
+    vs = {root}
+    for e in edges:
+        vs.update(e)
+    return vs
+
+
 @dataclass
 class Clustering:
     """Partition of a vertex subset into centered, tree-backed clusters."""
@@ -136,31 +145,17 @@ class Supercluster:
     depth_bound: int
 
     def tree_vertices(self) -> Set[int]:
-        vs = {self.root}
-        for u, v in self.tree_edges:
-            vs.add(u)
-            vs.add(v)
-        return vs
+        return tree_span(self.root, self.tree_edges)
 
     def tree_depth(self) -> int:
         """Depth of the connecting tree from its root (0 for a lone vertex)."""
-        adj: Dict[int, List[int]] = {}
-        for u, v in self.tree_edges:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        if not adj:
-            return 0
-        seen = {self.root: 0}
-        q = deque([self.root])
-        while q:
-            x = q.popleft()
-            for y in adj.get(x, ()):
-                if y not in seen:
-                    seen[y] = seen[x] + 1
-                    q.append(y)
-        if set(adj) - set(seen):
+        tree = orient_tree(self.root, self.tree_edges)
+        if len(tree) < len(self.tree_vertices()):
             raise ValueError(f"supercluster {self.sc_id} tree is disconnected")
-        return max(seen.values())
+        depth: Dict[int, int] = {}
+        for v, (p, _children) in tree.items():  # parents come first
+            depth[v] = 0 if p is None else depth[p] + 1
+        return max(depth.values())
 
 
 @dataclass
@@ -194,11 +189,7 @@ class WeightedTree:
     bound: int  # B
 
     def vertices(self) -> Set[int]:
-        vs = {self.root}
-        for u, v in self.edges:
-            vs.add(u)
-            vs.add(v)
-        return vs
+        return tree_span(self.root, self.edges)
 
     def validate(self) -> None:
         vs = self.vertices()
@@ -224,11 +215,7 @@ class TreePart:
 
     @property
     def tree_vertices(self) -> Set[int]:
-        vs = {self.root} | set(self.owned)
-        for u, v in self.edges:
-            vs.add(u)
-            vs.add(v)
-        return vs
+        return tree_span(self.root, self.edges) | self.owned
 
 
 @dataclass

@@ -112,16 +112,15 @@ def signal(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
     nothing has no entry.  Receivers that read what was sent, or who
     sent it, read it off the pairs on the host.
 
-    Each pair is one message over its edge, so within the budget
-    (``cfg.check`` guarantees that a token fits it) the round can violate
-    nothing once the receivers are known to be neighbours, and is charged
-    in bulk (``sim._charge``): a receiver that is not the sender's
-    neighbour raises the send step's SimError, at the first such sender
-    in ID order (its smallest such receiver), before the round is
-    charged.  Over the budget the pairs go to ``sim._charge`` in
-    (sender, receiver) order, which raises or records each violation, a
-    non-neighbour included, in that order."""
-    cfg.check(g)
+    Each pair is one message over its edge, so within the budget (a
+    token fits every budget that passes the config check) the round can
+    violate nothing once the receivers are known to be neighbours, and is
+    charged in bulk (``sim._charge``, which checks the config first): a
+    receiver that is not the sender's neighbour raises the send step's
+    SimError, at the first such sender in ID order (its smallest such
+    receiver), before the round is charged.  Over the budget the pairs go
+    to ``sim._charge`` in (sender, receiver) order, which raises or
+    records each violation, a non-neighbour included, in that order."""
     adj, edges = g.adj, g.edge_set
     over = bits > cfg.budget_for(g)
     sent = {(v, u) for v, u in pairs if v in adj}
@@ -150,7 +149,6 @@ def label_contacts(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
     A label keyed by a non-vertex sends nothing; the receivers are
     neighbours by construction, and ``cfg.check`` guarantees the budget
     holds the message."""
-    cfg.check(g)
     _to_all(g, cfg, ledger, name, labels, BitCost.TAG + g.id_bits)
     near: Dict[int, Dict[Hashable, int]] = defaultdict(dict)
     for v in sorted(labels):
@@ -174,7 +172,6 @@ def connect(g: Graph, cfg: SimConfig, ledger: RoundLedger, H: Spanner, name: str
     picks = list(picks)
     for v, u, tag in picks:
         H.add(v, u, tag)
-    cfg.check(g)
     messages = len({(v, u) for v, u, _tag in picks})
     _charge(g, cfg, ledger, name, 1 if messages else 0, messages, BitCost.TAG)
 
@@ -222,7 +219,6 @@ def unmarked_degree(g, cfg, ledger, names: Sequence[str], labels, near, unmarked
     and is charged as :func:`signal` charges it: the contacts were read
     off the label round, so every receiver is a neighbour, and a vertex
     has one contact per tree, so no pair repeats."""
-    cfg.check(g)
     counts: Dict[int, int] = {}
     for v in unmarked:
         own = labels.get(v) if self_report else None
@@ -356,7 +352,6 @@ def _charge_stream(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
     per round.  A target that is not a neighbor raises the send step's
     SimError, at the first such (sender, target) pair in ID order; a
     sender that is not a vertex of g sends nothing."""
-    cfg.check(g)
     per_msg = max(1, (cfg.budget_for(g) - BitCost.TAG) // g.id_bits)
     messages = rounds = longest = 0
     for v in sorted(lists):

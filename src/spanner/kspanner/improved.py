@@ -235,8 +235,7 @@ def _regroup(g, k, cfg, ledger, H, clustering, successful: List[Supercluster],
                 cs2 = [c for c in sorted(p2.owned) if c in cs]
                 if cs2:
                     add(cs2, p2.edges, p2.root)
-    if part_ledgers:
-        ledger.extend_parallel(part_ledgers, name=f"regroup:P{i}")
+    ledger.extend_parallel(part_ledgers, name=f"regroup:P{i}")
     return Superclustering(
         level=i,
         superclusters=superclusters,

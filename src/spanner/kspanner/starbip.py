@@ -66,7 +66,6 @@ def _form_stars(g, cfg, ledger, st: StarState, H: Spanner) -> None:
             continue
         st.star_of[v] = c
         H.add(v, c, "star")
-    cfg.check(g)
     _to_all(g, cfg, ledger, "star-formation", st.star_of, BitCost.TAG + g.id_bits)
     for a in sorted(st.a):
         st.star_of[a] = a
@@ -128,10 +127,10 @@ def _grow_star_clusters(
     relaying vertex, then the smallest offerer.
 
     The rounds run as host loops over the stars, and the phase is charged
-    whole (``sim._charge``), its messages at their own widths: the round
-    cap applies to its last sending round, which may come before round
-    3(depth+1) or be round 0."""
-    cfg.check(g)
+    whole (``sim._charge``) to ``ledger`` as ``star-bfs:d{depth}``, its
+    records and errors naming ``star-bfs``, its messages at their own
+    widths: the round cap applies to its last sending round, which may
+    come before round 3(depth+1) or be round 0."""
     strays = sorted(v for v in centers if v not in g.adj)
     if strays:
         raise SimError(f"star-bfs: active non-vertices {strays[:5]}")
@@ -174,12 +173,10 @@ def _grow_star_clusters(
             if s not in offers or key > offers[s]:
                 offers[s] = key
         adopted = {s: (c, (-rel, -off)) for s, (c, rel, off) in offers.items()}
-    led = RoundLedger()
-    _charge(g, cfg, led, "star-bfs", sent[-1][0] if sent else 0,
+    _charge(g, cfg, ledger, f"star-bfs:d{depth}", sent[-1][0] if sent else 0,
             sum(len(to) for _r, _v, to, _b in sent),
             max((bits for _r, _v, _to, bits in sent), default=0),
-            lambda: [(r, v, u, bits) for r, v, to, bits in sent for u in to])
-    ledger.extend_sequential(led, name=f"star-bfs:d{depth}")
+            lambda: [(r, v, u, bits) for r, v, to, bits in sent for u in to], "star-bfs")
     return {s: cid.get(s) for s in st.stars()}, uplinks
 
 

@@ -187,8 +187,7 @@ def cons_zero_superclustering(
                     depth_bound=max(1, 2 * radius),
                 )
             )
-    if part_ledgers:
-        ledger.extend_parallel(part_ledgers, name="zero-balance")
+    ledger.extend_parallel(part_ledgers, name="zero-balance")
 
     covered = sorted(clustering.membership)
     c0 = Clustering.singletons(covered)

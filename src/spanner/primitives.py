@@ -154,7 +154,6 @@ def grow_bfs_clusters(
         return offers
 
     cfg = cfg or SimConfig()
-    cfg.check(g)
     ledger = RoundLedger()
     _charge_flood(g, cfg, ledger, "grow-clusters",
                   _relay(g, "grow-clusters", center, depth, parent, deliver), width)
@@ -206,13 +205,13 @@ class Forest:
     lasts as many rounds as the deepest role lies below its root, so it
     is one walk over the roles: the broadcast copies every root's value
     to its tree, the convergecast folds every non-root role into its
-    parent's, children first.  The config is checked first, and each
-    pass is charged whole (``sim._charge``) to the caller's ledger under
-    the caller's phase name: within the budget at once, over it with its
-    messages in (round, sender, receiver) order, each of which raises or
-    leaves a violation record naming the pass ``forest-aggregate`` or
-    ``forest-broadcast``; then the round cap applies to its last send
-    round."""
+    parent's, children first.  Each pass is charged whole
+    (``sim._charge``, which checks the config first) to the caller's
+    ledger under the caller's phase name: within the budget at once, over
+    it with its messages in (round, sender, receiver) order, each of which
+    raises or leaves a violation record naming the pass
+    ``forest-aggregate`` or ``forest-broadcast``; then the round cap
+    applies to its last send round."""
 
     def __init__(self, g: Graph, roles: RoleTable):
         self.g = g
@@ -268,16 +267,6 @@ class Forest:
         for r in self.below:
             root_of[r] = root_of[parent_of[r]]
 
-    def _pass(self, cfg: Optional[SimConfig], ledger: RoundLedger, name: str,
-              label: str, width: int, sends: Callable[[], List[Send]]) -> None:
-        """Charge one pass that sends one ``width``-bit message over every
-        tree edge to ``ledger`` as phase ``name``, its records and errors
-        naming ``label``; ``sends()`` lists the messages as (round,
-        sender, receiver, width) in that order."""
-        cfg = cfg or SimConfig()
-        cfg.check(self.g)
-        _charge(self.g, cfg, ledger, name, self.rounds, self.edges, width, sends, label)
-
     def aggregate(
         self,
         values: Sequence[int],
@@ -314,7 +303,8 @@ class Forest:
             return sorted((height[r] + 1, keys[r][0], keys[parent_of[r]][0], width)
                           for r in below)
 
-        self._pass(cfg, ledger, name, "forest-aggregate", width, sends)
+        _charge(self.g, cfg or SimConfig(), ledger, name, self.rounds, self.edges, width,
+                sends, "forest-aggregate")
         acc = list(values)
         for r in reversed(below):
             p = parent_of[r]
@@ -351,7 +341,8 @@ class Forest:
             return sorted((depth[r], keys[parent_of[r]][0], keys[r][0], width)
                           for r in below)
 
-        self._pass(cfg, ledger, name, "forest-broadcast", width, sends)
+        _charge(self.g, cfg or SimConfig(), ledger, name, self.rounds, self.edges, width,
+                sends, "forest-broadcast")
         return [values[q] for q in self.root_of]
 
 
@@ -388,7 +379,6 @@ def ruling_set_log(
     if strays:
         raise SimError(f"{name}: active non-vertices {strays[:5]}")
     cfg = cfg or SimConfig()
-    cfg.check(g)
     levels = g.id_bits
     active = cand
     sent: List[Layer] = []
@@ -444,7 +434,6 @@ def ruling_set_power(
     if not cand:
         raise ValueError("candidate set must be nonempty")
     cfg = cfg or SimConfig()
-    cfg.check(g)
     radius = 3 * t - 1
     counter = BitCost(g).counter(radius)
     low_width = BitCost.TAG + g.id_bits + counter
@@ -509,7 +498,6 @@ def partition_tree(
     t.validate()
     tree_graph = Graph(t.vertices(), t.edges)
     cfg = cfg or SimConfig()
-    cfg.check(tree_graph)
     tree = orient_tree(t.root, t.edges)
     bound = t.bound
     bits = BitCost(tree_graph)

@@ -6,41 +6,29 @@ Execution is bit-deterministic: vertices act in ID order, so every inbox
 arrives sorted by sender.  ``rounds_used`` is the last round that carried
 a message.
 
-One round-cap rule holds for every phase, run or scripted (``_cap``): a
-phase whose last message goes out in round R needs round R+1 to deliver
-it, so it raises SimTimeout when R >= ``max_rounds``, and a cap below 1
-is rejected up front.
+One round-cap rule holds for every phase (``_cap``): a phase whose last
+message goes out in round R needs round R+1 to deliver it, so it raises
+SimTimeout when R >= ``max_rounds``.  One helper, ``_admit``, holds the
+per-message send rules (neighbours only, one message per edge and round,
+the bit budget), raising or recording each violation.
 
-The send step, ``_post``, checks and accounts one vertex's outbox (bits,
-congestion, neighbours) message by message, recording or raising each
-violation.  One round loop calls it, ``_cascade``: it calls ``step(v,
-rnd, inbox)`` in ID order for the vertices with mail, those the caller
-names (round 1) and those an optional clock wakes, and before every
-round it runs it applies the round cap and a guard against
-``STALL_LIMIT`` silent rounds.
-:func:`run` adapts a :class:`NodeProgram` to it (hooks ``init(view)``,
-``on_round(state, view, rnd, inbox) -> (outbox, halt_vote)`` and
-``on_finish(state, view)``), with the vertices that have not voted halt
-as the clock.  The library's own phases do not use this loop: each is
+:func:`run` is the reference engine: it executes a :class:`NodeProgram`
+(hooks ``init(view)``, ``on_round(state, view, rnd, inbox) -> (outbox,
+halt_vote)`` and ``on_finish(state, view)``) round by round and posts
+every outbox through the send step, ``_post``.  Demo 01 and the tests'
+reference programs use it; no library phase does.  Each of those is
 scheduled on the host and enters its ledger through one helper,
-``_charge``, the only code besides this loop and the ``RoundLedger``
-merges that writes a ledger.  It takes a phase whole, once its host
-code has run, and no library phase builds inboxes: the receivers read
-what was sent on the host.  Its callers are ``_to_all``, the rounds to
-all neighbours (the label round of ``kspanner.common.label_contacts``,
-the 3-spanner's part announcement, the comparator's status round, the
-elections' tuples and join tokens, the star graph's marked-star
-tokens), the rounds to chosen neighbours of ``kspanner.common.signal``
-(tokens, and the star graph's relays) and those that count their
-tokens themselves (``kspanner.common.connect``, the election's acks
-and votes), the chunked ID streams (``kspanner.common._charge_stream``),
-every ``primitives.Forest`` pass (charged
-to its caller's ledger under the caller's phase name, its records and
-errors naming the pass: ``_charge``'s ``label``),
-``primitives.partition_tree``, the relay floods of ``primitives`` (cluster
-growth, the power-graph min-flood and hop-flood, the log-round ruling
-set), the star-graph BFS of ``kspanner.starbip`` and the star rounds of
-the 3-spanners.
+``_charge``, once its host code has run: it checks the config
+(``SimConfig.check``) before anything else, and it is, besides ``run``
+and the ``RoundLedger`` merges, the only code that writes a ledger.  No
+library phase builds inboxes: the receivers read what was sent on the
+host.  Its callers are ``_to_all`` (rounds to all neighbours), the token
+rounds of ``kspanner.common`` (``signal``, ``connect``, the election's
+acks and votes), the chunked ID streams, every ``primitives.Forest``
+pass (charged under its caller's phase name, its records and errors
+naming the pass: ``_charge``'s ``label``), ``primitives.partition_tree``,
+the relay floods of ``primitives``, the star-graph BFS of
+``kspanner.starbip`` and the star rounds of the 3-spanners.
 
 All of these send one message per edge and round, to neighbours, so
 within the budget they can violate nothing and handle no message
@@ -57,7 +45,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from typing import (
-    Any, Callable, Collection, Dict, Iterable, List, Optional, Sequence, Tuple,
+    Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple,
 )
 
 from .graph import Graph
@@ -75,7 +63,7 @@ class SimTimeout(SimError):
     """max_rounds exceeded before global halt."""
 
 
-STALL_LIMIT = 20_000  # consecutive silent rounds before _cascade reports a deadlock
+STALL_LIMIT = 20_000  # consecutive silent rounds before run reports a deadlock
 
 
 def default_bit_budget(n: int) -> int:
@@ -241,6 +229,25 @@ class NodeProgram:
 Send = Tuple[int, int, int, int]  # (round, sender, receiver, bits)
 
 
+def _admit(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str, rnd: int,
+           v: int, u: int, widths: Sequence[int], budget: int) -> None:
+    """The send rules for the messages, of ``widths`` bits each, that
+    vertex v sends u in round ``rnd``, in this order: a receiver that is
+    not v's neighbour raises SimError; more than one message over the
+    edge is congestion, and each message above ``budget`` is a bits
+    violation, each of them raising BudgetError (strict) or recorded."""
+    if u not in g.adj or u not in g.adj[v]:
+        raise SimError(f"{name}: vertex {v} sent to non-neighbor {u}")
+    recs = [{"kind": "congestion", "round": rnd, "edge": [v, u],
+             "load": len(widths), "program": name}] if len(widths) > 1 else []
+    recs += [{"kind": "bits", "round": rnd, "edge": [v, u], "bits": bits,
+              "budget": budget, "program": name} for bits in widths if bits > budget]
+    for rec in recs:
+        if cfg.strict:
+            raise BudgetError(str(rec))
+        ledger.violations.append(rec)
+
+
 def _overrun(
     g: Graph,
     cfg: SimConfig,
@@ -249,26 +256,17 @@ def _overrun(
     sends: Sequence[Send],
     budget: int,
 ) -> int:
-    """The send step's per-message checks over the (round, sender,
-    receiver, bits) messages of ``sends``, in that order: a message in a
-    round past the cap raises SimTimeout (:func:`_cap` on the round before
-    it), a non-neighbour receiver raises SimError, and each message above
-    the ``budget`` raises BudgetError (strict) or is recorded.  Returns
-    the widest message's bits (0: none)."""
-    adj = g.adj
+    """The send rules over the (round, sender, receiver, bits) messages
+    of ``sends``, one message at a time and in that order: a message in a
+    round past the cap raises SimTimeout (:func:`_cap` on the round
+    before it), then :func:`_admit` applies.  Returns the widest
+    message's bits (0: none)."""
     cap = cfg.max_rounds
     widest = 0
     for rnd, v, u, bits in sends:
         if rnd > cap:
             _cap(cfg, name, rnd - 1)
-        if u not in adj or u not in adj[v]:
-            raise SimError(f"{name}: vertex {v} sent to non-neighbor {u}")
-        if bits > budget:
-            rec = {"kind": "bits", "round": rnd, "edge": [v, u],
-                   "bits": bits, "budget": budget, "program": name}
-            if cfg.strict:
-                raise BudgetError(str(rec))
-            ledger.violations.append(rec)
+        _admit(g, cfg, ledger, name, rnd, v, u, (bits,), budget)
         if bits > widest:
             widest = bits
     return widest
@@ -289,9 +287,11 @@ def _charge(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str, rounds: in
     """Charge a host-scheduled phase of ``messages`` messages, the widest
     of ``width`` bits, whose last message goes out in round ``rounds`` (0:
     none), to ``ledger`` as phase ``name``.  Every library phase enters
-    its ledger here, and only here.  Violation records and SimTimeout or
-    BudgetError texts name the program ``label`` (default ``name``), so
-    a pass charged under its caller's phase name still names itself.
+    its ledger here, and only here, so this is where its config is
+    checked (``cfg.check(g)``), before anything else.  Violation records
+    and SimTimeout or BudgetError texts name the program ``label``
+    (default ``name``), so a pass charged under its caller's phase name
+    still names itself.
 
     Within the budget the phase can violate nothing: every message goes
     to a neighbour, one per edge and round, so the messages are folded in
@@ -301,6 +301,7 @@ def _charge(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str, rounds: in
     in the same way.  Then the round cap applies (:func:`_cap`), and the
     phase adds ``rounds`` to ``rounds_used`` and one ``per_phase``
     entry."""
+    cfg.check(g)
     budget = cfg.budget_for(g)
     label = label or name
     if width > budget:
@@ -328,37 +329,20 @@ def _post(
     outbox: Dict[int, Any],
     inboxes: Dict[int, List[Tuple[int, Any]]],
 ) -> None:
-    """The send step: check and account vertex v's non-empty outbox
-    ``{neighbor: Msg or [Msg, ...]}`` for round ``rnd`` and queue
-    ``(v, body)`` in the receivers' ``inboxes`` (which hold every vertex or
-    default to an empty list).  Congestion and bit-budget overruns raise in
-    strict mode and are recorded otherwise, receivers in ID order
-    (:func:`_overrun` does the same for the host-scheduled phases).  A
+    """The send step: check (:func:`_admit`) and account vertex v's
+    non-empty outbox ``{neighbor: Msg or [Msg, ...]}`` for round ``rnd``,
+    receivers in ID order, and queue ``(v, body)`` in the receivers'
+    ``inboxes`` (which hold every vertex or default to an empty list).  A
     vertex posts once per round, so an edge's load is its message count
     here, and inbox order is sender order."""
-    nbrs = g.adj[v]
     for u in sorted(outbox):
-        if u not in g.adj or u not in nbrs:
-            raise SimError(f"{name}: vertex {v} sent to non-neighbor {u}")
         msgs = outbox[u]
         if isinstance(msgs, Msg):
             msgs = (msgs,)
-        load = len(msgs)
-        if load > ledger.per_round_edge_load:
-            ledger.per_round_edge_load = load
-        if load > 1:
-            rec = {"kind": "congestion", "round": rnd, "edge": [v, u],
-                   "load": load, "program": name}
-            if cfg.strict:
-                raise BudgetError(str(rec))
-            ledger.violations.append(rec)
+        _admit(g, cfg, ledger, name, rnd, v, u, [m.bits for m in msgs], budget)
+        if len(msgs) > ledger.per_round_edge_load:
+            ledger.per_round_edge_load = len(msgs)
         for m in msgs:
-            if m.bits > budget:
-                rec = {"kind": "bits", "round": rnd, "edge": [v, u],
-                       "bits": m.bits, "budget": budget, "program": name}
-                if cfg.strict:
-                    raise BudgetError(str(rec))
-                ledger.violations.append(rec)
             if m.bits > ledger.max_bits_seen:
                 ledger.max_bits_seen = m.bits
             ledger.messages_total += 1
@@ -372,28 +356,49 @@ def run(
     private: Optional[Dict[int, Any]] = None,
 ) -> Tuple[Dict[int, Any], RoundLedger]:
     """Execute one program on g until global halt; returns per-vertex
-    outputs in ID order.  Every vertex gets its view, ``init`` and a
-    round-1 callback; later rounds call the vertices that are awake (did
-    not vote halt) or have mail.  The rounds run through :func:`_cascade`,
-    whose clock is the awake set."""
+    outputs in ID order and a fresh ledger with one phase, the program's
+    name.  Every vertex gets its view, ``init`` and a round-1 callback;
+    each later round calls, in ID order, the vertices that are awake (did
+    not vote halt) or have mail, inbox in sender order, and posts every
+    returned outbox through the send step.  The run ends at the first
+    round that would call nobody.  Not knowing which round sends last,
+    it applies the round cap before each round ``rnd`` to round ``rnd -
+    1``, and raises SimTimeout after more than ``STALL_LIMIT`` rounds in
+    a row that carry no message."""
     cfg = cfg or SimConfig()
     cfg.check(g)
+    name = program.name
     budget = cfg.budget_for(g)
     bits = BitCost(g)
     private = private or {}
     views = {v: NodeView(v, g.adj[v], private.get(v), bits, budget) for v in g.vertices}
     states = {v: program.init(view) for v, view in views.items()}
+    ledger = RoundLedger()
     awake = set(g.vertices)
-
-    def step(v, rnd, inbox):
-        outbox, halt = program.on_round(states[v], views[v], rnd, inbox)
-        if halt:
-            awake.discard(v)
+    inboxes: Dict[int, List[Tuple[int, Any]]] = {}
+    rnd = silent = 0
+    while awake or inboxes:
+        rnd += 1
+        callees = sorted(awake.union(inboxes))
+        _cap(cfg, name, rnd - 1)
+        if silent > STALL_LIMIT:
+            raise SimTimeout(
+                f"program {name!r} stalled: {len(callees)} vertices "
+                f"(e.g. {callees[:5]}) neither halt nor communicate"
+            )
+        next_in: Dict[int, List[Tuple[int, Any]]] = defaultdict(list)
+        for v in callees:
+            outbox, halt = program.on_round(states[v], views[v], rnd, inboxes.get(v, ()))
+            (awake.discard if halt else awake.add)(v)
+            if outbox:
+                _post(g, cfg, budget, ledger, name, rnd, v, outbox, next_in)
+        if next_in:
+            ledger.rounds_used = rnd
+            silent = 0
         else:
-            awake.add(v)
-        return outbox
-
-    ledger = _cascade(g, cfg, program.name, (), step, lambda rnd: awake or None)
+            silent += 1
+        inboxes = next_in
+    ledger.per_phase.append((name, ledger.rounds_used))
     outputs = {v: program.on_finish(states[v], views[v]) for v in g.vertices}
     return outputs, ledger
 
@@ -411,66 +416,6 @@ def _to_all(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
     _charge(g, cfg, ledger, name, 1 if messages else 0, messages, bits, lambda: [
         (1, v, u, bits) for v in sorted(senders) if v in adj for u in adj[v]
     ])
-
-
-def _cascade(
-    g: Graph,
-    cfg: SimConfig,
-    name: str,
-    first: Iterable[int],
-    step: Callable[[int, int, Sequence[Tuple[int, Any]]], Optional[Dict[int, Any]]],
-    wake: Optional[Callable[[int], Optional[Iterable[int]]]] = None,
-) -> RoundLedger:
-    """The round loop: calls ``step(v, rnd, inbox)`` for the vertices of
-    round ``rnd``, in ascending ID order with the inbox in sender order,
-    and posts each returned outbox through the send step.  Round 1 calls
-    ``first`` with an empty inbox, and every round calls the vertices that
-    received mail.  The clock ``wake(rnd)`` names the vertices to call
-    besides those, or returns None: the run ends at the first round that
-    has no mail and for which the clock returns None (without a clock:
-    once the mail runs out).  Not knowing which round sends last, it
-    applies the round cap before each round ``rnd`` to round ``rnd - 1``,
-    and raises SimTimeout after more than ``STALL_LIMIT`` silent rounds:
-    rounds that called some vertex and in which none of them sent (the
-    idle rounds a clock keeps on schedule, which call nobody, do not
-    count).  Returns a fresh ledger with one phase ``name``;
-    ``rounds_used`` is the last round that carried a message."""
-    cfg.check(g)
-    budget = cfg.budget_for(g)
-    ledger = RoundLedger()
-    inboxes: Dict[int, Sequence[Tuple[int, Any]]] = dict.fromkeys(first, ())
-    strays = sorted(v for v in inboxes if v not in g.adj)
-    if strays:
-        raise SimError(f"{name}: active non-vertices {strays[:5]}")
-    rnd = silent = 0
-    while True:
-        rnd += 1
-        woken = wake(rnd) if wake else None
-        if woken is not None:
-            callees = sorted(inboxes.keys() | woken)
-        elif inboxes:
-            callees = sorted(inboxes)
-        else:
-            break
-        _cap(cfg, name, rnd - 1)
-        if silent > STALL_LIMIT:
-            raise SimTimeout(
-                f"program {name!r} stalled: {len(callees)} vertices "
-                f"(e.g. {callees[:5]}) neither halt nor communicate"
-            )
-        next_in: Dict[int, List[Tuple[int, Any]]] = defaultdict(list)
-        for v in callees:
-            outbox = step(v, rnd, inboxes.get(v, ()))
-            if outbox:
-                _post(g, cfg, budget, ledger, name, rnd, v, outbox, next_in)
-        if next_in:
-            ledger.rounds_used = rnd
-            silent = 0
-        elif callees:
-            silent += 1
-        inboxes = next_in
-    ledger.per_phase.append((name, ledger.rounds_used))
-    return ledger
 
 
 # -- small generally useful programs ---------------------------------------

@@ -81,7 +81,6 @@ def _star_spanner(
     is narrower, and every message goes to a neighbor, one per edge (a
     sender names one center per part, so it is picked at most once per
     receiver)."""
-    cfg.check(g)
     weighted = g.weighted
     weight = g.weight
     adj = g.adj

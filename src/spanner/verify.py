@@ -150,8 +150,8 @@ def verify_stretch(g: Graph, h: Spanner, t: float) -> StretchReport:
         # from an iterator is resized as it grows, which raised peak RSS)
         adj = dict(g.adj)
         ends = sorted(missing + [(v, u) for u, v in missing], key=itemgetter(0))
-        for v, run in groupby(ends, itemgetter(0)):
-            gone = {u for _v, u in run}
+        for v, group in groupby(ends, itemgetter(0)):
+            gone = {u for _v, u in group}
             adj[v] = tuple([u for u in adj[v] if u not in gone])
         src = near = None
         # the spanner edges all have stretch 1; the smallest one places key

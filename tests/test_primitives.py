@@ -28,6 +28,7 @@ from spanner.sim import (
     BitCost, Msg, NodeProgram, RoundLedger, SimError, SimTimeout, _post, run,
 )
 from spanner.verify import audit_ruling_set
+from step_program import StepProgram
 
 CFG = SimConfig(msg_bit_budget=64)
 
@@ -319,9 +320,10 @@ def _stalled(name, stuck):
     )
 
 
-def cascade_forest_aggregate(g, roles, values, combine, bound, cfg):
+def stepped_forest_aggregate(g, roles, values, combine, bound, cfg):
     """Reference for ``Forest.aggregate``: the convergecast as a
-    ``_cascade`` step, every round posted through the send step."""
+    mail-driven step under ``sim.run``, every round posted through the
+    send step."""
     name = "forest-aggregate"
     rows = vertex_roles(roles)
     routes = {v: _ref_edge_roles(rs) for v, rs in rows.items()}
@@ -350,7 +352,7 @@ def cascade_forest_aggregate(g, roles, values, combine, bound, cfg):
         return out
 
     leaves = [v for v, rs in rows.items() if any(not r[2] for r in rs)]
-    ledger = sim._cascade(g, cfg or SimConfig(), name, leaves, step)
+    ledger = run(g, StepProgram(name, leaves, step), cfg or SimConfig())[1]
     if ledger.messages_total < edges:
         _stalled(name, [v for v, count in left.items() if any(count)])
     roots = {(v, key): x for v, rs in rows.items()
@@ -358,9 +360,9 @@ def cascade_forest_aggregate(g, roles, values, combine, bound, cfg):
     return {key: roots[v, key] for (v, key), p in roles.items() if p is None}, ledger
 
 
-def cascade_forest_broadcast(g, roles, root_values, bound, cfg):
-    """Reference for ``Forest.broadcast``: the broadcast as a ``_cascade``
-    step, every round posted through the send step."""
+def stepped_forest_broadcast(g, roles, root_values, bound, cfg):
+    """Reference for ``Forest.broadcast``: the broadcast as a mail-driven
+    step under ``sim.run``, every round posted through the send step."""
     name = "forest-broadcast"
     rows = vertex_roles(roles)
     routes = {v: _ref_edge_roles(rs) for v, rs in rows.items()}
@@ -387,7 +389,7 @@ def cascade_forest_broadcast(g, roles, root_values, bound, cfg):
         return out
 
     roots = [v for v, rs in rows.items() if any(r[1] is None for r in rs)]
-    ledger = sim._cascade(g, cfg or SimConfig(), name, roots, step)
+    ledger = run(g, StepProgram(name, roots, step), cfg or SimConfig())[1]
     if ledger.messages_total < edges:
         _stalled(name, [v for v, known in got.items() if None in known])
     result = {v: {} for v in g.vertices}
@@ -477,7 +479,7 @@ def test_forest_helpers_match_reference_programs(seed, combine):
     other draw the scheduled convergecast and broadcast return the same
     outputs (key order included, read through the role order), the same
     ledger with its violation records, and the same exception type and
-    text as the ``_cascade`` steps they replace and as the vertex
+    text as the mail-driven steps they replace and as the vertex
     programs.  One Forest runs each direction twice, on two value sets,
     so no call leaves state behind that the next one reads."""
     rng = random.Random(seed)
@@ -492,7 +494,7 @@ def test_forest_helpers_match_reference_programs(seed, combine):
     for vals in (values, values2):
         got = _outcome(lambda: aggregate_by_key(forest, vals, combine, bound, cfg))
         assert got == _outcome(
-            lambda: cascade_forest_aggregate(g, roles, vals, combine, bound, cfg))
+            lambda: stepped_forest_aggregate(g, roles, vals, combine, bound, cfg))
         assert got == _outcome(
             lambda: ref_forest_aggregate(g, roles, vals, combine, bound, cfg))
     for vals in (root_values, root_values2):
@@ -501,7 +503,7 @@ def test_forest_helpers_match_reference_programs(seed, combine):
                 broadcast_by_key(forest, vals, bound, cfg)
             continue
         got = _outcome(lambda: broadcast_by_key(forest, vals, bound, cfg))
-        assert got == _outcome(lambda: cascade_forest_broadcast(g, roles, vals, bound, cfg))
+        assert got == _outcome(lambda: stepped_forest_broadcast(g, roles, vals, bound, cfg))
         assert got == _outcome(lambda: ref_forest_broadcast(g, roles, vals, bound, cfg))
 
 

@@ -21,7 +21,7 @@ from spanner.primitives import (
     ruling_set_log,
     ruling_set_power,
 )
-from spanner.sim import RoundLedger, SimTimeout
+from spanner.sim import RoundLedger, SimError, SimTimeout
 from spanner.spanner3 import bipartite_3_spanner
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "spanner"
@@ -85,6 +85,20 @@ CHARGED = {
 }
 
 
+@pytest.mark.parametrize("cfg, text", [
+    pytest.param(SimConfig(msg_bit_budget=2), "msg_bit_budget 2 below minimum 11",
+                 id="budget"),
+    pytest.param(SimConfig(max_rounds=0), "max_rounds 0 below 1", id="cap"),
+])
+@pytest.mark.parametrize("helper", sorted(CHARGED))
+def test_helper_rejects_an_invalid_config(helper, cfg, text):
+    # ``sim._charge`` checks the config of every phase it charges; the
+    # one-ID floor on the 5-path is 8 + 3 bits
+    with pytest.raises(SimError) as exc:
+        CHARGED[helper][0](cfg)
+    assert (type(exc.value), str(exc.value)) == (SimError, text)
+
+
 @pytest.mark.parametrize("helper", sorted(CHARGED))
 def test_phase_needs_the_round_after_its_last_send(helper):
     call, name, last = CHARGED[helper]
@@ -106,9 +120,9 @@ def test_silent_phases_pass_at_a_cap_of_one():
     assert grow_bfs_clusters(PATH5, (), 3, cfg)[1].rounds_used == 0
 
 
-RULE_HELPERS = {"_overrun", "_cap"}
+RULE_HELPERS = {"_admit", "_overrun", "_cap"}
 # the vertex-program round loop and what only it uses
-ROUND_LOOP = {"_cascade", "_post", "STALL_LIMIT", "Msg"}
+ROUND_LOOP = {"run", "_post", "STALL_LIMIT", "Msg"}
 
 
 def test_guarded_names_exist_in_sim():
@@ -132,8 +146,8 @@ def test_only_sim_applies_the_rule():
 
 def test_only_sim_runs_the_round_loop():
     # every library phase is host-scheduled and enters the ledger through
-    # ``_charge`` or ``_relay``; the package root re-exports ``Msg``, which
-    # a NodeProgram run by ``sim.run`` sends, and nothing else of the loop
+    # ``_charge``; the package root re-exports ``run`` and the ``Msg`` that
+    # a NodeProgram run by it sends, and nothing else of the loop
     for path in sorted(SRC.rglob("*.py")):
         if path.name == "sim.py":
             continue
@@ -145,8 +159,25 @@ def test_only_sim_runs_the_round_loop():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-        allowed = {"Msg"} if path == SRC / "__init__.py" else set()
+        allowed = {"Msg", "run"} if path == SRC / "__init__.py" else set()
         assert not used & ROUND_LOOP - allowed, (path.name, sorted(used & ROUND_LOOP))
+
+
+def test_only_the_entry_points_check_the_config():
+    # ``sim._charge`` checks the config of every phase; outside sim only
+    # the CLI and the 3-spanner, which may charge no phase at all, check it
+    callers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "sim.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "check"
+                        and isinstance(node.func.value, ast.Name)
+                        and node.func.value.id == "cfg"):
+                    callers.add((path.name, top.name))
+    assert callers == {("cli.py", "cmd_run"), ("spanner3.py", "improved_3_spanner")}
 
 
 def test_sim_config_fields():

@@ -13,7 +13,6 @@ from spanner.sim import (
     RoundLedger,
     SimError,
     SimTimeout,
-    _cascade,
     _post,
     default_bit_budget,
 )
@@ -166,78 +165,6 @@ def _outcome(fn):
         return type(exc).__name__, str(exc)
 
 
-class PaddedFloodMax(FloodMax):
-    """FloodMax whose messages carry ``pad`` extra bits (0: FloodMax)."""
-
-    def __init__(self, pad):
-        self.pad = pad
-
-    def on_round(self, state, view, rnd, inbox):
-        out, halt = super().on_round(state, view, rnd, inbox)
-        return {u: Msg(m.bits + self.pad, m.body) for u, m in out.items()}, halt
-
-
-def _flood_max_cascade(g, cfg, pad):
-    """FloodMax as a ``_cascade`` step: round 1 calls every vertex, later
-    rounds only those with mail, and a vertex forwards an improvement to
-    every neighbour but the one it came from."""
-    best = {v: v for v in g.vertices}
-    bits = BitCost.TAG + g.id_bits + pad
-
-    def step(v, rnd, inbox):
-        src = None
-        improved = not inbox
-        for s, body in inbox:
-            if body > best[v]:
-                best[v], src, improved = body, s, True
-        if improved:
-            m = Msg(bits, best[v])
-            return {u: m for u in g.adj[v] if u != src}
-        return None
-
-    ledger = _cascade(g, cfg, PaddedFloodMax.name, g.vertices, step)
-    return best, ledger
-
-
-@st.composite
-def flood_cases(draw):
-    """A graph with n <= 12 (sparse IDs), a message padding, a budget that
-    is the default, below one tagged ID, exactly one or one padded message,
-    strict or audit mode, and a round cap of 1-4 or none."""
-    ids = sorted(draw(st.sets(st.integers(0, 300), min_size=2, max_size=12)))
-    rng = draw(st.randoms(use_true_random=False))
-    p = rng.choice((0.2, 0.4, 0.7))
-    g = Graph(ids, [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]
-                    if rng.random() < p])
-    pad = draw(st.sampled_from((3, 0)))
-    floor = BitCost.TAG + g.id_bits
-    budgets = (floor, floor + pad, None, floor - 1)
-    cfg = SimConfig(
-        msg_bit_budget=draw(st.sampled_from(budgets)),
-        strict=draw(st.booleans()),
-        max_rounds=draw(st.sampled_from((SimConfig.max_rounds, 1, 2, 3, 4))),
-    )
-    return g, pad, cfg
-
-
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(flood_cases())
-def test_cascade_matches_run(case):
-    # _cascade's accounting premise: a protocol in which only vertices with
-    # mail act gets the same outputs, ledger and errors as under run
-    g, pad, cfg = case
-
-    def via_run():
-        out, ledger = run(g, PaddedFloodMax(pad), cfg)
-        return out, ledger.to_json()
-
-    def via_cascade():
-        out, ledger = _flood_max_cascade(g, cfg, pad)
-        return out, ledger.to_json()
-
-    assert _outcome(via_cascade) == _outcome(via_run)
-
-
 class Sleeper(NodeProgram):
     name = "sleeper"
 
@@ -253,23 +180,12 @@ def test_stall_guard_raises(monkeypatch):
 
 
 def test_stall_counts_only_rounds_that_call_a_vertex(monkeypatch):
-    # awake vertices that never send stall; a clock that calls nobody does not
+    # awake vertices that never send stall; every round of a run calls
+    # some vertex, since the run ends at the first round that would not
     monkeypatch.setattr(sim, "STALL_LIMIT", 3)
     g = generate("path", {"n": 3})
     with pytest.raises(SimTimeout, match=r"^program 'sleeper' stalled: 3 vertices "):
         run(g, Sleeper(), SimConfig())
-    calls = []
-
-    def step(v, rnd, inbox):
-        calls.append((v, rnd))
-
-    ledger = _cascade(g, SimConfig(), "idle", (), step,
-                      lambda rnd: () if rnd <= 10 else None)
-    assert (calls, ledger.rounds_used) == ([], 0)
-    with pytest.raises(SimTimeout, match=r"^program 'idle' stalled: 1 vertices "):
-        _cascade(g, SimConfig(), "idle", (), step,
-                 lambda rnd: (1,) if rnd <= 10 else None)
-    assert calls == [(1, r) for r in range(1, 5)]
 
 
 def test_max_rounds_names_program():
@@ -306,9 +222,6 @@ def test_max_rounds_below_one_rejected():
             SimConfig(max_rounds=cap).check(g)
         with pytest.raises(SimError, match=want):
             run(g, FloodMax(), SimConfig(max_rounds=cap))
-        with pytest.raises(SimError, match=want):
-            _cascade(g, SimConfig(max_rounds=cap), "cascade", {0},
-                     lambda v, rnd, inbox: None)
 
 
 # -- the engine against a reference copy of its per-message loop -------------
@@ -473,38 +386,14 @@ def test_engine_matches_reference_loop(case):
         assert _outcome(engine) == _outcome(reference)
 
 
-def test_active_set_must_name_vertices():
-    g = generate("path", {"n": 3})
-    with pytest.raises(SimError, match=r"^cascade: active non-vertices \[7, 9\]$"):
-        _cascade(g, SimConfig(), "cascade", {0, 9, 7}, lambda v, rnd, inbox: None)
-
-
-def test_clock_rounds_count_towards_the_round_cap():
-    # a running clock keeps rounds going with no mail, and every one of
-    # them is checked against max_rounds
-    g = generate("path", {"n": 3})
-    called = []
-
-    def step(v, rnd, inbox):
-        called.append((rnd, v))
-
-    def wake(rnd):
-        return [] if rnd <= 5 else None
-
-    with pytest.raises(SimTimeout, match=r"^program 'clock' exceeded max_rounds=4$"):
-        _cascade(g, SimConfig(max_rounds=4), "clock", (), step, wake)
-    assert called == []
-    ledger = _cascade(g, SimConfig(max_rounds=5), "clock", (), step, wake)
-    assert (ledger.rounds_used, ledger.per_phase) == (0, [("clock", 0)])
-
-
 # -- the broadcast flood -----------------------------------------------------
 
 
 def _flood_by_post(g, cfg, name, sources, radius, width, offset):
     """Reference for ``_flood`` charged by ``_charge_flood``: every layer
     posted vertex by vertex through the send step, the next layer read
-    off the inboxes."""
+    off the inboxes, once the config passes its check."""
+    cfg.check(g)
     ledger = RoundLedger()
     budget = cfg.budget_for(g)
     reached = set(sources)
@@ -538,8 +427,10 @@ def _charged_flood(g, cfg, name, sources, radius, width, offset):
 @st.composite
 def broadcast_cases(draw):
     """A graph with n <= 12 (sparse IDs, maybe isolated vertices), sources
-    (maybe none), radius 0..4, a round offset, and a config with a message
-    budget at, below or above the width, strict or audit."""
+    (maybe none), radius 0..4, a round offset, a width from two bits below
+    the one-ID floor to ten above it, and a config with a message budget
+    at, below or above the width (so sometimes below the floor, which the
+    config check rejects), strict or audit."""
     ids = sorted(draw(st.sets(st.integers(0, 300), min_size=1, max_size=12)))
     rng = draw(st.randoms(use_true_random=False))
     p = rng.choice((0.0, 0.15, 0.3, 0.6))
@@ -547,7 +438,7 @@ def broadcast_cases(draw):
                     if rng.random() < p])
     sources = set(rng.sample(ids, rng.randint(0, len(ids))))
     strict = draw(st.booleans())
-    width = draw(st.integers(8, 24))
+    width = BitCost.TAG + g.id_bits + draw(st.integers(-2, 10))
     budget = draw(st.sampled_from((width - 1, width, width + 3)))
     cfg = SimConfig(msg_bit_budget=budget, strict=strict)
     return g, cfg, sources, draw(st.integers(0, 4)), width, draw(st.integers(0, 8))
@@ -577,9 +468,9 @@ def test_flood_matches_posting_each_layer(case):
 def test_flood_isolated_source_sends_nothing():
     g = Graph([0, 1, 2], [(1, 2)])
     assert _flood(g, "flood", {0}, 3, 4) == ({0}, [])
-    for budget in (16, 9):  # within and over the 10-bit width
+    for budget in (16, 11):  # within and over the 12-bit width
         cfg = SimConfig(msg_bit_budget=budget)
-        reached, sent, ledger = _charged_flood(g, cfg, "flood", {0}, 3, 10, 4)
+        reached, sent, ledger = _charged_flood(g, cfg, "flood", {0}, 3, 12, 4)
         assert (reached, sent) == ({0}, 0)
         assert ledger.to_json() == RoundLedger(per_phase=[("flood", 0)]).to_json()
 

@@ -22,8 +22,9 @@ from spanner import (
     with_random_weights,
 )
 from spanner.graph import Spanner
-from spanner.sim import BitCost, Msg, SimError, _cascade
+from spanner.sim import BitCost, Msg, SimError, run
 from spanner.spanner3 import _star_spanner
+from step_program import StepProgram
 
 
 def _crossing(g, a):
@@ -277,14 +278,14 @@ def test_smallid_rejects_large_ids():
         small_id_3_spanner(g)
 
 
-# -- the star rounds against a reference copy of their _cascade step ---------
+# -- the star rounds against a reference copy of their posted rounds --------
 
 
 def _ref_star_spanner(g, cfg, spanner, part, internal, listeners=None):
     """Reference for ``_star_spanner``: the two star rounds as one
-    ``_cascade`` step that posts CHOSE and SELECTED messages through the
-    send step, each vertex hearing its neighbours' parts when it is among
-    ``listeners`` (None: every vertex)."""
+    mail-driven step under ``sim.run`` that posts CHOSE and SELECTED
+    messages through the send step, each vertex hearing its neighbours'
+    parts when it is among ``listeners`` (None: every vertex)."""
     if g.weighted:
         def rank(v, u):
             return (g.weight(v, u), u)
@@ -330,7 +331,7 @@ def _ref_star_spanner(g, cfg, spanner, part, internal, listeners=None):
             out[picked] = selected
         return out
 
-    return _cascade(g, cfg, "star-spanner", g.vertices, step)
+    return run(g, StepProgram("star-spanner", g.vertices, step), cfg)[1]
 
 
 @st.composite

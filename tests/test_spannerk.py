@@ -33,8 +33,8 @@ from spanner.kspanner.common import (
 from spanner.pins import BASELINE_K, BASELINE_SEEDS, corpus
 from spanner.primitives import grow_bfs_clusters
 from spanner.sim import (
-    BitCost, BudgetError, Msg, NodeProgram, NodeView, RoundLedger, SimError, SimTimeout,
-    default_bit_budget,
+    BitCost, BudgetError, Msg, NodeProgram, RoundLedger, SimError, SimTimeout,
+    default_bit_budget, run,
 )
 
 
@@ -451,12 +451,11 @@ class RefStarBFS(NodeProgram):
 
 
 def ref_grow_star_clusters(g, cfg, ledger, st, centers, depth):
-    """Runs ``RefStarBFS`` through the round loop on the schedule's clock:
-    the centres in round 1, then the vertices with mail and those that did
-    not vote halt, through round 3(depth+1).  A vertex stays awake only
-    for work that comes without mail, so the loop calls the vertices that
-    act.  The clock keeps every round of the schedule, so the loop applies
-    the round cap through round 3·depth+2 even where nothing is sent."""
+    """Runs ``RefStarBFS`` under ``sim.run``: every vertex in round 1,
+    then the vertices with mail and those that did not vote halt.  A
+    vertex stays awake only for work that comes without mail, so the run
+    calls the vertices that act, and it applies the round cap before
+    every round it runs, to the round before it."""
     private = {}
     for v in g.vertices:
         s = st.star_of.get(v)
@@ -465,20 +464,7 @@ def ref_grow_star_clusters(g, cfg, ledger, st, centers, depth):
             "center": v in centers,
             "members": tuple(st.members.get(v, ())) if v == s else (),
         }
-    program, bits, budget = RefStarBFS(depth), BitCost(g), cfg.budget_for(g)
-    views = {v: NodeView(v, g.adj[v], private[v], bits, budget) for v in g.vertices}
-    states = {v: program.init(view) for v, view in views.items()}
-    awake = set()
-    last = 3 * (depth + 1)
-
-    def step(v, rnd, inbox):
-        outbox, halt = program.on_round(states[v], views[v], rnd, inbox)
-        (awake.discard if halt else awake.add)(v)
-        return outbox
-
-    led = sim._cascade(g, cfg, program.name, centers, step,
-                       lambda rnd: set(awake) if rnd <= last else None)
-    outputs = {v: program.on_finish(states[v], views[v]) for v in g.vertices}
+    outputs, led = run(g, RefStarBFS(depth), cfg, private)
     ledger.extend_sequential(led, name=f"star-bfs:d{depth}")
     cluster_of = {}
     uplinks = {}
@@ -555,10 +541,12 @@ def test_star_bfs_matches_reference_program(seed):
     ledger with its violation records, and raises the same errors, as the
     vertex program it replaces: once from random centers on the stars of
     ``_form_stars``, and once inside a whole build.  The library applies
-    the round cap to its last sending round R, while the reference's
-    clock keeps every round through 3(depth+1) under it.  So at a cap in
-    (R, 3·depth+2] the reference raises and the library returns the
-    reference's uncapped result; elsewhere the two agree as they are."""
+    the round cap to its last sending round R, while ``sim.run`` applies
+    it before every round it runs.  A leader that hears an offer after
+    its last hop stays awake for a round in which it cannot adopt, so the
+    reference may run round R+2 without sending: at a cap of R+1 it may
+    raise where the library returns the reference's uncapped result;
+    elsewhere the two agree as they are."""
     rng = random.Random(seed)
     g, part, k, cfg = random_star_bfs_inputs(rng)
     state = starbip.StarState(g, set(part.a), set(part.b))
@@ -582,10 +570,11 @@ def test_star_bfs_matches_reference_program(seed):
     got = _star_bfs_outcome(lambda: grow(starbip._grow_star_clusters))
     assert got == _star_bfs_outcome(lambda: grow(ref_capped_at_last_send))
     reference = _star_bfs_outcome(lambda: grow(ref_grow_star_clusters))
-    if _last_send(g, cfg, state, centers, depth) < cfg.max_rounds <= 3 * depth + 2:
-        assert reference[0] == "raised"
-    else:
-        assert got == reference
+    if reference != got:
+        cap = cfg.max_rounds
+        assert cap == _last_send(g, cfg, state, centers, depth) + 1
+        assert reference == ("raised", SimTimeout,
+                             f"program 'star-bfs' exceeded max_rounds={cap}")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(starbip, "_grow_star_clusters", ref_capped_at_last_send)
         want = _star_bfs_outcome(build)
@@ -942,7 +931,6 @@ def test_announce_and_signal_match_posted_rounds(seed):
     bits = rng.randint(1, floor + 2)
 
     def to_all(led):
-        cfg.check(g)
         sim._to_all(g, cfg, led, "ann", labels, bits)
         return {}
 
@@ -967,8 +955,13 @@ def test_announce_and_signal_match_posted_rounds(seed):
         return {v: len(inbox) for v, inbox in
                 ref_signal(g, cfg, led, "sig", pairs, width).items() if inbox}
 
-    assert _count_outcome(lambda led: signal(g, cfg, led, "sig", pairs, width)) \
-        == _count_outcome(ref_counts)
+    def signalled(led):
+        # the posted round checks the config before any send, and signal
+        # where it charges the round, after its own neighbour check
+        cfg.check(g)
+        return signal(g, cfg, led, "sig", pairs, width)
+
+    assert _count_outcome(signalled) == _count_outcome(ref_counts)
 
 
 def _announce_join_by_posting(g, cfg, ledger, names, joiners, down):
