@@ -23,7 +23,7 @@ from typing import Dict, Optional
 from ..clustering import Clustering
 from ..graph import Graph, Spanner
 from ..results import SpannerRun
-from ..sim import RoundLedger, SimConfig, _to_all
+from ..sim import RoundLedger, SimConfig, _to_all, width
 from .common import cluster_steps, connect, last_level
 
 
@@ -65,7 +65,7 @@ def baswana_sen_baseline(
         know = down(f"bs-sample:L{i}", {c: 1 for c in sampled})
         # each clustered vertex sends (cluster, sampled flag) to all neighbours
         old = clustering.membership
-        _to_all(g, cfg, ledger, f"bs-status:L{i}", old, 8 + g.id_bits + 1)
+        _to_all(g, cfg, ledger, f"bs-status:L{i}", old, width(g.id_bits, 1, 1))
 
         membership: Dict[int, int] = {}
         parents: Dict[int, Optional[int]] = {}

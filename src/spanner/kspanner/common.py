@@ -50,7 +50,7 @@ from ..clustering import Clustering
 from ..graph import Graph, Spanner
 from ..primitives import Forest, RoleTable, clustering_roles
 from ..sim import (
-    BitCost, RoundLedger, SimConfig, SimError, SimTimeout, _charge, _to_all,
+    TAG, RoundLedger, SimConfig, SimError, SimTimeout, _charge, _to_all, width,
 )
 
 
@@ -102,10 +102,10 @@ def cluster_steps(g, cfg, ledger, clustering: Clustering) -> Tuple[Callable, Cal
 
 
 def signal(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
-           pairs: Iterable[Tuple[int, int]], bits: int = BitCost.TAG) -> Dict[int, int]:
+           pairs: Iterable[Tuple[int, int]], bits: int = TAG) -> Dict[int, int]:
     """One round in which each distinct (sender, receiver) pair of
     ``pairs`` carries one ``bits``-bit message (default a bare
-    ``BitCost.TAG``-bit token), and a sender that is not a vertex of g
+    ``sim.TAG``-bit token), and a sender that is not a vertex of g
     sends nothing.  The round is charged to ``ledger`` as phase ``name``,
     one round iff a pair was sent.  Returns receiver -> number of
     distinct senders, in no particular order; a vertex that received
@@ -141,7 +141,7 @@ def signal(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
 def label_contacts(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
                    labels: Dict[int, Hashable]) -> Dict[int, Dict[Hashable, int]]:
     """The label round: every vertex of g in ``labels`` sends its tree key
-    to all its neighbours in one ``8 + id_bits``-bit message, charged to
+    to all its neighbours in one ``width(id_bits, 1)``-bit message, charged to
     ``ledger`` as phase ``name`` (:func:`_to_all`).  Returns, for each
     vertex that heard a label, {tree key: its smallest-ID neighbour that
     sent it} in the order the keys are first heard, senders walked in ID
@@ -149,7 +149,7 @@ def label_contacts(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
     A label keyed by a non-vertex sends nothing; the receivers are
     neighbours by construction, and ``cfg.check`` guarantees the budget
     holds the message."""
-    _to_all(g, cfg, ledger, name, labels, BitCost.TAG + g.id_bits)
+    _to_all(g, cfg, ledger, name, labels, width(g.id_bits, 1))
     near: Dict[int, Dict[Hashable, int]] = defaultdict(dict)
     for v in sorted(labels):
         c = labels[v]
@@ -162,7 +162,7 @@ def connect(g: Graph, cfg: SimConfig, ledger: RoundLedger, H: Spanner, name: str
             picks: Iterable[Tuple[int, int, str]]) -> None:
     """The Baswana-Sen edge step: every pick (v, u, tag) adds the edge
     {v, u} to ``H`` under ``tag`` (the first tag of an edge stays), in
-    the given order, and v tells u with a ``BitCost.TAG``-bit token, one
+    the given order, and v tells u with a ``sim.TAG``-bit token, one
     per distinct (v, u), in one round ``name``.  The receivers are
     neighbours by construction: ``H`` must span g itself (ValueError
     otherwise), and ``H.add`` rejects every non-edge of g before the
@@ -173,7 +173,7 @@ def connect(g: Graph, cfg: SimConfig, ledger: RoundLedger, H: Spanner, name: str
     for v, u, tag in picks:
         H.add(v, u, tag)
     messages = len({(v, u) for v, u, _tag in picks})
-    _charge(g, cfg, ledger, name, 1 if messages else 0, messages, BitCost.TAG)
+    _charge(g, cfg, ledger, name, 1 if messages else 0, messages, TAG)
 
 
 def last_level(g: Graph, cfg: SimConfig, ledger: RoundLedger, H: Spanner,
@@ -191,13 +191,13 @@ def last_level(g: Graph, cfg: SimConfig, ledger: RoundLedger, H: Spanner,
     ))
 
 
-def contacts(nbr_labels: Dict[int, Hashable], keep=None, skip=None) -> Dict[Hashable, int]:
-    """The smallest-ID neighbour in each adjacent tree, of those whose key
-    is in ``keep`` (None: every tree), leaving out ``skip``: tree key ->
-    neighbour, in the order the trees are first seen."""
+def contacts(nbr_labels: Dict[int, Hashable], skip=None) -> Dict[Hashable, int]:
+    """The smallest-ID neighbour in each adjacent tree, leaving out
+    ``skip``: tree key -> neighbour, in the order the trees are first
+    seen."""
     best: Dict[Hashable, int] = {}
     for u, c in nbr_labels.items():
-        if (keep is None or c in keep) and c != skip and (c not in best or u < best[c]):
+        if c != skip and (c not in best or u < best[c]):
             best[c] = u
     return best
 
@@ -215,7 +215,7 @@ def unmarked_degree(g, cfg, ledger, names: Sequence[str], labels, near, unmarked
     1 per unmarked member when they self-report.  ``names`` are the ack
     round's and the convergecast's phases.
 
-    The ack round sends one ``BitCost.TAG``-bit token per acknowledgement
+    The ack round sends one ``sim.TAG``-bit token per acknowledgement
     and is charged as :func:`signal` charges it: the contacts were read
     off the label round, so every receiver is a neighbour, and a vertex
     has one contact per tree, so no pair repeats."""
@@ -226,7 +226,7 @@ def unmarked_degree(g, cfg, ledger, names: Sequence[str], labels, near, unmarked
             if c in remaining and c != own:
                 counts[u] = counts.get(u, 0) + 1
     acks = sum(counts.values())
-    _charge(g, cfg, ledger, names[0], 1 if acks else 0, acks, BitCost.TAG)
+    _charge(g, cfg, ledger, names[0], 1 if acks else 0, acks, TAG)
     if self_report:
         for v in unmarked:
             if v in labels:
@@ -243,14 +243,14 @@ def announce_join(g, cfg, ledger, names: Sequence[str], joiners: Iterable,
     inboxes (:func:`_to_all`); the budget floor always admits a token."""
     know = down(names[0], {c: 1 for c in joiners})
     told = [v for v, x in know.items() if x]
-    _to_all(g, cfg, ledger, names[1], told, BitCost.TAG)
+    _to_all(g, cfg, ledger, names[1], told, TAG)
     return set(told).union(*map(g.adj.__getitem__, told))
 
 
 def elect(g: Graph, cfg: SimConfig, ledger: RoundLedger, *, steps: Sequence[str],
           labels: Dict[int, Hashable], near: Dict[int, Dict[Hashable, int]],
           remaining: Iterable, threshold: int, cap: int, up: Callable, down: Callable,
-          self_report: bool, cbits: int, records: List[dict], where: str,
+          self_report: bool, bound: int, records: List[dict], where: str,
           level: int, members: Optional[Dict] = None):
     """The local-maxima election over the trees of ``labels`` (member ->
     tree key; ``near`` holds each vertex's contacts, as the label round
@@ -272,19 +272,20 @@ def elect(g: Graph, cfg: SimConfig, ledger: RoundLedger, *, steps: Sequence[str]
 
     The tuple step: ``down`` tells every member its remaining tree's
     degree, and the member sends (degree, tree key) to all its neighbours
-    in one ``8 + id_bits + cbits``-bit message, charged without building
-    inboxes (:func:`_to_all`).  Each unmarked vertex then votes for its
-    smallest-ID neighbour with the largest tuple; a self-reporting member
-    of a remaining tree votes for its own tree instead when no neighbour's
-    tuple is larger or the largest is its own tree's.  The vote round's
-    one token per voter goes to a neighbour, read off ``g.adj``, so it is
-    charged as :func:`signal` charges it, without a neighbour check."""
+    in one ``width(id_bits, 1, bound)``-bit message, ``bound`` capping the
+    degree, charged without building inboxes (:func:`_to_all`).  Each
+    unmarked vertex then votes for its smallest-ID neighbour with the
+    largest tuple; a self-reporting member of a remaining tree votes for
+    its own tree instead when no neighbour's tuple is larger or the
+    largest is its own tree's.  The vote round's one token per voter goes
+    to a neighbour, read off ``g.adj``, so it is charged as
+    :func:`signal` charges it, without a neighbour check."""
     remaining = set(remaining)
     joined: Set[Hashable] = set()
     marked: Set[int] = set()
     unmarked = list(g.vertices)
     adj = g.adj
-    width = 8 + g.id_bits + cbits
+    tuple_bits = width(g.id_bits, 1, bound)
     for it in count(1):
         if it > cap:
             raise SimTimeout(f"{where} phase {level} exceeded its iteration cap {cap}")
@@ -293,7 +294,7 @@ def elect(g: Graph, cfg: SimConfig, ledger: RoundLedger, *, steps: Sequence[str]
                               remaining, up, self_report)
         know = down(names[2], {c: deg.get(c, 0) for c in remaining})
         tuples = {v: (know.get(v, 0), c) for v, c in labels.items() if c in remaining}
-        _to_all(g, cfg, ledger, names[3], tuples, width)
+        _to_all(g, cfg, ledger, names[3], tuples, tuple_bits)
         has, tuple_of = tuples.__contains__, tuples.__getitem__
         votes: Dict[int, int] = {}
         ballots = 0
@@ -308,7 +309,7 @@ def elect(g: Graph, cfg: SimConfig, ledger: RoundLedger, *, steps: Sequence[str]
             if u is not None:
                 votes[u] = votes.get(u, 0) + 1
                 ballots += 1
-        _charge(g, cfg, ledger, names[4], 1 if ballots else 0, ballots, BitCost.TAG)
+        _charge(g, cfg, ledger, names[4], 1 if ballots else 0, ballots, TAG)
         vote_sum = up(names[5], votes)
         new = {
             c for c in remaining
@@ -352,7 +353,7 @@ def _charge_stream(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
     per round.  A target that is not a neighbor raises the send step's
     SimError, at the first such (sender, target) pair in ID order; a
     sender that is not a vertex of g sends nothing."""
-    per_msg = max(1, (cfg.budget_for(g) - BitCost.TAG) // g.id_bits)
+    per_msg = max(1, (cfg.budget_for(g) - width(g.id_bits)) // g.id_bits)
     messages = rounds = longest = 0
     for v in sorted(lists):
         per_nbr = lists[v]
@@ -367,5 +368,5 @@ def _charge_stream(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
             rounds = max(rounds, sent)
             longest = max(longest, len(ids))
     _charge(g, cfg, ledger, name, rounds, messages,
-            BitCost.TAG + min(longest, per_msg) * g.id_bits)
+            width(g.id_bits, min(longest, per_msg)))
 

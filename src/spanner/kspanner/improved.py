@@ -122,7 +122,7 @@ def _phase(g, k, cfg, ledger, trace, H, clustering, superclustering,
         g, cfg, ledger, steps=[f"{s}:P{i}" for s in STEPS], labels=sc_of_vertex,
         near=near, remaining=scs, threshold=exp_threshold,
         cap=4 * ipow_ceil(n, k - 2, 2 * k) + 2,  # 4 n^(1/2-1/k) iterations
-        up=up, down=down, self_report=True, cbits=max(1, (2 * n).bit_length()),
+        up=up, down=down, self_report=True, bound=2 * n,
         records=trace["si_records"], where="superclusters", level=i,
         members=vset,
     )

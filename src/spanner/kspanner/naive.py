@@ -67,8 +67,7 @@ def _phase(g, cfg, ledger, trace, H, clustering, k, i) -> Clustering:
         labels=clustering.membership, near=near,
         remaining=clustering.centers, threshold=ipow_ceil(g.n, i, k),
         cap=_iteration_cap(g.n, k, i), up=up, down=down, self_report=False,
-        cbits=max(1, g.n.bit_length()), records=trace["si_records"],
-        where="clusters", level=i,
+        bound=g.n, records=trace["si_records"], where="clusters", level=i,
     )
     trace["iterations"][i] = trace["si_records"][-1]["iteration"]
 

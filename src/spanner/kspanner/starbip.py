@@ -20,7 +20,9 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..clustering import Clustering
 from ..graph import Graph, Spanner
 from ..results import SpannerRun
-from ..sim import BitCost, RoundLedger, SimConfig, SimError, SimTimeout, _charge, _to_all
+from ..sim import (
+    TAG, RoundLedger, SimConfig, SimError, SimTimeout, _charge, _to_all, width,
+)
 from .common import (
     _charge_stream,
     announce_join,
@@ -66,7 +68,7 @@ def _form_stars(g, cfg, ledger, st: StarState, H: Spanner) -> None:
             continue
         st.star_of[v] = c
         H.add(v, c, "star")
-    _to_all(g, cfg, ledger, "star-formation", st.star_of, BitCost.TAG + g.id_bits)
+    _to_all(g, cfg, ledger, "star-formation", st.star_of, width(g.id_bits, 1))
     for a in sorted(st.a):
         st.star_of[a] = a
         st.members[a] = []
@@ -134,9 +136,9 @@ def _grow_star_clusters(
     strays = sorted(v for v in centers if v not in g.adj)
     if strays:
         raise SimError(f"star-bfs: active non-vertices {strays[:5]}")
-    adopt_bits = BitCost.TAG + g.id_bits + BitCost(g).counter(depth)
-    offer_bits = BitCost.TAG + g.id_bits
-    relay_bits = BitCost.TAG + 2 * g.id_bits
+    adopt_bits = width(g.id_bits, 1, depth)
+    offer_bits = width(g.id_bits, 1)
+    relay_bits = width(g.id_bits, 2)
     cid: Dict[int, int] = {}  # vertex -> cluster, once it knows one
     uplinks: Dict[int, Tuple[int, int]] = {}
     sent: List[Tuple[int, int, List[int], int]] = []  # (round, sender, receivers, bits)
@@ -282,7 +284,7 @@ def _phase(g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i):
         )
         # the vertices of newly marked stars send a token to all neighbours
         senders = [v for s in sorted(newly_marked) for v in st.star_vertices(s)]
-        _to_all(g, cfg, ledger, f"bip-marked:L{i}.{iterations}", senders, BitCost.TAG)
+        _to_all(g, cfg, ledger, f"bip-marked:L{i}.{iterations}", senders, TAG)
         for v in senders:
             for u in g.adj[v]:
                 nbr_marked[u].add(v)
@@ -334,9 +336,9 @@ def _approx_degree(g, cfg, ledger, trace, st, cluster_of, marked, nbr_marked,
         pairs.extend((leader, u) for u in contacts(unmarked, skip=leader).values())
     acks = signal(g, cfg, ledger, f"bip-type2:{label}", pairs)
     # members pass their ACK counts up to the leader (radius-1 gather)
-    cbits = max(1, g.n.bit_length())
     signal(g, cfg, ledger, f"bip-type2-up:{label}", (
-        (v, s) for s in st.stars() for v in st.members[s] if v in acks), 8 + cbits)
+        (v, s) for s in st.stars() for v in st.members[s] if v in acks),
+        width(g.id_bits, 0, g.n))
     deg = {}
     for s in st.stars():
         if cluster_of.get(s) is None or s in marked:
@@ -395,13 +397,12 @@ def _election(g, cfg, ledger, st, gtree, up, down, remaining, marked,
     tuples go to all neighbours (``sim._to_all``), the star relays and
     acknowledgements to chosen neighbours (``common.signal``), and every
     receiver reads what it was sent on the host."""
-    cbits = max(1, (2 * g.n).bit_length())
-    width = 8 + g.id_bits + cbits
+    tuple_bits = width(g.id_bits, 1, 2 * g.n)
     # tuple step: members of remaining clusters send (degree, cluster) to all
     know = down(f"bip-tuple-down:{label}", {c: deg.get(c, 0) for c in remaining})
     tuples = {v: (know.get(v, 0), c) for v, c in gtree.membership.items()
               if c in remaining}
-    _to_all(g, cfg, ledger, f"bip-tuples:{label}", tuples, width)
+    _to_all(g, cfg, ledger, f"bip-tuples:{label}", tuples, tuple_bits)
     heard: Dict[int, Dict[int, Tuple]] = defaultdict(dict)  # v -> {sender: tuple}
     for v in sorted(tuples):
         for u in g.adj[v]:
@@ -416,7 +417,7 @@ def _election(g, cfg, ledger, st, gtree, up, down, remaining, marked,
     best = {v: max(heard[v].values()) for s in st.stars() if s not in marked
             for v in st.members[s] if v in heard}
     signal(g, cfg, ledger, f"bip-star-max-up:{label}",
-           ((v, st.star_of[v]) for v in best), width)
+           ((v, st.star_of[v]) for v in best), tuple_bits)
     star_max: Dict[int, Tuple] = {}
     for s in st.stars():
         if s in marked:
@@ -425,7 +426,7 @@ def _election(g, cfg, ledger, st, gtree, up, down, remaining, marked,
         if got:
             star_max[s] = max(got)
     signal(g, cfg, ledger, f"bip-star-max-down:{label}",
-           ((s, v) for s in star_max for v in st.members[s]), width)
+           ((s, v) for s in star_max for v in st.members[s]), tuple_bits)
     known_max: Dict[int, Tuple] = dict(star_max)
     for s, t in star_max.items():
         known_max.update(dict.fromkeys(st.members[s], t))

@@ -20,7 +20,7 @@ from typing import Collection, Dict, List, Optional, Set, Tuple
 from ..clustering import Clustering, Supercluster, Superclustering, WeightedTree
 from ..graph import Graph, Spanner
 from ..primitives import grow_bfs_clusters, partition_tree, ruling_set_power
-from ..sim import BitCost, RoundLedger, SimConfig, _charge
+from ..sim import RoundLedger, SimConfig, _charge, width
 from ..spanner3 import Bipartition
 from .common import cluster_steps, ipow_ceil, label_contacts, unmarked_degree
 from .starbip import sparser_bipartite_spanner
@@ -77,10 +77,10 @@ def cover_low_expansion(g: Graph, k: int, cfg: SimConfig, ledger: RoundLedger, H
             if outside:
                 for u in outside:  # sorted, as g.adj is
                     H.add(a, u, tags[0])
-                width = BitCost.TAG + max(1, max(a, outside[-1]).bit_length())
+                bits = width(0, 0, max(a, outside[-1]))
                 led = RoundLedger()
-                _charge(g, cfg, led, "star-formation", 1, len(outside), width,
-                        lambda: [(1, u, a, width) for u in outside])
+                _charge(g, cfg, led, "star-formation", 1, len(outside), bits,
+                        lambda: [(1, u, a, bits) for u in outside])
                 ledgers.append(led)
             continue
         cross = [(v, u) for v in members for u in g.adj[v]

@@ -30,7 +30,7 @@ from typing import (
 
 from .clustering import Clustering, TreePart, TreePartition, WeightedTree, orient_tree
 from .graph import Graph, canon
-from .sim import BitCost, RoundLedger, Send, SimConfig, SimError, _charge
+from .sim import TAG, RoundLedger, Send, SimConfig, SimError, _charge, width
 
 # ---------------------------------------------------------------------------
 # Relay floods
@@ -92,8 +92,8 @@ def _flood(g: Graph, name: str, sources: Iterable[int], radius: int,
 
 
 def _charge_flood(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
-                  sent: Sequence[Layer], width: int, label: Optional[str] = None) -> None:
-    """Charge the rounds a relay flood ``sent``, ``width``-bit messages
+                  sent: Sequence[Layer], bits: int, label: Optional[str] = None) -> None:
+    """Charge the rounds a relay flood ``sent``, ``bits``-bit messages
     all, to ``ledger`` as phase ``name`` in one ``sim._charge``: its last
     sending round and its message count; over the budget its messages,
     round by round, senders in ID order and each one's receivers in ID
@@ -102,12 +102,12 @@ def _charge_flood(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
     adj = g.adj
 
     def sends():
-        return [(rnd, v, u, width) for rnd, layer, skipped, _m in sent
+        return [(rnd, v, u, bits) for rnd, layer, skipped, _m in sent
                 for v, s in zip(layer, skipped or [None] * len(layer))
                 for u in adj[v] if u != s]
 
     _charge(g, cfg, ledger, name, sent[-1][0] if sent else 0,
-            sum(layer[3] for layer in sent), width, sends, label)
+            sum(layer[3] for layer in sent), bits, sends, label)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +134,7 @@ def grow_bfs_clusters(
     with the first (smallest-ID) neighbor that relayed it as parent.  The
     rounds run as a relay flood (:func:`_relay`), charged as one phase.
     """
-    width = BitCost.TAG + g.id_bits + BitCost(g).counter(depth)
+    bits = width(g.id_bits, 1, depth)
     adj = g.adj
     center = {v: v for v in centers}
     parent: Dict[int, Optional[int]] = dict.fromkeys(center)
@@ -156,7 +156,7 @@ def grow_bfs_clusters(
     cfg = cfg or SimConfig()
     ledger = RoundLedger()
     _charge_flood(g, cfg, ledger, "grow-clusters",
-                  _relay(g, "grow-clusters", center, depth, parent, deliver), width)
+                  _relay(g, "grow-clusters", center, depth, parent, deliver), bits)
     order = sorted(center)
     clustering = Clustering(
         level=level if level is not None else depth,
@@ -291,7 +291,7 @@ class Forest:
         """
         fn = COMBINERS[combine]
         bound = bound if bound is not None else max(2 * self.g.n + 1, 2)
-        width = BitCost.TAG + BitCost(self.g).counter(bound)
+        bits = width(self.g.id_bits, 0, bound)
         parent_of, keys, below = self.parent_of, self.role_keys, self.below
 
         def sends():
@@ -300,10 +300,10 @@ class Forest:
                 p = parent_of[r]
                 if height[r] >= height[p]:
                     height[p] = height[r] + 1
-            return sorted((height[r] + 1, keys[r][0], keys[parent_of[r]][0], width)
+            return sorted((height[r] + 1, keys[r][0], keys[parent_of[r]][0], bits)
                           for r in below)
 
-        _charge(self.g, cfg or SimConfig(), ledger, name, self.rounds, self.edges, width,
+        _charge(self.g, cfg or SimConfig(), ledger, name, self.rounds, self.edges, bits,
                 sends, "forest-aggregate")
         acc = list(values)
         for r in reversed(below):
@@ -331,17 +331,17 @@ class Forest:
             if values[r] is None:
                 raise ValueError(f"forest-broadcast: the root of tree {key!r} has no value")
         bound = bound if bound is not None else max(2 * self.g.n + 1, 2)
-        width = BitCost.TAG + BitCost(self.g).counter(bound)
+        bits = width(self.g.id_bits, 0, bound)
         parent_of, keys, below = self.parent_of, self.role_keys, self.below
 
         def sends():
             depth = [0] * len(parent_of)  # a role's receive round
             for r in below:
                 depth[r] = depth[parent_of[r]] + 1
-            return sorted((depth[r], keys[parent_of[r]][0], keys[r][0], width)
+            return sorted((depth[r], keys[parent_of[r]][0], keys[r][0], bits)
                           for r in below)
 
-        _charge(self.g, cfg or SimConfig(), ledger, name, self.rounds, self.edges, width,
+        _charge(self.g, cfg or SimConfig(), ledger, name, self.rounds, self.edges, bits,
                 sends, "forest-broadcast")
         return [values[q] for q in self.root_of]
 
@@ -389,7 +389,7 @@ def ruling_set_log(
         sent += layers
         active = {v for v in active if not (v >> bit & 1 and v in heard)}
     ledger = RoundLedger()
-    _charge_flood(g, cfg, ledger, name, sent, BitCost.TAG + BitCost(g).counter(3))
+    _charge_flood(g, cfg, ledger, name, sent, width(g.id_bits, 0, 3))
     return active, ledger
 
 
@@ -435,9 +435,8 @@ def ruling_set_power(
         raise ValueError("candidate set must be nonempty")
     cfg = cfg or SimConfig()
     radius = 3 * t - 1
-    counter = BitCost(g).counter(radius)
-    low_width = BitCost.TAG + g.id_bits + counter
-    hop_width = BitCost.TAG + counter
+    low_width = width(g.id_bits, 1, radius)
+    hop_width = width(g.id_bits, 0, radius)
     adj = g.adj
 
     def deliver(layer):  # reads and updates this wave's low and came
@@ -500,9 +499,8 @@ def partition_tree(
     cfg = cfg or SimConfig()
     tree = orient_tree(t.root, t.edges)
     bound = t.bound
-    bits = BitCost(tree_graph)
-    left_width = BitCost.TAG + bits.counter(bound)
-    assign_width = BitCost.TAG + tree_graph.id_bits + bits.counter(len(tree))
+    left_width = width(tree_graph.id_bits, 0, bound)
+    assign_width = width(tree_graph.id_bits, 1, len(tree))
     sends: List[Send] = []
     report: Dict[int, int] = {}  # v -> the round v reports to its parent
     left: Dict[int, int] = {}  # v -> the weight of v's leftover set, if reported
@@ -543,7 +541,7 @@ def partition_tree(
             continue
         # the global root's part, or a heavy root part, resolves here
         if parent is not None:
-            sends.append((rnd, v, parent, BitCost.TAG))
+            sends.append((rnd, v, parent, TAG))
         part[v] = (v, 0)
         assign(v, acc, part[v], rnd)
 

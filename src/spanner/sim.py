@@ -10,7 +10,8 @@ One round-cap rule holds for every phase (``_cap``): a phase whose last
 message goes out in round R needs round R+1 to deliver it, so it raises
 SimTimeout when R >= ``max_rounds``.  One helper, ``_admit``, holds the
 per-message send rules (neighbours only, one message per edge and round,
-the bit budget), raising or recording each violation.
+the bit budget), raising or recording each violation.  One formula,
+:func:`width`, gives every message its bits.
 
 :func:`run` is the reference engine: it executes a :class:`NodeProgram`
 (hooks ``init(view)``, ``on_round(state, view, rnd, inbox) -> (outbox,
@@ -89,7 +90,7 @@ class SimConfig:
         """Every budget must fit one tagged vertex ID, and the round cap
         must let round 1 run."""
         b = self.budget_for(g)
-        floor = BitCost.TAG + g.id_bits
+        floor = width(g.id_bits, 1)
         if b < floor:
             raise SimError(f"msg_bit_budget {b} below minimum {floor}")
         if self.max_rounds < 1:
@@ -100,10 +101,7 @@ class SimConfig:
         smaller pieces keep the global budget."""
         if self.msg_bit_budget is not None:
             return self
-        return self.with_(msg_bit_budget=self.budget_for(g))
-
-    def with_(self, **kw) -> "SimConfig":
-        return replace(self, **kw)
+        return replace(self, msg_bit_budget=self.budget_for(g))
 
 
 class Msg:
@@ -119,28 +117,18 @@ class Msg:
         return f"Msg({self.bits}b, {self.body!r})"
 
 
-class BitCost:
-    """Fixed-width field accounting used by every program's messages.
+TAG = 8  # the bits of a message's kind tag
 
-    Widths per run: tag 8 bits, vertex ID ceil(log2(max_id+1)) bits, counter
-    fields ceil(log2(bound+1)) bits for a declared value bound.  Degrees,
-    hop counts and sizes are bounded by 2n+1 unless a program declares
-    otherwise.
-    """
 
-    TAG = 8
-
-    def __init__(self, g: Graph):
-        self.id_bits = g.id_bits
-
-    def counter(self, bound: int) -> int:
-        return max(1, int(bound).bit_length())
-
-    def msg(self, body: Any, ids: int = 0, counters: Tuple[int, ...] = ()) -> Msg:
-        bits = self.TAG + ids * self.id_bits
-        for bound in counters:
-            bits += self.counter(bound)
-        return Msg(bits, body)
+def width(id_bits: int, ids: int = 0, *bounds: int) -> int:
+    """The one formula for a message's bits: a ``TAG``-bit tag, ``ids``
+    vertex IDs of ``id_bits`` bits each, and per value bound one counter
+    of ``max(1, bound.bit_length())`` bits.  An ID field the run's
+    ``id_bits`` does not size is a counter bounded by the largest ID."""
+    bits = TAG + ids * id_bits
+    for bound in bounds:
+        bits += bound.bit_length() or 1
+    return bits
 
 
 @dataclass
@@ -198,16 +186,17 @@ class RoundLedger:
 class NodeView:
     """Everything a vertex knows when a run starts: its ID, its sorted
     neighbor IDs, its private input (carry-over state from earlier
-    phases), the run's field widths and its per-message bit budget.
-    Nothing else of the graph is reachable from here."""
+    phases), the run's ID width (``id_bits``, for :func:`width`) and its
+    per-message bit budget.  Nothing else of the graph is reachable from
+    here."""
 
-    __slots__ = ("vid", "neighbors", "private", "bits", "budget")
+    __slots__ = ("vid", "neighbors", "private", "id_bits", "budget")
 
-    def __init__(self, vid: int, neighbors, private, bits: BitCost, budget: int):
+    def __init__(self, vid: int, neighbors, private, id_bits: int, budget: int):
         self.vid = vid
         self.neighbors = neighbors
         self.private = private
-        self.bits = bits
+        self.id_bits = id_bits
         self.budget = budget
 
 
@@ -369,9 +358,9 @@ def run(
     cfg.check(g)
     name = program.name
     budget = cfg.budget_for(g)
-    bits = BitCost(g)
     private = private or {}
-    views = {v: NodeView(v, g.adj[v], private.get(v), bits, budget) for v in g.vertices}
+    views = {v: NodeView(v, g.adj[v], private.get(v), g.id_bits, budget)
+             for v in g.vertices}
     states = {v: program.init(view) for v, view in views.items()}
     ledger = RoundLedger()
     awake = set(g.vertices)
@@ -439,7 +428,7 @@ class FloodMax(NodeProgram):
                 improved = True
         out = {}
         if rnd == 1 or improved:
-            m = view.bits.msg(state["best"], ids=1)
+            m = Msg(width(view.id_bits, 1), state["best"])
             for u in view.neighbors:
                 if u != src:
                     out[u] = m

@@ -17,7 +17,7 @@ from .clustering import WeightedTree
 from .graph import Graph, Spanner
 from .primitives import grow_bfs_clusters, partition_tree, ruling_set_log
 from .results import SpannerRun
-from .sim import BitCost, RoundLedger, SimConfig, SimError, _charge, _to_all
+from .sim import RoundLedger, SimConfig, SimError, _charge, _to_all, width
 
 
 class Bipartition:
@@ -132,7 +132,7 @@ def _star_spanner(
         picked += len(per_star)
     ledger = RoundLedger()
     _charge(g, cfg, ledger, "star-spanner", 2 if sent else 0, sent + picked,
-            BitCost.TAG + g.id_bits)
+            width(g.id_bits, 1))
     return ledger
 
 
@@ -182,8 +182,9 @@ def partition_high_degree(
     """Partition the high-degree vertices (deg >= ceil(sqrt n)) into
     disjoint sets of at most 2*floor(sqrt n) vertices each, O(sqrt n) sets
     in total: a ruling set, bounded-depth cluster growth around it, then a
-    balanced partition of every cluster tree with unit weights."""
-    cfg = cfg or SimConfig()
+    balanced partition of every cluster tree with unit weights.  The
+    config is resolved at g, so every tree's partition keeps g's budget."""
+    cfg = (cfg or SimConfig()).resolved(g)
     thr = high_degree_threshold(g.n)
     vh = {v for v in g.vertices if g.degree(v) >= thr}
     ledger = RoundLedger()
@@ -227,7 +228,7 @@ def improved_3_spanner(g: Graph, cfg: Optional[SimConfig] = None) -> SpannerRun:
     """3-spanner with O(n^{3/2}) edges in O(log n)-dominated rounds: all
     edges of low-degree vertices, then the partitioned star construction
     over the high-degree vertices.  Supports weighted graphs."""
-    cfg = cfg or SimConfig()
+    cfg = (cfg or SimConfig()).resolved(g)
     cfg.check(g)  # also where no vertex is of high degree and no round runs
     spanner = Spanner(g)
     thr = high_degree_threshold(g.n)
@@ -239,7 +240,7 @@ def improved_3_spanner(g: Graph, cfg: Optional[SimConfig] = None) -> SpannerRun:
     if parts:
         part_map = {v: i for i, vs in enumerate(parts) for v in vs}
         # one announce round so every vertex learns its neighbors' parts
-        _to_all(g, cfg, ledger, "part-announce", part_map, 8 + len(parts).bit_length())
+        _to_all(g, cfg, ledger, "part-announce", part_map, width(g.id_bits, 0, len(parts)))
         led = _star_spanner(g, cfg, spanner, part_map, internal=True)
         ledger.extend_sequential(led, name="star-spanner")
     trace["size"] = spanner.size

@@ -9,7 +9,7 @@ from spanner import (
     verify_stretch, with_random_weights,
 )
 from spanner.cli import ALGORITHMS, emit_report, main, parse_gen_spec, run_algorithm
-from spanner.sim import BitCost, SimError
+from spanner.sim import SimError, width
 
 
 def run_cli(args):
@@ -246,10 +246,22 @@ def test_every_algorithm_checks_its_config(alg):
     g = generate(kind, params)
     for cfg, text in ((SimConfig(max_rounds=0), "max_rounds 0 below 1"),
                       (SimConfig(msg_bit_budget=2),
-                       f"msg_bit_budget 2 below minimum {BitCost.TAG + g.id_bits}")):
+                       f"msg_bit_budget 2 below minimum {width(g.id_bits, 1)}")):
         with pytest.raises(SimError) as exc:
             run_algorithm(alg, g, 3, cfg, 0, kind, params)
         assert str(exc.value) == text
+
+
+def test_imp3_on_wide_ids_passes_at_the_default_budget(tmp_path):
+    # a 9-vertex tree partition of a 64-vertex graph with 20-bit IDs keeps
+    # the budget of the whole graph
+    base = 1 << 19
+    path = str(tmp_path / "g.edges")
+    save(Graph(range(base, base + 64), [(base, base + i) for i in range(1, 9)]), path)
+    out = str(tmp_path / "r")
+    assert run_cli(["run", "--alg", "imp3", "--graph", path, "--out", out]) == 0
+    with open(out + ".ledger.json") as fh:
+        assert json.load(fh)["rounds"] == 84
 
 
 def test_strict_budget_overrun_is_simulator_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import math
 import random
 from collections import defaultdict
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from spanner.graph import canon
 from spanner.kspanner.common import _charge_stream
 from spanner import sim
 from spanner.sim import (
-    BitCost, Msg, NodeProgram, RoundLedger, SimError, SimTimeout, _post, run,
+    TAG, Msg, NodeProgram, RoundLedger, SimError, SimTimeout, _post, run, width,
 )
 from spanner.verify import audit_ruling_set
 from step_program import StepProgram
@@ -223,7 +224,7 @@ class RefAggregate(NodeProgram):
             if role["waiting"]:
                 done = False
             elif role["parent"] is not None and not role["sent"]:
-                out[role["parent"]] = view.bits.msg(role["acc"], counters=(self.bound,))
+                out[role["parent"]] = Msg(width(view.id_bits, 0, self.bound), role["acc"])
                 role["sent"] = True
         return out, done
 
@@ -260,7 +261,7 @@ class RefBroadcast(NodeProgram):
                 continue
             if not role["sent"]:
                 role["sent"] = True
-                m = view.bits.msg(role["value"], counters=(self.bound,))
+                m = Msg(width(view.id_bits, 0, self.bound), role["value"])
                 for c in role["children"]:
                     out[c] = m
         return out, done
@@ -330,7 +331,7 @@ def stepped_forest_aggregate(g, roles, values, combine, bound, cfg):
     edges = sum(p is not None for p in roles.values())
     fn = {"sum": lambda a, b: a + b, "max": max, "min": min}[combine]
     bound = bound if bound is not None else max(2 * g.n + 1, 2)
-    width = 8 + BitCost(g).counter(bound)
+    bits = width(g.id_bits, 0, bound)
     acc = {v: [values.get(v, {}).get(key, 0) for key, _p, _ch in rs]
            for v, rs in rows.items()}
     left = {v: [len(ch) for _key, _p, ch in rs] for v, rs in rows.items()}
@@ -341,14 +342,14 @@ def stepped_forest_aggregate(g, roles, values, combine, bound, cfg):
         if not inbox:
             for i, (_key, parent, children) in enumerate(rs):
                 if not children and parent is not None:
-                    out[parent] = Msg(width, partial[i])
+                    out[parent] = Msg(bits, partial[i])
             return out
         for sender, x in inbox:
             i = routes[v][sender]
             partial[i] = fn(partial[i], x)
             left[v][i] -= 1
             if left[v][i] == 0 and rs[i][1] is not None:
-                out[rs[i][1]] = Msg(width, partial[i])
+                out[rs[i][1]] = Msg(bits, partial[i])
         return out
 
     leaves = [v for v, rs in rows.items() if any(not r[2] for r in rs)]
@@ -368,7 +369,7 @@ def stepped_forest_broadcast(g, roles, root_values, bound, cfg):
     routes = {v: _ref_edge_roles(rs) for v, rs in rows.items()}
     edges = sum(p is not None for p in roles.values())
     bound = bound if bound is not None else max(2 * g.n + 1, 2)
-    width = 8 + BitCost(g).counter(bound)
+    bits = width(g.id_bits, 0, bound)
     got = {v: [root_values.get(key, 0) if p is None else None for key, p, _ch in rs]
            for v, rs in rows.items()}
 
@@ -379,13 +380,13 @@ def stepped_forest_broadcast(g, roles, root_values, bound, cfg):
             for i, (_key, parent, children) in enumerate(rs):
                 if parent is None and known[i] is not None:
                     for c in children:
-                        out[c] = Msg(width, known[i])
+                        out[c] = Msg(bits, known[i])
             return out
         for sender, x in inbox:
             i = routes[v][sender]
             known[i] = x
             for c in rs[i][2]:
-                out[c] = Msg(width, x)
+                out[c] = Msg(bits, x)
         return out
 
     roots = [v for v, rs in rows.items() if any(r[1] is None for r in rs)]
@@ -615,7 +616,7 @@ def test_id_chunks_boundaries(extra):
     budget = SimConfig().budget_for(g)
     per_msg = (budget - 8) // g.id_bits
     ids = list(range(0 if extra is None else per_msg + extra))
-    msgs = id_chunks(BitCost(g), budget, ids)
+    msgs = id_chunks(g.id_bits, budget, ids)
     assert len(msgs) == math.ceil(len(ids) / per_msg) + 1
     assert all(m.bits <= budget for m in msgs)
     assert msgs[-1].body == (TAG_END,)
@@ -631,17 +632,17 @@ def test_id_chunks_boundaries(extra):
 TAG_IDS, TAG_END = range(2)
 
 
-def id_chunks(bits, budget, ids):
+def id_chunks(id_bits, budget, ids):
     """Frame an ID list as budget-sized (TAG_IDS, ids) messages followed by
     one (TAG_END,) marker, to be sent over an edge one per round: the
     reference framing of the chunked streams."""
     ids = tuple(ids)
-    per_msg = max(1, (budget - 8) // bits.id_bits)
+    per_msg = max(1, (budget - TAG) // id_bits)
     msgs = []
     for i in range(0, len(ids), per_msg):
         piece = ids[i : i + per_msg]
-        msgs.append(bits.msg((TAG_IDS, piece), ids=len(piece)))
-    msgs.append(bits.msg((TAG_END,)))
+        msgs.append(Msg(width(id_bits, len(piece)), (TAG_IDS, piece)))
+    msgs.append(Msg(width(id_bits), (TAG_END,)))
     return msgs
 
 
@@ -660,7 +661,7 @@ class RefGather(NodeProgram):
         return {
             "hub": hub,
             "self_items": items if hub == view.vid else [],
-            "chunks": id_chunks(view.bits, view.budget, items) if sends else [],
+            "chunks": id_chunks(view.id_bits, view.budget, items) if sends else [],
             "cursor": 0,
             "waiting": set(p.get("expect", ())),
             "collected": {},
@@ -698,7 +699,7 @@ class RefScatter(NodeProgram):
         p = view.private or {}
         hub = p.get("hub")
         return {
-            "queues": {u: id_chunks(view.bits, view.budget, ids)
+            "queues": {u: id_chunks(view.id_bits, view.budget, ids)
                        for u, ids in p.get("plan", {}).items()},
             "done_recv": hub is None or hub == view.vid,
             "got": [],
@@ -813,7 +814,7 @@ def test_chunked_streams_reject_non_neighbour_targets():
     for v, u, name in ((3, 0, "up"), (0, 3, "down")):
         with pytest.raises(SimError) as exc:
             _post(g, SimConfig(), 16, RoundLedger(), name, 1, v,
-                  {u: BitCost(g).msg((TAG_END,))}, defaultdict(list))
+                  {u: Msg(TAG, (TAG_END,))}, defaultdict(list))
         want[name] = str(exc.value)
     ledger = RoundLedger()
     with pytest.raises(SimError) as exc:
@@ -1028,7 +1029,7 @@ def test_wrappers_match_audit_mode(seed):
     n = rng.randint(2, 40)
     g = generate("erdos-renyi", {"n": n, "p": 3.0 / n}, seed=seed)
     picked = set(rng.sample(range(n), rng.randint(1, max(1, n // 3))))
-    audit = CFG.with_(strict=False)
+    audit = replace(CFG, strict=False)
 
     def builds(cfg):
         cl, led1 = grow_bfs_clusters(g, picked, 2, cfg)
@@ -1076,7 +1077,7 @@ class RefGrowClusters(NodeProgram):
         out = {}
         if rnd == 1:
             if state["center"] is not None and self.depth >= 1:
-                m = view.bits.msg((state["center"], 1), ids=1, counters=(self.depth,))
+                m = Msg(width(view.id_bits, 1, self.depth), (state["center"], 1))
                 out = {u: m for u in view.neighbors}
             return out, True
         if state["center"] is None and inbox:
@@ -1094,7 +1095,7 @@ class RefGrowClusters(NodeProgram):
             state["parent"] = best_from
             state["dist"] = dist
             if dist < self.depth:
-                m = view.bits.msg((best_center, dist + 1), ids=1, counters=(self.depth,))
+                m = Msg(width(view.id_bits, 1, self.depth), (best_center, dist + 1))
                 out = {u: m for u in view.neighbors if u != best_from}
         return out, True
 
@@ -1127,12 +1128,12 @@ class RefMinFlood(NodeProgram):
                 best_h = hop
                 best_from = sender
         if best_h is not None and best_h < self.R:
-            m = view.bits.msg((state["m"], best_h + 1), ids=1, counters=(self.R,))
+            m = Msg(width(view.id_bits, 1, self.R), (state["m"], best_h + 1))
             for u in view.neighbors:
                 if u != best_from:
                     out[u] = m
         if rnd == 1 and state["source"]:
-            m = view.bits.msg((view.vid, 1), ids=1, counters=(self.R,))
+            m = Msg(width(view.id_bits, 1, self.R), (view.vid, 1))
             for u in view.neighbors:
                 out[u] = m
         return out, True
@@ -1162,12 +1163,12 @@ class RefHopFlood(NodeProgram):
                 best = hop
         if rnd == 1 and state["source"]:
             state["forwarded"] = True
-            m = view.bits.msg(1, counters=(self.R,))
+            m = Msg(width(view.id_bits, 0, self.R), 1)
             for u in view.neighbors:
                 out[u] = m
         elif best is not None and best < self.R and not state["forwarded"]:
             state["forwarded"] = True
-            m = view.bits.msg(best + 1, counters=(self.R,))
+            m = Msg(width(view.id_bits, 0, self.R), best + 1)
             for u in view.neighbors:
                 out[u] = m
         return out, True
@@ -1240,11 +1241,11 @@ class RefTreePartition(NodeProgram):
             report = self._process(state, view)
             if report is not None:
                 counters = (self.B,) if report[0] == self.TAG_LEFT else ()
-                out[state["parent"]] = view.bits.msg(report, counters=counters)
+                out[state["parent"]] = Msg(width(view.id_bits, 0, *counters), report)
         while state["notify"]:
             child, (root, idx) = state["notify"].pop(0)
-            out[child] = view.bits.msg((self.TAG_ASSIGN, root, idx), ids=1,
-                                       counters=(self.total,))
+            out[child] = Msg(width(view.id_bits, 1, self.total),
+                             (self.TAG_ASSIGN, root, idx))
         return out, state["processed"] and not state["notify"]
 
     def on_finish(self, state, view):
@@ -1348,7 +1349,7 @@ def random_primitive_inputs(rng):
 
 def _at_floor(cfg, g, pad):
     """cfg with the budget ``pad`` bits above g's floor (None: default)."""
-    return cfg if pad is None else cfg.with_(msg_bit_budget=8 + g.id_bits + pad)
+    return cfg if pad is None else replace(cfg, msg_bit_budget=width(g.id_bits, 1) + pad)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -1472,13 +1473,13 @@ class RefRulingSetLog(NodeProgram):
                 state["active"] = False
             if hop < 3 and state["forwarded_level"] < level:
                 state["forwarded_level"] = level
-                m = view.bits.msg(hop + 1, counters=(3,))
+                m = Msg(width(view.id_bits, 0, 3), hop + 1)
                 for u in view.neighbors:
                     out[u] = m
         if rnd == 4 * level + 1:
             if state["active"] and (view.vid >> bit) & 1 == 0:
                 state["forwarded_level"] = level
-                m = view.bits.msg(1, counters=(3,))
+                m = Msg(width(view.id_bits, 0, 3), 1)
                 for u in view.neighbors:
                     out[u] = m
         halt = not state["active"] or (

@@ -180,6 +180,39 @@ def test_only_the_entry_points_check_the_config():
     assert callers == {("cli.py", "cmd_run"), ("spanner3.py", "improved_3_spanner")}
 
 
+def _is_tag(node):
+    return ((isinstance(node, ast.Name) and node.id == "TAG")
+            or (isinstance(node, ast.Attribute) and node.attr == "TAG")
+            or (isinstance(node, ast.Constant) and type(node.value) is int
+                and node.value == 8))
+
+
+def test_only_sim_builds_a_message_width():
+    # ``sim.width`` is the one formula for a message's bits: outside sim,
+    # and graph, which sizes ``id_bits``, no module names ``BitCost``,
+    # adds to the tag or to a literal 8, or sizes a counter itself
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name in ("sim.py", "graph.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+                hit = _is_tag(node.left) or _is_tag(node.right)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
+                hit = _is_tag(node.target) or _is_tag(node.value)
+            elif isinstance(node, ast.Call):
+                hit = (isinstance(node.func, ast.Attribute)
+                       and node.func.attr == "bit_length")
+            elif isinstance(node, ast.ImportFrom):
+                hit = any(alias.name == "BitCost" for alias in node.names)
+            else:
+                hit = (isinstance(node, ast.Name) and node.id == "BitCost"
+                       or isinstance(node, ast.Attribute) and node.attr == "BitCost")
+            if hit:
+                found.append((path.name, node.lineno))
+    assert found == []
+
+
 def test_sim_config_fields():
     tree = ast.parse((SRC / "sim.py").read_text())
     cls = next(node for node in tree.body

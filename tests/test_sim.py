@@ -1,4 +1,5 @@
 from collections import defaultdict
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from spanner import BudgetError, Graph, Msg, NodeProgram, SimConfig, generate, run, sim
 from spanner.primitives import _charge_flood, _flood
 from spanner.sim import (
-    BitCost,
+    TAG,
     FloodMax,
     NodeView,
     RoundLedger,
@@ -94,7 +95,7 @@ class EchoOnce(NodeProgram):
         for s, body in inbox:
             state["arrivals"].append((rnd, s))
         if rnd == 1:
-            m = view.bits.msg(view.vid, ids=1)
+            m = Msg(sim.width(view.id_bits, 1), view.vid)
             return {u: m for u in view.neighbors}, True
         return {}, True
 
@@ -200,6 +201,14 @@ def test_budget_floor_validated():
         run(g, HaltNow(), SimConfig(msg_bit_budget=3))
 
 
+def test_width_is_a_tag_ids_and_one_counter_per_bound():
+    # a bound of 0 or 1 takes one bit, 7 takes three and 8 four; an ID
+    # field sized by its own largest ID is such a counter
+    assert (sim.TAG, sim.width(5), sim.width(5, 2)) == (8, 8, 18)
+    assert sim.width(5, 1, 0, 1, 7, 8) == 8 + 5 + 1 + 1 + 3 + 4
+    assert sim.width(0, 0, (1 << 19) + 63) == 8 + 20
+
+
 def test_default_budget_formula():
     assert default_bit_budget(256) == 64
     assert default_bit_budget(4) == 16
@@ -263,12 +272,11 @@ def _reference_run(g, program, cfg):
     """Reference engine loop: all vertices are rescanned every round."""
     cfg.check(g)
     budget = cfg.budget_for(g)
-    bits = BitCost(g)
     ledger = RoundLedger()
     views = {}
     states = {}
     for v in g.vertices:
-        views[v] = NodeView(v, g.adj[v], None, bits, budget)
+        views[v] = NodeView(v, g.adj[v], None, g.id_bits, budget)
         states[v] = program.init(views[v])
     inboxes = {v: [] for v in g.vertices}
     halted = {v: False for v in g.vertices}
@@ -373,7 +381,7 @@ def scripts(draw):
 def test_engine_matches_reference_loop(case):
     g, script, base_cfg = case
     for strict in (False, True):
-        cfg = base_cfg.with_(strict=strict)
+        cfg = replace(base_cfg, strict=strict)
 
         def reference():
             out, ledger = _reference_run(g, Script(script), cfg)
@@ -438,7 +446,7 @@ def broadcast_cases(draw):
                     if rng.random() < p])
     sources = set(rng.sample(ids, rng.randint(0, len(ids))))
     strict = draw(st.booleans())
-    width = BitCost.TAG + g.id_bits + draw(st.integers(-2, 10))
+    width = sim.width(g.id_bits, 1) + draw(st.integers(-2, 10))
     budget = draw(st.sampled_from((width - 1, width, width + 3)))
     cfg = SimConfig(msg_bit_budget=budget, strict=strict)
     return g, cfg, sources, draw(st.integers(0, 4)), width, draw(st.integers(0, 8))

@@ -22,7 +22,7 @@ from spanner import (
     with_random_weights,
 )
 from spanner.graph import Spanner
-from spanner.sim import BitCost, Msg, SimError, run
+from spanner.sim import TAG, Msg, SimError, run, width
 from spanner.spanner3 import _star_spanner
 from step_program import StepProgram
 
@@ -248,6 +248,25 @@ def test_improved3_round_cap():
 # -- small-ID variant ---------------------------------------------------------
 
 
+# 64 vertices with 20-bit IDs and one star of 8 leaves: the star's tree
+# partition runs on a 9-vertex tree, whose own default budget (26 bits)
+# is below the one-ID floor of 28
+WIDE_IDS = Graph(range(1 << 19, (1 << 19) + 64),
+                 [(1 << 19, (1 << 19) + i) for i in range(1, 9)])
+
+
+def test_improved3_keeps_the_budget_of_g_in_small_partitions():
+    default = improved_3_spanner(WIDE_IDS)
+    resolved = improved_3_spanner(WIDE_IDS, SimConfig(msg_bit_budget=48))
+    assert default.ledger.to_json() == resolved.ledger.to_json()
+    assert list(default.spanner.provenance.items()) \
+        == list(resolved.spanner.provenance.items())
+    assert (default.ledger.rounds_used, default.ledger.max_bits_seen) == (84, 34)
+    parts, ledger, _trace = partition_high_degree(WIDE_IDS)
+    _parts, at_48, _trace = partition_high_degree(WIDE_IDS, SimConfig(msg_bit_budget=48))
+    assert parts == [{1 << 19}] and ledger.to_json() == at_48.to_json()
+
+
 def test_smallid_parts_for_ids_1_to_64():
     g = Graph(range(1, 65), [(i, i + 1) for i in range(1, 64)])
     res = small_id_3_spanner(g)
@@ -292,8 +311,8 @@ def _ref_star_spanner(g, cfg, spanner, part, internal, listeners=None):
     else:
         def rank(v, u):
             return u
-    chose_bits = BitCost.TAG + g.id_bits
-    selected = Msg(BitCost.TAG, (1,))
+    chose_bits = width(g.id_bits, 1)
+    selected = Msg(TAG, (1,))
 
     def step(v, rnd, inbox):
         if not inbox:
@@ -362,7 +381,7 @@ def star_cases(draw):
         part = {v: rng.randrange(nparts) for v in ids if rng.random() < 0.8}
         listeners = set(ids) if shape == "announced" else None
         internal = rng.random() < 0.5
-    floor = BitCost.TAG + g.id_bits
+    floor = width(g.id_bits, 1)
     cfg = SimConfig(
         msg_bit_budget=rng.choice((floor, floor, floor, floor - 1)),
         strict=rng.random() < 0.5,

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -33,8 +34,8 @@ from spanner.kspanner.common import (
 from spanner.pins import BASELINE_K, BASELINE_SEEDS, corpus
 from spanner.primitives import grow_bfs_clusters
 from spanner.sim import (
-    BitCost, BudgetError, Msg, NodeProgram, RoundLedger, SimError, SimTimeout,
-    default_bit_budget, run,
+    TAG, BudgetError, Msg, NodeProgram, RoundLedger, SimError, SimTimeout,
+    default_bit_budget, run, width,
 )
 
 
@@ -389,13 +390,12 @@ class RefStarBFS(NodeProgram):
         if rnd == 1 and state["is_center"]:
             state["cid"] = view.vid
             state["hop"] = 0
-            m = Msg(8 + view.bits.id_bits + view.bits.counter(self.depth),
-                    (self.TAG_ADOPT, view.vid, 0))
+            m = Msg(width(view.id_bits, 1, self.depth), (self.TAG_ADOPT, view.vid, 0))
             for u in view.private.get("members", ()):
                 out[u] = m
         if phase == 2 and state["cid"] is not None and not state["announced"]:
             state["announced"] = True
-            m = Msg(8 + view.bits.id_bits, (self.TAG_OFFER, state["cid"]))
+            m = Msg(width(view.id_bits, 1), (self.TAG_OFFER, state["cid"]))
             for u in view.neighbors:
                 out.setdefault(u, m)
         if phase == 0 and state["cid"] is None and state["buffer"]:
@@ -409,8 +409,7 @@ class RefStarBFS(NodeProgram):
                     if best is None or key > best:
                         best = key
                 if best is not None:
-                    m = Msg(8 + 2 * view.bits.id_bits,
-                            (self.TAG_RELAY, best[0], -best[1]))
+                    m = Msg(width(view.id_bits, 2), (self.TAG_RELAY, best[0], -best[1]))
                     out[state["leader"]] = m
                 state["buffer"] = []
         if phase == 1 and rnd > 1 and state["cid"] is None \
@@ -431,8 +430,7 @@ class RefStarBFS(NodeProgram):
                     state["cid"] = cid
                     state["hop"] = hop
                     state["uplink"] = (rel, off)
-                    m = Msg(8 + view.bits.id_bits + view.bits.counter(self.depth),
-                            (self.TAG_ADOPT, cid, hop))
+                    m = Msg(width(view.id_bits, 1, self.depth), (self.TAG_ADOPT, cid, hop))
                     for u in view.private.get("members", ()):
                         out[u] = m
         # stay awake only for what the next round brings without mail: the
@@ -479,7 +477,7 @@ def ref_grow_star_clusters(g, cfg, ledger, st, centers, depth):
 def _last_send(g, cfg, st, centers, depth):
     """The reference's last sending round R, from an uncapped audit run."""
     probe = RoundLedger()
-    ref_grow_star_clusters(g, cfg.with_(max_rounds=SimConfig.max_rounds, strict=False),
+    ref_grow_star_clusters(g, replace(cfg, max_rounds=SimConfig.max_rounds, strict=False),
                            probe, st, centers, depth)
     return probe.rounds_used
 
@@ -488,7 +486,7 @@ def ref_capped_at_last_send(g, cfg, ledger, st, centers, depth):
     """``ref_grow_star_clusters`` under the library's round-cap rule, which
     applies the cap to R alone: uncapped when R lies below the cap."""
     if _last_send(g, cfg, st, centers, depth) < cfg.max_rounds:
-        cfg = cfg.with_(max_rounds=SimConfig.max_rounds)
+        cfg = replace(cfg, max_rounds=SimConfig.max_rounds)
     return ref_grow_star_clusters(g, cfg, ledger, st, centers, depth)
 
 
@@ -551,7 +549,7 @@ def test_star_bfs_matches_reference_program(seed):
     g, part, k, cfg = random_star_bfs_inputs(rng)
     state = starbip.StarState(g, set(part.a), set(part.b))
     # star formation is set-up here, so it runs uncapped
-    starbip._form_stars(g, cfg.resolved(g).with_(max_rounds=SimConfig.max_rounds),
+    starbip._form_stars(g, replace(cfg.resolved(g), max_rounds=SimConfig.max_rounds),
                         RoundLedger(), state, Spanner(g))
     stars = state.stars()
     centers = set(rng.sample(stars, rng.randint(0, len(stars))))
@@ -883,7 +881,7 @@ def ref_announce(g, cfg, ledger, name, labels, bits):
     return {v: dict(inbox) for v, inbox in got.items()}
 
 
-def ref_signal(g, cfg, ledger, name, pairs, bits=BitCost.TAG):
+def ref_signal(g, cfg, ledger, name, pairs, bits=TAG):
     """Reference for ``signal``: one body-less ``bits``-bit Msg per
     distinct pair, posted message by message."""
     token = Msg(bits, None)
@@ -949,17 +947,17 @@ def test_announce_and_signal_match_posted_rounds(seed):
             u = rng.choice(ids + [98])
         pairs.append((v, u))
     # tokens, messages below and at the budget, and messages above it
-    width = rng.choice((BitCost.TAG, rng.randint(1, floor), floor + rng.randint(1, 3)))
+    bits = rng.choice((TAG, rng.randint(1, floor), floor + rng.randint(1, 3)))
 
     def ref_counts(led):
         return {v: len(inbox) for v, inbox in
-                ref_signal(g, cfg, led, "sig", pairs, width).items() if inbox}
+                ref_signal(g, cfg, led, "sig", pairs, bits).items() if inbox}
 
     def signalled(led):
         # the posted round checks the config before any send, and signal
         # where it charges the round, after its own neighbour check
         cfg.check(g)
-        return signal(g, cfg, led, "sig", pairs, width)
+        return signal(g, cfg, led, "sig", pairs, bits)
 
     assert _count_outcome(signalled) == _count_outcome(ref_counts)
 
@@ -970,7 +968,7 @@ def _announce_join_by_posting(g, cfg, ledger, names, joiners, down):
     the set."""
     know = down(names[0], {c: 1 for c in joiners})
     told = [v for v, x in know.items() if x]
-    got = ref_announce(g, cfg, ledger, names[1], dict.fromkeys(told), BitCost.TAG)
+    got = ref_announce(g, cfg, ledger, names[1], dict.fromkeys(told), TAG)
     return set(told).union(v for v, inbox in got.items() if inbox)
 
 
@@ -1058,9 +1056,7 @@ def test_label_contacts_match_the_exchange_they_replace(seed):
 def test_contacts_smallest_neighbour_per_tree():
     heard = {5: "a", 3: "a", 7: "b", 9: "c", 8: "b"}
     assert list(contacts(heard).items()) == [("a", 3), ("b", 7), ("c", 9)]
-    assert contacts(heard, keep={"b", "c"}) == {"b": 7, "c": 9}
     assert contacts(heard, skip="a") == {"b": 7, "c": 9}
-    assert contacts(heard, keep={"a", "b"}, skip="b") == {"a": 3}
     assert contacts({}) == {}
 
 
@@ -1082,7 +1078,8 @@ def ref_unmarked_degree(g, cfg, ledger, names, labels, nbr_labels, remaining,
     the inboxes."""
     got = ref_token_inboxes(g, cfg, ledger, names[0], (
         (v, u) for v in g.vertices if v not in marked
-        for u in contacts(nbr_labels.get(v, {}), remaining,
+        for u in contacts({w: c for w, c in nbr_labels.get(v, {}).items()
+                           if c in remaining},
                           labels.get(v) if self_report else None).values()
     ))
     counts = {v: len(inbox) for v, inbox in got.items()}
@@ -1094,7 +1091,7 @@ def ref_unmarked_degree(g, cfg, ledger, names, labels, nbr_labels, remaining,
 
 
 def ref_elect(g, cfg, ledger, *, steps, labels, nbr_labels, remaining, threshold,
-              cap, up, down, self_report, cbits, records, where, level, members=None):
+              cap, up, down, self_report, bound, records, where, level, members=None):
     """Reference election: scans every vertex for the unmarked ones in
     each step and reads the tuples, the votes and the join tokens from
     inboxes."""
@@ -1109,7 +1106,7 @@ def ref_elect(g, cfg, ledger, *, steps, labels, nbr_labels, remaining, threshold
         know = down(names[2], {c: deg.get(c, 0) for c in remaining})
         got = ref_announce(g, cfg, ledger, names[3], {
             v: (know.get(v, 0), c) for v, c in labels.items() if c in remaining
-        }, 8 + g.id_bits + cbits)
+        }, 8 + g.id_bits + max(1, bound.bit_length()))
         ballots, votes = [], {}
         for v in g.vertices:
             if v in marked:
@@ -1223,7 +1220,7 @@ def test_election_matches_per_iteration_contacts(seed):
     g, clustering, labels, remaining, cfg = random_election_inputs(rng)
     kw = dict(steps=[f"step{i}" for i in range(8)], remaining=remaining,
               threshold=rng.randint(0, 4), cap=rng.randint(0, 6),
-              self_report=rng.random() < 0.5, cbits=max(1, g.n.bit_length()),
+              self_report=rng.random() < 0.5, bound=g.n,
               where="test", level=1,
               members=clustering.members() if rng.random() < 0.5 else None)
     assert _election_outcome(elect, g, cfg, clustering, labels, kw) \
@@ -1269,7 +1266,7 @@ def test_baseline_status_round_over_the_budget():
     # every singleton's status to every neighbour is one record, senders
     # then receivers in ID order, and strict mode raises at the first
     g = generate("erdos-renyi", {"n": 40, "p": 0.2}, seed=1)
-    floor = BitCost.TAG + g.id_bits
+    floor = width(g.id_bits, 1)
     res = baswana_sen_baseline(g, 3, 0, SimConfig(msg_bit_budget=floor, strict=False))
     assert [r for r in res.ledger.violations if r["program"] == "bs-status:L1"] == [
         {"kind": "bits", "round": 1, "edge": [v, u], "bits": floor + 1,
@@ -1318,7 +1315,7 @@ def test_baseline_coin_memo_is_bounded():
 @pytest.mark.parametrize("name", ["er10-60", "grid-6x8", "complete-24", "bid-60"])
 def test_baseline_builds_ignore_the_coin_memo(monkeypatch, name):
     g = dict(corpus())[name]
-    floor = BitCost.TAG + g.id_bits
+    floor = width(g.id_bits, 1)
     for cfg in (None, SimConfig(msg_bit_budget=floor, strict=False)):
         for k in (2, 3, 4, 5):
             for seed in (0, 1, 7, -3):
