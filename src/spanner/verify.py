@@ -1,14 +1,16 @@
 """Centralized, algorithm-independent oracles and structural auditors.
 
 Everything here is computed solely from (graph, spanner) or from recorded
-structures; nothing reaches into algorithm internals.  Unweighted stretch
-checking counts the spanner's own edges at once (stretch 1) and looks only
-at the graph edges the spanner leaves out: distances 2 and 3 by tests of
-the spanner's neighbour tuples (the graph's own, rebuilt only where an edge
-is missing) against one set per source, longer ones by a bidirectional
-hop search.
-Weighted checking runs a capped Dijkstra per source.  A Floyd-Warshall
-all-pairs reference cross-validates both on small graphs.
+structures; nothing reaches into algorithm internals.  The stretch check
+searches from each source only as far as that source's own edges need.
+Unweighted, it counts the spanner's own edges at once (stretch 1) and
+looks only at the graph edges the spanner leaves out: distances 2, 3 and 4
+by tests of the spanner's neighbour tuples against one set per source and,
+built only for a source that needs it, that source's distance-2 ball;
+longer ones by a bidirectional hop search.  Weighted, it runs one Dijkstra
+per source that stops once each target is settled within its own bound:
+the weight of a spanner edge, or t times the weight of a missing one.  A
+Floyd-Warshall all-pairs reference cross-validates both on small graphs.
 """
 
 from __future__ import annotations
@@ -87,36 +89,63 @@ def _hops(adj, s, t):
     return None
 
 
-def _dijkstra(adj, src, cap, wanted):
-    """Distances from src over weighted adjacency v -> [(u, w)], stopping
-    once every wanted vertex is settled; paths longer than cap are cut."""
-    dist = {src: 0.0}
-    pq = [(0.0, src)]
-    remaining = set(wanted)
-    while pq and remaining:
-        d, v = heapq.heappop(pq)
-        if d > dist.get(v, math.inf):
+def _bounded_search(adj, dist, s, bounds, direct):
+    """Dijkstra from vertex index s over ``adj``, each vertex's list of
+    (weight, neighbour index) pairs sorted by weight, for the targets of
+    ``bounds`` (target index -> bound; every target has an edge).  Targets
+    in ``direct`` (index -> weight) are s's neighbours and start at that
+    weight.  Returns each target's tentative distance (inf if unreached):
+    exact wherever it is at most the target's bound.
+
+    A target stays open until it is popped; ``need`` maps each open target
+    to min(bound, tentative), and ``cap`` is its largest value: a
+    relaxation past it could bring no open target below that.  ``lo`` is the smallest edge weight at
+    an open target, so a path into one through x costs at least
+    fl(d(x) + lo): a non-target x is not pushed, and the search stops at a
+    pop, once that reaches ``cap``.  Both rules are sound in floats because
+    fl is monotone (cap - lo would not be).  They may cut a target at
+    exactly its bound, which then comes back beyond it and costs the caller
+    a rerun.  ``dist`` is all inf on entry and is reset on return through
+    the touched indices."""
+    push, pop = heapq.heappush, heapq.heappop
+    need = dict(bounds)
+    dist[s] = 0.0
+    for j, w in direct.items():
+        dist[j] = w
+    touched = [s, *direct]
+    heap = sorted([(0.0, s), *((w, j) for j, w in direct.items())])
+    cap = max(need.values())
+    lo = min(adj[j][0][0] for j in need)
+    while heap:
+        d, v = pop(heap)
+        if d > dist[v]:
             continue
-        remaining.discard(v)
-        for u, w in adj[v]:
+        if v in need:
+            del need[v]
+            if not need:
+                break
+            cap = max(need.values())
+            lo = min(adj[j][0][0] for j in need)
+        if d + lo >= cap:
+            break
+        for w, u in adj[v]:
             nd = d + w
-            if nd < dist.get(u, math.inf) and (cap is None or nd <= cap):
+            if nd > cap:
+                break
+            if nd < dist[u]:
+                if u in need:
+                    if nd < need[u]:
+                        need[u] = nd
+                        cap = max(need.values())
+                elif nd + lo >= cap:
+                    continue
                 dist[u] = nd
-                heapq.heappush(pq, (nd, u))
-    return dist
-
-
-def _missing_hops(adj, near, s, t):
-    """Hop distance in the spanner between the endpoints of a missing edge
-    (s, t), where ``near`` is the set of s's neighbours: 2 and 3 by tests of
-    t's and its neighbours' tuples against ``near``, beyond by search."""
-    nt = adj[t]
-    if not near.isdisjoint(nt):
-        return 2
-    for y in nt:
-        if not near.isdisjoint(adj[y]):
-            return 3
-    return _hops(adj, s, t)
+                touched.append(u)
+                push(heap, (nd, u))
+    found = {j: dist[j] for j in bounds}
+    for j in touched:
+        dist[j] = math.inf
+    return found
 
 
 def verify_stretch(g: Graph, h: Spanner, t: float) -> StretchReport:
@@ -124,16 +153,30 @@ def verify_stretch(g: Graph, h: Spanner, t: float) -> StretchReport:
 
     Per spanner folklore, bounding the stretch of every graph edge bounds
     the stretch of every vertex pair, so the report quantifies over E(g).
-    Since H is a subgraph of g, its edges count at once with stretch 1; the
-    unweighted check visits only E(g) minus E(H), in sorted order.  H's
-    neighbour tuples are g's own, rebuilt without the missing neighbours
-    only at the endpoints of missing edges; no neighbour set is copied.
-    One set of H-neighbours is built per source (the smaller endpoint):
-    distance 2 tests it against the other endpoint's tuple, distance 3
-    against that endpoint's neighbours' tuples, and only longer distances
-    run the bidirectional search.  The histogram keeps the insertion order
-    of a pass over the sorted edges of g: key "1" sits where the smallest
-    spanner edge falls.
+    Each source (the smaller endpoint) searches only as far as its own
+    edges need.
+
+    Unweighted: since H is a subgraph of g, its edges count at once with
+    stretch 1, and only E(g) minus E(H) is visited, in sorted order and so
+    grouped by source.  H's neighbour tuples are g's own, rebuilt without
+    the missing neighbours only at the endpoints of missing edges, so no
+    neighbour set is copied; where most of g is missing, they are built
+    from H's edges instead.  Per source, the set of its H-neighbours gives
+    distance 2 against the other endpoint's tuple and distance 3 against
+    that endpoint's neighbours' tuples.  A source with an edge beyond that
+    builds its ball B2, the union of its neighbours' tuples: distance 4
+    holds exactly when a neighbour's tuple of the other endpoint meets B2,
+    and only distance 5 and beyond runs the bidirectional search.  The
+    histogram keeps the insertion order of a pass over the sorted edges of
+    g: key "1" sits where the smallest spanner edge falls.
+
+    Weighted: one bounded Dijkstra per source over H, whose targets are
+    the source's larger neighbours in g.  A target joined by an H edge of
+    weight w is within w, the edge itself; a missing edge of weight w needs
+    only w·t·(1+REL_TOL) to pass.  The search stops as soon as every
+    target is settled within its bound (see ``_bounded_search``); targets
+    beyond their bounds, and only they, take their distances from a second,
+    uncapped search.
     """
     _check_subgraph(g, h)
     hist: Dict[str, int] = {}
@@ -145,65 +188,113 @@ def verify_stretch(g: Graph, h: Spanner, t: float) -> StretchReport:
 
     if not g.weighted:
         missing = sorted(g.edge_set.difference(h.provenance))
-        # H's neighbour tuples: g's, rebuilt without the missing neighbours
-        # at each endpoint of a missing edge, from a list (a tuple grown
-        # from an iterator is resized as it grows, which raised peak RSS)
-        adj = dict(g.adj)
-        ends = sorted(missing + [(v, u) for u, v in missing], key=itemgetter(0))
-        for v, group in groupby(ends, itemgetter(0)):
-            gone = {u for _v, u in group}
-            adj[v] = tuple([u for u in adj[v] if u not in gone])
-        src = near = None
+        if len(missing) > len(h.edges):
+            # H is the smaller part of g: its neighbour lists from its edges
+            adj = {v: [] for v in g.vertices}
+            for u, v in h.edges:
+                adj[u].append(v)
+                adj[v].append(u)
+        else:
+            # H's neighbour tuples: g's, rebuilt without the missing
+            # neighbours at each endpoint of a missing edge, from a list (a
+            # tuple grown from an iterator is resized as it grows, which
+            # raised peak RSS)
+            adj = dict(g.adj)
+            ends = sorted(missing + [(v, u) for u, v in missing], key=itemgetter(0))
+            for v, group in groupby(ends, itemgetter(0)):
+                gone = {u for _v, u in group}
+                adj[v] = tuple([u for u in adj[v] if u not in gone])
         # the spanner edges all have stretch 1; the smallest one places key
         # "1" in the histogram and is the worst edge until a missing one
         first_kept = min(h.edges) if h.edges else None
         if first_kept is not None:
             worst_val, worst = 1.0, first_kept
-        for e in missing:
-            if first_kept is not None and e > first_kept:
-                hist["1"] = len(h.edges)
-                first_kept = None
-            if e[0] != src:
-                src, near = e[0], set(adj[e[0]])
-            d = _missing_hops(adj, near, *e)
-            if d is None:
-                unreachable += 1
-                hist["inf"] = hist.get("inf", 0) + 1
-                if not math.isinf(worst_val):
-                    worst, worst_val = e, math.inf
-            else:
-                hist[str(d)] = hist.get(str(d), 0) + 1
-                if d > worst_val:
-                    worst_val, worst = float(d), e
+        for src, group in groupby(missing, itemgetter(0)):
+            near = set(adj[src])
+            ball = None
+            for e in group:
+                if first_kept is not None and e > first_kept:
+                    hist["1"] = len(h.edges)
+                    first_kept = None
+                nt = adj[e[1]]
+                if not near.isdisjoint(nt):
+                    d = 2
+                else:
+                    for y in nt:
+                        if not near.isdisjoint(adj[y]):
+                            d = 3
+                            break
+                    else:
+                        if ball is None:
+                            ball = set()
+                            for x in near:
+                                ball.update(adj[x])
+                        for y in nt:
+                            if not ball.isdisjoint(adj[y]):
+                                d = 4
+                                break
+                        else:
+                            d = _hops(adj, *e)
+                if d is None:
+                    unreachable += 1
+                    hist["inf"] = hist.get("inf", 0) + 1
+                    if not math.isinf(worst_val):
+                        worst, worst_val = e, math.inf
+                else:
+                    hist[str(d)] = hist.get(str(d), 0) + 1
+                    if d > worst_val:
+                        worst_val, worst = float(d), e
         if first_kept is not None:
             hist["1"] = len(h.edges)
         checked = g.m
     else:
-        wadj: Dict[int, List[Tuple[int, float]]] = {v: [] for v in g.vertices}
+        index = {v: i for i, v in enumerate(g.vertices)}
         gw = g.weights
-        for u, v in h.edges:
-            w = gw[(u, v)]
-            wadj[u].append((v, w))
-            wadj[v].append((u, w))
+        kept = h.provenance
+        # H's adjacency by vertex index: (weight, neighbour) sorted by weight
+        wadj: List[List[Tuple[float, int]]] = [[] for _ in g.vertices]
+        for e in h.edges:
+            w = gw[e]
+            i, j = index[e[0]], index[e[1]]
+            wadj[i].append((w, j))
+            wadj[j].append((w, i))
+        for ns in wadj:
+            ns.sort()
+        dist = [math.inf] * g.n
+        stretch = t * slack
         for src in g.vertices:
-            targets = {u: g.weight(src, u) for u in g.adj[src] if u > src}
-            if not targets:
+            ups = [u for u in g.adj[src] if u > src]
+            if not ups:
                 continue
-            cap = max(targets.values()) * t * slack
-            dist = _dijkstra(wadj, src, cap, set(targets))
-            retry = {u for u in targets if u not in dist}
+            # a spanner edge bounds its target by its weight; a target
+            # without spanner edges is unreachable and needs no search
+            bounds, direct = {}, {}
+            for u in ups:
+                j = index[u]
+                if wadj[j]:
+                    w = gw[(src, u)]
+                    if (src, u) in kept:
+                        bounds[j] = direct[j] = w
+                    else:
+                        bounds[j] = w * stretch
+            s = index[src]
+            found = _bounded_search(wadj, dist, s, bounds, direct) if bounds else {}
+            retry = {j: math.inf for j, d in found.items() if d > bounds[j]}
             if retry:
-                dist.update(_dijkstra(wadj, src, None, retry))
-            for u, w in sorted(targets.items()):
+                # only the retried targets take the rerun's values: it stops
+                # early, so its other entries may still be tentative
+                found.update(_bounded_search(wadj, dist, s, retry, {}))
+            for u in ups:
                 checked += 1
-                d = dist.get(u)
-                ratio = math.inf if d is None else d / w
-                if d is None:
+                w = gw[(src, u)]
+                d = found.get(index[u], math.inf)
+                if math.isinf(d):
                     unreachable += 1
                     hist["inf"] = hist.get("inf", 0) + 1
                     if not math.isinf(worst_val):
                         worst, worst_val = (src, u), math.inf
                 else:
+                    ratio = d / w
                     hist[f"{ratio:.3f}"] = hist.get(f"{ratio:.3f}", 0) + 1
                     if ratio > worst_val:
                         worst_val, worst = ratio, (src, u)

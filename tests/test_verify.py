@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 from collections import deque
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from spanner import (
     Graph,
+    SimConfig,
     Spanner,
     StretchReport,
     Supercluster,
@@ -29,7 +31,7 @@ from spanner import (
 )
 from spanner import cli, verify
 from spanner.clustering import Clustering
-from spanner.pins import corpus
+from spanner.pins import corpus, weighted_corpus
 from spanner.verify import REL_TOL
 
 
@@ -321,6 +323,71 @@ def test_verify_stretch_matches_reference_and_allpairs(seed, t, weighted):
     assert rep == verify_stretch_allpairs(g, h, t)
 
 
+FRACTIONAL_WEIGHTS = (0.1, 0.2, 0.3, 0.7, 1.1, 2.5)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from((1, 3, 5, 7)))
+def test_verify_stretch_fractional_weights(seed, t):
+    """Non-integer weights, whose path sums round: the report equals the
+    reference exactly (histogram order included), and the Floyd-Warshall
+    report, which sums in another order, agrees on passing and on the
+    maximum stretch within 1e-9.  Spanners are random subsets of g, kept
+    whole, or imp3's (with a budget wide enough for the sparse IDs)."""
+    rng = random.Random(seed)
+    ids = rng.sample(range(200), rng.randint(1, 30))
+    p = rng.choice((0.1, 0.2, 0.4))
+    edges = [(u, v) for u in ids for v in ids if u < v and rng.random() < p]
+    g = Graph(ids, edges, {e: rng.choice(FRACTIONAL_WEIGHTS) for e in edges})
+    keep = rng.choice((0.0, 0.3, 0.6, 0.9, 1.0, "imp3"))
+    if keep == "imp3":
+        h = improved_3_spanner(g, SimConfig(msg_bit_budget=64)).spanner
+    else:
+        h = _spanner_of(g, [e for e in g.edges() if rng.random() < keep])
+    rep = verify_stretch(g, h, t)
+    ref = ref_verify_stretch(g, h, t)
+    assert rep == ref
+    assert list(rep.histogram.items()) == list(ref.histogram.items())
+    fw = verify_stretch_allpairs(g, h, t)
+    assert rep.passed == fw.passed
+    assert rep.max_stretch == fw.max_stretch or abs(rep.max_stretch - fw.max_stretch) < 1e-9
+
+
+def _sparse_unweighted_case(seed):
+    """A path-like random forest H (each vertex hangs off one of the last
+    three, so hop distances grow long) in g with random chords, some of
+    them between the trees, so that missing edges reach distances 4, 5 and
+    beyond and some are unreachable."""
+    rng = random.Random(seed)
+    ids = rng.sample(range(200), rng.randint(2, 30))
+    tree = []
+    for i in range(1, len(ids)):
+        if rng.random() < 0.9:
+            tree.append((ids[rng.randint(max(0, i - 3), i - 1)], ids[i]))
+    chords = [(u, v) for u in ids for v in ids if u < v and rng.random() < 0.08]
+    g = Graph(ids, tree + chords)
+    return g, _spanner_of(g, tree), rng.choice((1, 3, 5, 7))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.integers(0, 10**9))
+def test_verify_stretch_sparse_spanners_far_and_unreachable(seed):
+    """Unweighted sparse spanners: the report equals the reference and the
+    Floyd-Warshall report field by field, histogram order included."""
+    g, h, t = _sparse_unweighted_case(seed)
+    _assert_reports_agree(g, h, t)
+
+
+def test_sparse_spanner_family_reaches_far_distances():
+    """The family above covers what the distance-2/3 tests and the ball do
+    not settle: distances 4, 5 and beyond, and unreachable pairs."""
+    keys = set()
+    for seed in range(40):
+        g, h, t = _sparse_unweighted_case(seed)
+        keys |= set(verify_stretch(g, h, t).histogram)
+    assert {"4", "5", "6", "inf"} <= keys, sorted(keys)
+
+
 def _assert_reports_agree(g, h, t, allpairs=True):
     """verify_stretch equals the reference (and the Floyd-Warshall report),
     field by field with the histogram's insertion order."""
@@ -387,6 +454,59 @@ def test_missing_edge_beyond_distance_three():
     assert rep.worst_edge == (2, 3) and not rep.passed
 
 
+def test_rerun_gives_only_its_own_targets():
+    """Source 0 has two targets.  (0, 1) is a spanner edge of weight 10
+    with a shortcut 0-10-1 of length 8 through vertex 10 at distance 6;
+    (0, 2) is a missing edge of weight 1 at spanner distance 5 > 3, so it
+    is searched again without a cap.  That rerun stops once vertex 2 is
+    settled at 5, before it pops vertex 10, so its entry for vertex 1 is
+    still the direct edge's 10: taking it would report 1.000, not 0.800."""
+    kept = {(0, 1): 10.0, (0, 10): 6.0, (1, 10): 2.0,
+            (0, 3): 1.0, (3, 4): 1.0, (4, 5): 1.0, (5, 6): 1.0, (2, 6): 1.0}
+    g = Graph(range(11), [*kept, (0, 2)], {**kept, (0, 2): 1.0})
+    rep = _assert_reports_agree(g, _spanner_of(g, kept), 3)
+    assert rep.histogram == {"0.800": 1, "5.000": 1, "1.000": 7}
+    assert rep.worst_edge == (0, 2) and rep.max_stretch == 5.0
+
+
+def test_weighted_search_pushes_nothing_past_its_targets_bounds(monkeypatch):
+    """Counting guard on the imp3 spanners of the weighted corpus (ER
+    graphs with n = 60..168, p = 0.12, weights 1..9): no distance a
+    source's search pushes exceeds the largest bound among that source's
+    targets, w for a spanner edge and 3w(1 + REL_TOL) for a missing one,
+    and no source searches twice.  A static cap of 3(1 + REL_TOL) times the
+    source's heaviest edge pushes past it."""
+    pushed = []
+    searches = []
+    real_search = verify._bounded_search
+
+    def push(heap, item):
+        pushed.append(item[0])
+        heapq.heappush(heap, item)
+
+    def search(adj, dist, s, *targets):
+        pushed.clear()
+        found = real_search(adj, dist, s, *targets)
+        searches.append((s, max(pushed, default=0.0)))
+        return found
+
+    monkeypatch.setattr(verify, "heapq", SimpleNamespace(heappush=push, heappop=heapq.heappop))
+    monkeypatch.setattr(verify, "_bounded_search", search)
+    total = 0
+    for name, g in weighted_corpus():
+        h = improved_3_spanner(g).spanner
+        searches.clear()
+        assert verify_stretch(g, h, 3).passed, name
+        assert len({s for s, _ in searches}) == len(searches), name
+        for s, top in searches:
+            src = g.vertices[s]
+            bound = max(g.weight(src, u) * (1.0 if (src, u) in h.edges else 3 * (1 + REL_TOL))
+                        for u in g.adj[src] if u > src)
+            assert top <= bound, (name, src, top, bound)
+        total += len(searches)
+    assert total > 1000
+
+
 @pytest.mark.parametrize("args", [
     ["--alg", "bip3", "--gen", "bip:a=8,b=30,p=0.3"],
     ["--alg", "sparserbip", "--k", "4", "--gen", "bip:a=8,b=30,p=0.3"],
@@ -432,11 +552,15 @@ def test_large_spanners_match_reference(large_spanners):
     assert far > 0  # some missing edge needs the search beyond distance 3
 
 
-def test_hops_runs_only_for_missing_edges_beyond_distance_three(
+def test_hops_runs_only_for_missing_edges_beyond_distance_four(
     large_spanners, monkeypatch
 ):
     """Counting guard: the bidirectional search runs once per missing edge
-    at distance >= 4 or unreachable, never for a spanner edge."""
+    at distance >= 5 or unreachable, never for a spanner edge and never for
+    distances 2 to 4, which the per-source set and ball settle.  Besides
+    the large spanners: the path 0-1-2-3-4-5 and the edge (6, 7) in a graph
+    that adds the chords (0, 2) to (0, 5) and the edge (5, 6), one missing
+    edge at each distance from 2 to 5 and one unreachable."""
     calls = []
     real = verify._hops
 
@@ -445,20 +569,25 @@ def test_hops_runs_only_for_missing_edges_beyond_distance_three(
         return real(adj, s, t)
 
     monkeypatch.setattr(verify, "_hops", counted)
-    for label, g, h, t in large_spanners:
-        if not label.startswith("bs-k4:"):
-            continue
+    g = Graph(range(8), [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (6, 7),
+                         (0, 2), (0, 3), (0, 4), (0, 5), (5, 6)])
+    h = _spanner_of(g, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (6, 7)])
+    cases = [*large_spanners, ("path-chords", g, h, 3)]
+    far = 0
+    for label, g, h, t in cases:
         hg = Graph(g.vertices, h.edges)
         expected = []
         for u, v in sorted(g.edge_set - h.edges):
             d = bfs_dist(hg, u).get(v)
-            if d is None or d >= 4:
+            if d is None or d >= 5:
                 expected.append((u, v))
-        assert expected, label
         calls.clear()
         verify_stretch(g, h, t)
         assert calls == expected, label
         assert not set(calls) & h.edges
+        far += len(expected)
+    assert calls == [(0, 5), (5, 6)]
+    assert far > len(calls)  # the large spanners also reach distance 5
 
 
 def test_verify_stretch_copies_no_neighbour_sets():
