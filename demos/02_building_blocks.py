@@ -5,6 +5,7 @@ power graphs), and the balanced tree partitioning."""
 from spanner import (
     Forest,
     RoundLedger,
+    SimConfig,
     WeightedTree,
     bfs_dist,
     clustering_roles,
@@ -26,14 +27,14 @@ print("rounds:", ledger.rounds_used)
 # a clustering is a forest keyed by center: one role per member, (member,
 # center) -> its tree parent.  A Forest checks that table once (vertices,
 # parents' roles, tree edges in g and in one tree only, no cycles) and then
-# runs any number of convergecasts and broadcasts over those trees; both
-# take and return one value per role, in the order of forest.role_keys,
-# and charge the ledger they are given under the phase name they are
-# given.  Each member contributes 1, and each root role ends up holding
-# its cluster's size.
-forest = Forest(g, clustering_roles(clusters))
-totals = forest.aggregate([1] * len(forest.role_keys), RoundLedger(), "sizes")
-sizes = {center: totals[r] for r, center in forest.root_roles}
+# runs any number of convergecasts and broadcasts over those trees, each
+# charged to the ledger it was built with under the phase name it is
+# given.  The convergecast takes member -> value and returns center ->
+# aggregate: each member contributes 1, so each center learns its
+# cluster's size.
+forest = Forest(g, SimConfig(), RoundLedger(), clustering_roles(clusters),
+                clusters.membership)
+sizes = forest.aggregate("sizes", dict.fromkeys(clusters.membership, 1))
 print("cluster sizes via convergecast:", sizes)
 
 # -- ruling sets ----------------------------------------------------------------

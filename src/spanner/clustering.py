@@ -191,11 +191,14 @@ class WeightedTree:
     def vertices(self) -> Set[int]:
         return tree_span(self.root, self.edges)
 
-    def validate(self) -> None:
+    def validate(self) -> Dict[int, Tuple[Optional[int], Tuple[int, ...]]]:
+        """Check the tree and its weights; returns the tree oriented from
+        its root (:func:`orient_tree`)."""
         vs = self.vertices()
         if len(self.edges) != len(vs) - 1:
             raise ValueError("edge count does not match a tree")
-        if set(orient_tree(self.root, self.edges)) != vs:
+        tree = orient_tree(self.root, self.edges)
+        if set(tree) != vs:
             raise ValueError("tree is disconnected")
         for v in vs:
             w = self.weights.get(v, 0)
@@ -205,6 +208,7 @@ class WeightedTree:
                 raise ValueError(
                     f"vertex {v} weight {w} exceeds bound B={self.bound}"
                 )
+        return tree
 
 
 @dataclass

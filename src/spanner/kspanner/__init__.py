@@ -3,7 +3,7 @@ star-graph bipartite spanner, the superclustered construction with its
 zero-level superclustering, and the randomized comparator.  The first four
 share one local-maxima election, ``common.elect``, and its steps.
 
-Every scripted step runs through ``common.forest_steps`` (the convergecast
+Every scripted step runs through a ``primitives.Forest`` (the convergecast
 and broadcast over cluster or supercluster trees), through
 ``common.label_contacts``, the label round (a tree key to all neighbours;
 each receiver keeps the smallest-ID sender of each key), through

@@ -2,8 +2,8 @@
 
 Three kinds of step carry every scripted step of the constructions:
 
-* ``forest_steps`` (``cluster_steps`` over a clustering): the convergecast
-  and broadcast over cluster or supercluster trees;
+* a ``primitives.Forest`` (``cluster_steps`` over a clustering): the
+  convergecast and broadcast over cluster or supercluster trees;
 * ``label_contacts``, the label round: every labelled vertex sends its
   tree key to all its neighbours, and each receiver keeps its contacts,
   the smallest-ID neighbour in each adjacent tree;
@@ -48,7 +48,7 @@ from typing import (
 
 from ..clustering import Clustering
 from ..graph import Graph, Spanner
-from ..primitives import Forest, RoleTable, clustering_roles
+from ..primitives import Forest, clustering_roles
 from ..sim import (
     TAG, RoundLedger, SimConfig, SimError, SimTimeout, _charge, _to_all, width,
 )
@@ -61,41 +61,11 @@ def ipow_ceil(n: int, num: int, den: int) -> int:
     return max(1, math.ceil(n ** (num / den) - 1e-9))
 
 
-def forest_steps(g, cfg, ledger, roles: RoleTable,
-                 key_of: Dict[int, Hashable]) -> Tuple[Callable, Callable]:
-    """``up(name, values, combine="sum", bound=None)``, the convergecast of
-    the members' values to tree key -> aggregate, and ``down(name,
-    tree_values, bound=None)``, the broadcast of one value per tree key to
-    member -> value, over one Forest, so the table is checked once for
-    every call.  ``key_of`` maps each member to its tree key (a member
-    with no role there is left out, and ``down`` lists the members in
-    role order); each call charges its pass to
-    ``ledger`` as one phase ``name``."""
-    forest = Forest(g, roles)
-    roots = forest.root_roles
-    # role -> its vertex if that is a member of the role's tree, else None
-    member = [v if key_of.get(v) == key else None for v, key in forest.role_keys]
-    role_of = {v: r for r, v in enumerate(member) if v is not None}
-
-    def up(name, values, combine="sum", bound=None):
-        own = [values.get(v, 0) for v in member]
-        got = forest.aggregate(own, ledger, name, combine, bound, cfg)
-        return {key: got[r] for r, key in roots}
-
-    def down(name, tree_values, bound=None):
-        at_roots = [0] * len(member)
-        for r, key in roots:
-            at_roots[r] = tree_values.get(key, 0)
-        got = forest.broadcast(at_roots, ledger, name, bound, cfg)
-        return {v: got[r] for v, r in role_of.items()}
-
-    return up, down
-
-
 def cluster_steps(g, cfg, ledger, clustering: Clustering) -> Tuple[Callable, Callable]:
-    """The ``up``/``down`` pair over a clustering's trees, keyed by center."""
-    return forest_steps(g, cfg, ledger, clustering_roles(clustering),
-                        clustering.membership)
+    """``up`` and ``down``, the ``aggregate`` and ``broadcast`` of one
+    Forest over a clustering's trees, keyed by center."""
+    forest = Forest(g, cfg, ledger, clustering_roles(clustering), clustering.membership)
+    return forest.aggregate, forest.broadcast
 
 
 # -- scripted rounds ---------------------------------------------------------

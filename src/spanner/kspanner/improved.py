@@ -12,11 +12,11 @@ from typing import Dict, List, Optional, Sequence
 
 from ..clustering import Supercluster, Superclustering, WeightedTree, orient_tree
 from ..graph import Graph
-from ..primitives import RoleTable, grow_bfs_clusters, partition_tree
+from ..primitives import Forest, RoleTable, grow_bfs_clusters, partition_tree
 from ..results import SpannerRun
 from ..sim import RoundLedger, SimConfig
 from .common import (
-    cluster_steps, connect, elect, forest_steps, ipow_ceil, label_contacts,
+    cluster_steps, connect, elect, ipow_ceil, label_contacts,
 )
 from .naive import naive_spanner
 from .zero import cons_zero_superclustering, cover_low_expansion
@@ -99,23 +99,22 @@ def _phase(g, k, cfg, ledger, trace, H, clustering, superclustering,
     scs = {sc.sc_id: sc for sc in superclustering.superclusters}
     vset = superclustering.vertex_sets(clustering)
     sc_of_vertex = {v: scid for scid, vs in vset.items() for v in vs}
-    sc_roles = _sc_roles(superclustering.superclusters)
 
     # announce supercluster membership once per phase
     near = label_contacts(g, cfg, ledger, f"sc-announce:P{i}", sc_of_vertex)
     # aggregate over the cluster trees, then over the supercluster trees;
     # broadcast the other way round
     cl_up, cl_down = cluster_steps(g, cfg, ledger, clustering)
-    sc_up, sc_down = forest_steps(g, cfg, ledger, sc_roles, sc_of_vertex)
+    sc = Forest(g, cfg, ledger, _sc_roles(superclustering.superclusters), sc_of_vertex)
     centers = clustering.centers
 
     def up(name, values):
         stem, _, label = name.partition(":")
-        return sc_up(f"{stem}2:{label}", cl_up(f"{stem}1:{label}", values))
+        return sc.aggregate(f"{stem}2:{label}", cl_up(f"{stem}1:{label}", values))
 
     def down(name, sc_values):
         stem, _, label = name.partition(":")
-        at = sc_down(f"{stem}2:{label}", sc_values)
+        at = sc.broadcast(f"{stem}2:{label}", sc_values)
         return cl_down(f"{stem}1:{label}", {c: at.get(c, 0) for c in centers})
 
     joined_sc, remaining, marked = elect(
@@ -140,8 +139,7 @@ def _phase(g, k, cfg, ledger, trace, H, clustering, superclustering,
         H.add(*e, f"sc-tree:L{i}")
 
     new_sc = _regroup(
-        g, k, cfg, ledger, H, new_clustering,
-        [scs[s] for s in sorted(joined_sc)], i,
+        g, k, cfg, ledger, new_clustering, [scs[s] for s in sorted(joined_sc)], i,
     )
     return new_clustering, new_sc
 
@@ -168,7 +166,7 @@ def _cover_remaining(g, k, cfg, ledger, trace, H, scs, vset, sc_of_vertex, remai
     ]
 
 
-def _regroup(g, k, cfg, ledger, H, clustering, successful: List[Supercluster],
+def _regroup(g, k, cfg, ledger, clustering, successful: List[Supercluster],
              i) -> Superclustering:
     """Re-group the new clusters into a nice superclustering: oversized
     clusters become singletons; each successful supercluster's tree is

@@ -38,7 +38,7 @@ from .common import (
 class StarState:
     """Host-tracked mirror of the per-vertex local knowledge."""
 
-    def __init__(self, g: Graph, a_side: Set[int], b_side: Set[int]):
+    def __init__(self, a_side: Set[int], b_side: Set[int]):
         self.a = a_side
         self.b = b_side
         self.star_of: Dict[int, Optional[int]] = {}
@@ -213,7 +213,7 @@ def sparser_bipartite_spanner(
     H = Spanner(g)
     ledger = RoundLedger()
     trace: Dict = {"k": k, "k_prime": kp, "phases": {}, "approx": []}
-    st = StarState(g, set(part.a), set(part.b))
+    st = StarState(set(part.a), set(part.b))
     _form_stars(g, cfg, ledger, st, H)
     trace["stars"] = {s: tuple(ms) for s, ms in st.members.items()}
     A = len(st.stars())
@@ -259,7 +259,7 @@ def _phase(g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i):
         reps = _compute_reps(g, cfg, ledger, st, near, f"L{i}")
         acks = signal(g, cfg, ledger, f"bip-count:L{i}",
                       (pair for s in stars for pair in reps[s].values()))
-        deg = up(f"bip-deg:L{i}", acks, bound=max(2, 2 * g.n))
+        deg = up(f"bip-deg:L{i}", acks)
 
     joined: Set[int] = set()
     iterations = 0
@@ -297,7 +297,7 @@ def _phase(g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i):
             # deltas: each newly marked star retracts one unit per cluster
             dec = signal(g, cfg, ledger, f"bip-delta:L{i}.{iterations}",
                          (pair for s in sorted(newly_marked) for pair in reps[s].values()))
-            drop = up(f"bip-deg-delta:L{i}.{iterations}", dec, bound=max(2, 2 * g.n))
+            drop = up(f"bip-deg-delta:L{i}.{iterations}", dec)
             for c in remaining:
                 deg[c] -= drop.get(c, 0)
     trace["phases"][i] = {"iterations": iterations, "joined": len(joined)}

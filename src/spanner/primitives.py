@@ -6,17 +6,18 @@ power-graph min-flood and hop-flood and the log-round ruling set are
 relay floods, run layer by layer on the host (``_relay``, the broadcast
 floods through ``_flood``) without touching a ledger.  The convergecast
 and the broadcast are the two methods of a ``Forest``, built from parent
-pointers, (vertex, tree key) -> parent: it checks the table once and
-rejects a non-vertex, a parent with no role in its child's tree, a tree
-edge outside the graph or in two trees, and a role on or below a cycle;
-every call over those trees reads and returns one value per role, is one
-walk over the roles and charges the caller's ledger under the caller's
-phase name.  The tree partition computes its two waves on the host from
-the oriented tree.  Every phase of these enters its ledger through one
-``sim._charge`` call, once its host code has run (a flood's through
-``_charge_flood``): accounted in bulk within the budget and message by
-message over it, under the simulator's one round-cap rule: a phase whose
-last message goes out in round R raises SimTimeout when R >=
+pointers, (vertex, tree key) -> parent, and each member's tree key: it
+checks the table once and rejects a non-vertex, a parent with no role in
+its child's tree, a tree edge outside the graph or in two trees, and a
+role on or below a cycle; every call over those trees maps member ->
+value to tree key -> aggregate or tree key -> value to member -> value,
+is one walk over the roles and charges the forest's ledger under the
+caller's phase name.  The tree partition computes its two waves on the
+host from the oriented tree.  Every phase of these enters its ledger
+through one ``sim._charge`` call, once its host code has run (a flood's
+through ``_charge_flood``): accounted in bulk within the budget and
+message by message over it, under the simulator's one round-cap rule: a
+phase whose last message goes out in round R raises SimTimeout when R >=
 ``max_rounds``.
 """
 
@@ -28,7 +29,7 @@ from typing import (
     Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple,
 )
 
-from .clustering import Clustering, TreePart, TreePartition, WeightedTree, orient_tree
+from .clustering import Clustering, TreePart, TreePartition, WeightedTree
 from .graph import Graph, canon
 from .sim import TAG, RoundLedger, Send, SimConfig, SimError, _charge, width
 
@@ -128,7 +129,7 @@ def grow_bfs_clusters(
 
     A center offers ``(center, 1)`` to its neighbors in round 1, and a
     vertex that joins forwards the offer one hop further while the depth
-    bound allows, one ``8 + id_bits + counter(depth)``-bit message to every
+    bound allows, one ``width(id_bits, 1, depth)``-bit message to every
     neighbor but its parent.  Offers a vertex receives in one round share
     one hop distance, so it joins the largest center ID heard that round,
     with the first (smallest-ID) neighbor that relayed it as parent.  The
@@ -192,31 +193,32 @@ def clustering_roles(clustering: Clustering) -> RoleTable:
 
 class Forest:
     """The trees of one role table, checked once, for ``aggregate``, the
-    convergecast, and ``broadcast`` to run over as often as needed.  The
+    convergecast, and ``broadcast`` to run over as often as needed, each
+    pass charged to ``ledger`` under ``cfg``.  ``key_of`` maps each member
+    vertex to its tree key: role (v, key) is a member's role when
+    ``key_of.get(v) == key``, and any other role only relays.  The
     constructor raises SimError ("forest: ...") unless every role's
     vertex is a vertex of g, every parent has a role in its child's tree,
     every tree edge is an edge of g and lies in one tree only, and no
-    role lies on or below a cycle.  Both passes read and return one value
-    per role: role r is ``role_keys[r]``, the table's r-th (vertex, tree
-    key) pair, ``number`` maps each pair back to r, and ``root_roles``
-    lists (role, tree key) for every root.
+    role lies on or below a cycle.
 
     A pass sends one message over every tree edge, to a neighbour, and
     lasts as many rounds as the deepest role lies below its root, so it
-    is one walk over the roles: the broadcast copies every root's value
-    to its tree, the convergecast folds every non-root role into its
+    is one walk over the roles: the broadcast gives every member its
+    tree's value, the convergecast folds every non-root role into its
     parent's, children first.  Each pass is charged whole
-    (``sim._charge``, which checks the config first) to the caller's
-    ledger under the caller's phase name: within the budget at once, over
-    it with its messages in (round, sender, receiver) order, each of which
-    raises or leaves a violation record naming the pass
-    ``forest-aggregate`` or ``forest-broadcast``; then the round cap
-    applies to its last send round."""
+    (``sim._charge``, which checks the config first) to the ledger under
+    the caller's phase name: within the budget at once, over it with its
+    messages in (round, sender, receiver) order, each of which raises or
+    leaves a violation record naming the pass ``forest-aggregate`` or
+    ``forest-broadcast``; then the round cap applies to its last send
+    round."""
 
-    def __init__(self, g: Graph, roles: RoleTable):
-        self.g = g
-        keys = self.role_keys = list(roles)  # role -> (vertex, key)
-        number = self.number = dict(zip(keys, range(len(keys))))
+    def __init__(self, g: Graph, cfg: SimConfig, ledger: RoundLedger, roles: RoleTable,
+                 key_of: Dict[int, Hashable]):
+        self.g, self.cfg, self.ledger = g, cfg, ledger
+        keys = list(roles)  # role -> (vertex, key)
+        number = dict(zip(keys, range(len(keys))))
         adj, edges = g.adj, g.edge_set
         strays = [v for v, _key in keys if v not in adj]
         if strays:
@@ -244,8 +246,12 @@ class Forest:
             children[r].append(len(parent_of))
             parent_of.append(r)
         self.parent_of = parent_of
+        self.vertex_of = [v for v, _key in keys]
         roots = [r for r, p in enumerate(parent_of) if p is None]
-        self.root_roles = [(r, keys[r][1]) for r in roots]
+        self.roots = [(r, keys[r][1]) for r in roots]
+        # (role, vertex, tree key) of every member's role, in role order
+        self.members = [(r, v, key) for r, (v, key) in enumerate(keys)
+                        if key_of.get(v) == key]
         # every non-root role after its parent's, level by level from the
         # roots; a role is reached exactly when no cycle lies above it
         self.below: List[int] = []
@@ -263,27 +269,16 @@ class Forest:
             stuck = sorted({keys[r][0] for r in range(len(keys)) if r not in seen})
             raise SimError(f"forest: roles of vertices {stuck[:5]} lie on or below "
                            "a cycle")
-        root_of = self.root_of = list(range(len(keys)))  # role -> its root's role
-        for r in self.below:
-            root_of[r] = root_of[parent_of[r]]
 
-    def aggregate(
-        self,
-        values: Sequence[int],
-        ledger: RoundLedger,
-        name: str,
-        combine: str = "sum",
-        bound: Optional[int] = None,
-        cfg: Optional[SimConfig] = None,
-    ) -> List[int]:
-        """Every role learns combine() over the values of the roles in its
-        subtree, ``values[r]`` being role r's own; returns those
-        aggregates in role order, so a root role holds its tree's.  The
-        pass is charged to ``ledger`` as phase ``name``.
+    def aggregate(self, name: str, values: Dict[int, int], combine: str = "sum",
+                  bound: Optional[int] = None) -> Dict[Hashable, int]:
+        """Tree key -> combine() over the tree's roles, a member's role
+        contributing ``values`` of its vertex and every other role 0 (as
+        does a member ``values`` leaves out), charged as phase ``name``.
 
         Convergecast: a leaf reports in round 1, and every other tree vertex
-        sends its partial aggregate to its parent, one ``8 +
-        counter(bound)``-bit message, in the round its last child's report
+        sends its partial aggregate to its parent, one ``width(id_bits, 0,
+        bound)``-bit message, in the round its last child's report
         arrives.  Runs in O(depth) rounds; trees aggregate in parallel
         because they are edge-disjoint.  ``bound`` caps the partial
         aggregates (default 2n+1).  The values are integers, so the order
@@ -292,7 +287,7 @@ class Forest:
         fn = COMBINERS[combine]
         bound = bound if bound is not None else max(2 * self.g.n + 1, 2)
         bits = width(self.g.id_bits, 0, bound)
-        parent_of, keys, below = self.parent_of, self.role_keys, self.below
+        parent_of, vertex_of, below = self.parent_of, self.vertex_of, self.below
 
         def sends():
             height = [0] * len(parent_of)  # a role's send round, less one
@@ -300,50 +295,42 @@ class Forest:
                 p = parent_of[r]
                 if height[r] >= height[p]:
                     height[p] = height[r] + 1
-            return sorted((height[r] + 1, keys[r][0], keys[parent_of[r]][0], bits)
+            return sorted((height[r] + 1, vertex_of[r], vertex_of[parent_of[r]], bits)
                           for r in below)
 
-        _charge(self.g, cfg or SimConfig(), ledger, name, self.rounds, self.edges, bits,
+        _charge(self.g, self.cfg, self.ledger, name, self.rounds, self.edges, bits,
                 sends, "forest-aggregate")
-        acc = list(values)
+        acc = [0] * len(parent_of)
+        for r, v, _key in self.members:
+            acc[r] = values.get(v, 0)
         for r in reversed(below):
             p = parent_of[r]
             acc[p] = fn(acc[p], acc[r])
-        return acc
+        return {key: acc[r] for r, key in self.roots}
 
-    def broadcast(
-        self,
-        values: Sequence[int],
-        ledger: RoundLedger,
-        name: str,
-        bound: Optional[int] = None,
-        cfg: Optional[SimConfig] = None,
-    ) -> List[int]:
-        """Every root role r pushes ``values[r]`` down its tree (the other
-        roles' entries are not read); returns every role's value in role
-        order.  The pass is charged to ``ledger`` as phase ``name``; a
-        root value of None raises ValueError before any round.
+    def broadcast(self, name: str, tree_values: Dict[Hashable, int],
+                  bound: Optional[int] = None) -> Dict[int, int]:
+        """Member -> its tree's value in ``tree_values`` (0 where that
+        leaves the key out), in role order, charged as phase ``name``; a
+        vertex with no member's role has no entry.
 
         A root sends in round 1, and every other tree vertex forwards the
-        value, one ``8 + counter(bound)``-bit message per child, in the
-        round it arrives."""
-        for r, key in self.root_roles:
-            if values[r] is None:
-                raise ValueError(f"forest-broadcast: the root of tree {key!r} has no value")
+        value, one ``width(id_bits, 0, bound)``-bit message per child, in
+        the round it arrives."""
         bound = bound if bound is not None else max(2 * self.g.n + 1, 2)
         bits = width(self.g.id_bits, 0, bound)
-        parent_of, keys, below = self.parent_of, self.role_keys, self.below
+        parent_of, vertex_of, below = self.parent_of, self.vertex_of, self.below
 
         def sends():
             depth = [0] * len(parent_of)  # a role's receive round
             for r in below:
                 depth[r] = depth[parent_of[r]] + 1
-            return sorted((depth[r], keys[parent_of[r]][0], keys[r][0], bits)
+            return sorted((depth[r], vertex_of[parent_of[r]], vertex_of[r], bits)
                           for r in below)
 
-        _charge(self.g, cfg or SimConfig(), ledger, name, self.rounds, self.edges, bits,
+        _charge(self.g, self.cfg, self.ledger, name, self.rounds, self.edges, bits,
                 sends, "forest-broadcast")
-        return [values[q] for q in self.root_of]
+        return {v: tree_values.get(key, 0) for _r, v, key in self.members}
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +348,8 @@ def ruling_set_log(
 
     One level per ID bit, most significant first.  At each level the still
     active candidates whose current bit is 0 flood a radius-3 wave, a hop
-    count in ``8 + counter(3)`` bits; active candidates with bit 1 that
-    hear it drop out.  Survivors are pairwise at distance >= 4 and every
+    count in ``width(id_bits, 0, 3)`` bits; active candidates with bit 1
+    that hear it drop out.  Survivors are pairwise at distance >= 4 and every
     candidate stays within 3 * id_bits of the result.  Level L occupies
     rounds 4L+1..4L+4 (3 hops + 1 receive-only), so the whole run is
     O(log n) rounds with one message per edge per round.
@@ -419,14 +406,14 @@ def ruling_set_power(
     and hop-flood.
 
     The min-flood forwards each improvement at once, ``(smallest ID, hop)``
-    in ``8 + id_bits + counter(3t-1)`` bits to every neighbor but the one
-    it came from, so it quiesces as soon as the minima stabilize.  Every
+    in ``width(id_bits, 1, 3t-1)`` bits to every neighbor but the one it
+    came from, so it quiesces as soon as the minima stabilize.  Every
     message of a round carries the same hop, so a vertex keeps the
     smallest ID offered below its own and the first (smallest-ID) sender
-    of it.  The hop-flood sends ``hop`` in ``8 + counter(3t-1)`` bits to
-    every neighbor; a vertex forwards it once, in the round it first hears
-    it.  Both run as relay floods (:func:`_relay`, the hop-flood through
-    :func:`_flood`), each charged as one phase.
+    of it.  The hop-flood sends ``hop`` in ``width(id_bits, 0, 3t-1)``
+    bits to every neighbor; a vertex forwards it once, in the round it
+    first hears it.  Both run as relay floods (:func:`_relay`, the
+    hop-flood through :func:`_flood`), each charged as one phase.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -480,24 +467,24 @@ def partition_tree(
     the tree root.  Runs in O(diam) rounds on the tree's edges.
 
     Bottom-up, every vertex receives from each child either the weight of
-    the child's leftover set (``8 + counter(B)`` bits) or a no-leftover
-    marker (8 bits), groups leftover children (in increasing child ID)
-    into parts of weight in (B, 2B], and keeps the light tail plus itself
-    as its own root part.  A leaf reports in round 1, every other vertex
-    in the round after its last child's report.  Top-down, every vertex
-    that resolves a part identity pushes it, ``8 + id_bits + counter(n)``
-    bits, into the leftover subtrees that merged into it: in the round it
-    resolves the part, one hop further per round.
+    the child's leftover set (``width(id_bits, 0, B)`` bits) or a
+    no-leftover marker (``sim.TAG`` bits), groups leftover children (in
+    increasing child ID) into parts of weight in (B, 2B], and keeps the
+    light tail plus itself as its own root part.  A leaf reports in round
+    1, every other vertex in the round after its last child's report.
+    Top-down, every vertex that resolves a part identity pushes it,
+    ``width(id_bits, 1, |T|)`` bits, into the leftover subtrees that
+    merged into it: in the round it resolves the part, one hop further
+    per round.
 
     Both waves are computed on the host from the oriented tree and charged
     as one phase (``sim._charge``), its messages at their own widths.
     """
     if t.bound < 1:
         raise ValueError("bound B must be >= 1")
-    t.validate()
-    tree_graph = Graph(t.vertices(), t.edges)
+    tree = t.validate()
+    tree_graph = Graph(tree, t.edges)
     cfg = cfg or SimConfig()
-    tree = orient_tree(t.root, t.edges)
     bound = t.bound
     left_width = width(tree_graph.id_bits, 0, bound)
     assign_width = width(tree_graph.id_bits, 1, len(tree))

@@ -67,7 +67,7 @@ def _star_spanner(
     endpoint.  Each vertex keeps only its picks, part -> center.
     Round 2: every part vertex walks its neighbors in ID order, reads each
     listening sender's pick for its own part, picks per star one sender by
-    the same rule and sends it an 8-bit SELECTED.  It adds that
+    the same rule and sends it a ``sim.TAG``-bit SELECTED.  It adds that
     edge as ``cross`` unless it is in its own star, where the edge is the
     sender's round-1 star edge, or the edge is already in ``spanner``
     (its own round-1 star edge where it picked the sender as a star

@@ -1,15 +1,17 @@
 """No linter ships with the project, so this stdlib-only check stands in
-for the unused-import rule: a module under ``src/spanner`` imports no name
-it never uses.  Package ``__init__`` modules are left out, since they
-import names to re-export them."""
+for the unused-import rule: a module under ``src/spanner``, ``tests`` or
+``demos`` imports no name it never uses.  Package ``__init__`` modules are
+left out, since they import names to re-export them."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "spanner"
-MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "spanner"
+MODULES = (sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+           + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py")))
 
 
 def unused_imports(source):
@@ -32,6 +34,7 @@ def test_the_check_finds_unused_names():
     assert unused_imports(source) == [(2, "os"), (3, "c")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(
+    p.relative_to(SRC if SRC in p.parents else ROOT)))
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []

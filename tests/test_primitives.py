@@ -91,48 +91,10 @@ def test_grow_matches_centralized(seed):
 # -- forest convergecast / broadcast ----------------------------------------
 
 
-def per_role(forest, values):
-    """A vertex -> {tree key: value} table as one value per role, in the
-    forest's role order, 0 where missing."""
-    return [values.get(v, {}).get(key, 0) for v, key in forest.role_keys]
-
-
-def at_roots(forest, results):
-    """Per-role results as tree key -> its root role's result."""
-    return {key: results[r] for r, key in forest.root_roles}
-
-
-def per_vertex(forest, results):
-    """Per-role results as vertex -> {tree key: result}, {} for a vertex of
-    g with no role."""
-    out = {v: {} for v in forest.g.vertices}
-    for (v, key), x in zip(forest.role_keys, results):
-        out[v][key] = x
-    return out
-
-
-def aggregate_by_key(forest, values, *args, **kw):
-    """``Forest.aggregate`` from and to the vertex -> {key: value} shape,
-    charged to a fresh ledger as phase "forest-aggregate"."""
-    ledger = RoundLedger()
-    got = forest.aggregate(per_role(forest, values), ledger, "forest-aggregate",
-                           *args, **kw)
-    return at_roots(forest, got), ledger
-
-
-def broadcast_by_key(forest, root_values, *args, **kw):
-    """``Forest.broadcast`` from tree key -> value (0 where missing) to
-    vertex -> {key: value}, charged to a fresh ledger as phase
-    "forest-broadcast"."""
-    ledger = RoundLedger()
-    got = forest.broadcast([root_values.get(key, 0) for _v, key in forest.role_keys],
-                           ledger, "forest-broadcast", *args, **kw)
-    return per_vertex(forest, got), ledger
-
-
 def cluster_aggregate(g, cl, values, combine):
-    per_tree = {v: {cl.membership[v]: x} for v, x in values.items()}
-    return aggregate_by_key(Forest(g, clustering_roles(cl)), per_tree, combine)
+    ledger = RoundLedger()
+    forest = Forest(g, SimConfig(), ledger, clustering_roles(cl), cl.membership)
+    return forest.aggregate("forest-aggregate", values, combine), ledger
 
 
 def test_aggregate_cluster_sizes():
@@ -162,7 +124,8 @@ def test_aggregate_max():
 
 def test_forest_vertex_in_two_edge_disjoint_trees():
     # 3x3 grid; vertices 0 and 4 each sit in both trees "a" and "b", which
-    # share no edge; "c" is a lone root
+    # share no edge; "c" is a lone root.  0 is a member of "a" and relays
+    # in "b", 4 the other way round (it is the root of "a")
     g = generate("grid", {"rows": 3, "cols": 3})
     trees = {
         "a": (4, [(3, 4), (4, 5), (0, 3), (5, 8)]),
@@ -173,27 +136,37 @@ def test_forest_vertex_in_two_edge_disjoint_trees():
              for v, (p, _ch) in orient_tree(root, edges).items()}
     assert [key for v, key in roles if v == 0] == [key for v, key in roles if v == 4] \
         == ["a", "b"]
+    key_of = {0: "a", 3: "a", 5: "a", 8: "a", 1: "b", 2: "b", 4: "b", 7: "b", 6: "c"}
     rng = random.Random(3)
-    values = {}
-    for v, key in roles:
-        values.setdefault(v, {})[key] = rng.randint(0, 9)
-    members = {key: [v for v, k in roles if k == key] for key in trees}
-    forest = Forest(g, roles)
+    values = {v: rng.randint(1, 9) for v in g.vertices}
+    # a relaying role contributes 0
+    own = {key: [values[v] if key_of[v] == key else 0 for v, k in roles if k == key]
+           for key in trees}
+    ledger = RoundLedger()
+    forest = Forest(g, SimConfig(), ledger, roles, key_of)
     for combine, fn in (("sum", sum), ("max", max), ("min", min)):
-        agg, ledger = aggregate_by_key(forest, values, combine, bound=100)
-        assert agg == {key: fn(values[v][key] for v in vs) for key, vs in members.items()}
-        assert ledger.rounds_used <= 2
-    sums, _ = aggregate_by_key(forest, values, bound=100)
-    got, ledger = broadcast_by_key(forest, sums, bound=100)
-    assert got == {v: {key: sums[key] for u, key in roles if u == v} for v in g.vertices}
-    assert ledger.rounds_used <= 2
-    # per role: role r is the table's r-th pair, numbered back by
-    # forest.number, and a non-root role's aggregate is its subtree's
-    assert forest.role_keys == list(roles)
-    r = forest.number[4, "b"]
-    assert forest.role_keys[r] == (4, "b")
-    subtree = forest.aggregate(per_role(forest, values), RoundLedger(), "sub", bound=100)
-    assert subtree[r] == sum(values[v]["b"] for v in (4, 7))
+        agg = forest.aggregate("agg", values, combine, bound=100)
+        assert agg == {key: fn(xs) for key, xs in own.items()}
+    sums = forest.aggregate("agg", values, bound=100)
+    got = forest.broadcast("down", sums, bound=100)
+    # every member gets its own tree's value, in role order
+    assert list(got.items()) == [(v, sums[key]) for v, key in roles if key_of[v] == key]
+    assert ledger.per_phase == [("agg", 2)] * 4 + [("down", 2)]
+
+
+def test_forest_relay_role_and_roleless_vertex():
+    # vertex 1 lies on tree "x"'s path 0-1-2 and is a member of tree "y"
+    # (3 with children 1 and 4); vertex 5 has no role at all
+    g = Graph(range(6), [(0, 1), (1, 2), (1, 3), (3, 4)])
+    roles = {(0, "x"): None, (1, "x"): 0, (2, "x"): 1,
+             (3, "y"): None, (1, "y"): 3, (4, "y"): 3}
+    key_of = {0: "x", 2: "x", 1: "y", 3: "y", 4: "y"}
+    forest = Forest(g, SimConfig(), RoundLedger(), roles, key_of)
+    values = {0: 1, 1: 10, 2: 100, 3: 1000, 4: 10000, 5: 7}
+    # 1's value counts for "y" only, and 5's for no tree
+    assert forest.aggregate("agg", values) == {"x": 101, "y": 11010}
+    got = forest.broadcast("down", {"x": 5, "y": 6})
+    assert list(got.items()) == [(0, 5), (2, 5), (3, 6), (1, 6), (4, 6)]
 
 
 class RefAggregate(NodeProgram):
@@ -209,7 +182,7 @@ class RefAggregate(NodeProgram):
     def init(self, view):
         p = view.private or {}
         rows = [{"key": key, "parent": parent, "waiting": set(children),
-                "acc": p.get("values", {}).get(key, 0), "sent": False}
+                "acc": p["value"] if key == p["key"] else 0, "sent": False}
                for key, parent, children in p.get("roles", ())]
         return {"roles": rows, "edge_role": _ref_edge_roles(p.get("roles", ()))}
 
@@ -294,23 +267,21 @@ def _ref_edge_roles(roles):
     return by_edge
 
 
-def ref_forest_aggregate(g, roles, values, combine, bound, cfg):
+def ref_forest_aggregate(g, roles, key_of, values, combine, bound, cfg):
     bound = bound if bound is not None else max(2 * g.n + 1, 2)
-    private = {v: {"roles": rs, "values": values.get(v, {})}
+    private = {v: {"roles": rs, "key": key_of.get(v), "value": values.get(v, 0)}
                for v, rs in vertex_roles(roles).items()}
     outputs, ledger = run(g, RefAggregate(combine, bound), cfg, private=private)
     return {key: outputs[v][key] for (v, key), p in roles.items() if p is None}, ledger
 
 
-def ref_forest_broadcast(g, roles, root_values, bound, cfg):
+def ref_forest_broadcast(g, roles, key_of, root_values, bound, cfg):
     bound = bound if bound is not None else max(2 * g.n + 1, 2)
     private = {v: {"roles": rs, "values": {key: root_values.get(key, 0)
                                            for key, p, _ch in rs if p is None}}
                for v, rs in vertex_roles(roles).items()}
     outputs, ledger = run(g, RefBroadcast(bound), cfg, private=private)
-    result = {v: {} for v in g.vertices}
-    result.update(outputs)
-    return result, ledger
+    return {v: outputs[v][key] for v, key in roles if key_of.get(v) == key}, ledger
 
 
 def _stalled(name, stuck):
@@ -321,7 +292,7 @@ def _stalled(name, stuck):
     )
 
 
-def stepped_forest_aggregate(g, roles, values, combine, bound, cfg):
+def stepped_forest_aggregate(g, roles, key_of, values, combine, bound, cfg):
     """Reference for ``Forest.aggregate``: the convergecast as a
     mail-driven step under ``sim.run``, every round posted through the
     send step."""
@@ -332,7 +303,7 @@ def stepped_forest_aggregate(g, roles, values, combine, bound, cfg):
     fn = {"sum": lambda a, b: a + b, "max": max, "min": min}[combine]
     bound = bound if bound is not None else max(2 * g.n + 1, 2)
     bits = width(g.id_bits, 0, bound)
-    acc = {v: [values.get(v, {}).get(key, 0) for key, _p, _ch in rs]
+    acc = {v: [values.get(v, 0) if key == key_of.get(v) else 0 for key, _p, _ch in rs]
            for v, rs in rows.items()}
     left = {v: [len(ch) for _key, _p, ch in rs] for v, rs in rows.items()}
 
@@ -361,7 +332,7 @@ def stepped_forest_aggregate(g, roles, values, combine, bound, cfg):
     return {key: roots[v, key] for (v, key), p in roles.items() if p is None}, ledger
 
 
-def stepped_forest_broadcast(g, roles, root_values, bound, cfg):
+def stepped_forest_broadcast(g, roles, key_of, root_values, bound, cfg):
     """Reference for ``Forest.broadcast``: the broadcast as a mail-driven
     step under ``sim.run``, every round posted through the send step."""
     name = "forest-broadcast"
@@ -393,20 +364,21 @@ def stepped_forest_broadcast(g, roles, root_values, bound, cfg):
     ledger = run(g, StepProgram(name, roots, step), cfg or SimConfig())[1]
     if ledger.messages_total < edges:
         _stalled(name, [v for v, known in got.items() if None in known])
-    result = {v: {} for v in g.vertices}
-    for v, rs in rows.items():
-        result[v] = {key: x for (key, _p, _ch), x in zip(rs, got[v])}
-    return result, ledger
+    known = {(v, key): x for v, rs in rows.items()
+             for (key, _p, _ch), x in zip(rs, got[v])}
+    return {v: known[v, key] for v, key in roles if key_of.get(v) == key}, ledger
 
 
 def random_forest(rng):
     """Up to four edge-disjoint trees on sparse IDs (n <= 14, IDs up to
     600) that may share vertices, sometimes a cycle of roles with a tree
-    hanging off it (a table the Forest rejects), plus extra graph edges, random
-    contributions, a value bound that may overrun the budget, and a config
-    that is strict or audit, with a tight or default budget and a small or
-    default round cap.  Sometimes tree edges are left out of the graph.
-    Also returns whether the table is acyclic."""
+    hanging off it (a table the Forest rejects), plus extra graph edges,
+    each vertex's tree key (mostly one of its roles' keys, sometimes a key
+    it has no role under, sometimes none), random contributions, a value
+    bound that may overrun the budget, and a config that is strict or
+    audit, with a tight or default budget and a small or default round
+    cap.  Sometimes tree edges are left out of the graph.  Also returns
+    whether the table is acyclic."""
     ids = sorted(rng.sample(range(601), rng.randint(1, 14)))
     used = set()
     roles = {}
@@ -442,24 +414,28 @@ def random_forest(rng):
     missing = set(rng.sample(sorted(used), rng.randint(1, len(used)))) \
         if used and rng.random() < 0.15 else set()
     g = Graph(ids, (used | extra) - missing)
+    tree_keys = sorted({key for _v, key in roles}, key=repr)
+    key_of = {}
+    for v in ids:
+        own = [key for u, key in roles if u == v]
+        pick = rng.random()
+        if pick < 0.8:
+            key_of[v] = rng.choice(own if own and pick < 0.6 else tree_keys)
     values, root_values = random_values(rng, roles)
     bound = rng.choice((None, 1, 2**8, 2**20, 2**20))
     budget = rng.choice((None, 8 + g.id_bits + rng.randint(0, 12)))
     cfg = SimConfig(msg_bit_budget=budget, strict=rng.random() < 0.5)
     if rng.random() < 0.3:
         cfg.max_rounds = rng.randint(0, 6)
-    return g, roles, values, root_values, bound, cfg, acyclic
+    return g, roles, key_of, values, root_values, bound, cfg, acyclic
 
 
 def random_values(rng, roles):
-    """Random contributions to the trees of ``roles`` and random root
-    values, each left out with probability 0.2; a root value is None with
-    probability 0.05."""
-    values = {}
-    for v, key in roles:
-        if rng.random() < 0.8:
-            values.setdefault(v, {})[key] = rng.randint(0, 40)
-    root_values = {key: rng.randint(0, 40) if rng.random() < 0.95 else None
+    """Random contributions of the vertices of ``roles`` and random root
+    values, each left out with probability 0.2."""
+    values = {v: rng.randint(0, 40) for v in sorted({v for v, _key in roles})
+              if rng.random() < 0.8}
+    root_values = {key: rng.randint(0, 40)
                    for (_v, key), p in roles.items() if p is None and rng.random() < 0.8}
     return values, root_values
 
@@ -476,36 +452,45 @@ def _outcome(call):
 @given(st.integers(0, 10**9), st.sampled_from(("sum", "max", "min")))
 def test_forest_helpers_match_reference_programs(seed, combine):
     """A table with a cycle or a tree edge outside g is rejected by the
-    Forest constructor, and a None root value by ``broadcast``.  On every
-    other draw the scheduled convergecast and broadcast return the same
-    outputs (key order included, read through the role order), the same
-    ledger with its violation records, and the same exception type and
-    text as the mail-driven steps they replace and as the vertex
-    programs.  One Forest runs each direction twice, on two value sets,
-    so no call leaves state behind that the next one reads."""
+    Forest constructor.  On every other draw the scheduled convergecast
+    and broadcast, each on a Forest and ledger of its own, return the
+    same outputs (key order included), the same ledger with its
+    violation records, and the same exception type and text as the
+    mail-driven steps they replace and as the vertex programs.  One more
+    Forest runs each direction twice, on two value sets, and returns what
+    the fresh ones do, so no call leaves state behind that the next one
+    reads."""
     rng = random.Random(seed)
-    g, roles, values, root_values, bound, cfg, acyclic = random_forest(rng)
+    g, roles, key_of, values, root_values, bound, cfg, acyclic = random_forest(rng)
     values2, root_values2 = random_values(rng, roles)
     in_g = all(g.has_edge(v, p) for (v, _key), p in roles.items() if p is not None)
     if not (acyclic and in_g):
         with pytest.raises(SimError, match="^forest: "):
-            Forest(g, roles)
+            Forest(g, cfg, RoundLedger(), roles, key_of)
         return
-    forest = Forest(g, roles)
+    shared = Forest(g, cfg, RoundLedger(), roles, key_of)
+
+    def fresh(helper, *args):
+        ledger = RoundLedger()
+        forest = Forest(g, cfg, ledger, roles, key_of)
+        return getattr(forest, helper)(f"forest-{helper}", *args), ledger
+
     for vals in (values, values2):
-        got = _outcome(lambda: aggregate_by_key(forest, vals, combine, bound, cfg))
+        got = _outcome(lambda: fresh("aggregate", vals, combine, bound))
         assert got == _outcome(
-            lambda: stepped_forest_aggregate(g, roles, vals, combine, bound, cfg))
+            lambda: stepped_forest_aggregate(g, roles, key_of, vals, combine, bound, cfg))
         assert got == _outcome(
-            lambda: ref_forest_aggregate(g, roles, vals, combine, bound, cfg))
+            lambda: ref_forest_aggregate(g, roles, key_of, vals, combine, bound, cfg))
+        if isinstance(got[0], str):  # the pass went through
+            assert repr(shared.aggregate("again", vals, combine, bound)) == got[0]
     for vals in (root_values, root_values2):
-        if None in vals.values():
-            with pytest.raises(ValueError, match="^forest-broadcast: the root of tree "):
-                broadcast_by_key(forest, vals, bound, cfg)
-            continue
-        got = _outcome(lambda: broadcast_by_key(forest, vals, bound, cfg))
-        assert got == _outcome(lambda: stepped_forest_broadcast(g, roles, vals, bound, cfg))
-        assert got == _outcome(lambda: ref_forest_broadcast(g, roles, vals, bound, cfg))
+        got = _outcome(lambda: fresh("broadcast", vals, bound))
+        assert got == _outcome(
+            lambda: stepped_forest_broadcast(g, roles, key_of, vals, bound, cfg))
+        assert got == _outcome(
+            lambda: ref_forest_broadcast(g, roles, key_of, vals, bound, cfg))
+        if isinstance(got[0], str):
+            assert repr(shared.broadcast("again", vals, bound)) == got[0]
 
 
 # case id -> (role table, what the error says)
@@ -533,7 +518,7 @@ def test_forest_role_table_checked(helper, text, monkeypatch):
     monkeypatch.setattr(primitives, "_charge", no_rounds)
     table, message = BROKEN_TABLES[text]
     with pytest.raises(SimError, match=f"^forest: .*{message}"):
-        getattr(Forest(g, table), helper)([])
+        getattr(Forest(g, SimConfig(), RoundLedger(), table, {}), helper)("x", {})
 
 
 def test_forest_rejects_cycles_and_tree_edges_outside_g():
@@ -543,32 +528,34 @@ def test_forest_rejects_cycles_and_tree_edges_outside_g():
     roles = {(0, "a"): 2, (1, "a"): 0, (2, "a"): 1}
     with pytest.raises(SimError, match=r"^forest: roles of vertices \[0, 1, 2\] lie on "
                                        r"or below a cycle$"):
-        Forest(g, roles)
+        Forest(g, SimConfig(), RoundLedger(), roles, {})
     # 0 and 1 name each other, so edge (0, 1) is named twice in tree "a":
     # a cycle of two roles, with 2 hanging below it
     roles = {(0, "a"): 1, (1, "a"): 0, (2, "a"): 1}
     with pytest.raises(SimError, match=r"^forest: roles of vertices \[0, 1, 2\] lie on "
                                        r"or below a cycle$"):
-        Forest(g, roles)
+        Forest(g, SimConfig(), RoundLedger(), roles, {})
     # a path tree 0-1-2 over a graph that lacks its edge (1, 2)
     path = {(0, "a"): None, (1, "a"): 0, (2, "a"): 1}
     with pytest.raises(SimError, match=r"^forest: tree edge \(2, 1\) of tree 'a' is "
                                        r"not an edge of the graph$"):
-        Forest(Graph(range(3), [(0, 1)]), path)
+        Forest(Graph(range(3), [(0, 1)]), SimConfig(), RoundLedger(), path, {})
 
 
 def test_forest_overrun_records_in_round_sender_receiver_order():
-    # vertex 5 is a leaf in tree "a" (parent 9) and in tree "b" (parent
-    # 1): over the budget its two reports are recorded in receiver order,
-    # not in role order
+    # vertex 5 is a leaf in tree "a" (parent 9), where it is a member,
+    # and in tree "b" (parent 1), where it relays: over the budget its two
+    # reports are recorded in receiver order, not in role order
     g = Graph([1, 5, 9], [(1, 5), (5, 9)])
     roles = {(5, "a"): 9, (5, "b"): 1, (9, "a"): None, (1, "b"): None}
+    key_of = {5: "a", 9: "a", 1: "b"}
     cfg = SimConfig(strict=False, msg_bit_budget=8 + g.id_bits)
-    forest = Forest(g, roles)
     up, down = RoundLedger(), RoundLedger()
-    agg = forest.aggregate([1, 2, 3, 4], up, "up", bound=2**20, cfg=cfg)
-    got = forest.broadcast([0, 0, 7, 8], down, "down", bound=2**20, cfg=cfg)
-    assert (agg, got) == ([1, 2, 4, 6], [7, 8, 7, 8])
+    agg = Forest(g, cfg, up, roles, key_of).aggregate("up", {5: 1, 9: 3, 1: 4},
+                                                       bound=2**20)
+    got = Forest(g, cfg, down, roles, key_of).broadcast("down", {"a": 7, "b": 8},
+                                                         bound=2**20)
+    assert (agg, list(got.items())) == ({"a": 4, "b": 4}, [(5, 7), (9, 7), (1, 8)])
     for ledger, edges in ((up, [[5, 1], [5, 9]]), (down, [[1, 5], [9, 5]])):
         assert (ledger.rounds_used, ledger.messages_total) == (1, 2)
         assert [(rec["round"], rec["edge"]) for rec in ledger.violations] == \
@@ -584,11 +571,13 @@ def test_forest_pass_in_the_callers_ledger_names_itself(helper, label):
     and the strict BudgetError name the pass, as does the SimTimeout at
     the round cap, while ``per_phase`` carries the caller's phase."""
     g = generate("path", {"n": 5})
-    chain = Forest(g, {(v, "t"): v - 1 if v else None for v in range(5)})
+    chain = {(v, "t"): v - 1 if v else None for v in range(5)}
+    members = dict.fromkeys(range(5), "t")
+    values = {"aggregate": dict.fromkeys(range(5), 1), "broadcast": {"t": 1}}[helper]
     floor = 8 + g.id_bits
 
     def charge(cfg, ledger, name="sizes:P1", bound=2**20):
-        getattr(chain, helper)([1] * 5, ledger, name, bound=bound, cfg=cfg)
+        getattr(Forest(g, cfg, ledger, chain, members), helper)(name, values, bound=bound)
         return ledger
 
     def earlier():
@@ -995,21 +984,6 @@ def test_partition_random_trees(seed):
 # -- the wrappers' edge cases --------------------------------------------------
 
 
-def test_forest_broadcast_roleless_vertex_gets_empty_dict():
-    # the result holds one value per role, so a vertex with no role has
-    # no entry; read per vertex through the role order, it gets {}
-    g = generate("path", {"n": 6})
-    cl, _ = grow_bfs_clusters(g, {1}, 1)  # clusters 0, 1, 2 only
-    forest = Forest(g, clustering_roles(cl))
-    assert forest.role_keys == [(0, 1), (1, 1), (2, 1)]
-    assert forest.root_roles == [(1, 1)]
-    got = forest.broadcast([None, 5, None], RoundLedger(), "b")  # reads the root's only
-    assert got == [5, 5, 5]
-    by_vertex = per_vertex(forest, got)
-    assert list(by_vertex) == list(g.vertices)
-    assert by_vertex == {0: {1: 5}, 1: {1: 5}, 2: {1: 5}, 3: {}, 4: {}, 5: {}}
-
-
 def test_ruling_power_candidate_never_woken():
     # radius 2: candidate 2 hears 0 and 4 hears 2, so only 0 joins in the
     # first wave, and its deactivation flood never reaches candidate 4
@@ -1027,19 +1001,19 @@ def test_wrappers_match_audit_mode(seed):
     so every wrapper returns the same result and ledger in both modes."""
     rng = random.Random(seed)
     n = rng.randint(2, 40)
-    g = generate("erdos-renyi", {"n": n, "p": 3.0 / n}, seed=seed)
+    g = generate("erdos-renyi", {"n": n, "p": min(1.0, 3.0 / n)}, seed=seed)
     picked = set(rng.sample(range(n), rng.randint(1, max(1, n // 3))))
     audit = replace(CFG, strict=False)
 
     def builds(cfg):
         cl, led1 = grow_bfs_clusters(g, picked, 2, cfg)
-        forest = Forest(g, clustering_roles(cl))
-        led2, led3 = RoundLedger(), RoundLedger()
-        sizes = forest.aggregate([1] * len(forest.role_keys), led2, "sizes", cfg=cfg)
-        got = forest.broadcast(sizes, led3, "know", cfg=cfg)
-        ruled, led4 = ruling_set_log(g, picked, cfg)
-        power, led5 = ruling_set_power(g, picked, 1, cfg)
-        ledgers = [led.to_json() for led in (led1, led2, led3, led4, led5)]
+        led2 = RoundLedger()
+        forest = Forest(g, cfg, led2, clustering_roles(cl), cl.membership)
+        sizes = forest.aggregate("sizes", dict.fromkeys(cl.membership, 1))
+        got = forest.broadcast("know", sizes)
+        ruled, led3 = ruling_set_log(g, picked, cfg)
+        power, led4 = ruling_set_power(g, picked, 1, cfg)
+        ledgers = [led.to_json() for led in (led1, led2, led3, led4)]
         return cl.membership, cl.parents, sizes, got, ruled, power, ledgers
 
     assert builds(CFG) == builds(audit)

@@ -29,9 +29,11 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "spanner"
 # the 5-path 0-1-2-3-4: id_bits 3, default budget 19 bits, so a chunk
 # of an ID stream holds 3 IDs
 PATH5 = generate("path", {"n": 5})
-CHAIN = Forest(PATH5, {(v, "t"): v - 1 if v else None for v in range(5)})
+# the 5-path as one tree "t" rooted at 0, every vertex a member
+CHAIN = {(v, "t"): v - 1 if v else None for v in range(5)}
+IN_CHAIN = dict.fromkeys(range(5), "t")
 # stars 0: [1], 2: [3] and 4: [] on the 5-path
-STARS5 = starbip.StarState(PATH5, {0, 2, 4}, {1, 3})
+STARS5 = starbip.StarState({0, 2, 4}, {1, 3})
 starbip._form_stars(PATH5, SimConfig(), RoundLedger(), STARS5, Spanner(PATH5))
 TREE5 = WeightedTree(edges=frozenset(canon(v, v + 1) for v in range(4)), root=0,
                      weights=dict.fromkeys(range(5), 1), bound=2)
@@ -61,10 +63,12 @@ CHARGED = {
     "_charge_stream.scatter": (_fresh(lambda cfg, led: _charge_stream(
         PATH5, cfg, led, "scatter", {2: {1: [4], 3: list(range(4))}})), "scatter", 3),
     # a pass charged under its caller's phase name still names itself
-    "Forest.aggregate": (_fresh(lambda cfg, led: CHAIN.aggregate(
-        [1] * 5, led, "sizes", cfg=cfg)), "forest-aggregate", 4),
-    "Forest.broadcast": (_fresh(lambda cfg, led: CHAIN.broadcast(
-        [1, 0, 0, 0, 0], led, "sizes", cfg=cfg)), "forest-broadcast", 4),
+    "Forest.aggregate": (_fresh(lambda cfg, led: Forest(
+        PATH5, cfg, led, CHAIN, IN_CHAIN).aggregate("sizes", dict.fromkeys(range(5), 1))),
+        "forest-aggregate", 4),
+    "Forest.broadcast": (_fresh(lambda cfg, led: Forest(
+        PATH5, cfg, led, CHAIN, IN_CHAIN).broadcast("sizes", {"t": 1})),
+        "forest-broadcast", 4),
     "bipartite_3_spanner": (lambda cfg: bipartite_3_spanner(
         PATH5, Bipartition({0, 2, 4}, {1, 3}), cfg).ledger, "star-spanner", 2),
     "grow_bfs_clusters": (lambda cfg: grow_bfs_clusters(PATH5, {0}, 4, cfg)[1],

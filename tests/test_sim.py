@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from spanner import BudgetError, Graph, Msg, NodeProgram, SimConfig, generate, run, sim
 from spanner.primitives import _charge_flood, _flood
 from spanner.sim import (
-    TAG,
     FloodMax,
     NodeView,
     RoundLedger,

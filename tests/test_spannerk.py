@@ -547,7 +547,7 @@ def test_star_bfs_matches_reference_program(seed):
     elsewhere the two agree as they are."""
     rng = random.Random(seed)
     g, part, k, cfg = random_star_bfs_inputs(rng)
-    state = starbip.StarState(g, set(part.a), set(part.b))
+    state = starbip.StarState(set(part.a), set(part.b))
     # star formation is set-up here, so it runs uncapped
     starbip._form_stars(g, replace(cfg.resolved(g), max_rounds=SimConfig.max_rounds),
                         RoundLedger(), state, Spanner(g))
@@ -583,7 +583,7 @@ def test_star_bfs_without_centres_passes_a_cap_of_one():
     # K_{3,6} with no centres sends nothing, R = 0, so the BFS needs no
     # round to deliver anything and returns every star unclustered
     g = Graph(range(9), [(a, b) for a in range(3) for b in range(3, 9)])
-    state = starbip.StarState(g, {0, 1, 2}, set(range(3, 9)))
+    state = starbip.StarState({0, 1, 2}, set(range(3, 9)))
     starbip._form_stars(g, SimConfig(), RoundLedger(), state, Spanner(g))
     ledger = RoundLedger()
     got = starbip._grow_star_clusters(g, SimConfig(max_rounds=1), ledger, state, set(), 2)
