@@ -59,7 +59,7 @@ tree = WeightedTree(edges=edges, root=0,
                     weights={0: 0, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1}, bound=2)
 parts, ledger = partition_tree(tree)
 print("\nstar with five unit-weight leaves, B=2:")
-for i, p in enumerate(parts.parts):
-    tag = " (leftover)" if i == parts.leftover_index else ""
+for i, p in enumerate(parts):
+    tag = " (the root's part, which may be light)" if i == 0 else ""
     print(f"  part rooted at {p.root}: owns {sorted(p.owned)}{tag}")
 print("the root serves as auxiliary root of several parts but is owned once")

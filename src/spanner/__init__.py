@@ -28,7 +28,6 @@ from .clustering import (
     Clustering,
     Supercluster,
     Superclustering,
-    TreePartition,
     WeightedTree,
 )
 from .primitives import (
@@ -70,8 +69,7 @@ __all__ = [
     "with_random_weights",
     "BudgetError", "Msg", "NodeProgram", "RoundLedger", "SimConfig",
     "SimTimeout", "run",
-    "Clustering", "Supercluster", "Superclustering", "TreePartition",
-    "WeightedTree",
+    "Clustering", "Supercluster", "Superclustering", "WeightedTree",
     "Forest", "clustering_roles",
     "grow_bfs_clusters", "partition_tree",
     "ruling_set_log", "ruling_set_power",

@@ -220,12 +220,3 @@ class TreePart:
     @property
     def tree_vertices(self) -> Set[int]:
         return tree_span(self.root, self.edges) | self.owned
-
-
-@dataclass
-class TreePartition:
-    """Output of the balanced tree partitioning; part 0 is the one possibly
-    light part, rooted at the input tree's root."""
-
-    parts: List[TreePart]
-    leftover_index: int = 0

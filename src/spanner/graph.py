@@ -32,7 +32,7 @@ class Graph:
     Immutable after construction; safe to share across concurrent readers.
     """
 
-    __slots__ = ("vertices", "adj", "weights", "edge_set", "_index", "id_bits")
+    __slots__ = ("vertices", "adj", "weights", "edge_set", "id_bits")
 
     def __init__(
         self,
@@ -76,7 +76,6 @@ class Graph:
             self.weights: Optional[Dict[Edge, float]] = w
         else:
             self.weights = None
-        self._index = {v: i for i, v in enumerate(vs)}
         # width of one vertex ID in bits: ceil(log2(max_id + 1)), at least 1
         self.id_bits: int = max(1, self.max_id.bit_length())
 
@@ -200,7 +199,7 @@ def bfs_dist(
     g: Graph, src: int, hop_cap: Optional[int] = None
 ) -> Dict[int, int]:
     """Exact hop distances from ``src``; vertices beyond ``hop_cap`` omitted."""
-    if src not in g._index:
+    if src not in g.adj:
         raise GraphError(f"source {src} not in graph")
     dist = {src: 0}
     q = deque([src])

@@ -99,5 +99,4 @@ def baswana_sen_baseline(
 
     last_level(g, cfg, ledger, H, clustering, ("bs-final-status", "bs-final-edges"),
                "bs-final")
-    trace["size"] = H.size
     return SpannerRun(H, ledger, trace)

@@ -15,6 +15,7 @@ from ..graph import Graph
 from ..primitives import Forest, RoleTable, grow_bfs_clusters, partition_tree
 from ..results import SpannerRun
 from ..sim import RoundLedger, SimConfig
+from ..spanner3 import improved_3_spanner
 from .common import (
     cluster_steps, connect, elect, ipow_ceil, label_contacts,
 )
@@ -45,8 +46,6 @@ def improved_spanner(
     if k < 2:
         raise ValueError("k must be >= 2")
     if k == 2:
-        from ..spanner3 import improved_3_spanner
-
         return improved_3_spanner(g, cfg)
     if g.weighted:
         raise ValueError("weighted graphs are only supported for k = 2")
@@ -89,7 +88,6 @@ def improved_spanner(
     )
     ledger.extend_sequential(tail.ledger, name="tail")
     trace["tail"] = tail.trace
-    trace["size"] = H.size
     return SpannerRun(H, ledger, trace)
 
 
@@ -212,9 +210,9 @@ def _regroup(g, k, cfg, ledger, clustering, successful: List[Supercluster],
             weights={c: 1 for c in small_centers},
             bound=b_clusters,
         )
-        tp1, led = partition_tree(wt1, cfg)
+        parts1, led = partition_tree(wt1, cfg)
         part_ledgers.append(led)
-        for part in tp1.parts:
+        for part in parts1:
             cs = [c for c in sorted(part.owned) if c in small_centers]
             if not cs:
                 continue
@@ -227,9 +225,9 @@ def _regroup(g, k, cfg, ledger, clustering, successful: List[Supercluster],
                 weights={c: sizes[c] for c in cs},
                 bound=b_vertices,
             )
-            tp2, led = partition_tree(wt2, cfg)
+            parts2, led = partition_tree(wt2, cfg)
             part_ledgers.append(led)
-            for p2 in tp2.parts:
+            for p2 in parts2:
                 cs2 = [c for c in sorted(p2.owned) if c in cs]
                 if cs2:
                     add(cs2, p2.edges, p2.root)

@@ -55,7 +55,6 @@ def naive_spanner(
         trace["levels"][i] = len(clustering.centers)
 
     last_level(g, cfg, ledger, H, clustering, ("announce:final", "final-edges"), "final")
-    trace["size"] = H.size
     return SpannerRun(H, ledger, trace)
 
 

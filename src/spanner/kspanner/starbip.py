@@ -23,6 +23,7 @@ from ..results import SpannerRun
 from ..sim import (
     TAG, RoundLedger, SimConfig, SimError, SimTimeout, _charge, _to_all, width,
 )
+from ..spanner3 import bipartite_3_spanner
 from .common import (
     _charge_stream,
     announce_join,
@@ -203,8 +204,6 @@ def sparser_bipartite_spanner(
         raise ValueError("k must be >= 2")
     cfg = (cfg or SimConfig()).resolved(g)
     if k == 2:
-        from ..spanner3 import bipartite_3_spanner
-
         return bipartite_3_spanner(g, part, cfg)
     part.check(g)
     if g.weighted:
@@ -218,7 +217,6 @@ def sparser_bipartite_spanner(
     trace["stars"] = {s: tuple(ms) for s, ms in st.members.items()}
     A = len(st.stars())
     if A <= 1:
-        trace["size"] = H.size
         return SpannerRun(H, ledger, trace)
     # every neighbour's star, heard in star formation: the phases read it
     if kp > 1:
@@ -232,7 +230,6 @@ def sparser_bipartite_spanner(
             g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i
         )
     _last_phase(g, cfg, ledger, H, st, cluster_of, gtree)
-    trace["size"] = H.size
     return SpannerRun(H, ledger, trace)
 
 

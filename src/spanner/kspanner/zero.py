@@ -154,40 +154,30 @@ def cons_zero_superclustering(
     bound = max(1, math.ceil(math.sqrt(n)))
     members = clustering.members()
     trees = clustering.tree_edges_by_center()
-    superclusters: List[Supercluster] = []
+    shapes = []  # (vertices, tree edges, root) of each supercluster, in order
     part_ledgers: List[RoundLedger] = []
     for c in sorted(members):
         vs = members[c]
-        tree_edges = trees[c]
         if len(vs) < bound:
-            superclusters.append(
-                Supercluster(
-                    sc_id=max(vs),
-                    clusters=frozenset(vs),
-                    tree_edges=tree_edges,
-                    root=c,
-                    depth_bound=max(1, 2 * radius),
-                )
-            )
+            shapes.append((vs, trees[c], c))
             continue
         wt = WeightedTree(
-            edges=tree_edges, root=c, weights={v: 1 for v in vs}, bound=bound
+            edges=trees[c], root=c, weights={v: 1 for v in vs}, bound=bound
         )
-        tp, led = partition_tree(wt, cfg)
+        tree_parts, led = partition_tree(wt, cfg)
         part_ledgers.append(led)
-        for p in tp.parts:
-            if not p.owned:
-                continue
-            superclusters.append(
-                Supercluster(
-                    sc_id=max(p.owned),
-                    clusters=frozenset(p.owned),
-                    tree_edges=p.edges,
-                    root=p.root,
-                    depth_bound=max(1, 2 * radius),
-                )
-            )
+        shapes += [(p.owned, p.edges, p.root) for p in tree_parts if p.owned]
     ledger.extend_parallel(part_ledgers, name="zero-balance")
+    superclusters = [
+        Supercluster(
+            sc_id=max(vs),
+            clusters=frozenset(vs),
+            tree_edges=tree_edges,
+            root=root,
+            depth_bound=max(1, 2 * radius),
+        )
+        for vs, tree_edges, root in shapes
+    ]
 
     covered = sorted(clustering.membership)
     c0 = Clustering.singletons(covered)

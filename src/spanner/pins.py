@@ -126,15 +126,14 @@ def compute_pins(verbose: bool = True) -> dict:
         sizes3[name] = res.spanner.size
         maxbits[f"imp3:{name}"] = res.ledger.max_bits_seen
         rounds3[name] = res.ledger.rounds_used
-    fit3 = fit_bounds(
+    lsq3, max_ratio3 = fit_bounds(
         [float(s) for s in sizes3.values()],
         [g.n ** 1.5 for _n, g in corpus()],
-        form="a*n^1.5",
     )
     pins["three_spanner"] = {
         "sizes": sizes3,
-        "lsq": fit3.lsq,
-        "max_ratio": fit3.max_ratio,
+        "lsq": lsq3,
+        "max_ratio": max_ratio3,
     }
 
     log("running improved spanner corpus (all k) ...")

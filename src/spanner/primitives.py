@@ -1,10 +1,12 @@
 """Distributed building blocks shared by every spanner algorithm.
 
 Every wrapper is a pure function of (graph, inputs) and returns the
-assembled result together with the run's RoundLedger.  Cluster growth, the
-power-graph min-flood and hop-flood and the log-round ruling set are
-relay floods, run layer by layer on the host (``_relay``, the broadcast
-floods through ``_flood``) without touching a ledger.  The convergecast
+assembled result together with the run's RoundLedger, except a
+``Forest``: it charges the ledger it was built with, and its passes
+return only their values.  Cluster growth, the power-graph min-flood and
+hop-flood and the log-round ruling set are relay floods, run layer by
+layer on the host (``_relay``, the broadcast floods through ``_flood``)
+without touching a ledger.  The convergecast
 and the broadcast are the two methods of a ``Forest``, built from parent
 pointers, (vertex, tree key) -> parent, and each member's tree key: it
 checks the table once and rejects a non-vertex, a parent with no role in
@@ -29,7 +31,7 @@ from typing import (
     Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple,
 )
 
-from .clustering import Clustering, TreePart, TreePartition, WeightedTree
+from .clustering import Clustering, TreePart, WeightedTree
 from .graph import Graph, canon
 from .sim import TAG, RoundLedger, Send, SimConfig, SimError, _charge, width
 
@@ -308,17 +310,15 @@ class Forest:
             acc[p] = fn(acc[p], acc[r])
         return {key: acc[r] for r, key in self.roots}
 
-    def broadcast(self, name: str, tree_values: Dict[Hashable, int],
-                  bound: Optional[int] = None) -> Dict[int, int]:
+    def broadcast(self, name: str, tree_values: Dict[Hashable, int]) -> Dict[int, int]:
         """Member -> its tree's value in ``tree_values`` (0 where that
         leaves the key out), in role order, charged as phase ``name``; a
         vertex with no member's role has no entry.
 
         A root sends in round 1, and every other tree vertex forwards the
-        value, one ``width(id_bits, 0, bound)``-bit message per child, in
-        the round it arrives."""
-        bound = bound if bound is not None else max(2 * self.g.n + 1, 2)
-        bits = width(self.g.id_bits, 0, bound)
+        value, one ``width(id_bits, 0, max(2n+1, 2))``-bit message per
+        child, in the round it arrives."""
+        bits = width(self.g.id_bits, 0, max(2 * self.g.n + 1, 2))
         parent_of, vertex_of, below = self.parent_of, self.vertex_of, self.below
 
         def sends():
@@ -461,10 +461,12 @@ def ruling_set_power(
 
 def partition_tree(
     t: WeightedTree, cfg: Optional[SimConfig] = None
-) -> Tuple[TreePartition, RoundLedger]:
+) -> Tuple[List[TreePart], RoundLedger]:
     """Partition a vertex-weighted tree into edge-disjoint parts whose owned
     weights all lie in [B, 2B] except for at most one light part rooted at
-    the tree root.  Runs in O(diam) rounds on the tree's edges.
+    the tree root.  Runs in O(diam) rounds on the tree's edges.  Part 0 is
+    the root's part: it is rooted at the tree root, owns it, and is the
+    only part that may be light.
 
     Bottom-up, every vertex receives from each child either the weight of
     the child's leftover set (``width(id_bits, 0, B)`` bits) or a
@@ -553,4 +555,4 @@ def partition_tree(
             if tree[v][0] is not None and v != key[0]
         )
         parts.append(TreePart(root=key[0], owned=frozenset(vs), edges=edges))
-    return TreePartition(parts=parts, leftover_index=0), ledger
+    return parts, ledger

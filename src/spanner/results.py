@@ -18,7 +18,3 @@ class SpannerRun:
     spanner: Spanner
     ledger: RoundLedger
     trace: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def size(self) -> int:
-        return self.spanner.size

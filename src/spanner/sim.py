@@ -29,7 +29,9 @@ acks and votes), the chunked ID streams, every ``primitives.Forest``
 pass (charged under its caller's phase name, its records and errors
 naming the pass: ``_charge``'s ``label``), ``primitives.partition_tree``,
 the relay floods of ``primitives``, the star-graph BFS of
-``kspanner.starbip`` and the star rounds of the 3-spanners.
+``kspanner.starbip``, the one-vertex ``star-formation`` round of
+``kspanner.zero.cover_low_expansion`` and the star rounds of the
+3-spanners.
 
 All of these send one message per edge and round, to neighbours, so
 within the budget they can violate nothing and handle no message
@@ -143,14 +145,8 @@ class RoundLedger:
     per_phase: List[Tuple[str, int]] = field(default_factory=list)
 
     def extend_sequential(self, other: "RoundLedger", name: str):
-        self.rounds_used += other.rounds_used
-        self.max_bits_seen = max(self.max_bits_seen, other.max_bits_seen)
-        self.per_round_edge_load = max(
-            self.per_round_edge_load, other.per_round_edge_load
-        )
-        self.messages_total += other.messages_total
-        self.violations.extend(other.violations)
-        self.per_phase.append((name, other.rounds_used))
+        """Merge the ledger of one simulation that ran after this one's."""
+        self.extend_parallel([other], name)
 
     def extend_parallel(self, others: List["RoundLedger"], name: str):
         """Merge ledgers of simulations that ran side by side (rounds = max)."""

@@ -149,7 +149,7 @@ def bipartite_3_spanner(
         g, cfg or SimConfig(), spanner, {v: 0 for v in part.a}, internal=False,
         listeners=part.b,
     )
-    return SpannerRun(spanner, ledger, trace={"rounds": ledger.rounds_used})
+    return SpannerRun(spanner, ledger)
 
 
 def three_spanner_given_partition(
@@ -173,7 +173,7 @@ def three_spanner_given_partition(
             part_map[v] = i
     spanner = Spanner(g)
     ledger = _star_spanner(g, cfg or SimConfig(), spanner, part_map, internal=True)
-    return SpannerRun(spanner, ledger, trace={"rounds": ledger.rounds_used})
+    return SpannerRun(spanner, ledger)
 
 
 def partition_high_degree(
@@ -211,9 +211,9 @@ def partition_high_degree(
             weights={v: 1 if v in vh else 0 for v in members[center]},
             bound=bound,
         )
-        tp, led = partition_tree(wt, cfg)
+        tree_parts, led = partition_tree(wt, cfg)
         part_ledgers.append(led)
-        for p in tp.parts:
+        for p in tree_parts:
             vs = {v for v in p.owned if v in vh}
             if vs:
                 parts.append(vs)
@@ -243,7 +243,6 @@ def improved_3_spanner(g: Graph, cfg: Optional[SimConfig] = None) -> SpannerRun:
         _to_all(g, cfg, ledger, "part-announce", part_map, width(g.id_bits, 0, len(parts)))
         led = _star_spanner(g, cfg, spanner, part_map, internal=True)
         ledger.extend_sequential(led, name="star-spanner")
-    trace["size"] = spanner.size
     return SpannerRun(spanner, ledger, trace)
 
 

@@ -377,9 +377,6 @@ class AuditReport:
         self.findings.append(msg)
         self.passed = False
 
-    def to_json(self) -> dict:
-        return {"passed": self.passed, "findings": self.findings}
-
 
 def audit_superclustering(
     g: Graph, clustering: Clustering, sc: Superclustering
@@ -466,29 +463,9 @@ def audit_ruling_set(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BoundFit:
-    """Constant of a fixed-form bound over a corpus: both the least-squares
-    constant through the origin and the maximum observed ratio."""
-
-    form: str
-    lsq: float
-    max_ratio: float
-    points: int
-
-    def to_json(self) -> dict:
-        return {
-            "form": self.form,
-            "lsq": self.lsq,
-            "max_ratio": self.max_ratio,
-            "points": self.points,
-        }
-
-
-def fit_bounds(
-    values: List[float], predictors: List[float], form: str = "a*f(x)"
-) -> BoundFit:
-    """Least-squares constant a for y ~ a * f(x), plus max(y/f)."""
+def fit_bounds(values: List[float], predictors: List[float]) -> Tuple[float, float]:
+    """Constant of a fixed-form bound y ~ a * f(x) over a corpus: returns
+    (a, max(y/f)), a the least-squares constant through the origin."""
     if len(values) != len(predictors) or not values:
         raise ValueError("need matching nonempty value/predictor lists")
     import numpy as np
@@ -498,12 +475,7 @@ def fit_bounds(
     if np.any(f <= 0) or float(np.dot(f, f)) == 0.0:
         raise ValueError("degenerate corpus: non-positive predictors")
     a = float(np.dot(f, y) / np.dot(f, f))
-    return BoundFit(
-        form=form,
-        lsq=a,
-        max_ratio=float(np.max(y / f)),
-        points=len(values),
-    )
+    return a, float(np.max(y / f))
 
 
 def fit_exponent(ns: List[float], ys: List[float]) -> Tuple[float, float]:

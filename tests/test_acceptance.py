@@ -297,19 +297,22 @@ def test_criterion_9_structural_invariants(graphs, improved_runs):
         B = rng.randint(1, 8)
         weights = {i: rng.randint(0, B) for i in range(n)}
         edges = frozenset((rng.randrange(i), i) for i in range(1, n))
-        tp, _ = partition_tree(
+        parts, _ = partition_tree(
             WeightedTree(edges=edges, root=0, weights=weights, bound=B), cfg
         )
-        owned = [v for p in tp.parts for v in p.owned]
+        owned = [v for p in parts for v in p.owned]
         if sorted(owned) != list(range(n)):
             findings.append(("partition", "D1", n))
             continue
+        # part 0 is the root's part, the one that may be light
+        if parts[0].root != 0 or 0 not in parts[0].owned:
+            findings.append(("partition", "root-part", n))
         used = set()
-        for idx, p in enumerate(tp.parts):
+        for idx, p in enumerate(parts):
             w = sum(weights.get(v, 0) for v in p.owned)
-            if idx != tp.leftover_index and not (B <= w <= 2 * B):
+            if idx != 0 and not (B <= w <= 2 * B):
                 findings.append(("partition", "D2", n, idx, w))
-            if idx == tp.leftover_index and w > 2 * B:
+            if idx == 0 and w > 2 * B:
                 findings.append(("partition", "D2-leftover", n, w))
             if not (p.tree_vertices <= set(p.owned) | {p.root}):
                 findings.append(("partition", "D3", n))

@@ -274,6 +274,21 @@ def test_strict_budget_overrun_is_simulator_error(tmp_path, capsys):
     assert "'kind': 'bits'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec,bits,budget,phase", [
+    ("path:n=3", 16, 13, "min-flood"),
+    ("bip:a=2,b=2,p=1", 17, 16, "grow-clusters"),
+])
+def test_zerosc_on_tiny_graphs_overruns_the_default_budget(tmp_path, capsys, spec, bits,
+                                                           budget, phase):
+    # ruling_set_power and grow_bfs_clusters size their hop counters by the
+    # radius, not by n, so on a tiny graph a counter outgrows the budget
+    code = run_cli(["run", "--alg", "zerosc", "--k", "4", "--gen", spec,
+                    "--out", str(tmp_path / "r")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert f"'bits': {bits}, 'budget': {budget}, 'program': '{phase}'" in err
+
+
 def test_undominated_high_degree_is_simulator_error(tmp_path, capsys, monkeypatch):
     # a ruling set that dominates nothing trips partition_high_degree's guard
     monkeypatch.setattr(

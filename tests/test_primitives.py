@@ -21,7 +21,7 @@ from spanner import (
     ruling_set_power,
 )
 from spanner import primitives
-from spanner.clustering import Clustering, TreePart, TreePartition, orient_tree
+from spanner.clustering import Clustering, TreePart, orient_tree
 from spanner.graph import canon
 from spanner.kspanner.common import _charge_stream
 from spanner import sim
@@ -148,7 +148,7 @@ def test_forest_vertex_in_two_edge_disjoint_trees():
         agg = forest.aggregate("agg", values, combine, bound=100)
         assert agg == {key: fn(xs) for key, xs in own.items()}
     sums = forest.aggregate("agg", values, bound=100)
-    got = forest.broadcast("down", sums, bound=100)
+    got = forest.broadcast("down", sums)
     # every member gets its own tree's value, in role order
     assert list(got.items()) == [(v, sums[key]) for v, key in roles if key_of[v] == key]
     assert ledger.per_phase == [("agg", 2)] * 4 + [("down", 2)]
@@ -275,12 +275,11 @@ def ref_forest_aggregate(g, roles, key_of, values, combine, bound, cfg):
     return {key: outputs[v][key] for (v, key), p in roles.items() if p is None}, ledger
 
 
-def ref_forest_broadcast(g, roles, key_of, root_values, bound, cfg):
-    bound = bound if bound is not None else max(2 * g.n + 1, 2)
+def ref_forest_broadcast(g, roles, key_of, root_values, cfg):
     private = {v: {"roles": rs, "values": {key: root_values.get(key, 0)
                                            for key, p, _ch in rs if p is None}}
                for v, rs in vertex_roles(roles).items()}
-    outputs, ledger = run(g, RefBroadcast(bound), cfg, private=private)
+    outputs, ledger = run(g, RefBroadcast(max(2 * g.n + 1, 2)), cfg, private=private)
     return {v: outputs[v][key] for v, key in roles if key_of.get(v) == key}, ledger
 
 
@@ -332,15 +331,14 @@ def stepped_forest_aggregate(g, roles, key_of, values, combine, bound, cfg):
     return {key: roots[v, key] for (v, key), p in roles.items() if p is None}, ledger
 
 
-def stepped_forest_broadcast(g, roles, key_of, root_values, bound, cfg):
+def stepped_forest_broadcast(g, roles, key_of, root_values, cfg):
     """Reference for ``Forest.broadcast``: the broadcast as a mail-driven
     step under ``sim.run``, every round posted through the send step."""
     name = "forest-broadcast"
     rows = vertex_roles(roles)
     routes = {v: _ref_edge_roles(rs) for v, rs in rows.items()}
     edges = sum(p is not None for p in roles.values())
-    bound = bound if bound is not None else max(2 * g.n + 1, 2)
-    bits = width(g.id_bits, 0, bound)
+    bits = width(g.id_bits, 0, max(2 * g.n + 1, 2))
     got = {v: [root_values.get(key, 0) if p is None else None for key, p, _ch in rs]
            for v, rs in rows.items()}
 
@@ -370,16 +368,18 @@ def stepped_forest_broadcast(g, roles, key_of, root_values, bound, cfg):
 
 
 def random_forest(rng):
-    """Up to four edge-disjoint trees on sparse IDs (n <= 14, IDs up to
-    600) that may share vertices, sometimes a cycle of roles with a tree
-    hanging off it (a table the Forest rejects), plus extra graph edges,
-    each vertex's tree key (mostly one of its roles' keys, sometimes a key
-    it has no role under, sometimes none), random contributions, a value
-    bound that may overrun the budget, and a config that is strict or
-    audit, with a tight or default budget and a small or default round
-    cap.  Sometimes tree edges are left out of the graph.  Also returns
-    whether the table is acyclic."""
-    ids = sorted(rng.sample(range(601), rng.randint(1, 14)))
+    """Up to four edge-disjoint trees that may share vertices, on sparse
+    IDs (n <= 14, IDs up to 600) or on IDs 0..n-1, where the default bound
+    2n+1 outgrows an ID and so overruns the budget floor; sometimes a
+    cycle of roles with a tree hanging off it (a table the Forest
+    rejects), plus extra graph edges, each vertex's tree key (mostly one
+    of its roles' keys, sometimes a key it has no role under, sometimes
+    none), random contributions, a value bound that may overrun the
+    budget, and a config that is strict or audit, with a tight or default
+    budget and a small or default round cap.  Sometimes tree edges are
+    left out of the graph.  Also returns whether the table is acyclic."""
+    n = rng.randint(1, 14)
+    ids = list(range(n)) if rng.random() < 0.5 else sorted(rng.sample(range(601), n))
     used = set()
     roles = {}
     for key in rng.sample([0, 7, 99, "a", "bc"], rng.randint(1, 4)):
@@ -423,7 +423,7 @@ def random_forest(rng):
             key_of[v] = rng.choice(own if own and pick < 0.6 else tree_keys)
     values, root_values = random_values(rng, roles)
     bound = rng.choice((None, 1, 2**8, 2**20, 2**20))
-    budget = rng.choice((None, 8 + g.id_bits + rng.randint(0, 12)))
+    budget = rng.choice((None, 8 + g.id_bits + rng.choice((0, rng.randint(0, 12)))))
     cfg = SimConfig(msg_bit_budget=budget, strict=rng.random() < 0.5)
     if rng.random() < 0.3:
         cfg.max_rounds = rng.randint(0, 6)
@@ -484,13 +484,13 @@ def test_forest_helpers_match_reference_programs(seed, combine):
         if isinstance(got[0], str):  # the pass went through
             assert repr(shared.aggregate("again", vals, combine, bound)) == got[0]
     for vals in (root_values, root_values2):
-        got = _outcome(lambda: fresh("broadcast", vals, bound))
+        got = _outcome(lambda: fresh("broadcast", vals))
         assert got == _outcome(
-            lambda: stepped_forest_broadcast(g, roles, key_of, vals, bound, cfg))
+            lambda: stepped_forest_broadcast(g, roles, key_of, vals, cfg))
         assert got == _outcome(
-            lambda: ref_forest_broadcast(g, roles, key_of, vals, bound, cfg))
+            lambda: ref_forest_broadcast(g, roles, key_of, vals, cfg))
         if isinstance(got[0], str):
-            assert repr(shared.broadcast("again", vals, bound)) == got[0]
+            assert repr(shared.broadcast("again", vals)) == got[0]
 
 
 # case id -> (role table, what the error says)
@@ -543,20 +543,20 @@ def test_forest_rejects_cycles_and_tree_edges_outside_g():
 
 
 def test_forest_overrun_records_in_round_sender_receiver_order():
-    # vertex 5 is a leaf in tree "a" (parent 9), where it is a member,
-    # and in tree "b" (parent 1), where it relays: over the budget its two
+    # vertex 1 is a leaf in tree "a" (parent 2), where it is a member,
+    # and in tree "b" (parent 0), where it relays: over the budget its two
     # reports are recorded in receiver order, not in role order
-    g = Graph([1, 5, 9], [(1, 5), (5, 9)])
-    roles = {(5, "a"): 9, (5, "b"): 1, (9, "a"): None, (1, "b"): None}
-    key_of = {5: "a", 9: "a", 1: "b"}
+    g = Graph(range(3), [(0, 1), (1, 2)])
+    roles = {(1, "a"): 2, (1, "b"): 0, (2, "a"): None, (0, "b"): None}
+    key_of = {1: "a", 2: "a", 0: "b"}
     cfg = SimConfig(strict=False, msg_bit_budget=8 + g.id_bits)
     up, down = RoundLedger(), RoundLedger()
-    agg = Forest(g, cfg, up, roles, key_of).aggregate("up", {5: 1, 9: 3, 1: 4},
+    agg = Forest(g, cfg, up, roles, key_of).aggregate("up", {1: 1, 2: 3, 0: 4},
                                                        bound=2**20)
-    got = Forest(g, cfg, down, roles, key_of).broadcast("down", {"a": 7, "b": 8},
-                                                         bound=2**20)
-    assert (agg, list(got.items())) == ({"a": 4, "b": 4}, [(5, 7), (9, 7), (1, 8)])
-    for ledger, edges in ((up, [[5, 1], [5, 9]]), (down, [[1, 5], [9, 5]])):
+    # the broadcast's 11 bits at the default width are over the 10-bit floor
+    got = Forest(g, cfg, down, roles, key_of).broadcast("down", {"a": 7, "b": 8})
+    assert (agg, list(got.items())) == ({"a": 4, "b": 4}, [(1, 7), (2, 7), (0, 8)])
+    for ledger, edges in ((up, [[1, 0], [1, 2]]), (down, [[0, 1], [2, 1]])):
         assert (ledger.rounds_used, ledger.messages_total) == (1, 2)
         assert [(rec["round"], rec["edge"]) for rec in ledger.violations] == \
             [(1, edge) for edge in edges]
@@ -576,8 +576,9 @@ def test_forest_pass_in_the_callers_ledger_names_itself(helper, label):
     values = {"aggregate": dict.fromkeys(range(5), 1), "broadcast": {"t": 1}}[helper]
     floor = 8 + g.id_bits
 
-    def charge(cfg, ledger, name="sizes:P1", bound=2**20):
-        getattr(Forest(g, cfg, ledger, chain, members), helper)(name, values, bound=bound)
+    def charge(cfg, ledger, name="sizes:P1"):
+        # 12 bits at the default width, over the 11-bit floor
+        getattr(Forest(g, cfg, ledger, chain, members), helper)(name, values)
         return ledger
 
     def earlier():
@@ -596,7 +597,7 @@ def test_forest_pass_in_the_callers_ledger_names_itself(helper, label):
     with pytest.raises(sim.BudgetError, match=f"'program': '{label}'"):
         charge(SimConfig(msg_bit_budget=floor), earlier())
     with pytest.raises(SimTimeout, match=f"^program '{label}' exceeded max_rounds=4$"):
-        charge(SimConfig(max_rounds=4), earlier(), bound=None)
+        charge(SimConfig(max_rounds=4), earlier())
 
 
 @pytest.mark.parametrize("extra", [None, 0, 1])
@@ -908,21 +909,23 @@ def test_ruling_power_round_cap():
 # -- balanced tree partitioning ----------------------------------------------
 
 
-def _check_partition(tp, weights, B, n):
+def _check_partition(parts, weights, B, n):
+    """Every tree checked here is rooted at 0."""
     owned_all = set()
-    for p in tp.parts:
+    for p in parts:
         assert not (owned_all & set(p.owned)), "D1: overlap"
         owned_all |= set(p.owned)
     assert owned_all == set(range(n)), "D1: cover"
-    for idx, p in enumerate(tp.parts):
+    assert parts[0].root == 0 and 0 in parts[0].owned, "part 0 is the root's part"
+    for idx, p in enumerate(parts):
         w = sum(weights.get(v, 0) for v in p.owned)
-        if idx == tp.leftover_index:
+        if idx == 0:
             assert w <= 2 * B, "D5/D2 leftover"
         else:
             assert B <= w <= 2 * B, "D2"
         assert p.tree_vertices <= set(p.owned) | {p.root}, "D3"
     seen = set()
-    for p in tp.parts:
+    for p in parts:
         assert not (p.edges & seen), "D4: edge overlap"
         seen |= p.edges
 
@@ -930,16 +933,16 @@ def _check_partition(tp, weights, B, n):
 def test_partition_7path_unit_weights():
     edges = frozenset((i, i + 1) for i in range(6))
     wt = WeightedTree(edges=edges, root=0, weights={i: 1 for i in range(7)}, bound=2)
-    tp, ledger = partition_tree(wt, CFG)
-    _check_partition(tp, wt.weights, 2, 7)
+    parts, ledger = partition_tree(wt, CFG)
+    _check_partition(parts, wt.weights, 2, 7)
     assert ledger.rounds_used <= 2 * 7
 
 
 def test_partition_single_vertex():
     wt = WeightedTree(edges=frozenset(), root=0, weights={0: 0}, bound=3)
-    tp, ledger = partition_tree(wt, CFG)
-    assert len(tp.parts) == 1
-    assert tp.parts[0].owned == frozenset({0})
+    parts, ledger = partition_tree(wt, CFG)
+    assert len(parts) == 1
+    assert parts[0].owned == frozenset({0})
     assert ledger.rounds_used == 0
 
 
@@ -947,11 +950,11 @@ def test_partition_star_root_owned_once():
     edges = frozenset((0, i) for i in range(1, 6))
     weights = {0: 0, **{i: 1 for i in range(1, 6)}}
     wt = WeightedTree(edges=edges, root=0, weights=weights, bound=2)
-    tp, _ = partition_tree(wt, CFG)
-    _check_partition(tp, weights, 2, 6)
-    owners = [p for p in tp.parts if 0 in p.owned]
+    parts, _ = partition_tree(wt, CFG)
+    _check_partition(parts, weights, 2, 6)
+    owners = [p for p in parts if 0 in p.owned]
     assert len(owners) == 1
-    rooted_at_zero = [p for p in tp.parts if p.root == 0]
+    rooted_at_zero = [p for p in parts if p.root == 0]
     assert len(rooted_at_zero) >= 2  # auxiliary root of several parts
 
 
@@ -975,10 +978,10 @@ def test_partition_random_trees(seed):
     B = rng.randint(1, 8)
     weights = {i: rng.randint(0, B) for i in range(n)}
     wt = WeightedTree(edges=_random_tree(n, rng), root=0, weights=weights, bound=B)
-    tp, _ = partition_tree(wt, CFG)
-    _check_partition(tp, weights, B, n)
+    parts, _ = partition_tree(wt, CFG)
+    _check_partition(parts, weights, B, n)
     total = sum(weights.values())
-    assert len(tp.parts) <= math.ceil(max(total, 1) / B) + 1
+    assert len(parts) <= math.ceil(max(total, 1) / B) + 1
 
 
 # -- the wrappers' edge cases --------------------------------------------------
@@ -1151,7 +1154,7 @@ class RefHopFlood(NodeProgram):
         return state["heard"]
 
 
-class RefTreePartition(NodeProgram):
+class RefPartitionTree(NodeProgram):
     """Reference for ``partition_tree``: leftover reports bottom-up, part
     assignments top-down, as a vertex program."""
 
@@ -1268,7 +1271,7 @@ def ref_partition_tree(t, cfg):
     private = {v: {"parent": p, "children": ch, "weight": t.weights.get(v, 0)}
                for v, (p, ch) in tree.items()}
     outputs, ledger = run(Graph(t.vertices(), t.edges),
-                          RefTreePartition(t.bound, len(tree)), cfg, private=private)
+                          RefPartitionTree(t.bound, len(tree)), cfg, private=private)
     keys = []
     owned = {}
     for v in sorted(tree):
@@ -1286,7 +1289,7 @@ def ref_partition_tree(t, cfg):
         edges = frozenset(canon(v, tree[v][0]) for v in vs
                           if tree[v][0] is not None and v != key[0])
         parts.append(TreePart(root=key[0], owned=frozenset(vs), edges=edges))
-    return TreePartition(parts=parts, leftover_index=0), ledger
+    return parts, ledger
 
 
 def random_primitive_inputs(rng):

@@ -190,9 +190,12 @@ def test_audit_nonsingleton_vertex_balance_violation():
 
 
 def test_fit_constant_exact():
-    fit = fit_bounds([2.0, 4.0], [1.0, 2.0])
-    assert abs(fit.lsq - 2.0) < 1e-12
-    assert abs(fit.max_ratio - 2.0) < 1e-12
+    lsq, max_ratio = fit_bounds([2.0, 4.0], [1.0, 2.0])
+    assert abs(lsq - 2.0) < 1e-12
+    assert abs(max_ratio - 2.0) < 1e-12
+    # (2*1 + 6*2) / (1 + 4) = 2.8 through the origin, while 6/2 = 3 is the max
+    lsq, max_ratio = fit_bounds([2.0, 6.0], [1.0, 2.0])
+    assert abs(lsq - 2.8) < 1e-12 and abs(max_ratio - 3.0) < 1e-12
 
 
 def test_fit_rejects_degenerate():
