@@ -19,7 +19,16 @@ edge per pick, and a token that tells the other end) and the election's
 ack and vote rounds count their tokens themselves, because their
 receivers are neighbours by construction.  Forest passes, scripted
 rounds and streams are accounted without per-vertex sends: in bulk
-within the budget, message by message over it."""
+within the budget, message by message over it.
+
+One rule takes every step into a ledger: a step or primitive that runs
+one phase (each of the above, cluster growth, a tree partition) charges
+the construction's ledger under the phase name the construction picks,
+and returns only its result.  A run of many phases keeps a ledger of its
+own and is folded in as one entry: the power-graph ruling set's waves
+(``zero-ruling:Z*``) and the cluster-by-cluster tail of ``improved``
+(``tail``) in sequence (``extend_sequential``), sub-constructions and
+tree partitions side by side (``extend_parallel``)."""
 
 from .naive import naive_spanner
 from .starbip import sparser_bipartite_spanner

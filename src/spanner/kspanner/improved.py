@@ -19,7 +19,7 @@ from ..spanner3 import improved_3_spanner
 from .common import (
     cluster_steps, connect, elect, ipow_ceil, label_contacts,
 )
-from .naive import naive_spanner
+from .naive import _levels, naive_spanner
 from .zero import cons_zero_superclustering, cover_low_expansion
 
 RECURSION_BASE = 64
@@ -83,11 +83,8 @@ def improved_spanner(
         }
         trace["superclusterings"].append((i, clustering, superclustering))
 
-    tail = naive_spanner(
-        g, k, cfg, start_level=kp + 1, initial=clustering, spanner=H
-    )
-    ledger.extend_sequential(tail.ledger, name="tail")
-    trace["tail"] = tail.trace
+    tail, trace["tail"] = _levels(g, k, cfg, H, clustering)
+    ledger.extend_sequential(tail, name="tail")
     return SpannerRun(H, ledger, trace)
 
 
@@ -131,8 +128,7 @@ def _phase(g, k, cfg, ledger, trace, H, clustering, superclustering,
     # new clusters around all centers of the successful superclusters
     z_i = sorted({c for scid in joined_sc for c in scs[scid].clusters})
     trace.setdefault("z_sizes", {})[i] = len(z_i)
-    new_clustering, led = grow_bfs_clusters(g, set(z_i), i, cfg, level=i)
-    ledger.extend_sequential(led, name=f"grow:P{i}")
+    new_clustering = grow_bfs_clusters(g, cfg, ledger, f"grow:P{i}", z_i, i)
     for e in new_clustering.tree_edges():
         H.add(*e, f"sc-tree:L{i}")
 
@@ -210,9 +206,9 @@ def _regroup(g, k, cfg, ledger, clustering, successful: List[Supercluster],
             weights={c: 1 for c in small_centers},
             bound=b_clusters,
         )
-        parts1, led = partition_tree(wt1, cfg)
+        led = RoundLedger()
         part_ledgers.append(led)
-        for part in parts1:
+        for part in partition_tree(wt1, cfg, led):
             cs = [c for c in sorted(part.owned) if c in small_centers]
             if not cs:
                 continue
@@ -225,9 +221,9 @@ def _regroup(g, k, cfg, ledger, clustering, successful: List[Supercluster],
                 weights={c: sizes[c] for c in cs},
                 bound=b_vertices,
             )
-            parts2, led = partition_tree(wt2, cfg)
+            led = RoundLedger()
             part_ledgers.append(led)
-            for p2 in parts2:
+            for p2 in partition_tree(wt2, cfg, led):
                 cs2 = [c for c in sorted(p2.owned) if c in cs]
                 if cs2:
                     add(cs2, p2.edges, p2.root)

@@ -6,7 +6,7 @@ neighboring cluster."""
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..clustering import Clustering
 from ..graph import Graph, Spanner
@@ -23,39 +23,32 @@ def _iteration_cap(n: int, k: int, i: int) -> int:
     return 4 * ipow_ceil(n, k - i, k) + 2
 
 
-def naive_spanner(
-    g: Graph,
-    k: int,
-    cfg: Optional[SimConfig] = None,
-    start_level: int = 1,
-    initial: Optional[Clustering] = None,
-    spanner: Optional[Spanner] = None,
-) -> SpannerRun:
-    """Build a (2k-1)-spanner level by level.
-
-    ``start_level`` resumes from an existing clustering at level
-    start_level-1 (the superclustered construction hands over its halfway
-    clustering this way).
-    """
+def naive_spanner(g: Graph, k: int, cfg: Optional[SimConfig] = None) -> SpannerRun:
+    """Build a (2k-1)-spanner level by level from singleton clusters."""
     if k < 2:
         raise ValueError("k must be >= 2")
     if g.weighted:
         raise ValueError("weighted graphs are not supported by naive_spanner")
     cfg = (cfg or SimConfig()).resolved(g)
-    ledger = RoundLedger()
-    trace: Dict = {"k": k, "levels": {}, "iterations": {}, "si_records": [],
-                   "start_level": start_level}
-    H = spanner if spanner is not None else Spanner(g)
-    clustering = initial if initial is not None else Clustering.singletons(g.vertices)
-    if clustering.level != start_level - 1:
-        raise ValueError("initial clustering level does not match start_level")
+    H = Spanner(g)
+    ledger, trace = _levels(g, k, cfg, H, Clustering.singletons(g.vertices))
+    return SpannerRun(H, ledger, trace)
 
-    for i in range(start_level, k):
+
+def _levels(g: Graph, k: int, cfg: SimConfig, H: Spanner,
+            clustering: Clustering) -> Tuple[RoundLedger, Dict]:
+    """The levels after ``clustering``'s, up to k-1, and the last level,
+    their edges added to H: a run of many phases in a ledger of its own
+    (the superclustered construction folds its tail in as one entry).
+    Returns that ledger and the levels' trace."""
+    ledger = RoundLedger()
+    trace: Dict = {"k": k, "levels": {}, "iterations": {}, "si_records": []}
+    for i in range(clustering.level + 1, k):
         clustering = _phase(g, cfg, ledger, trace, H, clustering, k, i)
         trace["levels"][i] = len(clustering.centers)
 
     last_level(g, cfg, ledger, H, clustering, ("announce:final", "final-edges"), "final")
-    return SpannerRun(H, ledger, trace)
+    return ledger, trace
 
 
 def _phase(g, cfg, ledger, trace, H, clustering, k, i) -> Clustering:
@@ -76,8 +69,7 @@ def _phase(g, cfg, ledger, trace, H, clustering, k, i) -> Clustering:
         for c, u in near.get(v, {}).items() if c in remaining
     ))
 
-    new_clustering, led = grow_bfs_clusters(g, joined, i, cfg, level=i)
-    ledger.extend_sequential(led, name=f"grow:L{i}")
+    new_clustering = grow_bfs_clusters(g, cfg, ledger, f"grow:L{i}", joined, i)
     for e in new_clustering.tree_edges():
         H.add(*e, f"tree:L{i}")
     return new_clustering

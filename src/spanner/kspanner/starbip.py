@@ -211,7 +211,7 @@ def sparser_bipartite_spanner(
     kp = k // 2
     H = Spanner(g)
     ledger = RoundLedger()
-    trace: Dict = {"k": k, "k_prime": kp, "phases": {}, "approx": []}
+    trace: Dict = {"k": k, "phases": {}, "approx": []}
     st = StarState(set(part.a), set(part.b))
     _form_stars(g, cfg, ledger, st, H)
     trace["stars"] = {s: tuple(ms) for s, ms in st.members.items()}

@@ -144,8 +144,8 @@ def cons_zero_superclustering(
         winners, led = ruling_set_power(g, candidates, t_i, cfg)
         ledger.extend_sequential(led, name=f"zero-ruling:Z{i}")
         radius = 4 * t_i + radius
-        clustering, led = grow_bfs_clusters(g, winners, radius, cfg, level=i)
-        ledger.extend_sequential(led, name=f"zero-grow:Z{i}")
+        clustering = grow_bfs_clusters(g, cfg, ledger, f"zero-grow:Z{i}", winners, radius,
+                                       level=i)
         trace["levels"][i]["centers"] = len(winners)
         trace["levels"][i]["radius"] = radius
 
@@ -164,9 +164,10 @@ def cons_zero_superclustering(
         wt = WeightedTree(
             edges=trees[c], root=c, weights={v: 1 for v in vs}, bound=bound
         )
-        tree_parts, led = partition_tree(wt, cfg)
+        led = RoundLedger()
         part_ledgers.append(led)
-        shapes += [(p.owned, p.edges, p.root) for p in tree_parts if p.owned]
+        shapes += [(p.owned, p.edges, p.root) for p in partition_tree(wt, cfg, led)
+                   if p.owned]
     ledger.extend_parallel(part_ledgers, name="zero-balance")
     superclusters = [
         Supercluster(

@@ -183,7 +183,7 @@ def compute_pins(verbose: bool = True) -> dict:
         res = improved_spanner(g, SCALING_K)
         rounds[str(g.n)] = res.ledger.rounds_used
     ns = [int(x) for x in rounds]
-    exponent, coeff = fit_exponent(ns, [rounds[str(n)] for n in ns])
+    exponent, _ = fit_exponent(ns, [rounds[str(n)] for n in ns])
     cap_ratios = [
         rounds[str(n)] / (2 ** (4 * SCALING_K) * n ** (0.5 - 1 / SCALING_K))
         for n in ns

@@ -1,26 +1,31 @@
 """Distributed building blocks shared by every spanner algorithm.
 
-Every wrapper is a pure function of (graph, inputs) and returns the
-assembled result together with the run's RoundLedger, except a
-``Forest``: it charges the ledger it was built with, and its passes
-return only their values.  Cluster growth, the power-graph min-flood and
-hop-flood and the log-round ruling set are relay floods, run layer by
-layer on the host (``_relay``, the broadcast floods through ``_flood``)
-without touching a ledger.  The convergecast
-and the broadcast are the two methods of a ``Forest``, built from parent
-pointers, (vertex, tree key) -> parent, and each member's tree key: it
-checks the table once and rejects a non-vertex, a parent with no role in
-its child's tree, a tree edge outside the graph or in two trees, and a
-role on or below a cycle; every call over those trees maps member ->
-value to tree key -> aggregate or tree key -> value to member -> value,
-is one walk over the roles and charges the forest's ledger under the
-caller's phase name.  The tree partition computes its two waves on the
-host from the oriented tree.  Every phase of these enters its ledger
-through one ``sim._charge`` call, once its host code has run (a flood's
-through ``_charge_flood``): accounted in bulk within the budget and
-message by message over it, under the simulator's one round-cap rule: a
-phase whose last message goes out in round R raises SimTimeout when R >=
-``max_rounds``.
+One rule takes every primitive into a ledger.  A primitive that charges
+one phase (cluster growth, the log-round ruling set, the tree partition,
+each pass of a ``Forest``, which holds the ledger it was built with)
+charges the caller's ledger, under the phase name the caller passes
+where the caller chooses one, and returns only its result; its records
+and errors still name the primitive (``sim._charge``'s ``label``).  A
+run of many phases, the power-graph ruling set's waves, returns its own
+ledger, which the caller folds into one entry
+(``RoundLedger.extend_sequential``).
+
+Cluster growth, the power-graph min-flood and hop-flood and the
+log-round ruling set are relay floods, run layer by layer on the host
+(``_relay``, the broadcast floods through ``_flood``) without touching a
+ledger.  The convergecast and the broadcast are the two methods of a
+``Forest``, built from parent pointers, (vertex, tree key) -> parent,
+and each member's tree key: it checks the table once and rejects a
+non-vertex, a parent with no role in its child's tree, a tree edge
+outside the graph or in two trees, and a role on or below a cycle; every
+call over those trees maps member -> value to tree key -> aggregate or
+tree key -> value to member -> value and is one walk over the roles.
+The tree partition computes its two waves on the host from the oriented
+tree.  Every phase of these enters its ledger through one ``sim._charge``
+call, once its host code has run (a flood's through ``_charge_flood``):
+accounted in bulk within the budget and message by message over it,
+under the simulator's one round-cap rule: a phase whose last message
+goes out in round R raises SimTimeout when R >= ``max_rounds``.
 """
 
 from __future__ import annotations
@@ -120,11 +125,13 @@ def _charge_flood(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str,
 
 def grow_bfs_clusters(
     g: Graph,
+    cfg: SimConfig,
+    ledger: RoundLedger,
+    name: str,
     centers: Iterable[int],
     depth: int,
-    cfg: Optional[SimConfig] = None,
     level: Optional[int] = None,
-) -> Tuple[Clustering, RoundLedger]:
+) -> Clustering:
     """Grow depth-bounded BFS clusters around the given centers: every
     vertex within reach joins the cluster of its nearest center, breaking
     ties toward the larger center ID.
@@ -135,7 +142,8 @@ def grow_bfs_clusters(
     neighbor but its parent.  Offers a vertex receives in one round share
     one hop distance, so it joins the largest center ID heard that round,
     with the first (smallest-ID) neighbor that relayed it as parent.  The
-    rounds run as a relay flood (:func:`_relay`), charged as one phase.
+    rounds run as a relay flood (:func:`_relay`), charged to ``ledger`` as
+    phase ``name``, its records and errors naming ``grow-clusters``.
     """
     bits = width(g.id_bits, 1, depth)
     adj = g.adj
@@ -156,18 +164,16 @@ def grow_bfs_clusters(
             parent[u] = v
         return offers
 
-    cfg = cfg or SimConfig()
-    ledger = RoundLedger()
-    _charge_flood(g, cfg, ledger, "grow-clusters",
-                  _relay(g, "grow-clusters", center, depth, parent, deliver), bits)
+    _charge_flood(g, cfg, ledger, name,
+                  _relay(g, "grow-clusters", center, depth, parent, deliver), bits,
+                  "grow-clusters")
     order = sorted(center)
-    clustering = Clustering(
+    return Clustering(
         level=level if level is not None else depth,
         membership={v: center[v] for v in order},
         parents={v: parent[v] for v in order},
         depth_bound=depth,
     )
-    return clustering, ledger
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +346,11 @@ class Forest:
 
 def ruling_set_log(
     g: Graph,
+    cfg: SimConfig,
+    ledger: RoundLedger,
+    name: str,
     candidates: Iterable[int],
-    cfg: Optional[SimConfig] = None,
-) -> Tuple[Set[int], RoundLedger]:
+) -> Set[int]:
     """(4, O(log n))-ruling set of the candidate set with respect to g, by
     ID-bit descent.
 
@@ -355,29 +363,28 @@ def ruling_set_log(
     O(log n) rounds with one message per edge per round.
 
     Each level is one broadcast flood (:func:`_flood`) at offset 4L, and
-    all levels are charged as one phase, so the round cap applies to the
-    last round that sends.
+    all levels are charged to ``ledger`` as one phase ``name``, its
+    records and errors naming ``ruling-set-log``, so the round cap applies
+    to the last round that sends.
     """
-    name = "ruling-set-log"
+    label = "ruling-set-log"
     cand = set(candidates)
     if not cand:
         raise ValueError("candidate set must be nonempty")
     strays = sorted(cand.difference(g.adj))
     if strays:
-        raise SimError(f"{name}: active non-vertices {strays[:5]}")
-    cfg = cfg or SimConfig()
+        raise SimError(f"{label}: active non-vertices {strays[:5]}")
     levels = g.id_bits
     active = cand
     sent: List[Layer] = []
     for level in range(levels):
         bit = levels - 1 - level
         zeros = [v for v in active if not v >> bit & 1]
-        heard, layers = _flood(g, name, zeros, 3, 4 * level)
+        heard, layers = _flood(g, label, zeros, 3, 4 * level)
         sent += layers
         active = {v for v in active if not (v >> bit & 1 and v in heard)}
-    ledger = RoundLedger()
-    _charge_flood(g, cfg, ledger, name, sent, width(g.id_bits, 0, 3))
-    return active, ledger
+    _charge_flood(g, cfg, ledger, name, sent, width(g.id_bits, 0, 3), label)
+    return active
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +466,7 @@ def ruling_set_power(
 # ---------------------------------------------------------------------------
 
 
-def partition_tree(
-    t: WeightedTree, cfg: Optional[SimConfig] = None
-) -> Tuple[List[TreePart], RoundLedger]:
+def partition_tree(t: WeightedTree, cfg: SimConfig, ledger: RoundLedger) -> List[TreePart]:
     """Partition a vertex-weighted tree into edge-disjoint parts whose owned
     weights all lie in [B, 2B] except for at most one light part rooted at
     the tree root.  Runs in O(diam) rounds on the tree's edges.  Part 0 is
@@ -480,13 +485,13 @@ def partition_tree(
     per round.
 
     Both waves are computed on the host from the oriented tree and charged
-    as one phase (``sim._charge``), its messages at their own widths.
+    to ``ledger`` as one ``tree-partition`` phase (``sim._charge``, on the
+    tree's own graph), its messages at their own widths.
     """
     if t.bound < 1:
         raise ValueError("bound B must be >= 1")
     tree = t.validate()
     tree_graph = Graph(tree, t.edges)
-    cfg = cfg or SimConfig()
     bound = t.bound
     left_width = width(tree_graph.id_bits, 0, bound)
     assign_width = width(tree_graph.id_bits, 1, len(tree))
@@ -534,7 +539,6 @@ def partition_tree(
         part[v] = (v, 0)
         assign(v, acc, part[v], rnd)
 
-    ledger = RoundLedger()
     _charge(tree_graph, cfg, ledger, "tree-partition",
             max((s[0] for s in sends), default=0), len(sends),
             max((s[3] for s in sends), default=0), lambda: sorted(sends))
@@ -555,4 +559,4 @@ def partition_tree(
             if tree[v][0] is not None and v != key[0]
         )
         parts.append(TreePart(root=key[0], owned=frozenset(vs), edges=edges))
-    return parts, ledger
+    return parts

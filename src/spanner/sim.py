@@ -26,12 +26,17 @@ library phase builds inboxes: the receivers read what was sent on the
 host.  Its callers are ``_to_all`` (rounds to all neighbours), the token
 rounds of ``kspanner.common`` (``signal``, ``connect``, the election's
 acks and votes), the chunked ID streams, every ``primitives.Forest``
-pass (charged under its caller's phase name, its records and errors
-naming the pass: ``_charge``'s ``label``), ``primitives.partition_tree``,
-the relay floods of ``primitives``, the star-graph BFS of
+pass, ``primitives.partition_tree``, the relay floods of ``primitives``
+(cluster growth, the two ruling sets), the star-graph BFS of
 ``kspanner.starbip``, the one-vertex ``star-formation`` round of
 ``kspanner.zero.cover_low_expansion`` and the star rounds of the
-3-spanners.
+3-spanners.  Each charges one phase to the ledger its caller passes,
+under the caller's phase name where the caller picks one, its records
+and errors naming the step itself (``_charge``'s ``label``).  A run of
+many phases (the power-graph ruling set's waves, a whole construction)
+keeps a ledger of its own, which its caller folds into one entry:
+``RoundLedger.extend_sequential`` after its own phases,
+``extend_parallel`` for runs side by side.
 
 All of these send one message per edge and round, to neighbours, so
 within the budget they can violate nothing and handle no message
@@ -145,7 +150,8 @@ class RoundLedger:
     per_phase: List[Tuple[str, int]] = field(default_factory=list)
 
     def extend_sequential(self, other: "RoundLedger", name: str):
-        """Merge the ledger of one simulation that ran after this one's."""
+        """Fold a run of many phases, held in a ledger of its own, that ran
+        after this ledger's phases into one entry ``name``."""
         self.extend_parallel([other], name)
 
     def extend_parallel(self, others: List["RoundLedger"], name: str):

@@ -5,7 +5,9 @@ The two star rounds are charged as one phase through ``sim._charge``, so
 they follow the simulator's one round-cap rule, and hold per-vertex state
 only: each vertex's picks, never one container per message.  The part
 announcement before them is a counted round to all neighbours
-(``sim._to_all``).
+(``sim._to_all``).  Every step charges the ledger of the run that calls
+it; only the partition's side-by-side tree partitions each get one of
+their own, merged as one parallel phase.
 """
 
 from __future__ import annotations
@@ -48,11 +50,12 @@ def high_degree_threshold(n: int) -> int:
 def _star_spanner(
     g: Graph,
     cfg: SimConfig,
+    ledger: RoundLedger,
     spanner: Spanner,
     part: Dict[int, int],
     internal: bool,
     listeners: Optional[Collection[int]] = None,
-) -> RoundLedger:
+) -> None:
     """The two-round star construction over the parts ``part`` (vertex ->
     part index), run for every part in parallel; its edges go into
     ``spanner``.  The vertices of ``listeners`` know their neighbors'
@@ -75,8 +78,8 @@ def _star_spanner(
     vertices decide them, in ID order, every round-1 edge before any
     round-2 edge, and the first tag of an edge stays.
 
-    Both rounds are charged as one ``star-spanner`` phase of 0 or 2
-    rounds, in bulk, because neither can violate anything: CHOSE has
+    Both rounds are charged to ``ledger`` as one ``star-spanner`` phase
+    of 0 or 2 rounds, in bulk, because neither can violate anything: CHOSE has
     exactly the one-ID floor width that ``cfg.check`` enforces, SELECTED
     is narrower, and every message goes to a neighbor, one per edge (a
     sender names one center per part, so it is picked at most once per
@@ -130,10 +133,8 @@ def _star_spanner(
             if center != v:
                 spanner.add(v, sender, "cross")
         picked += len(per_star)
-    ledger = RoundLedger()
     _charge(g, cfg, ledger, "star-spanner", 2 if sent else 0, sent + picked,
             width(g.id_bits, 1))
-    return ledger
 
 
 def bipartite_3_spanner(
@@ -144,11 +145,9 @@ def bipartite_3_spanner(
     part, and only B vertices listen to their A neighbors, so a vertex on
     neither side picks no star."""
     part.check(g)
-    spanner = Spanner(g)
-    ledger = _star_spanner(
-        g, cfg or SimConfig(), spanner, {v: 0 for v in part.a}, internal=False,
-        listeners=part.b,
-    )
+    spanner, ledger = Spanner(g), RoundLedger()
+    _star_spanner(g, cfg or SimConfig(), ledger, spanner, {v: 0 for v in part.a},
+                  internal=False, listeners=part.b)
     return SpannerRun(spanner, ledger)
 
 
@@ -171,31 +170,30 @@ def three_spanner_given_partition(
             if v in part_map:
                 raise ValueError(f"vertex {v} appears in two parts")
             part_map[v] = i
-    spanner = Spanner(g)
-    ledger = _star_spanner(g, cfg or SimConfig(), spanner, part_map, internal=True)
+    spanner, ledger = Spanner(g), RoundLedger()
+    _star_spanner(g, cfg or SimConfig(), ledger, spanner, part_map, internal=True)
     return SpannerRun(spanner, ledger)
 
 
 def partition_high_degree(
-    g: Graph, cfg: Optional[SimConfig] = None
-) -> Tuple[List[Set[int]], RoundLedger, dict]:
+    g: Graph, cfg: SimConfig, ledger: RoundLedger
+) -> Tuple[List[Set[int]], dict]:
     """Partition the high-degree vertices (deg >= ceil(sqrt n)) into
     disjoint sets of at most 2*floor(sqrt n) vertices each, O(sqrt n) sets
     in total: a ruling set, bounded-depth cluster growth around it, then a
-    balanced partition of every cluster tree with unit weights.  The
-    config is resolved at g, so every tree's partition keeps g's budget."""
-    cfg = (cfg or SimConfig()).resolved(g)
+    balanced partition of every cluster tree with unit weights, charged
+    to ``ledger`` as the phases ``ruling-set``, ``cluster-growth`` and
+    ``tree-partitions`` (none without a high-degree vertex).  The config
+    is resolved at g, so every tree's partition keeps g's budget."""
+    cfg = cfg.resolved(g)
     thr = high_degree_threshold(g.n)
     vh = {v for v in g.vertices if g.degree(v) >= thr}
-    ledger = RoundLedger()
     trace: dict = {"threshold": thr, "high_degree": len(vh)}
     if not vh:
-        return [], ledger, trace
-    ruling, led = ruling_set_log(g, vh, cfg)
-    ledger.extend_sequential(led, name="ruling-set")
-    depth = 3 * g.id_bits + 1
-    clusters, led = grow_bfs_clusters(g, ruling, depth, cfg)
-    ledger.extend_sequential(led, name="cluster-growth")
+        return [], trace
+    ruling = ruling_set_log(g, cfg, ledger, "ruling-set", vh)
+    clusters = grow_bfs_clusters(g, cfg, ledger, "cluster-growth", ruling,
+                                 3 * g.id_bits + 1)
     uncovered = vh - clusters.clustered
     if uncovered:
         raise SimError(f"ruling set failed to dominate {sorted(uncovered)[:5]}")
@@ -211,17 +209,16 @@ def partition_high_degree(
             weights={v: 1 if v in vh else 0 for v in members[center]},
             bound=bound,
         )
-        tree_parts, led = partition_tree(wt, cfg)
+        led = RoundLedger()
         part_ledgers.append(led)
-        for p in tree_parts:
+        for p in partition_tree(wt, cfg, led):
             vs = {v for v in p.owned if v in vh}
             if vs:
                 parts.append(vs)
     ledger.extend_parallel(part_ledgers, name="tree-partitions")
     trace["ruling_set"] = sorted(ruling)
     trace["num_parts"] = len(parts)
-    trace["part_sizes"] = sorted(len(p) for p in parts)
-    return parts, ledger, trace
+    return parts, trace
 
 
 def improved_3_spanner(g: Graph, cfg: Optional[SimConfig] = None) -> SpannerRun:
@@ -236,13 +233,13 @@ def improved_3_spanner(g: Graph, cfg: Optional[SimConfig] = None) -> SpannerRun:
         if g.degree(v) < thr:
             for u in g.adj[v]:
                 spanner.add(v, u, "low-degree")
-    parts, ledger, trace = partition_high_degree(g, cfg)
+    ledger = RoundLedger()
+    parts, trace = partition_high_degree(g, cfg, ledger)
     if parts:
         part_map = {v: i for i, vs in enumerate(parts) for v in vs}
         # one announce round so every vertex learns its neighbors' parts
         _to_all(g, cfg, ledger, "part-announce", part_map, width(g.id_bits, 0, len(parts)))
-        led = _star_spanner(g, cfg, spanner, part_map, internal=True)
-        ledger.extend_sequential(led, name="star-spanner")
+        _star_spanner(g, cfg, ledger, spanner, part_map, internal=True)
     return SpannerRun(spanner, ledger, trace)
 
 
@@ -260,7 +257,7 @@ def small_id_3_spanner(g: Graph, cfg: Optional[SimConfig] = None) -> SpannerRun:
     low = g.id_bits // 2
     mask = (1 << low) - 1
     part = {v: v & mask for v in g.vertices}
-    spanner = Spanner(g)
-    ledger = _star_spanner(g, cfg, spanner, part, internal=True)
+    spanner, ledger = Spanner(g), RoundLedger()
+    _star_spanner(g, cfg, ledger, spanner, part, internal=True)
     nparts = len(set(part.values()))
     return SpannerRun(spanner, ledger, trace={"num_parts": nparts, "low_bits": low})

@@ -329,9 +329,10 @@ def floyd_warshall(g: Graph, edges: Iterable[Edge]) -> np.ndarray:
 
 
 def verify_stretch_allpairs(g: Graph, h: Spanner, t: float) -> StretchReport:
-    """All-pairs reference check via Floyd-Warshall; for n <= ~120."""
+    """All-pairs reference check via Floyd-Warshall; for n <= ~120.  The
+    matrix is read as Python rows, so the report holds Python numbers."""
     _check_subgraph(g, h)
-    d = floyd_warshall(g, h.edges)
+    d = floyd_warshall(g, h.edges).tolist()
     idx = {v: i for i, v in enumerate(g.vertices)}
     worst: Optional[Edge] = None
     worst_val = 0.0
@@ -341,7 +342,7 @@ def verify_stretch_allpairs(g: Graph, h: Spanner, t: float) -> StretchReport:
     for u, v in g.edges():
         checked += 1
         w = g.weight(u, v)
-        val = d[idx[u], idx[v]] / w
+        val = d[idx[u]][idx[v]] / w
         if math.isinf(val):
             unreachable += 1
             hist["inf"] = hist.get("inf", 0) + 1

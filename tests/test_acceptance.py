@@ -14,6 +14,7 @@ import pytest
 
 from spanner import (
     Bipartition,
+    RoundLedger,
     SimConfig,
     WeightedTree,
     audit_ruling_set,
@@ -297,8 +298,8 @@ def test_criterion_9_structural_invariants(graphs, improved_runs):
         B = rng.randint(1, 8)
         weights = {i: rng.randint(0, B) for i in range(n)}
         edges = frozenset((rng.randrange(i), i) for i in range(1, n))
-        parts, _ = partition_tree(
-            WeightedTree(edges=edges, root=0, weights=weights, bound=B), cfg
+        parts = partition_tree(
+            WeightedTree(edges=edges, root=0, weights=weights, bound=B), cfg, RoundLedger()
         )
         owned = [v for p in parts for v in p.owned]
         if sorted(owned) != list(range(n)):
@@ -329,7 +330,7 @@ def test_criterion_9_structural_invariants(graphs, improved_runs):
         (generate("grid", {"rows": 10, "cols": 15}), set(range(150))),
         (generate("erdos-renyi", {"n": 160, "p": 0.04}, seed=77), set(range(0, 160, 3))),
     ]:
-        U, _ = ruling_set_log(g, cand, cfg)
+        U = ruling_set_log(g, cfg, RoundLedger(), "ruling-set", cand)
         rep = audit_ruling_set(g, cand, U, alpha=4, beta=3 * g.id_bits)
         if not rep.passed:
             findings.append(("ruling-log", rep.findings[:2]))

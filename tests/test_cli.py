@@ -5,7 +5,7 @@ import os
 import pytest
 
 from spanner import (
-    Graph, RoundLedger, SimConfig, generate, improved_3_spanner, load, save, spanner3,
+    Graph, SimConfig, generate, improved_3_spanner, load, save, spanner3,
     verify_stretch, with_random_weights,
 )
 from spanner.cli import ALGORITHMS, emit_report, main, parse_gen_spec, run_algorithm
@@ -292,7 +292,7 @@ def test_zerosc_on_tiny_graphs_overruns_the_default_budget(tmp_path, capsys, spe
 def test_undominated_high_degree_is_simulator_error(tmp_path, capsys, monkeypatch):
     # a ruling set that dominates nothing trips partition_high_degree's guard
     monkeypatch.setattr(
-        spanner3, "ruling_set_log", lambda g, cand, cfg=None: (set(), RoundLedger())
+        spanner3, "ruling_set_log", lambda g, cfg, ledger, name, cand: set()
     )
     with pytest.raises(SimError, match="failed to dominate"):
         improved_3_spanner(generate("complete", {"n": 16}))

@@ -39,7 +39,8 @@ CFG = SimConfig(msg_bit_budget=64)
 
 def test_grow_path5_tie_goes_to_larger_center():
     g = generate("path", {"n": 5})
-    cl, ledger = grow_bfs_clusters(g, {0, 4}, 2)
+    ledger = RoundLedger()
+    cl = grow_bfs_clusters(g, SimConfig(), ledger, "grow", {0, 4}, 2)
     assert cl.membership == {0: 0, 1: 0, 2: 4, 3: 4, 4: 4}
     assert ledger.rounds_used <= 2
     cl.validate(g)
@@ -47,16 +48,36 @@ def test_grow_path5_tie_goes_to_larger_center():
 
 def test_grow_all_centers_depth0_singletons():
     g = generate("cycle", {"n": 6})
-    cl, ledger = grow_bfs_clusters(g, set(range(6)), 0)
+    ledger = RoundLedger()
+    cl = grow_bfs_clusters(g, SimConfig(), ledger, "grow", set(range(6)), 0)
     assert cl.membership == {v: v for v in range(6)}
     assert ledger.rounds_used == 0
 
 
 def test_grow_k4_single_center():
     g = generate("complete", {"n": 4})
-    cl, _ = grow_bfs_clusters(g, {0}, 1)
+    cl = grow_bfs_clusters(g, SimConfig(), RoundLedger(), "grow", {0}, 1)
     assert set(cl.membership) == {0, 1, 2, 3}
     assert set(cl.membership.values()) == {0}
+
+
+def test_grow_in_the_callers_ledger_names_itself():
+    """Cluster growth charged, in audit mode at the budget floor, to a
+    ledger that already holds a phase adds exactly one ``per_phase`` entry,
+    under the caller's name, and every record it leaves names the flood."""
+    g = generate("path", {"n": 5})
+    floor = width(g.id_bits, 1)
+    ledger = RoundLedger()
+    sim._charge(g, SimConfig(), ledger, "before", 3, 2, floor)
+    audit = SimConfig(msg_bit_budget=floor, strict=False)
+    # offers carry a hop counter besides the center: 13 bits over the 11-bit
+    # floor, four messages in rounds 1 and 2
+    cl = grow_bfs_clusters(g, audit, ledger, "grow:L1", {0, 4}, 2)
+    assert cl.membership == {0: 0, 1: 0, 2: 4, 3: 4, 4: 4}
+    assert ledger.per_phase == [("before", 3), ("grow:L1", 2)]
+    assert (ledger.rounds_used, ledger.messages_total) == (5, 6)
+    assert [(rec["program"], rec["bits"]) for rec in ledger.violations] \
+        == [("grow-clusters", 13)] * 4
 
 
 def _centralized_assignment(g, centers, depth):
@@ -83,7 +104,7 @@ def test_grow_matches_centralized(seed):
     g = generate("erdos-renyi", {"n": n, "p": 4.0 / n}, seed=seed)
     centers = set(rng.sample(range(n), rng.randint(1, max(1, n // 4))))
     depth = rng.randint(0, 4)
-    cl, _ = grow_bfs_clusters(g, centers, depth, CFG)
+    cl = grow_bfs_clusters(g, CFG, RoundLedger(), "grow", centers, depth)
     assert cl.membership == _centralized_assignment(g, centers, depth)
     cl.validate(g)
 
@@ -99,7 +120,7 @@ def cluster_aggregate(g, cl, values, combine):
 
 def test_aggregate_cluster_sizes():
     g = generate("path", {"n": 5})
-    cl, _ = grow_bfs_clusters(g, {0, 4}, 2)
+    cl = grow_bfs_clusters(g, SimConfig(), RoundLedger(), "grow", {0, 4}, 2)
     agg, ledger = cluster_aggregate(g, cl, {v: 1 for v in range(5)}, "sum")
     assert agg == {0: 2, 4: 3}
     assert ledger.rounds_used <= cl.depth_bound
@@ -117,7 +138,7 @@ def test_aggregate_singletons_identity():
 
 def test_aggregate_max():
     g = generate("complete", {"n": 6})
-    cl, _ = grow_bfs_clusters(g, {5}, 1)
+    cl = grow_bfs_clusters(g, SimConfig(), RoundLedger(), "grow", {5}, 1)
     agg, _ = cluster_aggregate(g, cl, {v: v for v in g.vertices}, "max")
     assert agg == {5: 5}
 
@@ -446,6 +467,15 @@ def _outcome(call):
     except (SimError, ValueError) as exc:
         return type(exc), str(exc)
     return repr(out), ledger.to_json()
+
+
+def _fresh(step):
+    """A call that runs ``step(ledger)`` on a fresh ledger and returns (its
+    result, the ledger), the form of a reference program's run."""
+    def call():
+        ledger = RoundLedger()
+        return step(ledger), ledger
+    return call
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -823,19 +853,20 @@ def test_chunked_streams_reject_non_neighbour_targets():
 
 def test_ruling_log_single_candidate():
     g = generate("cycle", {"n": 10})
-    U, _ = ruling_set_log(g, {3})
+    U = ruling_set_log(g, SimConfig(), RoundLedger(), "ruling", {3})
     assert U == {3}
 
 
 def test_ruling_log_far_candidates_survive():
     g = generate("path", {"n": 11})
-    U, _ = ruling_set_log(g, {0, 10})
+    U = ruling_set_log(g, SimConfig(), RoundLedger(), "ruling", {0, 10})
     assert U == {0, 10}
 
 
 def test_ruling_log_path16_exhaustive():
     g = generate("path", {"n": 16})
-    U, ledger = ruling_set_log(g, set(range(16)))
+    ledger = RoundLedger()
+    U = ruling_set_log(g, SimConfig(), ledger, "ruling", set(range(16)))
     rep = audit_ruling_set(g, set(range(16)), U, alpha=4,
                            beta=3 * math.ceil(math.log2(16)))
     assert rep.passed, rep.findings
@@ -850,7 +881,8 @@ def test_ruling_log_random_graphs(seed):
     n = rng.randint(4, 80)
     g = generate("erdos-renyi", {"n": n, "p": 3.0 / n}, seed=seed)
     cands = set(rng.sample(range(n), rng.randint(1, n)))
-    U, ledger = ruling_set_log(g, cands, CFG)
+    ledger = RoundLedger()
+    U = ruling_set_log(g, CFG, ledger, "ruling", cands)
     beta = 3 * g.id_bits
     rep = audit_ruling_set(g, cands, U, alpha=4, beta=beta)
     assert rep.passed, rep.findings
@@ -933,14 +965,16 @@ def _check_partition(parts, weights, B, n):
 def test_partition_7path_unit_weights():
     edges = frozenset((i, i + 1) for i in range(6))
     wt = WeightedTree(edges=edges, root=0, weights={i: 1 for i in range(7)}, bound=2)
-    parts, ledger = partition_tree(wt, CFG)
+    ledger = RoundLedger()
+    parts = partition_tree(wt, CFG, ledger)
     _check_partition(parts, wt.weights, 2, 7)
     assert ledger.rounds_used <= 2 * 7
 
 
 def test_partition_single_vertex():
     wt = WeightedTree(edges=frozenset(), root=0, weights={0: 0}, bound=3)
-    parts, ledger = partition_tree(wt, CFG)
+    ledger = RoundLedger()
+    parts = partition_tree(wt, CFG, ledger)
     assert len(parts) == 1
     assert parts[0].owned == frozenset({0})
     assert ledger.rounds_used == 0
@@ -950,7 +984,7 @@ def test_partition_star_root_owned_once():
     edges = frozenset((0, i) for i in range(1, 6))
     weights = {0: 0, **{i: 1 for i in range(1, 6)}}
     wt = WeightedTree(edges=edges, root=0, weights=weights, bound=2)
-    parts, _ = partition_tree(wt, CFG)
+    parts = partition_tree(wt, CFG, RoundLedger())
     _check_partition(parts, weights, 2, 6)
     owners = [p for p in parts if 0 in p.owned]
     assert len(owners) == 1
@@ -963,7 +997,7 @@ def test_partition_rejects_overweight_vertex():
         edges=frozenset({(0, 1)}), root=0, weights={0: 5, 1: 1}, bound=2
     )
     with pytest.raises(ValueError):
-        partition_tree(wt, CFG)
+        partition_tree(wt, CFG, RoundLedger())
 
 
 def _random_tree(n, rng):
@@ -978,7 +1012,7 @@ def test_partition_random_trees(seed):
     B = rng.randint(1, 8)
     weights = {i: rng.randint(0, B) for i in range(n)}
     wt = WeightedTree(edges=_random_tree(n, rng), root=0, weights=weights, bound=B)
-    parts, _ = partition_tree(wt, CFG)
+    parts = partition_tree(wt, CFG, RoundLedger())
     _check_partition(parts, weights, B, n)
     total = sum(weights.values())
     assert len(parts) <= math.ceil(max(total, 1) / B) + 1
@@ -1009,14 +1043,14 @@ def test_wrappers_match_audit_mode(seed):
     audit = replace(CFG, strict=False)
 
     def builds(cfg):
-        cl, led1 = grow_bfs_clusters(g, picked, 2, cfg)
-        led2 = RoundLedger()
-        forest = Forest(g, cfg, led2, clustering_roles(cl), cl.membership)
+        ledger = RoundLedger()
+        cl = grow_bfs_clusters(g, cfg, ledger, "grow", picked, 2)
+        forest = Forest(g, cfg, ledger, clustering_roles(cl), cl.membership)
         sizes = forest.aggregate("sizes", dict.fromkeys(cl.membership, 1))
         got = forest.broadcast("know", sizes)
-        ruled, led3 = ruling_set_log(g, picked, cfg)
-        power, led4 = ruling_set_power(g, picked, 1, cfg)
-        ledgers = [led.to_json() for led in (led1, led2, led3, led4)]
+        ruled = ruling_set_log(g, cfg, ledger, "ruling", picked)
+        power, led = ruling_set_power(g, picked, 1, cfg)
+        ledgers = [ledger.to_json(), led.to_json()]
         return cl.membership, cl.parents, sizes, got, ruled, power, ledgers
 
     assert builds(CFG) == builds(audit)
@@ -1025,11 +1059,11 @@ def test_wrappers_match_audit_mode(seed):
 def test_wrappers_reject_non_vertices():
     g = generate("path", {"n": 4})
     with pytest.raises(SimError, match=r"^grow-clusters: active non-vertices \[99\]$"):
-        grow_bfs_clusters(g, {99}, 2)
+        grow_bfs_clusters(g, SimConfig(), RoundLedger(), "grow", {99}, 2)
     with pytest.raises(SimError, match=r"^min-flood: active non-vertices \[99\]$"):
         ruling_set_power(g, {99}, 1)
     with pytest.raises(SimError, match=r"^ruling-set-log: active non-vertices \[99\]$"):
-        ruling_set_log(g, {1, 99})
+        ruling_set_log(g, SimConfig(), RoundLedger(), "ruling", {1, 99})
 
 
 # -- the mail-driven primitives against the vertex programs they replace ------
@@ -1339,12 +1373,13 @@ def test_primitives_match_reference_programs(seed):
     g, centers, cands, depth, t, tree, pad, cfg = random_primitive_inputs(
         random.Random(seed))
     gcfg = _at_floor(cfg, g, pad)
-    assert _outcome(lambda: grow_bfs_clusters(g, centers, depth, gcfg)) \
+    assert _outcome(_fresh(lambda led: grow_bfs_clusters(
+        g, gcfg, led, "grow-clusters", centers, depth))) \
         == _outcome(lambda: ref_grow_bfs_clusters(g, centers, depth, gcfg))
     assert _outcome(lambda: ruling_set_power(g, cands, t, gcfg)) \
         == _outcome(lambda: ref_ruling_set_power(g, cands, t, gcfg))
     tcfg = _at_floor(cfg, Graph(tree.vertices(), tree.edges), pad)
-    assert _outcome(lambda: partition_tree(tree, tcfg)) \
+    assert _outcome(_fresh(lambda led: partition_tree(tree, tcfg, led))) \
         == _outcome(lambda: ref_partition_tree(tree, tcfg))
 
 
@@ -1386,7 +1421,8 @@ def test_grow_clusters_layers_at_the_edges(case, want):
     layered flood matches the vertex program on result, ledger with its
     violation records, and exception type and text."""
     cfg = FLOOD_CFGS[case]
-    got = _outcome(lambda: grow_bfs_clusters(PATH5, {0, 4}, 2, cfg))
+    got = _outcome(_fresh(lambda led: grow_bfs_clusters(
+        PATH5, cfg, led, "grow-clusters", {0, 4}, 2)))
     assert got == _outcome(lambda: ref_grow_bfs_clusters(PATH5, {0, 4}, 2, cfg))
     assert _pinned(got) == want
     if not isinstance(want[0], type):
@@ -1520,6 +1556,7 @@ def test_ruling_log_matches_reference_program(seed):
     keeps its phase clock to round 4 * id_bits, while the floods are
     capped at their last sending round (see ``tests/test_round_cap.py``)."""
     g, cands, cfg = random_ruling_inputs(random.Random(seed))
-    assert _ruling_outcome(lambda: ruling_set_log(g, cands, cfg)) \
+    assert _ruling_outcome(_fresh(lambda led: ruling_set_log(
+        g, cfg, led, "ruling-set-log", cands))) \
         == _ruling_outcome(lambda: ref_ruling_set_log(g, cands, cfg))
 

@@ -71,21 +71,22 @@ CHARGED = {
         "forest-broadcast", 4),
     "bipartite_3_spanner": (lambda cfg: bipartite_3_spanner(
         PATH5, Bipartition({0, 2, 4}, {1, 3}), cfg).ledger, "star-spanner", 2),
-    "grow_bfs_clusters": (lambda cfg: grow_bfs_clusters(PATH5, {0}, 4, cfg)[1],
-                          "grow-clusters", 4),
+    "grow_bfs_clusters": (_fresh(lambda cfg, led: grow_bfs_clusters(
+        PATH5, cfg, led, "grow", {0}, 4)), "grow-clusters", 4),
     # radius 2: the min-flood and the hop-flood each send in rounds 1 and 2
     "ruling_set_power": (lambda cfg: ruling_set_power(PATH5, {0}, 1, cfg)[1],
                          "min-flood", 2),
     # bit 2: candidate 1 floods rounds 1-3 and knocks out 4; bit 1: rounds
     # 5-7; bit 0: 1 has the bit set and nobody floods
-    "ruling_set_log": (lambda cfg: ruling_set_log(PATH5, {1, 4}, cfg)[1],
-                       "ruling-set-log", 7),
+    "ruling_set_log": (_fresh(lambda cfg, led: ruling_set_log(
+        PATH5, cfg, led, "ruling", {1, 4})), "ruling-set-log", 7),
     # the BFS from star 0 reaches star 2 in hop 1 and star 4 in hop 2, whose
     # leader announces in round 8; hop 3 of the schedule sends nothing
     "star-bfs": (_fresh(lambda cfg, led: starbip._grow_star_clusters(
         PATH5, cfg, led, STARS5, {0}, 3)), "star-bfs", 8),
     # reports climb in rounds 1-4, and root 0 assigns its part in round 5
-    "partition_tree": (lambda cfg: partition_tree(TREE5, cfg)[1], "tree-partition", 5),
+    "partition_tree": (_fresh(lambda cfg, led: partition_tree(TREE5, cfg, led)),
+                       "tree-partition", 5),
 }
 
 
@@ -119,9 +120,9 @@ def test_silent_phases_pass_at_a_cap_of_one():
     ledger = RoundLedger()
     signal(PATH5, cfg, ledger, "sig", [])
     _charge_stream(PATH5, cfg, ledger, "scatter", {})
+    grow_bfs_clusters(PATH5, cfg, ledger, "grow", (), 3)
     assert ledger.to_json() == RoundLedger(
-        per_phase=[("sig", 0), ("scatter", 0)]).to_json()
-    assert grow_bfs_clusters(PATH5, (), 3, cfg)[1].rounds_used == 0
+        per_phase=[("sig", 0), ("scatter", 0), ("grow", 0)]).to_json()
 
 
 RULE_HELPERS = {"_admit", "_overrun", "_cap"}

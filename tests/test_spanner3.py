@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from spanner import (
     Bipartition,
     Graph,
+    RoundLedger,
     SimConfig,
     SimTimeout,
     bipartite_3_spanner,
@@ -130,13 +131,13 @@ def test_bipartite_edge_bound_exact_counting():
 
 def test_partition_all_low_degree_empty():
     g = generate("cycle", {"n": 30})
-    parts, _, _ = partition_high_degree(g)
+    parts, _ = partition_high_degree(g, SimConfig(), RoundLedger())
     assert parts == []
 
 
 def test_partition_k16_bounds():
     g = generate("complete", {"n": 16})
-    parts, ledger, trace = partition_high_degree(g)
+    parts, _ = partition_high_degree(g, SimConfig(), RoundLedger())
     covered = set().union(*parts)
     assert covered == set(range(16))
     assert all(len(p) <= 2 * math.isqrt(16) for p in parts)
@@ -147,7 +148,7 @@ def test_partition_k16_bounds():
 
 def test_partition_star_center_only():
     g = generate("complete-bipartite", {"a": 1, "b": 100})
-    parts, _, _ = partition_high_degree(g)
+    parts, _ = partition_high_degree(g, SimConfig(), RoundLedger())
     assert parts == [{0}]
 
 
@@ -198,7 +199,7 @@ def test_given_partition_weighted_oracle():
 
 def test_given_partition_random_pinned_size():
     g = generate("erdos-renyi", {"n": 60, "p": 0.2}, seed=13)
-    parts, _, _ = partition_high_degree(g)
+    parts, _ = partition_high_degree(g, SimConfig(), RoundLedger())
     res = three_spanner_given_partition(g, parts)
     assert verify_stretch(
         g.edge_subgraph(
@@ -262,8 +263,9 @@ def test_improved3_keeps_the_budget_of_g_in_small_partitions():
     assert list(default.spanner.provenance.items()) \
         == list(resolved.spanner.provenance.items())
     assert (default.ledger.rounds_used, default.ledger.max_bits_seen) == (84, 34)
-    parts, ledger, _trace = partition_high_degree(WIDE_IDS)
-    _parts, at_48, _trace = partition_high_degree(WIDE_IDS, SimConfig(msg_bit_budget=48))
+    ledger, at_48 = RoundLedger(), RoundLedger()
+    parts, _trace = partition_high_degree(WIDE_IDS, SimConfig(), ledger)
+    partition_high_degree(WIDE_IDS, SimConfig(msg_bit_budget=48), at_48)
     assert parts == [{1 << 19}] and ledger.to_json() == at_48.to_json()
 
 
@@ -390,6 +392,13 @@ def star_cases(draw):
     return g, cfg, part, internal, listeners
 
 
+def _charged_star_spanner(g, cfg, spanner, part, internal, listeners):
+    """``_star_spanner`` charged to a fresh ledger, which it returns."""
+    ledger = RoundLedger()
+    _star_spanner(g, cfg, ledger, spanner, part, internal, listeners)
+    return ledger
+
+
 def _star_outcome(build, g, cfg, part, internal, listeners):
     spanner = Spanner(g)
     try:
@@ -406,4 +415,4 @@ def test_star_spanner_matches_cascade_reference(case):
     # order, with the same ledger and errors as rounds posted message by
     # message through the send step
     want = _star_outcome(_ref_star_spanner, *case)
-    assert _star_outcome(_star_spanner, *case) == want
+    assert _star_outcome(_charged_star_spanner, *case) == want

@@ -984,7 +984,8 @@ def test_announce_join_matches_the_exchange_it_replaced(seed):
     n = rng.randint(1, 40)
     g = generate("erdos-renyi", {"n": n, "p": rng.uniform(0.02, 0.4)}, seed=seed)
     centers = rng.sample(g.vertices, rng.randint(1, n))
-    clustering, _ = grow_bfs_clusters(g, centers, rng.randint(0, 3))
+    clustering = grow_bfs_clusters(g, SimConfig(), RoundLedger(), "grow", centers,
+                                   rng.randint(0, 3))
     heads = sorted(clustering.centers)
     joiners = rng.sample(heads, rng.randint(0, len(heads)))
     cfg = SimConfig(msg_bit_budget=rng.choice((None, 8 + g.id_bits)),
@@ -1022,8 +1023,8 @@ def test_label_contacts_match_the_exchange_they_replace(seed):
                     if rng.random() < p])
     floor = 8 + g.id_bits
     centers = rng.sample(ids, rng.randint(1, len(ids)))
-    clustering, _led = grow_bfs_clusters(g, centers, rng.randint(0, 2),
-                                         SimConfig(msg_bit_budget=4 * floor))
+    clustering = grow_bfs_clusters(g, SimConfig(msg_bit_budget=4 * floor), RoundLedger(),
+                                   "grow", centers, rng.randint(0, 2))
     labels = dict(clustering.membership)
     for v in ids:
         if v not in labels and rng.random() < 0.5:
@@ -1171,8 +1172,8 @@ def random_election_inputs(rng):
                     if rng.random() < p])
     floor = 8 + g.id_bits
     centers = rng.sample(ids, rng.randint(1, len(ids)))
-    clustering, _led = grow_bfs_clusters(g, centers, rng.randint(0, 2),
-                                         SimConfig(msg_bit_budget=4 * floor))
+    clustering = grow_bfs_clusters(g, SimConfig(msg_bit_budget=4 * floor), RoundLedger(),
+                                   "grow", centers, rng.randint(0, 2))
     labels = dict(clustering.membership)
     if rng.random() < 0.4:
         for v in ids:

@@ -1,5 +1,6 @@
 import hashlib
 import heapq
+import json
 import math
 import pickle
 import random
@@ -108,6 +109,18 @@ def test_matches_floyd_warshall(weighted, seed):
         assert abs(a.max_stretch - b.max_stretch) < 1e-9
     else:
         assert math.isinf(b.max_stretch)
+
+
+def test_oracle_report_dumps_like_the_fast_checks(tmp_path):
+    # the oracle reads its distance matrix as Python rows, so its report
+    # holds a Python bool and float and dumps as JSON
+    g = generate("erdos-renyi", {"n": 30, "p": 0.2}, seed=1)
+    h = improved_3_spanner(g).spanner
+    rep = verify_stretch_allpairs(g, h, 3)
+    assert (type(rep.passed), type(rep.max_stretch)) == (bool, float)
+    rep.dump(tmp_path / "oracle.json")
+    dumped = json.loads((tmp_path / "oracle.json").read_text())
+    assert dumped == verify_stretch(g, h, 3).to_json()
 
 
 def test_verify_is_read_only():
