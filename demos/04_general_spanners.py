@@ -31,8 +31,8 @@ for name, res in rows:
 
 print("\nthe superclustered run iterates over supercluster elections instead")
 print("of clusters; its per-level center counts:")
-for i, z in res_improved.trace.get("z_sizes", {}).items():
-    print(f"  level {i}: {z} new centers")
+for i, clustering, _sc in res_improved.trace["superclusterings"][1:]:
+    print(f"  level {i}: {len(clustering.centers)} new centers")
 
 # -- audits --------------------------------------------------------------------
 
@@ -46,5 +46,5 @@ for level, clustering, sc in res_improved.trace["superclusterings"]:
 
 z = cons_zero_superclustering(g, k)
 print(f"\nzero-level superclustering alone: {len(z.superclustering.superclusters)} "
-      f"superclusters covering {z.trace['covered']}/{g.n} vertices,")
+      f"superclusters covering {len(z.clustering.membership)}/{g.n} vertices,")
 print(f"partial spanner of {z.spanner.size} edges covers everyone left out")

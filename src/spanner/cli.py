@@ -92,9 +92,7 @@ def run_algorithm(alg: str, g: Graph, k: int, cfg: SimConfig, seed: int,
         return improved_spanner(g, k, cfg)
     if alg == "zerosc":
         z = cons_zero_superclustering(g, k, cfg)
-        res = SpannerRun(z.spanner, z.ledger, z.trace)
-        res.trace["superclustering_level0"] = len(z.superclustering.superclusters)
-        return res
+        return SpannerRun(z.spanner, z.ledger, z.trace)
     if alg == "bs-baseline":
         return baswana_sen_baseline(g, k, seed, cfg)
     raise UsageError(f"unknown algorithm {alg!r}")

@@ -53,7 +53,6 @@ def baswana_sen_baseline(
     ledger = RoundLedger()
     prob = n ** (-1.0 / k) if n > 1 else 1.0
     clustering = Clustering.singletons(g.vertices)
-    trace: Dict = {"k": k, "seed": seed, "levels": {}}
 
     for i in range(1, k):
         # centers flip their own seeded coin; members learn over the tree
@@ -95,8 +94,7 @@ def baswana_sen_baseline(
         clustering = Clustering(
             level=i, membership=membership, parents=parents, depth_bound=i
         )
-        trace["levels"][i] = len(sampled)
 
     last_level(g, cfg, ledger, H, clustering, ("bs-final-status", "bs-final-edges"),
                "bs-final")
-    return SpannerRun(H, ledger, trace)
+    return SpannerRun(H, ledger)

@@ -50,37 +50,26 @@ def improved_spanner(
     if g.weighted:
         raise ValueError("weighted graphs are only supported for k = 2")
     if g.n < RECURSION_BASE:
-        res = naive_spanner(g, k, cfg)
-        res.trace["base_case"] = True
-        return res
+        return naive_spanner(g, k, cfg)
 
-    n = g.n
-    kp = k // 2
     zero = cons_zero_superclustering(g, k, cfg)
     H = zero.spanner
     ledger = zero.ledger
     trace: Dict = {
-        "k": k,
-        "phases": kp,
         "zero": zero.trace,
-        "levels": {},
         "superclusterings": [(0, zero.clustering, zero.superclustering)],
         "si_records": [],
-        "iterations": {},
+        "bipartite_instances": {},
     }
     clustering = zero.clustering
     superclustering = zero.superclustering
-    exp_threshold = ipow_ceil(n, k + 2, 2 * k)  # n^(1/2 + 1/k)
+    exp_threshold = ipow_ceil(g.n, k + 2, 2 * k)  # n^(1/2 + 1/k)
 
-    for i in range(1, kp + 1):
+    for i in range(1, k // 2 + 1):
         clustering, superclustering = _phase(
             g, k, cfg, ledger, trace, H, clustering, superclustering,
             i, exp_threshold,
         )
-        trace["levels"][i] = {
-            "centers": len(clustering.centers),
-            "superclusters": len(superclustering.superclusters),
-        }
         trace["superclusterings"].append((i, clustering, superclustering))
 
     tail, trace["tail"] = _levels(g, k, cfg, H, clustering)
@@ -120,14 +109,12 @@ def _phase(g, k, cfg, ledger, trace, H, clustering, superclustering,
         records=trace["si_records"], where="superclusters", level=i,
         members=vset,
     )
-    trace["iterations"][i] = trace["si_records"][-1]["iteration"]
 
-    _cover_remaining(g, k, cfg, ledger, trace, H, scs, vset, sc_of_vertex, remaining,
-                     marked, i)
+    trace["bipartite_instances"][i] = _cover_remaining(
+        g, k, cfg, ledger, H, scs, vset, sc_of_vertex, remaining, marked, i)
 
     # new clusters around all centers of the successful superclusters
     z_i = sorted({c for scid in joined_sc for c in scs[scid].clusters})
-    trace.setdefault("z_sizes", {})[i] = len(z_i)
     new_clustering = grow_bfs_clusters(g, cfg, ledger, f"grow:P{i}", z_i, i)
     for e in new_clustering.tree_edges():
         H.add(*e, f"sc-tree:L{i}")
@@ -138,10 +125,11 @@ def _phase(g, k, cfg, ledger, trace, H, clustering, superclustering,
     return new_clustering, new_sc
 
 
-def _cover_remaining(g, k, cfg, ledger, trace, H, scs, vset, sc_of_vertex, remaining,
+def _cover_remaining(g, k, cfg, ledger, H, scs, vset, sc_of_vertex, remaining,
                      marked, i):
     """Low-expansion superclusters: direct edges into singletons, bipartite
-    spanners toward the outside and recursion inside for the rest."""
+    spanners toward the outside and recursion inside for the rest.
+    Returns the (inside, outside) vertex sets of each bipartite instance."""
     singles = {s for s in remaining if len(scs[s].clusters) == 1}
     near = label_contacts(
         g, cfg, ledger, f"sc-uncov:P{i}",
@@ -155,9 +143,7 @@ def _cover_remaining(g, k, cfg, ledger, trace, H, scs, vset, sc_of_vertex, remai
     covers = [sorted(vset[scid]) for scid in sorted(remaining - singles)]
     outsides = cover_low_expansion(g, k, cfg, ledger, H, covers, marked,
                                    (f"sc-bip:L{i}", f"sc-rec:L{i}"), f"sc-cover:P{i}")
-    trace.setdefault("bipartite_instances", {})[i] = [
-        (frozenset(m), frozenset(o)) for m, o in zip(covers, outsides) if o
-    ]
+    return [(frozenset(m), frozenset(o)) for m, o in zip(covers, outsides) if o]
 
 
 def _regroup(g, k, cfg, ledger, clustering, successful: List[Supercluster],

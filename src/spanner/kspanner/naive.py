@@ -40,9 +40,10 @@ def _levels(g: Graph, k: int, cfg: SimConfig, H: Spanner,
     """The levels after ``clustering``'s, up to k-1, and the last level,
     their edges added to H: a run of many phases in a ledger of its own
     (the superclustered construction folds its tail in as one entry).
-    Returns that ledger and the levels' trace."""
+    Returns that ledger and the levels' trace: the number of centers of
+    each level and the election records."""
     ledger = RoundLedger()
-    trace: Dict = {"k": k, "levels": {}, "iterations": {}, "si_records": []}
+    trace: Dict = {"levels": {}, "si_records": []}
     for i in range(clustering.level + 1, k):
         clustering = _phase(g, cfg, ledger, trace, H, clustering, k, i)
         trace["levels"][i] = len(clustering.centers)
@@ -61,7 +62,6 @@ def _phase(g, cfg, ledger, trace, H, clustering, k, i) -> Clustering:
         cap=_iteration_cap(g.n, k, i), up=up, down=down, self_report=False,
         bound=g.n, records=trace["si_records"], where="clusters", level=i,
     )
-    trace["iterations"][i] = trace["si_records"][-1]["iteration"]
 
     # losers' unmarked neighborhoods: one edge per adjacent remaining cluster
     connect(g, cfg, ledger, H, f"cover:L{i}", (

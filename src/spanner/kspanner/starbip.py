@@ -211,13 +211,12 @@ def sparser_bipartite_spanner(
     kp = k // 2
     H = Spanner(g)
     ledger = RoundLedger()
-    trace: Dict = {"k": k, "phases": {}, "approx": []}
+    approx: List[Dict] = []
     st = StarState(set(part.a), set(part.b))
     _form_stars(g, cfg, ledger, st, H)
-    trace["stars"] = {s: tuple(ms) for s, ms in st.members.items()}
     A = len(st.stars())
     if A <= 1:
-        return SpannerRun(H, ledger, trace)
+        return SpannerRun(H, ledger, {"approx": approx})
     # every neighbour's star, heard in star formation: the phases read it
     if kp > 1:
         for v in g.vertices:
@@ -227,14 +226,15 @@ def sparser_bipartite_spanner(
     gtree = _star_gtree(st, cluster_of, {}, 0)
     for i in range(1, kp):
         cluster_of, gtree = _phase(
-            g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i
+            g, cfg, ledger, approx, H, st, cluster_of, gtree, A, kp, i
         )
     _last_phase(g, cfg, ledger, H, st, cluster_of, gtree)
-    return SpannerRun(H, ledger, trace)
+    return SpannerRun(H, ledger, {"approx": approx})
 
 
-def _phase(g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i):
-    """One clustering level of the star-graph election."""
+def _phase(g, cfg, ledger, approx, H, st, cluster_of, gtree, A, kp, i):
+    """One clustering level of the star-graph election; level 1 appends
+    its degree estimates to ``approx``."""
     threshold = ipow_ceil(A, i, kp)
     cap = 4 * ipow_ceil(A, kp - i, kp) + 2
     stars = st.stars()
@@ -250,7 +250,7 @@ def _phase(g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i):
     deg: Dict[int, int] = {}
     if i == 1:
         deg = _approx_degree(
-            g, cfg, ledger, trace, st, cluster_of, marked, nbr_marked, f"L{i}.0"
+            g, cfg, ledger, approx, st, cluster_of, marked, nbr_marked, f"L{i}.0"
         )
     else:
         reps = _compute_reps(g, cfg, ledger, st, near, f"L{i}")
@@ -268,10 +268,6 @@ def _phase(g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i):
             g, cfg, ledger, st, gtree, up, down, remaining, marked,
             nbr_marked, deg, threshold, f"L{i}.{iterations}"
         )
-        trace.setdefault("si_records", []).append(
-            {"where": "bipartite", "level": i, "iteration": iterations,
-             "joined": sorted(new_joiners)}
-        )
         if not new_joiners:
             break
         joined |= new_joiners
@@ -287,7 +283,7 @@ def _phase(g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i):
                 nbr_marked[u].add(v)
         if i == 1:
             deg = _approx_degree(
-                g, cfg, ledger, trace, st, cluster_of, marked, nbr_marked,
+                g, cfg, ledger, approx, st, cluster_of, marked, nbr_marked,
                 f"L{i}.{iterations}"
             )
         else:
@@ -297,7 +293,6 @@ def _phase(g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i):
             drop = up(f"bip-deg-delta:L{i}.{iterations}", dec)
             for c in remaining:
                 deg[c] -= drop.get(c, 0)
-    trace["phases"][i] = {"iterations": iterations, "joined": len(joined)}
 
     # uncovered stars: one edge per (unmarked star, remaining cluster)
     # pair, from the star's smallest vertex next to the cluster
@@ -319,11 +314,11 @@ def _phase(g, cfg, ledger, trace, H, st, cluster_of, gtree, A, kp, i):
     return new_cluster_of, _star_gtree(st, new_cluster_of, uplinks, i)
 
 
-def _approx_degree(g, cfg, ledger, trace, st, cluster_of, marked, nbr_marked,
+def _approx_degree(g, cfg, ledger, approx, st, cluster_of, marked, nbr_marked,
                    label):
     """Phase-1 unmarked star-degree 2-approximation: stars seen by the
     leader's own edges, plus one ACK per unmarked star sent leader-to-star.
-    Each estimate is recorded in ``trace["approx"]``."""
+    Each estimate is appended to ``approx`` with the stars marked then."""
     pairs = []
     for leader in st.stars():
         if leader in marked:
@@ -346,10 +341,7 @@ def _approx_degree(g, cfg, ledger, trace, st, cluster_of, marked, nbr_marked,
             if u not in nbr_marked[s]:
                 seen.add(s2)
         deg[s] = len(seen) + type2  # type 1: the stars seen directly
-    trace["approx"].append(
-        {"level": 1, "deg_hat": dict(deg), "marked": frozenset(marked),
-         "cluster_of": dict(cluster_of)}
-    )
+    approx.append({"deg_hat": deg, "marked": frozenset(marked)})
     return deg
 
 

@@ -32,7 +32,7 @@ class ZeroResult:
     clustering: Clustering      # level-0 singleton clusters of covered vertices
     spanner: Spanner            # H': covers every edge at an excluded vertex
     ledger: RoundLedger
-    trace: Dict = field(default_factory=dict)
+    trace: Dict = field(default_factory=dict)  # {"levels": {level: centers}}
 
 
 def _cluster_expansion(g, cfg, ledger, clustering, label) -> Dict[int, int]:
@@ -118,7 +118,7 @@ def cons_zero_superclustering(
     kp = k // 2
     H = Spanner(g)
     ledger = RoundLedger()
-    trace: Dict = {"levels": {}, "k": k}
+    trace: Dict = {"levels": {}}
     clustering = Clustering.singletons(g.vertices)
     radius = 0
 
@@ -131,23 +131,16 @@ def cons_zero_superclustering(
         members = clustering.members()
         cover_low_expansion(g, k, cfg, ledger, H, [members[c] for c in low], set(),
                             ("zero-bip", "zero-recursion"), f"zero-cover:Z{i}")
-        trace["levels"][i] = {
-            "clusters": len(clustering.centers),
-            "candidates": len(candidates),
-            "low_expansion": len(low),
-            "threshold": threshold,
-        }
         if not candidates:
             clustering = Clustering(level=i, membership={}, parents={}, depth_bound=0)
-            trace["levels"][i]["centers"] = 0
+            trace["levels"][i] = 0
             break
         winners, led = ruling_set_power(g, candidates, t_i, cfg)
         ledger.extend_sequential(led, name=f"zero-ruling:Z{i}")
         radius = 4 * t_i + radius
         clustering = grow_bfs_clusters(g, cfg, ledger, f"zero-grow:Z{i}", winners, radius,
                                        level=i)
-        trace["levels"][i]["centers"] = len(winners)
-        trace["levels"][i]["radius"] = radius
+        trace["levels"][i] = len(winners)
 
     # turn the final clusters into superclusters over singleton clusters,
     # splitting clusters that grew past sqrt(n) vertices
@@ -180,8 +173,7 @@ def cons_zero_superclustering(
         for vs, tree_edges, root in shapes
     ]
 
-    covered = sorted(clustering.membership)
-    c0 = Clustering.singletons(covered)
+    c0 = Clustering.singletons(sorted(clustering.membership))
     sc = Superclustering(
         level=0,
         superclusters=superclusters,
@@ -189,7 +181,4 @@ def cons_zero_superclustering(
         cluster_bound=2 * bound + 1,
         count_bound=4 * bound + 4,
     )
-    trace["superclusters"] = len(superclusters)
-    trace["covered"] = len(covered)
-    trace["radius"] = radius
     return ZeroResult(sc, c0, H, ledger, trace)

@@ -12,8 +12,15 @@ from .sim import RoundLedger
 @dataclass
 class SpannerRun:
     """A constructed spanner plus the run's round accounting and the
-    structural trace used by the audits (center counts per level,
-    superclusterings, iteration records, ...)."""
+    structural trace the audits read, only facts the spanner and ledger do
+    not hold: ``naive_spanner`` records ``levels`` (level -> centers) and
+    ``si_records`` (election records); ``improved_spanner`` records
+    ``zero`` (the zero level's ``levels``), ``superclusterings`` (level,
+    clustering, superclustering), ``si_records``, ``bipartite_instances``
+    and ``tail`` (naive's trace of its last levels), and below 64
+    vertices returns naive's run; ``sparser_bipartite_spanner`` records
+    ``approx`` (phase-1 degree estimates); ``small_id_3_spanner`` records
+    ``num_parts`` and ``low_bits``.  The others record nothing."""
 
     spanner: Spanner
     ledger: RoundLedger

@@ -13,7 +13,7 @@ their own, merged as one parallel phase.
 from __future__ import annotations
 
 import math
-from typing import Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Set
 
 from .clustering import WeightedTree
 from .graph import Graph, Spanner
@@ -177,7 +177,7 @@ def three_spanner_given_partition(
 
 def partition_high_degree(
     g: Graph, cfg: SimConfig, ledger: RoundLedger
-) -> Tuple[List[Set[int]], dict]:
+) -> List[Set[int]]:
     """Partition the high-degree vertices (deg >= ceil(sqrt n)) into
     disjoint sets of at most 2*floor(sqrt n) vertices each, O(sqrt n) sets
     in total: a ruling set, bounded-depth cluster growth around it, then a
@@ -188,9 +188,8 @@ def partition_high_degree(
     cfg = cfg.resolved(g)
     thr = high_degree_threshold(g.n)
     vh = {v for v in g.vertices if g.degree(v) >= thr}
-    trace: dict = {"threshold": thr, "high_degree": len(vh)}
     if not vh:
-        return [], trace
+        return []
     ruling = ruling_set_log(g, cfg, ledger, "ruling-set", vh)
     clusters = grow_bfs_clusters(g, cfg, ledger, "cluster-growth", ruling,
                                  3 * g.id_bits + 1)
@@ -216,9 +215,7 @@ def partition_high_degree(
             if vs:
                 parts.append(vs)
     ledger.extend_parallel(part_ledgers, name="tree-partitions")
-    trace["ruling_set"] = sorted(ruling)
-    trace["num_parts"] = len(parts)
-    return parts, trace
+    return parts
 
 
 def improved_3_spanner(g: Graph, cfg: Optional[SimConfig] = None) -> SpannerRun:
@@ -234,13 +231,13 @@ def improved_3_spanner(g: Graph, cfg: Optional[SimConfig] = None) -> SpannerRun:
             for u in g.adj[v]:
                 spanner.add(v, u, "low-degree")
     ledger = RoundLedger()
-    parts, trace = partition_high_degree(g, cfg, ledger)
+    parts = partition_high_degree(g, cfg, ledger)
     if parts:
         part_map = {v: i for i, vs in enumerate(parts) for v in vs}
         # one announce round so every vertex learns its neighbors' parts
         _to_all(g, cfg, ledger, "part-announce", part_map, width(g.id_bits, 0, len(parts)))
         _star_spanner(g, cfg, ledger, spanner, part_map, internal=True)
-    return SpannerRun(spanner, ledger, trace)
+    return SpannerRun(spanner, ledger)
 
 
 def small_id_3_spanner(g: Graph, cfg: Optional[SimConfig] = None) -> SpannerRun:

@@ -163,7 +163,6 @@ def test_criterion_5_bipartite_size_pins(pins):
 def test_criterion_6_improved_size(graphs, improved_runs, pins):
     pin = pins["improved"]
     bad = []
-    gmap = dict(graphs)
     for name, g in graphs:
         for k in (2, 3, 4, 5, 6):
             size = improved_runs[(name, k)].spanner.size
@@ -220,7 +219,7 @@ def test_criterion_8_message_budget(graphs, improved_runs, imp3_runs, pins):
     # congestion overload would have raised.  Check the recorded audit pins.
     bad = []
     worst = 0
-    for name, g in graphs:
+    for name, _g in graphs:
         for k in (2, 3, 4, 5, 6):
             led = improved_runs[(name, k)].ledger
             if led.violations:
@@ -240,7 +239,6 @@ def test_criterion_8_message_budget(graphs, improved_runs, imp3_runs, pins):
 
 def test_criterion_9_structural_invariants(graphs, improved_runs):
     findings = []
-    gmap = dict(graphs)
 
     # nice-superclustering audits on every recorded level of every k=4 run
     audited = 0
@@ -253,37 +251,40 @@ def test_criterion_9_structural_invariants(graphs, improved_runs):
             audited += 1
 
     # successful-supercluster unmarked neighborhoods are pairwise disjoint
+    pairs = 0
     for name, g in graphs:
-        res = improved_runs[(name, 4)]
-        for rec in res.trace.get("si_records", []):
-            if rec.get("where") != "superclusters" or len(rec["joined"]) < 2:
-                continue
-            unmarked = set(g.vertices) - set(rec["marked_before"])
-            hoods = []
-            for scid in rec["joined"]:
-                hood = set()
-                for v in rec["sc_members"][scid]:
-                    if v in unmarked:
-                        hood.add(v)
-                    hood.update(u for u in g.adj[v] if u in unmarked)
-                hoods.append((scid, hood))
-            for i in range(len(hoods)):
-                for j in range(i + 1, len(hoods)):
-                    if hoods[i][1] & hoods[j][1]:
-                        findings.append((name, "overlap", hoods[i][0], hoods[j][0]))
+        for k in (3, 4, 5, 6):
+            for rec in improved_runs[(name, k)].trace.get("si_records", []):
+                if rec.get("where") != "superclusters" or len(rec["joined"]) < 2:
+                    continue
+                unmarked = set(g.vertices) - set(rec["marked_before"])
+                hoods = []
+                for scid in rec["joined"]:
+                    hood = set()
+                    for v in rec["sc_members"][scid]:
+                        if v in unmarked:
+                            hood.add(v)
+                        hood.update(u for u in g.adj[v] if u in unmarked)
+                    hoods.append((scid, hood))
+                for i in range(len(hoods)):
+                    for j in range(i + 1, len(hoods)):
+                        if hoods[i][1] & hoods[j][1]:
+                            findings.append((name, k, "overlap", hoods[i][0], hoods[j][0]))
+                        pairs += 1
 
     # center counts: |Z_i| <= 4 n^(1-i/k) at every recorded level,
     # including the zero pre-clustering and the tail levels
     for name, g in graphs:
         for k in (3, 4, 5, 6):
             res = improved_runs[(name, k)]
-            for i, z in res.trace.get("z_sizes", {}).items():
+            for i, clustering, _sc in res.trace.get("superclusterings", [])[1:]:
+                z = len(clustering.centers)
                 if z > 4 * ipow_ceil(g.n, k - i, k):
                     findings.append((name, k, i, z))
             zero_levels = res.trace.get("zero", {}).get("levels", {})
-            for i, rec in zero_levels.items():
-                if rec.get("centers", 0) > 4 * ipow_ceil(g.n, k - i, k):
-                    findings.append((name, k, "zero", i, rec["centers"]))
+            for i, z in zero_levels.items():
+                if z > 4 * ipow_ceil(g.n, k - i, k):
+                    findings.append((name, k, "zero", i, z))
             tail_levels = res.trace.get("tail", {}).get("levels", {})
             for i, z in tail_levels.items():
                 if z > 4 * ipow_ceil(g.n, k - i, k):
@@ -343,9 +344,10 @@ def test_criterion_9_structural_invariants(graphs, improved_runs):
 
     ok = not findings
     print(f"\nACCEPT-9 structural invariants ({audited} superclustering "
-          f"audits, {part_checked} trees, {ruling_checked} ruling graphs): "
-          f"{'PASS' if ok else 'FAIL'} {findings[:3]}")
+          f"audits, {pairs} joined-supercluster pairs, {part_checked} trees, "
+          f"{ruling_checked} ruling graphs): {'PASS' if ok else 'FAIL'} {findings[:3]}")
     assert ok, findings[:5]
+    assert pairs > 0
 
 
 def test_criterion_10_oracle_cross_validation(graphs, imp3_runs):

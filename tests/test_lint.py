@@ -3,8 +3,9 @@ for the unused-import rule: a module under ``src/spanner``, ``tests`` or
 ``demos`` imports no name it never uses.  Package ``__init__`` modules are
 left out, since they import names to re-export them; instead, each one's
 ``__all__`` lists exactly the names it imports, each once.  They also
-stand in for the unused-variable rule: no function under ``src/spanner``
-assigns a local that nothing in it reads (``_`` names one on purpose)."""
+stand in for the unused-variable rule: no function under ``src/spanner``,
+``tests`` or ``demos`` assigns a local that nothing in it reads (``_``
+names one on purpose)."""
 
 import ast
 from pathlib import Path
@@ -13,8 +14,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "spanner"
-MODULES = (sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
-           + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py")))
+OTHERS = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py") + OTHERS
 PACKAGES = (SRC / "__init__.py", SRC / "kspanner" / "__init__.py")
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
@@ -39,8 +40,11 @@ def test_the_check_finds_unused_names():
     assert unused_imports(source) == [(2, "os"), (3, "c")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(
-    p.relative_to(SRC if SRC in p.parents else ROOT)))
+def module_id(path):
+    return str(path.relative_to(SRC if SRC in path.parents else ROOT))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=module_id)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 
@@ -100,7 +104,6 @@ def test_the_local_check_finds_unread_names():
     assert unread_locals(source) == [(2, "c"), (3, "d"), (4, "d"), (7, "h"), (8, "i")]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: str(
-    p.relative_to(SRC)))
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")) + OTHERS, ids=module_id)
 def test_module_reads_every_local(path):
     assert unread_locals(path.read_text()) == []

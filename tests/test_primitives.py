@@ -933,7 +933,7 @@ def test_ruling_power_random(seed, t):
 
 def test_ruling_power_round_cap():
     g = generate("path", {"n": 200})
-    U, ledger = ruling_set_power(g, set(range(200)), 1, CFG)
+    _, ledger = ruling_set_power(g, set(range(200)), 1, CFG)
     cap = 8 * 1 * 2 ** (2 * math.ceil(math.sqrt(math.log2(200))))
     assert ledger.rounds_used <= cap
 
@@ -993,11 +993,19 @@ def test_partition_star_root_owned_once():
 
 
 def test_partition_rejects_overweight_vertex():
+    # a weight of B passes, B + 1 does not
     wt = WeightedTree(
-        edges=frozenset({(0, 1)}), root=0, weights={0: 5, 1: 1}, bound=2
+        edges=frozenset({(0, 1)}), root=0, weights={0: 2, 1: 1}, bound=2
     )
-    with pytest.raises(ValueError):
+    wt.validate()
+    wt.weights[0] = 3
+    with pytest.raises(ValueError, match="vertex 0 weight 3 exceeds bound B=2"):
         partition_tree(wt, CFG, RoundLedger())
+    # n - 1 edges, but a triangle away from the root leaves it disconnected
+    wt = WeightedTree(edges=frozenset({(1, 2), (2, 3), (1, 3)}), root=0,
+                      weights={}, bound=2)
+    with pytest.raises(ValueError, match="tree is disconnected"):
+        wt.validate()
 
 
 def _random_tree(n, rng):

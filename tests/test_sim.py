@@ -35,6 +35,7 @@ def test_flood_max_path4():
 def test_immediate_halt_zero_rounds():
     g = generate("path", {"n": 4})
     out, ledger = run(g, HaltNow())
+    assert out == {v: {} for v in range(4)}  # every vertex keeps its initial state
     assert ledger.rounds_used == 0
     assert ledger.messages_total == 0
 
@@ -55,7 +56,7 @@ def test_budget_violation_audit_mode():
     g = generate("complete", {"n": 4})
     budget = default_bit_budget(4)
     cfg = SimConfig(strict=False)
-    out, ledger = run(g, OverBudget(budget + 1), cfg)
+    _, ledger = run(g, OverBudget(budget + 1), cfg)
     assert len(ledger.violations) == 4
     assert ledger.violations[0]["kind"] == "bits"
     assert ledger.max_bits_seen == budget + 1
@@ -91,7 +92,7 @@ class EchoOnce(NodeProgram):
         return {"arrivals": []}
 
     def on_round(self, state, view, rnd, inbox):
-        for s, body in inbox:
+        for s, _body in inbox:
             state["arrivals"].append((rnd, s))
         if rnd == 1:
             m = Msg(sim.width(view.id_bits, 1), view.vid)

@@ -131,13 +131,13 @@ def test_bipartite_edge_bound_exact_counting():
 
 def test_partition_all_low_degree_empty():
     g = generate("cycle", {"n": 30})
-    parts, _ = partition_high_degree(g, SimConfig(), RoundLedger())
+    parts = partition_high_degree(g, SimConfig(), RoundLedger())
     assert parts == []
 
 
 def test_partition_k16_bounds():
     g = generate("complete", {"n": 16})
-    parts, _ = partition_high_degree(g, SimConfig(), RoundLedger())
+    parts = partition_high_degree(g, SimConfig(), RoundLedger())
     covered = set().union(*parts)
     assert covered == set(range(16))
     assert all(len(p) <= 2 * math.isqrt(16) for p in parts)
@@ -148,7 +148,7 @@ def test_partition_k16_bounds():
 
 def test_partition_star_center_only():
     g = generate("complete-bipartite", {"a": 1, "b": 100})
-    parts, _ = partition_high_degree(g, SimConfig(), RoundLedger())
+    parts = partition_high_degree(g, SimConfig(), RoundLedger())
     assert parts == [{0}]
 
 
@@ -199,7 +199,7 @@ def test_given_partition_weighted_oracle():
 
 def test_given_partition_random_pinned_size():
     g = generate("erdos-renyi", {"n": 60, "p": 0.2}, seed=13)
-    parts, _ = partition_high_degree(g, SimConfig(), RoundLedger())
+    parts = partition_high_degree(g, SimConfig(), RoundLedger())
     res = three_spanner_given_partition(g, parts)
     assert verify_stretch(
         g.edge_subgraph(
@@ -264,7 +264,7 @@ def test_improved3_keeps_the_budget_of_g_in_small_partitions():
         == list(resolved.spanner.provenance.items())
     assert (default.ledger.rounds_used, default.ledger.max_bits_seen) == (84, 34)
     ledger, at_48 = RoundLedger(), RoundLedger()
-    parts, _trace = partition_high_degree(WIDE_IDS, SimConfig(), ledger)
+    parts = partition_high_degree(WIDE_IDS, SimConfig(), ledger)
     partition_high_degree(WIDE_IDS, SimConfig(msg_bit_budget=48), at_48)
     assert parts == [{1 << 19}] and ledger.to_json() == at_48.to_json()
 

@@ -18,6 +18,7 @@ from spanner import (
     StretchReport,
     Supercluster,
     Superclustering,
+    audit_ruling_set,
     audit_superclustering,
     baswana_sen_baseline,
     bfs_dist,
@@ -197,6 +198,60 @@ def test_audit_nonsingleton_vertex_balance_violation():
     rep = audit_superclustering(g, cl, sc)
     assert not rep.passed
     assert any(f.startswith("N2") for f in rep.findings)
+
+
+def _path_audit(groups, vertex_bound, cluster_bound, count_bound, depth_bound):
+    """Audit singleton clusters on the path 0..n-1 grouped into
+    superclusters of consecutive vertices, each tree the path through its
+    group rooted at its smallest vertex."""
+    n = max(v for vs in groups for v in vs) + 1
+    cl = Clustering(level=0, membership={v: v for v in range(n)},
+                    parents={v: None for v in range(n)}, depth_bound=0)
+    sc = Superclustering(
+        level=0,
+        superclusters=[
+            Supercluster(max(vs), frozenset(vs),
+                         frozenset((v, v + 1) for v in vs[:-1]), vs[0], depth_bound)
+            for vs in groups
+        ],
+        vertex_bound=vertex_bound,
+        cluster_bound=cluster_bound,
+        count_bound=count_bound,
+    )
+    return audit_superclustering(generate("path", {"n": n}), cl, sc)
+
+
+def test_audit_superclustering_passes_at_its_bounds():
+    # 3 clusters and 3 vertices against N1's 3 and N0's 4, depth 2, 3 superclusters
+    rep = _path_audit([[0, 1, 2], [3, 4, 5], [6, 7]], vertex_bound=4,
+                      cluster_bound=3, count_bound=3, depth_bound=2)
+    assert rep.passed, rep.findings
+
+
+@pytest.mark.parametrize("groups, bounds, finding", [
+    ([[0, 1]], (2, 9, 9, 9), "N0: supercluster 1 has 2 vertices"),
+    ([[0, 1, 2, 3]], (9, 3, 9, 9), "N1: supercluster 3 has 4 clusters"),
+    ([[0, 1, 2]], (2, 9, 9, 9), "N2: supercluster 2 has 3 vertices"),
+    ([[0, 1, 2, 3]], (9, 9, 9, 2), "N3: supercluster 3 tree depth 3 > 2"),
+    ([[0], [1], [2]], (9, 9, 2, 9), "3 superclusters exceed bound 2"),
+    ([[0, 1], [1, 2]], (9, 9, 9, 9), "supercluster 2 overlaps another supercluster"),
+], ids=["N0-at-bound", "N1-over", "N2-over", "N3-deeper", "count-over", "shared-cluster"])
+def test_audit_superclustering_flags_one_past_each_bound(groups, bounds, finding):
+    rep = _path_audit(groups, *bounds)
+    assert not rep.passed
+    assert any(f.startswith(finding) for f in rep.findings), rep.findings
+
+
+def test_audit_ruling_set_boundaries():
+    g = generate("path", {"n": 6})
+    # separation: distance alpha passes, alpha - 1 does not
+    assert audit_ruling_set(g, {0, 4}, {0, 4}, alpha=4, beta=0).passed
+    rep = audit_ruling_set(g, {0, 3}, {0, 3}, alpha=4, beta=0)
+    assert rep.findings == ["separation: dist(0,3) = 3"]
+    # domination: distance beta passes, beta + 1 does not
+    assert audit_ruling_set(g, {0, 4}, {0}, alpha=1, beta=4).passed
+    rep = audit_ruling_set(g, {0, 4}, {0}, alpha=1, beta=3)
+    assert rep.findings == ["domination: candidate 4 at distance 4"]
 
 
 # -- bound fitting ------------------------------------------------------------
