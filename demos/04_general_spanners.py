@@ -31,20 +31,21 @@ for name, res in rows:
 
 print("\nthe superclustered run iterates over supercluster elections instead")
 print("of clusters; its per-level center counts:")
-for i, clustering, _sc in res_improved.trace["superclusterings"][1:]:
-    print(f"  level {i}: {len(clustering.centers)} new centers")
+for clustering, sc in res_improved.trace["superclusterings"][1:]:
+    print(f"  level {sc.level}: {len(clustering.centers)} new centers")
 
 # -- audits --------------------------------------------------------------------
 
 print("\nnice-superclustering audit per recorded level:")
-for level, clustering, sc in res_improved.trace["superclusterings"]:
+for clustering, sc in res_improved.trace["superclusterings"]:
     rep = audit_superclustering(g, clustering, sc)
-    print(f"  level {level}: {len(sc.superclusters):3d} superclusters -> "
+    print(f"  level {sc.level}: {len(sc.superclusters):3d} superclusters -> "
           f"{'ok' if rep.passed else rep.findings[:2]}")
 
 # -- the zero level on its own ---------------------------------------------------
 
 z = cons_zero_superclustering(g, k)
-print(f"\nzero-level superclustering alone: {len(z.superclustering.superclusters)} "
-      f"superclusters covering {len(z.clustering.membership)}/{g.n} vertices,")
+[(clustering, sc)] = z.trace["superclusterings"]
+print(f"\nzero-level superclustering alone: {len(sc.superclusters)} "
+      f"superclusters covering {len(clustering.membership)}/{g.n} vertices,")
 print(f"partial spanner of {z.spanner.size} edges covers everyone left out")

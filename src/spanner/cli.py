@@ -91,8 +91,7 @@ def run_algorithm(alg: str, g: Graph, k: int, cfg: SimConfig, seed: int,
     if alg == "improved":
         return improved_spanner(g, k, cfg)
     if alg == "zerosc":
-        z = cons_zero_superclustering(g, k, cfg)
-        return SpannerRun(z.spanner, z.ledger, z.trace)
+        return cons_zero_superclustering(g, k, cfg)
     if alg == "bs-baseline":
         return baswana_sen_baseline(g, k, seed, cfg)
     raise UsageError(f"unknown algorithm {alg!r}")

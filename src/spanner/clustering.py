@@ -136,13 +136,13 @@ class Clustering:
 
 @dataclass
 class Supercluster:
-    """A group of cluster centers joined by a bounded-depth tree in G."""
+    """A group of cluster centers joined by a tree in G, whose depth its
+    superclustering bounds."""
 
     sc_id: int                      # ID of the maximum-ID member vertex
     clusters: FrozenSet[int]        # member cluster centers
     tree_edges: FrozenSet[Edge]     # connecting tree T(SC) in G
     root: int
-    depth_bound: int
 
     def tree_vertices(self) -> Set[int]:
         return tree_span(self.root, self.tree_edges)
@@ -160,13 +160,15 @@ class Supercluster:
 
 @dataclass
 class Superclustering:
-    """A covering, cluster-disjoint grouping of one clustering's clusters."""
+    """A covering, cluster-disjoint grouping of one clustering's clusters,
+    at that clustering's level, with the bounds its superclusters share."""
 
     level: int
     superclusters: List[Supercluster]
     vertex_bound: int       # N0/N2 bound on N_V for non-singletons
     cluster_bound: int      # N1 bound on N_C for non-singletons
     count_bound: int        # bound on the number of superclusters
+    depth_bound: int        # N3 bound on every connecting tree's depth
 
     def vertex_sets(self, clustering: Clustering) -> Dict[int, Set[int]]:
         members = clustering.members()

@@ -195,10 +195,8 @@ class Spanner:
 # -- BFS ------------------------------------------------------------------
 
 
-def bfs_dist(
-    g: Graph, src: int, hop_cap: Optional[int] = None
-) -> Dict[int, int]:
-    """Exact hop distances from ``src``; vertices beyond ``hop_cap`` omitted."""
+def bfs_dist(g: Graph, src: int) -> Dict[int, int]:
+    """Exact hop distances from ``src`` to every vertex it reaches."""
     if src not in g.adj:
         raise GraphError(f"source {src} not in graph")
     dist = {src: 0}
@@ -206,8 +204,6 @@ def bfs_dist(
     while q:
         v = q.popleft()
         d = dist[v]
-        if hop_cap is not None and d >= hop_cap:
-            continue
         for u in g.adj[v]:
             if u not in dist:
                 dist[u] = d + 1
@@ -335,10 +331,10 @@ def generate(kind: str, params: Dict[str, object], seed: int = 0) -> Graph:
     return build(*args, seed) if seeded else build(*args)
 
 
-def with_random_weights(g: Graph, seed: int, lo: int = 1, hi: int = 9) -> Graph:
-    """Copy of g with deterministic small integer edge weights."""
+def with_random_weights(g: Graph, seed: int) -> Graph:
+    """Copy of g with deterministic integer edge weights in 1..9."""
     rng = random.Random(seed)
-    w = {e: float(rng.randint(lo, hi)) for e in sorted(g.edge_set)}
+    w = {e: float(rng.randint(1, 9)) for e in sorted(g.edge_set)}
     return Graph(g.vertices, g.edge_set, w)
 
 

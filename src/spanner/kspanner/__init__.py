@@ -1,14 +1,18 @@
 """(2k-1)-spanner constructions: the cluster-by-cluster baseline, the
 star-graph bipartite spanner, the superclustered construction with its
-zero-level superclustering, and the randomized comparator.  The first four
-share one local-maxima election, ``common.elect``, and its steps.
+zero-level superclustering, and the randomized comparator.  The
+cluster-by-cluster and the superclustered constructions run one
+local-maxima election, ``common.elect``; the star graph reuses only its
+join step (``common.announce_join``) and the zero level only its
+unmarked-degree step (``common.unmarked_degree``).
 
 Every scripted step runs through a ``primitives.Forest`` (the convergecast
 and broadcast over cluster or supercluster trees), through
 ``common.label_contacts``, the label round (a tree key to all neighbours;
 each receiver keeps the smallest-ID sender of each key), through
 ``common.signal`` (one message per chosen (sender, receiver) pair: bare
-tokens, or the star graph's relays at their width), through
+tokens, or at their width the star graph's relays and the zero level's
+one-vertex star formation), through
 ``sim._to_all`` (the other rounds to all neighbours: the comparator's
 status round, the elections' tuples and join tokens, the star graph's
 marked-star tokens) or, for the star graph's ID lists, through

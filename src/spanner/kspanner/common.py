@@ -8,7 +8,8 @@ Three kinds of step carry every scripted step of the constructions:
   tree key to all its neighbours, and each receiver keeps its contacts,
   the smallest-ID neighbour in each adjacent tree;
 * ``signal``, one message per chosen (sender, receiver) pair, bare
-  tokens or, in ``starbip``, the star relays at their width: it returns
+  tokens or, at their width, ``starbip``'s star relays and the zero
+  level's one-vertex star formation: it returns
   receiver -> number of distinct senders, and receivers that read what
   was sent or who sent it read that off the pairs on the host.
 

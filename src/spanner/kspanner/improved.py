@@ -56,13 +56,12 @@ def improved_spanner(
     H = zero.spanner
     ledger = zero.ledger
     trace: Dict = {
-        "zero": zero.trace,
-        "superclusterings": [(0, zero.clustering, zero.superclustering)],
+        "zero": {"levels": zero.trace["levels"]},
+        "superclusterings": list(zero.trace["superclusterings"]),
         "si_records": [],
         "bipartite_instances": {},
     }
-    clustering = zero.clustering
-    superclustering = zero.superclustering
+    clustering, superclustering = trace["superclusterings"][0]
     exp_threshold = ipow_ceil(g.n, k + 2, 2 * k)  # n^(1/2 + 1/k)
 
     for i in range(1, k // 2 + 1):
@@ -70,10 +69,11 @@ def improved_spanner(
             g, k, cfg, ledger, trace, H, clustering, superclustering,
             i, exp_threshold,
         )
-        trace["superclusterings"].append((i, clustering, superclustering))
+        trace["superclusterings"].append((clustering, superclustering))
 
-    tail, trace["tail"] = _levels(g, k, cfg, H, clustering)
-    ledger.extend_sequential(tail, name="tail")
+    tail = _levels(g, k, cfg, H, clustering)
+    ledger.extend_sequential(tail.ledger, name="tail")
+    trace["tail"] = tail.trace
     return SpannerRun(H, ledger, trace)
 
 
@@ -120,7 +120,8 @@ def _phase(g, k, cfg, ledger, trace, H, clustering, superclustering,
         H.add(*e, f"sc-tree:L{i}")
 
     new_sc = _regroup(
-        g, k, cfg, ledger, new_clustering, [scs[s] for s in sorted(joined_sc)], i,
+        g, k, cfg, ledger, new_clustering, [scs[s] for s in sorted(joined_sc)],
+        superclustering.depth_bound, i,
     )
     return new_clustering, new_sc
 
@@ -147,10 +148,12 @@ def _cover_remaining(g, k, cfg, ledger, H, scs, vset, sc_of_vertex, remaining,
 
 
 def _regroup(g, k, cfg, ledger, clustering, successful: List[Supercluster],
-             i) -> Superclustering:
+             depth_bound, i) -> Superclustering:
     """Re-group the new clusters into a nice superclustering: oversized
     clusters become singletons; each successful supercluster's tree is
-    partitioned by cluster count and then by vertex count."""
+    partitioned by cluster count and then by vertex count.  The depth
+    bound is ``depth_bound``, the previous superclustering's (1 if no
+    supercluster succeeded), raised to at least i."""
     n = g.n
     big_bound = max(1, math.ceil(math.sqrt(n)))
     up, _down = cluster_steps(g, cfg, ledger, clustering)
@@ -158,15 +161,13 @@ def _regroup(g, k, cfg, ledger, clustering, successful: List[Supercluster],
     members = clustering.members()
     big = {c for c in clustering.centers if sizes[c] >= big_bound}
     superclusters: List[Supercluster] = []
-    depth_bound = max((sc.depth_bound for sc in successful), default=1)
-    depth_bound = max(depth_bound, i)
 
     def add(cs, tree_edges, root):
         """One supercluster of the clusters ``cs``, named by their largest
         member vertex."""
         superclusters.append(Supercluster(
             sc_id=max(max(members[c]) for c in cs), clusters=frozenset(cs),
-            tree_edges=tree_edges, root=root, depth_bound=depth_bound,
+            tree_edges=tree_edges, root=root,
         ))
 
     for c in sorted(big):
@@ -220,4 +221,5 @@ def _regroup(g, k, cfg, ledger, clustering, successful: List[Supercluster],
         vertex_bound=2 * big_bound + 1,
         cluster_bound=2 * b_clusters + 1,
         count_bound=4 * big_bound + 4,
+        depth_bound=max(depth_bound if successful else 1, i),
     )

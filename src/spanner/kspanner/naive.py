@@ -6,7 +6,7 @@ neighboring cluster."""
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..clustering import Clustering
 from ..graph import Graph, Spanner
@@ -30,18 +30,16 @@ def naive_spanner(g: Graph, k: int, cfg: Optional[SimConfig] = None) -> SpannerR
     if g.weighted:
         raise ValueError("weighted graphs are not supported by naive_spanner")
     cfg = (cfg or SimConfig()).resolved(g)
-    H = Spanner(g)
-    ledger, trace = _levels(g, k, cfg, H, Clustering.singletons(g.vertices))
-    return SpannerRun(H, ledger, trace)
+    return _levels(g, k, cfg, Spanner(g), Clustering.singletons(g.vertices))
 
 
 def _levels(g: Graph, k: int, cfg: SimConfig, H: Spanner,
-            clustering: Clustering) -> Tuple[RoundLedger, Dict]:
+            clustering: Clustering) -> SpannerRun:
     """The levels after ``clustering``'s, up to k-1, and the last level,
     their edges added to H: a run of many phases in a ledger of its own
     (the superclustered construction folds its tail in as one entry).
-    Returns that ledger and the levels' trace: the number of centers of
-    each level and the election records."""
+    Returns H, that ledger and the levels' trace: the number of centers
+    of each level and the election records."""
     ledger = RoundLedger()
     trace: Dict = {"levels": {}, "si_records": []}
     for i in range(clustering.level + 1, k):
@@ -49,7 +47,7 @@ def _levels(g: Graph, k: int, cfg: SimConfig, H: Spanner,
         trace["levels"][i] = len(clustering.centers)
 
     last_level(g, cfg, ledger, H, clustering, ("announce:final", "final-edges"), "final")
-    return ledger, trace
+    return SpannerRun(H, ledger, trace)
 
 
 def _phase(g, cfg, ledger, trace, H, clustering, k, i) -> Clustering:

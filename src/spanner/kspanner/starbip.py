@@ -245,9 +245,8 @@ def _phase(g, cfg, ledger, approx, H, st, cluster_of, gtree, A, kp, i):
     near = label_contacts(g, cfg, ledger, f"bip-announce:L{i}", gtree.membership)
     up, down = cluster_steps(g, cfg, ledger, gtree)
 
-    # per-cluster representatives inside each star, and exact initial counts
-    reps: Dict[int, Dict[int, Tuple[int, int]]] = {s: {} for s in stars}
-    deg: Dict[int, int] = {}
+    # level 1 estimates the degrees; later levels count them exactly
+    # through per-cluster representatives inside each star
     if i == 1:
         deg = _approx_degree(
             g, cfg, ledger, approx, st, cluster_of, marked, nbr_marked, f"L{i}.0"

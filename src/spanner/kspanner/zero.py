@@ -14,25 +14,16 @@ partitioning routine, become superclusters over singleton clusters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Collection, Dict, List, Optional, Set, Tuple
 
 from ..clustering import Clustering, Supercluster, Superclustering, WeightedTree
 from ..graph import Graph, Spanner
 from ..primitives import grow_bfs_clusters, partition_tree, ruling_set_power
-from ..sim import RoundLedger, SimConfig, _charge, width
+from ..results import SpannerRun
+from ..sim import RoundLedger, SimConfig, width
 from ..spanner3 import Bipartition
-from .common import cluster_steps, ipow_ceil, label_contacts, unmarked_degree
+from .common import cluster_steps, ipow_ceil, label_contacts, signal, unmarked_degree
 from .starbip import sparser_bipartite_spanner
-
-
-@dataclass
-class ZeroResult:
-    superclustering: Superclustering
-    clustering: Clustering      # level-0 singleton clusters of covered vertices
-    spanner: Spanner            # H': covers every edge at an excluded vertex
-    ledger: RoundLedger
-    trace: Dict = field(default_factory=dict)  # {"levels": {level: centers}}
 
 
 def _cluster_expansion(g, cfg, ledger, clustering, label) -> Dict[int, int]:
@@ -61,9 +52,8 @@ def cover_low_expansion(g: Graph, k: int, cfg: SimConfig, ledger: RoundLedger, H
 
     A one-vertex set {a} needs no sub-run: its bipartite instance ends
     at star formation (``sparser_bipartite_spanner``), which keeps every
-    cross edge and is one label round, a message from each outside
-    vertex to a at the instance's own ID width, charged as
-    ``label_contacts`` charges it."""
+    cross edge and is one round, a message from each outside vertex to
+    a at the instance's own ID width, charged through ``signal``."""
     from .improved import improved_spanner  # recursion
 
     ledgers: List[RoundLedger] = []
@@ -77,10 +67,9 @@ def cover_low_expansion(g: Graph, k: int, cfg: SimConfig, ledger: RoundLedger, H
             if outside:
                 for u in outside:  # sorted, as g.adj is
                     H.add(a, u, tags[0])
-                bits = width(0, 0, max(a, outside[-1]))
                 led = RoundLedger()
-                _charge(g, cfg, led, "star-formation", 1, len(outside), bits,
-                        lambda: [(1, u, a, bits) for u in outside])
+                signal(g, cfg, led, "star-formation", [(u, a) for u in outside],
+                       width(0, 0, max(a, outside[-1])))
                 ledgers.append(led)
             continue
         cross = [(v, u) for v in members for u in g.adj[v]
@@ -104,9 +93,13 @@ def cover_low_expansion(g: Graph, k: int, cfg: SimConfig, ledger: RoundLedger, H
 
 def cons_zero_superclustering(
     g: Graph, k: int, cfg: Optional[SimConfig] = None
-) -> ZeroResult:
+) -> SpannerRun:
     """Nice zero-level superclustering plus a partial spanner H' that takes
-    care of every edge incident to a vertex left out of the superclusters."""
+    care of every edge incident to a vertex left out of the superclusters.
+    The run's trace holds ``levels`` (pre-clustering level -> centers) and
+    ``superclusterings``, one record (clustering, superclustering): the
+    level-0 singleton clusters of the covered vertices and their nice
+    superclustering."""
     if k < 3:
         raise ValueError("k must be >= 3")
     if g.weighted:
@@ -168,7 +161,6 @@ def cons_zero_superclustering(
             clusters=frozenset(vs),
             tree_edges=tree_edges,
             root=root,
-            depth_bound=max(1, 2 * radius),
         )
         for vs, tree_edges, root in shapes
     ]
@@ -180,5 +172,7 @@ def cons_zero_superclustering(
         vertex_bound=2 * bound + 1,
         cluster_bound=2 * bound + 1,
         count_bound=4 * bound + 4,
+        depth_bound=max(1, 2 * radius),
     )
-    return ZeroResult(sc, c0, H, ledger, trace)
+    trace["superclusterings"] = [(c0, sc)]
+    return SpannerRun(H, ledger, trace)

@@ -190,7 +190,7 @@ def grow_bfs_clusters(
 
 RoleTable = Dict[Tuple[int, Hashable], Optional[int]]
 
-COMBINERS = {"sum": operator.add, "max": max, "min": min}
+COMBINERS = {"sum": operator.add, "min": min}
 
 
 def clustering_roles(clustering: Clustering) -> RoleTable:

@@ -20,28 +20,21 @@ every outbox through the send step, ``_post``.  Demo 01 and the tests'
 reference programs use it; no library phase does.  Each of those is
 scheduled on the host and enters its ledger through one helper,
 ``_charge``, once its host code has run: it checks the config
-(``SimConfig.check``) before anything else, and it is, besides ``run``
-and the ``RoundLedger`` merges, the only code that writes a ledger.  No
-library phase builds inboxes: the receivers read what was sent on the
-host.  Its callers are ``_to_all`` (rounds to all neighbours), the token
-rounds of ``kspanner.common`` (``signal``, ``connect``, the election's
-acks and votes), the chunked ID streams, every ``primitives.Forest``
-pass, ``primitives.partition_tree``, the relay floods of ``primitives``
-(cluster growth, the two ruling sets), the star-graph BFS of
-``kspanner.starbip``, the one-vertex ``star-formation`` round of
-``kspanner.zero.cover_low_expansion`` and the star rounds of the
-3-spanners.  Each charges one phase to the ledger its caller passes,
-under the caller's phase name where the caller picks one, its records
-and errors naming the step itself (``_charge``'s ``label``).  A run of
-many phases (the power-graph ruling set's waves, a whole construction)
-keeps a ledger of its own, which its caller folds into one entry:
-``RoundLedger.extend_sequential`` after its own phases,
-``extend_parallel`` for runs side by side.
+(``SimConfig.check``) before anything else.  No module but this one
+writes a ledger field: ``_charge``, ``run`` and the ``RoundLedger``
+merges are the only writers.  No library phase builds inboxes: the
+receivers read what was sent on the host.  Each phase charges one entry
+to the ledger its caller passes, under the caller's phase name where
+the caller picks one, its records and errors naming the step itself
+(``_charge``'s ``label``).  A run of many phases (the power-graph ruling
+set's waves, a whole construction) keeps a ledger of its own, which its
+caller folds into one entry: ``RoundLedger.extend_sequential`` after its
+own phases, ``extend_parallel`` for runs side by side.
 
-All of these send one message per edge and round, to neighbours, so
-within the budget they can violate nothing and handle no message
-objects: ``_charge`` folds each phase into the ledger at once, at its
-widest message.  Over the budget ``_overrun`` first checks its messages
+Every library phase sends one message per edge and round, to
+neighbours, so within the budget it can violate nothing and handles no
+message objects: ``_charge`` folds each phase into the ledger at once,
+at its widest message.  Over the budget ``_overrun`` first checks its messages
 one by one, each at its own width.
 """
 
@@ -93,15 +86,16 @@ class SimConfig:
             return self.msg_bit_budget
         return default_bit_budget(g.n)
 
-    def check(self, g: Graph) -> None:
+    def check(self, g: Graph) -> int:
         """Every budget must fit one tagged vertex ID, and the round cap
-        must let round 1 run."""
+        must let round 1 run.  Returns the budget it checked."""
         b = self.budget_for(g)
         floor = width(g.id_bits, 1)
         if b < floor:
             raise SimError(f"msg_bit_budget {b} below minimum {floor}")
         if self.max_rounds < 1:
             raise SimError(f"max_rounds {self.max_rounds} below 1")
+        return b
 
     def resolved(self, g: Graph) -> "SimConfig":
         """Freeze the bit budget at this graph's size so sub-simulations on
@@ -292,8 +286,7 @@ def _charge(g: Graph, cfg: SimConfig, ledger: RoundLedger, name: str, rounds: in
     in the same way.  Then the round cap applies (:func:`_cap`), and the
     phase adds ``rounds`` to ``rounds_used`` and one ``per_phase``
     entry."""
-    cfg.check(g)
-    budget = cfg.budget_for(g)
+    budget = cfg.check(g)
     label = label or name
     if width > budget:
         sent = sends()
@@ -357,9 +350,8 @@ def run(
     1``, and raises SimTimeout after more than ``STALL_LIMIT`` rounds in
     a row that carry no message."""
     cfg = cfg or SimConfig()
-    cfg.check(g)
+    budget = cfg.check(g)
     name = program.name
-    budget = cfg.budget_for(g)
     private = private or {}
     views = {v: NodeView(v, g.adj[v], private.get(v), g.id_bits, budget)
              for v in g.vertices}

@@ -242,8 +242,8 @@ def improved_3_spanner(g: Graph, cfg: Optional[SimConfig] = None) -> SpannerRun:
 
 def small_id_3_spanner(g: Graph, cfg: Optional[SimConfig] = None) -> SpannerRun:
     """Two-round 3-spanner for graphs whose IDs fit in log(n)+O(1) bits
-    (at most 4n): the low half of the ID bits is the part index."""
-    cfg = cfg or SimConfig()
+    (at most 4n): :func:`three_spanner_given_partition` with one part per
+    value of the low half of the ID bits."""
     limit = 4 * max(g.n, 1)
     for v in g.vertices:
         if v > limit:
@@ -253,8 +253,8 @@ def small_id_3_spanner(g: Graph, cfg: Optional[SimConfig] = None) -> SpannerRun:
             )
     low = g.id_bits // 2
     mask = (1 << low) - 1
-    part = {v: v & mask for v in g.vertices}
-    spanner, ledger = Spanner(g), RoundLedger()
-    _star_spanner(g, cfg, ledger, spanner, part, internal=True)
-    nparts = len(set(part.values()))
-    return SpannerRun(spanner, ledger, trace={"num_parts": nparts, "low_bits": low})
+    parts: Dict[int, List[int]] = {}
+    for v in g.vertices:
+        parts.setdefault(v & mask, []).append(v)
+    res = three_spanner_given_partition(g, list(parts.values()), cfg)
+    return SpannerRun(res.spanner, res.ledger, {"num_parts": len(parts), "low_bits": low})

@@ -429,8 +429,8 @@ def audit_superclustering(
         except ValueError as exc:
             rep.note(f"N3: {exc}")
             continue
-        if depth > s.depth_bound:
-            rep.note(f"N3: supercluster {s.sc_id} tree depth {depth} > {s.depth_bound}")
+        if depth > sc.depth_bound:
+            rep.note(f"N3: supercluster {s.sc_id} tree depth {depth} > {sc.depth_bound}")
         tv = s.tree_vertices()
         missing = {c for c in s.clusters if c not in tv}
         if missing:

@@ -244,10 +244,10 @@ def test_criterion_9_structural_invariants(graphs, improved_runs):
     audited = 0
     for name, g in graphs:
         res = improved_runs[(name, 4)]
-        for level, clustering, sc in res.trace.get("superclusterings", []):
+        for clustering, sc in res.trace.get("superclusterings", []):
             rep = audit_superclustering(g, clustering, sc)
             if not rep.passed:
-                findings.append((name, level, rep.findings[:2]))
+                findings.append((name, sc.level, rep.findings[:2]))
             audited += 1
 
     # successful-supercluster unmarked neighborhoods are pairwise disjoint
@@ -273,14 +273,19 @@ def test_criterion_9_structural_invariants(graphs, improved_runs):
                         pairs += 1
 
     # center counts: |Z_i| <= 4 n^(1-i/k) at every recorded level,
-    # including the zero pre-clustering and the tail levels
+    # including the zero pre-clustering and the tail levels; a record's
+    # clustering and superclustering are of one level
     for name, g in graphs:
         for k in (3, 4, 5, 6):
             res = improved_runs[(name, k)]
-            for i, clustering, _sc in res.trace.get("superclusterings", [])[1:]:
+            records = res.trace.get("superclusterings", [])
+            for clustering, sc in records:
+                if clustering.level != sc.level:
+                    findings.append((name, k, "record", clustering.level, sc.level))
+            for clustering, sc in records[1:]:
                 z = len(clustering.centers)
-                if z > 4 * ipow_ceil(g.n, k - i, k):
-                    findings.append((name, k, i, z))
+                if z > 4 * ipow_ceil(g.n, k - sc.level, k):
+                    findings.append((name, k, sc.level, z))
             zero_levels = res.trace.get("zero", {}).get("levels", {})
             for i, z in zero_levels.items():
                 if z > 4 * ipow_ceil(g.n, k - i, k):

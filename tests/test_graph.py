@@ -207,12 +207,6 @@ def test_bfs_path_distances():
     assert bfs_dist(g, 0) == {0: 0, 1: 1, 2: 2, 3: 3}
 
 
-def test_bfs_hop_cap():
-    g = generate("path", {"n": 4})
-    d = bfs_dist(g, 0, hop_cap=2)
-    assert 3 not in d and d[2] == 2
-
-
 def test_bfs_bipartite():
     g = generate("complete-bipartite", {"a": 2, "b": 4})
     d = bfs_dist(g, 0)

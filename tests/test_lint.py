@@ -5,7 +5,9 @@ left out, since they import names to re-export them; instead, each one's
 ``__all__`` lists exactly the names it imports, each once.  They also
 stand in for the unused-variable rule: no function under ``src/spanner``,
 ``tests`` or ``demos`` assigns a local that nothing in it reads (``_``
-names one on purpose)."""
+names one on purpose).  And no name that a package exports lives only for
+its tests: a library module or a demo reads each one, but the test
+oracles."""
 
 import ast
 from pathlib import Path
@@ -107,3 +109,44 @@ def test_the_local_check_finds_unread_names():
 @pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")) + OTHERS, ids=module_id)
 def test_module_reads_every_local(path):
     assert unread_locals(path.read_text()) == []
+
+
+# Exported only for the tests, as the independent checks they compare against.
+TEST_ORACLES = {"audit_ruling_set", "verify_stretch_allpairs"}
+READERS = [p for p in MODULES if p.parent != ROOT / "tests"]
+
+
+def outside_reads(source):
+    """Every name that ``source`` reads (as a name or an attribute)
+    outside a function or class of that name, so a recursive call or a
+    class's use of itself does not count."""
+    found = set()
+
+    def walk(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        name = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        if name is not None and name not in inside:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            walk(child, inside)
+
+    walk(ast.parse(source), frozenset())
+    return found
+
+
+def test_the_read_check_skips_a_names_own_definition():
+    source = ("def f(n):\n    return f(n - 1)\nclass C:\n    def m(self):\n"
+              "        return C, g\ndef h():\n    return x.attr\n")
+    assert outside_reads(source) == {"n", "g", "x", "attr"}
+
+
+def test_every_export_has_a_reader():
+    """A public name that no library module (package ``__init__``s left
+    out) and no demo reads is kept alive only by its tests."""
+    read = set().union(*(outside_reads(p.read_text()) for p in READERS))
+    unread = set()
+    for path in PACKAGES:
+        unread |= set(exports(path.read_text())[1]) - read
+    assert sorted(unread) == sorted(TEST_ORACLES)

@@ -29,7 +29,6 @@ from spanner.sim import (
     TAG, Msg, NodeProgram, RoundLedger, SimError, SimTimeout, _post, run, width,
 )
 from spanner.verify import audit_ruling_set
-from step_program import StepProgram
 
 CFG = SimConfig(msg_bit_budget=64)
 
@@ -81,13 +80,13 @@ def test_grow_in_the_callers_ledger_names_itself():
 
 
 def _centralized_assignment(g, centers, depth):
-    dists = {c: bfs_dist(g, c, hop_cap=depth) for c in centers}
+    dists = {c: bfs_dist(g, c) for c in centers}
     out = {}
     for v in g.vertices:
         best = None
         for c in centers:
             d = dists[c].get(v)
-            if d is not None:
+            if d is not None and d <= depth:
                 key = (-d, c)
                 if best is None or key > best:
                     best = key
@@ -136,13 +135,6 @@ def test_aggregate_singletons_identity():
     assert ledger.rounds_used == 0
 
 
-def test_aggregate_max():
-    g = generate("complete", {"n": 6})
-    cl = grow_bfs_clusters(g, SimConfig(), RoundLedger(), "grow", {5}, 1)
-    agg, _ = cluster_aggregate(g, cl, {v: v for v in g.vertices}, "max")
-    assert agg == {5: 5}
-
-
 def test_forest_vertex_in_two_edge_disjoint_trees():
     # 3x3 grid; vertices 0 and 4 each sit in both trees "a" and "b", which
     # share no edge; "c" is a lone root.  0 is a member of "a" and relays
@@ -165,14 +157,14 @@ def test_forest_vertex_in_two_edge_disjoint_trees():
            for key in trees}
     ledger = RoundLedger()
     forest = Forest(g, SimConfig(), ledger, roles, key_of)
-    for combine, fn in (("sum", sum), ("max", max), ("min", min)):
+    for combine, fn in (("sum", sum), ("min", min)):
         agg = forest.aggregate("agg", values, combine, bound=100)
         assert agg == {key: fn(xs) for key, xs in own.items()}
     sums = forest.aggregate("agg", values, bound=100)
     got = forest.broadcast("down", sums)
     # every member gets its own tree's value, in role order
     assert list(got.items()) == [(v, sums[key]) for v, key in roles if key_of[v] == key]
-    assert ledger.per_phase == [("agg", 2)] * 4 + [("down", 2)]
+    assert ledger.per_phase == [("agg", 2)] * 3 + [("down", 2)]
 
 
 def test_forest_relay_role_and_roleless_vertex():
@@ -197,7 +189,7 @@ class RefAggregate(NodeProgram):
     name = "forest-aggregate"
 
     def __init__(self, combine, bound):
-        self.fn = {"sum": lambda a, b: a + b, "max": max, "min": min}[combine]
+        self.fn = {"sum": lambda a, b: a + b, "min": min}[combine]
         self.bound = bound
 
     def init(self, view):
@@ -304,90 +296,6 @@ def ref_forest_broadcast(g, roles, key_of, root_values, cfg):
     return {v: outputs[v][key] for v, key in roles if key_of.get(v) == key}, ledger
 
 
-def _stalled(name, stuck):
-    """The mail ran out before every tree edge carried its one message."""
-    raise SimTimeout(
-        f"program {name!r} stalled: {len(stuck)} vertices (e.g. {stuck[:5]}) "
-        "wait for a tree message that never comes"
-    )
-
-
-def stepped_forest_aggregate(g, roles, key_of, values, combine, bound, cfg):
-    """Reference for ``Forest.aggregate``: the convergecast as a
-    mail-driven step under ``sim.run``, every round posted through the
-    send step."""
-    name = "forest-aggregate"
-    rows = vertex_roles(roles)
-    routes = {v: _ref_edge_roles(rs) for v, rs in rows.items()}
-    edges = sum(p is not None for p in roles.values())
-    fn = {"sum": lambda a, b: a + b, "max": max, "min": min}[combine]
-    bound = bound if bound is not None else max(2 * g.n + 1, 2)
-    bits = width(g.id_bits, 0, bound)
-    acc = {v: [values.get(v, 0) if key == key_of.get(v) else 0 for key, _p, _ch in rs]
-           for v, rs in rows.items()}
-    left = {v: [len(ch) for _key, _p, ch in rs] for v, rs in rows.items()}
-
-    def step(v, rnd, inbox):
-        rs, partial = rows[v], acc[v]
-        out = {}
-        if not inbox:
-            for i, (_key, parent, children) in enumerate(rs):
-                if not children and parent is not None:
-                    out[parent] = Msg(bits, partial[i])
-            return out
-        for sender, x in inbox:
-            i = routes[v][sender]
-            partial[i] = fn(partial[i], x)
-            left[v][i] -= 1
-            if left[v][i] == 0 and rs[i][1] is not None:
-                out[rs[i][1]] = Msg(bits, partial[i])
-        return out
-
-    leaves = [v for v, rs in rows.items() if any(not r[2] for r in rs)]
-    ledger = run(g, StepProgram(name, leaves, step), cfg or SimConfig())[1]
-    if ledger.messages_total < edges:
-        _stalled(name, [v for v, count in left.items() if any(count)])
-    roots = {(v, key): x for v, rs in rows.items()
-             for (key, _p, _ch), x in zip(rs, acc[v])}
-    return {key: roots[v, key] for (v, key), p in roles.items() if p is None}, ledger
-
-
-def stepped_forest_broadcast(g, roles, key_of, root_values, cfg):
-    """Reference for ``Forest.broadcast``: the broadcast as a mail-driven
-    step under ``sim.run``, every round posted through the send step."""
-    name = "forest-broadcast"
-    rows = vertex_roles(roles)
-    routes = {v: _ref_edge_roles(rs) for v, rs in rows.items()}
-    edges = sum(p is not None for p in roles.values())
-    bits = width(g.id_bits, 0, max(2 * g.n + 1, 2))
-    got = {v: [root_values.get(key, 0) if p is None else None for key, p, _ch in rs]
-           for v, rs in rows.items()}
-
-    def step(v, rnd, inbox):
-        rs, known = rows[v], got[v]
-        out = {}
-        if not inbox:
-            for i, (_key, parent, children) in enumerate(rs):
-                if parent is None and known[i] is not None:
-                    for c in children:
-                        out[c] = Msg(bits, known[i])
-            return out
-        for sender, x in inbox:
-            i = routes[v][sender]
-            known[i] = x
-            for c in rs[i][2]:
-                out[c] = Msg(bits, x)
-        return out
-
-    roots = [v for v, rs in rows.items() if any(r[1] is None for r in rs)]
-    ledger = run(g, StepProgram(name, roots, step), cfg or SimConfig())[1]
-    if ledger.messages_total < edges:
-        _stalled(name, [v for v, known in got.items() if None in known])
-    known = {(v, key): x for v, rs in rows.items()
-             for (key, _p, _ch), x in zip(rs, got[v])}
-    return {v: known[v, key] for v, key in roles if key_of.get(v) == key}, ledger
-
-
 def random_forest(rng):
     """Up to four edge-disjoint trees that may share vertices, on sparse
     IDs (n <= 14, IDs up to 600) or on IDs 0..n-1, where the default bound
@@ -479,14 +387,14 @@ def _fresh(step):
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(st.integers(0, 10**9), st.sampled_from(("sum", "max", "min")))
+@given(st.integers(0, 10**9), st.sampled_from(("sum", "min")))
 def test_forest_helpers_match_reference_programs(seed, combine):
     """A table with a cycle or a tree edge outside g is rejected by the
     Forest constructor.  On every other draw the scheduled convergecast
     and broadcast, each on a Forest and ledger of its own, return the
     same outputs (key order included), the same ledger with its
     violation records, and the same exception type and text as the
-    mail-driven steps they replace and as the vertex programs.  One more
+    vertex programs.  One more
     Forest runs each direction twice, on two value sets, and returns what
     the fresh ones do, so no call leaves state behind that the next one
     reads."""
@@ -508,15 +416,11 @@ def test_forest_helpers_match_reference_programs(seed, combine):
     for vals in (values, values2):
         got = _outcome(lambda: fresh("aggregate", vals, combine, bound))
         assert got == _outcome(
-            lambda: stepped_forest_aggregate(g, roles, key_of, vals, combine, bound, cfg))
-        assert got == _outcome(
             lambda: ref_forest_aggregate(g, roles, key_of, vals, combine, bound, cfg))
         if isinstance(got[0], str):  # the pass went through
             assert repr(shared.aggregate("again", vals, combine, bound)) == got[0]
     for vals in (root_values, root_values2):
         got = _outcome(lambda: fresh("broadcast", vals))
-        assert got == _outcome(
-            lambda: stepped_forest_broadcast(g, roles, key_of, vals, cfg))
         assert got == _outcome(
             lambda: ref_forest_broadcast(g, roles, key_of, vals, cfg))
         if isinstance(got[0], str):

@@ -332,11 +332,11 @@ def test_improved_one_vertex_covers_end_at_star_formation(monkeypatch):
     # grid is billed one star-formation round, a message from each outside
     # vertex, without a sub-build; larger covers go on past star formation
     one, larger = [], []
-    real_charge, real_sparser = zero._charge, zero.sparser_bipartite_spanner
+    real_signal, real_sparser = zero.signal, zero.sparser_bipartite_spanner
 
-    def charge(g, cfg, ledger, name, rounds, messages, *rest):
-        real_charge(g, cfg, ledger, name, rounds, messages, *rest)
-        one.append((ledger.to_json(), messages))
+    def signal(g, cfg, ledger, name, pairs, bits):
+        real_signal(g, cfg, ledger, name, pairs, bits)
+        one.append((ledger.to_json(), len(pairs)))
 
     def sparser(g, part, k, cfg=None):
         assert len(part.a) > 1
@@ -344,7 +344,7 @@ def test_improved_one_vertex_covers_end_at_star_formation(monkeypatch):
         larger.append([name for name, _r in res.ledger.per_phase])
         return res
 
-    monkeypatch.setattr(zero, "_charge", charge)
+    monkeypatch.setattr(zero, "signal", signal)
     monkeypatch.setattr(zero, "sparser_bipartite_spanner", sparser)
     for kind, params in (("path", {"n": 100}), ("grid", {"rows": 10, "cols": 10})):
         g = generate(kind, params)
@@ -606,14 +606,15 @@ def test_star_bfs_without_centres_passes_a_cap_of_one():
 
 def test_zero_dense_vs_simple_both_nice():
     g = generate("erdos-renyi", {"n": 80, "p": 0.4}, seed=1)
-    z = cons_zero_superclustering(g, 4)
-    assert audit_superclustering(g, z.clustering, z.superclustering).passed
+    [(clustering, sc)] = cons_zero_superclustering(g, 4).trace["superclusterings"]
+    assert audit_superclustering(g, clustering, sc).passed
 
 
 def test_zero_path_coverage():
     g = generate("path", {"n": 100})
     z = cons_zero_superclustering(g, 4)
-    covered = set(z.clustering.membership)
+    [(clustering, _sc)] = z.trace["superclusterings"]
+    covered = set(clustering.membership)
     rep = verify_stretch(
         g.edge_subgraph(
             g.vertices,
@@ -628,7 +629,8 @@ def test_zero_path_coverage():
 def test_zero_bounded_degree_empty_superclustering():
     g = generate("cycle", {"n": 96})
     z = cons_zero_superclustering(g, 4)
-    assert len(z.superclustering.superclusters) == 0
+    [(_clustering, sc)] = z.trace["superclusterings"]
+    assert len(sc.superclusters) == 0
     # H' alone must cover every edge
     assert verify_stretch(g, z.spanner, 7).passed
 
@@ -638,7 +640,8 @@ def test_zero_cluster_count_bound():
     z = cons_zero_superclustering(g, 4)
     for i, centers in z.trace["levels"].items():
         assert centers <= 2 * ipow_ceil(g.n, 4 - i, 4)
-    assert len(z.superclustering.superclusters) <= z.superclustering.count_bound
+    [(_clustering, sc)] = z.trace["superclusterings"]
+    assert len(sc.superclusters) <= sc.count_bound
 
 
 # -- ImprovedSpanner ----------------------------------------------------------
@@ -675,9 +678,9 @@ def test_improved_superclustering_audits():
     g = generate("erdos-renyi", {"n": 150, "p": 0.15}, seed=9)
     res = improved_spanner(g, 4)
     audited = 0
-    for level, clustering, sc in res.trace["superclusterings"]:
+    for clustering, sc in res.trace["superclusterings"]:
         rep = audit_superclustering(g, clustering, sc)
-        assert rep.passed, (level, rep.findings)
+        assert rep.passed, (sc.level, rep.findings)
         audited += 1
     assert audited >= 2
 
@@ -715,9 +718,9 @@ def test_improved_center_counts():
     res = improved_spanner(g, k)
     levels = res.trace["superclusterings"][1:]
     assert levels
-    for i, clustering, _sc in levels:
+    for clustering, sc in levels:
         z = len(clustering.centers)
-        assert z <= 4 * ipow_ceil(g.n, k - i, k), (i, z)
+        assert z <= 4 * ipow_ceil(g.n, k - sc.level, k), (sc.level, z)
 
 
 def test_improved_edge_in_at_most_two_instances():
@@ -736,7 +739,7 @@ def test_improved_odd_k_runs_reduced_levels():
     g = generate("erdos-renyi", {"n": 100, "p": 0.12}, seed=3)
     res = improved_spanner(g, 5)
     # (k-1)/2 superclustering levels after the zero level
-    assert [level for level, _cl, _sc in res.trace["superclusterings"]] == [0, 1, 2]
+    assert [sc.level for _cl, sc in res.trace["superclusterings"]] == [0, 1, 2]
     assert verify_stretch(g, res.spanner, 9).passed
 
 

@@ -151,12 +151,13 @@ def test_audit_detects_shared_tree_edge():
     sc = Superclustering(
         level=0,
         superclusters=[
-            Supercluster(2, frozenset({0, 1, 2}), frozenset({(0, 1), (1, 2)}), 0, 5),
-            Supercluster(5, frozenset({3, 4, 5}), frozenset({(1, 2), (3, 4), (4, 5)}), 3, 5),
+            Supercluster(2, frozenset({0, 1, 2}), frozenset({(0, 1), (1, 2)}), 0),
+            Supercluster(5, frozenset({3, 4, 5}), frozenset({(1, 2), (3, 4), (4, 5)}), 3),
         ],
         vertex_bound=10,
         cluster_bound=10,
         count_bound=10,
+        depth_bound=5,
     )
     rep = audit_superclustering(g, cl, sc)
     assert not rep.passed
@@ -173,10 +174,11 @@ def test_audit_large_singleton_allowed():
     )
     sc = Superclustering(
         level=1,
-        superclusters=[Supercluster(5, frozenset({0}), frozenset(), 0, 2)],
+        superclusters=[Supercluster(5, frozenset({0}), frozenset(), 0)],
         vertex_bound=3,  # N_V = 6 >= 3, but it is a singleton: N0 holds
         cluster_bound=3,
         count_bound=5,
+        depth_bound=2,
     )
     rep = audit_superclustering(g, cl, sc)
     assert rep.passed, rep.findings
@@ -189,11 +191,12 @@ def test_audit_nonsingleton_vertex_balance_violation():
         level=0,
         superclusters=[
             Supercluster(5, frozenset(range(6)),
-                         frozenset({(i, i + 1) for i in range(5)}), 0, 6)
+                         frozenset({(i, i + 1) for i in range(5)}), 0)
         ],
         vertex_bound=3,
         cluster_bound=10,
         count_bound=5,
+        depth_bound=6,
     )
     rep = audit_superclustering(g, cl, sc)
     assert not rep.passed
@@ -211,12 +214,13 @@ def _path_audit(groups, vertex_bound, cluster_bound, count_bound, depth_bound):
         level=0,
         superclusters=[
             Supercluster(max(vs), frozenset(vs),
-                         frozenset((v, v + 1) for v in vs[:-1]), vs[0], depth_bound)
+                         frozenset((v, v + 1) for v in vs[:-1]), vs[0])
             for vs in groups
         ],
         vertex_bound=vertex_bound,
         cluster_bound=cluster_bound,
         count_bound=count_bound,
+        depth_bound=depth_bound,
     )
     return audit_superclustering(generate("path", {"n": n}), cl, sc)
 
